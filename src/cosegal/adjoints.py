@@ -2,8 +2,9 @@
 
 The central objects here:
 
-* KObject: a bare functor on chains (values plus structure maps against
-  deletions), no laxity. The left adjoint `gamma` freely adds laxity.
+* A bare chain diagram (values plus structure maps against deletions) is
+  a `Precategory` with empty laxity and no units; `kobject_of` forgets
+  down to one, and the left adjoint `gamma` freely adds laxity back.
 * `point` freely adds unit points: the value at a chain becomes a sum
   over decompositions into carrier parts and unit parts.
 * `unitalize` quotients a pointed precategory until the unit laws hold,
@@ -64,8 +65,6 @@ def _assemble(sum_obj, comps, dst, backend):
     """The map out of a `_sum_objects` sum given one map per summand."""
     if len(comps) == 1:
         return comps[0]
-    if not comps:
-        return copair(sum_obj, [], dst)
     return copair(sum_obj, comps, dst)
 
 
@@ -89,105 +88,6 @@ def _pair_assemble(backend, left, right, targets, dst):
     comps = [targets[(i, j)] for i in range(len(lsrcs))
              for j in range(len(rsrcs))]
     return invert(t_iso).then(_assemble(cop, comps, dst, backend))
-
-
-# ---------------------------------------------------------------------------
-# bare chain diagrams
-
-
-@dataclass
-class KObject:
-    """Values on every chain plus structure maps against deletions.
-
-    The shape of a precategory with the laxity forgotten; `gamma` is its
-    left adjoint back."""
-
-    backend: str
-    letters: tuple
-    truncation: int
-    values: dict
-    maps: dict  # (chain, inner position) -> map into that chain's value
-
-    def value(self, s):
-        return self.values[s]
-
-    def gen_map(self, s, p):
-        return self.maps[(s, p)]
-
-    def structure(self, d):
-        out = identity(self.values[d.dst])
-        for step in reversed(shapes.del_singles(d)):
-            out = out.then(self.maps[(step.src, step.deleted()[0])])
-        return out
-
-
-def make_kobject(backend, letters, truncation, values, maps):
-    letters = tuple(sorted(letters))
-    need = set(shapes.all_chains(letters, truncation))
-    if set(values) != need:
-        raise ValueError("values must cover every chain once")
-    return KObject(backend, letters, truncation, dict(values), dict(maps))
-
-
-def validate_kobject(k, strict=False):
-    errors = []
-    for s in k.values:
-        for p in range(1, len(s) - 1):
-            m = k.maps.get((s, p))
-            t = shapes.delete(s, p)
-            if m is None:
-                errors.append("missing structure map at %r, %d" % (s, p))
-            elif m.src != k.values[t] or m.dst != k.values[s]:
-                errors.append("structure map at %r, %d has wrong ends"
-                              % (s, p))
-    if not errors:
-        for s in k.values:
-            n = len(s)
-            for p in range(1, n - 1):
-                for q in range(p + 1, n - 1):
-                    a = k.gen_map(shapes.delete(s, q), p).then(
-                        k.gen_map(s, q))
-                    b = k.gen_map(shapes.delete(s, p), q - 1).then(
-                        k.gen_map(s, p))
-                    if a != b:
-                        errors.append(
-                            "structure maps break the simplicial identity "
-                            "at %r positions %d, %d" % (s, p, q))
-    if strict and errors:
-        raise ValueError("; ".join(errors))
-    return errors
-
-
-@dataclass
-class KMorphism:
-    src: KObject
-    dst: KObject
-    components: dict
-
-    def at(self, s):
-        return self.components[s]
-
-    def then(self, other):
-        return KMorphism(self.src, other.dst, {
-            s: self.components[s].then(other.components[s])
-            for s in self.components})
-
-
-def validate_kmorphism(phi, strict=False):
-    errors = []
-    for s in phi.src.values:
-        c = phi.components.get(s)
-        if c is None or c.src != phi.src.values[s] \
-                or c.dst != phi.dst.values[s]:
-            errors.append("component at %r missing or mis-typed" % (s,))
-    if not errors:
-        for (s, p), m in phi.src.maps.items():
-            t = shapes.delete(s, p)
-            if phi.at(t).then(phi.dst.gen_map(s, p)) != m.then(phi.at(s)):
-                errors.append("not natural at %r, %d" % (s, p))
-    if strict and errors:
-        raise ValueError("; ".join(errors))
-    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +129,12 @@ def gamma(k):
     backend = k.backend
     values = {}
     sums = {}
-    for z in k.values:
+    for z in k.chains:
         obj, injs, srcs, keys = _gamma_sum(k, z)
         values[z] = obj
         sums[z] = (obj, injs, srcs, keys)
     maps = {}
-    for z in k.values:
+    for z in k.chains:
         obj, injs, srcs, keys = sums[z]
         pos = {key: i for i, key in enumerate(keys)}
         for p in range(1, len(z) - 1):
@@ -255,30 +155,23 @@ def gamma(k):
                     injs[pos[("sub", big_cuts)]]))
             maps[(z, p)] = _assemble(sobj, comps, obj, backend)
     laxity = {}
-    chainset = set(k.values)
-    for s in k.values:
-        for t in k.values:
-            if s[-1] != t[0]:
-                continue
-            st = shapes.concat(s, t)
-            if shapes.degree(st) > k.truncation or st not in chainset:
-                continue
-            tobj, tinjs, _, tkeys = sums[st]
-            tpos = {key: i for i, key in enumerate(tkeys)}
-            sobj, sinjs, ssrcs, skeys = sums[s]
-            uobj, uinjs, usrcs, ukeys = sums[t]
-            shift = shapes.degree(s)
-            targets = {}
-            for i, ks in enumerate(skeys):
-                cuts_s = ks[1] if ks[0] == "sub" else ()
-                for j, kt in enumerate(ukeys):
-                    cuts_t = kt[1] if kt[0] == "sub" else ()
-                    cuts = cuts_s + (shift,) + tuple(
-                        c + shift for c in cuts_t)
-                    targets[(i, j)] = tinjs[tpos[("sub", cuts)]]
-            laxity[(s, t)] = _pair_assemble(
-                backend, (sobj, sinjs, ssrcs), (uobj, uinjs, usrcs),
-                targets, tobj)
+    for s, t in expected_laxity_keys(k):
+        tobj, tinjs, _, tkeys = sums[shapes.concat(s, t)]
+        tpos = {key: i for i, key in enumerate(tkeys)}
+        sobj, sinjs, ssrcs, skeys = sums[s]
+        uobj, uinjs, usrcs, ukeys = sums[t]
+        shift = shapes.degree(s)
+        targets = {}
+        for i, ks in enumerate(skeys):
+            cuts_s = ks[1] if ks[0] == "sub" else ()
+            for j, kt in enumerate(ukeys):
+                cuts_t = kt[1] if kt[0] == "sub" else ()
+                cuts = cuts_s + (shift,) + tuple(
+                    c + shift for c in cuts_t)
+                targets[(i, j)] = tinjs[tpos[("sub", cuts)]]
+        laxity[(s, t)] = _pair_assemble(
+            backend, (sobj, sinjs, ssrcs), (uobj, uinjs, usrcs),
+            targets, tobj)
     return make_precategory(backend, k.letters, k.truncation, values, maps,
                             laxity)
 
@@ -288,7 +181,7 @@ def gamma_map(phi):
     src = gamma(phi.src)
     dst = gamma(phi.dst)
     comps = {}
-    for z in phi.src.values:
+    for z in phi.src.chains:
         sobj, _, _, skeys = _gamma_sum(phi.src, z)
         dobj, dinjs, _, dkeys = _gamma_sum(phi.dst, z)
         pos = {key: i for i, key in enumerate(dkeys)}
@@ -312,35 +205,33 @@ def gamma_map(phi):
 
 def kobject_of(pc):
     """Forget the laxity (and units): the underlying bare chain diagram."""
-    return KObject(pc.backend, pc.letters, pc.truncation, dict(pc.values),
-                   dict(pc.maps))
+    return make_precategory(pc.backend, pc.letters, pc.truncation,
+                            pc.values, pc.maps, {})
 
 
 def gamma_unit(k):
     """k -> forget(gamma(k)): the inclusion of the chain block."""
     g = gamma(k)
     comps = {}
-    for z in k.values:
+    for z in k.chains:
         _, injs, _, keys = _gamma_sum(k, z)
         comps[z] = injs[keys.index(("whole", ()))]
-    return KMorphism(k, kobject_of(g), comps)
+    return PrecatMorphism(k, kobject_of(g), comps)
 
 
 def gamma_counit(pc):
     """gamma(forget(pc)) -> pc: identity on the chain block, iterated
     laxity on each subdivision block."""
-    k = kobject_of(pc)
-    g = gamma(k)
+    g = gamma(pc)
     comps = {}
     for z in pc.chains:
-        sobj, _, _, keys = _gamma_sum(k, z)
         legs = []
-        for kind, cuts in keys:
+        for kind, cuts in gamma_keys(z):
             if kind == "whole":
                 legs.append(identity(pc.value(z)))
             else:
                 legs.append(pc.lax_multi(shapes.parts_of(z, cuts)))
-        comps[z] = _assemble(sobj, legs, pc.value(z), pc.backend)
+        comps[z] = _assemble(g.value(z), legs, pc.value(z), pc.backend)
     return PrecatMorphism(g, pc, comps)
 
 
@@ -422,49 +313,42 @@ def point(pc):
                     injs[pos[(big_cuts, labels)]]))
             maps[(z, p)] = _assemble(sobj, comps, obj, backend)
     laxity = {}
-    chainset = set(pc.chains)
-    for s in pc.chains:
-        for t in pc.chains:
-            if s[-1] != t[0]:
-                continue
-            st = shapes.concat(s, t)
-            if shapes.degree(st) > pc.truncation or st not in chainset:
-                continue
-            tobj, tinjs, _, tkeys = sums[st]
-            tpos = {key: i for i, key in enumerate(tkeys)}
-            sobj, sinjs, ssrcs, skeys = sums[s]
-            uobj, uinjs, usrcs, ukeys = sums[t]
-            shift = shapes.degree(s)
-            targets = {}
-            for i, (cuts1, labels1) in enumerate(skeys):
-                parts1 = shapes.parts_of(s, cuts1)
-                for j, (cuts2, labels2) in enumerate(ukeys):
-                    parts2 = shapes.parts_of(t, cuts2)
-                    shifted = tuple(c + shift for c in cuts2)
-                    if labels1[-1] != labels2[0]:
-                        key = (cuts1 + (shift,) + shifted,
-                               labels1 + labels2)
-                        targets[(i, j)] = tinjs[tpos[key]]
-                        continue
-                    merged_cuts = cuts1 + shifted
-                    merged_labels = labels1 + labels2[1:]
-                    factors = []
-                    for q, l in zip(parts1[:-1], labels1[:-1]):
-                        factors.append(identity(
-                            pc.value(q) if l == "f" else unit(backend)))
-                    if labels1[-1] == "f":
-                        factors.append(pc.lax(parts1[-1], parts2[0]))
-                    else:
-                        factors.append(left_unitor(unit(backend)))
-                    for q, l in zip(parts2[1:], labels2[1:]):
-                        factors.append(identity(
-                            pc.value(q) if l == "f" else unit(backend)))
-                    targets[(i, j)] = tensor_mor_multi(
-                        factors, backend).then(
-                            tinjs[tpos[(merged_cuts, merged_labels)]])
-            laxity[(s, t)] = _pair_assemble(
-                backend, (sobj, sinjs, ssrcs), (uobj, uinjs, usrcs),
-                targets, tobj)
+    for s, t in expected_laxity_keys(pc):
+        tobj, tinjs, _, tkeys = sums[shapes.concat(s, t)]
+        tpos = {key: i for i, key in enumerate(tkeys)}
+        sobj, sinjs, ssrcs, skeys = sums[s]
+        uobj, uinjs, usrcs, ukeys = sums[t]
+        shift = shapes.degree(s)
+        targets = {}
+        for i, (cuts1, labels1) in enumerate(skeys):
+            parts1 = shapes.parts_of(s, cuts1)
+            for j, (cuts2, labels2) in enumerate(ukeys):
+                parts2 = shapes.parts_of(t, cuts2)
+                shifted = tuple(c + shift for c in cuts2)
+                if labels1[-1] != labels2[0]:
+                    key = (cuts1 + (shift,) + shifted,
+                           labels1 + labels2)
+                    targets[(i, j)] = tinjs[tpos[key]]
+                    continue
+                merged_cuts = cuts1 + shifted
+                merged_labels = labels1 + labels2[1:]
+                factors = []
+                for q, l in zip(parts1[:-1], labels1[:-1]):
+                    factors.append(identity(
+                        pc.value(q) if l == "f" else unit(backend)))
+                if labels1[-1] == "f":
+                    factors.append(pc.lax(parts1[-1], parts2[0]))
+                else:
+                    factors.append(left_unitor(unit(backend)))
+                for q, l in zip(parts2[1:], labels2[1:]):
+                    factors.append(identity(
+                        pc.value(q) if l == "f" else unit(backend)))
+                targets[(i, j)] = tensor_mor_multi(
+                    factors, backend).then(
+                        tinjs[tpos[(merged_cuts, merged_labels)]])
+        laxity[(s, t)] = _pair_assemble(
+            backend, (sobj, sinjs, ssrcs), (uobj, uinjs, usrcs),
+            targets, tobj)
     units = {}
     for a in pc.letters:
         obj, injs, _, keys = sums[(a, a)]
@@ -520,49 +404,33 @@ def free_hom_kobject(letters, truncation, z0, m):
     """
     backend = m.backend
     letters = tuple(sorted(letters))
-    values = {}
     homs = {}
+    sums = {}
     for w in shapes.all_chains(letters, truncation):
-        ds = shapes.hom_set(w, z0)
-        homs[w] = ds
-        obj, injs = _sum_objects(backend, [m] * len(ds))
-        values[w] = obj if ds else empty(backend)
-    k = KObject(backend, letters, truncation, values, {})
+        homs[w] = shapes.hom_set(w, z0)
+        sums[w] = _sum_objects(backend, [m] * len(homs[w]))
     maps = {}
-    for w in values:
-        obj, injs = _sum_objects(backend, [m] * len(homs[w]))
-        if not homs[w]:
-            obj, injs = empty(backend), []
+    for w, (obj, injs) in sums.items():
         for p in range(1, len(w) - 1):
-            wp = shapes.delete(w, p)
             step = shapes.del_single(w, p)
-            sobj, sinjs = _sum_objects(backend, [m] * len(homs[wp]))
-            if not homs[wp]:
-                sobj, sinjs = empty(backend), []
-            comps = []
-            for d in homs[wp]:
-                comps.append(injs[homs[w].index(step.then(d))])
-            maps[(w, p)] = _assemble(sobj, comps, values[w], backend)
-    k.maps = maps
-    return k
+            wp = shapes.delete(w, p)
+            comps = [injs[homs[w].index(step.then(d))] for d in homs[wp]]
+            maps[(w, p)] = _assemble(sums[wp][0], comps, obj, backend)
+    values = {w: obj for w, (obj, _) in sums.items()}
+    return make_precategory(backend, letters, truncation, values, maps, {})
 
 
 def free_hom_kmorphism(letters, truncation, z0, f):
     """The action of the free one-chain diagram on a map f: m -> m2."""
     src = free_hom_kobject(letters, truncation, z0, f.src)
     dst = free_hom_kobject(letters, truncation, z0, f.dst)
-    backend = f.backend
     comps = {}
-    for w in src.values:
-        ds = shapes.hom_set(w, z0)
-        sobj, _ = _sum_objects(backend, [f.src] * len(ds))
-        dobj, dinjs = _sum_objects(backend, [f.dst] * len(ds))
-        if not ds:
-            comps[w] = identity(empty(backend))
-            continue
-        legs = [f.then(dinjs[i]) for i in range(len(ds))]
-        comps[w] = _assemble(sobj, legs, dst.values[w], backend)
-    return KMorphism(src, dst, comps)
+    for w in src.chains:
+        n = len(shapes.hom_set(w, z0))
+        _, dinjs = _sum_objects(f.backend, [f.dst] * n)
+        comps[w] = _assemble(src.value(w), [f.then(j) for j in dinjs],
+                             dst.value(w), f.backend)
+    return PrecatMorphism(src, dst, comps)
 
 
 def upsilon(letters, truncation, z0, m):
@@ -598,26 +466,30 @@ def upsilon_transpose(h, z0, g):
     Deletion indices go to h's structure maps, unit parts to derived
     units, and blocks merge through h's laxity.
     """
+    k = free_hom_kobject(h.letters, h.truncation, z0, g.src)
+    gk = gamma(k)
+
+    def k_component(w):
+        legs = [g.then(h.structure(d)) for d in shapes.hom_set(w, z0)]
+        return _assemble(k.value(w), legs, h.value(w), h.backend)
+
+    return _free_transpose(point(gk), gk, h, k_component)
+
+
+def _free_transpose(pointed, gk, h, k_component):
+    """The pointed morphism pointed = point(gk) -> h, for gk = gamma(k),
+    that is k_component(w): k(w) -> h(w) on the chain blocks.
+
+    Subdivision blocks and carrier parts merge through h's laxity, unit
+    parts go to derived units.
+    """
     if not h.is_pointed():
         raise ValueError("transpose needs a pointed target")
     backend = h.backend
-    m = g.src
-    k = free_hom_kobject(h.letters, h.truncation, z0, m)
-    gk = gamma(k)
-    ups = point(gk)
-
-    def k_component(w):
-        ds = shapes.hom_set(w, z0)
-        sobj, _ = _sum_objects(backend, [m] * len(ds))
-        if not ds:
-            sobj = empty(backend)
-        legs = [g.then(h.structure(d)) for d in ds]
-        return _assemble(sobj, legs, h.value(w), backend)
 
     def gamma_component(w):
-        sobj, _, _, keys = _gamma_sum(k, w)
         legs = []
-        for kind, cuts in keys:
+        for kind, cuts in gamma_keys(w):
             if kind == "whole":
                 legs.append(k_component(w))
                 continue
@@ -625,24 +497,23 @@ def upsilon_transpose(h, z0, g):
             legs.append(tensor_mor_multi(
                 [k_component(q) for q in parts], backend).then(
                     h.lax_multi(parts)))
-        return _assemble(sobj, legs, h.value(w), backend)
+        return _assemble(gk.value(w), legs, h.value(w), backend)
 
     def derived_unit(part):
-        a = part[0]
-        return h.unit_map(a).then(h.structure(shapes.to_initial(part)))
+        return h.unit_map(part[0]).then(
+            h.structure(shapes.to_initial(part)))
 
     comps = {}
-    for w in ups.chains:
-        sobj, _, _, keys = _point_sum(gk, w)
+    for w in pointed.chains:
         legs = []
-        for cuts, labels in keys:
+        for cuts, labels in point_keys(w):
             parts = shapes.parts_of(w, cuts)
             factors = [gamma_component(q) if l == "f" else derived_unit(q)
                        for q, l in zip(parts, labels)]
             legs.append(tensor_mor_multi(factors, backend).then(
                 h.lax_multi(parts)))
-        comps[w] = _assemble(sobj, legs, h.value(w), backend)
-    return PrecatMorphism(ups, h, comps)
+        comps[w] = _assemble(pointed.value(w), legs, h.value(w), backend)
+    return PrecatMorphism(pointed, h, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -831,9 +702,6 @@ class UnitalizationTrace:
     stages: list
     rounds: list
 
-    def stable_after(self):
-        return len(self.rounds)
-
     def summary(self):
         return {
             "rounds": len(self.rounds),
@@ -859,7 +727,11 @@ class NonStabilizing(RuntimeError):
         self.trace = trace
 
 
-def unitalize(pc, cap=64):
+# the most rounds `unitalize` runs before it gives up
+ROUND_CAP = 64
+
+
+def unitalize(pc):
     """Force the unit laws of a pointed precategory by iterated gluing.
 
     Each round coequalizes every violated unit constraint in the slot
@@ -867,14 +739,14 @@ def unitalize(pc, cap=64):
     and glues all gadgets onto the precategory in a single simultaneous
     colimit. Rounds repeat until no constraint is violated; each
     effective round strictly shrinks some slot, so the loop terminates,
-    but a configurable cap guards it anyway.
+    but ROUND_CAP guards it anyway.
     """
     if not pc.is_pointed():
         raise ValueError("unitalize needs a pointed precategory")
     current = pc
     stages = [pc]
     rounds = []
-    for _ in range(cap):
+    for _ in range(ROUND_CAP):
         bad = check_unital(current)
         if not bad:
             trace = UnitalizationTrace(stages, rounds)
@@ -918,7 +790,7 @@ def unitalize(pc, cap=64):
         current = new
     trace = UnitalizationTrace(stages, rounds)
     raise NonStabilizing("unitalization did not stabilize within %d "
-                         "rounds" % cap, trace)
+                         "rounds" % ROUND_CAP, trace)
 
 
 def factor_through_unital(eta, psi):
@@ -1140,7 +1012,7 @@ def hom_extension_kobject(letters, truncation, z0, alpha):
     At a chain w the value is the wide pushout of one copy of alpha per
     deletion w -> z0 under the single U; chains that cannot reach z0
     carry U itself, other endpoint components the initial object.
-    Returns (KObject, {chain: WidePushout or None}).
+    Returns (bare chain diagram, {chain: WidePushout or None}).
     """
     backend = alpha.backend
     letters = tuple(sorted(letters))
@@ -1171,7 +1043,7 @@ def hom_extension_kobject(letters, truncation, z0, alpha):
                     for d in ds_small]
             maps[(w, p)] = wide_pushout_induced(
                 wps[wp], cone, through=big.through)
-    k = KObject(backend, letters, truncation, values, maps)
+    k = make_precategory(backend, letters, truncation, values, maps, {})
     return k, wps
 
 
@@ -1184,7 +1056,7 @@ def hom_extension_square(letters, truncation, z0, square, src_data,
     kdst, wdst = dst_data
     backend = u.backend
     comps = {}
-    for w in ksrc.values:
+    for w in ksrc.chains:
         if wsrc[w] is None:
             comps[w] = identity(empty(backend))
             continue
@@ -1192,7 +1064,7 @@ def hom_extension_square(letters, truncation, z0, square, src_data,
         cone = [v.then(wdst[w].maps[i]) for i in range(len(ds))]
         comps[w] = wide_pushout_induced(wsrc[w], cone,
                                         through=u.then(wdst[w].through))
-    return KMorphism(ksrc, kdst, comps)
+    return PrecatMorphism(ksrc, kdst, comps)
 
 
 @dataclass
@@ -1205,7 +1077,7 @@ class PsiResult:
     wps: dict
 
 
-def psi(z0, alpha, letters=None, truncation=None, cap=64):
+def psi(z0, alpha, letters=None, truncation=None):
     """The free unital precategory on an arrow sitting over one chain.
 
     Maps out of it into a unital pointed precategory H correspond to
@@ -1218,7 +1090,7 @@ def psi(z0, alpha, letters=None, truncation=None, cap=64):
         truncation = shapes.degree(z0)
     k, wps = hom_extension_kobject(letters, truncation, z0, alpha)
     pointed = point(gamma(k))
-    res = unitalize(pointed, cap=cap)
+    res = unitalize(pointed)
     return PsiResult(res.precat, res.eta, pointed, res.trace, k, wps)
 
 
@@ -1266,49 +1138,17 @@ def psi_transpose(res, z0, h, square):
     cosegal arrow of h at z0: top into h at the endpoints, bottom into h
     at z0, with top . h(to initial) == alpha . bottom."""
     top, bottom = square
-    if not h.is_pointed():
-        raise ValueError("transpose needs a pointed target")
-    backend = h.backend
-    k, wps = res.kobject, res.wps
-    gk = gamma(k)
+    wps = res.wps
 
     def k_component(w):
         if wps[w] is None:
-            return copair(empty(backend), [], h.value(w))
+            return copair(empty(h.backend), [], h.value(w))
         ds = shapes.hom_set(w, z0)
         cone = [bottom.then(h.structure(d)) for d in ds]
         through = top.then(h.structure(shapes.to_initial(w)))
         return wide_pushout_induced(wps[w], cone, through=through)
 
-    def gamma_component(w):
-        sobj, _, _, keys = _gamma_sum(k, w)
-        legs = []
-        for kind, cuts in keys:
-            if kind == "whole":
-                legs.append(k_component(w))
-                continue
-            parts = shapes.parts_of(w, cuts)
-            legs.append(tensor_mor_multi(
-                [k_component(q) for q in parts], backend).then(
-                    h.lax_multi(parts)))
-        return _assemble(sobj, legs, h.value(w), backend)
-
-    def derived_unit(part):
-        return h.unit_map(part[0]).then(
-            h.structure(shapes.to_initial(part)))
-
-    comps = {}
-    for w in res.pointed.chains:
-        sobj, _, _, keys = _point_sum(gk, w)
-        legs = []
-        for cuts, labels in keys:
-            parts = shapes.parts_of(w, cuts)
-            factors = [gamma_component(q) if l == "f" else derived_unit(q)
-                       for q, l in zip(parts, labels)]
-            legs.append(tensor_mor_multi(factors, backend).then(
-                h.lax_multi(parts)))
-        comps[w] = _assemble(sobj, legs, h.value(w), backend)
-    raw = PrecatMorphism(res.pointed, h, comps)
+    raw = _free_transpose(res.pointed, gamma(res.kobject), h, k_component)
     return factor_through_unital(res.eta, raw)
 
 
@@ -1492,7 +1332,7 @@ def pushforward(f, pc):
                 parts = shapes.parts_of(w, big_cuts)
                 step = shapes.del_single(parts[j], rel_pos)
                 new_combo = list(combo)
-                new_combo[j] = (s_j, _compose_del(step, d_j))
+                new_combo[j] = (s_j, step.then(d_j))
                 target = (big_cuts, tuple(new_combo))
                 legs.append(binj[target].then(q.proj))
             h = copair(copp, legs, values[w])
@@ -1523,10 +1363,6 @@ def pushforward(f, pc):
         laxity[(sbar, tbar)] = _descend_tensor(qs, qt, on_cops)
     out.laxity.update(laxity)
     return out
-
-
-def _compose_del(first, second):
-    return first.then(second)
 
 
 def _concat_del(d1, d2):

@@ -53,9 +53,6 @@ class MObject:
             return self.dim
         return len(self.degrees)
 
-    def is_empty(self):
-        return self.size() == 0
-
 
 def finset_obj(labels):
     """A finite set. Labels may be strings (wrapped as one-atom tuples)."""
@@ -147,9 +144,6 @@ class MMorphism:
             mx = ratmat.matmul(other.matrix, self.matrix)
         return MMorphism(self.backend, self.src, other.dst, matrix=mx)
 
-    def apply_index(self, i):
-        return self.mapping[i]
-
 
 def finset_map(src, dst, mapping):
     mapping = tuple(int(i) for i in mapping)
@@ -159,12 +153,6 @@ def finset_map(src, dst, mapping):
         if not (0 <= i < len(dst.labels)):
             raise ValueError("finset mapping index out of range")
     return MMorphism("finset", src, dst, mapping=mapping)
-
-
-def finset_map_by_label(src, dst, table):
-    """Build a finset map from a {src label: dst label} dict."""
-    idx = {lbl: i for i, lbl in enumerate(dst.labels)}
-    return finset_map(src, dst, [idx[table[lbl]] for lbl in src.labels])
 
 
 def vectq_map(src, dst, matrix):
@@ -244,8 +232,10 @@ def tensor(x, y):
     nx, ny = len(x.degrees), len(y.degrees)
     if nx == 0 or ny == 0:
         return chq_obj([], [])
+    # Koszul signs from parity: (-1) ** d is a float for negative d
     sign = tuple(
-        tuple((-1) ** x.degrees[i] * ONE if i == j else ZERO for j in range(nx))
+        tuple((-ONE if x.degrees[i] % 2 else ONE) if i == j else ZERO
+              for j in range(nx))
         for i in range(nx))
     diff = ratmat.madd(
         ratmat.kron(x.diff, ratmat.eye(ny)), ratmat.kron(sign, y.diff))
@@ -305,7 +295,7 @@ def symmetry(x, y):
         for j in range(ny):
             s = ONE
             if x.backend == "chq":
-                s = (-1) ** (x.degrees[i] * y.degrees[j]) * ONE
+                s = -ONE if x.degrees[i] * y.degrees[j] % 2 else ONE
             rows[j * nx + i][i * ny + j] = s
     return make_map(src, dst, tuple(tuple(r) for r in rows))
 

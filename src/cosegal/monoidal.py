@@ -38,9 +38,9 @@ from .base import (
 from .colim import coproduct
 from .precat import (
     Precategory, PrecatMorphism, expected_laxity_keys, make_precategory,
-    validate, validate_morphism,
+    split_admissible, validate, validate_morphism,
 )
-from .adjoints import pullback, realize
+from .adjoints import _image_chain, pullback, realize
 
 MARKER = "*"
 
@@ -228,21 +228,10 @@ def endomorphism_monoidality(m1, m2, letter=MARKER):
 # join chains and modules
 
 
-def is_join_chain(s, left, right):
-    """No letter from the left block may follow one from the right."""
-    seen_right = False
-    for a in s:
-        if a in right:
-            seen_right = True
-        elif seen_right:
-            return False
-    return True
-
-
 def join_chains(left, right, truncation):
     out = []
     for s in shapes.all_chains(tuple(left) + tuple(right), truncation):
-        if is_join_chain(s, set(left), set(right)):
+        if split_admissible((left, right), s):
             out.append(s)
     return tuple(out)
 
@@ -362,8 +351,7 @@ def check_distributor(e, f, g):
     report["join_shape"] = (
         tuple(e.chains) == join_chains(sorted(left), sorted(right),
                                        e.truncation)
-        and all(is_join_chain(s, set(left), set(right))
-                for s in e.chains))
+        and all(split_admissible(e.split, s) for s in e.chains))
     rl = restrict_letters(e, left)
     rr = restrict_letters(e, right)
     if e.is_pointed() and not f.is_pointed():
@@ -406,10 +394,6 @@ class RelativeNatTransform:
 
     def alpha(self, a):
         return tuple(fm[a] for fm in self.fmaps)
-
-
-def _image_chain(fm, s):
-    return tuple(fm[a] for a in s)
 
 
 def _check_transform_shape(src, dst, fmaps, sigmas):

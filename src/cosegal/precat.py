@@ -90,10 +90,6 @@ def make_precategory(backend, letters, truncation, values, maps, laxity,
                        dict(values), dict(maps), dict(laxity), units, split)
 
 
-def full_chain_set(letters, truncation):
-    return shapes.all_chains(letters, truncation)
-
-
 def expected_laxity_keys(pc):
     chainset = set(pc.chains)
     keys = []
@@ -120,10 +116,14 @@ def split_admissible(split, s):
     return True
 
 
-def validate(pc, strict=False):
-    """All structural defects of a precategory, as readable strings.
+def validate_diagram(pc):
+    """All defects of the underlying bare chain diagram, as readable
+    strings: chains and their values (admissible for the split, when one
+    is set), the structure map generators and their ends, and the
+    simplicial identities between them.
 
-    With strict=True a nonempty report raises ValueError instead.
+    Laxity and units are not looked at, so this is the whole check for a
+    diagram with empty laxity; `validate` runs it first.
     """
     errors = []
     chainset = set(pc.chains)
@@ -165,7 +165,7 @@ def validate(pc, strict=False):
         if key not in expected_maps:
             errors.append("unexpected structure map key %r" % (key,))
     if errors:
-        return _finish(errors, strict)
+        return errors
     # simplicial coherence: both orders of a double deletion agree
     for s in pc.chains:
         n = len(s)
@@ -179,6 +179,19 @@ def validate(pc, strict=False):
                     errors.append(
                         "structure maps break the simplicial identity at "
                         "%r positions %d, %d" % (s, p, q))
+    return errors
+
+
+def validate(pc):
+    """All structural defects of a precategory, as readable strings.
+
+    Laxity and units are checked only once `validate_diagram` finds the
+    underlying diagram sound.
+    """
+    errors = validate_diagram(pc)
+    if errors:
+        return errors
+    chainset = set(pc.chains)
     # laxity keys, ends, naturality, associativity
     expected_lax = set(expected_laxity_keys(pc))
     if set(pc.laxity) != expected_lax:
@@ -244,7 +257,7 @@ def validate(pc, strict=False):
         for a in pc.units:
             if a not in set(pc.letters):
                 errors.append("unit at unknown letter %r" % (a,))
-    return _finish(errors, strict)
+    return errors
 
 
 def _finish(errors, strict):
@@ -335,13 +348,13 @@ def identity_morphism(pc):
                                    for s in pc.chains})
 
 
-def validate_morphism(alpha, strict=False):
+def validate_morphism(alpha):
     """Naturality, monoidality and unit preservation of a morphism."""
     errors = []
     f, g = alpha.src, alpha.dst
     if f.chains != g.chains:
         errors.append("source and target store different chains")
-        return _finish(errors, strict)
+        return errors
     for s in f.chains:
         c = alpha.components.get(s)
         if c is None:
@@ -349,7 +362,7 @@ def validate_morphism(alpha, strict=False):
         elif c.src != f.values[s] or c.dst != g.values[s]:
             errors.append("component at %r has wrong ends" % (s,))
     if errors:
-        return _finish(errors, strict)
+        return errors
     for (s, p) in f.maps:
         t = shapes.delete(s, p)
         if alpha.at(t).then(g.gen_map(s, p)) != \
@@ -365,7 +378,7 @@ def validate_morphism(alpha, strict=False):
         for a in f.letters:
             if f.unit_map(a).then(alpha.at((a, a))) != g.unit_map(a):
                 errors.append("unit not preserved at %r" % (a,))
-    return _finish(errors, strict)
+    return errors
 
 
 def is_levelwise_weak_equivalence(alpha):

@@ -62,10 +62,6 @@ def matmul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def matvec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def hstack(mats):
     mats = [m for m in mats]
     rows = len(mats[0])

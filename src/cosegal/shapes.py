@@ -54,14 +54,6 @@ def concat(s, t):
     return s + t[1:]
 
 
-def concat_multi(parts):
-    parts = list(parts)
-    out = parts[0]
-    for p in parts[1:]:
-        out = concat(out, p)
-    return out
-
-
 @dataclass(frozen=True)
 class Del:
     """A morphism src -> dst deleting the letters not listed in kept."""
@@ -191,17 +183,6 @@ def reinsert(s, cuts, p):
 
 # ---------------------------------------------------------------------------
 # chain enumeration
-
-
-def chains_between(letters, a, b, max_degree):
-    """All chains from a to b over the given letters, degree <= max_degree,
-    shortest first, lexicographic within a degree."""
-    letters = sorted(letters)
-    out = []
-    for n in range(1, max_degree + 1):
-        for mid in itertools.product(letters, repeat=n - 1):
-            out.append((a,) + mid + (b,))
-    return tuple(out)
 
 
 def all_chains(letters, max_degree):

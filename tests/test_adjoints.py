@@ -9,25 +9,25 @@ coherence squares from scratch.
 
 import pytest
 
-from cosegal import shapes
+from cosegal import adjoints, shapes
 from cosegal.base import (
     enumerate_maps, finset_map, finset_obj, identity, is_isomorphism,
     is_surjective, vectq_map, vectq_obj,
 )
 from cosegal.adjoints import (
-    KObject, codiagonal_arrow, free_hom_kmorphism, free_hom_kobject,
+    NonStabilizing, codiagonal_arrow, free_hom_kmorphism, free_hom_kobject,
     gamma, gamma_counit, gamma_map, gamma_unit, kobject_of, point,
     point_carrier_inclusion, point_keys, point_map, precat_colimit, psi,
     psi_inclusions, psi_restrict, psi_square, psi_transpose, pullback,
     pushforward,
     realize, square_down, square_ell, square_xi, unitalize,
     upsilon_center_inclusion, upsilon_map, upsilon_transpose,
-    validate_kmorphism, validate_kobject, factor_through_unital,
+    factor_through_unital,
 )
 from cosegal.precat import (
     check_unital, from_strict_category, identity_morphism,
-    is_levelwise_isomorphism, make_precategory, validate, validate_morphism,
-    validate_strict_category,
+    is_levelwise_isomorphism, make_precategory, validate, validate_diagram,
+    validate_morphism, validate_strict_category,
 )
 
 from test_precat import (
@@ -50,8 +50,7 @@ def endpoint_constant_kobject(backend, letters, truncation, fiber):
     for s in values:
         for p in range(1, len(s) - 1):
             maps[(s, p)] = identity(values[s])
-    return KObject(backend, tuple(sorted(letters)), truncation, values,
-                   maps)
+    return make_precategory(backend, letters, truncation, values, maps, {})
 
 
 def rand_kobject(rng, backend="finset", letters=("a", "b"), truncation=2):
@@ -86,10 +85,10 @@ def test_kobject_validator_catches_broken_simplicial_identity():
     k = endpoint_constant_kobject(
         "finset", ("a",), 3,
         {("a", "a"): finset_obj(["x", "y"])})
-    assert validate_kobject(k) == []
+    assert validate_diagram(k) == []
     z = ("a", "a", "a", "a")
     k.maps[(z, 1)] = finset_map(k.values[z], k.values[z], (1, 0))
-    errs = validate_kobject(k)
+    errs = validate_diagram(k)
     assert any("simplicial" in e for e in errs)
 
 
@@ -98,7 +97,7 @@ def test_free_hom_kobject_counts_deletions(rng):
     z0 = ("a", "a", "b")
     m = finset_obj(["m0", "m1"])
     k = free_hom_kobject(letters, 3, z0, m)
-    assert validate_kobject(k) == []
+    assert validate_diagram(k) == []
     # one copy of m per deletion onto z0
     for w in k.values:
         assert k.values[w].size() == 2 * len(shapes.hom_set(w, z0))
@@ -111,7 +110,7 @@ def test_free_hom_kmorphism_is_natural():
     z0 = ("a", "b")
     f = finset_map(finset_obj(["m0", "m1"]), finset_obj(["n0"]), (0, 0))
     phi = free_hom_kmorphism(letters, 2, z0, f)
-    assert validate_kmorphism(phi) == []
+    assert validate_morphism(phi) == []
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,7 @@ def test_gamma_block_dimensions_one_letter():
     vals = {s: vectq_obj(1) for s in shapes.all_chains(("x",), 3)}
     maps = {(s, p): identity(vectq_obj(1))
             for s in vals for p in range(1, len(s) - 1)}
-    k = KObject("vectq", ("x",), 3, vals, maps)
+    k = make_precategory("vectq", ("x",), 3, vals, maps, {})
     g = gamma(k)
     by_degree = {shapes.degree(s): g.value(s).size() for s in g.chains}
     assert by_degree == {1: 1, 2: 2, 3: 4}
@@ -158,7 +157,7 @@ def test_gamma_adjunction_triangles(rng):
         k = rand_kobject(rng, truncation=2)
         g = gamma(k)
         eta = gamma_unit(k)
-        assert validate_kmorphism(eta) == []
+        assert validate_morphism(eta) == []
         eps = gamma_counit(g)
         assert validate_morphism(eps) == []
         ge = gamma_map(eta)
@@ -321,6 +320,19 @@ def test_unitalize_of_unital_input_is_a_noop():
     assert len(res.trace.rounds) == 0
     assert res.precat is pc
     assert is_levelwise_isomorphism(res.eta)
+
+
+def test_unitalize_gives_up_after_the_round_cap(monkeypatch):
+    monkeypatch.setattr(adjoints, "ROUND_CAP", 1)
+    pc = forget_units(from_strict_category(function_category({"a": 1}), 2))
+    p = point(pc)
+    assert check_unital(p)
+    with pytest.raises(NonStabilizing) as info:
+        unitalize(p)
+    trace = info.value.trace
+    assert len(trace.rounds) == 1
+    assert trace.stages[0] is p and len(trace.stages) == 2
+    assert trace.rounds[0].constraints == check_unital(p)
 
 
 def test_unitalize_trace_sizes_shrink_somewhere_each_round():

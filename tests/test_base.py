@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from cosegal import base
+from cosegal import base, ratmat
 from cosegal.base import (
     BACKENDS, chq_map, chq_obj, compose, disk, empty, enumerate_maps,
     factorize, find_lift, finset_map, finset_obj, generating_cofibrations,
@@ -97,6 +99,17 @@ def test_chq_tensor_differential_squares_to_zero(rng):
         # strict associativity on the nose
         z = rand_chq(rng, max_rank=2)
         assert tensor(tensor(x, y), z) == tensor(x, tensor(y, z))
+
+
+def test_tensor_signs_stay_exact_in_negative_degrees():
+    # the Koszul sign (-1) ** d is a float for negative d
+    for x, y in [(disk(0), disk(0)), (sphere(-1), disk(1))]:
+        d = tensor(x, y).diff
+        assert all(isinstance(e, Fraction) for row in d for e in row)
+        assert ratmat.is_zero(ratmat.matmul(d, d))
+        s = symmetry(x, y)
+        assert all(isinstance(e, Fraction) for row in s.matrix for e in row)
+        assert s.then(symmetry(y, x)) == identity(tensor(x, y))
 
 
 def test_chq_rejects_bad_differentials():
