@@ -79,9 +79,9 @@ def chq_obj(degrees, diff):
     n = len(degrees)
     if degrees and ratmat.shape(diff) != (n, n):
         raise ValueError("chq differential must be %dx%d" % (n, n))
-    for i in range(n):
-        for j in range(n):
-            if diff[i][j] != 0 and degrees[i] != degrees[j] - 1:
+    for i, row in enumerate(diff):
+        for j, e in enumerate(row):
+            if e and degrees[i] != degrees[j] - 1:
                 raise ValueError("chq differential entry off the degree line")
     if n and not ratmat.is_zero(ratmat.matmul(diff, diff)):
         raise ValueError("chq differential does not square to zero")
@@ -167,9 +167,9 @@ def chq_map(src, dst, matrix):
     matrix = ratmat.mat(matrix) if m else ()
     if m and ratmat.shape(matrix) != (m, n):
         raise ValueError("chq matrix must be %dx%d" % (m, n))
-    for i in range(m):
-        for j in range(n):
-            if matrix[i][j] != 0 and dst.degrees[i] != src.degrees[j]:
+    for i, row in enumerate(matrix):
+        for j, e in enumerate(row):
+            if e and dst.degrees[i] != src.degrees[j]:
                 raise ValueError("chq map entry off the degree diagonal")
     if m and n:
         if ratmat.matmul(dst.diff, matrix) != ratmat.matmul(matrix, src.diff):
@@ -232,13 +232,23 @@ def tensor(x, y):
     nx, ny = len(x.degrees), len(y.degrees)
     if nx == 0 or ny == 0:
         return chq_obj([], [])
-    # Koszul signs from parity: (-1) ** d is a float for negative d
-    sign = tuple(
-        tuple((-ONE if x.degrees[i] % 2 else ONE) if i == j else ZERO
-              for j in range(nx))
-        for i in range(nx))
-    diff = ratmat.madd(
-        ratmat.kron(x.diff, ratmat.eye(ny)), ratmat.kron(sign, y.diff))
+    # d(e_i (x) f_j) = d(e_i) (x) f_j + (-1)^|e_i| e_i (x) d(f_j); the two
+    # terms never share an entry because both differentials have a zero
+    # diagonal. The sign comes from parity: (-1) ** d is a float for d < 0.
+    n = nx * ny
+    rows = [[ZERO] * n for _ in range(n)]
+    for i, row in enumerate(x.diff):
+        for k, e in enumerate(row):
+            if e:
+                for j in range(ny):
+                    rows[i * ny + j][k * ny + j] = e
+    ynz = [(j, k, e) for j, row in enumerate(y.diff)
+           for k, e in enumerate(row) if e]
+    for i in range(nx):
+        odd = x.degrees[i] % 2
+        for j, k, e in ynz:
+            rows[i * ny + j][i * ny + k] = -e if odd else e
+    diff = tuple(tuple(row) for row in rows)
     return MObject("chq", degrees=degrees, diff=diff)
 
 

@@ -5,6 +5,13 @@ n columns represents a map Q^n -> Q^m acting on column vectors. Everything
 here is deterministic: the same input always yields the same pivots, the same
 kernel basis and the same cokernel coordinates, which the rest of the package
 relies on for exact equality checks.
+
+The representation is dense, but the data is mostly zeros (chain-complex
+differentials and their tensor products), so every kernel does its
+arithmetic on nonzero entries only: results start as rows of the shared ZERO
+and only products, sums and quotients of nonzero entries are computed and
+written. Copies (transpose, stacking, block sums) do no arithmetic and are
+left to tuple and list operations.
 """
 
 from fractions import Fraction
@@ -13,9 +20,19 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _entry(x):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        # Fraction(0.1) is the binary value of the float, not 1/10
+        raise TypeError("matrix entry %r is a float; pass an int, a Fraction "
+                        "or an exact string" % (x,))
+    return Fraction(x)
+
+
 def mat(rows):
-    """Build a matrix from an iterable of row iterables."""
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """Build a matrix from an iterable of row iterables of exact numbers."""
+    return tuple(tuple(_entry(x) for x in row) for row in rows)
 
 
 def shape(m):
@@ -30,27 +47,36 @@ def zeros(rows, cols):
     return tuple((ZERO,) * cols for _ in range(rows))
 
 
+def _nonzeros(row):
+    """The (column, entry) pairs of the nonzero entries of a row."""
+    # the identity test passes over the shared ZERO without calling
+    # Fraction.__bool__, which is most of the cost of scanning a sparse row
+    return [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
+
+
 def transpose(m):
     if not m:
         return ()
-    return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
+    return tuple(zip(*m))
 
 
 def madd(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple((x + y if y else x) if x else y
+                       for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def msub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple((x - y if y else x) if x else (-y if y else y)
+                       for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mneg(a):
-    return tuple(tuple(-x for x in row) for row in a)
+    return tuple(tuple(-x if x else x for x in row) for row in a)
 
 
 def mscale(c, a):
     c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
+    return tuple(tuple(c * x if x else x for x in row) for row in a)
 
 
 def matmul(a, b):
@@ -58,8 +84,15 @@ def matmul(a, b):
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError("matmul shape mismatch: %sx%s times %sx%s" % (ra, ca, rb, cb))
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    bnz = [_nonzeros(row) for row in b]
+    out = []
+    for row in a:
+        acc = [ZERO] * cb
+        for k, x in _nonzeros(row):
+            for j, y in bnz[k]:
+                acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def hstack(mats):
@@ -94,24 +127,30 @@ def block_diag(mats):
     for m in mats:
         r, c = shape(m)
         for i in range(r):
-            for j in range(c):
-                out[ro + i][co + j] = m[i][j]
+            out[ro + i][co:co + c] = m[i]
         ro += r
         co += c
     return tuple(tuple(row) for row in out)
 
 
 def kron(a, b):
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    return tuple(
-        tuple(a[i // rb][j // cb] * b[i % rb][j % cb] for j in range(ca * cb))
-        for i in range(ra * rb)
-    )
+    cb = shape(b)[1]
+    n = shape(a)[1] * cb
+    bnz = [_nonzeros(row) for row in b]
+    out = []
+    for row in a:
+        anz = [(j * cb, x) for j, x in _nonzeros(row)]
+        for brow in bnz:
+            prod = [ZERO] * n
+            for off, x in anz:
+                for j, y in brow:
+                    prod[off + j] = x * y
+            out.append(tuple(prod))
+    return tuple(out)
 
 
 def is_zero(m):
-    return all(x == 0 for row in m for x in row)
+    return not any(map(any, m))
 
 
 def rref(m):
@@ -129,18 +168,24 @@ def rref(m):
     for c in range(ncols):
         pr = None
         for i in range(r, nrows):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        prow = rows[r]
+        pv = prow[c]
+        # rows r.. are zero left of c, so the pivot row's support starts at c
+        support = [j for j in range(c, ncols) if prow[j]]
+        for j in support:
+            prow[j] /= pv
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                row = rows[i]
+                for j in support:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -170,11 +215,10 @@ def solve_matrix(a, b):
     for c in pivots:
         if c >= ca:
             return None
-    x = [[ZERO] * cb for _ in range(ca)]
+    x = [(ZERO,) * cb] * ca
     for i, c in enumerate(pivots):
-        for j in range(cb):
-            x[c][j] = aug[i][ca + j]
-    return tuple(tuple(row) for row in x)
+        x[c] = aug[i][ca:]
+    return tuple(x)
 
 
 def solve_vec(a, v):
@@ -182,6 +226,25 @@ def solve_vec(a, v):
     if x is None:
         return None
     return tuple(row[0] for row in x)
+
+
+def _null_vectors(r, pivots, n):
+    """The canonical null vectors of an rref matrix r with n columns.
+
+    Returns (vectors, free): for each free (non-pivot) column f, a length-n
+    list with 1 at f and -r[i][f] at pivot column pivots[i].
+    """
+    pivset = set(pivots)
+    free = [c for c in range(n) if c not in pivset]
+    slot = {f: k for k, f in enumerate(free)}
+    vecs = [[ZERO] * n for _ in free]
+    for k, f in enumerate(free):
+        vecs[k][f] = ONE
+    for i, p in enumerate(pivots):
+        for f, x in _nonzeros(r[i]):
+            if f in slot:
+                vecs[slot[f]][p] = -x
+    return vecs, free
 
 
 def kernel_data(m):
@@ -192,18 +255,8 @@ def kernel_data(m):
         return zeros(0, 0), ()
     if nrows == 0:
         return eye(ncols), tuple(range(ncols))
-    r, pivots = rref(m)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    cols = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
-        cols.append(v)
-    basis = tuple(
-        tuple(cols[j][i] for j in range(len(free))) for i in range(ncols))
+    vecs, free = _null_vectors(*rref(m), ncols)
+    basis = tuple(zip(*vecs)) if vecs else zeros(ncols, 0)
     return basis, tuple(free)
 
 
@@ -224,16 +277,10 @@ def cokernel(m):
     coordinates". Everything is exact and canonical.
     """
     nrows, ncols = shape(m)
-    r, pivots = rref(transpose(m)) if ncols else ((), ())
     # rows of r span the column space of m inside Q^nrows
-    pivset = set(pivots)
-    free = [c for c in range(nrows) if c not in pivset]
+    r, pivots = rref(transpose(m)) if ncols else ((), ())
+    p, free = _null_vectors(r, pivots, nrows)
     k = len(free)
-    p = [[ZERO] * nrows for _ in range(k)]
-    for row_i, f in enumerate(free):
-        p[row_i][f] = ONE
-        for i, pc in enumerate(pivots):
-            p[row_i][pc] = -r[i][f]
     s = [[ZERO] * k for _ in range(nrows)]
     for j, f in enumerate(free):
         s[f][j] = ONE

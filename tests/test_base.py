@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from cosegal import base, ratmat
@@ -11,6 +9,8 @@ from cosegal.base import (
     right_unitor, sphere, symmetry, tensor, tensor_mor, unit, vectq_map,
     vectq_obj, zero_map,
 )
+
+from test_ratmat import assert_exact, ref_kron, ref_madd
 
 
 def rand_chq(rng, max_rank=3, lo=0, hi=2):
@@ -91,11 +91,25 @@ def test_symmetry_involutive_all_backends(rng):
         assert t.then(s) == identity(tensor(y, x))
 
 
+def koszul_reference(x, y):
+    """d_x (x) 1 + s (x) d_y with s = diag((-1)^deg), built densely."""
+    sign = ratmat.mat([[(-1) ** (d % 2) if i == j else 0
+                        for j in range(len(x.degrees))]
+                       for i, d in enumerate(x.degrees)])
+    return ref_madd(ref_kron(x.diff, ratmat.eye(len(y.degrees))),
+                    ref_kron(sign, y.diff))
+
+
 def test_chq_tensor_differential_squares_to_zero(rng):
-    for _ in range(15):
-        x = rand_chq(rng)
-        y = rand_chq(rng)
-        tensor(x, y)  # constructor validates d*d = 0
+    for k in range(30):
+        lo = 0 if k < 15 else -2
+        x = rand_chq(rng, max_rank=3 + k % 2, lo=lo)
+        y = rand_chq(rng, max_rank=3 + k % 2, lo=lo)
+        d = tensor(x, y).diff
+        assert_exact(d)
+        if d:
+            assert ratmat.is_zero(ratmat.matmul(d, d))
+            assert d == koszul_reference(x, y)
         # strict associativity on the nose
         z = rand_chq(rng, max_rank=2)
         assert tensor(tensor(x, y), z) == tensor(x, tensor(y, z))
@@ -105,10 +119,10 @@ def test_tensor_signs_stay_exact_in_negative_degrees():
     # the Koszul sign (-1) ** d is a float for negative d
     for x, y in [(disk(0), disk(0)), (sphere(-1), disk(1))]:
         d = tensor(x, y).diff
-        assert all(isinstance(e, Fraction) for row in d for e in row)
+        assert_exact(d)
         assert ratmat.is_zero(ratmat.matmul(d, d))
         s = symmetry(x, y)
-        assert all(isinstance(e, Fraction) for row in s.matrix for e in row)
+        assert_exact(s.matrix)
         assert s.then(symmetry(y, x)) == identity(tensor(x, y))
 
 

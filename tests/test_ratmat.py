@@ -1,15 +1,229 @@
+"""Exact linear algebra: canonical rref, kernels and cokernels, and the
+zero-skipping kernels checked against naive dense references.
+
+The references below are the straightforward dense definitions, kept here
+only as oracles: the package kernels skip zero entries and must return the
+same values on sparse matrices, including the empty shapes.
+"""
+
 from fractions import Fraction
+
+import pytest
 
 from cosegal import ratmat
 from cosegal.ratmat import (
-    cokernel, eye, hstack, inverse, kernel_basis, kron, mat, matmul, rank,
-    rref, shape, solve_matrix, solve_vec, transpose, vstack, zeros,
+    block_diag, cokernel, eye, hstack, inverse, kernel_basis, kron, madd,
+    mat, matmul, msub, rank, rref, shape, solve_matrix, solve_vec,
+    transpose, vstack, zeros,
 )
+
+
+def assert_exact(m):
+    """Every entry of the matrix m is a Fraction."""
+    for row in m:
+        for x in row:
+            assert type(x) is Fraction, (x, type(x))
 
 
 def rand_matrix(rng, rows, cols, den=3):
     return mat([[Fraction(rng.randint(-4, 4), rng.randint(1, den))
                  for _ in range(cols)] for _ in range(rows)])
+
+
+def rand_sparse(rng, rows, cols, den=5):
+    """A rows x cols matrix with at most 30 % nonzero entries."""
+    out = [[0] * cols for _ in range(rows)]
+    for k in rng.sample(range(rows * cols), rows * cols * 3 // 10):
+        num = rng.choice([-1, 1]) * rng.randint(1, 4)
+        out[k // cols][k % cols] = Fraction(num, rng.randint(1, den))
+    return mat(out)
+
+
+def sparse_cases(rng, count=60, top=7):
+    """Sparse random matrices, the empty shapes and all-zero matrices."""
+    cases = [(), zeros(3, 0), zeros(1, 0), zeros(1, 1), zeros(3, 4),
+             zeros(4, 2)]
+    for _ in range(count):
+        cases.append(rand_sparse(rng, rng.randint(1, top),
+                                 rng.randint(1, top)))
+    return cases
+
+
+# ---------------------------------------------------------------------------
+# naive dense references
+
+
+def ref_transpose(m):
+    if not m:
+        return ()
+    return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
+
+
+def ref_madd(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def ref_msub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def ref_matmul(a, b):
+    bt = ref_transpose(b)
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0))
+                       for col in bt) for row in a)
+
+
+def ref_kron(a, b):
+    (ra, ca), (rb, cb) = shape(a), shape(b)
+    return tuple(
+        tuple(a[i // rb][j // cb] * b[i % rb][j % cb] for j in range(ca * cb))
+        for i in range(ra * rb))
+
+
+def ref_block_diag(mats):
+    rows = sum(len(m) for m in mats)
+    cols = sum(shape(m)[1] for m in mats)
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    ro = co = 0
+    for m in mats:
+        r, c = shape(m)
+        for i in range(r):
+            for j in range(c):
+                out[ro + i][co + j] = m[i][j]
+        ro += r
+        co += c
+    return tuple(tuple(row) for row in out)
+
+
+def ref_rref(m):
+    rows = [list(row) for row in m]
+    nrows, ncols = shape(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def test_elementwise_kernels_match_dense_references(rng):
+    for m in sparse_cases(rng):
+        r, c = shape(m)
+        other = rand_sparse(rng, r, c)
+        for got, want in [(transpose(m), ref_transpose(m)),
+                          (madd(m, other), ref_madd(m, other)),
+                          (msub(m, other), ref_msub(m, other)),
+                          (msub(m, m), ref_msub(m, m)),
+                          (ratmat.mneg(m), ref_msub(zeros(r, c), m)),
+                          (ratmat.mscale(Fraction(-2, 3), m),
+                           tuple(tuple(Fraction(-2, 3) * x for x in row)
+                                 for row in m))]:
+            assert got == want
+            assert_exact(got)
+        assert ratmat.is_zero(m) == all(x == 0 for row in m for x in row)
+
+
+def test_products_match_dense_references(rng):
+    cases = sparse_cases(rng, count=40, top=5)
+    for a in cases:
+        ra, ca = shape(a)
+        b = rand_sparse(rng, ca, rng.randint(0, 5)) if ca else ()
+        got = matmul(a, b)
+        assert got == ref_matmul(a, b)
+        assert_exact(got)
+        c = cases[rng.randrange(len(cases))]
+        got = kron(a, c)
+        assert got == ref_kron(a, c)
+        assert shape(got) == shape(ref_kron(a, c))
+        assert_exact(got)
+    for _ in range(20):
+        mats = [cases[rng.randrange(len(cases))] for _ in range(3)]
+        got = block_diag(mats)
+        assert got == ref_block_diag(mats)
+        assert_exact(got)
+
+
+def test_rref_matches_dense_reference(rng):
+    for m in sparse_cases(rng):
+        got = rref(m)
+        assert got == ref_rref(m)
+        assert_exact(got[0])
+    # a dense case too, where every row meets every pivot
+    for _ in range(20):
+        m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        assert rref(m) == ref_rref(m)
+
+
+def test_kernel_and_cokernel_are_exact_on_sparse_input(rng):
+    for m in sparse_cases(rng):
+        r, c = shape(m)
+        k = kernel_basis(m)
+        assert_exact(k)
+        if c:
+            assert shape(k)[0] == c
+        if r and c and shape(k)[1]:
+            assert ratmat.is_zero(matmul(m, k))
+        dim, p, s = cokernel(m)
+        assert dim == r - rank(m)
+        assert_exact(p)
+        assert_exact(s)
+        if dim and c:
+            assert ratmat.is_zero(matmul(p, m))
+        if dim:
+            assert matmul(p, s) == eye(dim)
+
+
+def test_sympy_domain_matrix_oracle(rng):
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    def dm(m):
+        return DomainMatrix([[QQ(x.numerator, x.denominator) for x in row]
+                             for row in m], shape(m), QQ)
+
+    def back(d):
+        return tuple(tuple(Fraction(int(x.numerator), int(x.denominator))
+                           for x in row) for row in d.to_list())
+
+    for m in sparse_cases(rng):
+        r, c = shape(m)
+        d = dm(m)
+        want_r, want_piv = d.rref()
+        got_r, got_piv = rref(m)
+        assert got_piv == tuple(want_piv)
+        assert got_r == back(want_r)
+        assert rank(m) == d.rank()
+        null = back(want_r.nullspace_from_rref(want_piv))
+        assert kernel_basis(m) == (transpose(null) if null else zeros(c, 0))
+        dim, p, _ = cokernel(m)
+        assert dim == r - d.rank()
+        t_r, t_piv = d.transpose().rref()
+        assert p == back(t_r.nullspace_from_rref(t_piv))
+
+
+def test_mat_rejects_floats_and_keeps_fractions():
+    with pytest.raises(TypeError):
+        mat([[0.1]])
+    with pytest.raises(TypeError):
+        mat([[1, 2.0]])
+    third = Fraction(1, 3)
+    m = mat([[third, 2, "5/7"]])
+    assert m[0][0] is third
+    assert m == ((third, Fraction(2), Fraction(5, 7)),)
+    assert_exact(m)
 
 
 def test_rref_idempotent_and_canonical(rng):
