@@ -8,7 +8,12 @@ The central objects here:
 * `point` freely adds unit points: the value at a chain becomes a sum
   over decompositions into carrier parts and unit parts.
 * `unitalize` quotients a pointed precategory until the unit laws hold,
-  by gluing one universal gadget per violated constraint and iterating.
+  by gluing one universal gadget per violated constraint and iterating;
+  a round builds one apex gadget per slot and one gadget per constraint.
+* Each free construction is built once, together with its sums (summand
+  keys, sources and injections); every map into or out of it (`gamma_map`,
+  `point_map`, the gadget maps, the transposes) reads its blocks from
+  those sums instead of rebuilding them.
 * `realize` collapses each endpoint component to its colimit and solves
   for the induced composition.
 * `psi` packages an arrow of the backend into a free unital precategory
@@ -126,6 +131,13 @@ def gamma(k):
     reinsert the deleted letter into the one part that absorbs it. The
     degree-1 slots are the input's objects on the nose.
     """
+    return _gamma_build(k)[0]
+
+
+def _gamma_build(k):
+    """gamma(k) together with its sums: {chain: (value, injections,
+    summand sources, summand keys)}. Maps out of or into gamma(k) read
+    their blocks from these instead of rebuilding them."""
     backend = k.backend
     values = {}
     sums = {}
@@ -172,18 +184,25 @@ def gamma(k):
         laxity[(s, t)] = _pair_assemble(
             backend, (sobj, sinjs, ssrcs), (uobj, uinjs, usrcs),
             targets, tobj)
-    return make_precategory(backend, k.letters, k.truncation, values, maps,
-                            laxity)
+    out = make_precategory(backend, k.letters, k.truncation, values, maps,
+                           laxity)
+    return out, sums
 
 
 def gamma_map(phi):
     """The action of gamma on a morphism of bare chain diagrams."""
-    src = gamma(phi.src)
-    dst = gamma(phi.dst)
+    return _gamma_map_between(phi, _gamma_build(phi.src),
+                              _gamma_build(phi.dst))
+
+
+def _gamma_map_between(phi, src, dst):
+    """gamma_map(phi) between the builds src = _gamma_build(phi.src) and
+    dst = _gamma_build(phi.dst)."""
+    (gsrc, ssums), (gdst, dsums) = src, dst
     comps = {}
     for z in phi.src.chains:
-        sobj, _, _, skeys = _gamma_sum(phi.src, z)
-        dobj, dinjs, _, dkeys = _gamma_sum(phi.dst, z)
+        sobj, _, _, skeys = ssums[z]
+        dobj, dinjs, _, dkeys = dsums[z]
         pos = {key: i for i, key in enumerate(dkeys)}
         legs = []
         for key in skeys:
@@ -196,7 +215,7 @@ def gamma_map(phi):
                     [phi.at(q) for q in parts], phi.src.backend).then(
                         dinjs[pos[key]]))
         comps[z] = _assemble(sobj, legs, dobj, phi.src.backend)
-    return PrecatMorphism(src, dst, comps)
+    return PrecatMorphism(gsrc, gdst, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -209,29 +228,34 @@ def kobject_of(pc):
                             pc.values, pc.maps, {})
 
 
+def _chain_block(sums, z):
+    """The injection of the chain block into gamma(k)(z), read from the
+    sums of the gamma build."""
+    _, injs, _, keys = sums[z]
+    return injs[keys.index(("whole", ()))]
+
+
 def gamma_unit(k):
     """k -> forget(gamma(k)): the inclusion of the chain block."""
-    g = gamma(k)
-    comps = {}
-    for z in k.chains:
-        _, injs, _, keys = _gamma_sum(k, z)
-        comps[z] = injs[keys.index(("whole", ()))]
+    g, sums = _gamma_build(k)
+    comps = {z: _chain_block(sums, z) for z in k.chains}
     return PrecatMorphism(k, kobject_of(g), comps)
 
 
 def gamma_counit(pc):
     """gamma(forget(pc)) -> pc: identity on the chain block, iterated
     laxity on each subdivision block."""
-    g = gamma(pc)
+    g, sums = _gamma_build(pc)
     comps = {}
     for z in pc.chains:
+        obj, _, _, keys = sums[z]
         legs = []
-        for kind, cuts in gamma_keys(z):
+        for kind, cuts in keys:
             if kind == "whole":
                 legs.append(identity(pc.value(z)))
             else:
                 legs.append(pc.lax_multi(shapes.parts_of(z, cuts)))
-        comps[z] = _assemble(g.value(z), legs, pc.value(z), pc.backend)
+        comps[z] = _assemble(obj, legs, pc.value(z), pc.backend)
     return PrecatMorphism(g, pc, comps)
 
 
@@ -281,6 +305,13 @@ def point(pc):
     additionally gain a unit summand. Degree-1 slots with distinct
     endpoints are untouched on the nose.
     """
+    return _point_build(pc)[0]
+
+
+def _point_build(pc):
+    """point(pc) together with its sums: {chain: (value, injections,
+    summand sources, summand keys)}. Maps out of or into point(pc) read
+    their blocks from these instead of rebuilding them."""
     if pc.is_pointed():
         raise ValueError("point expects an unpointed precategory")
     backend = pc.backend
@@ -355,18 +386,24 @@ def point(pc):
         units[a] = injs[keys.index(((), ("u",)))]
     out = make_precategory(backend, pc.letters, pc.truncation, values,
                            maps, laxity, units=units)
-    return out
+    return out, sums
 
 
 def point_map(alpha):
     """The action of point on a morphism of unpointed precategories."""
-    src = point(alpha.src)
-    dst = point(alpha.dst)
+    return _point_map_between(alpha, _point_build(alpha.src),
+                              _point_build(alpha.dst))
+
+
+def _point_map_between(alpha, src, dst):
+    """point_map(alpha) between the builds src = _point_build(alpha.src)
+    and dst = _point_build(alpha.dst)."""
+    (psrc, ssums), (pdst, dsums) = src, dst
     backend = alpha.src.backend
     comps = {}
     for z in alpha.src.chains:
-        sobj, _, _, skeys = _point_sum(alpha.src, z)
-        dobj, dinjs, _, dkeys = _point_sum(alpha.dst, z)
+        sobj, _, _, skeys = ssums[z]
+        dobj, dinjs, _, dkeys = dsums[z]
         pos = {key: i for i, key in enumerate(dkeys)}
         legs = []
         for cuts, labels in skeys:
@@ -376,17 +413,21 @@ def point_map(alpha):
             legs.append(tensor_mor_multi(factors, backend).then(
                 dinjs[pos[(cuts, labels)]]))
         comps[z] = _assemble(sobj, legs, dobj, backend)
-    return PrecatMorphism(src, dst, comps)
+    return PrecatMorphism(psrc, pdst, comps)
+
+
+def _carrier_part(sums, z):
+    """The injection of the one-part carrier summand into point(pc)(z),
+    read from the sums of the point build."""
+    _, injs, _, keys = sums[z]
+    return injs[keys.index(((), ("f",)))]
 
 
 def point_carrier_inclusion(pc):
     """The inclusion of the carrier into its free pointing, one-part
     decompositions only."""
-    dst = point(pc)
-    comps = {}
-    for z in pc.chains:
-        _, injs, _, keys = _point_sum(pc, z)
-        comps[z] = injs[keys.index(((), ("f",)))]
+    dst, sums = _point_build(pc)
+    comps = {z: _carrier_part(sums, z) for z in pc.chains}
     return PrecatMorphism(pc, dst, comps)
 
 
@@ -402,61 +443,98 @@ def free_hom_kobject(letters, truncation, z0, m):
     component of z0, carry the initial object), and structure maps act by
     composing deletion indices.
     """
+    return _free_hom_build(letters, truncation, z0, m)[0]
+
+
+def _free_hom_build(letters, truncation, z0, m):
+    """free_hom_kobject together with its sums: {chain w: (value,
+    injections, the deletions w -> z0 the copies of m are indexed by)}."""
     backend = m.backend
     letters = tuple(sorted(letters))
-    homs = {}
     sums = {}
     for w in shapes.all_chains(letters, truncation):
-        homs[w] = shapes.hom_set(w, z0)
-        sums[w] = _sum_objects(backend, [m] * len(homs[w]))
+        ds = shapes.hom_set(w, z0)
+        obj, injs = _sum_objects(backend, [m] * len(ds))
+        sums[w] = (obj, injs, ds)
     maps = {}
-    for w, (obj, injs) in sums.items():
+    for w, (obj, injs, ds) in sums.items():
         for p in range(1, len(w) - 1):
             step = shapes.del_single(w, p)
-            wp = shapes.delete(w, p)
-            comps = [injs[homs[w].index(step.then(d))] for d in homs[wp]]
-            maps[(w, p)] = _assemble(sums[wp][0], comps, obj, backend)
-    values = {w: obj for w, (obj, _) in sums.items()}
-    return make_precategory(backend, letters, truncation, values, maps, {})
+            sobj, _, sds = sums[shapes.delete(w, p)]
+            comps = [injs[ds.index(step.then(d))] for d in sds]
+            maps[(w, p)] = _assemble(sobj, comps, obj, backend)
+    values = {w: obj for w, (obj, _, _) in sums.items()}
+    out = make_precategory(backend, letters, truncation, values, maps, {})
+    return out, sums
 
 
 def free_hom_kmorphism(letters, truncation, z0, f):
     """The action of the free one-chain diagram on a map f: m -> m2."""
-    src = free_hom_kobject(letters, truncation, z0, f.src)
-    dst = free_hom_kobject(letters, truncation, z0, f.dst)
+    return _free_hom_map_between(
+        f, _free_hom_build(letters, truncation, z0, f.src),
+        _free_hom_build(letters, truncation, z0, f.dst))
+
+
+def _free_hom_map_between(f, src, dst):
+    """free_hom_kmorphism of f between the builds src and dst of
+    `_free_hom_build` on f.src and f.dst."""
+    (ksrc, ssums), (kdst, dsums) = src, dst
     comps = {}
-    for w in src.chains:
-        n = len(shapes.hom_set(w, z0))
-        _, dinjs = _sum_objects(f.backend, [f.dst] * n)
-        comps[w] = _assemble(src.value(w), [f.then(j) for j in dinjs],
-                             dst.value(w), f.backend)
-    return PrecatMorphism(src, dst, comps)
+    for w in ksrc.chains:
+        dobj, dinjs, _ = dsums[w]
+        comps[w] = _assemble(ssums[w][0], [f.then(j) for j in dinjs],
+                             dobj, f.backend)
+    return PrecatMorphism(ksrc, kdst, comps)
+
+
+@dataclass
+class _Gadget:
+    """upsilon(letters, truncation, z0, m) with the build of each stage,
+    every one a (precategory, sums) pair: k of `_free_hom_build`, gk of
+    `_gamma_build` on k, pointed of `_point_build` on gk. Every gadget map
+    reads its summands from these sums."""
+
+    k: tuple
+    gk: tuple
+    pointed: tuple
+
+
+def _build_gadget(letters, truncation, z0, m):
+    k = _free_hom_build(letters, truncation, z0, m)
+    gk = _gamma_build(k[0])
+    return _Gadget(k, gk, _point_build(gk[0]))
 
 
 def upsilon(letters, truncation, z0, m):
     """point(gamma(-)) of the free one-chain diagram: the representing
     object for maps m -> H(z0) into pointed precategories H."""
-    return point(gamma(free_hom_kobject(letters, truncation, z0, m)))
+    return _build_gadget(letters, truncation, z0, m).pointed[0]
 
 
 def upsilon_map(letters, truncation, z0, f):
-    return point_map(gamma_map(free_hom_kmorphism(letters, truncation,
-                                                  z0, f)))
+    return _gadget_map(_build_gadget(letters, truncation, z0, f.src),
+                       _build_gadget(letters, truncation, z0, f.dst), f)
+
+
+def _gadget_map(src, dst, f):
+    """upsilon_map of f: m -> m2 between the gadgets src on m and dst on
+    m2."""
+    phi = _free_hom_map_between(f, src.k, dst.k)
+    return _point_map_between(_gamma_map_between(phi, src.gk, dst.gk),
+                              src.pointed, dst.pointed)
 
 
 def upsilon_center_inclusion(letters, truncation, z0, m):
     """The canonical summand inclusion m -> upsilon(...)(z0): identity
     deletion index, no subdivision, one carrier part."""
-    k = free_hom_kobject(letters, truncation, z0, m)
-    ds = shapes.hom_set(z0, z0)
-    _, kinjs = _sum_objects(m.backend, [m] * len(ds))
+    return _center_inclusion(_build_gadget(letters, truncation, z0, m), z0)
+
+
+def _center_inclusion(gadget, z0):
+    _, kinjs, ds = gadget.k[1][z0]
     into_k = kinjs[ds.index(shapes.del_identity(z0))]
-    _, ginjs, _, gkeys = _gamma_sum(k, z0)
-    into_gamma = ginjs[gkeys.index(("whole", ()))]
-    g = gamma(k)
-    _, pinjs, _, pkeys = _point_sum(g, z0)
-    into_point = pinjs[pkeys.index(((), ("f",)))]
-    return into_k.then(into_gamma).then(into_point)
+    return into_k.then(_chain_block(gadget.gk[1], z0)).then(
+        _carrier_part(gadget.pointed[1], z0))
 
 
 def upsilon_transpose(h, z0, g):
@@ -466,19 +544,26 @@ def upsilon_transpose(h, z0, g):
     Deletion indices go to h's structure maps, unit parts to derived
     units, and blocks merge through h's laxity.
     """
-    k = free_hom_kobject(h.letters, h.truncation, z0, g.src)
-    gk = gamma(k)
+    gadget = _build_gadget(h.letters, h.truncation, z0, g.src)
+    return _gadget_transpose(gadget, h, g)
+
+
+def _gadget_transpose(gadget, h, g):
+    """upsilon_transpose(h, z0, g) out of the gadget built at z0 on
+    g.src."""
+    k, ksums = gadget.k
 
     def k_component(w):
-        legs = [g.then(h.structure(d)) for d in shapes.hom_set(w, z0)]
+        legs = [g.then(h.structure(d)) for d in ksums[w][2]]
         return _assemble(k.value(w), legs, h.value(w), h.backend)
 
-    return _free_transpose(point(gk), gk, h, k_component)
+    return _free_transpose(gadget.pointed, gadget.gk[1], h, k_component)
 
 
-def _free_transpose(pointed, gk, h, k_component):
-    """The pointed morphism pointed = point(gk) -> h, for gk = gamma(k),
-    that is k_component(w): k(w) -> h(w) on the chain blocks.
+def _free_transpose(pointed, gamma_sums, h, k_component):
+    """The pointed morphism point(gamma(k)) -> h that is
+    k_component(w): k(w) -> h(w) on the chain blocks, for the build
+    pointed = _point_build(gamma(k)) and the sums of gamma's build.
 
     Subdivision blocks and carrier parts merge through h's laxity, unit
     parts go to derived units.
@@ -486,10 +571,12 @@ def _free_transpose(pointed, gk, h, k_component):
     if not h.is_pointed():
         raise ValueError("transpose needs a pointed target")
     backend = h.backend
+    pobj, psums = pointed
 
     def gamma_component(w):
+        gobj, _, _, gkeys = gamma_sums[w]
         legs = []
-        for kind, cuts in gamma_keys(w):
+        for kind, cuts in gkeys:
             if kind == "whole":
                 legs.append(k_component(w))
                 continue
@@ -497,23 +584,24 @@ def _free_transpose(pointed, gk, h, k_component):
             legs.append(tensor_mor_multi(
                 [k_component(q) for q in parts], backend).then(
                     h.lax_multi(parts)))
-        return _assemble(gk.value(w), legs, h.value(w), backend)
+        return _assemble(gobj, legs, h.value(w), backend)
 
     def derived_unit(part):
         return h.unit_map(part[0]).then(
             h.structure(shapes.to_initial(part)))
 
     comps = {}
-    for w in pointed.chains:
+    for w in pobj.chains:
+        value, _, _, keys = psums[w]
         legs = []
-        for cuts, labels in point_keys(w):
+        for cuts, labels in keys:
             parts = shapes.parts_of(w, cuts)
             factors = [gamma_component(q) if l == "f" else derived_unit(q)
                        for q, l in zip(parts, labels)]
             legs.append(tensor_mor_multi(factors, backend).then(
                 h.lax_multi(parts)))
-        comps[w] = _assemble(pointed.value(w), legs, h.value(w), backend)
-    return PrecatMorphism(pointed, h, comps)
+        comps[w] = _assemble(value, legs, h.value(w), backend)
+    return PrecatMorphism(pobj, h, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -737,9 +825,12 @@ def unitalize(pc):
     Each round coequalizes every violated unit constraint in the slot
     where it lives, transports the result through the one-chain gadget,
     and glues all gadgets onto the precategory in a single simultaneous
-    colimit. Rounds repeat until no constraint is violated; each
-    effective round strictly shrinks some slot, so the loop terminates,
-    but ROUND_CAP guards it anyway.
+    colimit. Within a round the apex gadget on the slot value and its
+    evaluation map into the precategory are built once per slot, the
+    gadget on each coequalizer once per constraint, and the maps between
+    them read their summands from those builds. Rounds repeat until no
+    constraint is violated; each effective round strictly shrinks some
+    slot, so the loop terminates, but ROUND_CAP guards it anyway.
     """
     if not pc.is_pointed():
         raise ValueError("unitalize needs a pointed precategory")
@@ -754,36 +845,38 @@ def unitalize(pc):
             for r in rounds:
                 eta = eta.then(r.delta)
             return UnitalizationResult(current, eta, trace)
-        nodes = {("center",): current}
-        edges = []
         pairs = []
         coeqs = []
+        by_slot = {}
         for i, con in enumerate(bad):
             firstm, secondm = unit_constraint_maps(current, con)
-            q = coequalizer(firstm, secondm)
             pairs.append((firstm, secondm))
-            coeqs.append(q)
-            z = con[4]
-            apex = upsilon(current.letters, current.truncation, z,
-                           current.value(z))
-            gad = upsilon(current.letters, current.truncation, z, q.obj)
-            uj = upsilon_map(current.letters, current.truncation, z,
-                             q.proj)
-            uj = PrecatMorphism(apex, gad, uj.components)
-            ev = upsilon_transpose(current, z,
+            coeqs.append(coequalizer(firstm, secondm))
+            by_slot.setdefault(con[4], []).append(i)
+        nodes = {("center",): current}
+        legs = {}
+        incls = {}
+        # one slot's gadgets at a time, so that the sums of a build are
+        # dropped as soon as its maps are made
+        for z, members in by_slot.items():
+            apex = _build_gadget(current.letters, current.truncation, z,
+                                 current.value(z))
+            ev = _gadget_transpose(apex, current,
                                    identity(current.value(z)))
-            ev = PrecatMorphism(apex, current, ev.components)
-            nodes[("apex", i)] = apex
-            nodes[("gad", i)] = gad
-            edges.append((("apex", i), ("center",), ev))
-            edges.append((("apex", i), ("gad", i), uj))
+            for i in members:
+                q = coeqs[i]
+                gad = _build_gadget(current.letters, current.truncation, z,
+                                    q.obj)
+                nodes[("apex", i)] = apex.pointed[0]
+                nodes[("gad", i)] = gad.pointed[0]
+                legs[i] = [(("apex", i), ("center",), ev),
+                           (("apex", i), ("gad", i),
+                            _gadget_map(apex, gad, q.proj))]
+                incls[i] = _center_inclusion(gad, z)
+        edges = [edge for i in range(len(bad)) for edge in legs[i]]
         new, cocone, slices = precat_colimit(nodes, edges)
-        xis = []
-        for i, con in enumerate(bad):
-            z = con[4]
-            incl = upsilon_center_inclusion(
-                current.letters, current.truncation, z, coeqs[i].obj)
-            xis.append(incl.then(cocone[("gad", i)].at(z)))
+        xis = [incls[i].then(cocone[("gad", i)].at(con[4]))
+               for i, con in enumerate(bad)]
         delta = cocone[("center",)]
         rounds.append(RoundRecord(bad, pairs, coeqs, xis, delta, slices))
         stages.append(new)
@@ -1069,12 +1162,20 @@ def hom_extension_square(letters, truncation, z0, square, src_data,
 
 @dataclass
 class PsiResult:
+    """The free unital precategory on an arrow over one chain: the
+    unitalization of pointed = point(gamma(kobject)), with the sums of the
+    gamma and point builds that psi_transpose, psi_inclusions and
+    psi_square read their blocks from."""
+
     precat: object
     eta: object
     pointed: object
     trace: object
     kobject: object
     wps: dict
+    gamma: object
+    gamma_sums: dict
+    point_sums: dict
 
 
 def psi(z0, alpha, letters=None, truncation=None):
@@ -1089,9 +1190,11 @@ def psi(z0, alpha, letters=None, truncation=None):
     if truncation is None:
         truncation = shapes.degree(z0)
     k, wps = hom_extension_kobject(letters, truncation, z0, alpha)
-    pointed = point(gamma(k))
+    gk, gamma_sums = _gamma_build(k)
+    pointed, point_sums = _point_build(gk)
     res = unitalize(pointed)
-    return PsiResult(res.precat, res.eta, pointed, res.trace, k, wps)
+    return PsiResult(res.precat, res.eta, pointed, res.trace, k, wps, gk,
+                     gamma_sums, point_sums)
 
 
 def psi_square(z0, square, src_res, dst_res):
@@ -1099,8 +1202,10 @@ def psi_square(z0, square, src_res, dst_res):
     phi = hom_extension_square(
         src_res.pointed.letters, src_res.pointed.truncation, z0, square,
         (src_res.kobject, src_res.wps), (dst_res.kobject, dst_res.wps))
-    raw = point_map(gamma_map(phi))
-    raw = PrecatMorphism(src_res.pointed, dst_res.pointed, raw.components)
+    gphi = _gamma_map_between(phi, (src_res.gamma, src_res.gamma_sums),
+                              (dst_res.gamma, dst_res.gamma_sums))
+    raw = _point_map_between(gphi, (src_res.pointed, src_res.point_sums),
+                             (dst_res.pointed, dst_res.point_sums))
     return factor_through_unital(src_res.eta, raw.then(dst_res.eta))
 
 
@@ -1109,14 +1214,11 @@ def psi_inclusions(res, z0):
     (source arrow end -> value at the endpoints, target end -> value at
     z0)."""
     ends = shapes.endpoints(z0)
-    k, wps = res.kobject, res.wps
-    gk = gamma(k)
+    wps = res.wps
 
     def chain_block(w, into_k):
-        _, ginjs, _, gkeys = _gamma_sum(k, w)
-        g = into_k.then(ginjs[gkeys.index(("whole", ()))])
-        _, pinjs, _, pkeys = _point_sum(gk, w)
-        return g.then(pinjs[pkeys.index(((), ("f",)))])
+        return into_k.then(_chain_block(res.gamma_sums, w)).then(
+            _carrier_part(res.point_sums, w))
 
     inc_u = chain_block(ends, wps[ends].through)
     ds = shapes.hom_set(z0, z0)
@@ -1148,7 +1250,8 @@ def psi_transpose(res, z0, h, square):
         through = top.then(h.structure(shapes.to_initial(w)))
         return wide_pushout_induced(wps[w], cone, through=through)
 
-    raw = _free_transpose(res.pointed, gamma(res.kobject), h, k_component)
+    raw = _free_transpose((res.pointed, res.point_sums), res.gamma_sums, h,
+                          k_component)
     return factor_through_unital(res.eta, raw)
 
 

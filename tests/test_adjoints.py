@@ -20,17 +20,18 @@ from cosegal.adjoints import (
     point_carrier_inclusion, point_keys, point_map, precat_colimit, psi,
     psi_inclusions, psi_restrict, psi_square, psi_transpose, pullback,
     pushforward,
-    realize, square_down, square_ell, square_xi, unitalize,
+    realize, square_down, square_ell, square_xi, unitalize, upsilon,
     upsilon_center_inclusion, upsilon_map, upsilon_transpose,
     factor_through_unital,
 )
+from cosegal.colim import coequalizer
 from cosegal.precat import (
-    check_unital, from_strict_category, identity_morphism,
-    is_levelwise_isomorphism, make_precategory, validate, validate_diagram,
-    validate_morphism, validate_strict_category,
+    PrecatMorphism, check_unital, from_strict_category, identity_morphism,
+    is_levelwise_isomorphism, make_precategory, unit_constraint_maps,
+    validate, validate_diagram, validate_morphism, validate_strict_category,
 )
 
-from test_precat import (
+from fixtures import (
     dual_numbers_chq, function_category, group_algebra_z2,
     linearize_category, walking_arrow,
 )
@@ -346,6 +347,94 @@ def test_unitalize_trace_sizes_shrink_somewhere_each_round():
         deltas = [after.value(s).size() - before.value(s).size()
                   for s in before.chains]
         assert any(d < 0 for d in deltas)
+
+
+def reference_unitalize(pc):
+    """Unitalization with the per-constraint round: for every violated
+    constraint the apex, the gadget and the maps between them are built
+    from scratch through the public upsilon functions. The reference for
+    `unitalize`, which builds each gadget once per round.
+
+    Returns (unitalization, eta, the xis of each round)."""
+    current = pc
+    eta = identity_morphism(pc)
+    xis = []
+    for _ in range(adjoints.ROUND_CAP):
+        bad = check_unital(current)
+        if not bad:
+            return current, eta, xis
+        nodes = {("center",): current}
+        edges = []
+        coeqs = []
+        for i, con in enumerate(bad):
+            q = coequalizer(*unit_constraint_maps(current, con))
+            coeqs.append(q)
+            z = con[4]
+            at_z = (current.letters, current.truncation, z)
+            apex = upsilon(*at_z, current.value(z))
+            gad = upsilon(*at_z, q.obj)
+            uj = upsilon_map(*at_z, q.proj)
+            ev = upsilon_transpose(current, z, identity(current.value(z)))
+            nodes[("apex", i)] = apex
+            nodes[("gad", i)] = gad
+            edges.append((("apex", i), ("center",),
+                          PrecatMorphism(apex, current, ev.components)))
+            edges.append((("apex", i), ("gad", i),
+                          PrecatMorphism(apex, gad, uj.components)))
+        new, cocone, _ = precat_colimit(nodes, edges)
+        xis.append([
+            upsilon_center_inclusion(current.letters, current.truncation,
+                                     con[4], coeqs[i].obj).then(
+                cocone[("gad", i)].at(con[4]))
+            for i, con in enumerate(bad)])
+        eta = eta.then(cocone[("center",)])
+        current = new
+    raise AssertionError("reference unitalization did not stabilize")
+
+
+def unitalize_case(backend):
+    """A freely pointed strict category per backend with several slots
+    violating the unit laws."""
+    fc = function_category({"a": 1, "b": 2})
+    cat, truncation = {"finset": (fc, 3),
+                       "vectq": (linearize_category(fc), 2),
+                       "chq": (dual_numbers_chq(), 2)}[backend]
+    return point(forget_units(from_strict_category(cat, truncation)))
+
+
+@pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
+def test_unitalize_matches_the_per_constraint_round(backend):
+    p = unitalize_case(backend)
+    res = unitalize(p)
+    ref, ref_eta, ref_xis = reference_unitalize(p)
+    u = res.precat
+    assert res.trace.rounds
+    assert u.chains == ref.chains
+    assert u.values == ref.values
+    assert u.maps == ref.maps
+    assert u.laxity == ref.laxity
+    assert u.units == ref.units
+    assert res.eta.components == ref_eta.components
+    assert [r.xis for r in res.trace.rounds] == ref_xis
+
+
+def test_unitalize_builds_each_gadget_once(monkeypatch):
+    # one free pointing per slot (the apex) and one per constraint (the
+    # gadget on its coequalizer), however many constraints share a slot
+    p = unitalize_case("finset")
+    builds = []
+    build = adjoints._point_build
+
+    def counted(pc):
+        builds.append(pc)
+        return build(pc)
+
+    monkeypatch.setattr(adjoints, "_point_build", counted)
+    res = unitalize(p)
+    (r,) = res.trace.rounds
+    slots = {con[4] for con in r.constraints}
+    assert (len(slots), len(r.constraints)) == (18, 32)
+    assert len(builds) == len(slots) + len(r.constraints)
 
 
 def test_factor_through_unital_roundtrip_and_refusal():

@@ -38,7 +38,7 @@ from cosegal.homotopy import (
     validate_two_constant_data,
 )
 
-from test_precat import (
+from fixtures import (
     dual_numbers_chq, function_category, linearize_category, walking_arrow,
 )
 

@@ -24,7 +24,7 @@ from cosegal.precat import (
     validate_diagram, validate_morphism,
 )
 
-from test_precat import (
+from fixtures import (
     dual_numbers_chq, function_category, group_algebra_z2,
     linearize_category,
 )
