@@ -13,7 +13,9 @@ The central objects here:
 * Each free construction is built once, together with its sums (summand
   keys, sources and injections); every map into or out of it (`gamma_map`,
   `point_map`, the gadget maps, the transposes) reads its blocks from
-  those sums instead of rebuilding them.
+  those sums instead of rebuilding them. The tensor of two sums is a
+  re-indexing of their blocks, so maps out of it (the laxity) are
+  gathered from the components without building the distribution map.
 * `realize` collapses each endpoint component to its colimit and solves
   for the induced composition.
 * `psi` packages an arrow of the backend into a free unital precategory
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 from . import shapes
 from .base import (
-    MMorphism, _hom_constraint, empty, identity, invert, is_isomorphism,
+    MMorphism, _hom_constraint, empty, identity, is_isomorphism,
     is_surjective, left_unitor, make_map, tensor, tensor_mor,
     tensor_mor_multi, tensor_multi, unit,
 )
@@ -76,23 +78,40 @@ def _assemble(sum_obj, comps, dst, backend):
 def _pair_assemble(backend, left, right, targets, dst):
     """A map out of a tensor of two sums, one component per summand pair.
 
-    left/right are (sum object, injections, sources) triples; targets maps
-    a pair (i, j) of summand indices to the component map out of
-    sources_left[i] (x) sources_right[j]. The distribution isomorphism is
-    computed explicitly and inverted, so the result is a genuine morphism
-    out of the tensor of the two sum objects.
+    left/right are (sum object, summand sources) pairs of sums built by
+    `_sum_objects` or `coproduct`, so summand i fills the positions from
+    lo_i, the total size of the summands before it. targets maps a pair
+    (i, j) of summand indices to the component map out of
+    sources_left[i] (x) sources_right[j]. The tensor distributes over the
+    sums: position (lo_i + a) * |R| + (ro_j + b) of tensor(L, R) is
+    position a * |R_j| + b of targets[(i, j)], so the map only re-indexes
+    the components' images.
     """
-    lobj, linjs, lsrcs = left
-    robj, rinjs, rsrcs = right
-    pair_srcs = [tensor(a, b) for a in lsrcs for b in rsrcs]
-    cop, _ = _sum_objects(backend, pair_srcs)
-    spread = [tensor_mor(li, rj) for li in linjs for rj in rinjs]
-    t_iso = _assemble(cop, spread, tensor(lobj, robj), backend)
-    if not is_isomorphism(t_iso):
+    lobj, lsrcs = left
+    robj, rsrcs = right
+    lsizes = [s.size() for s in lsrcs]
+    rsizes = [s.size() for s in rsrcs]
+    if sum(lsizes) != lobj.size() or sum(rsizes) != robj.size():
         raise AssertionError("tensor distribution failed to be invertible")
-    comps = [targets[(i, j)] for i in range(len(lsrcs))
-             for j in range(len(rsrcs))]
-    return invert(t_iso).then(_assemble(cop, comps, dst, backend))
+    # the images of the source positions of each component, in order
+    images = {}
+    for (i, j), f in targets.items():
+        if f.src.size() != lsizes[i] * rsizes[j]:
+            raise ValueError("component %r does not match its summands"
+                             % ((i, j),))
+        images[(i, j)] = (f.mapping if backend == "finset"
+                          else tuple(zip(*f.matrix)))
+    out = []
+    for i, nl in enumerate(lsizes):
+        for a in range(nl):
+            for j, nr in enumerate(rsizes):
+                out.extend(images[(i, j)][a * nr:(a + 1) * nr])
+    src = tensor(lobj, robj)
+    if backend == "finset":
+        return MMorphism(backend, src, dst, mapping=tuple(out))
+    # out holds the columns; with none, the rows are still dst's
+    matrix = tuple(zip(*out)) if out else ratmat.zeros(dst.size(), 0)
+    return MMorphism(backend, src, dst, matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +170,7 @@ def _gamma_build(k):
         pos = {key: i for i, key in enumerate(keys)}
         for p in range(1, len(z) - 1):
             zp = shapes.delete(z, p)
-            sobj, sinjs, ssrcs, skeys = sums[zp]
+            sobj, _, _, skeys = sums[zp]
             comps = []
             for key in skeys:
                 kind, cuts = key
@@ -170,8 +189,8 @@ def _gamma_build(k):
     for s, t in expected_laxity_keys(k):
         tobj, tinjs, _, tkeys = sums[shapes.concat(s, t)]
         tpos = {key: i for i, key in enumerate(tkeys)}
-        sobj, sinjs, ssrcs, skeys = sums[s]
-        uobj, uinjs, usrcs, ukeys = sums[t]
+        sobj, _, ssrcs, skeys = sums[s]
+        uobj, _, usrcs, ukeys = sums[t]
         shift = shapes.degree(s)
         targets = {}
         for i, ks in enumerate(skeys):
@@ -182,8 +201,7 @@ def _gamma_build(k):
                     c + shift for c in cuts_t)
                 targets[(i, j)] = tinjs[tpos[("sub", cuts)]]
         laxity[(s, t)] = _pair_assemble(
-            backend, (sobj, sinjs, ssrcs), (uobj, uinjs, usrcs),
-            targets, tobj)
+            backend, (sobj, ssrcs), (uobj, usrcs), targets, tobj)
     out = make_precategory(backend, k.letters, k.truncation, values, maps,
                            laxity)
     return out, sums
@@ -347,8 +365,8 @@ def _point_build(pc):
     for s, t in expected_laxity_keys(pc):
         tobj, tinjs, _, tkeys = sums[shapes.concat(s, t)]
         tpos = {key: i for i, key in enumerate(tkeys)}
-        sobj, sinjs, ssrcs, skeys = sums[s]
-        uobj, uinjs, usrcs, ukeys = sums[t]
+        sobj, _, ssrcs, skeys = sums[s]
+        uobj, _, usrcs, ukeys = sums[t]
         shift = shapes.degree(s)
         targets = {}
         for i, (cuts1, labels1) in enumerate(skeys):
@@ -378,8 +396,7 @@ def _point_build(pc):
                     factors, backend).then(
                         tinjs[tpos[(merged_cuts, merged_labels)]])
         laxity[(s, t)] = _pair_assemble(
-            backend, (sobj, sinjs, ssrcs), (uobj, uinjs, usrcs),
-            targets, tobj)
+            backend, (sobj, ssrcs), (uobj, usrcs), targets, tobj)
     units = {}
     for a in pc.letters:
         obj, injs, _, keys = sums[(a, a)]
@@ -572,19 +589,24 @@ def _free_transpose(pointed, gamma_sums, h, k_component):
         raise ValueError("transpose needs a pointed target")
     backend = h.backend
     pobj, psums = pointed
+    # every chain is a part of its own one-part key, so each component is
+    # needed; compute each once
+    kcomps = {w: k_component(w) for w in pobj.chains}
 
     def gamma_component(w):
         gobj, _, _, gkeys = gamma_sums[w]
         legs = []
         for kind, cuts in gkeys:
             if kind == "whole":
-                legs.append(k_component(w))
+                legs.append(kcomps[w])
                 continue
             parts = shapes.parts_of(w, cuts)
             legs.append(tensor_mor_multi(
-                [k_component(q) for q in parts], backend).then(
+                [kcomps[q] for q in parts], backend).then(
                     h.lax_multi(parts)))
         return _assemble(gobj, legs, h.value(w), backend)
+
+    gcomps = {w: gamma_component(w) for w in pobj.chains}
 
     def derived_unit(part):
         return h.unit_map(part[0]).then(
@@ -596,7 +618,7 @@ def _free_transpose(pointed, gamma_sums, h, k_component):
         legs = []
         for cuts, labels in keys:
             parts = shapes.parts_of(w, cuts)
-            factors = [gamma_component(q) if l == "f" else derived_unit(q)
+            factors = [gcomps[q] if l == "f" else derived_unit(q)
                        for q, l in zip(parts, labels)]
             legs.append(tensor_mor_multi(factors, backend).then(
                 h.lax_multi(parts)))
@@ -1420,13 +1442,13 @@ def pushforward(f, pc):
         else:
             q = quotient_linear(cop, ratmat.zeros(cop.size(), 0))
         values[w] = q.obj
-        quots[w] = (q, cop, binj)
+        quots[w] = (q, cop, binj, bsrcs)
     maps = {}
     for w in values:
         for p in range(1, len(w) - 1):
             wp = shapes.delete(w, p)
-            qp, copp, binjp = quots[wp]
-            q, cop, binj = quots[w]
+            qp, copp, _, _ = quots[wp]
+            q, _, binj, _ = quots[w]
             legs = []
             for block in layouts[wp]:
                 cuts, combo = block
@@ -1444,25 +1466,21 @@ def pushforward(f, pc):
                            maps, {})
     laxity = {}
     for (sbar, tbar) in expected_laxity_keys(out):
-        qs, cop_s, binjs_s = quots[sbar]
-        qt, cop_t, binjs_t = quots[tbar]
-        qst, _, binjs_st = quots[shapes.concat(sbar, tbar)]
+        qs, cop_s, _, lsrcs = quots[sbar]
+        qt, cop_t, _, rsrcs = quots[tbar]
+        qst, _, binjs_st, _ = quots[shapes.concat(sbar, tbar)]
         shift = shapes.degree(sbar)
         targets = {}
-        lsrcs = [block_src(b) for b in layouts[sbar]]
-        rsrcs = [block_src(b) for b in layouts[tbar]]
         for i, (cuts1, combo1) in enumerate(layouts[sbar]):
             for j, (cuts2, combo2) in enumerate(layouts[tbar]):
                 cuts = cuts1 + (shift,) + tuple(c + shift for c in cuts2)
                 key = (cuts, combo1 + combo2)
                 targets[(i, j)] = binjs_st[key].then(qst.proj)
-        linjs = [binjs_s[b] for b in layouts[sbar]]
-        rinjs = [binjs_t[b] for b in layouts[tbar]]
         # assemble on the presentation coproducts, then push through the
         # quotients' sections and re-verify
         on_cops = _pair_assemble(
-            backend, (cop_s, linjs, lsrcs), (cop_t, rinjs, rsrcs),
-            targets, values[shapes.concat(sbar, tbar)])
+            backend, (cop_s, lsrcs), (cop_t, rsrcs), targets,
+            values[shapes.concat(sbar, tbar)])
         laxity[(sbar, tbar)] = _descend_tensor(qs, qt, on_cops)
     out.laxity.update(laxity)
     return out

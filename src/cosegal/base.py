@@ -21,7 +21,6 @@ f.then(g) which reads left to right.
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import ratmat
 from .ratmat import ZERO, ONE
@@ -96,12 +95,13 @@ def empty(backend):
     return chq_obj([], [])
 
 
+# the monoidal units; objects are immutable, so each backend shares one
+_UNITS = {"finset": finset_obj(["I"]), "vectq": vectq_obj(1),
+          "chq": chq_obj([0], [[0]])}
+
+
 def unit(backend):
-    if backend == "finset":
-        return finset_obj(["I"])
-    if backend == "vectq":
-        return vectq_obj(1)
-    return chq_obj([0], [[0]])
+    return _UNITS[backend]
 
 
 def sphere(n):

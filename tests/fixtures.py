@@ -1,18 +1,26 @@
-"""Strict-category fixtures shared by the test modules.
+"""Fixtures shared by the test modules.
 
 The honest strict categories here (function categories and their
 linearizations, the walking arrow, small algebras and discrete
 categories) are the inputs of the validator tests in `test_precat` and
-of the construction tests in the other modules.
+of the construction tests in the other modules. Below them: random chain
+complexes and chain maps, the 2-constant chq builders of the homotopy
+tests, and the naive dense matrix references. No test module imports
+another; they all import from here.
 """
 
 import itertools
+from fractions import Fraction
 
+from cosegal import base
 from cosegal.base import (
-    chq_map, chq_obj, empty, finset_map, finset_obj, tensor, unit,
-    vectq_map, vectq_obj,
+    chq_map, chq_obj, disk, empty, factorize, finset_map, finset_obj,
+    identity, sphere, tensor, unit, vectq_map, vectq_obj,
 )
+from cosegal.colim import copair, coproduct
+from cosegal.homotopy import TwoConstantData, two_constant_transfer
 from cosegal.precat import StrictCategory
+from cosegal.ratmat import shape
 
 
 def _func_label(f):
@@ -136,3 +144,181 @@ def discrete_category(letters):
                 for a in letters}
     return StrictCategory("finset", tuple(sorted(letters)), homs, comps,
                           idpoints)
+
+
+# ---------------------------------------------------------------------------
+# random chain complexes and chain maps
+
+
+def rand_chq(rng, max_rank=3, lo=0, hi=2):
+    """A random bounded complex, built from a strictly upper staircase."""
+    degrees = sorted(
+        (rng.randint(lo, hi) for _ in range(rng.randint(0, max_rank))),
+        reverse=True)
+    n = len(degrees)
+    diff = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if degrees[i] == degrees[j] - 1 and rng.random() < 0.5:
+                diff[i][j] = rng.randint(-2, 2)
+    # kill d*d by zeroing entries at random until the constructor accepts
+    while True:
+        try:
+            return chq_obj(degrees, diff)
+        except ValueError:
+            for i in range(n):
+                for j in range(n):
+                    if diff[i][j] and rng.random() < 0.5:
+                        diff[i][j] = 0
+
+
+def rand_chq_map(rng, src, dst):
+    """A random chain map src -> dst from the exact hom space basis."""
+    basis = base.chq_hom_basis(src, dst)
+    if not basis:
+        return zero_map(src, dst)
+    out = zero_map(src, dst)
+    from cosegal import ratmat
+    m = out.matrix
+    for b in basis:
+        m = ratmat.madd(m, ratmat.mscale(rng.randint(-2, 2), b.matrix))
+    return chq_map(src, dst, m)
+
+
+# ---------------------------------------------------------------------------
+# 2-constant chq builders
+
+
+def fold_with_section(w):
+    """The codiagonal w + w -> w and the first summand inclusion, a
+    surjective non-injective replacement with a cheap unit section."""
+    cop, injs = coproduct([w, w], backend=w.backend)
+    return copair(cop, [identity(w), identity(w)], w), injs[0]
+
+
+def fold_data(cat):
+    reps = {}
+    lifts = {}
+    secs = {}
+    for key, w in cat.homs.items():
+        reps[key], secs[key] = fold_with_section(w)
+    for a in cat.objects:
+        lifts[a] = cat.idpoints[a].then(secs[(a, a)])
+    return TwoConstantData(cat, reps, lifts)
+
+
+def cylinder_data(cat):
+    """Replacements through the cylinder middle of each identity: a
+    cofibration section and a trivial-fibration replacement."""
+    reps = {}
+    lifts = {}
+    for key, w in cat.homs.items():
+        c, t = factorize(identity(w))
+        reps[key] = t
+        if key[0] == key[1]:
+            lifts[key[0]] = cat.idpoints[key[0]].then(c)
+    return TwoConstantData(cat, reps, lifts)
+
+
+def zero_map(src, dst):
+    """The zero chain map src -> dst."""
+    return chq_map(src, dst, [[0] * src.size() for _ in range(dst.size())])
+
+
+def padded_replacement(w, pads):
+    """Identity on the w summand, zero on the padding complexes: always
+    surjective, a quasi-iso exactly when every pad is acyclic."""
+    cop, injs = coproduct([w] + list(pads), backend=w.backend)
+    legs = [identity(w)] + [zero_map(p, w) for p in pads]
+    return copair(cop, legs, w), injs[0]
+
+
+def chainify_category(cat):
+    """The chq category with the same tables, homs concentrated in degree
+    zero."""
+    lin = linearize_category(cat)
+    homs = {key: chq_obj([0] * v.dim, [[0] * v.dim for _ in range(v.dim)])
+            for key, v in lin.homs.items()}
+    comps = {}
+    for key, m in lin.comps.items():
+        a, b, c = key
+        comps[key] = chq_map(tensor(homs[(a, b)], homs[(b, c)]),
+                             homs[(a, c)], m.matrix)
+    idpoints = {a: chq_map(unit("chq"), homs[(a, a)], e.matrix)
+                for a, e in lin.idpoints.items()}
+    return StrictCategory("chq", cat.objects, homs, comps, idpoints)
+
+
+def chq_pair_category():
+    """Two objects, unit endomorphism homs, a two-cell complex one way
+    and nothing back."""
+    one = unit("chq")
+    e = chq_obj([0, 1], [[0, 0], [0, 0]])
+    z = empty("chq")
+    homs = {("x", "x"): one, ("y", "y"): one, ("x", "y"): e, ("y", "x"): z}
+    comps = {}
+    for a in "xy":
+        for b in "xy":
+            for c in "xy":
+                src = tensor(homs[(a, b)], homs[(b, c)])
+                dst = homs[(a, c)]
+                if src.size() == 0 or dst.size() == 0:
+                    comps[(a, b, c)] = zero_map(src, dst)
+                elif a == b or b == c:
+                    n = dst.size()
+                    comps[(a, b, c)] = chq_map(
+                        src, dst,
+                        [[1 if i == j else 0 for j in range(n)]
+                         for i in range(n)])
+    idpoints = {a: chq_map(unit("chq"), homs[(a, a)], [[1]]) for a in "xy"}
+    return StrictCategory("chq", ("x", "y"), homs, comps, idpoints)
+
+
+def rand_two_constant_chq(rng, truncation=3):
+    """Fuzzed 2-constant unital chq precategories with surjective
+    transitions: a function category concentrated in degree zero, each
+    degree-1 slot re-seated by an identity, a cylinder, or a padded sum
+    (the padding sometimes non-acyclic, so the input need not be
+    co-Segal)."""
+    letters = ("x", "y")[:rng.randrange(1, 3)]
+    sizes = {a: rng.randrange(1, 3) for a in letters}
+    cat = chainify_category(function_category(sizes))
+    reps = {}
+    lifts = {}
+    secs = {}
+    for key, w in cat.homs.items():
+        style = rng.choice(["iso", "cylinder", "padded"])
+        if style == "iso":
+            reps[key], secs[key] = identity(w), identity(w)
+        elif style == "cylinder":
+            c, t = factorize(identity(w))
+            reps[key], secs[key] = t, c
+        else:
+            pad = rng.choice([disk(1), disk(0), sphere(1)])
+            reps[key], secs[key] = padded_replacement(w, [pad])
+    for a in cat.objects:
+        lifts[a] = cat.idpoints[a].then(secs[(a, a)])
+    return two_constant_transfer(TwoConstantData(cat, reps, lifts),
+                                 truncation)
+
+
+# ---------------------------------------------------------------------------
+# naive dense matrix references
+
+
+def assert_exact(m):
+    """Every entry of the matrix m is a Fraction."""
+    for row in m:
+        for x in row:
+            assert type(x) is Fraction, (x, type(x))
+
+
+def ref_madd(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def ref_kron(a, b):
+    (ra, ca), (rb, cb) = shape(a), shape(b)
+    return tuple(
+        tuple(a[i // rb][j // cb] * b[i % rb][j % cb] for j in range(ca * cb))
+        for i in range(ra * rb))

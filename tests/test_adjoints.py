@@ -11,8 +11,8 @@ import pytest
 
 from cosegal import adjoints, shapes
 from cosegal.base import (
-    enumerate_maps, finset_map, finset_obj, identity, is_isomorphism,
-    is_surjective, vectq_map, vectq_obj,
+    enumerate_maps, finset_map, finset_obj, identity, invert,
+    is_isomorphism, is_surjective, tensor, tensor_mor, vectq_map, vectq_obj,
 )
 from cosegal.adjoints import (
     NonStabilizing, codiagonal_arrow, free_hom_kmorphism, free_hom_kobject,
@@ -24,7 +24,7 @@ from cosegal.adjoints import (
     upsilon_center_inclusion, upsilon_map, upsilon_transpose,
     factor_through_unital,
 )
-from cosegal.colim import coequalizer
+from cosegal.colim import coequalizer, coproduct
 from cosegal.precat import (
     PrecatMorphism, check_unital, from_strict_category, identity_morphism,
     is_levelwise_isomorphism, make_precategory, unit_constraint_maps,
@@ -33,7 +33,7 @@ from cosegal.precat import (
 
 from fixtures import (
     dual_numbers_chq, function_category, group_algebra_z2,
-    linearize_category, walking_arrow,
+    linearize_category, rand_chq, rand_chq_map, walking_arrow,
 )
 
 
@@ -112,6 +112,133 @@ def test_free_hom_kmorphism_is_natural():
     f = finset_map(finset_obj(["m0", "m1"]), finset_obj(["n0"]), (0, 0))
     phi = free_hom_kmorphism(letters, 2, z0, f)
     assert validate_morphism(phi) == []
+
+
+# ---------------------------------------------------------------------------
+# the tensor of two sums
+
+
+def reference_pair_assemble(backend, left, right, targets, dst):
+    """The generic map out of a tensor of two sums: left/right are (sum
+    object, injections, sources) triples; the distribution map out of the
+    sum of the summand tensors is built from the injections, checked
+    invertible and inverted."""
+    lobj, linjs, lsrcs = left
+    robj, rinjs, rsrcs = right
+    pair_srcs = [tensor(a, b) for a in lsrcs for b in rsrcs]
+    cop, _ = adjoints._sum_objects(backend, pair_srcs)
+    spread = [tensor_mor(li, rj) for li in linjs for rj in rinjs]
+    t_iso = adjoints._assemble(cop, spread, tensor(lobj, robj), backend)
+    if not is_isomorphism(t_iso):
+        raise AssertionError("tensor distribution failed to be invertible")
+    comps = [targets[(i, j)] for i in range(len(lsrcs))
+             for j in range(len(rsrcs))]
+    return invert(t_iso).then(adjoints._assemble(cop, comps, dst, backend))
+
+
+def sum_injections(obj, srcs):
+    """The injections of the sum obj of srcs, built the way the package
+    builds it (`_sum_objects`, or `coproduct` for presentations)."""
+    for cand, injs in (adjoints._sum_objects(obj.backend, srcs),
+                       coproduct(srcs, obj.backend)):
+        if cand == obj:
+            return injs
+    raise AssertionError("not a sum of its summands")
+
+
+def pair_assemble_by_reference(backend, left, right, targets, dst):
+    """`_pair_assemble`'s signature, computed by the reference."""
+    return reference_pair_assemble(
+        backend, (left[0], sum_injections(*left), left[1]),
+        (right[0], sum_injections(*right), right[1]), targets, dst)
+
+
+def rand_summands(rng, backend, tag):
+    """Up to three summands, some of them empty; chq ones reach down to
+    degree -2."""
+    out = []
+    for i in range(rng.randint(0, 3)):
+        n = rng.randint(0, 2)
+        if backend == "finset":
+            out.append(finset_obj(["%s%d.%d" % (tag, i, e) for e in range(n)]))
+        elif backend == "vectq":
+            out.append(vectq_obj(n))
+        else:
+            out.append(rand_chq(rng, lo=-2))
+    return out
+
+
+def rand_target(rng, src, dst):
+    if src.backend == "finset":
+        return finset_map(src, dst, [rng.randrange(dst.size())
+                                     for _ in range(src.size())])
+    if src.backend == "vectq":
+        return vectq_map(src, dst, [[rng.randint(-2, 2)
+                                     for _ in range(src.size())]
+                                    for _ in range(dst.size())])
+    return rand_chq_map(rng, src, dst)
+
+
+@pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
+def test_pair_assemble_matches_the_generic_distribution(rng, backend):
+    sums = [adjoints._sum_objects,
+            lambda b, items: coproduct(items, b)]
+    for _ in range(40):
+        lsrcs = rand_summands(rng, backend, "l")
+        rsrcs = rand_summands(rng, backend, "r")
+        lobj, linjs = rng.choice(sums)(backend, lsrcs)
+        robj, rinjs = rng.choice(sums)(backend, rsrcs)
+        if backend == "finset":
+            dst = finset_obj(["d%d" % e for e in range(rng.randint(1, 3))])
+        elif backend == "vectq":
+            dst = vectq_obj(rng.randint(0, 3))
+        else:
+            dst = rand_chq(rng, lo=-2)
+        targets = {(i, j): rand_target(rng, tensor(a, b), dst)
+                   for i, a in enumerate(lsrcs)
+                   for j, b in enumerate(rsrcs)}
+        got = adjoints._pair_assemble(backend, (lobj, lsrcs), (robj, rsrcs),
+                                      targets, dst)
+        ref = reference_pair_assemble(backend, (lobj, linjs, lsrcs),
+                                      (robj, rinjs, rsrcs), targets, dst)
+        assert got == ref
+
+
+def test_pair_assemble_refuses_a_mismatched_layout():
+    a, b = vectq_obj(2), vectq_obj(1)
+    lobj, _ = coproduct([a, b], "vectq")
+    targets = {(0, 0): identity(tensor(a, b))}
+    with pytest.raises(AssertionError, match="failed to be invertible"):
+        adjoints._pair_assemble("vectq", (lobj, [a]), (b, [b]), targets,
+                                tensor(a, b))
+    # a component whose source is not the tensor of its two summands
+    targets = {(0, 0): identity(tensor(a, b)), (1, 0): identity(a)}
+    with pytest.raises(ValueError, match="does not match its summands"):
+        adjoints._pair_assemble("vectq", (lobj, [a, b]), (b, [b]), targets,
+                                tensor(a, b))
+
+
+def laxity_cases():
+    """One small unpointed precategory per backend."""
+    fc = function_category({"a": 1, "b": 2})
+    cats = [fc, linearize_category(function_category({"A": 1, "B": 1})),
+            dual_numbers_chq()]
+    return [forget_units(from_strict_category(cat, 2)) for cat in cats]
+
+
+def test_free_constructions_and_pushforward_laxity_match_the_reference(
+        monkeypatch):
+    def build(pc):
+        f = {a: "c" for a in pc.letters}
+        return (adjoints._gamma_build(kobject_of(pc))[0].laxity,
+                adjoints._point_build(pc)[0].laxity,
+                pushforward(f, pc).laxity)
+
+    cases = laxity_cases()
+    closed = [build(pc) for pc in cases]
+    monkeypatch.setattr(adjoints, "_pair_assemble",
+                        pair_assemble_by_reference)
+    assert closed == [build(pc) for pc in cases]
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +355,26 @@ def test_upsilon_transpose_classifies_maps_into_the_slot():
         assert validate_morphism(tr) == []
         inc = upsilon_center_inclusion(h.letters, h.truncation, z0, m)
         assert inc.then(tr.at(z0)) == g
+
+
+def test_free_transpose_computes_each_chain_component_once():
+    h = from_strict_category(function_category({"a": 1, "b": 2}), 2)
+    z0 = ("a", "b", "b")
+    m = finset_obj(["m0", "m1"])
+    g = finset_map(m, h.value(z0), (0, h.value(z0).size() - 1))
+    gadget = adjoints._build_gadget(h.letters, h.truncation, z0, m)
+    k, ksums = gadget.k
+    calls = []
+
+    def k_component(w):
+        calls.append(w)
+        legs = [g.then(h.structure(d)) for d in ksums[w][2]]
+        return adjoints._assemble(k.value(w), legs, h.value(w), h.backend)
+
+    tr = adjoints._free_transpose(gadget.pointed, gadget.gk[1], h,
+                                  k_component)
+    assert sorted(calls) == sorted(set(calls)) == sorted(k.chains)
+    assert tr.components == upsilon_transpose(h, z0, g).components
 
 
 def test_upsilon_map_is_functorial():
@@ -608,6 +755,17 @@ def test_pushforward_along_identity_changes_nothing_up_to_size():
     assert validate(out) == []
     for s in pc.chains:
         assert out.value(s).size() == pc.value(s).size()
+
+
+def test_pushforward_of_a_linearized_category_validates():
+    pc = forget_units(from_strict_category(
+        linearize_category(function_category({"A": 1, "B": 1})), 2))
+    assert validate(pushforward({"A": "c", "B": "c"}, pc)) == []
+
+
+def test_pushforward_of_the_chq_dual_numbers_validates():
+    pc = forget_units(from_strict_category(dual_numbers_chq(), 2))
+    assert validate(pushforward({"x": "c"}, pc)) == []
 
 
 def test_pullback_restricts_along_the_letter_map():

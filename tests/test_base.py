@@ -6,46 +6,13 @@ from cosegal.base import (
     factorize, find_lift, finset_map, finset_obj, generating_cofibrations,
     has_rlp, homology, identity, invert, is_cofibration, is_fibration,
     is_isomorphism, is_trivial_fibration, is_weak_equivalence, left_unitor,
-    right_unitor, sphere, symmetry, tensor, tensor_mor, unit, vectq_map,
+    right_unitor, sphere, symmetry, tensor, unit, vectq_map,
     vectq_obj, zero_map,
 )
 
-from test_ratmat import assert_exact, ref_kron, ref_madd
-
-
-def rand_chq(rng, max_rank=3, lo=0, hi=2):
-    """A random bounded complex, built from a strictly upper staircase."""
-    degrees = sorted(
-        (rng.randint(lo, hi) for _ in range(rng.randint(0, max_rank))),
-        reverse=True)
-    n = len(degrees)
-    diff = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if degrees[i] == degrees[j] - 1 and rng.random() < 0.5:
-                diff[i][j] = rng.randint(-2, 2)
-    # kill d*d by zeroing entries at random until the constructor accepts
-    while True:
-        try:
-            return chq_obj(degrees, diff)
-        except ValueError:
-            for i in range(n):
-                for j in range(n):
-                    if diff[i][j] and rng.random() < 0.5:
-                        diff[i][j] = 0
-
-
-def rand_chq_map(rng, src, dst):
-    """A random chain map src -> dst from the exact hom space basis."""
-    basis = base.chq_hom_basis(src, dst)
-    if not basis:
-        return zero_map(src, dst)
-    out = zero_map(src, dst)
-    from cosegal import ratmat
-    m = out.matrix
-    for b in basis:
-        m = ratmat.madd(m, ratmat.mscale(rng.randint(-2, 2), b.matrix))
-    return chq_map(src, dst, m)
+from fixtures import (
+    assert_exact, rand_chq, rand_chq_map, ref_kron, ref_madd,
+)
 
 
 def test_finset_tensor_is_label_concatenation():
@@ -58,6 +25,14 @@ def test_finset_tensor_is_label_concatenation():
 def test_finset_rejects_duplicates():
     with pytest.raises(ValueError):
         finset_obj(["a", "a"])
+
+
+def test_unit_is_one_shared_object_per_backend():
+    for b in BACKENDS:
+        assert unit(b) is unit(b)
+    assert unit("finset") == finset_obj(["I"])
+    assert unit("vectq") == vectq_obj(1)
+    assert unit("chq") == chq_obj([0], [[0]])
 
 
 def test_compose_is_diagrammatic():

@@ -1,9 +1,9 @@
 import pytest
 
-from cosegal import base, colim
+from cosegal import base
 from cosegal.base import (
-    chq_map, chq_obj, disk, empty, finset_map, finset_obj, identity,
-    is_isomorphism, sphere, unit, vectq_map, vectq_obj, zero_map,
+    chq_map, disk, finset_map, finset_obj, identity, sphere, vectq_map,
+    vectq_obj, zero_map,
 )
 from cosegal.colim import (
     coequalizer, colimit, colimit_induced, compare_coproduct_pushout,
@@ -11,7 +11,7 @@ from cosegal.colim import (
     pushout_induced, quotient_induced, wide_pushout, wide_pushout_induced,
 )
 
-from test_base import rand_chq, rand_chq_map
+from fixtures import rand_chq, rand_chq_map
 
 
 def test_coproduct_injections_jointly_surjective():

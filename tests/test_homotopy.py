@@ -14,17 +14,16 @@ import pytest
 
 from cosegal import shapes
 from cosegal.base import (
-    chq_map, chq_obj, disk, empty, factorize, finset_map, finset_obj,
-    identity, is_cofibration, is_isomorphism, is_surjective,
-    is_trivial_fibration, is_weak_equivalence, sphere, tensor, tensor_mor,
-    unit,
+    chq_map, empty, finset_map, finset_obj, identity, is_cofibration,
+    is_isomorphism, is_trivial_fibration, is_weak_equivalence, sphere,
+    tensor, tensor_mor, unit,
 )
-from cosegal.colim import coproduct, copair, pushout, pushout_induced
+from cosegal.colim import pushout, pushout_induced
 from cosegal.precat import (
     PrecatMorphism, StrictCategory, check_unital, from_strict_category,
     identity_morphism, is_easy_weak_equivalence,
     is_levelwise_weak_equivalence, make_precategory, validate,
-    validate_morphism, validate_strict_category,
+    validate_morphism,
 )
 from cosegal.adjoints import (
     precat_colimit, psi, psi_inclusions, psi_square, psi_transpose,
@@ -39,124 +38,10 @@ from cosegal.homotopy import (
 )
 
 from fixtures import (
-    dual_numbers_chq, function_category, linearize_category, walking_arrow,
+    chainify_category, chq_pair_category, cylinder_data, dual_numbers_chq,
+    fold_data, function_category, linearize_category, padded_replacement,
+    rand_two_constant_chq, zero_map,
 )
-
-
-# ---------------------------------------------------------------------------
-# fixture builders
-
-
-def fold_with_section(w):
-    """The codiagonal w + w -> w and the first summand inclusion, a
-    surjective non-injective replacement with a cheap unit section."""
-    cop, injs = coproduct([w, w], backend=w.backend)
-    return copair(cop, [identity(w), identity(w)], w), injs[0]
-
-
-def fold_data(cat):
-    reps = {}
-    lifts = {}
-    secs = {}
-    for key, w in cat.homs.items():
-        reps[key], secs[key] = fold_with_section(w)
-    for a in cat.objects:
-        lifts[a] = cat.idpoints[a].then(secs[(a, a)])
-    return TwoConstantData(cat, reps, lifts)
-
-
-def cylinder_data(cat):
-    """Replacements through the cylinder middle of each identity: a
-    cofibration section and a trivial-fibration replacement."""
-    reps = {}
-    lifts = {}
-    for key, w in cat.homs.items():
-        c, t = factorize(identity(w))
-        reps[key] = t
-        if key[0] == key[1]:
-            lifts[key[0]] = cat.idpoints[key[0]].then(c)
-    return TwoConstantData(cat, reps, lifts)
-
-
-def zero_map(src, dst):
-    return chq_map(src, dst, [[0] * src.size() for _ in range(dst.size())])
-
-
-def padded_replacement(w, pads):
-    """Identity on the w summand, zero on the padding complexes: always
-    surjective, a quasi-iso exactly when every pad is acyclic."""
-    cop, injs = coproduct([w] + list(pads), backend=w.backend)
-    legs = [identity(w)] + [zero_map(p, w) for p in pads]
-    return copair(cop, legs, w), injs[0]
-
-
-def chainify_category(cat):
-    """The chq category with the same tables, homs concentrated in degree
-    zero."""
-    lin = linearize_category(cat)
-    homs = {key: chq_obj([0] * v.dim, [[0] * v.dim for _ in range(v.dim)])
-            for key, v in lin.homs.items()}
-    comps = {}
-    for key, m in lin.comps.items():
-        a, b, c = key
-        comps[key] = chq_map(tensor(homs[(a, b)], homs[(b, c)]),
-                             homs[(a, c)], m.matrix)
-    idpoints = {a: chq_map(unit("chq"), homs[(a, a)], e.matrix)
-                for a, e in lin.idpoints.items()}
-    return StrictCategory("chq", cat.objects, homs, comps, idpoints)
-
-
-def chq_pair_category():
-    """Two objects, unit endomorphism homs, a two-cell complex one way
-    and nothing back."""
-    one = unit("chq")
-    e = chq_obj([0, 1], [[0, 0], [0, 0]])
-    z = empty("chq")
-    homs = {("x", "x"): one, ("y", "y"): one, ("x", "y"): e, ("y", "x"): z}
-    comps = {}
-    for a in "xy":
-        for b in "xy":
-            for c in "xy":
-                src = tensor(homs[(a, b)], homs[(b, c)])
-                dst = homs[(a, c)]
-                if src.size() == 0 or dst.size() == 0:
-                    comps[(a, b, c)] = zero_map(src, dst)
-                elif a == b or b == c:
-                    n = dst.size()
-                    comps[(a, b, c)] = chq_map(
-                        src, dst,
-                        [[1 if i == j else 0 for j in range(n)]
-                         for i in range(n)])
-    idpoints = {a: chq_map(unit("chq"), homs[(a, a)], [[1]]) for a in "xy"}
-    return StrictCategory("chq", ("x", "y"), homs, comps, idpoints)
-
-
-def rand_two_constant_chq(rng, truncation=3):
-    """Fuzzed 2-constant unital chq precategories with surjective
-    transitions: a function category concentrated in degree zero, each
-    degree-1 slot re-seated by an identity, a cylinder, or a padded sum
-    (the padding sometimes non-acyclic, so the input need not be
-    co-Segal)."""
-    letters = ("x", "y")[:rng.randrange(1, 3)]
-    sizes = {a: rng.randrange(1, 3) for a in letters}
-    cat = chainify_category(function_category(sizes))
-    reps = {}
-    lifts = {}
-    secs = {}
-    for key, w in cat.homs.items():
-        style = rng.choice(["iso", "cylinder", "padded"])
-        if style == "iso":
-            reps[key], secs[key] = identity(w), identity(w)
-        elif style == "cylinder":
-            c, t = factorize(identity(w))
-            reps[key], secs[key] = t, c
-        else:
-            pad = rng.choice([disk(1), disk(0), sphere(1)])
-            reps[key], secs[key] = padded_replacement(w, [pad])
-    for a in cat.objects:
-        lifts[a] = cat.idpoints[a].then(secs[(a, a)])
-    return two_constant_transfer(TwoConstantData(cat, reps, lifts),
-                                 truncation)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Exact linear algebra: canonical rref, kernels and cokernels, and the
 zero-skipping kernels checked against naive dense references.
 
-The references below are the straightforward dense definitions, kept here
-only as oracles: the package kernels skip zero entries and must return the
-same values on sparse matrices, including the empty shapes.
+The references below (and `ref_kron`, `ref_madd` in `fixtures`) are the
+straightforward dense definitions, kept only as oracles: the package
+kernels skip zero entries and must return the same values on sparse
+matrices, including the empty shapes.
 """
 
 from fractions import Fraction
@@ -17,12 +18,7 @@ from cosegal.ratmat import (
     transpose, vstack, zeros,
 )
 
-
-def assert_exact(m):
-    """Every entry of the matrix m is a Fraction."""
-    for row in m:
-        for x in row:
-            assert type(x) is Fraction, (x, type(x))
+from fixtures import assert_exact, ref_kron, ref_madd
 
 
 def rand_matrix(rng, rows, cols, den=3):
@@ -59,10 +55,6 @@ def ref_transpose(m):
     return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
 
 
-def ref_madd(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def ref_msub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -71,13 +63,6 @@ def ref_matmul(a, b):
     bt = ref_transpose(b)
     return tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0))
                        for col in bt) for row in a)
-
-
-def ref_kron(a, b):
-    (ra, ca), (rb, cb) = shape(a), shape(b)
-    return tuple(
-        tuple(a[i // rb][j // cb] * b[i % rb][j % cb] for j in range(ca * cb))
-        for i in range(ra * rb))
 
 
 def ref_block_diag(mats):
