@@ -16,6 +16,15 @@ The central objects here:
   those sums instead of rebuilding them. The tensor of two sums is a
   re-indexing of their blocks, so maps out of it (the laxity) are
   gathered from the components without building the distribution map.
+* A top-level call (`unitalize`, `psi`, `gamma`, `point`, ...) makes its
+  own tables and frees them when it returns. The chain table holds the
+  chain combinatorics (summand keys and their positions, parts,
+  reinsertions, laxity keys and targets, deletions), each derived once
+  per (letters, truncation). The tensor table builds one tensor of each
+  pair of objects, one sum of each list of summands and one identity of
+  each object, so a tensored map ends on the very object its matching
+  summand is. `unitalize` shares its chain table across rounds
+  and gives each slot's gadgets a tensor table of their own.
 * `realize` collapses each endpoint component to its colimit and solves
   for the induced composition.
 * `psi` packages an arrow of the backend into a free unital precategory
@@ -34,9 +43,9 @@ from dataclasses import dataclass
 
 from . import shapes
 from .base import (
-    MMorphism, _hom_constraint, empty, identity, is_isomorphism,
-    is_surjective, left_unitor, make_map, tensor, tensor_mor,
-    tensor_mor_multi, tensor_multi, unit,
+    MMorphism, _hom_constraint, _tensor_mor_onto, empty, identity,
+    is_isomorphism, is_surjective, left_unitor, make_map, tensor,
+    tensor_mor, tensor_mor_multi, tensor_multi, unit,
 )
 from .colim import (
     colimit, colimit_induced, coequalizer, copair, coproduct,
@@ -49,6 +58,220 @@ from .precat import (
 )
 from . import ratmat
 from .ratmat import ZERO
+
+
+# ---------------------------------------------------------------------------
+# the tables one call shares
+
+
+@dataclass(frozen=True)
+class _Keyed:
+    """The summand keys of a free value at one chain, with the position of
+    each key and the parts its cut tuple splits the chain into."""
+
+    keys: list
+    pos: dict
+    parts: tuple
+
+
+class ChainTable:
+    """The chain combinatorics of one chain set, each piece derived once.
+
+    The free constructions read from here the laxity keys, the summand
+    keys of gamma and point with their positions and the parts of their
+    cut tuples, the reinsertion of a deleted letter, the block each
+    laxity pair lands in, and the deletions onto a chain. All of it
+    depends on the chains and the truncation only. An entry is derived on
+    first use and kept as long as the table, which belongs to one
+    top-level call.
+    """
+
+    def __init__(self, chains, truncation):
+        self.chains = tuple(chains)
+        self.truncation = truncation
+        self._laxity_keys = None
+        self._reinsert = {}
+        self._gamma = {}
+        self._point = {}
+        self._gamma_lax = {}
+        self._point_lax = {}
+        self._homs = {}
+        self._hom_steps = {}
+
+    def laxity_keys(self):
+        """expected_laxity_keys of a precategory on these chains (it reads
+        nothing but the chains and the truncation)."""
+        if self._laxity_keys is None:
+            self._laxity_keys = expected_laxity_keys(self)
+        return self._laxity_keys
+
+    def reinsert(self, z, cuts, p):
+        key = (z, cuts, p)
+        out = self._reinsert.get(key)
+        if out is None:
+            out = self._reinsert[key] = shapes.reinsert(z, cuts, p)
+        return out
+
+    def _keyed(self, z, keys, cuts):
+        return _Keyed(keys, {key: i for i, key in enumerate(keys)},
+                      tuple(shapes.parts_of(z, c) for c in cuts))
+
+    def gamma(self, z):
+        """gamma_keys(z) with positions and parts."""
+        out = self._gamma.get(z)
+        if out is None:
+            keys = gamma_keys(z)
+            out = self._gamma[z] = self._keyed(
+                z, keys, [cuts for _, cuts in keys])
+        return out
+
+    def point(self, z):
+        """point_keys(z) with positions and parts."""
+        out = self._point.get(z)
+        if out is None:
+            keys = point_keys(z)
+            out = self._point[z] = self._keyed(
+                z, keys, [cuts for cuts, _ in keys])
+        return out
+
+    def gamma_targets(self, s, t):
+        """gamma's laxity at (s, t) as ((i, j), position) pairs: block i
+        of s beside block j of t is the block of concat(s, t) that also
+        cuts at the junction."""
+        out = self._gamma_lax.get((s, t))
+        if out is None:
+            pos = self.gamma(shapes.concat(s, t)).pos
+            shift = shapes.degree(s)
+            out = []
+            for i, (_, cuts_s) in enumerate(self.gamma(s).keys):
+                for j, (_, cuts_t) in enumerate(self.gamma(t).keys):
+                    cuts = cuts_s + (shift,) + tuple(
+                        c + shift for c in cuts_t)
+                    out.append(((i, j), pos[("sub", cuts)]))
+            self._gamma_lax[(s, t)] = out
+        return out
+
+    def point_targets(self, s, t):
+        """point's laxity at (s, t) as ((i, j), position, merged) triples.
+        Key i of s beside key j of t is the key of concat(s, t) that also
+        cuts at the junction when the labels there differ; when they agree
+        the two junction parts merge, and the target key drops that cut."""
+        out = self._point_lax.get((s, t))
+        if out is None:
+            pos = self.point(shapes.concat(s, t)).pos
+            shift = shapes.degree(s)
+            out = []
+            for i, (cuts1, labels1) in enumerate(self.point(s).keys):
+                for j, (cuts2, labels2) in enumerate(self.point(t).keys):
+                    shifted = tuple(c + shift for c in cuts2)
+                    merged = labels1[-1] == labels2[0]
+                    if merged:
+                        key = (cuts1 + shifted, labels1 + labels2[1:])
+                    else:
+                        key = (cuts1 + (shift,) + shifted, labels1 + labels2)
+                    out.append(((i, j), pos[key], merged))
+            self._point_lax[(s, t)] = out
+        return out
+
+    def hom_set(self, w, z0):
+        key = (w, z0)
+        out = self._homs.get(key)
+        if out is None:
+            out = self._homs[key] = shapes.hom_set(w, z0)
+        return out
+
+    def hom_steps(self, w, p, z0):
+        """For each deletion d: delete(w, p) -> z0, the position of the
+        composite w -> delete(w, p) -> z0 in hom_set(w, z0)."""
+        key = (w, p, z0)
+        out = self._hom_steps.get(key)
+        if out is None:
+            index = {d: i for i, d in enumerate(self.hom_set(w, z0))}
+            step = shapes.del_single(w, p)
+            out = self._hom_steps[key] = tuple(
+                index[step.then(d)]
+                for d in self.hom_set(shapes.delete(w, p), z0))
+        return out
+
+
+class _CallTables:
+    """What one top-level call shares across its builds: a ChainTable per
+    (letters, truncation), and one tensor of each pair of objects, one sum
+    of each list of summands and one identity of each object.
+
+    Tensors, sums and identities are keyed by the identity of their
+    arguments, which the table keeps alive. So a map tensored from factors
+    that end on the objects a summand was built from lands on that very
+    summand object, and `then` settles its end check by identity. The
+    tables are freed with the call that made them; nothing is kept between
+    calls.
+    """
+
+    def __init__(self, chain_tables=None):
+        self._chain_tables = {} if chain_tables is None else chain_tables
+        self._tensors = {}
+        self._sums = {}
+        self._identities = {}
+
+    def chain_table(self, letters, truncation, chains=None):
+        """The table of all chains over letters up to truncation. chains,
+        when given and different (a partial chain set), get a table of
+        their own, which is not kept."""
+        key = (letters, truncation)
+        table = self._chain_tables.get(key)
+        if table is None:
+            table = self._chain_tables[key] = ChainTable(
+                shapes.all_chains(letters, truncation), truncation)
+        if chains is not None and chains != table.chains:
+            return ChainTable(chains, truncation)
+        return table
+
+    def scoped(self):
+        """Tables for one part of the call: the chain tables are shared,
+        the object tables are fresh and freed with the part."""
+        return _CallTables(self._chain_tables)
+
+    def chains_of(self, pc):
+        return self.chain_table(pc.letters, pc.truncation, pc.chains)
+
+    def tensor(self, x, y):
+        key = (id(x), id(y))
+        hit = self._tensors.get(key)
+        if hit is None:
+            hit = self._tensors[key] = (x, y, tensor(x, y))
+        return hit[2]
+
+    def tensor_multi(self, objs, backend):
+        if not objs:
+            return unit(backend)
+        out = objs[0]
+        for x in objs[1:]:
+            out = self.tensor(out, x)
+        return out
+
+    def tensor_mor_multi(self, mors, backend):
+        """tensor_mor_multi(mors, backend), with both ends from the table."""
+        if not mors:
+            return self.identity(unit(backend))
+        if len(mors) == 1:
+            return mors[0]
+        return _tensor_mor_onto(
+            mors, self.tensor_multi([m.src for m in mors], backend),
+            self.tensor_multi([m.dst for m in mors], backend))
+
+    def sum_objects(self, backend, items):
+        """_sum_objects(backend, items), once per list of summand objects."""
+        key = tuple(map(id, items))
+        hit = self._sums.get(key)
+        if hit is None:
+            hit = self._sums[key] = (items, _sum_objects(backend, items))
+        return hit[1]
+
+    def identity(self, x):
+        hit = self._identities.get(id(x))
+        if hit is None:
+            hit = self._identities[id(x)] = (x, identity(x))
+        return hit[1]
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +298,7 @@ def _assemble(sum_obj, comps, dst, backend):
     return copair(sum_obj, comps, dst)
 
 
-def _pair_assemble(backend, left, right, targets, dst):
+def _pair_assemble(backend, left, right, targets, dst, src=None):
     """A map out of a tensor of two sums, one component per summand pair.
 
     left/right are (sum object, summand sources) pairs of sums built by
@@ -85,7 +308,8 @@ def _pair_assemble(backend, left, right, targets, dst):
     sources_left[i] (x) sources_right[j]. The tensor distributes over the
     sums: position (lo_i + a) * |R| + (ro_j + b) of tensor(L, R) is
     position a * |R_j| + b of targets[(i, j)], so the map only re-indexes
-    the components' images.
+    the components' images. src is tensor(L, R) when the caller already
+    holds it.
     """
     lobj, lsrcs = left
     robj, rsrcs = right
@@ -106,12 +330,24 @@ def _pair_assemble(backend, left, right, targets, dst):
         for a in range(nl):
             for j, nr in enumerate(rsizes):
                 out.extend(images[(i, j)][a * nr:(a + 1) * nr])
-    src = tensor(lobj, robj)
+    if src is None:
+        src = tensor(lobj, robj)
     if backend == "finset":
         return MMorphism(backend, src, dst, mapping=tuple(out))
     # out holds the columns; with none, the rows are still dst's
     matrix = tuple(zip(*out)) if out else ratmat.zeros(dst.size(), 0)
     return MMorphism(backend, src, dst, matrix=matrix)
+
+
+@dataclass
+class _Sum:
+    """One free value as a sum: the sum object, the summand injections and
+    sources, and the keys of its chain (a `_Keyed` of the chain table)."""
+
+    obj: object
+    injs: list
+    srcs: list
+    keyed: _Keyed
 
 
 # ---------------------------------------------------------------------------
@@ -127,21 +363,6 @@ def gamma_keys(z):
     return keys
 
 
-def _gamma_src(k, z, key):
-    kind, cuts = key
-    if kind == "whole":
-        return k.value(z)
-    return tensor_multi([k.value(p) for p in shapes.parts_of(z, cuts)],
-                        k.backend)
-
-
-def _gamma_sum(k, z):
-    keys = gamma_keys(z)
-    srcs = [_gamma_src(k, z, key) for key in keys]
-    obj, injs = _sum_objects(k.backend, srcs)
-    return obj, injs, srcs, keys
-
-
 def gamma(k):
     """The free precategory on a bare chain diagram.
 
@@ -153,55 +374,47 @@ def gamma(k):
     return _gamma_build(k)[0]
 
 
-def _gamma_build(k):
-    """gamma(k) together with its sums: {chain: (value, injections,
-    summand sources, summand keys)}. Maps out of or into gamma(k) read
-    their blocks from these instead of rebuilding them."""
+def _gamma_build(k, calls=None):
+    """gamma(k) together with its sums, {chain: _Sum}. Maps out of or into
+    gamma(k) read their blocks from these instead of rebuilding them.
+    calls holds the tables of the top-level call, a fresh one if None."""
+    if calls is None:
+        calls = _CallTables()
+    table = calls.chains_of(k)
     backend = k.backend
-    values = {}
     sums = {}
     for z in k.chains:
-        obj, injs, srcs, keys = _gamma_sum(k, z)
-        values[z] = obj
-        sums[z] = (obj, injs, srcs, keys)
+        keyed = table.gamma(z)
+        srcs = [k.value(z)] + [
+            calls.tensor_multi([k.value(q) for q in parts], backend)
+            for parts in keyed.parts[1:]]
+        obj, injs = calls.sum_objects(backend, srcs)
+        sums[z] = _Sum(obj, injs, srcs, keyed)
     maps = {}
     for z in k.chains:
-        obj, injs, srcs, keys = sums[z]
-        pos = {key: i for i, key in enumerate(keys)}
+        big = sums[z]
         for p in range(1, len(z) - 1):
-            zp = shapes.delete(z, p)
-            sobj, _, _, skeys = sums[zp]
-            comps = []
-            for key in skeys:
-                kind, cuts = key
-                if kind == "whole":
-                    comps.append(k.gen_map(z, p).then(
-                        injs[pos[("whole", ())]]))
-                    continue
-                big_cuts, j, rel = shapes.reinsert(z, cuts, p)
-                parts = shapes.parts_of(z, big_cuts)
-                factors = [identity(k.value(q)) for q in parts]
+            small = sums[shapes.delete(z, p)]
+            # the chain block comes first
+            comps = [k.gen_map(z, p).then(big.injs[0])]
+            for _, cuts in small.keyed.keys[1:]:
+                big_cuts, j, rel = table.reinsert(z, cuts, p)
+                at = big.keyed.pos[("sub", big_cuts)]
+                parts = big.keyed.parts[at]
+                factors = [calls.identity(k.value(q)) for q in parts]
                 factors[j] = k.gen_map(parts[j], rel)
-                comps.append(tensor_mor_multi(factors, backend).then(
-                    injs[pos[("sub", big_cuts)]]))
-            maps[(z, p)] = _assemble(sobj, comps, obj, backend)
+                comps.append(calls.tensor_mor_multi(factors, backend).then(
+                    big.injs[at]))
+            maps[(z, p)] = _assemble(small.obj, comps, big.obj, backend)
     laxity = {}
-    for s, t in expected_laxity_keys(k):
-        tobj, tinjs, _, tkeys = sums[shapes.concat(s, t)]
-        tpos = {key: i for i, key in enumerate(tkeys)}
-        sobj, _, ssrcs, skeys = sums[s]
-        uobj, _, usrcs, ukeys = sums[t]
-        shift = shapes.degree(s)
-        targets = {}
-        for i, ks in enumerate(skeys):
-            cuts_s = ks[1] if ks[0] == "sub" else ()
-            for j, kt in enumerate(ukeys):
-                cuts_t = kt[1] if kt[0] == "sub" else ()
-                cuts = cuts_s + (shift,) + tuple(
-                    c + shift for c in cuts_t)
-                targets[(i, j)] = tinjs[tpos[("sub", cuts)]]
+    for s, t in table.laxity_keys():
+        left, right = sums[s], sums[t]
+        st = sums[shapes.concat(s, t)]
+        targets = {ij: st.injs[at] for ij, at in table.gamma_targets(s, t)}
         laxity[(s, t)] = _pair_assemble(
-            backend, (sobj, ssrcs), (uobj, usrcs), targets, tobj)
+            backend, (left.obj, left.srcs), (right.obj, right.srcs),
+            targets, st.obj, src=calls.tensor(left.obj, right.obj))
+    values = {z: sm.obj for z, sm in sums.items()}
     out = make_precategory(backend, k.letters, k.truncation, values, maps,
                            laxity)
     return out, sums
@@ -209,30 +422,28 @@ def _gamma_build(k):
 
 def gamma_map(phi):
     """The action of gamma on a morphism of bare chain diagrams."""
-    return _gamma_map_between(phi, _gamma_build(phi.src),
-                              _gamma_build(phi.dst))
+    calls = _CallTables()
+    return _gamma_map_between(phi, _gamma_build(phi.src, calls),
+                              _gamma_build(phi.dst, calls), calls)
 
 
-def _gamma_map_between(phi, src, dst):
+def _gamma_map_between(phi, src, dst, calls):
     """gamma_map(phi) between the builds src = _gamma_build(phi.src) and
     dst = _gamma_build(phi.dst)."""
     (gsrc, ssums), (gdst, dsums) = src, dst
+    backend = phi.src.backend
     comps = {}
     for z in phi.src.chains:
-        sobj, _, _, skeys = ssums[z]
-        dobj, dinjs, _, dkeys = dsums[z]
-        pos = {key: i for i, key in enumerate(dkeys)}
+        small, big = ssums[z], dsums[z]
         legs = []
-        for key in skeys:
-            kind, cuts = key
-            if kind == "whole":
-                legs.append(phi.at(z).then(dinjs[pos[key]]))
+        for key, parts in zip(small.keyed.keys, small.keyed.parts):
+            inj = big.injs[big.keyed.pos[key]]
+            if key[0] == "whole":
+                legs.append(phi.at(z).then(inj))
             else:
-                parts = shapes.parts_of(z, cuts)
-                legs.append(tensor_mor_multi(
-                    [phi.at(q) for q in parts], phi.src.backend).then(
-                        dinjs[pos[key]]))
-        comps[z] = _assemble(sobj, legs, dobj, phi.src.backend)
+                legs.append(calls.tensor_mor_multi(
+                    [phi.at(q) for q in parts], backend).then(inj))
+        comps[z] = _assemble(small.obj, legs, big.obj, backend)
     return PrecatMorphism(gsrc, gdst, comps)
 
 
@@ -249,8 +460,8 @@ def kobject_of(pc):
 def _chain_block(sums, z):
     """The injection of the chain block into gamma(k)(z), read from the
     sums of the gamma build."""
-    _, injs, _, keys = sums[z]
-    return injs[keys.index(("whole", ()))]
+    sm = sums[z]
+    return sm.injs[sm.keyed.pos[("whole", ())]]
 
 
 def gamma_unit(k):
@@ -266,14 +477,14 @@ def gamma_counit(pc):
     g, sums = _gamma_build(pc)
     comps = {}
     for z in pc.chains:
-        obj, _, _, keys = sums[z]
+        sm = sums[z]
         legs = []
-        for kind, cuts in keys:
+        for (kind, _), parts in zip(sm.keyed.keys, sm.keyed.parts):
             if kind == "whole":
                 legs.append(identity(pc.value(z)))
             else:
-                legs.append(pc.lax_multi(shapes.parts_of(z, cuts)))
-        comps[z] = _assemble(obj, legs, pc.value(z), pc.backend)
+                legs.append(pc.lax_multi(parts))
+        comps[z] = _assemble(sm.obj, legs, pc.value(z), pc.backend)
     return PrecatMorphism(g, pc, comps)
 
 
@@ -299,21 +510,6 @@ def point_keys(z):
     return out
 
 
-def _point_src(pc, z, key):
-    cuts, labels = key
-    parts = shapes.parts_of(z, cuts)
-    factors = [pc.value(p) if l == "f" else unit(pc.backend)
-               for p, l in zip(parts, labels)]
-    return tensor_multi(factors, pc.backend)
-
-
-def _point_sum(pc, z):
-    keys = point_keys(z)
-    srcs = [_point_src(pc, z, key) for key in keys]
-    obj, injs = _sum_objects(pc.backend, srcs)
-    return obj, injs, srcs, keys
-
-
 def point(pc):
     """Freely adjoin unit points to a precategory.
 
@@ -326,81 +522,78 @@ def point(pc):
     return _point_build(pc)[0]
 
 
-def _point_build(pc):
-    """point(pc) together with its sums: {chain: (value, injections,
-    summand sources, summand keys)}. Maps out of or into point(pc) read
-    their blocks from these instead of rebuilding them."""
+def _point_build(pc, calls=None):
+    """point(pc) together with its sums, {chain: _Sum}. Maps out of or
+    into point(pc) read their blocks from these instead of rebuilding
+    them. calls holds the tables of the top-level call, a fresh one if
+    None."""
     if pc.is_pointed():
         raise ValueError("point expects an unpointed precategory")
+    if calls is None:
+        calls = _CallTables()
+    table = calls.chains_of(pc)
     backend = pc.backend
-    values = {}
+    u = unit(backend)
+    unitor = left_unitor(u)
+
+    def carrier(q, label):
+        return pc.value(q) if label == "f" else u
+
     sums = {}
     for z in pc.chains:
-        obj, injs, srcs, keys = _point_sum(pc, z)
-        values[z] = obj
-        sums[z] = (obj, injs, srcs, keys)
+        keyed = table.point(z)
+        srcs = [calls.tensor_multi([carrier(q, l) for q, l in zip(
+                    parts, labels)], backend)
+                for (_, labels), parts in zip(keyed.keys, keyed.parts)]
+        obj, injs = calls.sum_objects(backend, srcs)
+        sums[z] = _Sum(obj, injs, srcs, keyed)
     maps = {}
     for z in pc.chains:
-        obj, injs, srcs, keys = sums[z]
-        pos = {key: i for i, key in enumerate(keys)}
+        big = sums[z]
         for p in range(1, len(z) - 1):
-            zp = shapes.delete(z, p)
-            sobj, _, _, skeys = sums[zp]
+            small = sums[shapes.delete(z, p)]
             comps = []
-            for cuts, labels in skeys:
-                big_cuts, j, rel = shapes.reinsert(z, cuts, p)
-                parts = shapes.parts_of(z, big_cuts)
-                factors = []
-                for i, (q, l) in enumerate(zip(parts, labels)):
-                    if l == "u":
-                        factors.append(identity(unit(backend)))
-                    elif i == j:
-                        factors.append(pc.gen_map(q, rel))
-                    else:
-                        factors.append(identity(pc.value(q)))
-                comps.append(tensor_mor_multi(factors, backend).then(
-                    injs[pos[(big_cuts, labels)]]))
-            maps[(z, p)] = _assemble(sobj, comps, obj, backend)
+            for cuts, labels in small.keyed.keys:
+                big_cuts, j, rel = table.reinsert(z, cuts, p)
+                at = big.keyed.pos[(big_cuts, labels)]
+                factors = [calls.identity(carrier(q, l)) for q, l in zip(
+                    big.keyed.parts[at], labels)]
+                if labels[j] == "f":
+                    factors[j] = pc.gen_map(big.keyed.parts[at][j], rel)
+                comps.append(calls.tensor_mor_multi(factors, backend).then(
+                    big.injs[at]))
+            maps[(z, p)] = _assemble(small.obj, comps, big.obj, backend)
     laxity = {}
-    for s, t in expected_laxity_keys(pc):
-        tobj, tinjs, _, tkeys = sums[shapes.concat(s, t)]
-        tpos = {key: i for i, key in enumerate(tkeys)}
-        sobj, _, ssrcs, skeys = sums[s]
-        uobj, _, usrcs, ukeys = sums[t]
-        shift = shapes.degree(s)
+    for s, t in table.laxity_keys():
+        left, right = sums[s], sums[t]
+        st = sums[shapes.concat(s, t)]
         targets = {}
-        for i, (cuts1, labels1) in enumerate(skeys):
-            parts1 = shapes.parts_of(s, cuts1)
-            for j, (cuts2, labels2) in enumerate(ukeys):
-                parts2 = shapes.parts_of(t, cuts2)
-                shifted = tuple(c + shift for c in cuts2)
-                if labels1[-1] != labels2[0]:
-                    key = (cuts1 + (shift,) + shifted,
-                           labels1 + labels2)
-                    targets[(i, j)] = tinjs[tpos[key]]
-                    continue
-                merged_cuts = cuts1 + shifted
-                merged_labels = labels1 + labels2[1:]
-                factors = []
-                for q, l in zip(parts1[:-1], labels1[:-1]):
-                    factors.append(identity(
-                        pc.value(q) if l == "f" else unit(backend)))
-                if labels1[-1] == "f":
-                    factors.append(pc.lax(parts1[-1], parts2[0]))
-                else:
-                    factors.append(left_unitor(unit(backend)))
-                for q, l in zip(parts2[1:], labels2[1:]):
-                    factors.append(identity(
-                        pc.value(q) if l == "f" else unit(backend)))
-                targets[(i, j)] = tensor_mor_multi(
-                    factors, backend).then(
-                        tinjs[tpos[(merged_cuts, merged_labels)]])
+        for (i, j), at, merged in table.point_targets(s, t):
+            if not merged:
+                targets[(i, j)] = st.injs[at]
+                continue
+            # the two junction parts merge: through the laxity when both
+            # are carrier parts, through the unitor when both are units
+            labels1 = left.keyed.keys[i][1]
+            labels2 = right.keyed.keys[j][1]
+            parts1 = left.keyed.parts[i]
+            parts2 = right.keyed.parts[j]
+            factors = [calls.identity(carrier(q, l))
+                       for q, l in zip(parts1[:-1], labels1[:-1])]
+            if labels1[-1] == "f":
+                factors.append(pc.lax(parts1[-1], parts2[0]))
+            else:
+                factors.append(unitor)
+            factors.extend(calls.identity(carrier(q, l))
+                           for q, l in zip(parts2[1:], labels2[1:]))
+            targets[(i, j)] = calls.tensor_mor_multi(
+                factors, backend).then(st.injs[at])
         laxity[(s, t)] = _pair_assemble(
-            backend, (sobj, ssrcs), (uobj, usrcs), targets, tobj)
-    units = {}
-    for a in pc.letters:
-        obj, injs, _, keys = sums[(a, a)]
-        units[a] = injs[keys.index(((), ("u",)))]
+            backend, (left.obj, left.srcs), (right.obj, right.srcs),
+            targets, st.obj, src=calls.tensor(left.obj, right.obj))
+    units = {a: sums[(a, a)].injs[sums[(a, a)].keyed.pos[((), ("u",))]]
+             for a in pc.letters}
+    values = {z: sm.obj for z, sm in sums.items()}
     out = make_precategory(backend, pc.letters, pc.truncation, values,
                            maps, laxity, units=units)
     return out, sums
@@ -408,36 +601,35 @@ def _point_build(pc):
 
 def point_map(alpha):
     """The action of point on a morphism of unpointed precategories."""
-    return _point_map_between(alpha, _point_build(alpha.src),
-                              _point_build(alpha.dst))
+    calls = _CallTables()
+    return _point_map_between(alpha, _point_build(alpha.src, calls),
+                              _point_build(alpha.dst, calls), calls)
 
 
-def _point_map_between(alpha, src, dst):
+def _point_map_between(alpha, src, dst, calls):
     """point_map(alpha) between the builds src = _point_build(alpha.src)
     and dst = _point_build(alpha.dst)."""
     (psrc, ssums), (pdst, dsums) = src, dst
     backend = alpha.src.backend
+    unit_id = calls.identity(unit(backend))
     comps = {}
     for z in alpha.src.chains:
-        sobj, _, _, skeys = ssums[z]
-        dobj, dinjs, _, dkeys = dsums[z]
-        pos = {key: i for i, key in enumerate(dkeys)}
+        small, big = ssums[z], dsums[z]
         legs = []
-        for cuts, labels in skeys:
-            parts = shapes.parts_of(z, cuts)
-            factors = [alpha.at(q) if l == "f" else identity(unit(backend))
-                       for q, l in zip(parts, labels)]
-            legs.append(tensor_mor_multi(factors, backend).then(
-                dinjs[pos[(cuts, labels)]]))
-        comps[z] = _assemble(sobj, legs, dobj, backend)
+        for key, parts in zip(small.keyed.keys, small.keyed.parts):
+            factors = [alpha.at(q) if l == "f" else unit_id
+                       for q, l in zip(parts, key[1])]
+            legs.append(calls.tensor_mor_multi(factors, backend).then(
+                big.injs[big.keyed.pos[key]]))
+        comps[z] = _assemble(small.obj, legs, big.obj, backend)
     return PrecatMorphism(psrc, pdst, comps)
 
 
 def _carrier_part(sums, z):
     """The injection of the one-part carrier summand into point(pc)(z),
     read from the sums of the point build."""
-    _, injs, _, keys = sums[z]
-    return injs[keys.index(((), ("f",)))]
+    sm = sums[z]
+    return sm.injs[sm.keyed.pos[((), ("f",))]]
 
 
 def point_carrier_inclusion(pc):
@@ -463,23 +655,26 @@ def free_hom_kobject(letters, truncation, z0, m):
     return _free_hom_build(letters, truncation, z0, m)[0]
 
 
-def _free_hom_build(letters, truncation, z0, m):
+def _free_hom_build(letters, truncation, z0, m, calls=None):
     """free_hom_kobject together with its sums: {chain w: (value,
-    injections, the deletions w -> z0 the copies of m are indexed by)}."""
+    injections, the deletions w -> z0 the copies of m are indexed by)}.
+    Chains with the same number of deletions share one sum object."""
+    if calls is None:
+        calls = _CallTables()
     backend = m.backend
     letters = tuple(sorted(letters))
+    table = calls.chain_table(letters, truncation)
     sums = {}
-    for w in shapes.all_chains(letters, truncation):
-        ds = shapes.hom_set(w, z0)
-        obj, injs = _sum_objects(backend, [m] * len(ds))
+    for w in table.chains:
+        ds = table.hom_set(w, z0)
+        obj, injs = calls.sum_objects(backend, [m] * len(ds))
         sums[w] = (obj, injs, ds)
     maps = {}
     for w, (obj, injs, ds) in sums.items():
         for p in range(1, len(w) - 1):
-            step = shapes.del_single(w, p)
-            sobj, _, sds = sums[shapes.delete(w, p)]
-            comps = [injs[ds.index(step.then(d))] for d in sds]
-            maps[(w, p)] = _assemble(sobj, comps, obj, backend)
+            comps = [injs[i] for i in table.hom_steps(w, p, z0)]
+            maps[(w, p)] = _assemble(sums[shapes.delete(w, p)][0], comps,
+                                     obj, backend)
     values = {w: obj for w, (obj, _, _) in sums.items()}
     out = make_precategory(backend, letters, truncation, values, maps, {})
     return out, sums
@@ -487,9 +682,10 @@ def _free_hom_build(letters, truncation, z0, m):
 
 def free_hom_kmorphism(letters, truncation, z0, f):
     """The action of the free one-chain diagram on a map f: m -> m2."""
+    calls = _CallTables()
     return _free_hom_map_between(
-        f, _free_hom_build(letters, truncation, z0, f.src),
-        _free_hom_build(letters, truncation, z0, f.dst))
+        f, _free_hom_build(letters, truncation, z0, f.src, calls),
+        _free_hom_build(letters, truncation, z0, f.dst, calls))
 
 
 def _free_hom_map_between(f, src, dst):
@@ -516,10 +712,12 @@ class _Gadget:
     pointed: tuple
 
 
-def _build_gadget(letters, truncation, z0, m):
-    k = _free_hom_build(letters, truncation, z0, m)
-    gk = _gamma_build(k[0])
-    return _Gadget(k, gk, _point_build(gk[0]))
+def _build_gadget(letters, truncation, z0, m, calls=None):
+    if calls is None:
+        calls = _CallTables()
+    k = _free_hom_build(letters, truncation, z0, m, calls)
+    gk = _gamma_build(k[0], calls)
+    return _Gadget(k, gk, _point_build(gk[0], calls))
 
 
 def upsilon(letters, truncation, z0, m):
@@ -529,16 +727,19 @@ def upsilon(letters, truncation, z0, m):
 
 
 def upsilon_map(letters, truncation, z0, f):
-    return _gadget_map(_build_gadget(letters, truncation, z0, f.src),
-                       _build_gadget(letters, truncation, z0, f.dst), f)
+    calls = _CallTables()
+    return _gadget_map(
+        _build_gadget(letters, truncation, z0, f.src, calls),
+        _build_gadget(letters, truncation, z0, f.dst, calls), f, calls)
 
 
-def _gadget_map(src, dst, f):
+def _gadget_map(src, dst, f, calls):
     """upsilon_map of f: m -> m2 between the gadgets src on m and dst on
     m2."""
     phi = _free_hom_map_between(f, src.k, dst.k)
-    return _point_map_between(_gamma_map_between(phi, src.gk, dst.gk),
-                              src.pointed, dst.pointed)
+    return _point_map_between(
+        _gamma_map_between(phi, src.gk, dst.gk, calls), src.pointed,
+        dst.pointed, calls)
 
 
 def upsilon_center_inclusion(letters, truncation, z0, m):
@@ -561,11 +762,12 @@ def upsilon_transpose(h, z0, g):
     Deletion indices go to h's structure maps, unit parts to derived
     units, and blocks merge through h's laxity.
     """
-    gadget = _build_gadget(h.letters, h.truncation, z0, g.src)
-    return _gadget_transpose(gadget, h, g)
+    calls = _CallTables()
+    gadget = _build_gadget(h.letters, h.truncation, z0, g.src, calls)
+    return _gadget_transpose(gadget, h, g, calls)
 
 
-def _gadget_transpose(gadget, h, g):
+def _gadget_transpose(gadget, h, g, calls=None):
     """upsilon_transpose(h, z0, g) out of the gadget built at z0 on
     g.src."""
     k, ksums = gadget.k
@@ -574,10 +776,11 @@ def _gadget_transpose(gadget, h, g):
         legs = [g.then(h.structure(d)) for d in ksums[w][2]]
         return _assemble(k.value(w), legs, h.value(w), h.backend)
 
-    return _free_transpose(gadget.pointed, gadget.gk[1], h, k_component)
+    return _free_transpose(gadget.pointed, gadget.gk[1], h, k_component,
+                           calls)
 
 
-def _free_transpose(pointed, gamma_sums, h, k_component):
+def _free_transpose(pointed, gamma_sums, h, k_component, calls=None):
     """The pointed morphism point(gamma(k)) -> h that is
     k_component(w): k(w) -> h(w) on the chain blocks, for the build
     pointed = _point_build(gamma(k)) and the sums of gamma's build.
@@ -587,42 +790,52 @@ def _free_transpose(pointed, gamma_sums, h, k_component):
     """
     if not h.is_pointed():
         raise ValueError("transpose needs a pointed target")
+    if calls is None:
+        calls = _CallTables()
     backend = h.backend
     pobj, psums = pointed
     # every chain is a part of its own one-part key, so each component is
     # needed; compute each once
     kcomps = {w: k_component(w) for w in pobj.chains}
+    laxes = {}
+    unit_legs = {}
+
+    def lax_multi(parts):
+        out = laxes.get(parts)
+        if out is None:
+            out = laxes[parts] = h.lax_multi(parts)
+        return out
 
     def gamma_component(w):
-        gobj, _, _, gkeys = gamma_sums[w]
+        sm = gamma_sums[w]
         legs = []
-        for kind, cuts in gkeys:
+        for (kind, _), parts in zip(sm.keyed.keys, sm.keyed.parts):
             if kind == "whole":
                 legs.append(kcomps[w])
                 continue
-            parts = shapes.parts_of(w, cuts)
-            legs.append(tensor_mor_multi(
-                [kcomps[q] for q in parts], backend).then(
-                    h.lax_multi(parts)))
-        return _assemble(gobj, legs, h.value(w), backend)
+            legs.append(calls.tensor_mor_multi(
+                [kcomps[q] for q in parts], backend).then(lax_multi(parts)))
+        return _assemble(sm.obj, legs, h.value(w), backend)
 
     gcomps = {w: gamma_component(w) for w in pobj.chains}
 
     def derived_unit(part):
-        return h.unit_map(part[0]).then(
-            h.structure(shapes.to_initial(part)))
+        out = unit_legs.get(part)
+        if out is None:
+            out = unit_legs[part] = h.unit_map(part[0]).then(
+                h.structure(shapes.to_initial(part)))
+        return out
 
     comps = {}
     for w in pobj.chains:
-        value, _, _, keys = psums[w]
+        sm = psums[w]
         legs = []
-        for cuts, labels in keys:
-            parts = shapes.parts_of(w, cuts)
+        for (_, labels), parts in zip(sm.keyed.keys, sm.keyed.parts):
             factors = [gcomps[q] if l == "f" else derived_unit(q)
                        for q, l in zip(parts, labels)]
-            legs.append(tensor_mor_multi(factors, backend).then(
-                h.lax_multi(parts)))
-        comps[w] = _assemble(value, legs, h.value(w), backend)
+            legs.append(calls.tensor_mor_multi(factors, backend).then(
+                lax_multi(parts)))
+        comps[w] = _assemble(sm.obj, legs, h.value(w), backend)
     return PrecatMorphism(pobj, h, comps)
 
 
@@ -666,7 +879,10 @@ def precat_colimit(nodes, edges):
     gen = {}
     slices = {}
     pres = {}
-    chainset = set(chains)
+    # each pair block tensor(values[s], values[t]) is built once; every
+    # relation or structure map landing on it takes it from here, so its
+    # end check in `then` is an identity test
+    pairs = {}
 
     def block_layout(z):
         blocks = [("node", key) for key in keys]
@@ -679,7 +895,8 @@ def precat_colimit(nodes, edges):
         if kind == "node":
             return nodes[which].value(z)
         s, t = z[:which + 1], z[which:]
-        return tensor(values[s], values[t])
+        pairs[(s, t)] = tensor(values[s], values[t])
+        return pairs[(s, t)]
 
     for z in sorted(chains, key=lambda s: (len(s), s)):
         if len(z) == 2:
@@ -705,21 +922,27 @@ def precat_colimit(nodes, edges):
             nd = nodes[key]
             for c in range(1, len(z) - 1):
                 s, t = z[:c + 1], z[c:]
-                src = tensor(nd.value(s), nd.value(t))
+                # the laxity's source is the tensor of the node's values
+                phi = nd.lax(s, t)
                 rel.append((
-                    src,
-                    nd.lax(s, t).then(binj[("node", key)]),
-                    tensor_mor(psi[(key, s)], psi[(key, t)]).then(
+                    phi.src,
+                    phi.then(binj[("node", key)]),
+                    _tensor_mor_onto((psi[(key, s)], psi[(key, t)]),
+                                     phi.src, pairs[(s, t)]).then(
                         binj[("pair", c)])))
         for cuts in shapes.cut_tuples(z, 3):
             c1, c2 = cuts
             r, sm, t = z[:c1 + 1], z[c1:c2 + 1], z[c2:]
-            src = tensor_multi([values[r], values[sm], values[t]], backend)
+            # the tensor is strictly associative, so one source serves
+            # both bracketings
+            src = tensor(pairs[(r, sm)], values[t])
             rel.append((
                 src,
-                tensor_mor(lax[(r, sm)], identity(values[t])).then(
+                _tensor_mor_onto((lax[(r, sm)], identity(values[t])), src,
+                                 pairs[(z[:c2 + 1], t)]).then(
                     binj[("pair", c2)]),
-                tensor_mor(identity(values[r]), lax[(sm, t)]).then(
+                _tensor_mor_onto((identity(values[r]), lax[(sm, t)]), src,
+                                 pairs[(r, z[c1:])]).then(
                     binj[("pair", c1)])))
         rel_cop, _ = coproduct([s for s, _, _ in rel], backend=backend)
         fl = copair(rel_cop, [l for _, l, _ in rel], cop)
@@ -754,25 +977,18 @@ def precat_colimit(nodes, edges):
                 big_cuts, j, rel_pos = shapes.reinsert(z, (which,), p)
                 s, t = z[:big_cuts[0] + 1], z[big_cuts[0]:]
                 if j == 0:
-                    part_map = tensor_mor(gen[(s, rel_pos)],
-                                          identity(values[t]))
+                    pair = (gen[(s, rel_pos)], identity(values[t]))
                 else:
-                    part_map = tensor_mor(identity(values[s]),
-                                          gen[(t, rel_pos)])
+                    pair = (identity(values[s]), gen[(t, rel_pos)])
+                # from the pair block of zp onto the pair block of z
+                part_map = _tensor_mor_onto(pair, binj[block].src,
+                                            pairs[(s, t)])
                 legs.append(part_map.then(lax[(s, t)]))
             h = copair(cop, legs, values[z])
             gen[(z, p)] = quotient_induced(q, h)
 
     # remaining laxity keys all arise as pair blocks of their concat chain
-    full_lax = {}
-    for s in chains:
-        for t in chains:
-            if s[-1] != t[0]:
-                continue
-            st = shapes.concat(s, t)
-            if shapes.degree(st) > first.truncation or st not in chainset:
-                continue
-            full_lax[(s, t)] = lax[(s, t)]
+    full_lax = {key: lax[key] for key in expected_laxity_keys(first)}
     units = {}
     for a in first.letters:
         cands = [nodes[key].unit_map(a).then(psi[(key, (a, a))])
@@ -856,6 +1072,9 @@ def unitalize(pc):
     """
     if not pc.is_pointed():
         raise ValueError("unitalize needs a pointed precategory")
+    # one chain table serves every round; each slot's gadgets share a
+    # tensor table, freed with the slot like their sums
+    calls = _CallTables()
     current = pc
     stages = [pc]
     rounds = []
@@ -881,19 +1100,20 @@ def unitalize(pc):
         # one slot's gadgets at a time, so that the sums of a build are
         # dropped as soon as its maps are made
         for z, members in by_slot.items():
+            slot = calls.scoped()
             apex = _build_gadget(current.letters, current.truncation, z,
-                                 current.value(z))
+                                 current.value(z), slot)
             ev = _gadget_transpose(apex, current,
-                                   identity(current.value(z)))
+                                   identity(current.value(z)), slot)
             for i in members:
                 q = coeqs[i]
                 gad = _build_gadget(current.letters, current.truncation, z,
-                                    q.obj)
+                                    q.obj, slot)
                 nodes[("apex", i)] = apex.pointed[0]
                 nodes[("gad", i)] = gad.pointed[0]
                 legs[i] = [(("apex", i), ("center",), ev),
                            (("apex", i), ("gad", i),
-                            _gadget_map(apex, gad, q.proj))]
+                            _gadget_map(apex, gad, q.proj, slot))]
                 incls[i] = _center_inclusion(gad, z)
         edges = [edge for i in range(len(bad)) for edge in legs[i]]
         new, cocone, slices = precat_colimit(nodes, edges)
@@ -1212,8 +1432,9 @@ def psi(z0, alpha, letters=None, truncation=None):
     if truncation is None:
         truncation = shapes.degree(z0)
     k, wps = hom_extension_kobject(letters, truncation, z0, alpha)
-    gk, gamma_sums = _gamma_build(k)
-    pointed, point_sums = _point_build(gk)
+    calls = _CallTables()
+    gk, gamma_sums = _gamma_build(k, calls)
+    pointed, point_sums = _point_build(gk, calls)
     res = unitalize(pointed)
     return PsiResult(res.precat, res.eta, pointed, res.trace, k, wps, gk,
                      gamma_sums, point_sums)
@@ -1224,10 +1445,11 @@ def psi_square(z0, square, src_res, dst_res):
     phi = hom_extension_square(
         src_res.pointed.letters, src_res.pointed.truncation, z0, square,
         (src_res.kobject, src_res.wps), (dst_res.kobject, dst_res.wps))
+    calls = _CallTables()
     gphi = _gamma_map_between(phi, (src_res.gamma, src_res.gamma_sums),
-                              (dst_res.gamma, dst_res.gamma_sums))
+                              (dst_res.gamma, dst_res.gamma_sums), calls)
     raw = _point_map_between(gphi, (src_res.pointed, src_res.point_sums),
-                             (dst_res.pointed, dst_res.point_sums))
+                             (dst_res.pointed, dst_res.point_sums), calls)
     return factor_through_unital(src_res.eta, raw.then(dst_res.eta))
 
 

@@ -131,7 +131,9 @@ class MMorphism:
 
     def then(self, other):
         """Diagrammatic composition: self first, then other."""
-        if self.dst != other.src:
+        # the identity test settles the common case where both ends are
+        # one object; equal but distinct ends still get the full check
+        if self.dst is not other.src and self.dst != other.src:
             raise ValueError("composition mismatch")
         if self.backend == "finset":
             return MMorphism(
@@ -269,6 +271,30 @@ def tensor_mor(f, g):
                      matrix=ratmat.kron(f.matrix, g.matrix))
 
 
+def _tensor_mor_onto(mors, src, dst):
+    """The tensor of two or more morphisms as a map src -> dst.
+
+    src and dst must be the tensors of the factors' sources and of their
+    targets, bracketed from the left; they are taken as given, so a caller
+    that already holds them builds neither again. The payload is one left
+    fold over the factors' mappings or matrices, with no intermediate
+    tensor object.
+    """
+    if src.backend == "finset":
+        out = (0,)
+        for m in mors:
+            nd = len(m.dst.labels)
+            out = [o * nd + i for o in out for i in m.mapping]
+        return MMorphism("finset", src, dst, mapping=tuple(out))
+    if src.size() == 0 or dst.size() == 0:
+        return MMorphism(src.backend, src, dst,
+                         matrix=ratmat.zeros(dst.size(), src.size()))
+    matrix = mors[0].matrix
+    for m in mors[1:]:
+        matrix = ratmat.kron(matrix, m.matrix)
+    return MMorphism(src.backend, src, dst, matrix=matrix)
+
+
 def tensor_multi(objs, backend=None):
     objs = list(objs)
     if not objs:
@@ -284,12 +310,13 @@ def tensor_multi(objs, backend=None):
 def tensor_mor_multi(mors, backend=None):
     mors = list(mors)
     if not mors:
-        u = unit(backend)
-        return identity(u)
-    out = mors[0]
-    for m in mors[1:]:
-        out = tensor_mor(out, m)
-    return out
+        if backend is None:
+            raise ValueError("empty tensor needs an explicit backend")
+        return identity(unit(backend))
+    if len(mors) == 1:
+        return mors[0]
+    return _tensor_mor_onto(mors, tensor_multi([m.src for m in mors]),
+                           tensor_multi([m.dst for m in mors]))
 
 
 def symmetry(x, y):

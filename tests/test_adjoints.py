@@ -7,16 +7,19 @@ re-validated by the generic precategory validator, which recomputes all
 coherence squares from scratch.
 """
 
+import gc
+import weakref
+
 import pytest
 
-from cosegal import adjoints, shapes
+from cosegal import adjoints, base, precat, shapes
 from cosegal.base import (
-    enumerate_maps, finset_map, finset_obj, identity, invert,
+    empty, enumerate_maps, finset_map, finset_obj, identity, invert,
     is_isomorphism, is_surjective, tensor, tensor_mor, vectq_map, vectq_obj,
 )
 from cosegal.adjoints import (
     NonStabilizing, codiagonal_arrow, free_hom_kmorphism, free_hom_kobject,
-    gamma, gamma_counit, gamma_map, gamma_unit, kobject_of, point,
+    gamma, gamma_counit, gamma_keys, gamma_map, gamma_unit, kobject_of, point,
     point_carrier_inclusion, point_keys, point_map, precat_colimit, psi,
     psi_inclusions, psi_restrict, psi_square, psi_transpose, pullback,
     pushforward,
@@ -25,8 +28,10 @@ from cosegal.adjoints import (
     factor_through_unital,
 )
 from cosegal.colim import coequalizer, coproduct
+from cosegal.monoidal import tensor_s
 from cosegal.precat import (
-    PrecatMorphism, check_unital, from_strict_category, identity_morphism,
+    PrecatMorphism, check_unital, expected_laxity_keys,
+    from_strict_category, identity_morphism,
     is_levelwise_isomorphism, make_precategory, unit_constraint_maps,
     validate, validate_diagram, validate_morphism, validate_strict_category,
 )
@@ -146,8 +151,11 @@ def sum_injections(obj, srcs):
     raise AssertionError("not a sum of its summands")
 
 
-def pair_assemble_by_reference(backend, left, right, targets, dst):
-    """`_pair_assemble`'s signature, computed by the reference."""
+def pair_assemble_by_reference(backend, left, right, targets, dst,
+                               src=None):
+    """`_pair_assemble`'s signature, computed by the reference; src, the
+    tensor of the two sums a caller may pass in, must be that tensor."""
+    assert src is None or src == tensor(left[0], right[0])
     return reference_pair_assemble(
         backend, (left[0], sum_injections(*left), left[1]),
         (right[0], sum_injections(*right), right[1]), targets, dst)
@@ -313,6 +321,91 @@ def test_point_keys_alternate_and_need_equal_endpoint_units():
     # a unit part needs equal endpoints: the whole chain (a,b,a) has them,
     # neither part of the (1,) cut does
     assert point_keys(("a", "b", "a")) == [((), ("f",)), ((), ("u",))]
+
+
+# ---------------------------------------------------------------------------
+# the chain table
+
+
+def pair_letters():
+    """The letters of a slotwise tensor: pairs of letters."""
+    f = from_strict_category(function_category({"A": 1}), 1)
+    g = from_strict_category(function_category({"x": 1, "y": 1}), 1)
+    return tensor_s(f, g).letters
+
+
+def shifted_cuts(cuts_s, shift, cuts_t, junction=True):
+    """The cut tuple of concat(s, t) made of s's cuts, t's cuts moved past
+    s, and (when junction) a cut where s ends."""
+    return cuts_s + ((shift,) if junction else ()) + tuple(
+        c + shift for c in cuts_t)
+
+
+def check_chain_table(letters, truncation):
+    table = adjoints._CallTables().chain_table(letters, truncation)
+    chains = shapes.all_chains(letters, truncation)
+    assert table.chains == chains
+    pc = make_precategory("finset", letters, truncation,
+                          {z: empty("finset") for z in chains}, {}, {})
+    assert table.laxity_keys() == expected_laxity_keys(pc)
+    for z in chains:
+        gkeys, pkeys = gamma_keys(z), point_keys(z)
+        for keyed, keys, cuts in (
+                (table.gamma(z), gkeys, [c for _, c in gkeys]),
+                (table.point(z), pkeys, [c for c, _ in pkeys])):
+            assert keyed.keys == keys
+            assert keyed.pos == {key: i for i, key in enumerate(keys)}
+            assert keyed.parts == tuple(shapes.parts_of(z, c) for c in cuts)
+        for p in range(1, len(z) - 1):
+            zp = shapes.delete(z, p)
+            # point's cut tuples are () and every subdivision, gamma's too
+            for cuts, _ in table.point(zp).keys:
+                assert table.reinsert(z, cuts, p) == shapes.reinsert(
+                    z, cuts, p)
+            for z0 in chains[:len(letters) ** 3]:
+                ds = shapes.hom_set(z, z0)
+                step = shapes.del_single(z, p)
+                assert table.hom_set(z, z0) == ds
+                assert table.hom_steps(z, p, z0) == tuple(
+                    ds.index(step.then(d)) for d in shapes.hom_set(zp, z0))
+    for s, t in table.laxity_keys():
+        st = shapes.concat(s, t)
+        shift = shapes.degree(s)
+        gkeys = gamma_keys(st)
+        assert table.gamma_targets(s, t) == [
+            ((i, j), gkeys.index(("sub", shifted_cuts(ks[1], shift, kt[1]))))
+            for i, ks in enumerate(gamma_keys(s))
+            for j, kt in enumerate(gamma_keys(t))]
+        pkeys = point_keys(st)
+        expected = []
+        for i, (cuts1, labels1) in enumerate(point_keys(s)):
+            for j, (cuts2, labels2) in enumerate(point_keys(t)):
+                if labels1[-1] != labels2[0]:
+                    key = (shifted_cuts(cuts1, shift, cuts2),
+                           labels1 + labels2)
+                else:
+                    key = (shifted_cuts(cuts1, shift, cuts2, False),
+                           labels1 + labels2[1:])
+                expected.append(((i, j), pkeys.index(key),
+                                 labels1[-1] == labels2[0]))
+        assert table.point_targets(s, t) == expected
+
+
+@pytest.mark.parametrize("truncation", [1, 2, 3, 4])
+def test_chain_table_is_a_pure_reindexing(truncation):
+    for letters in [(), ("A",), ("A", "B"), ("A", "B", "C"), pair_letters()]:
+        check_chain_table(tuple(sorted(letters)), truncation)
+
+
+def test_chain_table_of_a_partial_chain_set_is_its_own():
+    tables = adjoints._CallTables()
+    full = forget_units(from_strict_category(function_category({"a": 1}), 2))
+    assert tables.chains_of(full) is tables.chain_table(("a",), 2)
+    partial = make_precategory("finset", ("a",), 2,
+                               {("a", "a"): empty("finset")}, {}, {})
+    table = tables.chains_of(partial)
+    assert table.chains == (("a", "a"),)
+    assert table.laxity_keys() == []
 
 
 def test_point_adds_unit_summands_only_on_diagonals():
@@ -572,9 +665,9 @@ def test_unitalize_builds_each_gadget_once(monkeypatch):
     builds = []
     build = adjoints._point_build
 
-    def counted(pc):
+    def counted(pc, *tables):
         builds.append(pc)
-        return build(pc)
+        return build(pc, *tables)
 
     monkeypatch.setattr(adjoints, "_point_build", counted)
     res = unitalize(p)
@@ -582,6 +675,44 @@ def test_unitalize_builds_each_gadget_once(monkeypatch):
     slots = {con[4] for con in r.constraints}
     assert (len(slots), len(r.constraints)) == (18, 32)
     assert len(builds) == len(slots) + len(r.constraints)
+
+
+def test_unitalize_frees_its_tables(monkeypatch):
+    # the tables belong to the call: once its result is dropped, nothing
+    # keeps a tensor built during the call alive
+    p = unitalize_case("finset")
+    refs = []
+    build = adjoints.tensor
+
+    def recorded(x, y):
+        out = build(x, y)
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(adjoints, "tensor", recorded)
+    res = unitalize(p)
+    assert refs and res.trace.rounds
+    del res
+    gc.collect()
+    assert not [r for r in refs if r() is not None]
+
+
+def test_unitalize_round_takes_its_tensors_from_the_tables(monkeypatch):
+    # the finset round builds 2,632 tensors; through base.tensor_mor, which
+    # rebuilds both ends of every tensored map, it took 43,396
+    p = unitalize_case("finset")
+    count = [0]
+    build = base.tensor
+
+    def counted(x, y):
+        count[0] += 1
+        return build(x, y)
+
+    for module in (base, adjoints, precat):
+        monkeypatch.setattr(module, "tensor", counted)
+    res = unitalize(p)
+    assert len(res.trace.rounds[0].constraints) == 32
+    assert count[0] <= 2700
 
 
 def test_factor_through_unital_roundtrip_and_refusal():

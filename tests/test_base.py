@@ -6,8 +6,8 @@ from cosegal.base import (
     factorize, find_lift, finset_map, finset_obj, generating_cofibrations,
     has_rlp, homology, identity, invert, is_cofibration, is_fibration,
     is_isomorphism, is_trivial_fibration, is_weak_equivalence, left_unitor,
-    right_unitor, sphere, symmetry, tensor, unit, vectq_map,
-    vectq_obj, zero_map,
+    right_unitor, sphere, symmetry, tensor, tensor_mor, tensor_mor_multi,
+    tensor_multi, unit, vectq_map, vectq_obj, zero_map,
 )
 
 from fixtures import (
@@ -64,6 +64,57 @@ def test_symmetry_involutive_all_backends(rng):
         t = symmetry(y, x)
         assert s.then(t) == identity(tensor(x, y))
         assert t.then(s) == identity(tensor(y, x))
+
+
+def test_empty_tensors_need_an_explicit_backend():
+    for empty_tensor in (tensor_multi, tensor_mor_multi):
+        with pytest.raises(ValueError, match="explicit backend"):
+            empty_tensor([])
+    for b in BACKENDS:
+        assert tensor_multi([], b) is unit(b)
+        assert tensor_mor_multi([], b) == identity(unit(b))
+
+
+def rand_backend_map(rng, backend, tag):
+    """A random map between small random objects, empty ones included."""
+    if backend == "finset":
+        src = finset_obj(["%s%d" % (tag, i) for i in range(rng.randint(0, 2))])
+        dst = finset_obj(["%s%d'" % (tag, i)
+                          for i in range(rng.randint(1, 3))])
+        return finset_map(src, dst, [rng.randrange(dst.size())
+                                     for _ in range(src.size())])
+    if backend == "vectq":
+        src, dst = vectq_obj(rng.randint(0, 2)), vectq_obj(rng.randint(0, 2))
+        return vectq_map(src, dst, [[rng.randint(-2, 2)
+                                     for _ in range(src.size())]
+                                    for _ in range(dst.size())])
+    return rand_chq_map(rng, rand_chq(rng, lo=-1), rand_chq(rng, lo=-1))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_tensor_mor_multi_is_the_left_fold_of_tensor_mor(rng, backend):
+    # tensor_mor_multi folds the payloads only and builds each end once;
+    # the result must be the left-bracketed fold of pairwise tensors
+    for _ in range(30):
+        mors = [rand_backend_map(rng, backend, "abc"[i])
+                for i in range(rng.randint(1, 3))]
+        fold = mors[0]
+        for m in mors[1:]:
+            fold = tensor_mor(fold, m)
+        assert tensor_mor_multi(mors) == fold
+
+
+def test_then_refuses_a_mismatched_end_of_equal_size():
+    x = finset_obj(["a", "b"])
+    f = identity(x)
+    with pytest.raises(ValueError, match="composition mismatch"):
+        f.then(identity(finset_obj(["a", "c"])))
+    # an equal but distinct end is accepted
+    assert f.then(identity(finset_obj(["a", "b"]))) == f
+    g = identity(sphere(1))
+    with pytest.raises(ValueError, match="composition mismatch"):
+        g.then(identity(sphere(2)))
+    assert g.then(identity(sphere(1))) == g
 
 
 def koszul_reference(x, y):
