@@ -48,9 +48,8 @@ from .base import (
     tensor_mor, tensor_mor_multi, tensor_multi, unit,
 )
 from .colim import (
-    colimit, colimit_induced, coequalizer, copair, coproduct,
-    quotient_finset, quotient_induced, quotient_linear, wide_pushout,
-    wide_pushout_induced,
+    coequalize_relations, coequalizer, colimit, colimit_induced, copair,
+    coproduct, quotient_induced, wide_pushout, wide_pushout_induced,
 )
 from .precat import (
     PrecatMorphism, StrictCategory, check_unital, expected_laxity_keys,
@@ -944,10 +943,7 @@ def precat_colimit(nodes, edges):
                 _tensor_mor_onto((identity(values[r]), lax[(sm, t)]), src,
                                  pairs[(r, z[c1:])]).then(
                     binj[("pair", c1)])))
-        rel_cop, _ = coproduct([s for s, _, _ in rel], backend=backend)
-        fl = copair(rel_cop, [l for _, l, _ in rel], cop)
-        fr = copair(rel_cop, [r for _, _, r in rel], cop)
-        q = coequalizer(fl, fr)
+        q = coequalize_relations(cop, rel)
         values[z] = q.obj
         for key in keys:
             psi[(key, z)] = binj[("node", key)].then(q.proj)
@@ -1653,16 +1649,7 @@ def pushforward(f, pc):
                     block_src(block),
                     tensor_mor_multi(pre, backend).then(binj[other]),
                     binj[block]))
-        if rel:
-            rel_cop, _ = coproduct([s for s, _, _ in rel],
-                                   backend=backend)
-            fl = copair(rel_cop, [l for _, l, _ in rel], cop)
-            fr = copair(rel_cop, [r for _, _, r in rel], cop)
-            q = coequalizer(fl, fr)
-        elif backend == "finset":
-            q = quotient_finset(cop, [])
-        else:
-            q = quotient_linear(cop, ratmat.zeros(cop.size(), 0))
+        q = coequalize_relations(cop, rel)
         values[w] = q.obj
         quots[w] = (q, cop, binj, bsrcs)
     maps = {}

@@ -180,6 +180,17 @@ def coequalizer(f, g):
     return quotient_linear(y, rel)
 
 
+def coequalize_relations(cop, relations):
+    """The quotient of cop by relations [(src, left, right)], each a
+    parallel pair src -> cop: the coequalizer of the two copairs out of
+    the coproduct of the sources.  With no relations it is the trivial
+    quotient."""
+    rel_cop, _ = coproduct([src for src, _, _ in relations],
+                           backend=cop.backend)
+    return coequalizer(copair(rel_cop, [l for _, l, _ in relations], cop),
+                       copair(rel_cop, [r for _, _, r in relations], cop))
+
+
 def quotient_induced(q, h):
     """The map out of a quotient determined by h on the covered object.
 
@@ -256,11 +267,9 @@ def wide_pushout(base, legs):
         return WidePushout(legs[0].dst, (identity(legs[0].dst),), legs[0],
                            None, None)
     cop, injs = coproduct([leg.dst for leg in legs], backend=base.backend)
-    n = len(legs)
-    rel_src, rel_injs = coproduct([base] * (n - 1), backend=base.backend)
-    lmap = copair(rel_src, [legs[0].then(injs[0])] * (n - 1), cop)
-    rmap = copair(rel_src, [legs[i].then(injs[i]) for i in range(1, n)], cop)
-    q = coequalizer(lmap, rmap)
+    first = legs[0].then(injs[0])
+    q = coequalize_relations(cop, [(base, first, leg.then(inj))
+                                   for leg, inj in zip(legs[1:], injs[1:])])
     maps = tuple(inj.then(q.proj) for inj in injs)
     return WidePushout(q.obj, maps, legs[0].then(maps[0]), cop, q)
 
@@ -351,20 +360,9 @@ def colimit(nodes, edges, source_key=None):
     backend = nodes[keys[0]].backend
     cop, injs = coproduct([nodes[k] for k in keys], backend=backend)
     inj_by_key = dict(zip(keys, injs))
-    if edges:
-        rel_src, _ = coproduct([nodes[a] for a, _, _ in edges],
-                               backend=backend)
-        lmap = copair(rel_src, [inj_by_key[a] for a, _, _ in edges], cop)
-        rmap = copair(rel_src, [m.then(inj_by_key[b]) for _, b, m in edges],
-                      cop)
-        q = coequalizer(lmap, rmap)
-    else:
-        zero_rel = (ratmat.zeros(cop.size(), 0) if backend != "finset"
-                    else None)
-        if backend == "finset":
-            q = quotient_finset(cop, [])
-        else:
-            q = quotient_linear(cop, zero_rel)
+    q = coequalize_relations(cop, [(nodes[a], inj_by_key[a],
+                                    m.then(inj_by_key[b]))
+                                   for a, b, m in edges])
     cocone = {k: inj_by_key[k].then(q.proj) for k in keys}
     return Colimit(q.obj, cocone, cop, inj_by_key, q)
 

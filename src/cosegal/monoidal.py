@@ -10,12 +10,16 @@ A join chain over two letter sets lists left letters first, then right
 letters.  Modules over a precategory live on such chains: the module of
 maps into a fixed letter stores, at (B,...,C,*,...,*), the value at
 (B,...,C,A), and collapsing marker letters costs nothing.  Distributors
-are two-sided versions checked against their restrictions.  The split
-orientation matters: chains whose letters step from the right block
-back into the left block are not part of the shape at all, so the
-represented data can only feed forward.  (The checker takes that as the
-definition of the forbidden direction; a chain in the other order is
-rejected by the shape, not tested for emptiness.)
+are two-sided versions checked against their restrictions, which are
+the `pullback`s along the inclusions of the two letter blocks (the
+restriction to a single letter is the pullback along that letter, and
+it is monoidal: restricting a slotwise tensor at a pair of letters gives
+the slotwise tensor of the two restrictions).  The split orientation
+matters: chains whose letters step from the right block back into the
+left block are not part of the shape at all, so the represented data
+can only feed forward.  (The checker takes that as the definition of
+the forbidden direction; a chain in the other order is rejected by the
+shape, not tested for emptiness.)
 
 Relative transformations between morphism lists sigma_1..sigma_n carry
 one point per letter, valued in the target at the chain of letter
@@ -23,7 +27,12 @@ images.  The two transport routes of such a point around a chain must
 agree after collapsing into the realized hom; the object classifying
 all such families is cut out of the product of the component slots by
 exactly those route equations, one per basis element of every source
-value that still fits under the truncation.
+value that still fits under the truncation.  Both read the routes from
+one builder, which transports a generic point of the end slot; a family
+precomposes them with its own points.  Families compose through the
+target laxity, and the classifying objects pair the same way: this is
+the functor-category hom as an end, with its composition (Kelly, Basic
+Concepts of Enriched Category Theory, ch. 2).
 """
 
 import itertools
@@ -31,14 +40,14 @@ from dataclasses import dataclass
 
 from . import ratmat, shapes
 from .base import (
-    MMorphism, MObject, chq_map, chq_obj, empty, identity, invert,
-    symmetry, tensor, tensor_mor, tensor_multi, unit,
-    right_unitor, left_unitor,
+    MMorphism, MObject, chq_obj, empty, identity, invert,
+    make_map, symmetry, tensor, tensor_mor, tensor_multi, unit,
+    vectq_obj, right_unitor, left_unitor,
 )
 from .colim import coproduct
 from .precat import (
     Precategory, PrecatMorphism, expected_laxity_keys, make_precategory,
-    split_admissible, validate, validate_morphism,
+    split_admissible,
 )
 from .adjoints import _image_chain, pullback, realize
 
@@ -53,14 +62,15 @@ def _unzip(s):
     return tuple(a for a, _ in s), tuple(b for _, b in s)
 
 
-def unit_precat(backend, truncation, letter=MARKER):
-    """The one-letter precategory with every value the monoidal unit."""
+def unit_precat(backend, truncation):
+    """The precategory on the one letter MARKER with every value the
+    monoidal unit."""
     iu = unit(backend)
-    values = {s: iu for s in shapes.all_chains((letter,), truncation)}
+    values = {s: iu for s in shapes.all_chains((MARKER,), truncation)}
     maps = {(s, p): identity(iu)
             for s in values for p in range(1, len(s) - 1)}
-    pc = make_precategory(backend, (letter,), truncation, values, maps, {},
-                          units={letter: identity(iu)})
+    pc = make_precategory(backend, (MARKER,), truncation, values, maps, {},
+                          units={MARKER: identity(iu)})
     for key in expected_laxity_keys(pc):
         pc.laxity[key] = left_unitor(iu)
     return pc
@@ -165,6 +175,9 @@ def tensor_s_assoc(f, g, h):
 def tensor_s_unitor(f, side="right"):
     """The comparison F x Un -> F (or Un x F -> F), relabeled onto F's
     own letters; components are the backend unitors."""
+    if side not in ("left", "right"):
+        raise ValueError("unitor side must be 'left' or 'right', not %r"
+                         % (side,))
     un = unit_precat(f.backend, f.truncation)
     if side == "right":
         prod = relabel(tensor_s(f, un), {(a, MARKER): a
@@ -187,41 +200,6 @@ def tensor_s_symmetry(f, g):
         s1, s2 = _unzip(s)
         comps[s] = symmetry(f.value(s1), g.value(s2))
     return PrecatMorphism(src, dst, comps)
-
-
-# ---------------------------------------------------------------------------
-# marked precategories and endomorphism objects
-
-
-@dataclass
-class MarkedPrecategory:
-    precat: Precategory
-    mark: object
-
-    def __post_init__(self):
-        if self.mark not in set(self.precat.letters):
-            raise ValueError("mark %r is not a letter" % (self.mark,))
-
-
-def endomorphism(m, letter=MARKER):
-    """Restrict a marked precategory to its marked letter: the one-letter
-    precategory whose values sit on the constant chains."""
-    return pullback({letter: m.mark}, m.precat)
-
-
-def endomorphism_monoidality(m1, m2, letter=MARKER):
-    """The comparison between restricting a slotwise tensor at a pair
-    mark and tensoring the two restrictions.  Both sides carry the same
-    values; the letters differ by the relabel pair -> (pair,)."""
-    both = endomorphism(
-        MarkedPrecategory(tensor_s(m1.precat, m2.precat),
-                          (m1.mark, m2.mark)), letter)
-    parts = relabel(tensor_s(endomorphism(m1, letter),
-                             endomorphism(m2, letter)),
-                    {(letter, letter): letter})
-    return PrecatMorphism(both, parts,
-                          {s: identity(both.values[s])
-                           for s in both.chains})
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +277,6 @@ def yoneda_module(f, a, marker=MARKER):
     return out
 
 
-def restrict_letters(pc, letters):
-    """The part of a precategory over a subset of its letters."""
-    keep = set(letters)
-    if not keep <= set(pc.letters):
-        raise ValueError("restriction letters must be a subset")
-    values = {s: pc.values[s] for s in pc.chains if set(s) <= keep}
-    maps = {(s, p): m for (s, p), m in pc.maps.items() if set(s) <= keep}
-    laxity = {(s, t): m for (s, t), m in pc.laxity.items()
-              if set(s) <= keep and set(t) <= keep}
-    out = make_precategory(pc.backend, tuple(sorted(keep)), pc.truncation,
-                           values, maps, laxity)
-    if pc.is_pointed():
-        out.units = {a: pc.units[a] for a in keep}
-    return out
-
-
 def _precat_equal(p, q):
     return (p.backend == q.backend and p.letters == q.letters
             and p.truncation == q.truncation and p.values == q.values
@@ -334,7 +296,7 @@ def check_distributor(e, f, g):
     from .homotopy import is_cosegal
     report = {"errors": [], "restriction_left": False,
               "restriction_right": False, "join_shape": False,
-              "cosegal": None}
+              "cosegal": None, "passed": False}
     if e.split is None:
         report["errors"].append("no split on the middle precategory")
         return report
@@ -352,8 +314,8 @@ def check_distributor(e, f, g):
         tuple(e.chains) == join_chains(sorted(left), sorted(right),
                                        e.truncation)
         and all(split_admissible(e.split, s) for s in e.chains))
-    rl = restrict_letters(e, left)
-    rr = restrict_letters(e, right)
+    rl = pullback({a: a for a in left}, e)
+    rr = pullback({a: a for a in right}, e)
     if e.is_pointed() and not f.is_pointed():
         rl.units = None
     if e.is_pointed() and not g.is_pointed():
@@ -364,7 +326,7 @@ def check_distributor(e, f, g):
             and report["restriction_right"]:
         report["cosegal"] = bool(
             is_cosegal(e) and is_cosegal(f) and is_cosegal(g))
-    report["passed"] = (not report["errors"] and report["join_shape"]
+    report["passed"] = (report["join_shape"]
                         and report["restriction_left"]
                         and report["restriction_right"])
     return report
@@ -424,29 +386,56 @@ def transform_chains(src, dst, n):
                  if shapes.degree(s) + (n - 1) <= dst.truncation)
 
 
-def _route_maps(t, realization, s):
-    """The two transports of the family around the chain s, as maps from
-    the source value into the realized hom of the target."""
-    g = t.dst
-    a, b = s[0], s[-1]
-    first = _image_chain(t.fmaps[0], s)
-    last = _image_chain(t.fmaps[-1], s)
-    fs = t.src.value(s)
-    top = invert(right_unitor(fs)).then(
-        tensor_mor(t.sigmas[0].at(s), t.eta[b])).then(
-        g.lax(first, t.alpha(b))).then(
-        realization.eta.at(shapes.concat(first, t.alpha(b))))
-    bottom = invert(left_unitor(fs)).then(
-        tensor_mor(t.eta[a], t.sigmas[-1].at(s))).then(
-        g.lax(t.alpha(a), last)).then(
-        realization.eta.at(shapes.concat(t.alpha(a), last)))
-    return top, bottom
+def _assert_collapse_triangles(g, realization, w):
+    """Collapsing into the realized hom must not depend on the chain
+    representative: inserting a letter first changes nothing."""
+    for p in range(1, len(w) - 1):
+        shorter = shapes.delete(w, p)
+        if realization.eta.at(shorter) != \
+                g.gen_map(w, p).then(realization.eta.at(w)):
+            raise ValueError("realized cocone breaks at %r, %d"
+                             % (w, p))
+
+
+def _routes(src, dst, fmaps, sigmas, realization=None):
+    """The two transports around every route chain s, as maps into the
+    realized hom of the target.
+
+    They carry a generic point of the end slot: top leaves
+    src(s) (x) slot(s[-1]) through the first sigma, bottom leaves
+    slot(s[0]) (x) src(s) through the last one.  A family's transports
+    precompose them with its own points.
+    """
+    used = transform_chains(src, dst, len(fmaps))
+    if not used:
+        raise ValueError("truncation too small for any route chain")
+    if realization is None:
+        realization = realize(dst)
+    if realization.eta is None:
+        raise ValueError("target realization is not determined; deepen "
+                         "the truncation")
+    routes = {}
+    for s in used:
+        first = _image_chain(fmaps[0], s)
+        last = _image_chain(fmaps[-1], s)
+        alpha_a = tuple(fm[s[0]] for fm in fmaps)
+        alpha_b = tuple(fm[s[-1]] for fm in fmaps)
+        wt = shapes.concat(first, alpha_b)
+        wb = shapes.concat(alpha_a, last)
+        _assert_collapse_triangles(dst, realization, wt)
+        _assert_collapse_triangles(dst, realization, wb)
+        top = tensor_mor(sigmas[0].at(s), identity(dst.value(alpha_b))).then(
+            dst.lax(first, alpha_b)).then(realization.eta.at(wt))
+        bottom = tensor_mor(identity(dst.value(alpha_a)),
+                            sigmas[-1].at(s)).then(
+            dst.lax(alpha_a, last)).then(realization.eta.at(wb))
+        routes[s] = (top, bottom)
+    return routes
 
 
 def axiom_errors(t, realization=None):
     """Chains where the two transports of the family disagree."""
     _check_transform_shape(t.src, t.dst, t.fmaps, t.sigmas)
-    n = len(t.fmaps)
     iu = unit(t.dst.backend)
     errors = []
     for a in t.src.letters:
@@ -455,16 +444,14 @@ def axiom_errors(t, realization=None):
             errors.append("family point at %r has wrong ends" % (a,))
     if errors:
         return errors
-    if realization is None:
-        realization = realize(t.dst)
-    if realization.eta is None:
-        raise ValueError("target realization is not determined; deepen "
-                         "the truncation")
-    used = transform_chains(t.src, t.dst, n)
-    if not used:
-        raise ValueError("truncation too small for any route chain")
-    for s in used:
-        top, bottom = _route_maps(t, realization, s)
+    routes = _routes(t.src, t.dst, t.fmaps, t.sigmas, realization)
+    for s, (top, bottom) in routes.items():
+        # sigma (x) point = (id (x) point) then (sigma (x) id)
+        fs = t.src.value(s)
+        top = invert(right_unitor(fs)).then(
+            tensor_mor(identity(fs), t.eta[s[-1]])).then(top)
+        bottom = invert(left_unitor(fs)).then(
+            tensor_mor(t.eta[s[0]], identity(fs))).then(bottom)
         if top != bottom:
             errors.append("transports disagree around %r" % (s,))
     return errors
@@ -533,27 +520,20 @@ class NatObject:
     def slot_point(self, a, index_or_column):
         """A point of the slot at the letter a, from an element index
         (finset) or a coefficient column (vectq/chq)."""
-        iu = unit(self.backend)
-        slot = self.slots[a]
         if self.backend == "finset":
-            return MMorphism("finset", iu, slot,
-                             mapping=(index_or_column,))
-        matrix = tuple((c,) for c in index_or_column)
-        if self.backend == "chq":
-            return chq_map(iu, slot, matrix)
-        return MMorphism("vectq", iu, slot, matrix=matrix)
+            payload = (index_or_column,)
+        else:
+            payload = tuple((c,) for c in index_or_column)
+        return make_map(unit(self.backend), self.slots[a], payload)
 
     def family(self, k):
         """The family of points encoded by the k-th element (finset) or
         basis column (vectq/chq) of the classifying object."""
         if self.backend == "finset":
-            flat = self.include.mapping[k]
-            out = {}
-            for a in reversed(self.letters):
-                size = self.slots[a].size()
-                out[a] = self.slot_point(a, flat % size)
-                flat //= size
-            return out
+            digits = _flat_digits(self.include.mapping[k],
+                                  _slot_sizes(self.slots, self.letters))
+            return {a: self.slot_point(a, d)
+                    for a, d in zip(self.letters, digits)}
         return self.vector_family(
             tuple(row[k] for row in self.include.matrix))
 
@@ -569,9 +549,8 @@ class NatObject:
         """Whether a family of points lies in the classifying object,
         decided against the inclusion (not by rerunning the routes)."""
         if self.backend == "finset":
-            flat = 0
-            for a in self.letters:
-                flat = flat * self.slots[a].size() + family[a].mapping[0]
+            flat = _flat_index([family[a].mapping[0] for a in self.letters],
+                               _slot_sizes(self.slots, self.letters))
             return flat in set(self.include.mapping)
         column = [ratmat.ZERO] * self.product.size()
         for a in self.letters:
@@ -582,30 +561,73 @@ class NatObject:
             self.include.matrix, tuple((c,) for c in column)) is not None
 
 
+def _slot_sizes(slots, letters):
+    return [slots[a].size() for a in letters]
+
+
+def _flat_index(digits, sizes):
+    """The element of a finset product of slots with the given slot
+    elements, the first slot most significant."""
+    flat = 0
+    for d, size in zip(digits, sizes):
+        flat = flat * size + d
+    return flat
+
+
+def _flat_digits(flat, sizes):
+    """The slot elements of an element of a finset product of slots."""
+    digits = []
+    for size in reversed(sizes):
+        digits.append(flat % size)
+        flat //= size
+    return tuple(reversed(digits))
+
+
 def _product_of_slots(backend, slots, letters):
     objs = [slots[a] for a in letters]
     if backend == "finset":
-        prod = tensor_multi(objs, backend)
-        offsets = {}
-        return prod, offsets
-    prod, _ = coproduct(objs, backend)
+        return tensor_multi(objs, backend), {}
     offsets = {}
     run = 0
     for a in letters:
         offsets[a] = run
         run += slots[a].size()
-    return prod, offsets
+    return coproduct(objs, backend)[0], offsets
 
 
-def _assert_collapse_triangles(g, realization, w):
-    """Collapsing into the realized hom must not depend on the chain
-    representative: inserting a letter first changes nothing."""
-    for p in range(1, len(w) - 1):
-        shorter = shapes.delete(w, p)
-        if realization.eta.at(shorter) != \
-                g.gen_map(w, p).then(realization.eta.at(w)):
-            raise ValueError("realized cocone breaks at %r, %d"
-                             % (w, p))
+def _route_subobject(src, slots, offsets, prod, routes):
+    """The subobject of a vectq/chq product of slots on which the routes
+    agree: one equation per chain, basis element of the source value
+    and coordinate of the realized hom."""
+    rows = []
+    for s, (top, bottom) in routes.items():
+        a, b = s[0], s[-1]
+        na, nb = slots[a].size(), slots[b].size()
+        nfs = src.value(s).size()
+        for v in range(nfs):
+            for r in range(top.dst.size()):
+                row = [ratmat.ZERO] * prod.size()
+                for j in range(nb):
+                    row[offsets[b] + j] += top.matrix[r][v * nb + j]
+                for i in range(na):
+                    row[offsets[a] + i] -= bottom.matrix[r][i * nfs + v]
+                if any(row):
+                    rows.append(tuple(row))
+    if rows:
+        basis, free = ratmat.kernel_data(tuple(rows))
+    else:
+        basis, free = ratmat.eye(prod.size()), tuple(range(prod.size()))
+    if prod.backend == "vectq":
+        obj = vectq_obj(len(free))
+    elif not free:
+        obj = empty("chq")
+    else:
+        dsub = ratmat.solve_matrix(basis, ratmat.matmul(prod.diff, basis))
+        if dsub is None:
+            raise ValueError("route equations do not cut out a "
+                             "subcomplex")
+        obj = chq_obj(tuple(prod.degrees[i] for i in free), dsub)
+    return obj, make_map(obj, prod, basis)
 
 
 def nat_transform_object(src, dst, fmaps, sigmas):
@@ -616,133 +638,39 @@ def nat_transform_object(src, dst, fmaps, sigmas):
     subobject of the slotwise product satisfying all of them.
     """
     _check_transform_shape(src, dst, fmaps, sigmas)
-    n = len(fmaps)
+    routes = _routes(src, dst, fmaps, sigmas)
     backend = dst.backend
-    used = transform_chains(src, dst, n)
-    if not used:
-        raise ValueError("truncation too small for any route chain")
-    realization = realize(dst)
-    if realization.eta is None:
-        raise ValueError("target realization is not determined; deepen "
-                         "the truncation")
     letters = src.letters
-    alpha = {a: tuple(fm[a] for fm in fmaps) for a in letters}
-    slots = {a: dst.value(alpha[a]) for a in letters}
+    slots = {a: dst.value(tuple(fm[a] for fm in fmaps)) for a in letters}
     prod, offsets = _product_of_slots(backend, slots, letters)
-
-    routes = {}
-    for s in used:
-        a, b = s[0], s[-1]
-        first = _image_chain(fmaps[0], s)
-        last = _image_chain(fmaps[-1], s)
-        wt = shapes.concat(first, alpha[b])
-        wb = shapes.concat(alpha[a], last)
-        _assert_collapse_triangles(dst, realization, wt)
-        _assert_collapse_triangles(dst, realization, wb)
-        top = tensor_mor(sigmas[0].at(s), identity(slots[b])).then(
-            dst.lax(first, alpha[b])).then(realization.eta.at(wt))
-        bottom = tensor_mor(identity(slots[a]), sigmas[-1].at(s)).then(
-            dst.lax(alpha[a], last)).then(realization.eta.at(wb))
-        routes[s] = (top, bottom)
-
     if backend == "finset":
-        sizes = [slots[a].size() for a in letters]
-        index_of = {a: i for i, a in enumerate(letters)}
+        sizes = _slot_sizes(slots, letters)
         kept = []
         for combo in itertools.product(*[range(k) for k in sizes]):
-            ok = True
-            for s in used:
-                top, bottom = routes[s]
-                xa = combo[index_of[s[0]]]
-                xb = combo[index_of[s[-1]]]
-                nfs = src.value(s).size()
-                nb = slots[s[-1]].size()
-                for v in range(nfs):
-                    if top.mapping[v * nb + xb] != \
-                            bottom.mapping[xa * nfs + v]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                flat = 0
-                for i, k in enumerate(combo):
-                    flat = flat * sizes[i] + k
-                kept.append(flat)
+            x = dict(zip(letters, combo))
+            if all(top.mapping[v * slots[s[-1]].size() + x[s[-1]]]
+                   == bottom.mapping[x[s[0]] * src.value(s).size() + v]
+                   for s, (top, bottom) in routes.items()
+                   for v in range(src.value(s).size())):
+                kept.append(_flat_index(combo, sizes))
         obj = MObject("finset",
                       labels=tuple(prod.labels[i] for i in kept))
         include = MMorphism("finset", obj, prod, mapping=tuple(kept))
-        return NatObject(backend, src, dst, tuple(fmaps), tuple(sigmas),
-                         letters, slots, offsets, prod, obj, include,
-                         used)
-
-    total = prod.size()
-    rows = []
-    for s in used:
-        top, bottom = routes[s]
-        a, b = s[0], s[-1]
-        na, nb = slots[a].size(), slots[b].size()
-        nfs = src.value(s).size()
-        w_rows = len(top.matrix) if nfs * nb else 0
-        w_rows = max(w_rows, len(bottom.matrix) if na * nfs else 0)
-        for v in range(nfs):
-            for r in range(w_rows):
-                row = [ratmat.ZERO] * total
-                for j in range(nb):
-                    row[offsets[b] + j] += top.matrix[r][v * nb + j]
-                for i in range(na):
-                    row[offsets[a] + i] -= bottom.matrix[r][i * nfs + v]
-                if any(c != ratmat.ZERO for c in row):
-                    rows.append(tuple(row))
-    if not rows:
-        obj, include = prod, identity(prod)
-        return NatObject(backend, src, dst, tuple(fmaps), tuple(sigmas),
-                         letters, slots, offsets, prod, obj, include,
-                         used)
-    basis, free = ratmat.kernel_data(tuple(rows))
-    dim = len(free)
-    if backend == "vectq":
-        from .base import vectq_obj, vectq_map
-        obj = vectq_obj(dim)
-        include = MMorphism("vectq", obj, prod,
-                            matrix=basis if dim else
-                            ratmat.zeros(total, 0))
-        return NatObject(backend, src, dst, tuple(fmaps), tuple(sigmas),
-                         letters, slots, offsets, prod, obj, include,
-                         used)
-    if dim == 0:
-        obj = empty("chq")
-        include = MMorphism("chq", obj, prod,
-                            matrix=ratmat.zeros(total, 0))
     else:
-        degrees = tuple(prod.degrees[i] for i in free)
-        dsub = ratmat.solve_matrix(basis,
-                                   ratmat.matmul(prod.diff, basis))
-        if dsub is None:
-            raise ValueError("route equations do not cut out a "
-                             "subcomplex")
-        obj = chq_obj(degrees, dsub)
-        include = chq_map(obj, prod, basis)
+        obj, include = _route_subobject(src, slots, offsets, prod, routes)
     return NatObject(backend, src, dst, tuple(fmaps), tuple(sigmas),
-                     letters, slots, offsets, prod, obj, include, used)
+                     letters, slots, offsets, prod, obj, include,
+                     tuple(routes))
 
 
-def nat_object_of(t):
-    """The classifying object of a transform's shape."""
-    return nat_transform_object(t.src, t.dst, t.fmaps, t.sigmas)
-
-
-def _diagonal_pairing_matrix(g, n1, n2, n3):
+def _diagonal_pairing_matrix(laxes, n1, n2, n3):
     """The underlying map of products: tensor the two components at each
     letter and multiply them through the target laxity; cross-letter
     blocks vanish."""
     total1, total2, total3 = (n1.product.size(), n2.product.size(),
                               n3.product.size())
     rows = [[ratmat.ZERO] * (total1 * total2) for _ in range(total3)]
-    alpha1 = {a: tuple(fm[a] for fm in n1.fmaps) for a in n1.letters}
-    alpha2 = {a: tuple(fm[a] for fm in n2.fmaps) for a in n2.letters}
-    for a in n1.letters:
-        lax = g.lax(alpha1[a], alpha2[a])
+    for a, lax in laxes.items():
         nu, nv = n1.slots[a].size(), n2.slots[a].size()
         for i in range(nu):
             for j in range(nv):
@@ -767,191 +695,38 @@ def nat_pairing(n1, n2):
     if n1.fmaps[-1] != n2.fmaps[0] or n1.sigmas[-1] != n2.sigmas[0]:
         raise ValueError("boundary morphisms disagree")
     g = n1.dst
-    fmaps = n1.fmaps + n2.fmaps[1:]
-    sigmas = n1.sigmas + n2.sigmas[1:]
+    laxes = {}
     for a in n1.letters:
         key = (tuple(fm[a] for fm in n1.fmaps),
                tuple(fm[a] for fm in n2.fmaps))
         if key not in g.laxity:
             raise ValueError("truncation too small for the composite "
                              "family at %r" % (a,))
-    n3 = nat_transform_object(n1.src, n1.dst, fmaps, sigmas)
+        laxes[a] = g.laxity[key]
+    n3 = nat_transform_object(n1.src, n1.dst, n1.fmaps + n2.fmaps[1:],
+                              n1.sigmas + n2.sigmas[1:])
     src = tensor(n1.obj, n2.obj)
     if n1.backend == "finset":
         kept = {flat: k for k, flat in enumerate(n3.include.mapping)}
-        sizes1 = [n1.slots[a].size() for a in n1.letters]
-        sizes2 = [n2.slots[a].size() for a in n2.letters]
-        sizes3 = [n3.slots[a].size() for a in n3.letters]
+        sizes1, sizes2, sizes3 = (_slot_sizes(n.slots, n.letters)
+                                  for n in (n1, n2, n3))
         mapping = []
         for k1 in range(n1.obj.size()):
             f1 = _flat_digits(n1.include.mapping[k1], sizes1)
             for k2 in range(n2.obj.size()):
                 f2 = _flat_digits(n2.include.mapping[k2], sizes2)
-                digits = []
-                for idx, a in enumerate(n1.letters):
-                    lax = g.lax(tuple(fm[a] for fm in n1.fmaps),
-                                tuple(fm[a] for fm in n2.fmaps))
-                    nv = n2.slots[a].size()
-                    digits.append(lax.mapping[f1[idx] * nv + f2[idx]])
-                flat = 0
-                for d, size in zip(digits, sizes3):
-                    flat = flat * size + d
+                flat = _flat_index(
+                    [laxes[a].mapping[x * n2.slots[a].size() + y]
+                     for a, x, y in zip(n1.letters, f1, f2)], sizes3)
                 if flat not in kept:
                     raise ValueError("pairing leaves the classifying "
                                      "object at %r" % ((k1, k2),))
                 mapping.append(kept[flat])
-        pairing = MMorphism("finset", src, n3.obj,
-                            mapping=tuple(mapping))
-    else:
-        big = _diagonal_pairing_matrix(g, n1, n2, n3)
-        landed = ratmat.matmul(big, ratmat.kron(n1.include.matrix,
-                                                n2.include.matrix))
-        coeffs = ratmat.solve_matrix(n3.include.matrix, landed)
-        if coeffs is None:
-            raise ValueError("pairing leaves the classifying object")
-        if n1.backend == "chq":
-            pairing = chq_map(src, n3.obj, coeffs)
-        else:
-            pairing = MMorphism("vectq", src, n3.obj, matrix=coeffs)
-    return n3, pairing
-
-
-def _flat_digits(flat, sizes):
-    digits = []
-    for size in reversed(sizes):
-        digits.append(flat % size)
-        flat //= size
-    return tuple(reversed(digits))
-
-
-# ---------------------------------------------------------------------------
-# monoid level data
-
-
-def check_monoid_levels(levels, mults, transitions=None):
-    """Verdicts on a finite stack of one-letter levels with
-    multiplication morphisms between slotwise tensors.
-
-    levels maps a degree to a one-letter precategory (degree 0, when
-    present, must be the unit precategory).  mults maps a pair (i, j) to
-    a morphism from the relabeled slotwise tensor of levels i and j to
-    level i+j.  transitions, when given, maps a degree n to a morphism
-    from level 1 to level n; these are the maps whose weak invertibility
-    upgrades the stack.
-    """
-    from .homotopy import is_cosegal
-    from .precat import check_unital, is_easy_weak_equivalence, \
-        is_levelwise_weak_equivalence
-    report = {"level_errors": {}, "mult_errors": {}, "missing": [],
-              "associativity": [], "unit_comparisons": [],
-              "cosegal_base": None, "transition_weak": {},
-              "transition_levelwise": {}}
-    degrees = sorted(k for k in levels if k >= 1)
-    if not degrees or degrees != list(range(1, degrees[-1] + 1)):
-        report["level_errors"]["shape"] = ["levels must cover 1..m"]
-        report["passed"] = False
-        report["two_monoid"] = False
-        return report
-    top = degrees[-1]
-    letter = levels[1].letters[0]
-    for k, lv in sorted(levels.items()):
-        errs = list(validate(lv))
-        if len(lv.letters) != 1:
-            errs.append("level %d is not a one-letter precategory" % k)
-        elif lv.letters[0] != letter and k >= 1:
-            errs.append("level %d sits over a different letter" % k)
-        if lv.is_pointed():
-            errs.extend("unit constraint broken: %r" % (c,)
-                        for c in check_unital(lv))
-        else:
-            errs.append("level %d carries no unit point" % k)
-        if k == 0:
-            un = unit_precat(lv.backend, lv.truncation,
-                             letter=lv.letters[0])
-            if not _precat_equal(lv, un):
-                errs.append("level 0 is not the unit precategory")
-        if errs:
-            report["level_errors"][k] = errs
-    for i in sorted(k for k in levels):
-        for j in sorted(k for k in levels):
-            if 1 <= i + j <= top and (i, j) not in mults:
-                report["missing"].append((i, j))
-    for (i, j), m in sorted(mults.items()):
-        if i not in levels or j not in levels or i + j not in levels:
-            report["mult_errors"][(i, j)] = ["levels out of range"]
-            continue
-        expect = relabel(tensor_s(levels[i], levels[j]),
-                         {(levels[i].letters[0],
-                           levels[j].letters[0]): letter})
-        errs = []
-        if not _precat_equal(m.src, expect):
-            errs.append("source is not the slotwise tensor")
-        if not _precat_equal(m.dst, levels[i + j]):
-            errs.append("target is not the level above")
-        if not errs:
-            errs = ["morphism: %s" % e for e in validate_morphism(m)]
-        if errs:
-            report["mult_errors"][(i, j)] = errs
-    if not report["level_errors"] and not report["mult_errors"]:
-        chains = levels[1].chains
-        for i in degrees:
-            for j in degrees:
-                for k in degrees:
-                    if i + j + k > top:
-                        continue
-                    if (i, j) not in mults or (i + j, k) not in mults \
-                            or (j, k) not in mults \
-                            or (i, j + k) not in mults:
-                        continue
-                    for s in chains:
-                        left = tensor_mor(
-                            mults[(i, j)].at(s),
-                            identity(levels[k].value(s))).then(
-                            mults[(i + j, k)].at(s))
-                        right = tensor_mor(
-                            identity(levels[i].value(s)),
-                            mults[(j, k)].at(s)).then(
-                            mults[(i, j + k)].at(s))
-                        if left != right:
-                            report["associativity"].append((i, j, k, s))
-        if 0 in levels:
-            for j in degrees:
-                if (0, j) in mults:
-                    for s in chains:
-                        if mults[(0, j)].at(s) != \
-                                left_unitor(levels[j].value(s)):
-                            report["unit_comparisons"].append((0, j, s))
-                if (j, 0) in mults:
-                    for s in chains:
-                        if mults[(j, 0)].at(s) != \
-                                right_unitor(levels[j].value(s)):
-                            report["unit_comparisons"].append((j, 0, s))
-        report["cosegal_base"] = bool(is_cosegal(levels[1]))
-    if transitions:
-        for k, tr in sorted(transitions.items()):
-            errs = validate_morphism(tr)
-            if errs or not _precat_equal(tr.src, levels[1]) \
-                    or not _precat_equal(tr.dst, levels[k]):
-                report["transition_weak"][k] = False
-                report["transition_levelwise"][k] = False
-                continue
-            report["transition_weak"][k] = is_easy_weak_equivalence(tr)
-            report["transition_levelwise"][k] = \
-                is_levelwise_weak_equivalence(tr)
-    report["passed"] = (not report["level_errors"]
-                        and not report["mult_errors"]
-                        and not report["missing"]
-                        and not report["associativity"]
-                        and not report["unit_comparisons"])
-    have_all = transitions is not None and \
-        all(k in transitions for k in degrees if k >= 2)
-    if not report["passed"]:
-        report["two_monoid"] = False
-    elif not have_all:
-        report["two_monoid"] = None if report["cosegal_base"] else False
-    else:
-        report["two_monoid"] = bool(
-            report["cosegal_base"]
-            and all(report["transition_weak"].get(k)
-                    for k in degrees if k >= 2))
-    return report
+        return n3, MMorphism("finset", src, n3.obj, mapping=tuple(mapping))
+    big = _diagonal_pairing_matrix(laxes, n1, n2, n3)
+    landed = ratmat.matmul(big, ratmat.kron(n1.include.matrix,
+                                            n2.include.matrix))
+    coeffs = ratmat.solve_matrix(n3.include.matrix, landed)
+    if coeffs is None:
+        raise ValueError("pairing leaves the classifying object")
+    return n3, make_map(src, n3.obj, coeffs)

@@ -1,14 +1,15 @@
 import pytest
 
-from cosegal import base
+from cosegal import base, ratmat
 from cosegal.base import (
-    chq_map, disk, finset_map, finset_obj, identity, sphere, vectq_map,
-    vectq_obj, zero_map,
+    chq_map, disk, empty, finset_map, finset_obj, identity, sphere,
+    vectq_map, vectq_obj, zero_map,
 )
 from cosegal.colim import (
-    coequalizer, colimit, colimit_induced, compare_coproduct_pushout,
-    compare_interleaved_colimits, copair, coproduct, equalizer, pushout,
-    pushout_induced, quotient_induced, wide_pushout, wide_pushout_induced,
+    coequalize_relations, coequalizer, colimit, colimit_induced,
+    compare_coproduct_pushout, compare_interleaved_colimits, copair,
+    coproduct, equalizer, pushout, pushout_induced, quotient_finset,
+    quotient_induced, quotient_linear, wide_pushout, wide_pushout_induced,
 )
 
 from fixtures import rand_chq, rand_chq_map
@@ -68,6 +69,17 @@ def test_coequalizer_chq_inherits_degrees():
     q = coequalizer(f, g)
     assert q.obj.degrees == (1, 0)
     assert base.homology(q.obj) == {}
+
+
+@pytest.mark.parametrize("y", [
+    empty("finset"), finset_obj(["a", "b"]), empty("vectq"), vectq_obj(2),
+    empty("chq"), disk(1)])
+def test_coequalizing_no_relations_is_the_trivial_quotient(y):
+    q = coequalize_relations(y, [])
+    if y.backend == "finset":
+        assert q == quotient_finset(y, [])
+    else:
+        assert q == quotient_linear(y, ratmat.zeros(y.size(), 0))
 
 
 def test_pushout_universal_property(rng):
