@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 from . import shapes
 from .base import (
-    MMorphism, _hom_constraint, _tensor_mor_onto, empty, identity,
-    is_isomorphism, is_surjective, left_unitor, make_map, tensor,
+    MMorphism, _hom_constraint, _precompose, _tensor_mor_onto, _vec, empty,
+    identity, is_isomorphism, is_surjective, left_unitor, make_map, tensor,
     tensor_mor, tensor_mor_multi, tensor_multi, unit,
 )
 from .colim import (
@@ -53,7 +53,7 @@ from .colim import (
 )
 from .precat import (
     PrecatMorphism, StrictCategory, check_unital, expected_laxity_keys,
-    identity_morphism, make_precategory, unit_constraint_maps,
+    identity_morphism, make_precategory, spread, unit_constraint_maps,
 )
 from . import ratmat
 from .ratmat import ZERO
@@ -98,10 +98,10 @@ class ChainTable:
         self._hom_steps = {}
 
     def laxity_keys(self):
-        """expected_laxity_keys of a precategory on these chains (it reads
-        nothing but the chains and the truncation)."""
+        """expected_laxity_keys of these chains."""
         if self._laxity_keys is None:
-            self._laxity_keys = expected_laxity_keys(self)
+            self._laxity_keys = expected_laxity_keys(self.chains,
+                                                     self.truncation)
         return self._laxity_keys
 
     def reinsert(self, z, cuts, p):
@@ -370,15 +370,13 @@ def gamma(k):
     reinsert the deleted letter into the one part that absorbs it. The
     degree-1 slots are the input's objects on the nose.
     """
-    return _gamma_build(k)[0]
+    return _gamma_build(k, _CallTables())[0]
 
 
-def _gamma_build(k, calls=None):
+def _gamma_build(k, calls):
     """gamma(k) together with its sums, {chain: _Sum}. Maps out of or into
     gamma(k) read their blocks from these instead of rebuilding them.
-    calls holds the tables of the top-level call, a fresh one if None."""
-    if calls is None:
-        calls = _CallTables()
+    calls holds the tables of the top-level call."""
     table = calls.chains_of(k)
     backend = k.backend
     sums = {}
@@ -465,7 +463,7 @@ def _chain_block(sums, z):
 
 def gamma_unit(k):
     """k -> forget(gamma(k)): the inclusion of the chain block."""
-    g, sums = _gamma_build(k)
+    g, sums = _gamma_build(k, _CallTables())
     comps = {z: _chain_block(sums, z) for z in k.chains}
     return PrecatMorphism(k, kobject_of(g), comps)
 
@@ -473,7 +471,7 @@ def gamma_unit(k):
 def gamma_counit(pc):
     """gamma(forget(pc)) -> pc: identity on the chain block, iterated
     laxity on each subdivision block."""
-    g, sums = _gamma_build(pc)
+    g, sums = _gamma_build(pc, _CallTables())
     comps = {}
     for z in pc.chains:
         sm = sums[z]
@@ -518,18 +516,15 @@ def point(pc):
     additionally gain a unit summand. Degree-1 slots with distinct
     endpoints are untouched on the nose.
     """
-    return _point_build(pc)[0]
+    return _point_build(pc, _CallTables())[0]
 
 
-def _point_build(pc, calls=None):
+def _point_build(pc, calls):
     """point(pc) together with its sums, {chain: _Sum}. Maps out of or
     into point(pc) read their blocks from these instead of rebuilding
-    them. calls holds the tables of the top-level call, a fresh one if
-    None."""
+    them. calls holds the tables of the top-level call."""
     if pc.is_pointed():
         raise ValueError("point expects an unpointed precategory")
-    if calls is None:
-        calls = _CallTables()
     table = calls.chains_of(pc)
     backend = pc.backend
     u = unit(backend)
@@ -634,7 +629,7 @@ def _carrier_part(sums, z):
 def point_carrier_inclusion(pc):
     """The inclusion of the carrier into its free pointing, one-part
     decompositions only."""
-    dst, sums = _point_build(pc)
+    dst, sums = _point_build(pc, _CallTables())
     comps = {z: _carrier_part(sums, z) for z in pc.chains}
     return PrecatMorphism(pc, dst, comps)
 
@@ -651,15 +646,13 @@ def free_hom_kobject(letters, truncation, z0, m):
     component of z0, carry the initial object), and structure maps act by
     composing deletion indices.
     """
-    return _free_hom_build(letters, truncation, z0, m)[0]
+    return _free_hom_build(letters, truncation, z0, m, _CallTables())[0]
 
 
-def _free_hom_build(letters, truncation, z0, m, calls=None):
+def _free_hom_build(letters, truncation, z0, m, calls):
     """free_hom_kobject together with its sums: {chain w: (value,
     injections, the deletions w -> z0 the copies of m are indexed by)}.
     Chains with the same number of deletions share one sum object."""
-    if calls is None:
-        calls = _CallTables()
     backend = m.backend
     letters = tuple(sorted(letters))
     table = calls.chain_table(letters, truncation)
@@ -711,9 +704,7 @@ class _Gadget:
     pointed: tuple
 
 
-def _build_gadget(letters, truncation, z0, m, calls=None):
-    if calls is None:
-        calls = _CallTables()
+def _build_gadget(letters, truncation, z0, m, calls):
     k = _free_hom_build(letters, truncation, z0, m, calls)
     gk = _gamma_build(k[0], calls)
     return _Gadget(k, gk, _point_build(gk[0], calls))
@@ -722,7 +713,8 @@ def _build_gadget(letters, truncation, z0, m, calls=None):
 def upsilon(letters, truncation, z0, m):
     """point(gamma(-)) of the free one-chain diagram: the representing
     object for maps m -> H(z0) into pointed precategories H."""
-    return _build_gadget(letters, truncation, z0, m).pointed[0]
+    return _build_gadget(letters, truncation, z0, m,
+                         _CallTables()).pointed[0]
 
 
 def upsilon_map(letters, truncation, z0, f):
@@ -744,7 +736,8 @@ def _gadget_map(src, dst, f, calls):
 def upsilon_center_inclusion(letters, truncation, z0, m):
     """The canonical summand inclusion m -> upsilon(...)(z0): identity
     deletion index, no subdivision, one carrier part."""
-    return _center_inclusion(_build_gadget(letters, truncation, z0, m), z0)
+    return _center_inclusion(
+        _build_gadget(letters, truncation, z0, m, _CallTables()), z0)
 
 
 def _center_inclusion(gadget, z0):
@@ -766,7 +759,7 @@ def upsilon_transpose(h, z0, g):
     return _gadget_transpose(gadget, h, g, calls)
 
 
-def _gadget_transpose(gadget, h, g, calls=None):
+def _gadget_transpose(gadget, h, g, calls):
     """upsilon_transpose(h, z0, g) out of the gadget built at z0 on
     g.src."""
     k, ksums = gadget.k
@@ -779,7 +772,7 @@ def _gadget_transpose(gadget, h, g, calls=None):
                            calls)
 
 
-def _free_transpose(pointed, gamma_sums, h, k_component, calls=None):
+def _free_transpose(pointed, gamma_sums, h, k_component, calls):
     """The pointed morphism point(gamma(k)) -> h that is
     k_component(w): k(w) -> h(w) on the chain blocks, for the build
     pointed = _point_build(gamma(k)) and the sums of gamma's build.
@@ -789,8 +782,6 @@ def _free_transpose(pointed, gamma_sums, h, k_component, calls=None):
     """
     if not h.is_pointed():
         raise ValueError("transpose needs a pointed target")
-    if calls is None:
-        calls = _CallTables()
     backend = h.backend
     pobj, psums = pointed
     # every chain is a part of its own one-part key, so each component is
@@ -984,7 +975,8 @@ def precat_colimit(nodes, edges):
             gen[(z, p)] = quotient_induced(q, h)
 
     # remaining laxity keys all arise as pair blocks of their concat chain
-    full_lax = {key: lax[key] for key in expected_laxity_keys(first)}
+    full_lax = {key: lax[key]
+                for key in expected_laxity_keys(chains, first.truncation)}
     units = {}
     for a in first.letters:
         cands = [nodes[key].unit_map(a).then(psi[(key, (a, a))])
@@ -1226,9 +1218,6 @@ def _solve_composition(pc, cols, a, b, c):
 
     # unknowns: vec(m) column-major; each composable pair (s, t) of the
     # cocone contributes the block m @ (psi_s (x) psi_t) == psi_st . lax
-    def vec(mat, r, cdim):
-        return tuple(mat[i][j] for j in range(cdim) for i in range(r))
-
     rows = []
     rhs_vec = []
     for (s, t) in pairs:
@@ -1236,12 +1225,11 @@ def _solve_composition(pc, cols, a, b, c):
         ft = pc.value(t).size()
         if fs * ft == 0:
             continue
-        kst = tensor_mor(cols[(a, b)].cocone[s],
-                         cols[(b, c)].cocone[t]).matrix
+        kst = tensor_mor(cols[(a, b)].cocone[s], cols[(b, c)].cocone[t])
         rmat = pc.lax(s, t).then(
             cols[(a, c)].cocone[shapes.concat(s, t)]).matrix
-        rows.append(ratmat.kron(ratmat.transpose(kst), ratmat.eye(ndst)))
-        rhs_vec.extend(vec(rmat, ndst, fs * ft))
+        rows.append(_precompose(kst, ndst))
+        rhs_vec.extend(_vec(rmat, ndst, fs * ft))
     if backend == "chq":
         hom_rows = _hom_constraint(lin, hac)
         if ratmat.shape(hom_rows)[0]:
@@ -1312,18 +1300,8 @@ def realize(pc):
     eta = None
     category = None
     if all(determined.values()):
-        values = {}
-        for s in pc.chains:
-            values[s] = homs[(s[0], s[-1])]
-        maps = {(s, p): identity(values[s])
-                for s in pc.chains for p in range(1, len(s) - 1)}
-        laxity = {}
-        constant = make_precategory(pc.backend, letters, pc.truncation,
-                                    values, maps, laxity,
-                                    units=idpoints)
-        for (s, t) in expected_laxity_keys(constant):
-            laxity[(s, t)] = comps[(s[0], s[-1], t[-1])]
-        constant.laxity.update(laxity)
+        constant = spread(pc.backend, letters, pc.truncation, pc.chains,
+                          homs, comps, {}, idpoints)
         eta = PrecatMorphism(pc, constant, {
             s: cols[(s[0], s[-1])].cocone[s] for s in pc.chains})
         if pc.is_pointed():
@@ -1491,7 +1469,7 @@ def psi_transpose(res, z0, h, square):
         return wide_pushout_induced(wps[w], cone, through=through)
 
     raw = _free_transpose((res.pointed, res.point_sums), res.gamma_sums, h,
-                          k_component)
+                          k_component, _CallTables())
     return factor_through_unital(res.eta, raw)
 
 
@@ -1545,22 +1523,18 @@ def pullback(f, g):
     for a in f.values():
         if a not in set(g.letters):
             raise ValueError("letter map lands outside the target")
-    values = {}
-    for s in shapes.all_chains(letters, g.truncation):
-        values[s] = g.value(_image_chain(f, s))
+    chains = shapes.all_chains(letters, g.truncation)
+    values = {s: g.value(_image_chain(f, s)) for s in chains}
     maps = {}
-    for s in values:
+    for s in chains:
         for p in range(1, len(s) - 1):
             maps[(s, p)] = g.gen_map(_image_chain(f, s), p)
-    out = make_precategory(g.backend, letters, g.truncation, values, maps,
-                           {})
-    laxity = {}
-    for (s, t) in expected_laxity_keys(out):
-        laxity[(s, t)] = g.lax(_image_chain(f, s), _image_chain(f, t))
-    out.laxity.update(laxity)
-    if g.is_pointed():
-        out.units = {a: g.unit_map(f[a]) for a in letters}
-    return out
+    laxity = {(s, t): g.lax(_image_chain(f, s), _image_chain(f, t))
+              for s, t in expected_laxity_keys(chains, g.truncation)}
+    units = ({a: g.unit_map(f[a]) for a in letters} if g.is_pointed()
+             else None)
+    return make_precategory(g.backend, letters, g.truncation, values, maps,
+                            laxity, units=units)
 
 
 def pushforward(f, pc):
@@ -1603,10 +1577,11 @@ def pushforward(f, pc):
         _, combo = block
         return tensor_multi([pc.value(s) for s, _ in combo], backend)
 
+    chains = shapes.all_chains(target_letters, pc.truncation)
     values = {}
     quots = {}
     layouts = {}
-    for w in shapes.all_chains(target_letters, pc.truncation):
+    for w in chains:
         blocks = blocks_of(w)
         layouts[w] = blocks
         bsrcs = [block_src(b) for b in blocks]
@@ -1671,10 +1646,8 @@ def pushforward(f, pc):
                 legs.append(binj[target].then(q.proj))
             h = copair(copp, legs, values[w])
             maps[(w, p)] = quotient_induced(qp, h)
-    out = make_precategory(backend, target_letters, pc.truncation, values,
-                           maps, {})
     laxity = {}
-    for (sbar, tbar) in expected_laxity_keys(out):
+    for (sbar, tbar) in expected_laxity_keys(chains, pc.truncation):
         qs, cop_s, _, lsrcs = quots[sbar]
         qt, cop_t, _, rsrcs = quots[tbar]
         qst, _, binjs_st, _ = quots[shapes.concat(sbar, tbar)]
@@ -1691,8 +1664,8 @@ def pushforward(f, pc):
             backend, (cop_s, lsrcs), (cop_t, rsrcs), targets,
             values[shapes.concat(sbar, tbar)])
         laxity[(sbar, tbar)] = _descend_tensor(qs, qt, on_cops)
-    out.laxity.update(laxity)
-    return out
+    return make_precategory(backend, target_letters, pc.truncation, values,
+                            maps, laxity)
 
 
 def _concat_del(d1, d2):

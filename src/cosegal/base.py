@@ -628,9 +628,7 @@ def chq_hom_basis(src, dst):
     ns, nd = src.size(), dst.size()
     if ns == 0 or nd == 0:
         return ()
-    cons = _hom_constraint(src, dst)
-    k = (ratmat.kernel_basis(cons) if ratmat.shape(cons)[0]
-         else ratmat.eye(ns * nd))
+    k = _chain_maps(src, dst)
     out = []
     for c in range(ratmat.shape(k)[1]):
         v = tuple(k[r][c] for r in range(nd * ns))
@@ -691,10 +689,10 @@ def find_lift(i, p, f, g):
     blocks = [hom]
     target = [ZERO] * ratmat.shape(hom)[0]
     if na:
-        blocks.append(ratmat.kron(ratmat.transpose(i.matrix), ratmat.eye(nx)))
+        blocks.append(_precompose(i, nx))
         target.extend(_vec(f.matrix, nx, na))
     if ny:
-        blocks.append(ratmat.kron(ratmat.eye(nb), p.matrix))
+        blocks.append(_postcompose(p, nb))
         target.extend(_vec(g.matrix, ny, nb))
     big = ratmat.vstack(blocks)
     if not big:
@@ -727,63 +725,45 @@ def has_rlp(i, p):
                     if find_lift(i, p, f, g) is None:
                         return False
         return True
+    # p lifts against i exactly when K -> (K i, p K) maps the chain maps
+    # B -> X onto the commuting squares: pairs of chain maps F: A -> X,
+    # G: B -> Y with p F = G i. The image always lies among the squares,
+    # so comparing the rank of the map with their dimension settles it.
+    # Maps act on column-major vec coordinates, restricted to the chain
+    # maps through a kernel basis of each hom space.
     na, nb, nx, ny = a.size(), b.size(), x.size(), y.size()
+    k_bx, k_ax, k_by = _chain_maps(b, x), _chain_maps(a, x), _chain_maps(b, y)
+    boundary = ratmat.vstack([_precompose(i, nx), _postcompose(p, nb)])
+    rank_lift = (ratmat.rank(ratmat.matmul(boundary, k_bx))
+                 if nb * nx and boundary else 0)
+    dim_squares = ratmat.shape(k_ax)[1] + ratmat.shape(k_by)[1]
+    if na * ny:
+        dim_squares -= ratmat.rank(ratmat.hstack([
+            ratmat.matmul(_postcompose(p, na), k_ax),
+            ratmat.mneg(ratmat.matmul(_precompose(i, ny), k_by))]))
+    return rank_lift == dim_squares
 
-    def hom_basis(s, d):
-        constraints = _hom_constraint(s, d)
-        if s.size() == 0 or d.size() == 0:
-            return ratmat.zeros(0, 0)
-        if ratmat.shape(constraints)[0] == 0:
-            return ratmat.eye(s.size() * d.size())
+
+def _chain_maps(src, dst):
+    """A basis of the (chain) maps src -> dst, as the columns of a matrix
+    on vec coordinates."""
+    constraints = _hom_constraint(src, dst)
+    if constraints:
         return ratmat.kernel_basis(constraints)
+    return ratmat.eye(src.size() * dst.size())
 
-    k_bx = hom_basis(b, x)
-    k_ax = hom_basis(a, x)
-    k_by = hom_basis(b, y)
-    dim_ax = na * nx
-    dim_by = nb * ny
-    # the space of commuting squares: pairs (F, G) with p.F = G.i
-    nax = ratmat.shape(k_ax)[1] if dim_ax else 0
-    nby = ratmat.shape(k_by)[1] if dim_by else 0
-    if nax + nby == 0:
-        return True
-    cols = []
-    for c in range(nax):
-        fv = tuple(k_ax[r][c] for r in range(dim_ax))
-        fm = _unvec(fv, nx, na)
-        pf = ratmat.matmul(p.matrix, fm) if nx and ny and na else ratmat.zeros(ny, na)
-        cols.append(_vec(pf, ny, na) if ny and na else ())
-    left = (tuple(tuple(col[r] for col in cols) for r in range(ny * na))
-            if ny * na else ratmat.zeros(0, nax))
-    cols = []
-    for c in range(nby):
-        gv = tuple(k_by[r][c] for r in range(dim_by))
-        gm = _unvec(gv, ny, nb)
-        gi = ratmat.matmul(gm, i.matrix) if ny and nb and na else ratmat.zeros(ny, na)
-        cols.append(_vec(gi, ny, na) if ny and na else ())
-    right = (tuple(tuple(col[r] for col in cols) for r in range(ny * na))
-             if ny * na else ratmat.zeros(0, nby))
-    if ny * na:
-        square_rel = ratmat.hstack([left, ratmat.mneg(right)])
-        squares = ratmat.kernel_basis(square_rel)
-    else:
-        squares = ratmat.eye(nax + nby)
-    # the map sending a lift K to its boundary square (K.i, p.K), expressed
-    # in the same parametrized coordinates
-    nk = ratmat.shape(k_bx)[1] if nb * nx else 0
-    tcols = []
-    for c in range(nk):
-        kv = tuple(k_bx[r][c] for r in range(nb * nx))
-        km = _unvec(kv, nx, nb)
-        ki = ratmat.matmul(km, i.matrix) if na else ratmat.zeros(nx, 0)
-        pk = ratmat.matmul(p.matrix, km) if ny else ratmat.zeros(0, nb)
-        fv = _vec(ki, nx, na)
-        gv = _vec(pk, ny, nb)
-        fc = ratmat.solve_vec(k_ax, fv) if dim_ax else ()
-        gc = ratmat.solve_vec(k_by, gv) if dim_by else ()
-        tcols.append(tuple(fc) + tuple(gc))
-    t = (tuple(tuple(col[r] for col in tcols) for r in range(nax + nby))
-         if tcols else ratmat.zeros(nax + nby, 0))
-    rank_t = ratmat.rank(t) if tcols else 0
-    both = ratmat.hstack([t, squares]) if tcols else squares
-    return ratmat.rank(both) == rank_t
+
+def _precompose(f, rows):
+    """The matrix of K -> K f on vec coordinates, K with the given number
+    of rows: kron(f^T, I)."""
+    # a matrix without rows keeps no column count, so f^T is padded to
+    # its f.src.size() rows by hand
+    ft = ratmat.transpose(f.matrix) if f.matrix else ratmat.zeros(
+        f.src.size(), 0)
+    return ratmat.kron(ft, ratmat.eye(rows))
+
+
+def _postcompose(f, cols):
+    """The matrix of K -> f K on vec coordinates, K with the given number
+    of columns: kron(I, f)."""
+    return ratmat.kron(ratmat.eye(cols), f.matrix)

@@ -12,19 +12,20 @@ exact co-Segalification: factor each transition map as a cofibration
 followed by a trivial fibration and re-seat the degree-1 slot on the
 middle object.  The laxity on the output reuses the realized composition,
 precomposed with the trivial fibration on whichever side still sits in
-degree 1.
+degree 1.  The transfer, the flattening onto a realization and the
+co-Segalification all build their output with `precat.spread`.
 """
 
 from dataclasses import dataclass
 
 from .base import (
     generating_cofibrations, has_rlp, identity, is_fibration,
-    is_trivial_fibration, is_weak_equivalence, factorize, tensor_mor, unit,
+    is_trivial_fibration, is_weak_equivalence, factorize, unit,
 )
 from . import shapes
 from .precat import (
-    PrecatMorphism, StrictCategory, make_precategory, expected_laxity_keys,
-    from_strict_category, validate_strict_category,
+    PrecatMorphism, StrictCategory, from_strict_category, spread,
+    validate_strict_category,
 )
 from .adjoints import realize
 
@@ -186,17 +187,6 @@ def validate_two_constant_data(d):
                              % (a,))
 
 
-def _mixed_laxity(fs, comps, left_raw, right_raw, s, t):
-    """Compose through the strict category, replacing whichever side still
-    sits in degree 1 before composing."""
-    a, b, c = s[0], s[-1], t[-1]
-    lf = fs[(a, b)] if len(s) == 2 else None
-    rf = fs[(b, c)] if len(t) == 2 else None
-    li = lf if lf is not None else identity(left_raw)
-    ri = rf if rf is not None else identity(right_raw)
-    return tensor_mor(li, ri).then(comps[(a, b, c)])
-
-
 def two_constant_transfer(d, truncation):
     """Spread a strict category over the chains with a chosen replacement
     in each degree-1 slot.  Degree >= 2 keeps the strict hom object, the
@@ -205,37 +195,26 @@ def two_constant_transfer(d, truncation):
     validate_two_constant_data(d)
     cat = d.category
     letters = tuple(sorted(cat.objects))
-    values = {}
-    for s in shapes.all_chains(letters, truncation):
-        pair = (s[0], s[-1])
-        values[s] = d.replacements[pair].src if len(s) == 2 \
-            else cat.homs[pair]
-    maps = {}
-    for s in values:
-        for p in range(1, len(s) - 1):
-            pair = (s[0], s[-1])
-            maps[(s, p)] = d.replacements[pair] if len(s) == 3 \
-                else identity(cat.homs[pair])
-    pc = make_precategory(cat.backend, letters, truncation, values, maps,
-                          {})
-    for (s, t) in expected_laxity_keys(pc):
-        pc.laxity[(s, t)] = _mixed_laxity(
-            d.replacements, cat.comps, pc.value(s), pc.value(t), s, t)
-    pc.units = {a: d.unit_lifts[a] for a in letters}
-    return pc
+    return spread(cat.backend, letters, truncation,
+                  shapes.all_chains(letters, truncation), cat.homs,
+                  cat.comps, d.replacements,
+                  {a: d.unit_lifts[a] for a in letters})
+
+
+def _replacement_morphism(src, dst, replacements):
+    """The levelwise map src -> dst that is the replacement in degree 1
+    and the identity above."""
+    return PrecatMorphism(src, dst, {
+        s: replacements[(s[0], s[-1])] if len(s) == 2
+        else identity(src.value(s)) for s in src.chains})
 
 
 def transfer_comparison(d, truncation):
     """The levelwise map from the transfer onto the constant spread of the
     strict category: replacements in degree 1, identities above."""
-    src = two_constant_transfer(d, truncation)
-    dst = from_strict_category(d.category, truncation)
-    comps = {}
-    for s in src.chains:
-        pair = (s[0], s[-1])
-        comps[s] = d.replacements[pair] if len(s) == 2 \
-            else identity(d.category.homs[pair])
-    return PrecatMorphism(src, dst, comps)
+    return _replacement_morphism(two_constant_transfer(d, truncation),
+                                 from_strict_category(d.category, truncation),
+                                 d.replacements)
 
 
 # ---------------------------------------------------------------------------
@@ -251,35 +230,13 @@ def associated_two_constant(pc):
     r = realize(pc)
     if r.category is None:
         raise ValueError("realization composition is not determined")
-    letters = pc.letters
-    fs = {}
-    for a in letters:
-        for b in letters:
-            fs[(a, b)] = r.eta.at((a, b))
-    values = {}
-    for s in pc.chains:
-        pair = (s[0], s[-1])
-        values[s] = pc.value(s) if len(s) == 2 else r.homs[pair]
-    maps = {}
-    for s in values:
-        for p in range(1, len(s) - 1):
-            pair = (s[0], s[-1])
-            maps[(s, p)] = fs[pair] if len(s) == 3 \
-                else identity(r.homs[pair])
-    flat = make_precategory(pc.backend, letters, pc.truncation, values,
-                            maps, {})
-    for (s, t) in expected_laxity_keys(flat):
-        flat.laxity[(s, t)] = _mixed_laxity(
-            fs, r.comps, flat.value(s), flat.value(t), s, t)
-    flat.units = dict(pc.units)
+    fs = {(a, b): r.eta.at((a, b)) for a in pc.letters for b in pc.letters}
+    flat = spread(pc.backend, pc.letters, pc.truncation, pc.chains, r.homs,
+                  r.comps, fs, dict(pc.units))
     rho = PrecatMorphism(pc, flat, {
         s: identity(pc.value(s)) if len(s) == 2 else r.eta.at(s)
         for s in pc.chains})
-    eps = PrecatMorphism(flat, r.constant, {
-        s: fs[(s[0], s[-1])] if len(s) == 2
-        else identity(r.homs[(s[0], s[-1])])
-        for s in flat.chains})
-    return flat, rho, eps
+    return flat, rho, _replacement_morphism(flat, r.constant, fs)
 
 
 # ---------------------------------------------------------------------------
@@ -317,24 +274,7 @@ def cosegalify_two_constant(pc):
         c, t = factorize(u)
         cofs[pair] = c
         tfibs[pair] = t
-    letters = pc.letters
-    values = {}
-    for s in pc.chains:
-        pair = (s[0], s[-1])
-        values[s] = cofs[pair].dst if len(s) == 2 else pc.value(s)
-    maps = {}
-    for s in values:
-        for p in range(1, len(s) - 1):
-            pair = (s[0], s[-1])
-            maps[(s, p)] = tfibs[pair] if len(s) == 3 \
-                else identity(consts[pair])
-    out = make_precategory(pc.backend, letters, pc.truncation, values,
-                           maps, {})
-    for (s, t) in expected_laxity_keys(out):
-        out.laxity[(s, t)] = _mixed_laxity(
-            tfibs, r.comps, out.value(s), out.value(t), s, t)
-    out.units = {a: pc.unit_map(a).then(cofs[(a, a)]) for a in letters}
-    eta = PrecatMorphism(pc, out, {
-        s: cofs[(s[0], s[-1])] if len(s) == 2 else identity(pc.value(s))
-        for s in pc.chains})
-    return out, eta
+    out = spread(pc.backend, pc.letters, pc.truncation, pc.chains, consts,
+                 r.comps, tfibs, {a: pc.unit_map(a).then(cofs[(a, a)])
+                                  for a in pc.letters})
+    return out, _replacement_morphism(pc, out, cofs)

@@ -36,7 +36,7 @@ Concepts of Enriched Category Theory, ch. 2).
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import ratmat, shapes
 from .base import (
@@ -66,14 +66,14 @@ def unit_precat(backend, truncation):
     """The precategory on the one letter MARKER with every value the
     monoidal unit."""
     iu = unit(backend)
-    values = {s: iu for s in shapes.all_chains((MARKER,), truncation)}
+    chains = shapes.all_chains((MARKER,), truncation)
+    values = {s: iu for s in chains}
     maps = {(s, p): identity(iu)
-            for s in values for p in range(1, len(s) - 1)}
-    pc = make_precategory(backend, (MARKER,), truncation, values, maps, {},
-                          units={MARKER: identity(iu)})
-    for key in expected_laxity_keys(pc):
-        pc.laxity[key] = left_unitor(iu)
-    return pc
+            for s in chains for p in range(1, len(s) - 1)}
+    laxity = {key: left_unitor(iu)
+              for key in expected_laxity_keys(chains, truncation)}
+    return make_precategory(backend, (MARKER,), truncation, values, maps,
+                            laxity, units={MARKER: identity(iu)})
 
 
 def tensor_s(f, g):
@@ -91,31 +91,32 @@ def tensor_s(f, g):
         raise ValueError("slotwise tensor needs a common truncation")
     letters = tuple(sorted(
         (a, b) for a in f.letters for b in g.letters))
+    chains = shapes.all_chains(letters, f.truncation)
     values = {}
     maps = {}
-    for s in shapes.all_chains(letters, f.truncation):
+    for s in chains:
         s1, s2 = _unzip(s)
         values[s] = tensor(f.value(s1), g.value(s2))
         for p in range(1, len(s) - 1):
             maps[(s, p)] = tensor_mor(f.gen_map(s1, p), g.gen_map(s2, p))
-    out = make_precategory(f.backend, letters, f.truncation, values, maps,
-                           {})
-    for (s, t) in expected_laxity_keys(out):
+    laxity = {}
+    for (s, t) in expected_laxity_keys(chains, f.truncation):
         s1, s2 = _unzip(s)
         t1, t2 = _unzip(t)
         mid = tensor_mor(
             tensor_mor(identity(f.value(s1)), symmetry(g.value(s2),
                                                        f.value(t1))),
             identity(g.value(t2)))
-        out.laxity[(s, t)] = mid.then(
+        laxity[(s, t)] = mid.then(
             tensor_mor(f.lax(s1, t1), g.lax(s2, t2)))
+    units = None
     if f.is_pointed() and g.is_pointed():
-        out.units = {}
-        for (a, b) in letters:
-            iu = unit(f.backend)
-            out.units[(a, b)] = invert(left_unitor(iu)).then(
-                tensor_mor(f.unit_map(a), g.unit_map(b)))
-    return out
+        iu = unit(f.backend)
+        units = {(a, b): invert(left_unitor(iu)).then(
+                     tensor_mor(f.unit_map(a), g.unit_map(b)))
+                 for (a, b) in letters}
+    return make_precategory(f.backend, letters, f.truncation, values, maps,
+                            laxity, units=units)
 
 
 def tensor_s_mor(alpha, beta):
@@ -141,17 +142,14 @@ def relabel(pc, table):
 
     values = {ch(s): pc.values[s] for s in pc.chains}
     maps = {(ch(s), p): m for (s, p), m in pc.maps.items()}
-    out = make_precategory(pc.backend, [table[a] for a in pc.letters],
-                           pc.truncation, values, maps,
-                           {(ch(s), ch(t)): m
-                            for (s, t), m in pc.laxity.items()})
-    if pc.is_pointed():
-        out.units = {table[a]: pc.units[a] for a in pc.letters}
-    if pc.split is not None:
-        left, right = pc.split
-        out.split = (tuple(table[a] for a in left),
-                     tuple(table[a] for a in right))
-    return out
+    laxity = {(ch(s), ch(t)): m for (s, t), m in pc.laxity.items()}
+    units = ({table[a]: pc.units[a] for a in pc.letters}
+             if pc.is_pointed() else None)
+    split = (tuple(ch(side) for side in pc.split)
+             if pc.split is not None else None)
+    return make_precategory(pc.backend, [table[a] for a in pc.letters],
+                            pc.truncation, values, maps, laxity,
+                            units=units, split=split)
 
 
 def tensor_s_assoc(f, g, h):
@@ -214,18 +212,18 @@ def join_chains(left, right, truncation):
     return tuple(out)
 
 
-def _support(s, marker):
+def _support(s):
     """The left block of a join chain, with a single marker kept when
     the chain crosses over."""
-    xs = tuple(a for a in s if a != marker)
+    xs = tuple(a for a in s if a != MARKER)
     if len(xs) == len(s):
         return s
-    return xs + (marker,)
+    return xs + (MARKER,)
 
 
-def yoneda_module(f, a, marker=MARKER):
-    """The module of maps into the letter a, over the join with one
-    marker letter.
+def yoneda_module(f, a):
+    """The module of maps into the letter a, over the join with the one
+    marker letter MARKER.
 
     On marker-free chains the module is f itself.  A chain that crosses
     into the marker block takes the value of f at its left block with
@@ -236,45 +234,45 @@ def yoneda_module(f, a, marker=MARKER):
     """
     if a not in set(f.letters):
         raise ValueError("module target %r is not a letter" % (a,))
-    if marker in set(f.letters):
-        raise ValueError("marker %r collides with a letter" % (marker,))
+    if MARKER in set(f.letters):
+        raise ValueError("marker %r collides with a letter" % (MARKER,))
 
     def val(s):
-        if marker not in s:
+        if MARKER not in s:
             return f.value(s)
-        if set(s) == {marker}:
+        if set(s) == {MARKER}:
             return unit(f.backend)
-        return f.value(_support(s, marker)[:-1] + (a,))
+        return f.value(_support(s)[:-1] + (a,))
 
-    chains = join_chains(f.letters, (marker,), f.truncation)
+    chains = join_chains(f.letters, (MARKER,), f.truncation)
     values = {s: val(s) for s in chains}
     maps = {}
     for s in chains:
         for p in range(1, len(s) - 1):
-            if s[p] == marker:
+            if s[p] == MARKER:
                 maps[(s, p)] = identity(values[s])
-            elif marker not in s:
+            elif MARKER not in s:
                 maps[(s, p)] = f.gen_map(s, p)
             else:
-                maps[(s, p)] = f.gen_map(
-                    _support(s, marker)[:-1] + (a,), p)
-    out = make_precategory(f.backend, f.letters + (marker,), f.truncation,
-                           values, maps, {},
-                           split=(f.letters, (marker,)))
-    for (s, t) in expected_laxity_keys(out):
-        if set(t) == {marker}:
+                maps[(s, p)] = f.gen_map(_support(s)[:-1] + (a,), p)
+    laxity = {}
+    for (s, t) in expected_laxity_keys(chains, f.truncation):
+        if set(t) == {MARKER}:
             # the right part carries the unit
-            out.laxity[(s, t)] = right_unitor(values[s])
-        elif marker not in s and marker not in t:
-            out.laxity[(s, t)] = f.lax(s, t)
+            laxity[(s, t)] = right_unitor(values[s])
+        elif MARKER not in s and MARKER not in t:
+            laxity[(s, t)] = f.lax(s, t)
         else:
             # s is marker-free (it ends where t starts, in the letters),
             # t crosses over: multiply through f on the supports
-            out.laxity[(s, t)] = f.lax(s, _support(t, marker)[:-1] + (a,))
+            laxity[(s, t)] = f.lax(s, _support(t)[:-1] + (a,))
+    units = None
     if f.is_pointed():
-        out.units = {b: f.unit_map(b) for b in f.letters}
-        out.units[marker] = identity(unit(f.backend))
-    return out
+        units = {b: f.unit_map(b) for b in f.letters}
+        units[MARKER] = identity(unit(f.backend))
+    return make_precategory(f.backend, f.letters + (MARKER,), f.truncation,
+                            values, maps, laxity, units=units,
+                            split=(f.letters, (MARKER,)))
 
 
 def _precat_equal(p, q):
@@ -317,9 +315,9 @@ def check_distributor(e, f, g):
     rl = pullback({a: a for a in left}, e)
     rr = pullback({a: a for a in right}, e)
     if e.is_pointed() and not f.is_pointed():
-        rl.units = None
+        rl = replace(rl, units=None)
     if e.is_pointed() and not g.is_pointed():
-        rr.units = None
+        rr = replace(rr, units=None)
     report["restriction_left"] = _precat_equal(rl, f)
     report["restriction_right"] = _precat_equal(rr, g)
     if report["join_shape"] and report["restriction_left"] \

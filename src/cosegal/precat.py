@@ -17,9 +17,14 @@ The stored chain set is explicit, which lets the same structure carry
 join-shaped carriers (module bimodules) and other partial shapes: the only
 closure requirements are under inner deletions and under the laxity keys
 present.
+
+A precategory is built whole by one `make_precategory` call and never
+patched: it is frozen, and `expected_laxity_keys` reads only chains, so a
+builder has its laxity keys first. `spread` builds every 2-constant one.
 """
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 from . import shapes
 from .base import (
@@ -28,7 +33,7 @@ from .base import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Precategory:
     backend: str
     letters: tuple
@@ -90,18 +95,15 @@ def make_precategory(backend, letters, truncation, values, maps, laxity,
                        dict(values), dict(maps), dict(laxity), units, split)
 
 
-def expected_laxity_keys(pc):
-    chainset = set(pc.chains)
-    keys = []
-    for s in pc.chains:
-        for t in pc.chains:
-            if s[-1] != t[0]:
-                continue
-            if shapes.degree(s) + shapes.degree(t) > pc.truncation:
-                continue
-            if shapes.concat(s, t) in chainset:
-                keys.append((s, t))
-    return keys
+def expected_laxity_keys(chains, truncation):
+    """The laxity keys of a precategory on these chains: the composable
+    pairs (s, t) whose concatenation is one of the chains and within the
+    truncation, in the order of chains."""
+    chainset = set(chains)
+    return [(s, t) for s in chains for t in chains
+            if s[-1] == t[0]
+            and shapes.degree(s) + shapes.degree(t) <= truncation
+            and shapes.concat(s, t) in chainset]
 
 
 def split_admissible(split, s):
@@ -193,7 +195,7 @@ def validate(pc):
         return errors
     chainset = set(pc.chains)
     # laxity keys, ends, naturality, associativity
-    expected_lax = set(expected_laxity_keys(pc))
+    expected_lax = set(expected_laxity_keys(pc.chains, pc.truncation))
     if set(pc.laxity) != expected_lax:
         missing = expected_lax - set(pc.laxity)
         extra = set(pc.laxity) - expected_lax
@@ -415,42 +417,29 @@ class StrictCategory:
 
 
 def validate_strict_category(cat, strict=False):
-    errors = []
     obs = cat.objects
-    for a in obs:
-        for b in obs:
-            if (a, b) not in cat.homs:
-                errors.append("missing hom at %r" % ((a, b),))
+    errors = ["missing hom at %r" % (pair,)
+              for pair in itertools.product(obs, repeat=2)
+              if pair not in cat.homs]
     if errors:
         return _finish(errors, strict)
-    for a in obs:
-        for b in obs:
-            for c in obs:
-                m = cat.comps.get((a, b, c))
-                if m is None:
-                    errors.append("missing composition at %r" % ((a, b, c),))
-                    continue
-                if m.src != tensor(cat.homs[(a, b)], cat.homs[(b, c)]) \
-                        or m.dst != cat.homs[(a, c)]:
-                    errors.append("composition at %r has wrong ends"
-                                  % ((a, b, c),))
+    for a, b, c in itertools.product(obs, repeat=3):
+        m = cat.comps.get((a, b, c))
+        if m is None:
+            errors.append("missing composition at %r" % ((a, b, c),))
+        elif m.src != tensor(cat.homs[(a, b)], cat.homs[(b, c)]) \
+                or m.dst != cat.homs[(a, c)]:
+            errors.append("composition at %r has wrong ends" % ((a, b, c),))
     if errors:
         return _finish(errors, strict)
-    for a in obs:
-        for b in obs:
-            for c in obs:
-                for d in obs:
-                    h_ab, h_bc, h_cd = (cat.homs[(a, b)], cat.homs[(b, c)],
-                                        cat.homs[(c, d)])
-                    left = tensor_mor(cat.comps[(a, b, c)],
-                                      identity(h_cd)).then(
-                        cat.comps[(a, c, d)])
-                    right = tensor_mor(identity(h_ab),
-                                       cat.comps[(b, c, d)]).then(
-                        cat.comps[(a, b, d)])
-                    if left != right:
-                        errors.append("composition not associative at %r"
-                                      % ((a, b, c, d),))
+    for a, b, c, d in itertools.product(obs, repeat=4):
+        left = tensor_mor(cat.comps[(a, b, c)], identity(
+            cat.homs[(c, d)])).then(cat.comps[(a, c, d)])
+        right = tensor_mor(identity(cat.homs[(a, b)]),
+                           cat.comps[(b, c, d)]).then(cat.comps[(a, b, d)])
+        if left != right:
+            errors.append("composition not associative at %r"
+                          % ((a, b, c, d),))
     for a in obs:
         e = cat.idpoints.get(a)
         if e is None or e.src != unit(cat.backend) \
@@ -470,28 +459,38 @@ def validate_strict_category(cat, strict=False):
 
 
 def from_strict_category(cat, truncation):
-    """The constant-on-chains precategory of a strict category.
-
-    Every chain takes the hom object of its endpoints, structure maps are
-    identities, the laxity composes, units are the identity points. The
-    result is unital and co-Segal by construction; `validate` and
-    `check_unital` confirm rather than assume this.
-    """
+    """The constant-on-chains precategory of a strict category: its
+    spread with no replacements, units the identity points. The result is
+    unital and co-Segal by construction; `validate` and `check_unital`
+    confirm rather than assume this."""
     validate_strict_category(cat, strict=True)
     letters = tuple(sorted(cat.objects))
-    values = {}
-    for s in shapes.all_chains(letters, truncation):
-        values[s] = cat.homs[(s[0], s[-1])]
-    maps = {}
-    for s in values:
-        for p in range(1, len(s) - 1):
-            maps[(s, p)] = identity(values[s])
+    return spread(cat.backend, letters, truncation,
+                  shapes.all_chains(letters, truncation), cat.homs,
+                  cat.comps, {}, {a: cat.idpoints[a] for a in letters})
+
+
+def spread(backend, letters, truncation, chains, homs, comps, replacements,
+           units):
+    """The 2-constant spread of a composition: a chain from a to b takes
+    homs[(a, b)], or f.src in degree 1 when replacements has f at (a, b).
+    Structure maps are f from degree 2 down to degree 1 and identities
+    elsewhere; the laxity is comps, precomposed with f on each side that
+    still sits in degree 1.
+    """
+    def repl(s):
+        return replacements.get((s[0], s[-1])) if len(s) == 2 else None
+
+    values = {s: homs[(s[0], s[-1])] if repl(s) is None else repl(s).src
+              for s in chains}
+    maps = {(s, p): repl(shapes.delete(s, p)) or identity(values[s])
+            for s in chains for p in range(1, len(s) - 1)}
     laxity = {}
-    pc = make_precategory(cat.backend, letters, truncation, values, maps,
-                          laxity)
-    for (s, t) in expected_laxity_keys(pc):
-        laxity[(s, t)] = cat.comps[(s[0], s[-1], t[-1])]
-    pc.laxity.update(laxity)
-    units = {a: cat.idpoints[a] for a in letters}
-    pc.units = units
-    return pc
+    for s, t in expected_laxity_keys(chains, truncation):
+        phi = comps[(s[0], s[-1], t[-1])]
+        if repl(s) or repl(t):
+            phi = tensor_mor(repl(s) or identity(values[s]),
+                             repl(t) or identity(values[t])).then(phi)
+        laxity[(s, t)] = phi
+    return make_precategory(backend, letters, truncation, values, maps,
+                            laxity, units=units)

@@ -5,14 +5,14 @@ linearizations, the walking arrow, small algebras and discrete
 categories) are the inputs of the validator tests in `test_precat` and
 of the construction tests in the other modules. Below them: random chain
 complexes and chain maps, the 2-constant chq builders of the homotopy
-tests, and the naive dense matrix references. No test module imports
-another; they all import from here.
+tests, and the naive references for the matrix kernels and the lifting
+property. No test module imports another; they all import from here.
 """
 
 import itertools
 from fractions import Fraction
 
-from cosegal import base
+from cosegal import base, ratmat
 from cosegal.base import (
     chq_map, chq_obj, disk, empty, factorize, finset_map, finset_obj,
     identity, sphere, tensor, unit, vectq_map, vectq_obj,
@@ -178,7 +178,6 @@ def rand_chq_map(rng, src, dst):
     if not basis:
         return zero_map(src, dst)
     out = zero_map(src, dst)
-    from cosegal import ratmat
     m = out.matrix
     for b in basis:
         m = ratmat.madd(m, ratmat.mscale(rng.randint(-2, 2), b.matrix))
@@ -322,3 +321,73 @@ def ref_kron(a, b):
     return tuple(
         tuple(a[i // rb][j // cb] * b[i % rb][j % cb] for j in range(ca * cb))
         for i in range(ra * rb))
+
+
+def reference_has_rlp(i, p):
+    """The lifting-property test of vectq/chq maps through parametrized
+    hom spaces: the square space is the kernel of the commuting condition
+    on hom-space coordinates, each lift's boundary square is solved into
+    those coordinates column by column, and p lifts when the squares lie
+    in the span of the boundaries. `base.has_rlp` instead compares one
+    rank with one dimension on plain vec coordinates."""
+    a, b, x, y = i.src, i.dst, p.src, p.dst
+    na, nb, nx, ny = a.size(), b.size(), x.size(), y.size()
+
+    def hom_basis(s, d):
+        constraints = base._hom_constraint(s, d)
+        if s.size() == 0 or d.size() == 0:
+            return ratmat.zeros(0, 0)
+        if ratmat.shape(constraints)[0] == 0:
+            return ratmat.eye(s.size() * d.size())
+        return ratmat.kernel_basis(constraints)
+
+    k_bx = hom_basis(b, x)
+    k_ax = hom_basis(a, x)
+    k_by = hom_basis(b, y)
+    dim_ax = na * nx
+    dim_by = nb * ny
+    # the space of commuting squares: pairs (F, G) with p.F = G.i
+    nax = ratmat.shape(k_ax)[1] if dim_ax else 0
+    nby = ratmat.shape(k_by)[1] if dim_by else 0
+    if nax + nby == 0:
+        return True
+    cols = []
+    for c in range(nax):
+        fv = tuple(k_ax[r][c] for r in range(dim_ax))
+        fm = base._unvec(fv, nx, na)
+        pf = ratmat.matmul(p.matrix, fm) if nx and ny and na else ratmat.zeros(ny, na)
+        cols.append(base._vec(pf, ny, na) if ny and na else ())
+    left = (tuple(tuple(col[r] for col in cols) for r in range(ny * na))
+            if ny * na else ratmat.zeros(0, nax))
+    cols = []
+    for c in range(nby):
+        gv = tuple(k_by[r][c] for r in range(dim_by))
+        gm = base._unvec(gv, ny, nb)
+        gi = ratmat.matmul(gm, i.matrix) if ny and nb and na else ratmat.zeros(ny, na)
+        cols.append(base._vec(gi, ny, na) if ny and na else ())
+    right = (tuple(tuple(col[r] for col in cols) for r in range(ny * na))
+             if ny * na else ratmat.zeros(0, nby))
+    if ny * na:
+        square_rel = ratmat.hstack([left, ratmat.mneg(right)])
+        squares = ratmat.kernel_basis(square_rel)
+    else:
+        squares = ratmat.eye(nax + nby)
+    # the map sending a lift K to its boundary square (K.i, p.K), expressed
+    # in the same parametrized coordinates
+    nk = ratmat.shape(k_bx)[1] if nb * nx else 0
+    tcols = []
+    for c in range(nk):
+        kv = tuple(k_bx[r][c] for r in range(nb * nx))
+        km = base._unvec(kv, nx, nb)
+        ki = ratmat.matmul(km, i.matrix) if na else ratmat.zeros(nx, 0)
+        pk = ratmat.matmul(p.matrix, km) if ny else ratmat.zeros(0, nb)
+        fv = base._vec(ki, nx, na)
+        gv = base._vec(pk, ny, nb)
+        fc = ratmat.solve_vec(k_ax, fv) if dim_ax else ()
+        gc = ratmat.solve_vec(k_by, gv) if dim_by else ()
+        tcols.append(tuple(fc) + tuple(gc))
+    t = (tuple(tuple(col[r] for col in tcols) for r in range(nax + nby))
+         if tcols else ratmat.zeros(nax + nby, 0))
+    rank_t = ratmat.rank(t) if tcols else 0
+    both = ratmat.hstack([t, squares]) if tcols else squares
+    return ratmat.rank(both) == rank_t

@@ -238,8 +238,9 @@ def test_free_constructions_and_pushforward_laxity_match_the_reference(
         monkeypatch):
     def build(pc):
         f = {a: "c" for a in pc.letters}
-        return (adjoints._gamma_build(kobject_of(pc))[0].laxity,
-                adjoints._point_build(pc)[0].laxity,
+        return (adjoints._gamma_build(kobject_of(pc),
+                                      adjoints._CallTables())[0].laxity,
+                adjoints._point_build(pc, adjoints._CallTables())[0].laxity,
                 pushforward(f, pc).laxity)
 
     cases = laxity_cases()
@@ -345,9 +346,7 @@ def check_chain_table(letters, truncation):
     table = adjoints._CallTables().chain_table(letters, truncation)
     chains = shapes.all_chains(letters, truncation)
     assert table.chains == chains
-    pc = make_precategory("finset", letters, truncation,
-                          {z: empty("finset") for z in chains}, {}, {})
-    assert table.laxity_keys() == expected_laxity_keys(pc)
+    assert table.laxity_keys() == expected_laxity_keys(chains, truncation)
     for z in chains:
         gkeys, pkeys = gamma_keys(z), point_keys(z)
         for keyed, keys, cuts in (
@@ -455,7 +454,8 @@ def test_free_transpose_computes_each_chain_component_once():
     z0 = ("a", "b", "b")
     m = finset_obj(["m0", "m1"])
     g = finset_map(m, h.value(z0), (0, h.value(z0).size() - 1))
-    gadget = adjoints._build_gadget(h.letters, h.truncation, z0, m)
+    tables = adjoints._CallTables()
+    gadget = adjoints._build_gadget(h.letters, h.truncation, z0, m, tables)
     k, ksums = gadget.k
     calls = []
 
@@ -465,7 +465,7 @@ def test_free_transpose_computes_each_chain_component_once():
         return adjoints._assemble(k.value(w), legs, h.value(w), h.backend)
 
     tr = adjoints._free_transpose(gadget.pointed, gadget.gk[1], h,
-                                  k_component)
+                                  k_component, tables)
     assert sorted(calls) == sorted(set(calls)) == sorted(k.chains)
     assert tr.components == upsilon_transpose(h, z0, g).components
 

@@ -12,6 +12,7 @@ from cosegal.base import (
 
 from fixtures import (
     assert_exact, rand_chq, rand_chq_map, ref_kron, ref_madd,
+    reference_has_rlp,
 )
 
 
@@ -238,6 +239,39 @@ def test_rlp_detects_trivial_fibrations_vectq():
     nonsurj = vectq_map(vectq_obj(1), vectq_obj(2), [[1], [0]])
     assert all(has_rlp(i, surj) for i in gens)
     assert not all(has_rlp(i, nonsurj) for i in gens)
+
+
+def _rand_vectq_map(rng, src, dst):
+    return vectq_map(src, dst, [[rng.randint(-1, 1) for _ in range(src.dim)]
+                                for _ in range(dst.dim)])
+
+
+def test_has_rlp_agrees_with_the_parametrized_reference(rng):
+    """Random chq and vectq pairs, with empty objects at every corner
+    (B = 0 among them), and the generating cofibrations against random
+    maps: the rank test and the reference give the same verdict, and
+    both verdicts occur."""
+    pairs = []
+    for _ in range(60):
+        a, b, x, y = (rand_chq(rng, lo=-1, hi=1) for _ in range(4))
+        pairs.append((rand_chq_map(rng, a, b), rand_chq_map(rng, x, y)))
+    for _ in range(60):
+        a, b, x, y = (vectq_obj(rng.randint(0, 2)) for _ in range(4))
+        pairs.append((_rand_vectq_map(rng, a, b), _rand_vectq_map(rng, x, y)))
+    for n in (0, 1):
+        a, x, y = vectq_obj(n + 1), vectq_obj(2), vectq_obj(1)
+        pairs.append((vectq_map(a, empty("vectq"), []),
+                      _rand_vectq_map(rng, x, y)))
+        a, x = rand_chq(rng, lo=-1, hi=1), rand_chq(rng, lo=-1, hi=1)
+        pairs.append((zero_map(a, empty("chq")),
+                      rand_chq_map(rng, x, rand_chq(rng, lo=-1, hi=1))))
+    for _ in range(20):
+        x, y = rand_chq(rng, lo=-1, hi=1), rand_chq(rng, lo=-1, hi=1)
+        p = rand_chq_map(rng, x, y)
+        pairs.extend((i, p) for i in generating_cofibrations("chq", (-1, 1)))
+    verdicts = [has_rlp(i, p) for i, p in pairs]
+    assert verdicts == [reference_has_rlp(i, p) for i, p in pairs]
+    assert True in verdicts and False in verdicts
 
 
 def test_find_lift_returns_witness():

@@ -360,6 +360,9 @@ def test_cosegalify_preconditions():
 
 
 def test_cosegalify_chq_fuzz_small(rng):
+    """Co-Segalification of random 2-constant inputs, and on each output
+    the main theorem: the output is levelwise weakly equivalent, through
+    its flattening, to the strict spread of its realization."""
     for _ in range(3):
         pc = rand_two_constant_chq(rng)
         out, eta = cosegalify_two_constant(pc)
@@ -373,6 +376,14 @@ def test_cosegalify_chq_fuzz_small(rng):
             else:
                 assert eta.at(s) == identity(pc.value(s))
         _realization_matches(pc, out)
+        flat, rho, eps = associated_two_constant(out)
+        for alpha in (rho, eps):
+            assert validate_morphism(alpha) == []
+            assert is_levelwise_weak_equivalence(alpha)
+        strict = realize(out).constant
+        assert (eps.dst.values, eps.dst.maps, eps.dst.laxity,
+                eps.dst.units) == (strict.values, strict.maps,
+                                   strict.laxity, strict.units)
 
 
 # ---------------------------------------------------------------------------

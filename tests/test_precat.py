@@ -5,6 +5,8 @@ linearizations) live in `fixtures`, shared with the later construction
 tests.
 """
 
+import dataclasses
+
 import pytest
 
 from cosegal.base import finset_map, identity, unit
@@ -88,6 +90,13 @@ def test_unit_perturbation_is_detected():
     pc.units["a"] = finset_map(unit("finset"), haa, (0,))
     assert validate(pc) == []
     assert check_unital(pc) != []
+
+
+def test_a_built_precategory_is_frozen():
+    pc = from_strict_category(function_category({"a": 2}), 2)
+    for name in ("values", "laxity", "units", "split"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pc, name, None)
 
 
 def test_strict_validator_catches_tampered_composition():
