@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from . import shapes
 from .base import (
-    MMorphism, _hom_constraint, _precompose, _tensor_mor_onto, _vec, empty,
+    MMorphism, _hom_constraint, _precompose, _tensor_mor_onto, empty,
     identity, is_isomorphism, is_surjective, left_unitor, make_map, tensor,
     tensor_mor, tensor_mor_multi, tensor_multi, unit,
 )
@@ -56,7 +56,6 @@ from .precat import (
     identity_morphism, make_precategory, spread, unit_constraint_maps,
 )
 from . import ratmat
-from .ratmat import ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -316,26 +315,28 @@ def _pair_assemble(backend, left, right, targets, dst, src=None):
     rsizes = [s.size() for s in rsrcs]
     if sum(lsizes) != lobj.size() or sum(rsizes) != robj.size():
         raise AssertionError("tensor distribution failed to be invertible")
-    # the images of the source positions of each component, in order
-    images = {}
     for (i, j), f in targets.items():
         if f.src.size() != lsizes[i] * rsizes[j]:
             raise ValueError("component %r does not match its summands"
                              % ((i, j),))
-        images[(i, j)] = (f.mapping if backend == "finset"
-                          else tuple(zip(*f.matrix)))
-    out = []
-    for i, nl in enumerate(lsizes):
-        for a in range(nl):
-            for j, nr in enumerate(rsizes):
-                out.extend(images[(i, j)][a * nr:(a + 1) * nr])
     if src is None:
         src = tensor(lobj, robj)
     if backend == "finset":
+        out = []
+        for i, nl in enumerate(lsizes):
+            for a in range(nl):
+                for j, nr in enumerate(rsizes):
+                    out.extend(targets[(i, j)].mapping[a * nr:(a + 1) * nr])
         return MMorphism(backend, src, dst, mapping=tuple(out))
-    # out holds the columns; with none, the rows are still dst's
-    matrix = tuple(zip(*out)) if out else ratmat.zeros(dst.size(), 0)
-    return MMorphism(backend, src, dst, matrix=matrix)
+    lo = list(itertools.accumulate(lsizes, initial=0))
+    ro = list(itertools.accumulate(rsizes, initial=0))
+    entries = []
+    for (i, j), f in targets.items():
+        for r, p, x in ratmat.nonzeros(f.matrix):
+            a, b = divmod(p, rsizes[j])
+            entries.append((r, (lo[i] + a) * ro[-1] + ro[j] + b, x))
+    return MMorphism(backend, src, dst,
+                     matrix=ratmat.build(dst.size(), src.size(), entries))
 
 
 @dataclass
@@ -1229,23 +1230,20 @@ def _solve_composition(pc, cols, a, b, c):
         rmat = pc.lax(s, t).then(
             cols[(a, c)].cocone[shapes.concat(s, t)]).matrix
         rows.append(_precompose(kst, ndst))
-        rhs_vec.extend(_vec(rmat, ndst, fs * ft))
+        rhs_vec.extend(ratmat.vec(rmat))
     if backend == "chq":
         hom_rows = _hom_constraint(lin, hac)
-        if ratmat.shape(hom_rows)[0]:
-            rows.append(hom_rows)
-            rhs_vec.extend([ZERO] * ratmat.shape(hom_rows)[0])
-    if not rows:
-        return None, False
+        rows.append(hom_rows)
+        rhs_vec.extend(ratmat.vec(ratmat.zeros(ratmat.shape(hom_rows)[0], 1)))
     system = ratmat.vstack(rows)
+    if not system:
+        return None, False
     sol = ratmat.solve_vec(system, tuple(rhs_vec))
     if sol is None:
         raise ValueError("composition is inconsistent at %r" % ((a, b, c),))
     if ratmat.rank(system) != ndst * nsrc:
         return None, False
-    mat = tuple(tuple(sol[j * ndst + i] for j in range(nsrc))
-                for i in range(ndst))
-    return make_map(lin, hac, mat), True
+    return make_map(lin, hac, ratmat.unvec(sol, ndst, nsrc)), True
 
 
 def realize(pc):

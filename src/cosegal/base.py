@@ -20,10 +20,11 @@ f.then(g) which reads left to right.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import ratmat
-from .ratmat import ZERO, ONE
+from .ratmat import ONE
 
 BACKENDS = ("finset", "vectq", "chq")
 
@@ -34,7 +35,7 @@ class MObject:
 
     Exactly one payload group is populated: `labels` for finset (a tuple of
     labels, each label itself a tuple of atom strings), `dim` for vectq,
-    `degrees` and `diff` for chq (one square differential matrix with
+    `degrees` and `diff` for chq (`diff` a square ratmat matrix with
     d(basis j) read off column j; entries only where deg(row) = deg(col)-1
     and d*d = 0).
     """
@@ -67,22 +68,24 @@ def finset_obj(labels):
 
 
 def vectq_obj(dim):
+    # operator.index refuses a float, Fraction or string rather than
+    # truncate it; chq degrees and finset indices go through it too
+    dim = operator.index(dim)
     if dim < 0:
         raise ValueError("negative dimension")
-    return MObject("vectq", dim=int(dim))
+    return MObject("vectq", dim=dim)
 
 
 def chq_obj(degrees, diff):
-    degrees = tuple(int(d) for d in degrees)
-    diff = ratmat.mat(diff) if degrees else ()
+    degrees = tuple(map(operator.index, degrees))
+    diff = ratmat.mat(diff)
     n = len(degrees)
-    if degrees and ratmat.shape(diff) != (n, n):
+    if not ratmat.has_shape(diff, n, n):
         raise ValueError("chq differential must be %dx%d" % (n, n))
-    for i, row in enumerate(diff):
-        for j, e in enumerate(row):
-            if e and degrees[i] != degrees[j] - 1:
-                raise ValueError("chq differential entry off the degree line")
-    if n and not ratmat.is_zero(ratmat.matmul(diff, diff)):
+    for i, j, _ in ratmat.nonzeros(diff):
+        if degrees[i] != degrees[j] - 1:
+            raise ValueError("chq differential entry off the degree line")
+    if not ratmat.is_zero(ratmat.matmul(diff, diff)):
         raise ValueError("chq differential does not square to zero")
     return MObject("chq", degrees=degrees, diff=diff)
 
@@ -119,8 +122,9 @@ class MMorphism:
     """A morphism src -> dst.
 
     finset: `mapping[i]` is the dst index of the image of src label i.
-    vectq/chq: `matrix` has dst.size() rows and src.size() columns; chq
-    matrices are degree preserving and commute with the differentials.
+    vectq/chq: `matrix` is a ratmat matrix with dst.size() rows and
+    src.size() columns; chq matrices are degree preserving and commute
+    with the differentials.
     """
 
     backend: str
@@ -148,7 +152,7 @@ class MMorphism:
 
 
 def finset_map(src, dst, mapping):
-    mapping = tuple(int(i) for i in mapping)
+    mapping = tuple(map(operator.index, mapping))
     if len(mapping) != len(src.labels):
         raise ValueError("finset mapping has wrong length")
     for i in mapping:
@@ -158,21 +162,20 @@ def finset_map(src, dst, mapping):
 
 
 def vectq_map(src, dst, matrix):
-    matrix = ratmat.mat(matrix) if dst.dim else ()
-    if dst.dim and ratmat.shape(matrix) != (dst.dim, src.dim):
+    matrix = ratmat.mat(matrix)
+    if not ratmat.has_shape(matrix, dst.dim, src.dim):
         raise ValueError("vectq matrix must be %dx%d" % (dst.dim, src.dim))
     return MMorphism("vectq", src, dst, matrix=matrix)
 
 
 def chq_map(src, dst, matrix):
     m, n = len(dst.degrees), len(src.degrees)
-    matrix = ratmat.mat(matrix) if m else ()
-    if m and ratmat.shape(matrix) != (m, n):
+    matrix = ratmat.mat(matrix)
+    if not ratmat.has_shape(matrix, m, n):
         raise ValueError("chq matrix must be %dx%d" % (m, n))
-    for i, row in enumerate(matrix):
-        for j, e in enumerate(row):
-            if e and dst.degrees[i] != src.degrees[j]:
-                raise ValueError("chq map entry off the degree diagonal")
+    for i, j, _ in ratmat.nonzeros(matrix):
+        if dst.degrees[i] != src.degrees[j]:
+            raise ValueError("chq map entry off the degree diagonal")
     if m and n:
         if ratmat.matmul(dst.diff, matrix) != ratmat.matmul(matrix, src.diff):
             raise ValueError("chq map does not commute with differentials")
@@ -231,27 +234,20 @@ def tensor(x, y):
     if x.backend == "vectq":
         return vectq_obj(x.dim * y.dim)
     degrees = tuple(dx + dy for dx in x.degrees for dy in y.degrees)
-    nx, ny = len(x.degrees), len(y.degrees)
-    if nx == 0 or ny == 0:
-        return chq_obj([], [])
+    ny = len(y.degrees)
     # d(e_i (x) f_j) = d(e_i) (x) f_j + (-1)^|e_i| e_i (x) d(f_j); the two
     # terms never share an entry because both differentials have a zero
     # diagonal. The sign comes from parity: (-1) ** d is a float for d < 0.
-    n = nx * ny
-    rows = [[ZERO] * n for _ in range(n)]
-    for i, row in enumerate(x.diff):
-        for k, e in enumerate(row):
-            if e:
-                for j in range(ny):
-                    rows[i * ny + j][k * ny + j] = e
-    ynz = [(j, k, e) for j, row in enumerate(y.diff)
-           for k, e in enumerate(row) if e]
-    for i in range(nx):
-        odd = x.degrees[i] % 2
-        for j, k, e in ynz:
-            rows[i * ny + j][i * ny + k] = -e if odd else e
-    diff = tuple(tuple(row) for row in rows)
-    return MObject("chq", degrees=degrees, diff=diff)
+    entries = [(i * ny + j, k * ny + j, e)
+               for i, k, e in ratmat.nonzeros(x.diff) for j in range(ny)]
+    ynz = ratmat.nonzeros(y.diff)
+    if ynz:
+        neg = [(j, k, -e) for j, k, e in ynz]
+        entries += [(i * ny + j, i * ny + k, e)
+                    for i, d in enumerate(x.degrees)
+                    for j, k, e in (neg if d % 2 else ynz)]
+    n = len(degrees)
+    return MObject("chq", degrees=degrees, diff=ratmat.build(n, n, entries))
 
 
 def tensor_mor(f, g):
@@ -264,9 +260,6 @@ def tensor_mor(f, g):
             f.mapping[i] * nd + g.mapping[j]
             for i in range(len(f.src.labels)) for j in range(ns))
         return MMorphism("finset", src, dst, mapping=mapping)
-    if src.size() == 0 or dst.size() == 0:
-        return MMorphism(f.backend, src, dst,
-                         matrix=ratmat.zeros(dst.size(), src.size()))
     return MMorphism(f.backend, src, dst,
                      matrix=ratmat.kron(f.matrix, g.matrix))
 
@@ -286,9 +279,6 @@ def _tensor_mor_onto(mors, src, dst):
             nd = len(m.dst.labels)
             out = [o * nd + i for o in out for i in m.mapping]
         return MMorphism("finset", src, dst, mapping=tuple(out))
-    if src.size() == 0 or dst.size() == 0:
-        return MMorphism(src.backend, src, dst,
-                         matrix=ratmat.zeros(dst.size(), src.size()))
     matrix = mors[0].matrix
     for m in mors[1:]:
         matrix = ratmat.kron(matrix, m.matrix)
@@ -327,14 +317,11 @@ def symmetry(x, y):
     if x.backend == "finset":
         mapping = tuple(j * nx + i for i in range(nx) for j in range(ny))
         return MMorphism("finset", src, dst, mapping=mapping)
-    rows = [[ZERO] * (nx * ny) for _ in range(nx * ny)]
-    for i in range(nx):
-        for j in range(ny):
-            s = ONE
-            if x.backend == "chq":
-                s = -ONE if x.degrees[i] * y.degrees[j] % 2 else ONE
-            rows[j * nx + i][i * ny + j] = s
-    return make_map(src, dst, tuple(tuple(r) for r in rows))
+    chq = x.backend == "chq"
+    entries = [(j * nx + i, i * ny + j,
+                -ONE if chq and x.degrees[i] * y.degrees[j] % 2 else ONE)
+               for i in range(nx) for j in range(ny)]
+    return make_map(src, dst, ratmat.build(nx * ny, nx * ny, entries))
 
 
 def left_unitor(x):
@@ -364,8 +351,6 @@ def invert(f):
         return MMorphism("finset", f.dst, f.src, mapping=tuple(inv))
     if f.src.size() != f.dst.size():
         raise ValueError("not an isomorphism")
-    if f.src.size() == 0:
-        return MMorphism(f.backend, f.dst, f.src, matrix=())
     inv = ratmat.inverse(f.matrix)
     if inv is None:
         raise ValueError("not an isomorphism")
@@ -381,20 +366,12 @@ def invert(f):
 def is_injective(f):
     if f.backend == "finset":
         return len(set(f.mapping)) == len(f.mapping)
-    if f.src.size() == 0:
-        return True
-    if f.dst.size() == 0:
-        return False
     return ratmat.rank(f.matrix) == f.src.size()
 
 
 def is_surjective(f):
     if f.backend == "finset":
         return len(set(f.mapping)) == len(f.dst.labels)
-    if f.dst.size() == 0:
-        return True
-    if f.src.size() == 0:
-        return False
     return ratmat.rank(f.matrix) == f.dst.size()
 
 
@@ -408,9 +385,8 @@ def degree_positions(x, n):
 
 def _degree_block(x, n):
     """The matrix block of x.diff from degree-n columns to degree-(n-1) rows."""
-    cols = degree_positions(x, n)
-    rows = degree_positions(x, n - 1)
-    return tuple(tuple(x.diff[i][j] for j in cols) for i in rows), len(cols)
+    rows, cols = degree_positions(x, n - 1), degree_positions(x, n)
+    return ratmat.submatrix(x.diff, rows, cols), len(cols)
 
 
 def homology(x):
@@ -422,10 +398,7 @@ def homology(x):
     out = {}
     for n in range(min(x.degrees), max(x.degrees) + 1):
         dn, ncols = _degree_block(x, n)
-        rank_dn = ratmat.rank(dn) if dn and dn[0] else 0
-        dn1, _ = _degree_block(x, n + 1)
-        rank_dn1 = ratmat.rank(dn1) if dn1 and dn1[0] else 0
-        h = ncols - rank_dn - rank_dn1
+        h = ncols - ratmat.rank(dn) - ratmat.rank(_degree_block(x, n + 1)[0])
         if h:
             out[n] = h
     return out
@@ -435,18 +408,15 @@ def mapping_cone(f):
     """The cone of a chq map: shifted source followed by the target."""
     x, y = f.src, f.dst
     degrees = tuple(d + 1 for d in x.degrees) + y.degrees
-    nx, ny = len(x.degrees), len(y.degrees)
-    n = nx + ny
-    diff = [[ZERO] * n for _ in range(n)]
-    for i in range(nx):
-        for j in range(nx):
-            diff[i][j] = -x.diff[i][j]
-    for i in range(ny):
-        for j in range(nx):
-            diff[nx + i][j] = f.matrix[i][j] if nx and ny else ZERO
-        for j in range(ny):
-            diff[nx + i][nx + j] = y.diff[i][j]
-    return chq_obj(degrees, diff)
+    nx, n = len(x.degrees), len(degrees)
+    entries = (_placed(ratmat.mneg(x.diff), 0, 0) + _placed(f.matrix, nx, 0)
+               + _placed(y.diff, nx, nx))
+    return chq_obj(degrees, ratmat.build(n, n, entries))
+
+
+def _placed(m, row, col):
+    """The nonzero entries of m, moved to start at (row, col)."""
+    return [(row + i, col + j, x) for i, j, x in ratmat.nonzeros(m)]
 
 
 def is_quasi_iso(f):
@@ -472,8 +442,7 @@ def is_fibration(f):
             continue
         if not cols:
             return False
-        block = tuple(tuple(f.matrix[i][j] for j in cols) for i in rows)
-        if ratmat.rank(block) != len(rows):
+        if ratmat.rank(ratmat.submatrix(f.matrix, rows, cols)) != len(rows):
             return False
     return True
 
@@ -518,40 +487,24 @@ def factorize(f):
         q = MMorphism("finset", mid, y, mapping=tuple(f.mapping) + tuple(
             range(len(y.labels))))
         return j, q
+    nx, ny = x.size(), y.size()
     if f.backend == "vectq":
-        nx, ny = x.dim, y.dim
         mid = vectq_obj(nx + ny)
-        j = vectq_map(x, mid, ratmat.vstack(
-            [ratmat.eye(nx), ratmat.zeros(ny, nx)]) if nx + ny else ())
-        fm = f.matrix if nx and ny else ratmat.zeros(ny, nx)
-        q = vectq_map(mid, y, ratmat.hstack(
-            [fm, ratmat.eye(ny)]) if ny else ())
-        return j, q
-    nx, ny = len(x.degrees), len(y.degrees)
-    degrees = x.degrees + tuple(d + 1 for d in x.degrees) + y.degrees
-    n = 2 * nx + ny
-    diff = [[ZERO] * n for _ in range(n)]
-    for i in range(nx):
-        for j in range(nx):
-            diff[i][j] = x.diff[i][j]
-            diff[i + nx][j + nx] = -x.diff[i][j]
-        diff[i][i + nx] = -ONE
-    for i in range(ny):
-        for j in range(nx):
-            diff[2 * nx + i][nx + j] = f.matrix[i][j] if nx and ny else ZERO
-        for j in range(ny):
-            diff[2 * nx + i][2 * nx + j] = y.diff[i][j]
-    mid = chq_obj(degrees, diff)
-    jm = [[ZERO] * nx for _ in range(n)]
-    for i in range(nx):
-        jm[i][i] = ONE
-    j = chq_map(x, mid, jm) if n else chq_map(x, mid, ())
-    qm = [[ZERO] * n for _ in range(ny)]
-    for i in range(ny):
-        for jj in range(nx):
-            qm[i][jj] = f.matrix[i][jj] if nx and ny else ZERO
-        qm[i][2 * nx + i] = ONE
-    q = chq_map(mid, y, qm)
+    else:
+        # the cylinder: d(s e) = -e - s(de) + f(e) on the shifted copy s e
+        degrees = x.degrees + tuple(d + 1 for d in x.degrees) + y.degrees
+        n = len(degrees)
+        entries = (_placed(x.diff, 0, 0)
+                   + _placed(ratmat.mneg(x.diff), nx, nx)
+                   + [(i, nx + i, -ONE) for i in range(nx)]
+                   + _placed(f.matrix, 2 * nx, nx)
+                   + _placed(y.diff, 2 * nx, 2 * nx))
+        mid = chq_obj(degrees, ratmat.build(n, n, entries))
+    # x and y sit at the first and last positions of mid
+    n = mid.size()
+    j = make_map(x, mid, ratmat.build(n, nx, [(i, i, ONE) for i in range(nx)]))
+    q = make_map(mid, y, ratmat.build(ny, n, _placed(f.matrix, 0, 0) + [
+        (i, n - ny + i, ONE) for i in range(ny)]))
     return j, q
 
 
@@ -609,43 +562,20 @@ def _hom_constraint(src, dst):
     Empty (no rows) for finset/vectq.
     """
     ns, nd = src.size(), dst.size()
-    if src.backend != "chq" or ns == 0 or nd == 0:
+    if src.backend != "chq":
         return ratmat.zeros(0, nd * ns)
     left = ratmat.kron(ratmat.eye(ns), dst.diff)
     right = ratmat.kron(ratmat.transpose(src.diff), ratmat.eye(nd))
-    rows = list(ratmat.msub(left, right))
-    for j in range(ns):
-        for i in range(nd):
-            if dst.degrees[i] != src.degrees[j]:
-                row = [ZERO] * (nd * ns)
-                row[j * nd + i] = ONE
-                rows.append(tuple(row))
-    return tuple(rows)
+    off = [j * nd + i for j in range(ns) for i in range(nd)
+           if dst.degrees[i] != src.degrees[j]]
+    return ratmat.vstack([ratmat.msub(left, right), ratmat.build(
+        len(off), nd * ns, [(r, c, ONE) for r, c in enumerate(off)])])
 
 
 def chq_hom_basis(src, dst):
     """A basis of the space of chain maps src -> dst, as morphisms."""
-    ns, nd = src.size(), dst.size()
-    if ns == 0 or nd == 0:
-        return ()
-    k = _chain_maps(src, dst)
-    out = []
-    for c in range(ratmat.shape(k)[1]):
-        v = tuple(k[r][c] for r in range(nd * ns))
-        out.append(chq_map(src, dst, _unvec(v, nd, ns)))
-    return tuple(out)
-
-
-def _vec(matrix, rows, cols):
-    """Column-major vectorization as a single tuple."""
-    if rows == 0 or cols == 0:
-        return ()
-    return tuple(matrix[i][j] for j in range(cols) for i in range(rows))
-
-
-def _unvec(v, rows, cols):
-    return tuple(tuple(v[j * rows + i] for j in range(cols))
-                 for i in range(rows))
+    return tuple(chq_map(src, dst, ratmat.unvec(v, dst.size(), src.size()))
+                 for v in ratmat.transpose(_chain_maps(src, dst)))
 
 
 def find_lift(i, p, f, g):
@@ -679,30 +609,20 @@ def find_lift(i, p, f, g):
             if i.then(h) == f and h.then(p) == g:
                 return h
         return None
-    nb, nx, na, ny = b.size(), x.size(), a.size(), y.size()
-    if nb == 0 or nx == 0:
-        h = zero_map(b, x)
-        if i.then(h) == f and h.then(p) == g:
-            return h
-        return None
+    nb, nx = b.size(), x.size()
+    # H: B -> X solves the chain-map rows with zero right side,
+    # vec(H i) = vec(f) and vec(p H) = vec(g)
     hom = _hom_constraint(b, x)
-    blocks = [hom]
-    target = [ZERO] * ratmat.shape(hom)[0]
-    if na:
-        blocks.append(_precompose(i, nx))
-        target.extend(_vec(f.matrix, nx, na))
-    if ny:
-        blocks.append(_postcompose(p, nb))
-        target.extend(_vec(g.matrix, ny, nb))
-    big = ratmat.vstack(blocks)
-    if not big:
-        sol = (ZERO,) * (nx * nb)
+    big = ratmat.vstack([hom, _precompose(i, nx), _postcompose(p, nb)])
+    if nb * nx == 0 or not big:
+        h = zero_map(b, x)
     else:
-        sol = ratmat.solve_vec(big, tuple(target))
-    if sol is None:
-        return None
-    hm = _unvec(sol, nx, nb)
-    h = make_map(b, x, hm)
+        zero = ratmat.vec(ratmat.zeros(ratmat.shape(hom)[0], 1))
+        sol = ratmat.solve_vec(
+            big, zero + ratmat.vec(f.matrix) + ratmat.vec(g.matrix))
+        if sol is None:
+            return None
+        h = make_map(b, x, ratmat.unvec(sol, nx, nb))
     if i.then(h) == f and h.then(p) == g:
         return h
     return None
@@ -756,11 +676,9 @@ def _chain_maps(src, dst):
 def _precompose(f, rows):
     """The matrix of K -> K f on vec coordinates, K with the given number
     of rows: kron(f^T, I)."""
-    # a matrix without rows keeps no column count, so f^T is padded to
-    # its f.src.size() rows by hand
-    ft = ratmat.transpose(f.matrix) if f.matrix else ratmat.zeros(
-        f.src.size(), 0)
-    return ratmat.kron(ft, ratmat.eye(rows))
+    return ratmat.build(f.src.size() * rows, f.dst.size() * rows, [
+        (j * rows + r, i * rows + r, x)
+        for i, j, x in ratmat.nonzeros(f.matrix) for r in range(rows)])
 
 
 def _postcompose(f, cols):

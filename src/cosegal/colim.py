@@ -13,7 +13,7 @@ descend, that check fails loudly rather than returning garbage.
 from dataclasses import dataclass
 
 from . import ratmat
-from .ratmat import ZERO, ONE
+from .ratmat import ONE
 from .base import (
     MObject, MMorphism, chq_map, chq_obj, empty, identity, invert,
     is_identity, is_isomorphism, make_map, vectq_map, vectq_obj,
@@ -48,27 +48,16 @@ def coproduct(objs, backend=None):
             for o, off in zip(objs, offsets)]
         return cop, injs
     if backend == "vectq":
-        total = sum(o.dim for o in objs)
-        cop = vectq_obj(total)
-        injs = []
-        off = 0
-        for o in objs:
-            m = [[ONE if j + off == i else ZERO for j in range(o.dim)]
-                 for i in range(total)]
-            injs.append(vectq_map(o, cop, m))
-            off += o.dim
-        return cop, injs
-    degrees = tuple(d for o in objs for d in o.degrees)
-    diff = ratmat.block_diag([o.diff for o in objs])
-    cop = chq_obj(degrees, diff)
-    total = len(degrees)
+        cop = vectq_obj(sum(o.dim for o in objs))
+    else:
+        cop = chq_obj(tuple(d for o in objs for d in o.degrees),
+                      ratmat.block_diag([o.diff for o in objs]))
     injs = []
     off = 0
     for o in objs:
-        n = len(o.degrees)
-        m = [[ONE if j + off == i else ZERO for j in range(n)]
-             for i in range(total)]
-        injs.append(chq_map(o, cop, m))
+        n = o.size()
+        injs.append(make_map(o, cop, ratmat.build(
+            cop.size(), n, [(off + j, j, ONE) for j in range(n)])))
         off += n
     return cop, injs
 
@@ -142,26 +131,17 @@ def quotient_finset(y, pairs):
 
 
 def quotient_linear(y, rel_matrix):
-    """The quotient of a vectq/chq object by the column space of rel_matrix."""
-    k, p, s = ratmat.cokernel(rel_matrix if rel_matrix else
-                              ratmat.zeros(y.size(), 0))
+    """The quotient of a vectq/chq object by the column space of rel_matrix,
+    which has one row per coordinate of y."""
+    free, p, s = ratmat.cokernel(rel_matrix)
     if y.backend == "vectq":
-        obj = vectq_obj(k)
-        proj = vectq_map(y, obj, p)
-        return Quotient(obj, proj, s)
-    free = []
-    for j in range(k):
-        free.append(next(i for i in range(y.size()) if s[i][j] == 1))
-    degrees = tuple(y.degrees[f] for f in free)
-    if k == 0:
-        return Quotient(empty("chq"), chq_map(y, empty("chq"), ()), s)
-    if y.size():
-        dq = ratmat.matmul(ratmat.matmul(p, y.diff), s)
+        obj = vectq_obj(len(free))
     else:
-        dq = ratmat.zeros(k, k)
-    obj = chq_obj(degrees, dq)
-    proj = chq_map(y, obj, p)
-    return Quotient(obj, proj, s)
+        # P d S, the differential induced on the free coordinates; a P
+        # without rows keeps no column count to multiply by
+        dq = ratmat.matmul(ratmat.matmul(p, y.diff), s) if free else ()
+        obj = chq_obj(tuple(y.degrees[f] for f in free), dq)
+    return Quotient(obj, make_map(y, obj, p), s)
 
 
 def coequalizer(f, g):

@@ -45,14 +45,9 @@ def cosegal_report(pc):
 
 
 def _degree_window(pc):
-    degs = set()
+    degs = set(unit(pc.backend).degrees)
     for s in pc.chains:
-        v = pc.value(s)
-        if v.degrees:
-            degs.update(v.degrees)
-    degs.update(unit(pc.backend).degrees)
-    if not degs:
-        return (0, 0)
+        degs.update(pc.value(s).degrees)
     return (min(degs), max(degs))
 
 
@@ -65,18 +60,22 @@ def k_injectivity_report(pc, window=None, strong=False):
     chq needs a degree window for its generating family; it defaults to
     the span of degrees appearing in the precategory.  With strong=True
     the report also records whether each single deletion step is a
-    fibration on its own.
+    fibration on its own. Chains with equal composite maps share their
+    verdicts, which are computed once per distinct map.
     """
     if pc.backend == "chq" and window is None:
         window = _degree_window(pc)
     gens = generating_cofibrations(pc.backend, window)
     entries = []
+    verdicts = {}
     for s in pc.chains:
         if len(s) <= 2:
             continue
         u = pc.cosegal_map(s)
-        tf = is_trivial_fibration(u)
-        rlp = all(has_rlp(i, u) for i in gens)
+        if u not in verdicts:
+            verdicts[u] = (is_trivial_fibration(u),
+                           all(has_rlp(i, u) for i in gens))
+        tf, rlp = verdicts[u]
         entry = {
             "chain": s,
             "trivial_fibration": tf,

@@ -521,7 +521,7 @@ class NatObject:
         if self.backend == "finset":
             payload = (index_or_column,)
         else:
-            payload = tuple((c,) for c in index_or_column)
+            payload = ratmat.unvec(index_or_column, len(index_or_column), 1)
         return make_map(unit(self.backend), self.slots[a], payload)
 
     def family(self, k):
@@ -532,8 +532,8 @@ class NatObject:
                                   _slot_sizes(self.slots, self.letters))
             return {a: self.slot_point(a, d)
                     for a, d in zip(self.letters, digits)}
-        return self.vector_family(
-            tuple(row[k] for row in self.include.matrix))
+        return self.vector_family(ratmat.vec(ratmat.submatrix(
+            self.include.matrix, range(self.product.size()), (k,))))
 
     def vector_family(self, column):
         out = {}
@@ -550,13 +550,10 @@ class NatObject:
             flat = _flat_index([family[a].mapping[0] for a in self.letters],
                                _slot_sizes(self.slots, self.letters))
             return flat in set(self.include.mapping)
-        column = [ratmat.ZERO] * self.product.size()
-        for a in self.letters:
-            off = self.offsets[a]
-            for i, row in enumerate(family[a].matrix):
-                column[off + i] = row[0]
-        return ratmat.solve_matrix(
-            self.include.matrix, tuple((c,) for c in column)) is not None
+        column = ratmat.build(self.product.size(), 1, [
+            (self.offsets[a] + i, 0, x) for a in self.letters
+            for i, _, x in ratmat.nonzeros(family[a].matrix)])
+        return ratmat.solve_matrix(self.include.matrix, column) is not None
 
 
 def _slot_sizes(slots, letters):
@@ -597,22 +594,24 @@ def _route_subobject(src, slots, offsets, prod, routes):
     """The subobject of a vectq/chq product of slots on which the routes
     agree: one equation per chain, basis element of the source value
     and coordinate of the realized hom."""
-    rows = []
+    # the equation of (s, v, r) is row index[(s, v, r)]; only equations
+    # with a nonzero term get one
+    index = {}
+    entries = []
     for s, (top, bottom) in routes.items():
         a, b = s[0], s[-1]
-        na, nb = slots[a].size(), slots[b].size()
-        nfs = src.value(s).size()
-        for v in range(nfs):
-            for r in range(top.dst.size()):
-                row = [ratmat.ZERO] * prod.size()
-                for j in range(nb):
-                    row[offsets[b] + j] += top.matrix[r][v * nb + j]
-                for i in range(na):
-                    row[offsets[a] + i] -= bottom.matrix[r][i * nfs + v]
-                if any(row):
-                    rows.append(tuple(row))
-    if rows:
-        basis, free = ratmat.kernel_data(tuple(rows))
+        nb, nfs = slots[b].size(), src.value(s).size()
+        for r, c, x in ratmat.nonzeros(top.matrix):
+            v, j = divmod(c, nb)
+            row = index.setdefault((s, v, r), len(index))
+            entries.append((row, offsets[b] + j, x))
+        for r, c, x in ratmat.nonzeros(bottom.matrix):
+            i, v = divmod(c, nfs)
+            row = index.setdefault((s, v, r), len(index))
+            entries.append((row, offsets[a] + i, -x))
+    if entries:
+        basis, free = ratmat.kernel_data(
+            ratmat.build(len(index), prod.size(), entries))
     else:
         basis, free = ratmat.eye(prod.size()), tuple(range(prod.size()))
     if prod.backend == "vectq":
@@ -665,18 +664,15 @@ def _diagonal_pairing_matrix(laxes, n1, n2, n3):
     """The underlying map of products: tensor the two components at each
     letter and multiply them through the target laxity; cross-letter
     blocks vanish."""
-    total1, total2, total3 = (n1.product.size(), n2.product.size(),
-                              n3.product.size())
-    rows = [[ratmat.ZERO] * (total1 * total2) for _ in range(total3)]
+    total2 = n2.product.size()
+    entries = []
     for a, lax in laxes.items():
-        nu, nv = n1.slots[a].size(), n2.slots[a].size()
-        for i in range(nu):
-            for j in range(nv):
-                col = (n1.offsets[a] + i) * total2 + n2.offsets[a] + j
-                for r in range(n3.slots[a].size()):
-                    rows[n3.offsets[a] + r][col] = \
-                        lax.matrix[r][i * nv + j]
-    return tuple(tuple(r) for r in rows)
+        for r, c, x in ratmat.nonzeros(lax.matrix):
+            i, j = divmod(c, n2.slots[a].size())
+            entries.append((n3.offsets[a] + r, (n1.offsets[a] + i) * total2
+                            + n2.offsets[a] + j, x))
+    return ratmat.build(n3.product.size(), n1.product.size() * total2,
+                        entries)
 
 
 def nat_pairing(n1, n2):

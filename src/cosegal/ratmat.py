@@ -1,17 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Matrices are immutable tuples of tuples of Fraction. A matrix with m rows and
-n columns represents a map Q^n -> Q^m acting on column vectors. Everything
-here is deterministic: the same input always yields the same pivots, the same
-kernel basis and the same cokernel coordinates, which the rest of the package
-relies on for exact equality checks.
+A matrix with m rows and n columns represents a map Q^n -> Q^m acting on
+column vectors. Everything here is deterministic: the same input always
+yields the same pivots, the same kernel basis and the same cokernel
+coordinates, which the rest of the package relies on for exact equality
+checks.
 
-The representation is dense, but the data is mostly zeros (chain-complex
-differentials and their tensor products), so every kernel does its
-arithmetic on nonzero entries only: results start as rows of the shared ZERO
-and only products, sums and quotients of nonzero entries are computed and
-written. Copies (transpose, stacking, block sums) do no arithmetic and are
-left to tuple and list operations.
+This is the only module that knows how a matrix is stored: a tuple of
+dense rows, each a tuple of Fraction, zeros the shared ZERO, and a matrix
+without rows keeps no column count. Other modules make matrices with
+`mat` (from nested rows of exact numbers), `build` (from (row, column,
+entry) triples with an explicit shape), `eye`, `zeros`, `unvec` and the
+copies `transpose`, `submatrix`, `hstack`, `vstack` and `block_diag`; they
+read them through `shape`, `nonzeros`, `vec` and `has_shape`.
+
+The data is mostly zeros (chain-complex differentials and their tensor
+products), so every kernel does its arithmetic on nonzero entries only:
+results start as rows of the shared ZERO and only products, sums and
+quotients of nonzero entries are computed and written. Copies do no
+arithmetic and are left to tuple and list operations.
 """
 
 from fractions import Fraction
@@ -45,6 +52,52 @@ def eye(n):
 
 def zeros(rows, cols):
     return tuple((ZERO,) * cols for _ in range(rows))
+
+
+def build(rows, cols, entries):
+    """The rows x cols matrix with the given (row, column, entry) triples,
+    0 <= row < rows and 0 <= column < cols. Entries at one position add
+    up; every other entry is ZERO."""
+    out = [[ZERO] * cols for _ in range(rows)]
+    for i, j, x in entries:
+        if not isinstance(x, Fraction):
+            x = _entry(x)
+        row = out[i]
+        y = row[j]
+        row[j] = x if y is ZERO else y + x
+    return tuple(map(tuple, out))
+
+
+def has_shape(m, rows, cols):
+    """Whether m has rows rows of cols entries each; a matrix without rows
+    has every column count."""
+    return len(m) == rows and all(len(row) == cols for row in m)
+
+
+def nonzeros(m):
+    """The (row, column, entry) triples of the nonzero entries of m, row
+    by row."""
+    return [(i, j, x) for i, row in enumerate(m)
+            for j, x in enumerate(row) if x is not ZERO and x]
+
+
+def submatrix(m, rows, cols):
+    """The entries of m in the listed rows and columns, in that order."""
+    return tuple(tuple(m[i][j] for j in cols) for i in rows)
+
+
+def vec(m):
+    """The column-major vectorization of m as one tuple."""
+    return tuple(x for col in zip(*m) for x in col)
+
+
+def unvec(v, rows, cols):
+    """The rows x cols matrix whose column-major vectorization is v."""
+    if len(v) != rows * cols:
+        raise ValueError("unvec needs %d entries, got %d"
+                         % (rows * cols, len(v)))
+    return tuple(tuple(v[j * rows + i] for j in range(cols))
+                 for i in range(rows))
 
 
 def _nonzeros(row):
@@ -272,19 +325,18 @@ def kernel_basis(m):
 def cokernel(m):
     """Canonical cokernel of m: Q^n -> Q^m as a projection/section pair.
 
-    Returns (k, P, S) where P is k x m with P @ m = 0, S is m x k with
-    P @ S = I, and P is "reduce modulo the column space, keep the non-pivot
-    coordinates". Everything is exact and canonical.
+    Returns (free, P, S) for a cokernel of dimension k = len(free): the
+    free (non-pivot) coordinates of Q^m, P k x m with P @ m = 0, and S
+    m x k with P @ S = I. P is "reduce modulo the column space, keep the
+    free coordinates" and S includes the free coordinates. Everything is
+    exact and canonical.
     """
     nrows, ncols = shape(m)
     # rows of r span the column space of m inside Q^nrows
     r, pivots = rref(transpose(m)) if ncols else ((), ())
     p, free = _null_vectors(r, pivots, nrows)
-    k = len(free)
-    s = [[ZERO] * k for _ in range(nrows)]
-    for j, f in enumerate(free):
-        s[f][j] = ONE
-    return k, tuple(tuple(row) for row in p), tuple(tuple(row) for row in s)
+    s = build(nrows, len(free), [(f, j, ONE) for j, f in enumerate(free)])
+    return tuple(free), tuple(map(tuple, p)), s
 
 
 def inverse(m):

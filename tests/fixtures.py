@@ -354,17 +354,17 @@ def reference_has_rlp(i, p):
     cols = []
     for c in range(nax):
         fv = tuple(k_ax[r][c] for r in range(dim_ax))
-        fm = base._unvec(fv, nx, na)
+        fm = ratmat.unvec(fv, nx, na)
         pf = ratmat.matmul(p.matrix, fm) if nx and ny and na else ratmat.zeros(ny, na)
-        cols.append(base._vec(pf, ny, na) if ny and na else ())
+        cols.append(ratmat.vec(pf) if ny and na else ())
     left = (tuple(tuple(col[r] for col in cols) for r in range(ny * na))
             if ny * na else ratmat.zeros(0, nax))
     cols = []
     for c in range(nby):
         gv = tuple(k_by[r][c] for r in range(dim_by))
-        gm = base._unvec(gv, ny, nb)
+        gm = ratmat.unvec(gv, ny, nb)
         gi = ratmat.matmul(gm, i.matrix) if ny and nb and na else ratmat.zeros(ny, na)
-        cols.append(base._vec(gi, ny, na) if ny and na else ())
+        cols.append(ratmat.vec(gi) if ny and na else ())
     right = (tuple(tuple(col[r] for col in cols) for r in range(ny * na))
              if ny * na else ratmat.zeros(0, nby))
     if ny * na:
@@ -378,11 +378,11 @@ def reference_has_rlp(i, p):
     tcols = []
     for c in range(nk):
         kv = tuple(k_bx[r][c] for r in range(nb * nx))
-        km = base._unvec(kv, nx, nb)
+        km = ratmat.unvec(kv, nx, nb)
         ki = ratmat.matmul(km, i.matrix) if na else ratmat.zeros(nx, 0)
         pk = ratmat.matmul(p.matrix, km) if ny else ratmat.zeros(0, nb)
-        fv = base._vec(ki, nx, na)
-        gv = base._vec(pk, ny, nb)
+        fv = ratmat.vec(ki)
+        gv = ratmat.vec(pk)
         fc = ratmat.solve_vec(k_ax, fv) if dim_ax else ()
         gc = ratmat.solve_vec(k_by, gv) if dim_by else ()
         tcols.append(tuple(fc) + tuple(gc))

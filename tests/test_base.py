@@ -28,6 +28,32 @@ def test_finset_rejects_duplicates():
         finset_obj(["a", "a"])
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: chq_obj([], [[5]]), ValueError),
+    (lambda: vectq_map(vectq_obj(2), vectq_obj(0), [[1, 2], [3, 4]]),
+     ValueError),
+    (lambda: chq_map(sphere(0), empty("chq"), [[7]]), ValueError),
+    (lambda: vectq_map(vectq_obj(0), vectq_obj(0), [[0.5]]), TypeError),
+    (lambda: vectq_map(vectq_obj(2), vectq_obj(2), [[1, 2], [3]]),
+     ValueError),
+    (lambda: vectq_obj(2.5), TypeError),
+    (lambda: finset_map(finset_obj(["a"]), finset_obj(["b"]), [0.9]),
+     TypeError),
+    (lambda: chq_obj([1.9, 0.2], [[0, 0], [1, 0]]), TypeError),
+], ids=["chq-diff-without-degrees", "vectq-rows-into-zero",
+        "chq-rows-into-empty", "vectq-float-into-zero", "vectq-ragged",
+        "vectq-fractional-dim", "finset-fractional-index",
+        "chq-fractional-degrees"])
+def test_constructors_reject_malformed_payloads(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_constructors_keep_empty_payloads():
+    assert vectq_map(vectq_obj(3), vectq_obj(0), []).matrix == ()
+    assert chq_map(empty("chq"), sphere(0), [[]]).matrix == ((),)
+
+
 def test_unit_is_one_shared_object_per_backend():
     for b in BACKENDS:
         assert unit(b) is unit(b)

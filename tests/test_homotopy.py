@@ -12,11 +12,12 @@ the test says so explicitly instead of flattening them away.
 
 import pytest
 
-from cosegal import shapes
+from cosegal import homotopy, shapes
 from cosegal.base import (
-    chq_map, empty, finset_map, finset_obj, identity, is_cofibration,
-    is_isomorphism, is_trivial_fibration, is_weak_equivalence, sphere,
-    tensor, tensor_mor, unit,
+    chq_map, empty, finset_map, finset_obj, generating_cofibrations,
+    has_rlp, identity, is_cofibration, is_fibration, is_isomorphism,
+    is_trivial_fibration, is_weak_equivalence, sphere, tensor, tensor_mor,
+    unit,
 )
 from cosegal.colim import pushout, pushout_induced
 from cosegal.precat import (
@@ -221,6 +222,32 @@ def test_lifting_report_flags_a_non_surjective_chq_transition():
             assert not e["trivial_fibration"] and not e["rlp"]
         else:
             assert e["passed"]
+
+
+def test_lifting_report_settles_each_distinct_map_once(monkeypatch):
+    pc = two_constant_transfer(cylinder_data(dual_numbers_chq()), 3)
+    maps = {s: pc.cosegal_map(s) for s in pc.chains if len(s) > 2}
+    distinct = set(maps.values())
+    assert len(distinct) < len(maps)
+    gens = generating_cofibrations("chq", homotopy._degree_window(pc))
+    calls = []
+
+    def counted(i, p):
+        calls.append(p)
+        return has_rlp(i, p)
+
+    monkeypatch.setattr(homotopy, "has_rlp", counted)
+    entries = k_injectivity_report(pc, strong=True)
+    assert len(calls) == len(distinct) * len(gens)
+    # one entry per chain, each with the verdicts of its own map
+    assert [e["chain"] for e in entries] == list(maps)
+    for e in entries:
+        u = maps[e["chain"]]
+        assert e["trivial_fibration"] == is_trivial_fibration(u)
+        assert e["rlp"] == all(has_rlp(i, u) for i in gens)
+        assert e["steps_fibrant"] == all(
+            is_fibration(pc.gen_map(e["chain"], p))
+            for p in range(1, len(e["chain"]) - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ import pytest
 
 from cosegal import ratmat
 from cosegal.ratmat import (
-    block_diag, cokernel, eye, hstack, inverse, kernel_basis, kron, madd,
-    mat, matmul, msub, rank, rref, shape, solve_matrix, solve_vec,
-    transpose, vstack, zeros,
+    block_diag, build, cokernel, eye, has_shape, hstack, inverse,
+    kernel_basis, kron, madd, mat, matmul, msub, nonzeros, rank, rref,
+    shape, solve_matrix, solve_vec, submatrix, transpose, unvec, vec,
+    vstack, zeros,
 )
 
 from fixtures import assert_exact, ref_kron, ref_madd
@@ -103,6 +104,66 @@ def ref_rref(m):
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
+def ref_build(rows, cols, entries):
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for i, j, x in entries:
+        out[i][j] += Fraction(x)
+    return tuple(tuple(row) for row in out)
+
+
+def ref_vec(m, rows, cols):
+    return tuple(m[i][j] for j in range(cols) for i in range(rows))
+
+
+def test_builders_match_dense_references(rng):
+    # sparse_cases includes the 0 x 0 and n x 0 shapes
+    for m in sparse_cases(rng):
+        r, c = shape(m)
+        nz = nonzeros(m)
+        assert nz == [(i, j, m[i][j]) for i in range(r) for j in range(c)
+                      if m[i][j] != 0]
+        assert build(r, c, nz) == m
+        assert has_shape(build(r, c, nz), r, c)
+        assert unvec(vec(m), r, c) == m
+        assert vec(m) == ref_vec(m, r, c)
+        rows = rng.sample(range(r), rng.randint(0, r))
+        cols = rng.sample(range(c), rng.randint(0, c))
+        assert submatrix(m, rows, cols) == tuple(
+            tuple(m[i][j] for j in cols) for i in rows)
+        # random triples, repeated positions included, add up
+        triples = [(rng.randrange(r), rng.randrange(c),
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+                   for _ in range(r * c)] if r and c else []
+        triples += triples[:len(triples) // 3]
+        got = build(r, c, triples)
+        assert got == ref_build(r, c, triples)
+        for out in (got, submatrix(m, rows, cols), unvec(vec(m), r, c)):
+            assert_exact(out)
+
+
+def test_build_keeps_the_shape_of_columnless_matrices():
+    assert build(0, 0, []) == () == zeros(0, 0)
+    assert build(3, 0, []) == zeros(3, 0)
+    assert shape(build(3, 0, [])) == (3, 0)
+    assert build(2, 3, [(1, 2, 5), (1, 2, "1/2")]) == mat(
+        [[0, 0, 0], [0, 0, Fraction(11, 2)]])
+    assert has_shape((), 0, 7) and has_shape(zeros(2, 0), 2, 0)
+    assert not has_shape(zeros(2, 3), 2, 2)
+    assert not has_shape(((ratmat.ZERO,), ()), 2, 1)
+    assert not has_shape(eye(1), 0, 1)
+    assert vec(zeros(3, 0)) == () == vec(())
+    assert unvec((), 3, 0) == zeros(3, 0)
+    with pytest.raises(ValueError):
+        unvec((1, 2, 3), 2, 2)
+
+
+def test_build_rejects_floats():
+    with pytest.raises(TypeError):
+        build(1, 1, [(0, 0, 0.5)])
+    with pytest.raises(TypeError):
+        build(2, 2, [(0, 0, 1), (1, 1, 2.0)])
+
+
 def test_elementwise_kernels_match_dense_references(rng):
     for m in sparse_cases(rng):
         r, c = shape(m)
@@ -160,8 +221,11 @@ def test_kernel_and_cokernel_are_exact_on_sparse_input(rng):
             assert shape(k)[0] == c
         if r and c and shape(k)[1]:
             assert ratmat.is_zero(matmul(m, k))
-        dim, p, s = cokernel(m)
+        free, p, s = cokernel(m)
+        dim = len(free)
         assert dim == r - rank(m)
+        # the section includes the free coordinates
+        assert s == build(r, dim, [(f, j, 1) for j, f in enumerate(free)])
         assert_exact(p)
         assert_exact(s)
         if dim and c:
@@ -193,8 +257,8 @@ def test_sympy_domain_matrix_oracle(rng):
         assert rank(m) == d.rank()
         null = back(want_r.nullspace_from_rref(want_piv))
         assert kernel_basis(m) == (transpose(null) if null else zeros(c, 0))
-        dim, p, _ = cokernel(m)
-        assert dim == r - d.rank()
+        free, p, _ = cokernel(m)
+        assert len(free) == r - d.rank()
         t_r, t_piv = d.transpose().rref()
         assert p == back(t_r.nullspace_from_rref(t_piv))
 
@@ -255,7 +319,8 @@ def test_cokernel_projection_section(rng):
     for _ in range(40):
         rows, cols = rng.randint(0, 4), rng.randint(0, 4)
         m = rand_matrix(rng, rows, cols)
-        k, p, s = cokernel(m)
+        free, p, s = cokernel(m)
+        k = len(free)
         assert k == rows - rank(m)
         if k and cols:
             assert ratmat.is_zero(matmul(p, m))
