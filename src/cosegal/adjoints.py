@@ -1140,13 +1140,8 @@ def factor_through_unital(eta, psi):
                 out.append(p.mapping[pre])
             bar = make_map(e.dst, p.dst, tuple(out))
         else:
-            if p.dst.size() == 0 or e.dst.size() == 0:
-                mat = ratmat.zeros(p.dst.size(), e.dst.size())
-            else:
-                sec = ratmat.solve_matrix(e.matrix,
-                                          ratmat.eye(e.dst.size()))
-                mat = ratmat.matmul(p.matrix, sec)
-            bar = make_map(e.dst, p.dst, mat)
+            sec = ratmat.solve_matrix(e.matrix, ratmat.eye(e.dst.size()))
+            bar = make_map(e.dst, p.dst, ratmat.matmul(p.matrix, sec))
         if e.then(bar) != p:
             raise ValueError("map does not descend through the "
                              "unitalization at %r" % (s,))
@@ -1212,10 +1207,6 @@ def _solve_composition(pc, cols, a, b, c):
     nsrc = hab.size() * hbc.size()
     ndst = hac.size()
     lin = tensor(hab, hbc)
-    if nsrc == 0 or ndst == 0:
-        m = MMorphism(backend, lin, hac,
-                      matrix=ratmat.zeros(ndst, nsrc))
-        return m, True
 
     # unknowns: vec(m) column-major; each composable pair (s, t) of the
     # cocone contributes the block m @ (psi_s (x) psi_t) == psi_st . lax
@@ -1231,13 +1222,11 @@ def _solve_composition(pc, cols, a, b, c):
             cols[(a, c)].cocone[shapes.concat(s, t)]).matrix
         rows.append(_precompose(kst, ndst))
         rhs_vec.extend(ratmat.vec(rmat))
-    if backend == "chq":
-        hom_rows = _hom_constraint(lin, hac)
-        rows.append(hom_rows)
-        rhs_vec.extend(ratmat.vec(ratmat.zeros(ratmat.shape(hom_rows)[0], 1)))
+    # the chain-map rows (none off chq) also give the system its columns
+    hom_rows = _hom_constraint(lin, hac)
+    rows.append(hom_rows)
+    rhs_vec.extend(ratmat.vec(ratmat.zeros(ratmat.shape(hom_rows)[0], 1)))
     system = ratmat.vstack(rows)
-    if not system:
-        return None, False
     sol = ratmat.solve_vec(system, tuple(rhs_vec))
     if sol is None:
         raise ValueError("composition is inconsistent at %r" % ((a, b, c),))
@@ -1692,11 +1681,8 @@ def _descend_tensor(qs, qt, on_cops):
                 mapping.append(on_cops.mapping[big])
         cand = make_map(src, on_cops.dst, tuple(mapping))
     else:
-        if src.size() == 0 or on_cops.dst.size() == 0:
-            mat = ratmat.zeros(on_cops.dst.size(), src.size())
-        else:
-            sec = ratmat.kron(qs.section, qt.section)
-            mat = ratmat.matmul(on_cops.matrix, sec)
+        sec = ratmat.kron(qs.section, qt.section)
+        mat = ratmat.matmul(on_cops.matrix, sec)
         cand = MMorphism(backend, src, on_cops.dst, matrix=mat)
     check = tensor_mor(qs.proj, qt.proj).then(cand)
     if check != on_cops:

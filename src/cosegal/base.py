@@ -35,16 +35,17 @@ class MObject:
 
     Exactly one payload group is populated: `labels` for finset (a tuple of
     labels, each label itself a tuple of atom strings), `dim` for vectq,
-    `degrees` and `diff` for chq (`diff` a square ratmat matrix with
+    `degrees` and `diff` for chq (`diff` a square `ratmat.Matrix` with
     d(basis j) read off column j; entries only where deg(row) = deg(col)-1
-    and d*d = 0).
+    and d*d = 0). Equality and hashing are structural; a differential
+    compares by its shape and nonzeros.
     """
 
     backend: str
     labels: tuple = None
     dim: int = None
     degrees: tuple = None
-    diff: tuple = None
+    diff: ratmat.Matrix = None
 
     def size(self):
         if self.backend == "finset":
@@ -78,8 +79,8 @@ def vectq_obj(dim):
 
 def chq_obj(degrees, diff):
     degrees = tuple(map(operator.index, degrees))
-    diff = ratmat.mat(diff)
     n = len(degrees)
+    diff = ratmat.mat(diff, n)
     if not ratmat.has_shape(diff, n, n):
         raise ValueError("chq differential must be %dx%d" % (n, n))
     for i, j, _ in ratmat.nonzeros(diff):
@@ -122,16 +123,16 @@ class MMorphism:
     """A morphism src -> dst.
 
     finset: `mapping[i]` is the dst index of the image of src label i.
-    vectq/chq: `matrix` is a ratmat matrix with dst.size() rows and
-    src.size() columns; chq matrices are degree preserving and commute
-    with the differentials.
+    vectq/chq: `matrix` is a `ratmat.Matrix` of shape (dst.size(),
+    src.size()), also when either is 0; chq matrices are degree preserving
+    and commute with the differentials.
     """
 
     backend: str
     src: MObject
     dst: MObject
     mapping: tuple = None
-    matrix: tuple = None
+    matrix: ratmat.Matrix = None
 
     def then(self, other):
         """Diagrammatic composition: self first, then other."""
@@ -143,12 +144,8 @@ class MMorphism:
             return MMorphism(
                 "finset", self.src, other.dst,
                 mapping=tuple(other.mapping[i] for i in self.mapping))
-        m, k, n = other.dst.size(), self.dst.size(), self.src.size()
-        if m == 0 or n == 0 or k == 0:
-            mx = ratmat.zeros(m, n)
-        else:
-            mx = ratmat.matmul(other.matrix, self.matrix)
-        return MMorphism(self.backend, self.src, other.dst, matrix=mx)
+        return MMorphism(self.backend, self.src, other.dst,
+                         matrix=ratmat.matmul(other.matrix, self.matrix))
 
 
 def finset_map(src, dst, mapping):
@@ -162,7 +159,7 @@ def finset_map(src, dst, mapping):
 
 
 def vectq_map(src, dst, matrix):
-    matrix = ratmat.mat(matrix)
+    matrix = ratmat.mat(matrix, src.dim)
     if not ratmat.has_shape(matrix, dst.dim, src.dim):
         raise ValueError("vectq matrix must be %dx%d" % (dst.dim, src.dim))
     return MMorphism("vectq", src, dst, matrix=matrix)
@@ -170,15 +167,14 @@ def vectq_map(src, dst, matrix):
 
 def chq_map(src, dst, matrix):
     m, n = len(dst.degrees), len(src.degrees)
-    matrix = ratmat.mat(matrix)
+    matrix = ratmat.mat(matrix, n)
     if not ratmat.has_shape(matrix, m, n):
         raise ValueError("chq matrix must be %dx%d" % (m, n))
     for i, j, _ in ratmat.nonzeros(matrix):
         if dst.degrees[i] != src.degrees[j]:
             raise ValueError("chq map entry off the degree diagonal")
-    if m and n:
-        if ratmat.matmul(dst.diff, matrix) != ratmat.matmul(matrix, src.diff):
-            raise ValueError("chq map does not commute with differentials")
+    if ratmat.matmul(dst.diff, matrix) != ratmat.matmul(matrix, src.diff):
+        raise ValueError("chq map does not commute with differentials")
     return MMorphism("chq", src, dst, matrix=matrix)
 
 
@@ -574,8 +570,12 @@ def _hom_constraint(src, dst):
 
 def chq_hom_basis(src, dst):
     """A basis of the space of chain maps src -> dst, as morphisms."""
-    return tuple(chq_map(src, dst, ratmat.unvec(v, dst.size(), src.size()))
-                 for v in ratmat.transpose(_chain_maps(src, dst)))
+    basis = _chain_maps(src, dst)
+    n, k = ratmat.shape(basis)
+    # column c of the basis is the vectorization of the c-th chain map
+    return tuple(chq_map(src, dst, ratmat.unvec(
+        ratmat.vec(ratmat.submatrix(basis, range(n), (c,))),
+        dst.size(), src.size())) for c in range(k))
 
 
 def find_lift(i, p, f, g):
@@ -614,15 +614,12 @@ def find_lift(i, p, f, g):
     # vec(H i) = vec(f) and vec(p H) = vec(g)
     hom = _hom_constraint(b, x)
     big = ratmat.vstack([hom, _precompose(i, nx), _postcompose(p, nb)])
-    if nb * nx == 0 or not big:
-        h = zero_map(b, x)
-    else:
-        zero = ratmat.vec(ratmat.zeros(ratmat.shape(hom)[0], 1))
-        sol = ratmat.solve_vec(
-            big, zero + ratmat.vec(f.matrix) + ratmat.vec(g.matrix))
-        if sol is None:
-            return None
-        h = make_map(b, x, ratmat.unvec(sol, nx, nb))
+    zero = ratmat.vec(ratmat.zeros(ratmat.shape(hom)[0], 1))
+    sol = ratmat.solve_vec(
+        big, zero + ratmat.vec(f.matrix) + ratmat.vec(g.matrix))
+    if sol is None:
+        return None
+    h = make_map(b, x, ratmat.unvec(sol, nx, nb))
     if i.then(h) == f and h.then(p) == g:
         return h
     return None
@@ -654,23 +651,19 @@ def has_rlp(i, p):
     na, nb, nx, ny = a.size(), b.size(), x.size(), y.size()
     k_bx, k_ax, k_by = _chain_maps(b, x), _chain_maps(a, x), _chain_maps(b, y)
     boundary = ratmat.vstack([_precompose(i, nx), _postcompose(p, nb)])
-    rank_lift = (ratmat.rank(ratmat.matmul(boundary, k_bx))
-                 if nb * nx and boundary else 0)
-    dim_squares = ratmat.shape(k_ax)[1] + ratmat.shape(k_by)[1]
-    if na * ny:
-        dim_squares -= ratmat.rank(ratmat.hstack([
-            ratmat.matmul(_postcompose(p, na), k_ax),
-            ratmat.mneg(ratmat.matmul(_precompose(i, ny), k_by))]))
+    rank_lift = ratmat.rank(ratmat.matmul(boundary, k_bx))
+    commuting = ratmat.hstack([
+        ratmat.matmul(_postcompose(p, na), k_ax),
+        ratmat.mneg(ratmat.matmul(_precompose(i, ny), k_by))])
+    dim_squares = (ratmat.shape(k_ax)[1] + ratmat.shape(k_by)[1]
+                   - ratmat.rank(commuting))
     return rank_lift == dim_squares
 
 
 def _chain_maps(src, dst):
     """A basis of the (chain) maps src -> dst, as the columns of a matrix
     on vec coordinates."""
-    constraints = _hom_constraint(src, dst)
-    if constraints:
-        return ratmat.kernel_basis(constraints)
-    return ratmat.eye(src.size() * dst.size())
+    return ratmat.kernel_basis(_hom_constraint(src, dst))
 
 
 def _precompose(f, rows):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import ratmat
 from .ratmat import ONE
 from .base import (
-    MObject, MMorphism, chq_map, chq_obj, empty, identity, invert,
+    MObject, MMorphism, chq_map, chq_obj, identity, invert,
     is_identity, is_isomorphism, make_map, vectq_map, vectq_obj,
     _suffix_label,
 )
@@ -73,14 +73,8 @@ def copair(cop, maps, dst):
         if len(mapping) != len(cop.labels):
             raise ValueError("copair does not cover the coproduct")
         return MMorphism("finset", cop, dst, mapping=mapping)
-    blocks = [f.matrix if f.src.size() else ratmat.zeros(dst.size(), 0)
-              for f in maps]
-    if dst.size() == 0:
-        matrix = ratmat.zeros(0, cop.size())
-    elif cop.size() == 0:
-        matrix = ratmat.zeros(dst.size(), 0)
-    else:
-        matrix = ratmat.hstack(blocks)
+    matrix = (ratmat.hstack([f.matrix for f in maps]) if maps
+              else ratmat.zeros(dst.size(), 0))
     if backend == "chq":
         return chq_map(cop, dst, matrix)
     return vectq_map(cop, dst, matrix)
@@ -98,7 +92,7 @@ class Quotient:
 
     obj: MObject
     proj: MMorphism
-    section: tuple
+    section: object
 
 
 def _dsu_classes(n, pairs):
@@ -137,9 +131,8 @@ def quotient_linear(y, rel_matrix):
     if y.backend == "vectq":
         obj = vectq_obj(len(free))
     else:
-        # P d S, the differential induced on the free coordinates; a P
-        # without rows keeps no column count to multiply by
-        dq = ratmat.matmul(ratmat.matmul(p, y.diff), s) if free else ()
+        # P d S, the differential induced on the free coordinates
+        dq = ratmat.matmul(ratmat.matmul(p, y.diff), s)
         obj = chq_obj(tuple(y.degrees[f] for f in free), dq)
     return Quotient(obj, make_map(y, obj, p), s)
 
@@ -153,11 +146,7 @@ def coequalizer(f, g):
         pairs = [(f.mapping[i], g.mapping[i])
                  for i in range(len(f.src.labels))]
         return quotient_finset(y, pairs)
-    if f.src.size() == 0 or y.size() == 0:
-        rel = ratmat.zeros(y.size(), 0)
-    else:
-        rel = ratmat.msub(f.matrix, g.matrix)
-    return quotient_linear(y, rel)
+    return quotient_linear(y, ratmat.msub(f.matrix, g.matrix))
 
 
 def coequalize_relations(cop, relations):
@@ -180,13 +169,7 @@ def quotient_induced(q, h):
         ind = MMorphism("finset", q.obj, h.dst,
                         mapping=tuple(h.mapping[r] for r in q.section))
     else:
-        if q.obj.size() == 0:
-            ind = MMorphism(h.backend, q.obj, h.dst,
-                            matrix=ratmat.zeros(h.dst.size(), 0))
-        elif h.dst.size() == 0:
-            ind = MMorphism(h.backend, q.obj, h.dst, matrix=())
-        else:
-            ind = make_map(q.obj, h.dst, ratmat.matmul(h.matrix, q.section))
+        ind = make_map(q.obj, h.dst, ratmat.matmul(h.matrix, q.section))
     if q.proj.then(ind) != h:
         raise ValueError("map does not descend to the quotient")
     return ind
@@ -379,24 +362,11 @@ def equalizer(f, g):
                 if f.mapping[i] == g.mapping[i]]
         obj = MObject("finset", labels=tuple(x.labels[i] for i in keep))
         return obj, MMorphism("finset", obj, x, mapping=tuple(keep))
-    if f.dst.size() == 0 or x.size() == 0:
-        if x.size() == 0:
-            obj = empty(f.backend)
-            return obj, MMorphism(f.backend, obj, x,
-                                  matrix=ratmat.zeros(x.size(), 0))
-        return x, identity(x)
     k, free = ratmat.kernel_data(ratmat.msub(f.matrix, g.matrix))
-    dim = len(free)
     if f.backend == "vectq":
-        obj = vectq_obj(dim)
-        if dim == 0:
-            return obj, MMorphism("vectq", obj, x,
-                                  matrix=ratmat.zeros(x.size(), 0))
+        obj = vectq_obj(len(free))
         return obj, vectq_map(obj, x, k)
     degrees = tuple(x.degrees[i] for i in free)
-    if dim == 0:
-        obj = empty("chq")
-        return obj, MMorphism("chq", obj, x, matrix=ratmat.zeros(x.size(), 0))
     dsub = ratmat.solve_matrix(k, ratmat.matmul(x.diff, k))
     if dsub is None:
         raise ValueError("equalizer is not a subcomplex")

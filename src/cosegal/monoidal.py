@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 from . import ratmat, shapes
 from .base import (
-    MMorphism, MObject, chq_obj, empty, identity, invert,
+    MMorphism, MObject, chq_obj, identity, invert,
     make_map, symmetry, tensor, tensor_mor, tensor_multi, unit,
     vectq_obj, right_unitor, left_unitor,
 )
@@ -609,15 +609,10 @@ def _route_subobject(src, slots, offsets, prod, routes):
             i, v = divmod(c, nfs)
             row = index.setdefault((s, v, r), len(index))
             entries.append((row, offsets[a] + i, -x))
-    if entries:
-        basis, free = ratmat.kernel_data(
-            ratmat.build(len(index), prod.size(), entries))
-    else:
-        basis, free = ratmat.eye(prod.size()), tuple(range(prod.size()))
+    basis, free = ratmat.kernel_data(
+        ratmat.build(len(index), prod.size(), entries))
     if prod.backend == "vectq":
         obj = vectq_obj(len(free))
-    elif not free:
-        obj = empty("chq")
     else:
         dsub = ratmat.solve_matrix(basis, ratmat.matmul(prod.diff, basis))
         if dsub is None:

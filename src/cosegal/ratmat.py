@@ -6,25 +6,68 @@ yields the same pivots, the same kernel basis and the same cokernel
 coordinates, which the rest of the package relies on for exact equality
 checks.
 
-This is the only module that knows how a matrix is stored: a tuple of
-dense rows, each a tuple of Fraction, zeros the shared ZERO, and a matrix
-without rows keeps no column count. Other modules make matrices with
-`mat` (from nested rows of exact numbers), `build` (from (row, column,
-entry) triples with an explicit shape), `eye`, `zeros`, `unvec` and the
-copies `transpose`, `submatrix`, `hstack`, `vstack` and `block_diag`; they
-read them through `shape`, `nonzeros`, `vec` and `has_shape`.
+A matrix is a `Matrix`: an explicit `shape` (rows, columns) and a `rows`
+tuple holding, for each row, the (column, entry) pairs of its nonzero
+entries in ascending column order, every entry a Fraction. No zero is
+stored and a matrix without rows keeps its column count, so the form is
+canonical: `==` and `hash` compare shapes and nonzeros, and every kernel
+does work in proportion to the nonzeros it reads and writes.
 
-The data is mostly zeros (chain-complex differentials and their tensor
-products), so every kernel does its arithmetic on nonzero entries only:
-results start as rows of the shared ZERO and only products, sums and
-quotients of nonzero entries are computed and written. Copies do no
-arithmetic and are left to tuple and list operations.
+This is the only module that knows that form. Other modules make
+matrices with `mat` (from nested rows of exact numbers), `build` (from
+(row, column, entry) triples with an explicit shape), `eye`, `zeros`,
+`unvec` and the copies `transpose`, `submatrix`, `hstack`, `vstack` and
+`block_diag`; they read them through `shape`, `nonzeros`, `vec` and
+`has_shape`. A `Matrix` also reads as a tuple of dense rows (`len(m)`,
+`m[i]`, iteration); that view is for readers outside the package, such
+as tests and benchmarks, and nothing in the package uses it.
 """
 
 from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class Matrix:
+    """An exact rational matrix: `shape` and the sorted nonzero `rows`.
+
+    The constructor takes the form as given and checks nothing; make
+    matrices with `mat`, `build` and the other functions of this module.
+    """
+
+    __slots__ = ("shape", "rows")
+
+    def __init__(self, shape, rows):
+        self.shape = shape
+        self.rows = rows
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.shape == other.shape and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.shape, self.rows))
+
+    def __repr__(self):
+        return "Matrix(%r, %r)" % (self.shape, self.rows)
+
+    # the dense view, for readers outside the package
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, i):
+        row = [ZERO] * self.shape[1]
+        for j, x in self.rows[i]:
+            row[j] = x
+        return tuple(row)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.shape[0]))
 
 
 def _entry(x):
@@ -37,58 +80,93 @@ def _entry(x):
     return Fraction(x)
 
 
-def mat(rows):
-    """Build a matrix from an iterable of row iterables of exact numbers."""
-    return tuple(tuple(_entry(x) for x in row) for row in rows)
+def mat(x, cols=None):
+    """A Matrix from nested rows of exact numbers; a Matrix is returned
+    as it is. The rows must have one length; without rows the matrix has
+    cols columns (none if cols is None)."""
+    if isinstance(x, Matrix):
+        return x
+    rows, width = [], None
+    for row in x:
+        row = [_entry(e) for e in row]
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError("matrix rows of unequal length")
+        rows.append(tuple([(j, e) for j, e in enumerate(row) if e]))
+    if width is None:
+        width = cols or 0
+    return Matrix((len(rows), width), tuple(rows))
 
 
 def shape(m):
-    return (len(m), len(m[0]) if m else 0)
+    return m.shape
 
 
 def eye(n):
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+    return Matrix((n, n), tuple(((i, ONE),) for i in range(n)))
 
 
 def zeros(rows, cols):
-    return tuple((ZERO,) * cols for _ in range(rows))
+    return Matrix((rows, cols), ((),) * rows)
 
 
 def build(rows, cols, entries):
     """The rows x cols matrix with the given (row, column, entry) triples,
     0 <= row < rows and 0 <= column < cols. Entries at one position add
-    up; every other entry is ZERO."""
-    out = [[ZERO] * cols for _ in range(rows)]
+    up; every other entry is zero."""
+    acc = {}
     for i, j, x in entries:
         if not isinstance(x, Fraction):
             x = _entry(x)
-        row = out[i]
-        y = row[j]
-        row[j] = x if y is ZERO else y + x
-    return tuple(map(tuple, out))
+        row = acc.get(i)
+        if row is None:
+            acc[i] = {j: x}
+        else:
+            y = row.get(j)
+            row[j] = x if y is None else y + x
+    out = [()] * rows
+    for i, row in acc.items():
+        row = sorted([(j, x) for j, x in row.items() if x])
+        if i < 0 or row and not (0 <= row[0][0] and row[-1][0] < cols):
+            raise IndexError("entry (%d, %d) out of a %dx%d matrix"
+                             % (i, row[-1][0] if row else 0, rows, cols))
+        out[i] = tuple(row)
+    return Matrix((rows, cols), tuple(out))
 
 
 def has_shape(m, rows, cols):
-    """Whether m has rows rows of cols entries each; a matrix without rows
-    has every column count."""
-    return len(m) == rows and all(len(row) == cols for row in m)
+    """Whether m has rows rows and cols columns."""
+    return m.shape == (rows, cols)
 
 
 def nonzeros(m):
     """The (row, column, entry) triples of the nonzero entries of m, row
     by row."""
-    return [(i, j, x) for i, row in enumerate(m)
-            for j, x in enumerate(row) if x is not ZERO and x]
+    return [(i, j, x) for i, row in enumerate(m.rows) for j, x in row]
 
 
 def submatrix(m, rows, cols):
     """The entries of m in the listed rows and columns, in that order."""
-    return tuple(tuple(m[i][j] for j in cols) for i in rows)
+    cols = list(cols)
+    if cols and not (0 <= min(cols) and max(cols) < m.shape[1]):
+        raise IndexError("column out of range")
+    where = {}
+    for k, j in enumerate(cols):
+        where.setdefault(j, []).append(k)
+    out = tuple(tuple(sorted([(k, x) for j, x in m.rows[i] if j in where
+                              for k in where[j]])) for i in rows)
+    return Matrix((len(out), len(cols)), out)
 
 
 def vec(m):
     """The column-major vectorization of m as one tuple."""
-    return tuple(x for col in zip(*m) for x in col)
+    r, c = m.shape
+    out = [ZERO] * (r * c)
+    for i, row in enumerate(m.rows):
+        for j, x in row:
+            out[j * r + i] = x
+    return tuple(out)
 
 
 def unvec(v, rows, cols):
@@ -96,159 +174,177 @@ def unvec(v, rows, cols):
     if len(v) != rows * cols:
         raise ValueError("unvec needs %d entries, got %d"
                          % (rows * cols, len(v)))
-    return tuple(tuple(v[j * rows + i] for j in range(cols))
-                 for i in range(rows))
-
-
-def _nonzeros(row):
-    """The (column, entry) pairs of the nonzero entries of a row."""
-    # the identity test passes over the shared ZERO without calling
-    # Fraction.__bool__, which is most of the cost of scanning a sparse row
-    return [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
+    out = [[] for _ in range(rows)]
+    for k, x in enumerate(v):
+        if x:
+            j, i = divmod(k, rows)
+            out[i].append((j, x))
+    return Matrix((rows, cols), tuple(map(tuple, out)))
 
 
 def transpose(m):
-    if not m:
-        return ()
-    return tuple(zip(*m))
+    r, c = m.shape
+    out = [[] for _ in range(c)]
+    for i, row in enumerate(m.rows):
+        for j, x in row:
+            out[j].append((i, x))
+    return Matrix((c, r), tuple(map(tuple, out)))
 
 
 def madd(a, b):
-    return tuple(tuple((x + y if y else x) if x else y
-                       for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    if a.shape != b.shape:
+        raise ValueError("cannot add a %dx%d and a %dx%d matrix"
+                         % (a.shape + b.shape))
+    out = []
+    for ra, rb in zip(a.rows, b.rows):
+        if not (ra and rb):
+            out.append(ra or rb)
+            continue
+        acc = dict(ra)
+        for j, y in rb:
+            x = acc.get(j)
+            acc[j] = y if x is None else x + y
+        out.append(tuple(sorted([(j, x) for j, x in acc.items() if x])))
+    return Matrix(a.shape, tuple(out))
 
 
 def msub(a, b):
-    return tuple(tuple((x - y if y else x) if x else (-y if y else y)
-                       for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return madd(a, mneg(b))
 
 
 def mneg(a):
-    return tuple(tuple(-x if x else x for x in row) for row in a)
+    return Matrix(a.shape, tuple(tuple([(j, -x) for j, x in row])
+                                 for row in a.rows))
 
 
 def mscale(c, a):
-    c = Fraction(c)
-    return tuple(tuple(c * x if x else x for x in row) for row in a)
+    c = _entry(c)
+    if not c:
+        return zeros(*a.shape)
+    return Matrix(a.shape, tuple(tuple([(j, c * x) for j, x in row])
+                                 for row in a.rows))
 
 
 def matmul(a, b):
-    ra, ca = shape(a)
-    rb, cb = shape(b)
+    (ra, ca), (rb, cb) = a.shape, b.shape
     if ca != rb:
         raise ValueError("matmul shape mismatch: %sx%s times %sx%s" % (ra, ca, rb, cb))
-    bnz = [_nonzeros(row) for row in b]
+    brows = b.rows
     out = []
-    for row in a:
-        acc = [ZERO] * cb
-        for k, x in _nonzeros(row):
-            for j, y in bnz[k]:
-                acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
+    for row in a.rows:
+        if not row:
+            out.append(row)
+            continue
+        if len(row) == 1:
+            # one term: a scaled copy of a row of b, with no cancellation
+            k, x = row[0]
+            out.append(brows[k] if x is ONE else
+                       tuple([(j, x * y) for j, y in brows[k]]))
+            continue
+        acc = {}
+        for k, x in row:
+            for j, y in brows[k]:
+                z = acc.get(j)
+                acc[j] = x * y if z is None else z + x * y
+        out.append(tuple(sorted([(j, z) for j, z in acc.items() if z])))
+    return Matrix((ra, cb), tuple(out))
 
 
 def hstack(mats):
-    mats = [m for m in mats]
-    rows = len(mats[0])
+    rows = mats[0].shape[0]
+    if any(m.shape[0] != rows for m in mats):
+        raise ValueError("hstack row mismatch")
+    offsets, cols = [], 0
     for m in mats:
-        if len(m) != rows:
-            raise ValueError("hstack row mismatch")
-    return tuple(tuple(x for m in mats for x in m[i]) for i in range(rows))
+        offsets.append(cols)
+        cols += m.shape[1]
+    out = tuple(tuple([(off + j, x) for m, off in zip(mats, offsets)
+                       for j, x in m.rows[i]]) for i in range(rows))
+    return Matrix((rows, cols), out)
 
 
 def vstack(mats):
-    out = []
-    cols = None
-    for m in mats:
-        r, c = shape(m)
-        if r == 0:
-            continue
-        if cols is None:
-            cols = c
-        elif c != cols:
-            raise ValueError("vstack column mismatch")
-        out.extend(m)
-    return tuple(out)
+    """The rows of the matrices, in order. Matrices without rows add
+    nothing and are not held to the common column count; if no matrix
+    has rows, the result has the column count of the first."""
+    full = [m for m in mats if m.shape[0]]
+    cols = (full or mats)[0].shape[1]
+    if any(m.shape[1] != cols for m in full):
+        raise ValueError("vstack column mismatch")
+    return Matrix((sum(m.shape[0] for m in full), cols),
+                  tuple(row for m in full for row in m.rows))
 
 
 def block_diag(mats):
-    rows = sum(len(m) for m in mats)
-    cols = sum(shape(m)[1] for m in mats)
-    out = [[ZERO] * cols for _ in range(rows)]
-    ro = co = 0
+    out, cols = [], 0
     for m in mats:
-        r, c = shape(m)
-        for i in range(r):
-            out[ro + i][co:co + c] = m[i]
-        ro += r
-        co += c
-    return tuple(tuple(row) for row in out)
+        out.extend(tuple([(cols + j, x) for j, x in row]) for row in m.rows)
+        cols += m.shape[1]
+    return Matrix((len(out), cols), tuple(out))
 
 
 def kron(a, b):
-    cb = shape(b)[1]
-    n = shape(a)[1] * cb
-    bnz = [_nonzeros(row) for row in b]
+    (ra, ca), (rb, cb) = a.shape, b.shape
     out = []
-    for row in a:
-        anz = [(j * cb, x) for j, x in _nonzeros(row)]
-        for brow in bnz:
-            prod = [ZERO] * n
-            for off, x in anz:
-                for j, y in brow:
-                    prod[off + j] = x * y
-            out.append(tuple(prod))
-    return tuple(out)
+    for arow in a.rows:
+        left = [(j * cb, x) for j, x in arow]
+        for brow in b.rows:
+            out.append(tuple([(j + l, y if x is ONE else x * y)
+                              for j, x in left for l, y in brow]))
+    return Matrix((ra * rb, ca * cb), tuple(out))
 
 
 def is_zero(m):
-    return not any(map(any, m))
+    return not any(m.rows)
 
 
 def rref(m):
     """Reduced row echelon form.
 
     Returns (R, pivots) where pivots lists the pivot column of each nonzero
-    row of R in order. Pivot choice is the first nonzero entry scanning rows
-    top to bottom, so the result is canonical.
+    row of R in order and the rows of R below them are zero. The reduced
+    row echelon form of a matrix is unique, so the result is canonical.
     """
-    rows = [list(row) for row in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        # rows r.. are zero left of c, so the pivot row's support starts at c
-        support = [j for j in range(c, ncols) if prow[j]]
-        for j in support:
-            prow[j] /= pv
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f:
-                row = rows[i]
-                for j in support:
-                    row[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    nrows, ncols = m.shape
+
+    def eliminate(row, p, prow):
+        """Clear column p of row (a dict) with prow, whose entry at p is 1."""
+        f = row.pop(p)
+        for j, y in prow.items():
+            if j != p:
+                z = row.get(j, ZERO) - f * y
+                if z:
+                    row[j] = z
+                else:
+                    del row[j]
+
+    # rows are added one at a time and kept fully reduced against each
+    # other; reduced maps each pivot column to its row, a dict column ->
+    # entry with 1 at the pivot
+    reduced = {}
+    for row in m.rows:
+        if len(reduced) == ncols:
             break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+        new = dict(row)
+        for p in [p for p in new if p in reduced]:
+            eliminate(new, p, reduced[p])
+        if not new:
+            continue
+        p = min(new)
+        pv = new[p]
+        if pv != ONE:
+            new = {j: x / pv for j, x in new.items()}
+        for other in reduced.values():
+            if p in other:
+                eliminate(other, p, new)
+        reduced[p] = new
+    pivots = tuple(sorted(reduced))
+    out = [tuple(sorted(reduced[p].items())) for p in pivots]
+    out += [()] * (nrows - len(out))
+    return Matrix(m.shape, tuple(out)), pivots
 
 
 def rank(m):
-    if not m or not m[0]:
-        return 0
     return len(rref(m)[1])
 
 
@@ -258,59 +354,52 @@ def solve_matrix(a, b):
     When the solution is not unique the free variables are set to zero, which
     makes the answer canonical.
     """
-    ra, ca = shape(a)
-    rb, cb = shape(b)
+    (ra, ca), (rb, cb) = a.shape, b.shape
     if ra != rb:
         raise ValueError("solve shape mismatch")
-    if ca == 0:
-        return zeros(0, cb) if is_zero(b) else None
     aug, pivots = rref(hstack([a, b]))
-    for c in pivots:
-        if c >= ca:
-            return None
-    x = [(ZERO,) * cb] * ca
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ca:]
-    return tuple(x)
+    if pivots and pivots[-1] >= ca:
+        return None
+    x = [()] * ca
+    for c, row in zip(pivots, aug.rows):
+        x[c] = tuple([(j - ca, v) for j, v in row if j >= ca])
+    return Matrix((ca, cb), tuple(x))
 
 
 def solve_vec(a, v):
-    x = solve_matrix(a, tuple((e,) for e in v))
+    x = solve_matrix(a, build(len(v), 1, [(i, 0, e) for i, e in enumerate(v)]))
     if x is None:
         return None
-    return tuple(row[0] for row in x)
+    return vec(x)
 
 
 def _null_vectors(r, pivots, n):
     """The canonical null vectors of an rref matrix r with n columns.
 
-    Returns (vectors, free): for each free (non-pivot) column f, a length-n
-    list with 1 at f and -r[i][f] at pivot column pivots[i].
+    Returns (vectors, free): the matrix with one row per free (non-pivot)
+    column f, with 1 at f and -r[i][f] at pivot column pivots[i].
     """
     pivset = set(pivots)
     free = [c for c in range(n) if c not in pivset]
     slot = {f: k for k, f in enumerate(free)}
-    vecs = [[ZERO] * n for _ in free]
-    for k, f in enumerate(free):
-        vecs[k][f] = ONE
-    for i, p in enumerate(pivots):
-        for f, x in _nonzeros(r[i]):
-            if f in slot:
-                vecs[slot[f]][p] = -x
-    return vecs, free
+    vecs = [[] for _ in free]
+    for p, row in zip(pivots, r.rows):
+        for f, x in row:
+            k = slot.get(f)
+            if k is not None:
+                vecs[k].append((p, -x))
+    # a pivot row has entries right of its pivot only, so every pivot in
+    # the row of f lies left of f
+    for f, v in zip(free, vecs):
+        v.append((f, ONE))
+    return Matrix((len(free), n), tuple(map(tuple, vecs))), free
 
 
 def kernel_data(m):
     """(basis, free) for ker(m): the n x k rref parametrization plus the
     free column indices the basis columns correspond to."""
-    nrows, ncols = shape(m)
-    if ncols == 0:
-        return zeros(0, 0), ()
-    if nrows == 0:
-        return eye(ncols), tuple(range(ncols))
-    vecs, free = _null_vectors(*rref(m), ncols)
-    basis = tuple(zip(*vecs)) if vecs else zeros(ncols, 0)
-    return basis, tuple(free)
+    vecs, free = _null_vectors(*rref(m), m.shape[1])
+    return transpose(vecs), tuple(free)
 
 
 def kernel_basis(m):
@@ -331,21 +420,18 @@ def cokernel(m):
     free coordinates" and S includes the free coordinates. Everything is
     exact and canonical.
     """
-    nrows, ncols = shape(m)
+    nrows = m.shape[0]
     # rows of r span the column space of m inside Q^nrows
-    r, pivots = rref(transpose(m)) if ncols else ((), ())
-    p, free = _null_vectors(r, pivots, nrows)
+    p, free = _null_vectors(*rref(transpose(m)), nrows)
     s = build(nrows, len(free), [(f, j, ONE) for j, f in enumerate(free)])
-    return tuple(free), tuple(map(tuple, p)), s
+    return tuple(free), p, s
 
 
 def inverse(m):
     """Exact inverse, or None if m is not square invertible."""
-    r, c = shape(m)
+    r, c = m.shape
     if r != c:
         return None
-    if r == 0:
-        return ()
     x = solve_matrix(m, eye(r))
     if x is None:
         return None

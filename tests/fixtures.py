@@ -357,7 +357,7 @@ def reference_has_rlp(i, p):
         fm = ratmat.unvec(fv, nx, na)
         pf = ratmat.matmul(p.matrix, fm) if nx and ny and na else ratmat.zeros(ny, na)
         cols.append(ratmat.vec(pf) if ny and na else ())
-    left = (tuple(tuple(col[r] for col in cols) for r in range(ny * na))
+    left = (ratmat.mat(tuple(col[r] for col in cols) for r in range(ny * na))
             if ny * na else ratmat.zeros(0, nax))
     cols = []
     for c in range(nby):
@@ -365,7 +365,7 @@ def reference_has_rlp(i, p):
         gm = ratmat.unvec(gv, ny, nb)
         gi = ratmat.matmul(gm, i.matrix) if ny and nb and na else ratmat.zeros(ny, na)
         cols.append(ratmat.vec(gi) if ny and na else ())
-    right = (tuple(tuple(col[r] for col in cols) for r in range(ny * na))
+    right = (ratmat.mat(tuple(col[r] for col in cols) for r in range(ny * na))
              if ny * na else ratmat.zeros(0, nby))
     if ny * na:
         square_rel = ratmat.hstack([left, ratmat.mneg(right)])
@@ -386,7 +386,7 @@ def reference_has_rlp(i, p):
         fc = ratmat.solve_vec(k_ax, fv) if dim_ax else ()
         gc = ratmat.solve_vec(k_by, gv) if dim_by else ()
         tcols.append(tuple(fc) + tuple(gc))
-    t = (tuple(tuple(col[r] for col in tcols) for r in range(nax + nby))
+    t = (ratmat.mat(tuple(col[r] for col in tcols) for r in range(nax + nby))
          if tcols else ratmat.zeros(nax + nby, 0))
     rank_t = ratmat.rank(t) if tcols else 0
     both = ratmat.hstack([t, squares]) if tcols else squares

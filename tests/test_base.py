@@ -50,8 +50,9 @@ def test_constructors_reject_malformed_payloads(build, error):
 
 
 def test_constructors_keep_empty_payloads():
-    assert vectq_map(vectq_obj(3), vectq_obj(0), []).matrix == ()
-    assert chq_map(empty("chq"), sphere(0), [[]]).matrix == ((),)
+    into_zero = vectq_map(vectq_obj(3), vectq_obj(0), []).matrix
+    assert tuple(into_zero) == () and ratmat.shape(into_zero) == (0, 3)
+    assert tuple(chq_map(empty("chq"), sphere(0), [[]]).matrix) == ((),)
 
 
 def test_unit_is_one_shared_object_per_backend():
@@ -162,7 +163,7 @@ def test_chq_tensor_differential_squares_to_zero(rng):
         assert_exact(d)
         if d:
             assert ratmat.is_zero(ratmat.matmul(d, d))
-            assert d == koszul_reference(x, y)
+            assert tuple(d) == koszul_reference(x, y)
         # strict associativity on the nose
         z = rand_chq(rng, max_rank=2)
         assert tensor(tensor(x, y), z) == tensor(x, tensor(y, z))

@@ -364,6 +364,20 @@ def test_cosegalify_chq_repairs_a_non_cosegal_input():
     _realization_matches(pc, out)
 
 
+def test_cosegalify_chq_validates_a_23_dimensional_slot():
+    # ten spheres pad the one-dimensional hom; the output's degree-1 slot
+    # has 23 dimensions, and validate checks associativity on tensors of
+    # three of its values
+    cat = chainify_category(function_category({"a": 1}))
+    w = cat.homs[("a", "a")]
+    rep, sec = padded_replacement(w, [sphere(1)] * 10)
+    data = TwoConstantData(cat, {("a", "a"): rep},
+                           {"a": cat.idpoints["a"].then(sec)})
+    out, _ = cosegalify_two_constant(two_constant_transfer(data, 3))
+    assert max(out.value(s).size() for s in out.chains) == 23
+    assert validate(out) == []
+
+
 def test_cosegalify_chq_cylinders_keeps_the_weak_equivalence():
     pc = two_constant_transfer(cylinder_data(dual_numbers_chq()), 3)
     assert is_cosegal(pc)

@@ -3,12 +3,10 @@ the relative-transformation calculus.
 
 Each backend gets one strict-category fixture at truncation 2 and a
 partner to tensor it with; the vectq partner is the two-dimensional group
-algebra. The linearization is also tensored with itself: that product has
-16-dimensional slots, so its associativity checks compare composites on
-4096-dimensional, almost entirely zero Kronecker products. The associator
-of three copies of it is left out: its check scans dense 4096 x 4096
-matrices for their nonzeros, which takes about 13 s on a shared
-2-vCPU host.
+algebra. The linearization is also tensored with itself, and the
+associator of three copies of it is checked: those products have 16- and
+64-dimensional slots, so the checks compare composites on Kronecker
+products of up to 4096 x 4096 entries, almost all of them zero.
 
 Restriction to one letter is `pullback` along the letter, and it is
 monoidal: restricting a slotwise tensor at a pair of letters is the
@@ -100,6 +98,11 @@ def test_linearization_squared_is_a_unital_precategory():
     assert check_unital(p) == []
     ident = identity_morphism(lin)
     assert validate_morphism(tensor_s_mor(ident, ident)) == []
+
+
+def test_linearization_cubed_associator_is_a_morphism():
+    lin, _ = precats("vectq")
+    assert validate_morphism(tensor_s_assoc(lin, lin, lin)) == []
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -279,7 +282,7 @@ def test_nat_object_is_the_solution_space_of_the_route_equations(
     columns = [[x for s in chains
                 for x in route_difference(with_family(t, eta), r, s)]
                for eta in basis]
-    kernel = ratmat.kernel_basis(tuple(zip(*columns)))
+    kernel = ratmat.kernel_basis(ratmat.mat(zip(*columns)))
     assert n.obj.size() == len(kernel[0]) == 2
     for column in zip(*kernel):
         assert n.member(n.vector_family(column))
@@ -331,7 +334,7 @@ def test_pairing_is_associative_and_composes_families(backend, shape):
         else:
             column = ratmat.matmul(
                 n12.include.matrix,
-                tuple((row[k1 * size + k2],) for row in p12.matrix))
+                ratmat.mat((row[k1 * size + k2],) for row in p12.matrix))
             paired = n12.vector_family(tuple(row[0] for row in column))
         composite = compose_nat_transforms(with_family(t, n.family(k1)),
                                            with_family(t, n.family(k2)))
