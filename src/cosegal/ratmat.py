@@ -23,37 +23,24 @@ matrices with `mat` (from nested rows of exact numbers), `build` (from
 as tests and benchmarks, and nothing in the package uses it.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+@dataclass(frozen=True, slots=True)
 class Matrix:
     """An exact rational matrix: `shape` and the sorted nonzero `rows`.
 
     The constructor takes the form as given and checks nothing; make
     matrices with `mat`, `build` and the other functions of this module.
+    A Matrix is frozen, because it is hashed and held by frozen objects.
     """
 
-    __slots__ = ("shape", "rows")
-
-    def __init__(self, shape, rows):
-        self.shape = shape
-        self.rows = rows
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.shape == other.shape and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.shape, self.rows))
-
-    def __repr__(self):
-        return "Matrix(%r, %r)" % (self.shape, self.rows)
+    shape: tuple
+    rows: tuple
 
     # the dense view, for readers outside the package
 
@@ -117,6 +104,9 @@ def build(rows, cols, entries):
     up; every other entry is zero."""
     acc = {}
     for i, j, x in entries:
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise IndexError("entry (%d, %d) out of a %dx%d matrix"
+                             % (i, j, rows, cols))
         if not isinstance(x, Fraction):
             x = _entry(x)
         row = acc.get(i)
@@ -127,11 +117,7 @@ def build(rows, cols, entries):
             row[j] = x if y is None else y + x
     out = [()] * rows
     for i, row in acc.items():
-        row = sorted([(j, x) for j, x in row.items() if x])
-        if i < 0 or row and not (0 <= row[0][0] and row[-1][0] < cols):
-            raise IndexError("entry (%d, %d) out of a %dx%d matrix"
-                             % (i, row[-1][0] if row else 0, rows, cols))
-        out[i] = tuple(row)
+        out[i] = tuple(sorted([(j, x) for j, x in row.items() if x]))
     return Matrix((rows, cols), tuple(out))
 
 
@@ -209,7 +195,20 @@ def madd(a, b):
 
 
 def msub(a, b):
-    return madd(a, mneg(b))
+    if a.shape != b.shape:
+        raise ValueError("cannot subtract a %dx%d and a %dx%d matrix"
+                         % (a.shape + b.shape))
+    out = []
+    for ra, rb in zip(a.rows, b.rows):
+        if not rb:
+            out.append(ra)
+            continue
+        acc = dict(ra)
+        for j, y in rb:
+            x = acc.get(j)
+            acc[j] = -y if x is None else x - y
+        out.append(tuple(sorted([(j, x) for j, x in acc.items() if x])))
+    return Matrix(a.shape, tuple(out))
 
 
 def mneg(a):
@@ -236,7 +235,9 @@ def matmul(a, b):
             out.append(row)
             continue
         if len(row) == 1:
-            # one term: a scaled copy of a row of b, with no cancellation
+            # one term: a scaled copy of a row of b, with no cancellation.
+            # Most nonzero rows multiplied here have one term, often the
+            # shared ONE of a reindexing, whose products would only copy
             k, x = row[0]
             out.append(brows[k] if x is ONE else
                        tuple([(j, x * y) for j, y in brows[k]]))
@@ -264,15 +265,11 @@ def hstack(mats):
 
 
 def vstack(mats):
-    """The rows of the matrices, in order. Matrices without rows add
-    nothing and are not held to the common column count; if no matrix
-    has rows, the result has the column count of the first."""
-    full = [m for m in mats if m.shape[0]]
-    cols = (full or mats)[0].shape[1]
-    if any(m.shape[1] != cols for m in full):
+    cols = mats[0].shape[1]
+    if any(m.shape[1] != cols for m in mats):
         raise ValueError("vstack column mismatch")
-    return Matrix((sum(m.shape[0] for m in full), cols),
-                  tuple(row for m in full for row in m.rows))
+    return Matrix((sum(m.shape[0] for m in mats), cols),
+                  tuple(row for m in mats for row in m.rows))
 
 
 def block_diag(mats):
@@ -289,7 +286,7 @@ def kron(a, b):
     for arow in a.rows:
         left = [(j * cb, x) for j, x in arow]
         for brow in b.rows:
-            out.append(tuple([(j + l, y if x is ONE else x * y)
+            out.append(tuple([(j + l, x * y)
                               for j, x in left for l, y in brow]))
     return Matrix((ra * rb, ca * cb), tuple(out))
 

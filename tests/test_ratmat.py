@@ -159,6 +159,13 @@ def test_build_keeps_the_shape_of_columnless_matrices():
         unvec((1, 2, 3), 2, 2)
 
 
+def test_build_rejects_entries_outside_the_shape():
+    for entries in ([(0, 3, 1)], [(2, 0, 1)], [(-1, 0, 1)], [(0, -1, 1)],
+                    [(0, 5, 1), (0, 5, -1)]):
+        with pytest.raises(IndexError):
+            build(2, 3, entries)
+
+
 def test_build_rejects_floats():
     with pytest.raises(TypeError):
         build(1, 1, [(0, 0, 0.5)])
@@ -355,8 +362,9 @@ def test_kron_mixed_product(rng):
 
 
 def test_stack_edges():
-    assert vstack([zeros(0, 0), mat([[1, 2]])]) == mat([[1, 2]])
-    assert vstack([zeros(0, 5), mat([[1, 2]])]) == mat([[1, 2]])
+    assert vstack([zeros(0, 2), mat([[1, 2]])]) == mat([[1, 2]])
+    with pytest.raises(ValueError):
+        vstack([zeros(0, 5), mat([[1, 2]])])
     assert hstack([zeros(2, 0), eye(2)]) == eye(2)
     assert tuple(transpose(zeros(0, 0))) == ()
     assert rank(zeros(0, 0)) == 0
@@ -384,6 +392,10 @@ def test_the_sparse_form_is_canonical(rng):
                              (1, 2, Fraction(-1, 2))])
     assert cancelled == zeros(2, 3) and hash(cancelled) == hash(zeros(2, 3))
     assert zeros(0, 3) != zeros(0, 2) and shape(mat([], 3)) == (0, 3)
+    # a hashed value cannot change
+    for field in ("shape", "rows"):
+        with pytest.raises(AttributeError):
+            setattr(cancelled, field, ())
     for m in sparse_cases(rng):
         r, c = shape(m)
         # the dense view round-trips, the empty shapes included
