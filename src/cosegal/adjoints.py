@@ -7,6 +7,15 @@ The central objects here:
   down to one, and the left adjoint `gamma` freely adds laxity back.
 * `point` freely adds unit points: the value at a chain becomes a sum
   over decompositions into carrier parts and unit parts.
+* Both are keyed sums with keys of one form, (cuts, labels): gamma's
+  keys are every subdivision with each part a carrier, point's the
+  alternating carrier/unit labelings. One builder makes the values,
+  structure maps and laxity of both (point also merges junction parts
+  of one label and adds units), and one map between builds serves
+  `gamma_map` and `point_map`.
+* Every gadget of the unitalization and of `psi` is point(gamma(k)) of
+  a bare diagram k; one `_Gadget` record holds the three builds, with
+  the map between two gadgets and the inclusion of a chain block.
 * `unitalize` quotients a pointed precategory until the unit laws hold,
   by gluing one universal gadget per violated constraint and iterating;
   a round builds one apex gadget per slot and one gadget per constraint.
@@ -77,11 +86,12 @@ class ChainTable:
 
     The free constructions read from here the laxity keys, the summand
     keys of gamma and point with their positions and the parts of their
-    cut tuples, the reinsertion of a deleted letter, the block each
-    laxity pair lands in, and the deletions onto a chain. All of it
-    depends on the chains and the truncation only. An entry is derived on
-    first use and kept as long as the table, which belongs to one
-    top-level call.
+    cut tuples (one key table, `keyed`), the reinsertion of a deleted
+    letter, the key each laxity pair lands in (one target table,
+    `targets`, which merges junction parts for point only), and the
+    deletions onto a chain. All of it depends on the chains and the
+    truncation only. An entry is derived on first use and kept as long as
+    the table, which belongs to one top-level call.
     """
 
     def __init__(self, chains, truncation):
@@ -89,10 +99,8 @@ class ChainTable:
         self.truncation = truncation
         self._laxity_keys = None
         self._reinsert = {}
-        self._gamma = {}
-        self._point = {}
-        self._gamma_lax = {}
-        self._point_lax = {}
+        self._keyed = {}
+        self._targets = {}
         self._homs = {}
         self._hom_steps = {}
 
@@ -110,65 +118,39 @@ class ChainTable:
             out = self._reinsert[key] = shapes.reinsert(z, cuts, p)
         return out
 
-    def _keyed(self, z, keys, cuts):
-        return _Keyed(keys, {key: i for i, key in enumerate(keys)},
-                      tuple(shapes.parts_of(z, c) for c in cuts))
-
-    def gamma(self, z):
-        """gamma_keys(z) with positions and parts."""
-        out = self._gamma.get(z)
+    def keyed(self, z, pointed):
+        """point_keys(z) when pointed, else gamma_keys(z), with positions
+        and parts."""
+        out = self._keyed.get((z, pointed))
         if out is None:
-            keys = gamma_keys(z)
-            out = self._gamma[z] = self._keyed(
-                z, keys, [cuts for _, cuts in keys])
+            keys = point_keys(z) if pointed else gamma_keys(z)
+            out = self._keyed[(z, pointed)] = _Keyed(
+                keys, {key: i for i, key in enumerate(keys)},
+                tuple(shapes.parts_of(z, cuts) for cuts, _ in keys))
         return out
 
-    def point(self, z):
-        """point_keys(z) with positions and parts."""
-        out = self._point.get(z)
+    def targets(self, s, t, pointed):
+        """The laxity at (s, t) as ((i, j), position, merged) triples. Key
+        i of s beside key j of t is the key of concat(s, t) that also cuts
+        at the junction. When pointed and the labels at the junction
+        agree, the two junction parts merge instead, and the target key
+        drops that cut; gamma's keys never merge."""
+        out = self._targets.get((s, t, pointed))
         if out is None:
-            keys = point_keys(z)
-            out = self._point[z] = self._keyed(
-                z, keys, [cuts for cuts, _ in keys])
-        return out
-
-    def gamma_targets(self, s, t):
-        """gamma's laxity at (s, t) as ((i, j), position) pairs: block i
-        of s beside block j of t is the block of concat(s, t) that also
-        cuts at the junction."""
-        out = self._gamma_lax.get((s, t))
-        if out is None:
-            pos = self.gamma(shapes.concat(s, t)).pos
+            pos = self.keyed(shapes.concat(s, t), pointed).pos
             shift = shapes.degree(s)
             out = []
-            for i, (_, cuts_s) in enumerate(self.gamma(s).keys):
-                for j, (_, cuts_t) in enumerate(self.gamma(t).keys):
-                    cuts = cuts_s + (shift,) + tuple(
-                        c + shift for c in cuts_t)
-                    out.append(((i, j), pos[("sub", cuts)]))
-            self._gamma_lax[(s, t)] = out
-        return out
-
-    def point_targets(self, s, t):
-        """point's laxity at (s, t) as ((i, j), position, merged) triples.
-        Key i of s beside key j of t is the key of concat(s, t) that also
-        cuts at the junction when the labels there differ; when they agree
-        the two junction parts merge, and the target key drops that cut."""
-        out = self._point_lax.get((s, t))
-        if out is None:
-            pos = self.point(shapes.concat(s, t)).pos
-            shift = shapes.degree(s)
-            out = []
-            for i, (cuts1, labels1) in enumerate(self.point(s).keys):
-                for j, (cuts2, labels2) in enumerate(self.point(t).keys):
+            for i, (cuts1, labels1) in enumerate(self.keyed(s, pointed).keys):
+                for j, (cuts2, labels2) in enumerate(
+                        self.keyed(t, pointed).keys):
                     shifted = tuple(c + shift for c in cuts2)
-                    merged = labels1[-1] == labels2[0]
+                    merged = pointed and labels1[-1] == labels2[0]
                     if merged:
                         key = (cuts1 + shifted, labels1 + labels2[1:])
                     else:
                         key = (cuts1 + (shift,) + shifted, labels1 + labels2)
                     out.append(((i, j), pos[key], merged))
-            self._point_lax[(s, t)] = out
+            self._targets[(s, t, pointed)] = out
         return out
 
     def hom_set(self, w, z0):
@@ -351,139 +333,21 @@ class _Sum:
 
 
 # ---------------------------------------------------------------------------
-# gamma: free laxity
+# gamma and point: free laxity and free unit points, one keyed-sum builder
+
+
+# the key of the one-part summand: the chain itself, one carrier part
+_WHOLE = ((), ("f",))
 
 
 def gamma_keys(z):
-    """Summand keys of the free value at z: the chain itself, then every
-    subdivision into composable parts, in canonical order."""
-    keys = [("whole", ())]
-    for cuts, _ in shapes.subdivisions(z):
-        keys.append(("sub", cuts))
+    """Summand keys of the free value at z, in point's key form
+    (cuts, labels) with every part a carrier: the chain itself, then
+    every subdivision into composable parts, in canonical order."""
+    keys = [_WHOLE]
+    for cuts, parts in shapes.subdivisions(z):
+        keys.append((cuts, ("f",) * len(parts)))
     return keys
-
-
-def gamma(k):
-    """The free precategory on a bare chain diagram.
-
-    Values collect the diagram's value together with one tensor block per
-    subdivision; laxity maps are the block injections; structure maps
-    reinsert the deleted letter into the one part that absorbs it. The
-    degree-1 slots are the input's objects on the nose.
-    """
-    return _gamma_build(k, _CallTables())[0]
-
-
-def _gamma_build(k, calls):
-    """gamma(k) together with its sums, {chain: _Sum}. Maps out of or into
-    gamma(k) read their blocks from these instead of rebuilding them.
-    calls holds the tables of the top-level call."""
-    table = calls.chains_of(k)
-    backend = k.backend
-    sums = {}
-    for z in k.chains:
-        keyed = table.gamma(z)
-        srcs = [k.value(z)] + [
-            calls.tensor_multi([k.value(q) for q in parts], backend)
-            for parts in keyed.parts[1:]]
-        obj, injs = calls.sum_objects(backend, srcs)
-        sums[z] = _Sum(obj, injs, srcs, keyed)
-    maps = {}
-    for z in k.chains:
-        big = sums[z]
-        for p in range(1, len(z) - 1):
-            small = sums[shapes.delete(z, p)]
-            # the chain block comes first
-            comps = [k.gen_map(z, p).then(big.injs[0])]
-            for _, cuts in small.keyed.keys[1:]:
-                big_cuts, j, rel = table.reinsert(z, cuts, p)
-                at = big.keyed.pos[("sub", big_cuts)]
-                parts = big.keyed.parts[at]
-                factors = [calls.identity(k.value(q)) for q in parts]
-                factors[j] = k.gen_map(parts[j], rel)
-                comps.append(calls.tensor_mor_multi(factors, backend).then(
-                    big.injs[at]))
-            maps[(z, p)] = _assemble(small.obj, comps, big.obj, backend)
-    laxity = {}
-    for s, t in table.laxity_keys():
-        left, right = sums[s], sums[t]
-        st = sums[shapes.concat(s, t)]
-        targets = {ij: st.injs[at] for ij, at in table.gamma_targets(s, t)}
-        laxity[(s, t)] = _pair_assemble(
-            backend, (left.obj, left.srcs), (right.obj, right.srcs),
-            targets, st.obj, src=calls.tensor(left.obj, right.obj))
-    values = {z: sm.obj for z, sm in sums.items()}
-    out = make_precategory(backend, k.letters, k.truncation, values, maps,
-                           laxity)
-    return out, sums
-
-
-def gamma_map(phi):
-    """The action of gamma on a morphism of bare chain diagrams."""
-    calls = _CallTables()
-    return _gamma_map_between(phi, _gamma_build(phi.src, calls),
-                              _gamma_build(phi.dst, calls), calls)
-
-
-def _gamma_map_between(phi, src, dst, calls):
-    """gamma_map(phi) between the builds src = _gamma_build(phi.src) and
-    dst = _gamma_build(phi.dst)."""
-    (gsrc, ssums), (gdst, dsums) = src, dst
-    backend = phi.src.backend
-    comps = {}
-    for z in phi.src.chains:
-        small, big = ssums[z], dsums[z]
-        legs = []
-        for key, parts in zip(small.keyed.keys, small.keyed.parts):
-            inj = big.injs[big.keyed.pos[key]]
-            if key[0] == "whole":
-                legs.append(phi.at(z).then(inj))
-            else:
-                legs.append(calls.tensor_mor_multi(
-                    [phi.at(q) for q in parts], backend).then(inj))
-        comps[z] = _assemble(small.obj, legs, big.obj, backend)
-    return PrecatMorphism(gsrc, gdst, comps)
-
-
-# ---------------------------------------------------------------------------
-# point: free unit summands
-
-
-def kobject_of(pc):
-    """Forget the laxity (and units): the underlying bare chain diagram."""
-    return make_precategory(pc.backend, pc.letters, pc.truncation,
-                            pc.values, pc.maps, {})
-
-
-def _chain_block(sums, z):
-    """The injection of the chain block into gamma(k)(z), read from the
-    sums of the gamma build."""
-    sm = sums[z]
-    return sm.injs[sm.keyed.pos[("whole", ())]]
-
-
-def gamma_unit(k):
-    """k -> forget(gamma(k)): the inclusion of the chain block."""
-    g, sums = _gamma_build(k, _CallTables())
-    comps = {z: _chain_block(sums, z) for z in k.chains}
-    return PrecatMorphism(k, kobject_of(g), comps)
-
-
-def gamma_counit(pc):
-    """gamma(forget(pc)) -> pc: identity on the chain block, iterated
-    laxity on each subdivision block."""
-    g, sums = _gamma_build(pc, _CallTables())
-    comps = {}
-    for z in pc.chains:
-        sm = sums[z]
-        legs = []
-        for (kind, _), parts in zip(sm.keyed.keys, sm.keyed.parts):
-            if kind == "whole":
-                legs.append(identity(pc.value(z)))
-            else:
-                legs.append(pc.lax_multi(parts))
-        comps[z] = _assemble(sm.obj, legs, pc.value(z), pc.backend)
-    return PrecatMorphism(g, pc, comps)
 
 
 def point_keys(z):
@@ -508,6 +372,17 @@ def point_keys(z):
     return out
 
 
+def gamma(k):
+    """The free precategory on a bare chain diagram.
+
+    Values collect the diagram's value together with one tensor block per
+    subdivision; laxity maps are the block injections; structure maps
+    reinsert the deleted letter into the one part that absorbs it. The
+    degree-1 slots are the input's objects on the nose.
+    """
+    return _gamma_build(k, _CallTables())[0]
+
+
 def point(pc):
     """Freely adjoin unit points to a precategory.
 
@@ -520,25 +395,40 @@ def point(pc):
     return _point_build(pc, _CallTables())[0]
 
 
+def _gamma_build(k, calls):
+    """gamma(k) together with its sums: `_free_build` on gamma's keys."""
+    return _free_build(k, calls, False)
+
+
 def _point_build(pc, calls):
-    """point(pc) together with its sums, {chain: _Sum}. Maps out of or
-    into point(pc) read their blocks from these instead of rebuilding
-    them. calls holds the tables of the top-level call."""
+    """point(pc) together with its sums: `_free_build` on point's keys."""
     if pc.is_pointed():
         raise ValueError("point expects an unpointed precategory")
+    return _free_build(pc, calls, True)
+
+
+def _free_build(pc, calls, pointed):
+    """point(pc) when pointed, else gamma(pc), together with its sums,
+    {chain: _Sum}. Maps out of or into the build read their blocks from
+    these instead of rebuilding them. calls holds the tables of the
+    top-level call.
+
+    The value at z sums, over the keys of z, the tensor of the key's
+    parts: pc's value on a carrier part, the unit on a unit part.
+    Structure maps reinsert the deleted letter into the one part that
+    absorbs it. The laxity puts key i of s beside key j of t; point
+    merges two junction parts of one label, through pc's laxity when
+    both are carriers and through the unitor when both are units.
+    """
     table = calls.chains_of(pc)
     backend = pc.backend
+    values = pc.values
     u = unit(backend)
-    unitor = left_unitor(u)
-
-    def carrier(q, label):
-        return pc.value(q) if label == "f" else u
-
     sums = {}
     for z in pc.chains:
-        keyed = table.point(z)
-        srcs = [calls.tensor_multi([carrier(q, l) for q, l in zip(
-                    parts, labels)], backend)
+        keyed = table.keyed(z, pointed)
+        srcs = [calls.tensor_multi([values[q] if l == "f" else u
+                                    for q, l in zip(parts, labels)], backend)
                 for (_, labels), parts in zip(keyed.keys, keyed.parts)]
         obj, injs = calls.sum_objects(backend, srcs)
         sums[z] = _Sum(obj, injs, srcs, keyed)
@@ -549,62 +439,76 @@ def _point_build(pc, calls):
             small = sums[shapes.delete(z, p)]
             comps = []
             for cuts, labels in small.keyed.keys:
+                if not cuts:
+                    # one part, the whole chain: the key does not change
+                    at = big.keyed.pos[(cuts, labels)]
+                    leg = (pc.gen_map(z, p) if labels[0] == "f"
+                           else calls.identity(u))
+                    comps.append(leg.then(big.injs[at]))
+                    continue
                 big_cuts, j, rel = table.reinsert(z, cuts, p)
                 at = big.keyed.pos[(big_cuts, labels)]
-                factors = [calls.identity(carrier(q, l)) for q, l in zip(
-                    big.keyed.parts[at], labels)]
+                parts = big.keyed.parts[at]
+                factors = [calls.identity(values[q] if l == "f" else u)
+                           for q, l in zip(parts, labels)]
                 if labels[j] == "f":
-                    factors[j] = pc.gen_map(big.keyed.parts[at][j], rel)
+                    factors[j] = pc.gen_map(parts[j], rel)
                 comps.append(calls.tensor_mor_multi(factors, backend).then(
                     big.injs[at]))
             maps[(z, p)] = _assemble(small.obj, comps, big.obj, backend)
+    unitor = left_unitor(u) if pointed else None
     laxity = {}
     for s, t in table.laxity_keys():
         left, right = sums[s], sums[t]
         st = sums[shapes.concat(s, t)]
         targets = {}
-        for (i, j), at, merged in table.point_targets(s, t):
+        for (i, j), at, merged in table.targets(s, t, pointed):
             if not merged:
                 targets[(i, j)] = st.injs[at]
                 continue
             # the two junction parts merge: through the laxity when both
             # are carrier parts, through the unitor when both are units
-            labels1 = left.keyed.keys[i][1]
-            labels2 = right.keyed.keys[j][1]
-            parts1 = left.keyed.parts[i]
-            parts2 = right.keyed.parts[j]
-            factors = [calls.identity(carrier(q, l))
-                       for q, l in zip(parts1[:-1], labels1[:-1])]
-            if labels1[-1] == "f":
-                factors.append(pc.lax(parts1[-1], parts2[0]))
-            else:
-                factors.append(unitor)
-            factors.extend(calls.identity(carrier(q, l))
-                           for q, l in zip(parts2[1:], labels2[1:]))
+            labels1, labels2 = left.keyed.keys[i][1], right.keyed.keys[j][1]
+            parts1, parts2 = left.keyed.parts[i], right.keyed.parts[j]
+            factors = [calls.identity(values[q] if l == "f" else u)
+                       for q, l in zip(parts1[:-1] + parts2[1:],
+                                       labels1[:-1] + labels2[1:])]
+            factors.insert(len(parts1) - 1, pc.lax(parts1[-1], parts2[0])
+                           if labels1[-1] == "f" else unitor)
             targets[(i, j)] = calls.tensor_mor_multi(
                 factors, backend).then(st.injs[at])
         laxity[(s, t)] = _pair_assemble(
             backend, (left.obj, left.srcs), (right.obj, right.srcs),
             targets, st.obj, src=calls.tensor(left.obj, right.obj))
-    units = {a: sums[(a, a)].injs[sums[(a, a)].keyed.pos[((), ("u",))]]
-             for a in pc.letters}
-    values = {z: sm.obj for z, sm in sums.items()}
-    out = make_precategory(backend, pc.letters, pc.truncation, values,
-                           maps, laxity, units=units)
+    units = None
+    if pointed:
+        units = {a: sums[(a, a)].injs[sums[(a, a)].keyed.pos[((), ("u",))]]
+                 for a in pc.letters}
+    out = make_precategory(backend, pc.letters, pc.truncation,
+                           {z: sm.obj for z, sm in sums.items()}, maps,
+                           laxity, units=units)
     return out, sums
+
+
+def gamma_map(phi):
+    """The action of gamma on a morphism of bare chain diagrams."""
+    calls = _CallTables()
+    return _free_map_between(phi, _gamma_build(phi.src, calls),
+                             _gamma_build(phi.dst, calls), calls)
 
 
 def point_map(alpha):
     """The action of point on a morphism of unpointed precategories."""
     calls = _CallTables()
-    return _point_map_between(alpha, _point_build(alpha.src, calls),
-                              _point_build(alpha.dst, calls), calls)
+    return _free_map_between(alpha, _point_build(alpha.src, calls),
+                             _point_build(alpha.dst, calls), calls)
 
 
-def _point_map_between(alpha, src, dst, calls):
-    """point_map(alpha) between the builds src = _point_build(alpha.src)
-    and dst = _point_build(alpha.dst)."""
-    (psrc, ssums), (pdst, dsums) = src, dst
+def _free_map_between(alpha, src, dst, calls):
+    """gamma_map(alpha) or point_map(alpha) between the builds src of
+    alpha.src and dst of alpha.dst, both made on the same keys: alpha on
+    carrier parts, the identity on unit parts."""
+    (fsrc, ssums), (fdst, dsums) = src, dst
     backend = alpha.src.backend
     unit_id = calls.identity(unit(backend))
     comps = {}
@@ -617,21 +521,46 @@ def _point_map_between(alpha, src, dst, calls):
             legs.append(calls.tensor_mor_multi(factors, backend).then(
                 big.injs[big.keyed.pos[key]]))
         comps[z] = _assemble(small.obj, legs, big.obj, backend)
-    return PrecatMorphism(psrc, pdst, comps)
+    return PrecatMorphism(fsrc, fdst, comps)
 
 
-def _carrier_part(sums, z):
-    """The injection of the one-part carrier summand into point(pc)(z),
-    read from the sums of the point build."""
+def _one_part(sums, z):
+    """The injection of the one-part summand (the chain block of gamma,
+    the carrier part of point) at z, read from the sums of a build."""
     sm = sums[z]
-    return sm.injs[sm.keyed.pos[((), ("f",))]]
+    return sm.injs[sm.keyed.pos[_WHOLE]]
+
+
+def kobject_of(pc):
+    """Forget the laxity (and units): the underlying bare chain diagram."""
+    return make_precategory(pc.backend, pc.letters, pc.truncation,
+                            pc.values, pc.maps, {})
+
+
+def gamma_unit(k):
+    """k -> forget(gamma(k)): the inclusion of the chain block."""
+    g, sums = _gamma_build(k, _CallTables())
+    comps = {z: _one_part(sums, z) for z in k.chains}
+    return PrecatMorphism(k, kobject_of(g), comps)
+
+
+def gamma_counit(pc):
+    """gamma(forget(pc)) -> pc: iterated laxity on each block, the
+    identity on the one-part chain block."""
+    g, sums = _gamma_build(pc, _CallTables())
+    comps = {}
+    for z in pc.chains:
+        sm = sums[z]
+        legs = [pc.lax_multi(parts) for parts in sm.keyed.parts]
+        comps[z] = _assemble(sm.obj, legs, pc.value(z), pc.backend)
+    return PrecatMorphism(g, pc, comps)
 
 
 def point_carrier_inclusion(pc):
     """The inclusion of the carrier into its free pointing, one-part
     decompositions only."""
     dst, sums = _point_build(pc, _CallTables())
-    comps = {z: _carrier_part(sums, z) for z in pc.chains}
+    comps = {z: _one_part(sums, z) for z in pc.chains}
     return PrecatMorphism(pc, dst, comps)
 
 
@@ -695,20 +624,39 @@ def _free_hom_map_between(f, src, dst):
 
 @dataclass
 class _Gadget:
-    """upsilon(letters, truncation, z0, m) with the build of each stage,
-    every one a (precategory, sums) pair: k of `_free_hom_build`, gk of
-    `_gamma_build` on k, pointed of `_point_build` on gk. Every gadget map
-    reads its summands from these sums."""
+    """point(gamma(k)) for a bare chain diagram k, with the build of each
+    stage as a (precategory, data) pair: k with the data its presentation
+    gives (the sums of `_free_hom_build` for upsilon, the wide pushouts of
+    `hom_extension_kobject` for psi), gk of `_gamma_build` on k, pointed
+    of `_point_build` on gk. Every map into or out of the gadget reads its
+    summands from these builds."""
 
     k: tuple
     gk: tuple
     pointed: tuple
 
+    @classmethod
+    def of(cls, k, calls):
+        """The gadget on k, a (bare chain diagram, data) pair."""
+        gk = _gamma_build(k[0], calls)
+        return cls(k, gk, _point_build(gk[0], calls))
+
+    def map_to(self, dst, phi, calls):
+        """point(gamma(phi)) for phi from this gadget's k to dst's."""
+        return _free_map_between(
+            _free_map_between(phi, self.gk, dst.gk, calls), self.pointed,
+            dst.pointed, calls)
+
+    def chain_inclusion(self, w, into_k):
+        """into_k, a map into k(w), followed by the chain block of gamma
+        and the carrier part of point at w."""
+        return into_k.then(_one_part(self.gk[1], w)).then(
+            _one_part(self.pointed[1], w))
+
 
 def _build_gadget(letters, truncation, z0, m, calls):
-    k = _free_hom_build(letters, truncation, z0, m, calls)
-    gk = _gamma_build(k[0], calls)
-    return _Gadget(k, gk, _point_build(gk[0], calls))
+    return _Gadget.of(_free_hom_build(letters, truncation, z0, m, calls),
+                      calls)
 
 
 def upsilon(letters, truncation, z0, m):
@@ -728,10 +676,7 @@ def upsilon_map(letters, truncation, z0, f):
 def _gadget_map(src, dst, f, calls):
     """upsilon_map of f: m -> m2 between the gadgets src on m and dst on
     m2."""
-    phi = _free_hom_map_between(f, src.k, dst.k)
-    return _point_map_between(
-        _gamma_map_between(phi, src.gk, dst.gk, calls), src.pointed,
-        dst.pointed, calls)
+    return src.map_to(dst, _free_hom_map_between(f, src.k, dst.k), calls)
 
 
 def upsilon_center_inclusion(letters, truncation, z0, m):
@@ -743,9 +688,8 @@ def upsilon_center_inclusion(letters, truncation, z0, m):
 
 def _center_inclusion(gadget, z0):
     _, kinjs, ds = gadget.k[1][z0]
-    into_k = kinjs[ds.index(shapes.del_identity(z0))]
-    return into_k.then(_chain_block(gadget.gk[1], z0)).then(
-        _carrier_part(gadget.pointed[1], z0))
+    return gadget.chain_inclusion(
+        z0, kinjs[ds.index(shapes.del_identity(z0))])
 
 
 def upsilon_transpose(h, z0, g):
@@ -769,14 +713,12 @@ def _gadget_transpose(gadget, h, g, calls):
         legs = [g.then(h.structure(d)) for d in ksums[w][2]]
         return _assemble(k.value(w), legs, h.value(w), h.backend)
 
-    return _free_transpose(gadget.pointed, gadget.gk[1], h, k_component,
-                           calls)
+    return _free_transpose(gadget, h, k_component, calls)
 
 
-def _free_transpose(pointed, gamma_sums, h, k_component, calls):
-    """The pointed morphism point(gamma(k)) -> h that is
-    k_component(w): k(w) -> h(w) on the chain blocks, for the build
-    pointed = _point_build(gamma(k)) and the sums of gamma's build.
+def _free_transpose(gadget, h, k_component, calls):
+    """The pointed morphism point(gamma(k)) -> h out of the gadget on k
+    that is k_component(w): k(w) -> h(w) on the chain blocks.
 
     Subdivision blocks and carrier parts merge through h's laxity, unit
     parts go to derived units.
@@ -784,7 +726,8 @@ def _free_transpose(pointed, gamma_sums, h, k_component, calls):
     if not h.is_pointed():
         raise ValueError("transpose needs a pointed target")
     backend = h.backend
-    pobj, psums = pointed
+    gamma_sums = gadget.gk[1]
+    pobj, psums = gadget.pointed
     # every chain is a part of its own one-part key, so each component is
     # needed; compute each once
     kcomps = {w: k_component(w) for w in pobj.chains}
@@ -800,8 +743,9 @@ def _free_transpose(pointed, gamma_sums, h, k_component, calls):
     def gamma_component(w):
         sm = gamma_sums[w]
         legs = []
-        for (kind, _), parts in zip(sm.keyed.keys, sm.keyed.parts):
-            if kind == "whole":
+        for parts in sm.keyed.parts:
+            if len(parts) == 1:
+                # the chain block
                 legs.append(kcomps[w])
                 continue
             legs.append(calls.tensor_mor_multi(
@@ -1366,19 +1310,15 @@ def hom_extension_square(letters, truncation, z0, square, src_data,
 @dataclass
 class PsiResult:
     """The free unital precategory on an arrow over one chain: the
-    unitalization of pointed = point(gamma(kobject)), with the sums of the
-    gamma and point builds that psi_transpose, psi_inclusions and
-    psi_square read their blocks from."""
+    unitalization of point(gamma(k)) for the bare diagram k of
+    `hom_extension_kobject`, with the gadget record of that build, whose
+    sums psi_transpose, psi_inclusions and psi_square read their blocks
+    from. gadget.k is (k, its wide pushouts)."""
 
     precat: object
     eta: object
-    pointed: object
     trace: object
-    kobject: object
-    wps: dict
-    gamma: object
-    gamma_sums: dict
-    point_sums: dict
+    gadget: _Gadget
 
 
 def psi(z0, alpha, letters=None, truncation=None):
@@ -1392,25 +1332,19 @@ def psi(z0, alpha, letters=None, truncation=None):
         letters = tuple(sorted(set(z0)))
     if truncation is None:
         truncation = shapes.degree(z0)
-    k, wps = hom_extension_kobject(letters, truncation, z0, alpha)
-    calls = _CallTables()
-    gk, gamma_sums = _gamma_build(k, calls)
-    pointed, point_sums = _point_build(gk, calls)
-    res = unitalize(pointed)
-    return PsiResult(res.precat, res.eta, pointed, res.trace, k, wps, gk,
-                     gamma_sums, point_sums)
+    gadget = _Gadget.of(hom_extension_kobject(letters, truncation, z0, alpha),
+                        _CallTables())
+    res = unitalize(gadget.pointed[0])
+    return PsiResult(res.precat, res.eta, res.trace, gadget)
 
 
 def psi_square(z0, square, src_res, dst_res):
     """Functorial action of psi on a commuting square of arrows."""
-    phi = hom_extension_square(
-        src_res.pointed.letters, src_res.pointed.truncation, z0, square,
-        (src_res.kobject, src_res.wps), (dst_res.kobject, dst_res.wps))
-    calls = _CallTables()
-    gphi = _gamma_map_between(phi, (src_res.gamma, src_res.gamma_sums),
-                              (dst_res.gamma, dst_res.gamma_sums), calls)
-    raw = _point_map_between(gphi, (src_res.pointed, src_res.point_sums),
-                             (dst_res.pointed, dst_res.point_sums), calls)
+    src, dst = src_res.gadget, dst_res.gadget
+    k = src.k[0]
+    phi = hom_extension_square(k.letters, k.truncation, z0, square, src.k,
+                               dst.k)
+    raw = src.map_to(dst, phi, _CallTables())
     return factor_through_unital(src_res.eta, raw.then(dst_res.eta))
 
 
@@ -1419,15 +1353,12 @@ def psi_inclusions(res, z0):
     (source arrow end -> value at the endpoints, target end -> value at
     z0)."""
     ends = shapes.endpoints(z0)
-    wps = res.wps
-
-    def chain_block(w, into_k):
-        return into_k.then(_chain_block(res.gamma_sums, w)).then(
-            _carrier_part(res.point_sums, w))
-
-    inc_u = chain_block(ends, wps[ends].through)
+    gadget = res.gadget
+    wps = gadget.k[1]
+    inc_u = gadget.chain_inclusion(ends, wps[ends].through)
     ds = shapes.hom_set(z0, z0)
-    inc_v = chain_block(z0, wps[z0].maps[ds.index(shapes.del_identity(z0))])
+    inc_v = gadget.chain_inclusion(
+        z0, wps[z0].maps[ds.index(shapes.del_identity(z0))])
     return (inc_u.then(res.eta.at(ends)), inc_v.then(res.eta.at(z0)))
 
 
@@ -1445,7 +1376,7 @@ def psi_transpose(res, z0, h, square):
     cosegal arrow of h at z0: top into h at the endpoints, bottom into h
     at z0, with top . h(to initial) == alpha . bottom."""
     top, bottom = square
-    wps = res.wps
+    wps = res.gadget.k[1]
 
     def k_component(w):
         if wps[w] is None:
@@ -1455,8 +1386,7 @@ def psi_transpose(res, z0, h, square):
         through = top.then(h.structure(shapes.to_initial(w)))
         return wide_pushout_induced(wps[w], cone, through=through)
 
-    raw = _free_transpose((res.pointed, res.point_sums), res.gamma_sums, h,
-                          k_component, _CallTables())
+    raw = _free_transpose(res.gadget, h, k_component, _CallTables())
     return factor_through_unital(res.eta, raw)
 
 

@@ -56,16 +56,28 @@ class MObject:
 
 
 def finset_obj(labels):
-    """A finite set. Labels may be strings (wrapped as one-atom tuples)."""
+    """A finite set. Labels may be strings (wrapped as one-atom tuples);
+    every label must be a nonempty tuple of nonempty strings."""
     norm = tuple(
         (lbl,) if isinstance(lbl, str) else tuple(lbl) for lbl in labels
     )
-    if len(set(norm)) != len(norm):
-        raise ValueError("finset labels must be distinct: %r" % (norm,))
+    out = _finset(norm)
     for lbl in norm:
         if not lbl or not all(isinstance(a, str) and a for a in lbl):
             raise ValueError("bad finset label %r" % (lbl,))
-    return MObject("finset", labels=norm)
+    return out
+
+
+def _finset(labels):
+    """The finite set on a tuple of labels, which must be distinct.
+
+    Every finset object is made here. The package's own sites pass labels
+    made from the labels of finsets it holds, so they are well formed by
+    construction; `finset_obj` checks the form of labels from outside.
+    """
+    if len(set(labels)) != len(labels):
+        raise ValueError("finset labels must be distinct: %r" % (labels,))
+    return MObject("finset", labels=labels)
 
 
 def vectq_obj(dim):
@@ -223,10 +235,8 @@ def tensor(x, y):
     if x.backend != y.backend:
         raise ValueError("backend mismatch")
     if x.backend == "finset":
-        labels = tuple(_pair_label(a, b) for a in x.labels for b in y.labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("tensor label collision")
-        return MObject("finset", labels=labels)
+        return _finset(
+            tuple([_pair_label(a, b) for a in x.labels for b in y.labels]))
     if x.backend == "vectq":
         return vectq_obj(x.dim * y.dim)
     degrees = tuple(dx + dy for dx in x.degrees for dy in y.degrees)
@@ -478,7 +488,7 @@ def factorize(f):
     if f.backend == "finset":
         labels = tuple(_suffix_label(l, 0) for l in x.labels) + tuple(
             _suffix_label(l, 1) for l in y.labels)
-        mid = MObject("finset", labels=labels)
+        mid = _finset(labels)
         j = MMorphism("finset", x, mid, mapping=tuple(range(len(x.labels))))
         q = MMorphism("finset", mid, y, mapping=tuple(f.mapping) + tuple(
             range(len(y.labels))))

@@ -17,7 +17,7 @@ from .ratmat import ONE
 from .base import (
     MObject, MMorphism, chq_map, chq_obj, identity, invert,
     is_identity, is_isomorphism, make_map, vectq_map, vectq_obj,
-    _suffix_label,
+    _finset, _suffix_label,
 )
 
 
@@ -41,7 +41,7 @@ def coproduct(objs, backend=None):
         for i, o in enumerate(objs):
             offsets.append(len(labels))
             labels.extend(_suffix_label(l, i) for l in o.labels)
-        cop = MObject("finset", labels=tuple(labels))
+        cop = _finset(tuple(labels))
         injs = [
             MMorphism("finset", o, cop,
                       mapping=tuple(range(off, off + len(o.labels))))
@@ -119,7 +119,7 @@ def _dsu_classes(n, pairs):
 def quotient_finset(y, pairs):
     """The quotient of a finset object by generated identifications."""
     cls, reps = _dsu_classes(len(y.labels), pairs)
-    obj = MObject("finset", labels=tuple(y.labels[r] for r in reps))
+    obj = _finset(tuple([y.labels[r] for r in reps]))
     proj = MMorphism("finset", y, obj, mapping=cls)
     return Quotient(obj, proj, reps)
 
@@ -360,7 +360,7 @@ def equalizer(f, g):
     if f.backend == "finset":
         keep = [i for i in range(len(x.labels))
                 if f.mapping[i] == g.mapping[i]]
-        obj = MObject("finset", labels=tuple(x.labels[i] for i in keep))
+        obj = _finset(tuple([x.labels[i] for i in keep]))
         return obj, MMorphism("finset", obj, x, mapping=tuple(keep))
     k, free = ratmat.kernel_data(ratmat.msub(f.matrix, g.matrix))
     if f.backend == "vectq":

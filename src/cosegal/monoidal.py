@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 from . import ratmat, shapes
 from .base import (
-    MMorphism, MObject, chq_obj, identity, invert,
+    MMorphism, MObject, _finset, chq_obj, identity, invert,
     make_map, symmetry, tensor, tensor_mor, tensor_multi, unit,
     vectq_obj, right_unitor, left_unitor,
 )
@@ -645,8 +645,7 @@ def nat_transform_object(src, dst, fmaps, sigmas):
                    for s, (top, bottom) in routes.items()
                    for v in range(src.value(s).size())):
                 kept.append(_flat_index(combo, sizes))
-        obj = MObject("finset",
-                      labels=tuple(prod.labels[i] for i in kept))
+        obj = _finset(tuple([prod.labels[i] for i in kept]))
         include = MMorphism("finset", obj, prod, mapping=tuple(kept))
     else:
         obj, include = _route_subobject(src, slots, offsets, prod, routes)

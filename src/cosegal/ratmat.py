@@ -134,7 +134,9 @@ def nonzeros(m):
 
 def submatrix(m, rows, cols):
     """The entries of m in the listed rows and columns, in that order."""
-    cols = list(cols)
+    rows, cols = list(rows), list(cols)
+    if rows and not (0 <= min(rows) and max(rows) < m.shape[0]):
+        raise IndexError("row out of range")
     if cols and not (0 <= min(cols) and max(cols) < m.shape[1]):
         raise IndexError("column out of range")
     where = {}
@@ -177,23 +179,6 @@ def transpose(m):
     return Matrix((c, r), tuple(map(tuple, out)))
 
 
-def madd(a, b):
-    if a.shape != b.shape:
-        raise ValueError("cannot add a %dx%d and a %dx%d matrix"
-                         % (a.shape + b.shape))
-    out = []
-    for ra, rb in zip(a.rows, b.rows):
-        if not (ra and rb):
-            out.append(ra or rb)
-            continue
-        acc = dict(ra)
-        for j, y in rb:
-            x = acc.get(j)
-            acc[j] = y if x is None else x + y
-        out.append(tuple(sorted([(j, x) for j, x in acc.items() if x])))
-    return Matrix(a.shape, tuple(out))
-
-
 def msub(a, b):
     if a.shape != b.shape:
         raise ValueError("cannot subtract a %dx%d and a %dx%d matrix"
@@ -213,14 +198,6 @@ def msub(a, b):
 
 def mneg(a):
     return Matrix(a.shape, tuple(tuple([(j, -x) for j, x in row])
-                                 for row in a.rows))
-
-
-def mscale(c, a):
-    c = _entry(c)
-    if not c:
-        return zeros(*a.shape)
-    return Matrix(a.shape, tuple(tuple([(j, c * x) for j, x in row])
                                  for row in a.rows))
 
 

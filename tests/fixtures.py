@@ -174,14 +174,11 @@ def rand_chq(rng, max_rank=3, lo=0, hi=2):
 
 def rand_chq_map(rng, src, dst):
     """A random chain map src -> dst from the exact hom space basis."""
-    basis = base.chq_hom_basis(src, dst)
-    if not basis:
-        return zero_map(src, dst)
-    out = zero_map(src, dst)
-    m = out.matrix
-    for b in basis:
-        m = ratmat.madd(m, ratmat.mscale(rng.randint(-2, 2), b.matrix))
-    return chq_map(src, dst, m)
+    entries = []
+    for b in base.chq_hom_basis(src, dst):
+        c = rng.randint(-2, 2)
+        entries.extend((i, j, c * x) for i, j, x in ratmat.nonzeros(b.matrix))
+    return chq_map(src, dst, ratmat.build(dst.size(), src.size(), entries))
 
 
 # ---------------------------------------------------------------------------

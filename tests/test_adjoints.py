@@ -324,6 +324,23 @@ def test_point_keys_alternate_and_need_equal_endpoint_units():
     assert point_keys(("a", "b", "a")) == [((), ("f",)), ((), ("u",))]
 
 
+def test_gamma_keys_take_point_key_form_with_every_part_a_carrier():
+    assert gamma_keys(("a", "b")) == [((), ("f",))]
+    assert gamma_keys(("a", "b", "a")) == [((), ("f",)), ((1,), ("f", "f"))]
+    assert gamma_keys(("a", "b", "c", "d")) == [
+        ((), ("f",)), ((1,), ("f", "f")), ((2,), ("f", "f")),
+        ((1, 2), ("f", "f", "f"))]
+    for z in shapes.all_chains(("a", "b"), 4):
+        keys = gamma_keys(z)
+        # the chain itself, then each subdivision in canonical order
+        assert [cuts for cuts, _ in keys] == [()] + [
+            cuts for cuts, _ in shapes.subdivisions(z)]
+        assert all(labels == ("f",) * (len(cuts) + 1)
+                   for cuts, labels in keys)
+        # the one-part carrier key is point's first key too
+        assert keys[0] == point_keys(z)[0] == ((), ("f",))
+
+
 # ---------------------------------------------------------------------------
 # the chain table
 
@@ -349,16 +366,16 @@ def check_chain_table(letters, truncation):
     assert table.laxity_keys() == expected_laxity_keys(chains, truncation)
     for z in chains:
         gkeys, pkeys = gamma_keys(z), point_keys(z)
-        for keyed, keys, cuts in (
-                (table.gamma(z), gkeys, [c for _, c in gkeys]),
-                (table.point(z), pkeys, [c for c, _ in pkeys])):
+        for keyed, keys in ((table.keyed(z, False), gkeys),
+                            (table.keyed(z, True), pkeys)):
+            cuts = [c for c, _ in keys]
             assert keyed.keys == keys
             assert keyed.pos == {key: i for i, key in enumerate(keys)}
             assert keyed.parts == tuple(shapes.parts_of(z, c) for c in cuts)
         for p in range(1, len(z) - 1):
             zp = shapes.delete(z, p)
             # point's cut tuples are () and every subdivision, gamma's too
-            for cuts, _ in table.point(zp).keys:
+            for cuts, _ in table.keyed(zp, True).keys:
                 assert table.reinsert(z, cuts, p) == shapes.reinsert(
                     z, cuts, p)
             for z0 in chains[:len(letters) ** 3]:
@@ -371,10 +388,12 @@ def check_chain_table(letters, truncation):
         st = shapes.concat(s, t)
         shift = shapes.degree(s)
         gkeys = gamma_keys(st)
-        assert table.gamma_targets(s, t) == [
-            ((i, j), gkeys.index(("sub", shifted_cuts(ks[1], shift, kt[1]))))
-            for i, ks in enumerate(gamma_keys(s))
-            for j, kt in enumerate(gamma_keys(t))]
+        # gamma's keys never merge at the junction
+        assert table.targets(s, t, False) == [
+            ((i, j), gkeys.index((shifted_cuts(cuts1, shift, cuts2),
+                                  labels1 + labels2)), False)
+            for i, (cuts1, labels1) in enumerate(gamma_keys(s))
+            for j, (cuts2, labels2) in enumerate(gamma_keys(t))]
         pkeys = point_keys(st)
         expected = []
         for i, (cuts1, labels1) in enumerate(point_keys(s)):
@@ -387,7 +406,7 @@ def check_chain_table(letters, truncation):
                            labels1 + labels2[1:])
                 expected.append(((i, j), pkeys.index(key),
                                  labels1[-1] == labels2[0]))
-        assert table.point_targets(s, t) == expected
+        assert table.targets(s, t, True) == expected
 
 
 @pytest.mark.parametrize("truncation", [1, 2, 3, 4])
@@ -464,8 +483,7 @@ def test_free_transpose_computes_each_chain_component_once():
         legs = [g.then(h.structure(d)) for d in ksums[w][2]]
         return adjoints._assemble(k.value(w), legs, h.value(w), h.backend)
 
-    tr = adjoints._free_transpose(gadget.pointed, gadget.gk[1], h,
-                                  k_component, tables)
+    tr = adjoints._free_transpose(gadget, h, k_component, tables)
     assert sorted(calls) == sorted(set(calls)) == sorted(k.chains)
     assert tr.components == upsilon_transpose(h, z0, g).components
 

@@ -28,6 +28,23 @@ def test_finset_rejects_duplicates():
         finset_obj(["a", "a"])
 
 
+@pytest.mark.parametrize("labels", [
+    [()], [("a",), ("",)], [("a", "")], [("a", 1)], ["a", ("b", None)]],
+    ids=["empty-label", "empty-atom", "empty-atom-in-pair", "int-atom",
+         "none-atom"])
+def test_finset_rejects_bad_labels(labels):
+    with pytest.raises(ValueError, match="bad finset label"):
+        finset_obj(labels)
+
+
+def test_finset_tensor_refuses_colliding_labels():
+    # ("a", "b") + ("c",) and ("a",) + ("b", "c") both join to a, b, c
+    x = finset_obj([("a", "b"), ("a",)])
+    y = finset_obj([("c",), ("b", "c")])
+    with pytest.raises(ValueError, match="distinct"):
+        tensor(x, y)
+
+
 @pytest.mark.parametrize("build, error", [
     (lambda: chq_obj([], [[5]]), ValueError),
     (lambda: vectq_map(vectq_obj(2), vectq_obj(0), [[1, 2], [3, 4]]),

@@ -1,7 +1,7 @@
 """Exact linear algebra: canonical rref, kernels and cokernels, and the
 sparse kernels checked against naive dense references.
 
-The references below (and `ref_kron`, `ref_madd` in `fixtures`) are the
+The references below (and `ref_kron` in `fixtures`) are the
 straightforward dense definitions, kept only as oracles: the package
 kernels work on nonzero entries only and must return the same values on
 sparse matrices, including the empty shapes. The kernels' results are
@@ -15,12 +15,12 @@ import pytest
 from cosegal import ratmat
 from cosegal.ratmat import (
     block_diag, build, cokernel, eye, has_shape, hstack, inverse,
-    kernel_basis, kron, madd, mat, matmul, msub, nonzeros, rank, rref,
+    kernel_basis, kron, mat, matmul, msub, nonzeros, rank, rref,
     shape, solve_matrix, solve_vec, submatrix, transpose, unvec, vec,
     vstack, zeros,
 )
 
-from fixtures import assert_exact, ref_kron, ref_madd
+from fixtures import assert_exact, ref_kron
 
 
 def rand_matrix(rng, rows, cols, den=3):
@@ -140,6 +140,17 @@ def test_builders_match_dense_references(rng):
             assert_exact(out)
 
 
+def test_submatrix_refuses_rows_and_columns_out_of_range():
+    m = mat([[1, 2], [3, 4]])
+    assert submatrix(m, [1, 0], [1]) == mat([[4], [2]])
+    # a negative index does not wrap round to the other end
+    for rows, cols in [([-1], [0, 1]), ([2], [0]), ([0], [-1]), ([0], [2])]:
+        with pytest.raises(IndexError):
+            submatrix(m, rows, cols)
+    with pytest.raises(IndexError):
+        submatrix(zeros(0, 3), [0], [])
+
+
 def test_build_keeps_the_shape_of_columnless_matrices():
     assert build(0, 0, []) == zeros(0, 0) and tuple(build(0, 0, [])) == ()
     assert build(3, 0, []) == zeros(3, 0)
@@ -178,13 +189,9 @@ def test_elementwise_kernels_match_dense_references(rng):
         r, c = shape(m)
         other = rand_sparse(rng, r, c)
         for got, want in [(transpose(m), ref_transpose(m)),
-                          (madd(m, other), ref_madd(m, other)),
                           (msub(m, other), ref_msub(m, other)),
                           (msub(m, m), ref_msub(m, m)),
-                          (ratmat.mneg(m), ref_msub(zeros(r, c), m)),
-                          (ratmat.mscale(Fraction(-2, 3), m),
-                           tuple(tuple(Fraction(-2, 3) * x for x in row)
-                                 for row in m))]:
+                          (ratmat.mneg(m), ref_msub(zeros(r, c), m))]:
             assert tuple(got) == want
             assert_exact(got)
         assert ratmat.is_zero(m) == all(x == 0 for row in m for x in row)
@@ -371,12 +378,11 @@ def test_stack_edges():
     assert rank(zeros(3, 0)) == 0
 
 
-def test_madd_and_msub_refuse_unequal_shapes():
-    for op in (madd, msub):
-        with pytest.raises(ValueError):
-            op(eye(3), eye(2))
-        with pytest.raises(ValueError):
-            op(zeros(0, 2), zeros(0, 3))
+def test_msub_refuses_unequal_shapes():
+    with pytest.raises(ValueError):
+        msub(eye(3), eye(2))
+    with pytest.raises(ValueError):
+        msub(zeros(0, 2), zeros(0, 3))
 
 
 def test_mat_refuses_ragged_rows():
@@ -404,10 +410,10 @@ def test_the_sparse_form_is_canonical(rng):
         assert eval(repr(m), {"Matrix": ratmat.Matrix,
                               "Fraction": Fraction}) == m
         # equal values from different kernels compare and hash equal
-        for same in (transpose(transpose(m)), madd(m, zeros(r, c)),
-                     msub(madd(m, m), m), matmul(eye(r), m),
+        for same in (transpose(transpose(m)), msub(m, zeros(r, c)),
+                     msub(msub(m, ratmat.mneg(m)), m), matmul(eye(r), m),
                      matmul(m, eye(c)), kron(eye(1), m),
-                     ratmat.mscale(1, m), ratmat.mneg(ratmat.mneg(m)),
+                     ratmat.mneg(ratmat.mneg(m)),
                      hstack([m, zeros(r, 0)]), vstack([m, zeros(0, c)]),
                      block_diag([m, zeros(0, 0)]), unvec(vec(m), r, c),
                      submatrix(m, range(r), range(c))):
