@@ -13,9 +13,13 @@ The central objects here:
   structure maps and laxity of both (point also merges junction parts
   of one label and adds units), and one map between builds serves
   `gamma_map` and `point_map`.
-* Every gadget of the unitalization and of `psi` is point(gamma(k)) of
-  a bare diagram k; one `_Gadget` record holds the three builds, with
-  the map between two gadgets and the inclusion of a chain block.
+* Every gadget of the unitalization and of `psi` is point(gamma(k)) for
+  the bare diagram k of an arrow U -> V pushed over one chain z0: one
+  copy of V per deletion onto z0, glued along U. Upsilon, which
+  represents maps m -> H(z0), is the gadget of the initial arrow 0 -> m.
+  One builder makes every such diagram, and one `_Gadget` record holds
+  the three builds, with the map between two gadgets, the transpose into
+  a pointed target and the inclusion of a chain block.
 * `unitalize` quotients a pointed precategory until the unit laws hold,
   by gluing one universal gadget per violated constraint and iterating;
   a round builds one apex gadget per slot and one gadget per constraint.
@@ -54,11 +58,12 @@ from . import shapes
 from .base import (
     MMorphism, _hom_constraint, _precompose, _tensor_mor_onto, empty,
     identity, is_isomorphism, is_surjective, left_unitor, make_map, tensor,
-    tensor_mor, tensor_mor_multi, tensor_multi, unit,
+    tensor_mor, tensor_mor_multi, tensor_multi, unit, zero_map,
 )
 from .colim import (
     coequalize_relations, coequalizer, colimit, colimit_induced, copair,
-    coproduct, quotient_induced, wide_pushout, wide_pushout_induced,
+    coproduct, quotient_induced, surjection_quotient, tensor_quotient,
+    wide_pushout, wide_pushout_induced,
 )
 from .precat import (
     PrecatMorphism, StrictCategory, check_unital, expected_laxity_keys,
@@ -177,10 +182,11 @@ class ChainTable:
 class _CallTables:
     """What one top-level call shares across its builds: a ChainTable per
     (letters, truncation), and one tensor of each pair of objects, one sum
-    of each list of summands and one identity of each object.
+    of each list of summands, one identity of each object and one wide
+    pushout of each arrow and number of copies.
 
-    Tensors, sums and identities are keyed by the identity of their
-    arguments, which the table keeps alive. So a map tensored from factors
+    Tensors, sums, identities and wide pushouts are keyed by the identity
+    of their arguments, which the table keeps alive. So a map tensored from factors
     that end on the objects a summand was built from lands on that very
     summand object, and `then` settles its end check by identity. The
     tables are freed with the call that made them; nothing is kept between
@@ -192,6 +198,7 @@ class _CallTables:
         self._tensors = {}
         self._sums = {}
         self._identities = {}
+        self._wide_pushouts = {}
 
     def chain_table(self, letters, truncation, chains=None):
         """The table of all chains over letters up to truncation. chains,
@@ -251,6 +258,15 @@ class _CallTables:
         hit = self._identities.get(id(x))
         if hit is None:
             hit = self._identities[id(x)] = (x, identity(x))
+        return hit[1]
+
+    def wide_pushout(self, alpha, n):
+        """wide_pushout(alpha.src, [alpha] * n), once per arrow and n."""
+        key = (id(alpha), n)
+        hit = self._wide_pushouts.get(key)
+        if hit is None:
+            hit = self._wide_pushouts[key] = (
+                alpha, wide_pushout(alpha.src, [alpha] * n))
         return hit[1]
 
 
@@ -565,87 +581,133 @@ def point_carrier_inclusion(pc):
 
 
 # ---------------------------------------------------------------------------
-# the one-chain universal gadget
+# the one-chain gadget: an arrow pushed over one chain
 
 
-def free_hom_kobject(letters, truncation, z0, m):
-    """The bare chain diagram freely generated by m sitting at z0.
+def hom_extension_kobject(letters, truncation, z0, alpha):
+    """The bare diagram of the arrow alpha: U -> V pushed over z0.
 
-    The value at w is one copy of m per deletion w -> z0 (so chains that
-    cannot reach z0, in particular everything outside the endpoint
-    component of z0, carry the initial object), and structure maps act by
-    composing deletion indices.
+    At a chain w the value is the wide pushout of one copy of alpha per
+    deletion w -> z0 under the single U; chains that cannot reach z0
+    carry U itself, other endpoint components the initial object.
+    Structure maps act on the copies by composing deletion indices.
+    Upsilon's diagram is the one of the initial arrow 0 -> m: one copy of
+    m per deletion, glued along nothing.
+    Returns (bare chain diagram, {chain: WidePushout or None}).
     """
-    return _free_hom_build(letters, truncation, z0, m, _CallTables())[0]
+    return _arrow_build(letters, truncation, z0, alpha, _CallTables())
 
 
-def _free_hom_build(letters, truncation, z0, m, calls):
-    """free_hom_kobject together with its sums: {chain w: (value,
-    injections, the deletions w -> z0 the copies of m are indexed by)}.
-    Chains with the same number of deletions share one sum object."""
-    backend = m.backend
+def _arrow_build(letters, truncation, z0, alpha, calls):
+    """hom_extension_kobject, with its deletions read from the chain table
+    and one wide pushout per number of copies shared by all chains with
+    that many deletions onto z0."""
+    backend = alpha.backend
     letters = tuple(sorted(letters))
     table = calls.chain_table(letters, truncation)
-    sums = {}
-    for w in table.chains:
-        ds = table.hom_set(w, z0)
-        obj, injs = calls.sum_objects(backend, [m] * len(ds))
-        sums[w] = (obj, injs, ds)
+    nothing = empty(backend)
+    ends = shapes.endpoints(z0)
+    wps = {w: (calls.wide_pushout(alpha, len(table.hom_set(w, z0)))
+               if shapes.endpoints(w) == ends else None)
+           for w in table.chains}
     maps = {}
-    for w, (obj, injs, ds) in sums.items():
+    for w, big in wps.items():
         for p in range(1, len(w) - 1):
-            comps = [injs[i] for i in table.hom_steps(w, p, z0)]
-            maps[(w, p)] = _assemble(sums[shapes.delete(w, p)][0], comps,
-                                     obj, backend)
-    values = {w: obj for w, (obj, _, _) in sums.items()}
-    out = make_precategory(backend, letters, truncation, values, maps, {})
-    return out, sums
+            small = wps[shapes.delete(w, p)]
+            if small is None:
+                maps[(w, p)] = calls.identity(nothing)
+                continue
+            maps[(w, p)] = wide_pushout_induced(
+                small, [big.maps[i] for i in table.hom_steps(w, p, z0)],
+                through=big.through)
+    values = {w: nothing if wp is None else wp.obj for w, wp in wps.items()}
+    k = make_precategory(backend, letters, truncation, values, maps, {})
+    return k, wps
 
 
-def free_hom_kmorphism(letters, truncation, z0, f):
-    """The action of the free one-chain diagram on a map f: m -> m2."""
-    calls = _CallTables()
-    return _free_hom_map_between(
-        f, _free_hom_build(letters, truncation, z0, f.src, calls),
-        _free_hom_build(letters, truncation, z0, f.dst, calls))
-
-
-def _free_hom_map_between(f, src, dst):
-    """free_hom_kmorphism of f between the builds src and dst of
-    `_free_hom_build` on f.src and f.dst."""
-    (ksrc, ssums), (kdst, dsums) = src, dst
+def hom_extension_square(square, src_data, dst_data):
+    """The diagram morphism that a commuting square (u, v) from an arrow
+    alpha to an arrow beta induces between their diagrams, given as the
+    (diagram, wide pushouts) pairs of `hom_extension_kobject`."""
+    u, v = square
+    ksrc, wsrc = src_data
+    kdst, wdst = dst_data
     comps = {}
     for w in ksrc.chains:
-        dobj, dinjs, _ = dsums[w]
-        comps[w] = _assemble(ssums[w][0], [f.then(j) for j in dinjs],
-                             dobj, f.backend)
+        src, dst = wsrc[w], wdst[w]
+        if src is None:
+            comps[w] = identity(ksrc.value(w))
+            continue
+        comps[w] = wide_pushout_induced(
+            src, [v.then(leg) for leg in dst.maps],
+            through=None if dst.maps else u.then(dst.through))
     return PrecatMorphism(ksrc, kdst, comps)
+
+
+def _initial_arrow(m):
+    """0 -> m, the arrow whose diagram is upsilon's."""
+    return zero_map(empty(m.backend), m)
+
+
+def _initial_square(f):
+    """The square from 0 -> f.src to 0 -> f.dst with bottom f."""
+    return (identity(empty(f.backend)), f)
+
+
+def _upsilon_square(h, z0, g):
+    """The square from 0 -> g.src to h's cosegal arrow at z0 with bottom
+    g."""
+    return (zero_map(empty(h.backend), h.value(shapes.endpoints(z0))), g)
 
 
 @dataclass
 class _Gadget:
-    """point(gamma(k)) for a bare chain diagram k, with the build of each
-    stage as a (precategory, data) pair: k with the data its presentation
-    gives (the sums of `_free_hom_build` for upsilon, the wide pushouts of
-    `hom_extension_kobject` for psi), gk of `_gamma_build` on k, pointed
-    of `_point_build` on gk. Every map into or out of the gadget reads its
-    summands from these builds."""
+    """point(gamma(k)) for the bare diagram k of an arrow pushed over z0
+    (`hom_extension_kobject`; upsilon's arrow is 0 -> m), with the build of
+    each stage as a (precategory, data) pair: k with its wide pushouts, gk
+    of `_gamma_build` on k, pointed of `_point_build` on gk. The maps into
+    and out of the gadget read their summands from these builds."""
 
+    z0: tuple
     k: tuple
     gk: tuple
     pointed: tuple
 
     @classmethod
-    def of(cls, k, calls):
-        """The gadget on k, a (bare chain diagram, data) pair."""
+    def of(cls, letters, truncation, z0, alpha, calls):
+        """The gadget of the arrow alpha over z0."""
+        k = _arrow_build(letters, truncation, z0, alpha, calls)
         gk = _gamma_build(k[0], calls)
-        return cls(k, gk, _point_build(gk[0], calls))
+        return cls(z0, k, gk, _point_build(gk[0], calls))
 
-    def map_to(self, dst, phi, calls):
-        """point(gamma(phi)) for phi from this gadget's k to dst's."""
+    def map_to(self, dst, square, calls):
+        """point(gamma(-)) of the diagram map that the commuting square
+        (u, v) from this gadget's arrow to dst's induces."""
+        phi = hom_extension_square(square, self.k, dst.k)
         return _free_map_between(
             _free_map_between(phi, self.gk, dst.gk, calls), self.pointed,
             dst.pointed, calls)
+
+    def transpose(self, h, square, calls):
+        """The pointed morphism into h classified by a commuting square
+        (top, bottom) from the gadget's arrow U -> V to h's cosegal arrow
+        at z0: top into h at the endpoints, bottom into h at z0. Each
+        copy of V at w goes to h(w) along its deletion w -> z0, U along
+        the deletion onto the endpoints."""
+        top, bottom = square
+        wps = self.k[1]
+        table = calls.chains_of(self.k[0])
+
+        def k_component(w):
+            if wps[w] is None:
+                return zero_map(empty(h.backend), h.value(w))
+            cone = [bottom.then(h.structure(d))
+                    for d in table.hom_set(w, self.z0)]
+            through = (None if cone else
+                       top.then(h.structure(shapes.to_initial(w))))
+            return wide_pushout_induced(wps[w], cone, through=through)
+
+        return _free_transpose(self, h, k_component, calls)
 
     def chain_inclusion(self, w, into_k):
         """into_k, a map into k(w), followed by the chain block of gamma
@@ -653,43 +715,49 @@ class _Gadget:
         return into_k.then(_one_part(self.gk[1], w)).then(
             _one_part(self.pointed[1], w))
 
+    def center_inclusion(self):
+        """The copy of V at z0 (the identity deletion, no subdivision, one
+        carrier part) into the gadget's value there."""
+        (leg,) = self.k[1][self.z0].maps
+        return self.chain_inclusion(self.z0, leg)
 
-def _build_gadget(letters, truncation, z0, m, calls):
-    return _Gadget.of(_free_hom_build(letters, truncation, z0, m, calls),
-                      calls)
+
+def free_hom_kobject(letters, truncation, z0, m):
+    """The bare chain diagram freely generated by m sitting at z0: the
+    diagram of the arrow 0 -> m, one copy of m per deletion w -> z0."""
+    return hom_extension_kobject(letters, truncation, z0,
+                                 _initial_arrow(m))[0]
+
+
+def free_hom_kmorphism(letters, truncation, z0, f):
+    """The action of the free one-chain diagram on a map f: m -> m2."""
+    calls = _CallTables()
+    builds = [_arrow_build(letters, truncation, z0, _initial_arrow(x), calls)
+              for x in (f.src, f.dst)]
+    return hom_extension_square(_initial_square(f), *builds)
 
 
 def upsilon(letters, truncation, z0, m):
-    """point(gamma(-)) of the free one-chain diagram: the representing
-    object for maps m -> H(z0) into pointed precategories H."""
-    return _build_gadget(letters, truncation, z0, m,
-                         _CallTables()).pointed[0]
+    """point(gamma(-)) of the free one-chain diagram, the gadget of the
+    arrow 0 -> m: the representing object for maps m -> H(z0) into
+    pointed precategories H."""
+    return _Gadget.of(letters, truncation, z0, _initial_arrow(m),
+                      _CallTables()).pointed[0]
 
 
 def upsilon_map(letters, truncation, z0, f):
+    """The action of upsilon on a map f: m -> m2."""
     calls = _CallTables()
-    return _gadget_map(
-        _build_gadget(letters, truncation, z0, f.src, calls),
-        _build_gadget(letters, truncation, z0, f.dst, calls), f, calls)
-
-
-def _gadget_map(src, dst, f, calls):
-    """upsilon_map of f: m -> m2 between the gadgets src on m and dst on
-    m2."""
-    return src.map_to(dst, _free_hom_map_between(f, src.k, dst.k), calls)
+    src, dst = [_Gadget.of(letters, truncation, z0, _initial_arrow(x), calls)
+                for x in (f.src, f.dst)]
+    return src.map_to(dst, _initial_square(f), calls)
 
 
 def upsilon_center_inclusion(letters, truncation, z0, m):
     """The canonical summand inclusion m -> upsilon(...)(z0): identity
     deletion index, no subdivision, one carrier part."""
-    return _center_inclusion(
-        _build_gadget(letters, truncation, z0, m, _CallTables()), z0)
-
-
-def _center_inclusion(gadget, z0):
-    _, kinjs, ds = gadget.k[1][z0]
-    return gadget.chain_inclusion(
-        z0, kinjs[ds.index(shapes.del_identity(z0))])
+    return _Gadget.of(letters, truncation, z0, _initial_arrow(m),
+                      _CallTables()).center_inclusion()
 
 
 def upsilon_transpose(h, z0, g):
@@ -700,20 +768,9 @@ def upsilon_transpose(h, z0, g):
     units, and blocks merge through h's laxity.
     """
     calls = _CallTables()
-    gadget = _build_gadget(h.letters, h.truncation, z0, g.src, calls)
-    return _gadget_transpose(gadget, h, g, calls)
-
-
-def _gadget_transpose(gadget, h, g, calls):
-    """upsilon_transpose(h, z0, g) out of the gadget built at z0 on
-    g.src."""
-    k, ksums = gadget.k
-
-    def k_component(w):
-        legs = [g.then(h.structure(d)) for d in ksums[w][2]]
-        return _assemble(k.value(w), legs, h.value(w), h.backend)
-
-    return _free_transpose(gadget, h, k_component, calls)
+    gadget = _Gadget.of(h.letters, h.truncation, z0, _initial_arrow(g.src),
+                        calls)
+    return gadget.transpose(h, _upsilon_square(h, z0, g), calls)
 
 
 def _free_transpose(gadget, h, k_component, calls):
@@ -768,8 +825,10 @@ def _free_transpose(gadget, h, k_component, calls):
         for (_, labels), parts in zip(sm.keyed.keys, sm.keyed.parts):
             factors = [gcomps[q] if l == "f" else derived_unit(q)
                        for q, l in zip(parts, labels)]
-            legs.append(calls.tensor_mor_multi(factors, backend).then(
-                lax_multi(parts)))
+            leg = calls.tensor_mor_multi(factors, backend)
+            # one part needs no laxity: h.lax_multi((w,)) is the identity
+            legs.append(leg if len(parts) == 1 else
+                        leg.then(lax_multi(parts)))
         comps[w] = _assemble(sm.obj, legs, h.value(w), backend)
     return PrecatMorphism(pobj, h, comps)
 
@@ -1034,20 +1093,19 @@ def unitalize(pc):
         # dropped as soon as its maps are made
         for z, members in by_slot.items():
             slot = calls.scoped()
-            apex = _build_gadget(current.letters, current.truncation, z,
-                                 current.value(z), slot)
-            ev = _gadget_transpose(apex, current,
-                                   identity(current.value(z)), slot)
+            at_z = (current.letters, current.truncation, z)
+            apex = _Gadget.of(*at_z, _initial_arrow(current.value(z)), slot)
+            ev = apex.transpose(current, _upsilon_square(
+                current, z, identity(current.value(z))), slot)
             for i in members:
                 q = coeqs[i]
-                gad = _build_gadget(current.letters, current.truncation, z,
-                                    q.obj, slot)
+                gad = _Gadget.of(*at_z, _initial_arrow(q.obj), slot)
                 nodes[("apex", i)] = apex.pointed[0]
                 nodes[("gad", i)] = gad.pointed[0]
                 legs[i] = [(("apex", i), ("center",), ev),
                            (("apex", i), ("gad", i),
-                            _gadget_map(apex, gad, q.proj, slot))]
-                incls[i] = _center_inclusion(gad, z)
+                            apex.map_to(gad, _initial_square(q.proj), slot))]
+                incls[i] = gad.center_inclusion()
         edges = [edge for i in range(len(bad)) for edge in legs[i]]
         new, cocone, slices = precat_colimit(nodes, edges)
         xis = [incls[i].then(cocone[("gad", i)].at(con[4]))
@@ -1071,25 +1129,16 @@ def factor_through_unital(eta, psi):
     psi kills what eta kills, and that is re-verified per slot.
     """
     comps = {}
-    backend = eta.src.backend
     for s in eta.src.chains:
         e = eta.at(s)
-        p = psi.at(s)
         if not is_surjective(e):
             raise ValueError("eta is not surjective at %r" % (s,))
-        if backend == "finset":
-            out = []
-            for target in range(len(e.dst.labels)):
-                pre = e.mapping.index(target)
-                out.append(p.mapping[pre])
-            bar = make_map(e.dst, p.dst, tuple(out))
-        else:
-            sec = ratmat.solve_matrix(e.matrix, ratmat.eye(e.dst.size()))
-            bar = make_map(e.dst, p.dst, ratmat.matmul(p.matrix, sec))
-        if e.then(bar) != p:
+        q, p = surjection_quotient(e), psi.at(s)
+        try:
+            comps[s] = quotient_induced(q, p)
+        except ValueError as err:
             raise ValueError("map does not descend through the "
-                             "unitalization at %r" % (s,))
-        comps[s] = bar
+                             "unitalization at %r" % (s,)) from err
     return PrecatMorphism(eta.dst, psi.dst, comps)
 
 
@@ -1243,77 +1292,16 @@ def realize(pc):
 
 
 # ---------------------------------------------------------------------------
-# arrows over one chain
-
-
-def hom_extension_kobject(letters, truncation, z0, alpha):
-    """The bare diagram of the arrow alpha: U -> V pushed over z0.
-
-    At a chain w the value is the wide pushout of one copy of alpha per
-    deletion w -> z0 under the single U; chains that cannot reach z0
-    carry U itself, other endpoint components the initial object.
-    Returns (bare chain diagram, {chain: WidePushout or None}).
-    """
-    backend = alpha.backend
-    letters = tuple(sorted(letters))
-    a0, b0 = shapes.endpoints(z0)
-    values = {}
-    wps = {}
-    for w in shapes.all_chains(letters, truncation):
-        if shapes.endpoints(w) != (a0, b0):
-            values[w] = empty(backend)
-            wps[w] = None
-            continue
-        ds = shapes.hom_set(w, z0)
-        wp = wide_pushout(alpha.src, [alpha] * len(ds))
-        values[w] = wp.obj
-        wps[w] = wp
-    maps = {}
-    for w in values:
-        for p in range(1, len(w) - 1):
-            wp = shapes.delete(w, p)
-            if wps[wp] is None:
-                maps[(w, p)] = identity(empty(backend))
-                continue
-            step = shapes.del_single(w, p)
-            ds_small = shapes.hom_set(wp, z0)
-            ds_big = shapes.hom_set(w, z0)
-            big = wps[w]
-            cone = [big.maps[ds_big.index(step.then(d))]
-                    for d in ds_small]
-            maps[(w, p)] = wide_pushout_induced(
-                wps[wp], cone, through=big.through)
-    k = make_precategory(backend, letters, truncation, values, maps, {})
-    return k, wps
-
-
-def hom_extension_square(letters, truncation, z0, square, src_data,
-                         dst_data):
-    """The diagram morphism induced by a commuting square (u, v) between
-    arrows alpha -> beta."""
-    u, v = square
-    ksrc, wsrc = src_data
-    kdst, wdst = dst_data
-    backend = u.backend
-    comps = {}
-    for w in ksrc.chains:
-        if wsrc[w] is None:
-            comps[w] = identity(empty(backend))
-            continue
-        ds = shapes.hom_set(w, z0)
-        cone = [v.then(wdst[w].maps[i]) for i in range(len(ds))]
-        comps[w] = wide_pushout_induced(wsrc[w], cone,
-                                        through=u.then(wdst[w].through))
-    return PrecatMorphism(ksrc, kdst, comps)
+# the free unital precategory on an arrow over one chain
 
 
 @dataclass
 class PsiResult:
     """The free unital precategory on an arrow over one chain: the
-    unitalization of point(gamma(k)) for the bare diagram k of
-    `hom_extension_kobject`, with the gadget record of that build, whose
-    sums psi_transpose, psi_inclusions and psi_square read their blocks
-    from. gadget.k is (k, its wide pushouts)."""
+    unitalization of the arrow's gadget, with the gadget record, whose
+    builds psi_transpose, psi_inclusions and psi_square read their blocks
+    from. gadget.k is (k, its wide pushouts); upsilon's gadget is the one
+    of the arrow 0 -> m."""
 
     precat: object
     eta: object
@@ -1332,19 +1320,14 @@ def psi(z0, alpha, letters=None, truncation=None):
         letters = tuple(sorted(set(z0)))
     if truncation is None:
         truncation = shapes.degree(z0)
-    gadget = _Gadget.of(hom_extension_kobject(letters, truncation, z0, alpha),
-                        _CallTables())
+    gadget = _Gadget.of(letters, truncation, z0, alpha, _CallTables())
     res = unitalize(gadget.pointed[0])
     return PsiResult(res.precat, res.eta, res.trace, gadget)
 
 
 def psi_square(z0, square, src_res, dst_res):
     """Functorial action of psi on a commuting square of arrows."""
-    src, dst = src_res.gadget, dst_res.gadget
-    k = src.k[0]
-    phi = hom_extension_square(k.letters, k.truncation, z0, square, src.k,
-                               dst.k)
-    raw = src.map_to(dst, phi, _CallTables())
+    raw = src_res.gadget.map_to(dst_res.gadget, square, _CallTables())
     return factor_through_unital(src_res.eta, raw.then(dst_res.eta))
 
 
@@ -1354,11 +1337,8 @@ def psi_inclusions(res, z0):
     z0)."""
     ends = shapes.endpoints(z0)
     gadget = res.gadget
-    wps = gadget.k[1]
-    inc_u = gadget.chain_inclusion(ends, wps[ends].through)
-    ds = shapes.hom_set(z0, z0)
-    inc_v = gadget.chain_inclusion(
-        z0, wps[z0].maps[ds.index(shapes.del_identity(z0))])
+    inc_u = gadget.chain_inclusion(ends, gadget.k[1][ends].through)
+    inc_v = gadget.center_inclusion()
     return (inc_u.then(res.eta.at(ends)), inc_v.then(res.eta.at(z0)))
 
 
@@ -1375,18 +1355,7 @@ def psi_transpose(res, z0, h, square):
     commuting square (top, bottom) from the generating arrow to the
     cosegal arrow of h at z0: top into h at the endpoints, bottom into h
     at z0, with top . h(to initial) == alpha . bottom."""
-    top, bottom = square
-    wps = res.gadget.k[1]
-
-    def k_component(w):
-        if wps[w] is None:
-            return copair(empty(h.backend), [], h.value(w))
-        ds = shapes.hom_set(w, z0)
-        cone = [bottom.then(h.structure(d)) for d in ds]
-        through = top.then(h.structure(shapes.to_initial(w)))
-        return wide_pushout_induced(wps[w], cone, through=through)
-
-    raw = _free_transpose(res.gadget, h, k_component, _CallTables())
+    raw = res.gadget.transpose(h, square, _CallTables())
     return factor_through_unital(res.eta, raw)
 
 
@@ -1580,7 +1549,8 @@ def pushforward(f, pc):
         on_cops = _pair_assemble(
             backend, (cop_s, lsrcs), (cop_t, rsrcs), targets,
             values[shapes.concat(sbar, tbar)])
-        laxity[(sbar, tbar)] = _descend_tensor(qs, qt, on_cops)
+        laxity[(sbar, tbar)] = quotient_induced(tensor_quotient(qs, qt),
+                                                on_cops)
     return make_precategory(backend, target_letters, pc.truncation, values,
                             maps, laxity)
 
@@ -1593,28 +1563,3 @@ def _concat_del(d1, d2):
     off = len(d1.src) - 1
     kept = tuple(d1.kept) + tuple(k + off for k in d2.kept[1:])
     return shapes.Del(s, t, kept)
-
-
-def _descend_tensor(qs, qt, on_cops):
-    """Turn a map defined on a tensor of presentation coproducts into a
-    map on the tensor of the quotients, verifying independence of the
-    chosen sections."""
-    backend = on_cops.backend
-    src = tensor(qs.obj, qt.obj)
-    if backend == "finset":
-        reps_s = qs.section
-        reps_t = qt.section
-        mapping = []
-        for i in range(len(qs.obj.labels)):
-            for j in range(len(qt.obj.labels)):
-                big = reps_s[i] * len(qt.proj.src.labels) + reps_t[j]
-                mapping.append(on_cops.mapping[big])
-        cand = make_map(src, on_cops.dst, tuple(mapping))
-    else:
-        sec = ratmat.kron(qs.section, qt.section)
-        mat = ratmat.matmul(on_cops.matrix, sec)
-        cand = MMorphism(backend, src, on_cops.dst, matrix=mat)
-    check = tensor_mor(qs.proj, qt.proj).then(cand)
-    if check != on_cops:
-        raise ValueError("laxity does not descend to the quotient")
-    return cand

@@ -103,17 +103,17 @@ def chq_obj(degrees, diff):
     return MObject("chq", degrees=degrees, diff=diff)
 
 
-def empty(backend):
-    if backend == "finset":
-        return finset_obj([])
-    if backend == "vectq":
-        return vectq_obj(0)
-    return chq_obj([], [])
-
-
-# the monoidal units; objects are immutable, so each backend shares one
+# the initial objects and the monoidal units; objects are immutable, so
+# each backend shares one of each, and a map that starts or ends on one of
+# them meets the same object in every table keyed by identity
+_EMPTIES = {"finset": finset_obj([]), "vectq": vectq_obj(0),
+            "chq": chq_obj([], [])}
 _UNITS = {"finset": finset_obj(["I"]), "vectq": vectq_obj(1),
           "chq": chq_obj([0], [[0]])}
+
+
+def empty(backend):
+    return _EMPTIES[backend]
 
 
 def unit(backend):

@@ -16,7 +16,7 @@ from . import ratmat
 from .ratmat import ONE
 from .base import (
     MObject, MMorphism, chq_map, chq_obj, identity, invert,
-    is_identity, is_isomorphism, make_map, vectq_map, vectq_obj,
+    is_identity, is_isomorphism, make_map, tensor_mor, vectq_map, vectq_obj,
     _finset, _suffix_label,
 )
 
@@ -173,6 +173,33 @@ def quotient_induced(q, h):
     if q.proj.then(ind) != h:
         raise ValueError("map does not descend to the quotient")
     return ind
+
+
+def surjection_quotient(e):
+    """The quotient that a surjection e presents: e as its projection, with
+    the first preimage of each element (finset) or a linear right inverse
+    of e (vectq/chq) as its section."""
+    if e.backend == "finset":
+        first = {}
+        for i, t in enumerate(e.mapping):
+            first.setdefault(t, i)
+        section = tuple(first[t] for t in range(len(e.dst.labels)))
+    else:
+        section = ratmat.solve_matrix(e.matrix, ratmat.eye(e.dst.size()))
+    return Quotient(e.dst, e, section)
+
+
+def tensor_quotient(qs, qt):
+    """The tensor of two quotients: the tensor of their projections, with
+    the pairs of representatives (finset) or the Kronecker product of the
+    sections (vectq/chq) as its section."""
+    proj = tensor_mor(qs.proj, qt.proj)
+    if proj.backend == "finset":
+        n = len(qt.proj.src.labels)
+        section = tuple(r * n + t for r in qs.section for t in qt.section)
+    else:
+        section = ratmat.kron(qs.section, qt.section)
+    return Quotient(proj.dst, proj, section)
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,6 @@ class Del:
                    tuple(self.kept[i] for i in other.kept))
 
 
-def del_identity(s):
-    return Del(s, s, tuple(range(len(s))))
-
-
 def del_single(s, p):
     """The generating deletion removing the inner letter at p."""
     kept = tuple(i for i in range(len(s)) if i != p)

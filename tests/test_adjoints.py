@@ -14,8 +14,9 @@ import pytest
 
 from cosegal import adjoints, base, precat, shapes
 from cosegal.base import (
-    empty, enumerate_maps, finset_map, finset_obj, identity, invert,
-    is_isomorphism, is_surjective, tensor, tensor_mor, vectq_map, vectq_obj,
+    chq_map, disk, empty, enumerate_maps, finset_map, finset_obj, identity,
+    invert, is_isomorphism, is_surjective, sphere, tensor, tensor_mor,
+    vectq_map, vectq_obj, zero_map,
 )
 from cosegal.adjoints import (
     NonStabilizing, codiagonal_arrow, free_hom_kmorphism, free_hom_kobject,
@@ -27,7 +28,9 @@ from cosegal.adjoints import (
     upsilon_center_inclusion, upsilon_map, upsilon_transpose,
     factor_through_unital,
 )
-from cosegal.colim import coequalizer, coproduct
+from cosegal.colim import (
+    coequalizer, copair, coproduct, wide_pushout_induced,
+)
 from cosegal.monoidal import tensor_s
 from cosegal.precat import (
     PrecatMorphism, check_unital, expected_laxity_keys,
@@ -117,6 +120,65 @@ def test_free_hom_kmorphism_is_natural():
     f = finset_map(finset_obj(["m0", "m1"]), finset_obj(["n0"]), (0, 0))
     phi = free_hom_kmorphism(letters, 2, z0, f)
     assert validate_morphism(phi) == []
+
+
+def reference_free_hom(letters, truncation, z0, m):
+    """The free one-chain diagram by its formula: at each chain w a plain
+    sum of one copy of m per deletion w -> z0 (a single copy is m itself),
+    with structure maps that compose deletion indices. Returns
+    ({chain: (value, injections, deletions)}, {(chain, p): map})."""
+    sums = {}
+    for w in shapes.all_chains(letters, truncation):
+        ds = shapes.hom_set(w, z0)
+        if len(ds) == 1:
+            sums[w] = (m, [identity(m)], ds)
+        else:
+            obj, injs = coproduct([m] * len(ds), backend=m.backend)
+            sums[w] = (obj, injs, ds)
+    maps = {}
+    for w, (obj, injs, ds) in sums.items():
+        for p in range(1, len(w) - 1):
+            step = shapes.del_single(w, p)
+            small, _, small_ds = sums[shapes.delete(w, p)]
+            maps[(w, p)] = copair(
+                small, [injs[ds.index(step.then(d))] for d in small_ds], obj)
+    return sums, maps
+
+
+def free_hom_cases(backend):
+    """(m, maps out of m) per backend: a nonempty m with a map onward and
+    the empty m with its map into the nonempty one."""
+    if backend == "finset":
+        m = finset_obj(["m0", "m1"])
+        f = finset_map(m, finset_obj(["n0"]), (0, 0))
+    elif backend == "vectq":
+        m = vectq_obj(2)
+        f = vectq_map(m, vectq_obj(1), [[1, 2]])
+    else:
+        m, _ = coproduct([disk(1), sphere(0)])
+        f = chq_map(m, disk(1), [[1, 0, 0], [0, 1, 1]])
+    nothing = empty(backend)
+    return [(m, [f]), (nothing, [zero_map(nothing, m)])]
+
+
+@pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
+def test_free_hom_matches_the_deletion_index_formula(backend):
+    letters, truncation = ("a", "b"), 3
+    for m, fs in free_hom_cases(backend):
+        for z0 in shapes.all_chains(letters, truncation):
+            k = free_hom_kobject(letters, truncation, z0, m)
+            sums, maps = reference_free_hom(letters, truncation, z0, m)
+            assert k.chains == tuple(sums)
+            assert k.values == {w: sm[0] for w, sm in sums.items()}
+            assert k.maps == maps
+            assert k.laxity == {}
+            for f in fs:
+                phi = free_hom_kmorphism(letters, truncation, z0, f)
+                dst, _ = reference_free_hom(letters, truncation, z0, f.dst)
+                for w, (obj, _, _) in sums.items():
+                    dobj, dinjs, _ = dst[w]
+                    assert phi.at(w) == copair(
+                        obj, [f.then(j) for j in dinjs], dobj)
 
 
 # ---------------------------------------------------------------------------
@@ -473,15 +535,23 @@ def test_free_transpose_computes_each_chain_component_once():
     z0 = ("a", "b", "b")
     m = finset_obj(["m0", "m1"])
     g = finset_map(m, h.value(z0), (0, h.value(z0).size() - 1))
+    nothing = empty("finset")
     tables = adjoints._CallTables()
-    gadget = adjoints._build_gadget(h.letters, h.truncation, z0, m, tables)
-    k, ksums = gadget.k
+    gadget = adjoints._Gadget.of(h.letters, h.truncation, z0,
+                                 zero_map(nothing, m), tables)
+    k, wps = gadget.k
+    top = zero_map(nothing, h.value(shapes.endpoints(z0)))
     calls = []
 
     def k_component(w):
+        # each copy of m goes along its deletion onto z0, the empty base
+        # along the deletion onto the endpoints
         calls.append(w)
-        legs = [g.then(h.structure(d)) for d in ksums[w][2]]
-        return adjoints._assemble(k.value(w), legs, h.value(w), h.backend)
+        if wps[w] is None:
+            return zero_map(nothing, h.value(w))
+        cone = [g.then(h.structure(d)) for d in shapes.hom_set(w, z0)]
+        return wide_pushout_induced(
+            wps[w], cone, through=top.then(h.structure(shapes.to_initial(w))))
 
     tr = adjoints._free_transpose(gadget, h, k_component, tables)
     assert sorted(calls) == sorted(set(calls)) == sorted(k.chains)
@@ -743,8 +813,40 @@ def test_factor_through_unital_roundtrip_and_refusal():
         assert bar.at(s) == identity(res.precat.value(s))
     # a map that separates what eta identifies cannot descend
     sep = identity_morphism(p)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not descend"):
         factor_through_unital(res.eta, sep)
+    # and nothing factors through a map that is not onto
+    incl = point_carrier_inclusion(pc)
+    with pytest.raises(ValueError, match="not surjective"):
+        factor_through_unital(incl, incl)
+
+
+@pytest.mark.parametrize("truncation, z0, rounds", [
+    (2, ("a", "b", "b"), 0), (2, ("a", "b"), 1), (3, ("a", "b", "b"), 1)])
+def test_unitalization_factors_each_transpose_uniquely(truncation, z0,
+                                                        rounds):
+    # the universal property of eta: upsilon(m) -> U, with targets other
+    # than eta itself. Every pointed map upsilon(m) -> h into the unital h
+    # factors through eta by a unital map, and by no other map slot by slot
+    h = from_strict_category(function_category({"a": 1, "b": 2}),
+                             truncation)
+    m = finset_obj(["m0", "m1"])
+    res = unitalize(upsilon(h.letters, h.truncation, z0, m))
+    u = res.precat
+    assert len(res.trace.rounds) == rounds
+    maps = list(enumerate_maps(m, h.value(z0)))
+    assert len(maps) == h.value(z0).size() ** 2 > 1
+    for g in maps:
+        alpha = upsilon_transpose(h, z0, g)
+        bar = factor_through_unital(res.eta, alpha)
+        assert validate_morphism(bar) == []
+        for a in u.letters:
+            assert u.unit_map(a).then(bar.at((a, a))) == h.unit_map(a)
+        assert res.eta.then(bar).components == alpha.components
+        for s in u.chains:
+            lifts = [f for f in enumerate_maps(u.value(s), h.value(s))
+                     if res.eta.at(s).then(f) == alpha.at(s)]
+            assert lifts == [bar.at(s)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@ import pytest
 from cosegal import base, ratmat
 from cosegal.base import (
     chq_map, disk, empty, finset_map, finset_obj, identity, sphere,
-    vectq_map, vectq_obj, zero_map,
+    tensor_mor, vectq_map, vectq_obj, zero_map,
 )
 from cosegal.colim import (
     coequalize_relations, coequalizer, colimit, colimit_induced,
     compare_coproduct_pushout, compare_interleaved_colimits, copair,
     coproduct, equalizer, pushout, pushout_induced, quotient_finset,
-    quotient_induced, quotient_linear, wide_pushout, wide_pushout_induced,
+    quotient_induced, quotient_linear, surjection_quotient, tensor_quotient,
+    wide_pushout, wide_pushout_induced,
 )
 
 from fixtures import rand_chq, rand_chq_map
@@ -80,6 +81,39 @@ def test_coequalizing_no_relations_is_the_trivial_quotient(y):
         assert q == quotient_finset(y, [])
     else:
         assert q == quotient_linear(y, ratmat.zeros(y.size(), 0))
+
+
+def surjection_case(backend):
+    """A surjection e: y -> q, a map g out of q, and a map out of y that
+    separates two elements e identifies."""
+    if backend == "finset":
+        y = finset_obj(["a", "b", "c"])
+        e = finset_map(y, finset_obj(["x", "y"]), [1, 0, 1])
+        g = finset_map(e.dst, finset_obj(["s", "t", "u"]), [2, 0])
+        return e, g, finset_map(y, g.dst, [0, 1, 2])
+    if backend == "vectq":
+        e = vectq_map(vectq_obj(3), vectq_obj(2), [[1, 0, 1], [0, 1, 0]])
+        g = vectq_map(e.dst, vectq_obj(1), [[2, 3]])
+        return e, g, vectq_map(e.src, g.dst, [[1, 0, 0]])
+    y, _ = coproduct([disk(1), sphere(0)])
+    e = chq_map(y, disk(1), [[1, 0, 0], [0, 1, 1]])
+    return e, identity(e.dst), chq_map(y, e.dst, [[1, 0, 0], [0, 1, 0]])
+
+
+@pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
+def test_surjection_and_tensor_quotients_induce_and_refuse(backend):
+    e, g, bad = surjection_case(backend)
+    q = surjection_quotient(e)
+    assert (q.obj, q.proj) == (e.dst, e)
+    assert quotient_induced(q, e.then(g)) == g
+    with pytest.raises(ValueError):
+        quotient_induced(q, bad)
+    qq = tensor_quotient(q, q)
+    assert qq.proj == tensor_mor(e, e)
+    assert quotient_induced(qq, tensor_mor(e.then(g), e.then(g))) == \
+        tensor_mor(g, g)
+    with pytest.raises(ValueError):
+        quotient_induced(qq, tensor_mor(bad, bad))
 
 
 def test_pushout_universal_property(rng):
