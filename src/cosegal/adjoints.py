@@ -46,9 +46,10 @@ The central objects here:
 * `pushforward` / `pullback` move precategories along a map of letter
   sets.
 
-Everything is exact: each colimit is a finite presentation handed to the
-backend, and every induced map is produced by descent through an explicit
-quotient, which re-verifies the defining relations as it goes.
+Everything is exact. Each colimit is a finite presentation, one
+`colim.Colimit` built by `colim.present`, and every structure map out of a
+slot of `precat_colimit` or `pushforward` is made by the one descent,
+`colim.colimit_induced`, which re-verifies the defining relations.
 """
 
 import itertools
@@ -61,9 +62,9 @@ from .base import (
     tensor_mor, tensor_mor_multi, tensor_multi, unit, zero_map,
 )
 from .colim import (
-    coequalize_relations, coequalizer, colimit, colimit_induced, copair,
-    coproduct, quotient_induced, surjection_quotient, tensor_quotient,
-    wide_pushout, wide_pushout_induced,
+    coequalizer, colimit, colimit_induced, copair, coproduct, present,
+    pushout, pushout_induced, quotient_induced, surjection_quotient,
+    tensor_quotient, wide_pushout, wide_pushout_induced,
 )
 from .precat import (
     PrecatMorphism, StrictCategory, check_unital, expected_laxity_keys,
@@ -605,6 +606,9 @@ def _arrow_build(letters, truncation, z0, alpha, calls):
     backend = alpha.backend
     letters = tuple(sorted(letters))
     table = calls.chain_table(letters, truncation)
+    if z0 not in table.chains:
+        raise ValueError("%r is not a chain over %r up to truncation %d"
+                         % (z0, letters, truncation))
     nothing = empty(backend)
     ends = shapes.endpoints(z0)
     wps = {w: (calls.wide_pushout(alpha, len(table.hom_set(w, z0)))
@@ -837,28 +841,19 @@ def _free_transpose(gadget, h, k_component, calls):
 # colimits of pointed precategories
 
 
-@dataclass
-class SliceRecord:
-    """One degree-1 slice of a precategory colimit: the plain backend
-    diagram that was solved, and what came out."""
-
-    nodes: dict
-    edges: list
-    value: object
-    cocone: dict
-
-
 def precat_colimit(nodes, edges):
     """The colimit of a finite connected diagram of pointed precategories.
 
-    Degree-1 slots are plain backend colimits of the slices. A higher
-    slot is presented by one block per node value plus one block per
-    two-part subdivision (the formal products of lower colimit values),
-    with relations for the diagram's edges, for each node's laxity
-    against the cocone, and for three-part reassociation. Structure maps
-    descend through the quotients, which re-checks the relations.
+    Each slot is one presented object (`colim.present`): one block per
+    node value plus one block per two-part subdivision (the formal
+    products of lower colimit values), with relations for the diagram's
+    edges, for each node's laxity against the cocone, and for three-part
+    reassociation. A degree-1 slot has node blocks and edge relations
+    only, so it is the plain backend colimit of its slice. Structure maps
+    descend through the slot presentations (`colim.colimit_induced`),
+    which re-checks the relations.
 
-    Returns (colimit precategory, {key: cocone morphism}, slice records).
+    Returns (colimit precategory, {key: cocone morphism}).
     """
     keys = sorted(nodes)
     first = nodes[keys[0]]
@@ -867,103 +862,70 @@ def precat_colimit(nodes, edges):
     for key in keys:
         if nodes[key].chains != chains or not nodes[key].is_pointed():
             raise ValueError("nodes must be pointed with a common shape")
+    for a, b, alpha in edges:
+        if alpha.src != nodes[a] or alpha.dst != nodes[b]:
+            raise ValueError("edge %r -> %r does not match its nodes" % (a, b))
     values = {}
     lax = {}
     psi = {}
     gen = {}
-    slices = {}
-    pres = {}
-    # each pair block tensor(values[s], values[t]) is built once; every
-    # relation or structure map landing on it takes it from here, so its
-    # end check in `then` is an identity test
-    pairs = {}
-
-    def block_layout(z):
-        blocks = [("node", key) for key in keys]
-        for c in range(1, len(z) - 1):
-            blocks.append(("pair", c))
-        return blocks
-
-    def block_obj(z, block):
-        kind, which = block
-        if kind == "node":
-            return nodes[which].value(z)
-        s, t = z[:which + 1], z[which:]
-        pairs[(s, t)] = tensor(values[s], values[t])
-        return pairs[(s, t)]
+    cols = {}
 
     for z in sorted(chains, key=lambda s: (len(s), s)):
-        if len(z) == 2:
-            snodes = {key: nodes[key].value(z) for key in keys}
-            sedges = [(a, b, m.at(z)) for a, b, m in edges]
-            col = colimit(snodes, sedges)
-            values[z] = col.obj
+        # each pair block tensor(values[s], values[t]) is built once, and
+        # every map landing on it ends on that object (lax[(s, t)].src
+        # once built), so its end check in `then` is an identity test
+        blocks = [(("node", key), nodes[key].value(z)) for key in keys]
+        blocks += [(("pair", c), tensor(values[z[:c + 1]], values[z[c:]]))
+                   for c in range(1, len(z) - 1)]
+
+        def relations(inj):
+            rel = [(nodes[a].value(z), inj[("node", a)],
+                    alpha.at(z).then(inj[("node", b)]))
+                   for a, b, alpha in edges]
             for key in keys:
-                psi[(key, z)] = col.cocone[key]
-            slices[z] = SliceRecord(snodes, sedges, col.obj,
-                                    dict(col.cocone))
-            pres[z] = ("deg1", col)
-            continue
-        blocks = block_layout(z)
-        bobjs = [block_obj(z, b) for b in blocks]
-        cop, binjs = coproduct(bobjs, backend=backend)
-        binj = dict(zip(blocks, binjs))
-        rel = []
-        for a, b, alpha in edges:
-            rel.append((nodes[a].value(z), binj[("node", a)],
-                        alpha.at(z).then(binj[("node", b)])))
-        for key in keys:
-            nd = nodes[key]
-            for c in range(1, len(z) - 1):
-                s, t = z[:c + 1], z[c:]
-                # the laxity's source is the tensor of the node's values
-                phi = nd.lax(s, t)
+                nd = nodes[key]
+                for c in range(1, len(z) - 1):
+                    s, t = z[:c + 1], z[c:]
+                    pair_c = inj[("pair", c)]
+                    # the laxity's source is the tensor of the node's values
+                    phi = nd.lax(s, t)
+                    rel.append((
+                        phi.src,
+                        phi.then(inj[("node", key)]),
+                        _tensor_mor_onto((psi[(key, s)], psi[(key, t)]),
+                                         phi.src, pair_c.src).then(pair_c)))
+            for c1, c2 in shapes.cut_tuples(z, 3):
+                r, sm, t = z[:c1 + 1], z[c1:c2 + 1], z[c2:]
+                p1, p2 = inj[("pair", c1)], inj[("pair", c2)]
+                # the tensor is strictly associative, so one source serves
+                # both bracketings
+                src = tensor(lax[(r, sm)].src, values[t])
                 rel.append((
-                    phi.src,
-                    phi.then(binj[("node", key)]),
-                    _tensor_mor_onto((psi[(key, s)], psi[(key, t)]),
-                                     phi.src, pairs[(s, t)]).then(
-                        binj[("pair", c)])))
-        for cuts in shapes.cut_tuples(z, 3):
-            c1, c2 = cuts
-            r, sm, t = z[:c1 + 1], z[c1:c2 + 1], z[c2:]
-            # the tensor is strictly associative, so one source serves
-            # both bracketings
-            src = tensor(pairs[(r, sm)], values[t])
-            rel.append((
-                src,
-                _tensor_mor_onto((lax[(r, sm)], identity(values[t])), src,
-                                 pairs[(z[:c2 + 1], t)]).then(
-                    binj[("pair", c2)]),
-                _tensor_mor_onto((identity(values[r]), lax[(sm, t)]), src,
-                                 pairs[(r, z[c1:])]).then(
-                    binj[("pair", c1)])))
-        q = coequalize_relations(cop, rel)
-        values[z] = q.obj
-        for key in keys:
-            psi[(key, z)] = binj[("node", key)].then(q.proj)
-        for c in range(1, len(z) - 1):
-            lax[(z[:c + 1], z[c:])] = binj[("pair", c)].then(q.proj)
-        pres[z] = ("coeq", q, cop, blocks, binj)
+                    src,
+                    _tensor_mor_onto((lax[(r, sm)], identity(values[t])),
+                                     src, p2.src).then(p2),
+                    _tensor_mor_onto((identity(values[r]), lax[(sm, t)]),
+                                     src, p1.src).then(p1)))
+            return rel
 
-    # structure maps, by descent through the source presentation
-    for z in sorted(chains, key=lambda s: (len(s), s)):
+        cols[z] = present(blocks, relations, backend)
+        values[z] = cols[z].obj
+        for key in keys:
+            psi[(key, z)] = cols[z].cocone[("node", key)]
+        for c in range(1, len(z) - 1):
+            lax[(z[:c + 1], z[c:])] = cols[z].cocone[("pair", c)]
+
+        # structure maps, by descent through the presentation of the
+        # chain with one letter deleted
         for p in range(1, len(z) - 1):
-            zp = shapes.delete(z, p)
-            kind = pres[zp][0]
-            if kind == "deg1":
-                col = pres[zp][1]
-                cone = {key: nodes[key].gen_map(z, p).then(psi[(key, z)])
-                        for key in keys}
-                gen[(z, p)] = colimit_induced(col, cone)
-                continue
-            _, q, cop, blocks, binj = pres[zp]
-            legs = []
-            for block in blocks:
-                bkind, which = block
-                if bkind == "node":
-                    legs.append(nodes[which].gen_map(z, p).then(
-                        psi[(which, z)]))
+            col = cols[shapes.delete(z, p)]
+            cone = {}
+            for block, leg in col.cocone.items():
+                kind, which = block
+                if kind == "node":
+                    cone[block] = nodes[which].gen_map(z, p).then(
+                        psi[(which, z)])
                     continue
                 big_cuts, j, rel_pos = shapes.reinsert(z, (which,), p)
                 s, t = z[:big_cuts[0] + 1], z[big_cuts[0]:]
@@ -971,12 +933,11 @@ def precat_colimit(nodes, edges):
                     pair = (gen[(s, rel_pos)], identity(values[t]))
                 else:
                     pair = (identity(values[s]), gen[(t, rel_pos)])
-                # from the pair block of zp onto the pair block of z
-                part_map = _tensor_mor_onto(pair, binj[block].src,
-                                            pairs[(s, t)])
-                legs.append(part_map.then(lax[(s, t)]))
-            h = copair(cop, legs, values[z])
-            gen[(z, p)] = quotient_induced(q, h)
+                # from the pair block of the deleted chain onto the pair
+                # block of z
+                part_map = _tensor_mor_onto(pair, leg.src, lax[(s, t)].src)
+                cone[block] = part_map.then(lax[(s, t)])
+            gen[(z, p)] = colimit_induced(col, cone)
 
     # remaining laxity keys all arise as pair blocks of their concat chain
     full_lax = {key: lax[key]
@@ -993,7 +954,7 @@ def precat_colimit(nodes, edges):
     cocone = {key: PrecatMorphism(nodes[key], out,
                                   {z: psi[(key, z)] for z in chains})
               for key in keys}
-    return out, cocone, slices
+    return out, cocone
 
 
 # ---------------------------------------------------------------------------
@@ -1004,15 +965,14 @@ def precat_colimit(nodes, edges):
 class RoundRecord:
     """Everything one round of unitalization did: which constraints were
     violated, the parallel pairs and their coequalizers, the summand
-    inclusions of the new values, the round morphism, and the degree-1
-    slice diagrams that were glued."""
+    inclusions of the new values, and the round morphism (the leg of the
+    round's `precat_colimit` cocone at the precategory itself)."""
 
     constraints: list
     pairs: list
     coeqs: list
     xis: list
     delta: object
-    slices: dict
 
 
 @dataclass
@@ -1107,11 +1067,11 @@ def unitalize(pc):
                             apex.map_to(gad, _initial_square(q.proj), slot))]
                 incls[i] = gad.center_inclusion()
         edges = [edge for i in range(len(bad)) for edge in legs[i]]
-        new, cocone, slices = precat_colimit(nodes, edges)
+        new, cocone = precat_colimit(nodes, edges)
         xis = [incls[i].then(cocone[("gad", i)].at(con[4]))
                for i, con in enumerate(bad)]
         delta = cocone[("center",)]
-        rounds.append(RoundRecord(bad, pairs, coeqs, xis, delta, slices))
+        rounds.append(RoundRecord(bad, pairs, coeqs, xis, delta))
         stages.append(new)
         current = new
     trace = UnitalizationTrace(stages, rounds)
@@ -1325,9 +1285,18 @@ def psi(z0, alpha, letters=None, truncation=None):
     return PsiResult(res.precat, res.eta, res.trace, gadget)
 
 
+def _gadget_over(res, z0):
+    """The gadget of a psi result, refusing a z0 it was not built over."""
+    if z0 != res.gadget.z0:
+        raise ValueError("psi was built over %r, not %r"
+                         % (res.gadget.z0, z0))
+    return res.gadget
+
+
 def psi_square(z0, square, src_res, dst_res):
     """Functorial action of psi on a commuting square of arrows."""
-    raw = src_res.gadget.map_to(dst_res.gadget, square, _CallTables())
+    raw = _gadget_over(src_res, z0).map_to(_gadget_over(dst_res, z0),
+                                           square, _CallTables())
     return factor_through_unital(src_res.eta, raw.then(dst_res.eta))
 
 
@@ -1336,7 +1305,7 @@ def psi_inclusions(res, z0):
     (source arrow end -> value at the endpoints, target end -> value at
     z0)."""
     ends = shapes.endpoints(z0)
-    gadget = res.gadget
+    gadget = _gadget_over(res, z0)
     inc_u = gadget.chain_inclusion(ends, gadget.k[1][ends].through)
     inc_v = gadget.center_inclusion()
     return (inc_u.then(res.eta.at(ends)), inc_v.then(res.eta.at(z0)))
@@ -1355,14 +1324,13 @@ def psi_transpose(res, z0, h, square):
     commuting square (top, bottom) from the generating arrow to the
     cosegal arrow of h at z0: top into h at the endpoints, bottom into h
     at z0, with top . h(to initial) == alpha . bottom."""
-    raw = res.gadget.transpose(h, square, _CallTables())
+    raw = _gadget_over(res, z0).transpose(h, square, _CallTables())
     return factor_through_unital(res.eta, raw)
 
 
 def arrow_codiagonal(alpha):
     """The two inclusions into the pushout of alpha along itself and the
     fold map collapsing them."""
-    from .colim import pushout, pushout_induced
     po = pushout(alpha, alpha)
     fold = pushout_induced(po, identity(alpha.dst), identity(alpha.dst))
     return po, fold
@@ -1456,25 +1424,13 @@ def pushforward(f, pc):
             if any(not pb for pb in per_part):
                 continue
             for combo in itertools.product(*per_part):
-                out.append((cuts, combo))
+                out.append(((cuts, combo), tensor_multi(
+                    [pc.value(s) for s, _ in combo], backend)))
         return out
 
-    def block_src(block):
-        _, combo = block
-        return tensor_multi([pc.value(s) for s, _ in combo], backend)
-
-    chains = shapes.all_chains(target_letters, pc.truncation)
-    values = {}
-    quots = {}
-    layouts = {}
-    for w in chains:
-        blocks = blocks_of(w)
-        layouts[w] = blocks
-        bsrcs = [block_src(b) for b in blocks]
-        cop, binjs = coproduct(bsrcs, backend=backend)
-        binj = dict(zip(blocks, binjs))
+    def relations(inj):
         rel = []
-        for block in blocks:
+        for block in inj:
             cuts, combo = block
             for i, (s, d) in enumerate(combo):
                 for r in range(1, len(s) - 1):
@@ -1482,16 +1438,12 @@ def pushforward(f, pc):
                     img_step = shapes.del_single(_image_chain(f, s), r)
                     new_combo = list(combo)
                     new_combo[i] = (s2, d.then(img_step))
-                    other = (cuts, tuple(new_combo))
+                    other = inj[(cuts, tuple(new_combo))]
                     factors = [identity(pc.value(ss)) for ss, _ in combo]
                     factors[i] = pc.gen_map(s, r)
-                    src = tensor_multi(
-                        [pc.value(ss) for ss, _ in new_combo], backend)
-                    rel.append((
-                        src,
-                        binj[other],
-                        tensor_mor_multi(factors, backend).then(
-                            binj[block])))
+                    rel.append((other.src, other,
+                                tensor_mor_multi(factors, backend).then(
+                                    inj[block])))
             for i in range(len(combo) - 1):
                 s1, d1 = combo[i]
                 s2, d2 = combo[i + 1]
@@ -1503,24 +1455,24 @@ def pushforward(f, pc):
                 new_cuts = cuts[:i] + cuts[i + 1:]
                 new_combo = combo[:i] + ((merged, _concat_del(d1, d2)),) \
                     + combo[i + 2:]
-                other = (new_cuts, new_combo)
                 factors = [identity(pc.value(ss)) for ss, _ in combo]
                 pre = factors[:i] + [pc.lax(s1, s2)] + factors[i + 2:]
                 rel.append((
-                    block_src(block),
-                    tensor_mor_multi(pre, backend).then(binj[other]),
-                    binj[block]))
-        q = coequalize_relations(cop, rel)
-        values[w] = q.obj
-        quots[w] = (q, cop, binj, bsrcs)
+                    inj[block].src,
+                    tensor_mor_multi(pre, backend).then(
+                        inj[(new_cuts, new_combo)]),
+                    inj[block]))
+        return rel
+
+    chains = shapes.all_chains(target_letters, pc.truncation)
+    cols = {w: present(blocks_of(w), relations, backend) for w in chains}
+    values = {w: col.obj for w, col in cols.items()}
     maps = {}
-    for w in values:
+    for w, col in cols.items():
         for p in range(1, len(w) - 1):
-            wp = shapes.delete(w, p)
-            qp, copp, _, _ = quots[wp]
-            q, _, binj, _ = quots[w]
-            legs = []
-            for block in layouts[wp]:
+            colp = cols[shapes.delete(w, p)]
+            cone = {}
+            for block in colp.cocone:
                 cuts, combo = block
                 big_cuts, j, rel_pos = shapes.reinsert(w, cuts, p)
                 s_j, d_j = combo[j]
@@ -1528,28 +1480,24 @@ def pushforward(f, pc):
                 step = shapes.del_single(parts[j], rel_pos)
                 new_combo = list(combo)
                 new_combo[j] = (s_j, step.then(d_j))
-                target = (big_cuts, tuple(new_combo))
-                legs.append(binj[target].then(q.proj))
-            h = copair(copp, legs, values[w])
-            maps[(w, p)] = quotient_induced(qp, h)
+                cone[block] = col.cocone[(big_cuts, tuple(new_combo))]
+            maps[(w, p)] = colimit_induced(colp, cone)
     laxity = {}
     for (sbar, tbar) in expected_laxity_keys(chains, pc.truncation):
-        qs, cop_s, _, lsrcs = quots[sbar]
-        qt, cop_t, _, rsrcs = quots[tbar]
-        qst, _, binjs_st, _ = quots[shapes.concat(sbar, tbar)]
+        cs, ct = cols[sbar], cols[tbar]
+        cst = cols[shapes.concat(sbar, tbar)]
         shift = shapes.degree(sbar)
         targets = {}
-        for i, (cuts1, combo1) in enumerate(layouts[sbar]):
-            for j, (cuts2, combo2) in enumerate(layouts[tbar]):
+        for i, (cuts1, combo1) in enumerate(cs.cocone):
+            for j, (cuts2, combo2) in enumerate(ct.cocone):
                 cuts = cuts1 + (shift,) + tuple(c + shift for c in cuts2)
-                key = (cuts, combo1 + combo2)
-                targets[(i, j)] = binjs_st[key].then(qst.proj)
+                targets[(i, j)] = cst.cocone[(cuts, combo1 + combo2)]
         # assemble on the presentation coproducts, then push through the
         # quotients' sections and re-verify
-        on_cops = _pair_assemble(
-            backend, (cop_s, lsrcs), (cop_t, rsrcs), targets,
-            values[shapes.concat(sbar, tbar)])
-        laxity[(sbar, tbar)] = quotient_induced(tensor_quotient(qs, qt),
+        on_cops = _pair_assemble(backend, *[
+            (c.q.proj.src, [leg.src for leg in c.cocone.values()])
+            for c in (cs, ct)], targets, cst.obj)
+        laxity[(sbar, tbar)] = quotient_induced(tensor_quotient(cs.q, ct.q),
                                                 on_cops)
     return make_precategory(backend, target_letters, pc.truncation, values,
                             maps, laxity)

@@ -5,9 +5,14 @@ same input produce identical objects: coproducts keep the argument order,
 finset quotients pick the least representative of each class, vectq/chq
 quotients use the canonical rref cokernel from ratmat.
 
-Induced maps out of a quotient are built through a linear (or pointwise)
-section and then checked against the cocone; if the given data does not
-descend, that check fails loudly rather than returning garbage.
+Every colimit is a presentation: keyed blocks modulo relations, each a
+parallel pair into the blocks' coproduct. `present` builds it as one
+`Colimit` record (the object, one cocone leg per block key, the
+quotient), and `colimit`, `pushout` and `wide_pushout` build through it.
+The one descent, `colimit_induced`, copairs one cone leg per block and
+induces the map out of the quotient through a linear (or pointwise)
+section, checking that it descends: an incompatible cone fails loudly
+rather than returning garbage.
 """
 
 from dataclasses import dataclass
@@ -203,6 +208,54 @@ def tensor_quotient(qs, qt):
 
 
 # ---------------------------------------------------------------------------
+# presented objects: keyed blocks modulo relations
+
+
+@dataclass(frozen=True)
+class Colimit:
+    """A presented object: obj, a cocone with one leg per block key in
+    block order, and q, the quotient of the blocks' coproduct by the
+    relations (None when obj is taken on the nose)."""
+
+    obj: MObject
+    cocone: dict
+    q: Quotient
+
+
+def present(blocks, relations, backend):
+    """The object presented by keyed blocks [(key, object)] modulo
+    relations, as a Colimit.
+
+    relations takes the block injections {key: map into the blocks'
+    coproduct} and returns the relations [(src, left, right)], each a
+    parallel pair src -> coproduct.
+    """
+    cop, injs = coproduct([obj for _, obj in blocks], backend=backend)
+    inj = {key: i for (key, _), i in zip(blocks, injs)}
+    q = coequalize_relations(cop, relations(inj))
+    return Colimit(q.obj, {key: i.then(q.proj) for key, i in inj.items()},
+                   q)
+
+
+def colimit_induced(col, cone):
+    """The universal map out of a colimit; cone is {key: map to Z}.
+
+    A presented colimit descends the copair of the cone through its
+    quotient, which checks that the cone is compatible; one taken on the
+    nose checks every leg. Raises ValueError on an incompatible cone.
+    """
+    keys = list(col.cocone)
+    if col.q is not None:
+        return quotient_induced(col.q, copair(
+            col.q.proj.src, [cone[k] for k in keys], cone[keys[0]].dst))
+    ind = next(cone[k] for k in keys if is_identity(col.cocone[k]))
+    for k in keys:
+        if col.cocone[k].then(ind) != cone[k]:
+            raise ValueError("cone is not compatible at node %r" % (k,))
+    return ind
+
+
+# ---------------------------------------------------------------------------
 # pushouts
 
 
@@ -211,25 +264,19 @@ class Pushout:
     obj: MObject
     left: MMorphism   # from f.dst
     right: MMorphism  # from g.dst
-    _cop: MObject
-    _injs: tuple
-    _q: Quotient
+    _col: Colimit
 
 
 def pushout(f, g):
-    """The pushout of f: A -> B and g: A -> C, with both legs."""
-    if f.src != g.src:
-        raise ValueError("pushout needs a common source")
-    cop, injs = coproduct([f.dst, g.dst], backend=f.backend)
-    q = coequalizer(f.then(injs[0]), g.then(injs[1]))
-    return Pushout(q.obj, injs[0].then(q.proj), injs[1].then(q.proj),
-                   cop, tuple(injs), q)
+    """The pushout of f: A -> B and g: A -> C, with both legs: the wide
+    pushout of the two."""
+    wp = wide_pushout(f.src, [f, g])
+    return Pushout(wp.obj, *wp.maps, wp._col)
 
 
 def pushout_induced(po, u, v):
     """The universal map out of a pushout given a commuting cone (u, v)."""
-    h = copair(po._cop, [u, v], u.dst)
-    return quotient_induced(po._q, h)
+    return colimit_induced(po._col, {0: u, 1: v})
 
 
 @dataclass(frozen=True)
@@ -237,8 +284,7 @@ class WidePushout:
     obj: MObject
     maps: tuple        # one leg from each target D_i
     through: MMorphism  # the common composite from the base
-    _cop: MObject
-    _q: Quotient
+    _col: Colimit
 
 
 def wide_pushout(base, legs):
@@ -252,16 +298,20 @@ def wide_pushout(base, legs):
         if leg.src != base:
             raise ValueError("wide pushout legs must share their source")
     if not legs:
-        return WidePushout(base, (), identity(base), None, None)
+        return WidePushout(base, (), identity(base), None)
     if len(legs) == 1:
         return WidePushout(legs[0].dst, (identity(legs[0].dst),), legs[0],
-                           None, None)
-    cop, injs = coproduct([leg.dst for leg in legs], backend=base.backend)
-    first = legs[0].then(injs[0])
-    q = coequalize_relations(cop, [(base, first, leg.then(inj))
-                                   for leg, inj in zip(legs[1:], injs[1:])])
-    maps = tuple(inj.then(q.proj) for inj in injs)
-    return WidePushout(q.obj, maps, legs[0].then(maps[0]), cop, q)
+                           None)
+
+    def relations(inj):
+        first = legs[0].then(inj[0])
+        return [(base, first, leg.then(inj[i]))
+                for i, leg in enumerate(legs) if i]
+
+    col = present(list(enumerate(leg.dst for leg in legs)), relations,
+                  base.backend)
+    maps = tuple(col.cocone.values())
+    return WidePushout(col.obj, maps, legs[0].then(maps[0]), col)
 
 
 def wide_pushout_induced(wp, cone, through=None):
@@ -277,21 +327,11 @@ def wide_pushout_induced(wp, cone, through=None):
         return through
     if len(cone) == 1:
         return cone[0]
-    h = copair(wp._cop, cone, cone[0].dst)
-    return quotient_induced(wp._q, h)
+    return colimit_induced(wp._col, dict(enumerate(cone)))
 
 
 # ---------------------------------------------------------------------------
 # general finite diagrams
-
-
-@dataclass(frozen=True)
-class Colimit:
-    obj: MObject
-    cocone: dict
-    _cop: MObject
-    _injs: dict
-    _q: Quotient
 
 
 def _identity_connected(keys, edges):
@@ -335,48 +375,40 @@ def colimit(nodes, edges, source_key=None):
     if source_key is not None and source_key in nodes:
         rest = [k for k in keys if k != source_key]
         out_maps = [m for a, b, m in edges if a == source_key]
-        into_source = [1 for a, b, m in edges if b == source_key]
         rest_vals = {nodes[k] for k in rest}
         rest_edges = [(a, b, m) for a, b, m in edges
                       if a != source_key and b != source_key]
-        if (rest and not into_source and len(rest_vals) == 1
+        if (rest and len(rest_vals) == 1
                 and out_maps and all(m == out_maps[0] for m in out_maps)
                 and all(b != source_key for _, b, _ in edges)
                 and _identity_connected(rest, rest_edges)):
             w = nodes[rest[0]]
-            cocone = {k: identity(w) for k in rest}
-            cocone[source_key] = out_maps[0]
-            return Colimit(w, cocone, None, None, None)
-    backend = nodes[keys[0]].backend
-    cop, injs = coproduct([nodes[k] for k in keys], backend=backend)
-    inj_by_key = dict(zip(keys, injs))
-    q = coequalize_relations(cop, [(nodes[a], inj_by_key[a],
-                                    m.then(inj_by_key[b]))
-                                   for a, b, m in edges])
-    cocone = {k: inj_by_key[k].then(q.proj) for k in keys}
-    return Colimit(q.obj, cocone, cop, inj_by_key, q)
-
-
-def colimit_induced(col, cone):
-    """The universal map out of a colimit; cone is {key: map to Z}."""
-    keys = sorted(col.cocone)
-    dst = cone[keys[0]].dst
-    if col._q is None:
-        rest = [k for k in keys
-                if col.cocone[k].src == col.cocone[k].dst
-                and col.cocone[k] == identity(col.obj)]
-        ind = cone[rest[0]]
-    else:
-        h = copair(col._cop, [cone[k] for k in keys], dst)
-        ind = quotient_induced(col._q, h)
-    for k in keys:
-        if col.cocone[k].then(ind) != cone[k]:
-            raise ValueError("cone is not compatible at node %r" % (k,))
-    return ind
+            return Colimit(w, {k: out_maps[0] if k == source_key
+                               else identity(w) for k in keys}, None)
+    return present([(k, nodes[k]) for k in keys],
+                   lambda inj: [(nodes[a], inj[a], m.then(inj[b]))
+                                for a, b, m in edges],
+                   nodes[keys[0]].backend)
 
 
 # ---------------------------------------------------------------------------
 # equalizers (the one limit the package needs)
+
+
+def kernel_subobject(x, eqs):
+    """The subobject of a vectq/chq object on which the equations vanish,
+    with its inclusion; eqs has one column per coordinate of x. The dual
+    of quotient_linear. Raises ValueError when on chq the kernel is not a
+    subcomplex."""
+    basis, free = ratmat.kernel_data(eqs)
+    if x.backend == "vectq":
+        obj = vectq_obj(len(free))
+    else:
+        dsub = ratmat.solve_matrix(basis, ratmat.matmul(x.diff, basis))
+        if dsub is None:
+            raise ValueError("the kernel is not a subcomplex")
+        obj = chq_obj(tuple(x.degrees[i] for i in free), dsub)
+    return obj, make_map(obj, x, basis)
 
 
 def equalizer(f, g):
@@ -389,16 +421,7 @@ def equalizer(f, g):
                 if f.mapping[i] == g.mapping[i]]
         obj = _finset(tuple([x.labels[i] for i in keep]))
         return obj, MMorphism("finset", obj, x, mapping=tuple(keep))
-    k, free = ratmat.kernel_data(ratmat.msub(f.matrix, g.matrix))
-    if f.backend == "vectq":
-        obj = vectq_obj(len(free))
-        return obj, vectq_map(obj, x, k)
-    degrees = tuple(x.degrees[i] for i in free)
-    dsub = ratmat.solve_matrix(k, ratmat.matmul(x.diff, k))
-    if dsub is None:
-        raise ValueError("equalizer is not a subcomplex")
-    obj = chq_obj(degrees, dsub)
-    return obj, chq_map(obj, x, k)
+    return kernel_subobject(x, ratmat.msub(f.matrix, g.matrix))
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,10 @@ from dataclasses import dataclass, replace
 
 from . import ratmat, shapes
 from .base import (
-    MMorphism, MObject, _finset, chq_obj, identity, invert,
-    make_map, symmetry, tensor, tensor_mor, tensor_multi, unit,
-    vectq_obj, right_unitor, left_unitor,
+    MMorphism, MObject, _finset, identity, invert, make_map, symmetry,
+    tensor, tensor_mor, tensor_multi, unit, right_unitor, left_unitor,
 )
-from .colim import coproduct
+from .colim import coproduct, kernel_subobject
 from .precat import (
     Precategory, PrecatMorphism, expected_laxity_keys, make_precategory,
     split_admissible,
@@ -609,17 +608,8 @@ def _route_subobject(src, slots, offsets, prod, routes):
             i, v = divmod(c, nfs)
             row = index.setdefault((s, v, r), len(index))
             entries.append((row, offsets[a] + i, -x))
-    basis, free = ratmat.kernel_data(
-        ratmat.build(len(index), prod.size(), entries))
-    if prod.backend == "vectq":
-        obj = vectq_obj(len(free))
-    else:
-        dsub = ratmat.solve_matrix(basis, ratmat.matmul(prod.diff, basis))
-        if dsub is None:
-            raise ValueError("route equations do not cut out a "
-                             "subcomplex")
-        obj = chq_obj(tuple(prod.degrees[i] for i in free), dsub)
-    return obj, make_map(obj, prod, basis)
+    return kernel_subobject(
+        prod, ratmat.build(len(index), prod.size(), entries))
 
 
 def nat_transform_object(src, dst, fmaps, sigmas):

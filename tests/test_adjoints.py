@@ -29,7 +29,7 @@ from cosegal.adjoints import (
     factor_through_unital,
 )
 from cosegal.colim import (
-    coequalizer, copair, coproduct, wide_pushout_induced,
+    coequalizer, colimit, copair, coproduct, wide_pushout_induced,
 )
 from cosegal.monoidal import tensor_s
 from cosegal.precat import (
@@ -580,15 +580,39 @@ def test_precat_colimit_of_identity_span_returns_the_precategory():
     pc = from_strict_category(function_category({"a": 2}), 2)
     nodes = {(0,): pc, (1,): pc}
     edges = [((0,), (1,), identity_morphism(pc))]
-    out, cocone, slices = precat_colimit(nodes, edges)
+    out, cocone = precat_colimit(nodes, edges)
     assert validate(out) == []
     assert not check_unital(out)
     for key in nodes:
         assert validate_morphism(cocone[key]) == []
         assert is_levelwise_isomorphism(cocone[key])
+
+
+def test_precat_colimit_refuses_an_edge_that_does_not_match_its_nodes():
+    pc = from_strict_category(function_category({"a": 2}), 2)
+    other = from_strict_category(function_category({"a": 1}), 2)
+    with pytest.raises(ValueError):
+        precat_colimit({0: pc, 1: other}, [(0, 1, identity_morphism(pc))])
+
+
+@pytest.mark.parametrize("case", range(3), ids=["finset", "vectq", "chq"])
+def test_precat_colimit_degree_one_slots_are_the_plain_colimit_of_the_slice(
+        case):
+    # the pushout of the unitalization of a free pointing along itself
+    p = point(laxity_cases()[case])
+    eta = unitalize(p).eta
+    nodes = {"p": p, "u1": eta.dst, "u2": eta.dst}
+    edges = [("p", "u1", eta), ("p", "u2", eta)]
+    out, cocone = precat_colimit(nodes, edges)
+    assert validate(out) == []
     for s in out.chains:
-        if len(s) == 2:
-            assert s in slices
+        if len(s) != 2:
+            continue
+        col = colimit({k: n.value(s) for k, n in nodes.items()},
+                      [(a, b, m.at(s)) for a, b, m in edges])
+        assert out.value(s) == col.obj
+        for key in nodes:
+            assert cocone[key].at(s) == col.cocone[key]
 
 
 def test_precat_colimit_glues_a_unit_forcing_round():
@@ -709,7 +733,7 @@ def reference_unitalize(pc):
                           PrecatMorphism(apex, current, ev.components)))
             edges.append((("apex", i), ("gad", i),
                           PrecatMorphism(apex, gad, uj.components)))
-        new, cocone, _ = precat_colimit(nodes, edges)
+        new, cocone = precat_colimit(nodes, edges)
         xis.append([
             upsilon_center_inclusion(current.letters, current.truncation,
                                      con[4], coeqs[i].obj).then(
@@ -959,6 +983,48 @@ def test_psi_transpose_lands_on_every_commuting_square():
         assert validate_morphism(theta) == []
         got = psi_restrict(res, z0, theta)
         assert got[0] == sq[0] and got[1] == sq[1]
+
+
+def test_gadgets_refuse_a_z0_that_is_not_a_chain():
+    m = vectq_obj(1)
+    # a letter outside the letters
+    with pytest.raises(ValueError):
+        upsilon(("a", "b"), 2, ("a", "c", "b"), m)
+    with pytest.raises(ValueError):
+        upsilon_center_inclusion(("a", "b"), 2, ("a", "c", "b"), m)
+    with pytest.raises(ValueError):
+        psi(("a", "b", "b"), identity(m), letters=("a",), truncation=2)
+    # a chain above the truncation
+    with pytest.raises(ValueError):
+        psi(("a", "a", "a", "a"), identity(m), truncation=2)
+
+
+def test_psi_maps_refuse_a_z0_the_result_was_not_built_over():
+    h = from_strict_category(function_category({"a": 1, "b": 2, "x": 1}), 2)
+    U = finset_obj(["u0"])
+    V = finset_obj(["v0", "v1"])
+    alpha = finset_map(U, V, (1,))
+    z0, other = ("a", "x", "b"), ("a", "b", "b")
+    res = psi(z0, alpha)
+    u_s = h.cosegal_map(z0)
+    square = next(
+        (top, bottom)
+        for top in enumerate_maps(U, h.value(shapes.endpoints(z0)))
+        for bottom in enumerate_maps(V, h.value(z0))
+        if top.then(u_s) == alpha.then(bottom))
+    theta = psi_transpose(res, z0, h, square)
+    with pytest.raises(ValueError):
+        psi_transpose(res, other, h, square)
+    with pytest.raises(ValueError):
+        psi_restrict(res, other, theta)
+    with pytest.raises(ValueError):
+        psi_inclusions(res, other)
+    res_v = psi(z0, identity(V))
+    res_other = psi(other, identity(V), letters=h.letters, truncation=2)
+    with pytest.raises(ValueError):
+        psi_square(other, square_down(alpha), res, res_v)
+    with pytest.raises(ValueError):
+        psi_square(z0, square_down(alpha), res, res_other)
 
 
 @pytest.mark.parametrize("backend", ["finset", "vectq"])

@@ -8,9 +8,9 @@ from cosegal.base import (
 from cosegal.colim import (
     coequalize_relations, coequalizer, colimit, colimit_induced,
     compare_coproduct_pushout, compare_interleaved_colimits, copair,
-    coproduct, equalizer, pushout, pushout_induced, quotient_finset,
-    quotient_induced, quotient_linear, surjection_quotient, tensor_quotient,
-    wide_pushout, wide_pushout_induced,
+    coproduct, equalizer, kernel_subobject, pushout, pushout_induced,
+    quotient_finset, quotient_induced, quotient_linear, surjection_quotient,
+    tensor_quotient, wide_pushout, wide_pushout_induced,
 )
 
 from fixtures import rand_chq, rand_chq_map
@@ -198,6 +198,47 @@ def test_colimit_shortcut_refuses_disconnected():
     assert col.cocone["n1"] != identity(w) or col.cocone["n2"] != identity(w)
 
 
+def two_points(backend):
+    """A one-point object a, a two-point object b and the two different
+    maps f, g: a -> b that pick out its points."""
+    if backend == "finset":
+        a, b = finset_obj(["p"]), finset_obj(["x", "y"])
+        return a, b, finset_map(a, b, [0]), finset_map(a, b, [1])
+    if backend == "vectq":
+        a, b = vectq_obj(1), vectq_obj(2)
+        return a, b, vectq_map(a, b, [[1], [0]]), vectq_map(a, b, [[0], [1]])
+    a = sphere(0)
+    b, _ = coproduct([a, a])
+    return a, b, chq_map(a, b, [[1], [0]]), chq_map(a, b, [[0], [1]])
+
+
+@pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
+def test_induced_maps_refuse_a_cone_that_does_not_commute(backend):
+    # the identity of b on both legs is a cone only if f == g
+    a, b, f, g = two_points(backend)
+    ib = identity(b)
+    po = pushout(f, g)
+    assert pushout_induced(po, po.left, po.right) == identity(po.obj)
+    with pytest.raises(ValueError):
+        pushout_induced(po, ib, ib)
+    for n in (2, 3):
+        wp = wide_pushout(a, [f, g] + [f] * (n - 2))
+        assert wide_pushout_induced(wp, wp.maps) == identity(wp.obj)
+        with pytest.raises(ValueError):
+            wide_pushout_induced(wp, [ib] * n)
+    presented = colimit({"a": a, "b": b}, [("a", "b", f), ("a", "b", g)])
+    assert presented.q is not None
+    assert colimit_induced(presented, presented.cocone) == identity(
+        presented.obj)
+    with pytest.raises(ValueError):
+        colimit_induced(presented, {"a": f, "b": ib})
+    on_the_nose = colimit({"s": a, "n": b}, [("s", "n", f)], source_key="s")
+    assert on_the_nose.q is None and on_the_nose.obj is b
+    assert colimit_induced(on_the_nose, {"s": f, "n": ib}) == ib
+    with pytest.raises(ValueError):
+        colimit_induced(on_the_nose, {"s": g, "n": ib})
+
+
 def test_equalizer_all_backends():
     x = finset_obj(["a", "b", "c"])
     y = finset_obj(["u", "v"])
@@ -215,6 +256,15 @@ def test_equalizer_all_backends():
     assert obj3.degrees == c.degrees
     obj4, incl4 = equalizer(identity(c), zero_map(c, c))
     assert obj4.degrees == ()
+
+
+def test_kernel_subobject_refuses_a_kernel_that_is_not_a_subcomplex():
+    # on the disk d(e1) = e0, so the kernel of "e0 = 0" is spanned by e1
+    # and is not closed under d
+    with pytest.raises(ValueError):
+        kernel_subobject(disk(1), ratmat.mat([[0, 1]]))
+    obj, incl = kernel_subobject(disk(1), ratmat.mat([[0, 0]]))
+    assert obj.degrees == (1, 0) and incl == identity(disk(1))
 
 
 def interleave_shifted(etas, twists):

@@ -456,7 +456,7 @@ def _run_cell_pushout(sizes, z0, bottom_images):
     truncation = F.truncation
 
     # engine route: the strongly-unital pushout, taken at face value
-    raw, cocone, _ = precat_colimit(
+    raw, cocone = precat_colimit(
         {0: res_a.precat, 1: res_v.precat, 2: F},
         [(0, 1, down), (0, 2, sigma)])
     eng = unitalize(raw)
