@@ -29,6 +29,9 @@ The central objects here:
   those sums instead of rebuilding them. The tensor of two sums is a
   re-indexing of their blocks, so maps out of it (the laxity) are
   gathered from the components without building the distribution map.
+* A map out of an empty object (a summand, a whole sum, a wide pushout)
+  is the one initial map, `base.zero_map`, and is never tensored or
+  composed; a relation out of one identifies nothing and is left out.
 * A top-level call (`unitalize`, `psi`, `gamma`, `point`, ...) makes its
   own tables and frees them when it returns. The chain table holds the
   chain combinatorics (summand keys and their positions, parts,
@@ -288,11 +291,17 @@ def _sum_objects(backend, items):
     return obj, list(injs)
 
 
-def _assemble(sum_obj, comps, dst, backend):
-    """The map out of a `_sum_objects` sum given one map per summand."""
-    if len(comps) == 1:
-        return comps[0]
-    return copair(sum_obj, comps, dst)
+def _sum_map(sm, dst, leg):
+    """The map out of the free value sm (a `_Sum` of `_sum_objects`) into
+    dst that is leg(key, parts) on each summand. A summand out of 0 gets
+    the initial map and an empty sum is the initial map; leg builds
+    neither. A one-summand sum is its summand, so its map is the leg."""
+    if not sm.obj.size():
+        return zero_map(sm.obj, dst)
+    keyed = sm.keyed
+    comps = [leg(key, parts) if src.size() else zero_map(src, dst)
+             for key, parts, src in zip(keyed.keys, keyed.parts, sm.srcs)]
+    return comps[0] if len(comps) == 1 else copair(sm.obj, comps, dst)
 
 
 def _pair_assemble(backend, left, right, targets, dst, src=None):
@@ -302,8 +311,9 @@ def _pair_assemble(backend, left, right, targets, dst, src=None):
     `_sum_objects` or `coproduct`, so summand i fills the positions from
     lo_i, the total size of the summands before it. targets maps a pair
     (i, j) of summand indices to the component map out of
-    sources_left[i] (x) sources_right[j]. The tensor distributes over the
-    sums: position (lo_i + a) * |R| + (ro_j + b) of tensor(L, R) is
+    sources_left[i] (x) sources_right[j]; a pair with an empty side may be
+    left out, every other pair is required. The tensor distributes over
+    the sums: position (lo_i + a) * |R| + (ro_j + b) of tensor(L, R) is
     position a * |R_j| + b of targets[(i, j)], so the map only re-indexes
     the components' images. src is tensor(L, R) when the caller already
     holds it.
@@ -314,10 +324,14 @@ def _pair_assemble(backend, left, right, targets, dst, src=None):
     rsizes = [s.size() for s in rsrcs]
     if sum(lsizes) != lobj.size() or sum(rsizes) != robj.size():
         raise AssertionError("tensor distribution failed to be invertible")
+    filled = 0
     for (i, j), f in targets.items():
         if f.src.size() != lsizes[i] * rsizes[j]:
             raise ValueError("component %r does not match its summands"
                              % ((i, j),))
+        filled += f.src.size() > 0
+    if filled != sum(map(bool, lsizes)) * sum(map(bool, rsizes)):
+        raise ValueError("a nonempty summand pair has no component")
     if src is None:
         src = tensor(lobj, robj)
     if backend == "finset":
@@ -325,7 +339,9 @@ def _pair_assemble(backend, left, right, targets, dst, src=None):
         for i, nl in enumerate(lsizes):
             for a in range(nl):
                 for j, nr in enumerate(rsizes):
-                    out.extend(targets[(i, j)].mapping[a * nr:(a + 1) * nr])
+                    if nr:
+                        out.extend(
+                            targets[(i, j)].mapping[a * nr:(a + 1) * nr])
         return MMorphism(backend, src, dst, mapping=tuple(out))
     lo = list(itertools.accumulate(lsizes, initial=0))
     ro = list(itertools.accumulate(rsizes, initial=0))
@@ -449,37 +465,40 @@ def _free_build(pc, calls, pointed):
                 for (_, labels), parts in zip(keyed.keys, keyed.parts)]
         obj, injs = calls.sum_objects(backend, srcs)
         sums[z] = _Sum(obj, injs, srcs, keyed)
-    maps = {}
-    for z in pc.chains:
+
+    def reinserted(z, p, cuts, labels):
+        # summand (cuts, labels) of z with letter p deleted, into z
         big = sums[z]
-        for p in range(1, len(z) - 1):
-            small = sums[shapes.delete(z, p)]
-            comps = []
-            for cuts, labels in small.keyed.keys:
-                if not cuts:
-                    # one part, the whole chain: the key does not change
-                    at = big.keyed.pos[(cuts, labels)]
-                    leg = (pc.gen_map(z, p) if labels[0] == "f"
-                           else calls.identity(u))
-                    comps.append(leg.then(big.injs[at]))
-                    continue
-                big_cuts, j, rel = table.reinsert(z, cuts, p)
-                at = big.keyed.pos[(big_cuts, labels)]
-                parts = big.keyed.parts[at]
-                factors = [calls.identity(values[q] if l == "f" else u)
-                           for q, l in zip(parts, labels)]
-                if labels[j] == "f":
-                    factors[j] = pc.gen_map(parts[j], rel)
-                comps.append(calls.tensor_mor_multi(factors, backend).then(
-                    big.injs[at]))
-            maps[(z, p)] = _assemble(small.obj, comps, big.obj, backend)
+        if not cuts:
+            # one part, the whole chain: the key does not change
+            leg = (pc.gen_map(z, p) if labels[0] == "f"
+                   else calls.identity(u))
+            return leg.then(big.injs[big.keyed.pos[(cuts, labels)]])
+        big_cuts, j, rel = table.reinsert(z, cuts, p)
+        at = big.keyed.pos[(big_cuts, labels)]
+        parts = big.keyed.parts[at]
+        factors = [calls.identity(values[q] if l == "f" else u)
+                   for q, l in zip(parts, labels)]
+        if labels[j] == "f":
+            factors[j] = pc.gen_map(parts[j], rel)
+        return calls.tensor_mor_multi(factors, backend).then(big.injs[at])
+
+    maps = {(z, p): _sum_map(sums[shapes.delete(z, p)], sums[z].obj,
+                             lambda key, _: reinserted(z, p, *key))
+            for z in pc.chains for p in range(1, len(z) - 1)}
     unitor = left_unitor(u) if pointed else None
     laxity = {}
     for s, t in table.laxity_keys():
         left, right = sums[s], sums[t]
         st = sums[shapes.concat(s, t)]
+        src = calls.tensor(left.obj, right.obj)
+        if not src.size():
+            laxity[(s, t)] = zero_map(src, st.obj)
+            continue
         targets = {}
         for (i, j), at, merged in table.targets(s, t, pointed):
+            if not (left.srcs[i].size() and right.srcs[j].size()):
+                continue
             if not merged:
                 targets[(i, j)] = st.injs[at]
                 continue
@@ -496,7 +515,7 @@ def _free_build(pc, calls, pointed):
                 factors, backend).then(st.injs[at])
         laxity[(s, t)] = _pair_assemble(
             backend, (left.obj, left.srcs), (right.obj, right.srcs),
-            targets, st.obj, src=calls.tensor(left.obj, right.obj))
+            targets, st.obj, src=src)
     units = None
     if pointed:
         units = {a: sums[(a, a)].injs[sums[(a, a)].keyed.pos[((), ("u",))]]
@@ -528,16 +547,16 @@ def _free_map_between(alpha, src, dst, calls):
     (fsrc, ssums), (fdst, dsums) = src, dst
     backend = alpha.src.backend
     unit_id = calls.identity(unit(backend))
-    comps = {}
-    for z in alpha.src.chains:
-        small, big = ssums[z], dsums[z]
-        legs = []
-        for key, parts in zip(small.keyed.keys, small.keyed.parts):
-            factors = [alpha.at(q) if l == "f" else unit_id
-                       for q, l in zip(parts, key[1])]
-            legs.append(calls.tensor_mor_multi(factors, backend).then(
-                big.injs[big.keyed.pos[key]]))
-        comps[z] = _assemble(small.obj, legs, big.obj, backend)
+
+    def leg(z, key, parts):
+        factors = [alpha.at(q) if l == "f" else unit_id
+                   for q, l in zip(parts, key[1])]
+        return calls.tensor_mor_multi(factors, backend).then(
+            dsums[z].injs[dsums[z].keyed.pos[key]])
+
+    comps = {z: _sum_map(ssums[z], dsums[z].obj,
+                         lambda key, parts: leg(z, key, parts))
+             for z in alpha.src.chains}
     return PrecatMorphism(fsrc, fdst, comps)
 
 
@@ -565,11 +584,9 @@ def gamma_counit(pc):
     """gamma(forget(pc)) -> pc: iterated laxity on each block, the
     identity on the one-part chain block."""
     g, sums = _gamma_build(pc, _CallTables())
-    comps = {}
-    for z in pc.chains:
-        sm = sums[z]
-        legs = [pc.lax_multi(parts) for parts in sm.keyed.parts]
-        comps[z] = _assemble(sm.obj, legs, pc.value(z), pc.backend)
+    comps = {z: _sum_map(sums[z], pc.value(z),
+                         lambda _, parts: pc.lax_multi(parts))
+             for z in pc.chains}
     return PrecatMorphism(g, pc, comps)
 
 
@@ -614,17 +631,17 @@ def _arrow_build(letters, truncation, z0, alpha, calls):
     wps = {w: (calls.wide_pushout(alpha, len(table.hom_set(w, z0)))
                if shapes.endpoints(w) == ends else None)
            for w in table.chains}
+    values = {w: nothing if wp is None else wp.obj for w, wp in wps.items()}
     maps = {}
     for w, big in wps.items():
         for p in range(1, len(w) - 1):
-            small = wps[shapes.delete(w, p)]
-            if small is None:
-                maps[(w, p)] = calls.identity(nothing)
+            d = shapes.delete(w, p)
+            if not values[d].size():
+                maps[(w, p)] = zero_map(values[d], values[w])
                 continue
             maps[(w, p)] = wide_pushout_induced(
-                small, [big.maps[i] for i in table.hom_steps(w, p, z0)],
+                wps[d], [big.maps[i] for i in table.hom_steps(w, p, z0)],
                 through=big.through)
-    values = {w: nothing if wp is None else wp.obj for w, wp in wps.items()}
     k = make_precategory(backend, letters, truncation, values, maps, {})
     return k, wps
 
@@ -639,8 +656,8 @@ def hom_extension_square(square, src_data, dst_data):
     comps = {}
     for w in ksrc.chains:
         src, dst = wsrc[w], wdst[w]
-        if src is None:
-            comps[w] = identity(ksrc.value(w))
+        if not ksrc.value(w).size():
+            comps[w] = zero_map(ksrc.value(w), kdst.value(w))
             continue
         comps[w] = wide_pushout_induced(
             src, [v.then(leg) for leg in dst.maps],
@@ -703,8 +720,8 @@ class _Gadget:
         table = calls.chains_of(self.k[0])
 
         def k_component(w):
-            if wps[w] is None:
-                return zero_map(empty(h.backend), h.value(w))
+            if not self.k[0].value(w).size():
+                return zero_map(self.k[0].value(w), h.value(w))
             cone = [bottom.then(h.structure(d))
                     for d in table.hom_set(w, self.z0)]
             through = (None if cone else
@@ -801,19 +818,15 @@ def _free_transpose(gadget, h, k_component, calls):
             out = laxes[parts] = h.lax_multi(parts)
         return out
 
-    def gamma_component(w):
-        sm = gamma_sums[w]
-        legs = []
-        for parts in sm.keyed.parts:
-            if len(parts) == 1:
-                # the chain block
-                legs.append(kcomps[w])
-                continue
-            legs.append(calls.tensor_mor_multi(
-                [kcomps[q] for q in parts], backend).then(lax_multi(parts)))
-        return _assemble(sm.obj, legs, h.value(w), backend)
+    def gamma_leg(_, parts):
+        if len(parts) == 1:
+            # the chain block
+            return kcomps[parts[0]]
+        return calls.tensor_mor_multi(
+            [kcomps[q] for q in parts], backend).then(lax_multi(parts))
 
-    gcomps = {w: gamma_component(w) for w in pobj.chains}
+    gcomps = {w: _sum_map(gamma_sums[w], h.value(w), gamma_leg)
+              for w in pobj.chains}
 
     def derived_unit(part):
         out = unit_legs.get(part)
@@ -822,18 +835,15 @@ def _free_transpose(gadget, h, k_component, calls):
                 h.structure(shapes.to_initial(part)))
         return out
 
-    comps = {}
-    for w in pobj.chains:
-        sm = psums[w]
-        legs = []
-        for (_, labels), parts in zip(sm.keyed.keys, sm.keyed.parts):
-            factors = [gcomps[q] if l == "f" else derived_unit(q)
-                       for q, l in zip(parts, labels)]
-            leg = calls.tensor_mor_multi(factors, backend)
-            # one part needs no laxity: h.lax_multi((w,)) is the identity
-            legs.append(leg if len(parts) == 1 else
-                        leg.then(lax_multi(parts)))
-        comps[w] = _assemble(sm.obj, legs, h.value(w), backend)
+    def pointed_leg(key, parts):
+        leg = calls.tensor_mor_multi(
+            [gcomps[q] if l == "f" else derived_unit(q)
+             for q, l in zip(parts, key[1])], backend)
+        # one part needs no laxity: h.lax_multi of one part is the identity
+        return leg if len(parts) == 1 else leg.then(lax_multi(parts))
+
+    comps = {w: _sum_map(psums[w], h.value(w), pointed_leg)
+             for w in pobj.chains}
     return PrecatMorphism(pobj, h, comps)
 
 
@@ -849,9 +859,12 @@ def precat_colimit(nodes, edges):
     products of lower colimit values), with relations for the diagram's
     edges, for each node's laxity against the cocone, and for three-part
     reassociation. A degree-1 slot has node blocks and edge relations
-    only, so it is the plain backend colimit of its slice. Structure maps
-    descend through the slot presentations (`colim.colimit_induced`),
-    which re-checks the relations.
+    only, so it is the plain backend colimit of its slice. A relation out
+    of an empty object identifies nothing and is left out; every block is
+    kept, as finset labels carry the block index. Structure maps descend
+    through the slot presentations (`colim.colimit_induced`), which
+    re-checks the relations; a cone leg out of an empty block is the
+    initial map.
 
     Returns (colimit precategory, {key: cocone morphism}).
     """
@@ -882,7 +895,7 @@ def precat_colimit(nodes, edges):
         def relations(inj):
             rel = [(nodes[a].value(z), inj[("node", a)],
                     alpha.at(z).then(inj[("node", b)]))
-                   for a, b, alpha in edges]
+                   for a, b, alpha in edges if nodes[a].value(z).size()]
             for key in keys:
                 nd = nodes[key]
                 for c in range(1, len(z) - 1):
@@ -890,6 +903,8 @@ def precat_colimit(nodes, edges):
                     pair_c = inj[("pair", c)]
                     # the laxity's source is the tensor of the node's values
                     phi = nd.lax(s, t)
+                    if not phi.src.size():
+                        continue
                     rel.append((
                         phi.src,
                         phi.then(inj[("node", key)]),
@@ -898,6 +913,8 @@ def precat_colimit(nodes, edges):
             for c1, c2 in shapes.cut_tuples(z, 3):
                 r, sm, t = z[:c1 + 1], z[c1:c2 + 1], z[c2:]
                 p1, p2 = inj[("pair", c1)], inj[("pair", c2)]
+                if not lax[(r, sm)].src.size() * values[t].size():
+                    continue
                 # the tensor is strictly associative, so one source serves
                 # both bracketings
                 src = tensor(lax[(r, sm)].src, values[t])
@@ -923,6 +940,9 @@ def precat_colimit(nodes, edges):
             cone = {}
             for block, leg in col.cocone.items():
                 kind, which = block
+                if not leg.src.size():
+                    cone[block] = zero_map(leg.src, values[z])
+                    continue
                 if kind == "node":
                     cone[block] = nodes[which].gen_map(z, p).then(
                         psi[(which, z)])

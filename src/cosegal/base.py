@@ -210,7 +210,14 @@ def compose(f, g):
 
 
 def zero_map(src, dst):
-    """The zero map for vectq/chq; for finset only out of the empty set."""
+    """The zero map for vectq/chq; for finset only out of the empty set.
+
+    Out of an empty object it is the initial map, the one map there is,
+    on every backend. Both ends must lie in one backend.
+    """
+    if src.backend != dst.backend:
+        raise ValueError("zero map across backends %r -> %r"
+                         % (src.backend, dst.backend))
     if src.backend == "finset":
         if src.labels:
             raise ValueError("finset has no zero maps out of nonempty sets")

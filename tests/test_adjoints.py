@@ -8,6 +8,7 @@ coherence squares from scratch.
 """
 
 import gc
+import sys
 import weakref
 
 import pytest
@@ -40,8 +41,9 @@ from cosegal.precat import (
 )
 
 from fixtures import (
-    dual_numbers_chq, function_category, group_algebra_z2,
-    linearize_category, rand_chq, rand_chq_map, walking_arrow,
+    chainify_category, dual_numbers_chq, function_category,
+    group_algebra_z2, linearize_category, rand_chq, rand_chq_map,
+    walking_arrow,
 )
 
 
@@ -195,12 +197,21 @@ def reference_pair_assemble(backend, left, right, targets, dst):
     pair_srcs = [tensor(a, b) for a in lsrcs for b in rsrcs]
     cop, _ = adjoints._sum_objects(backend, pair_srcs)
     spread = [tensor_mor(li, rj) for li in linjs for rj in rinjs]
-    t_iso = adjoints._assemble(cop, spread, tensor(lobj, robj), backend)
+    t_iso = assemble(cop, spread, tensor(lobj, robj))
     if not is_isomorphism(t_iso):
         raise AssertionError("tensor distribution failed to be invertible")
-    comps = [targets[(i, j)] for i in range(len(lsrcs))
-             for j in range(len(rsrcs))]
-    return invert(t_iso).then(adjoints._assemble(cop, comps, dst, backend))
+    # a pair with an empty side may be left out: its component is the
+    # initial map
+    comps = [targets[(i, j)] if (i, j) in targets
+             else zero_map(tensor(a, b), dst)
+             for i, a in enumerate(lsrcs) for j, b in enumerate(rsrcs)]
+    return invert(t_iso).then(assemble(cop, comps, dst))
+
+
+def assemble(cop, comps, dst):
+    """The map out of a `_sum_objects` sum given one map per summand: a
+    one-summand sum is its summand."""
+    return comps[0] if len(comps) == 1 else copair(cop, comps, dst)
 
 
 def sum_injections(obj, srcs):
@@ -264,9 +275,11 @@ def test_pair_assemble_matches_the_generic_distribution(rng, backend):
             dst = vectq_obj(rng.randint(0, 3))
         else:
             dst = rand_chq(rng, lo=-2)
+        # a pair with an empty side is given its component or left out
         targets = {(i, j): rand_target(rng, tensor(a, b), dst)
                    for i, a in enumerate(lsrcs)
-                   for j, b in enumerate(rsrcs)}
+                   for j, b in enumerate(rsrcs)
+                   if a.size() * b.size() or rng.random() < 0.5}
         got = adjoints._pair_assemble(backend, (lobj, lsrcs), (robj, rsrcs),
                                       targets, dst)
         ref = reference_pair_assemble(backend, (lobj, linjs, lsrcs),
@@ -286,6 +299,18 @@ def test_pair_assemble_refuses_a_mismatched_layout():
     with pytest.raises(ValueError, match="does not match its summands"):
         adjoints._pair_assemble("vectq", (lobj, [a, b]), (b, [b]), targets,
                                 tensor(a, b))
+    # only a pair with an empty side may be left out
+    nothing = empty("vectq")
+    lobj, _ = coproduct([a, nothing, b], "vectq")
+    targets = {(0, 0): identity(tensor(a, b)),
+               (2, 0): zero_map(tensor(b, b), tensor(a, b))}
+    got = adjoints._pair_assemble("vectq", (lobj, [a, nothing, b]), (b, [b]),
+                                  targets, tensor(a, b))
+    assert got.src == tensor(lobj, b)
+    del targets[(2, 0)]
+    with pytest.raises(ValueError, match="has no component"):
+        adjoints._pair_assemble("vectq", (lobj, [a, nothing, b]), (b, [b]),
+                                targets, tensor(a, b))
 
 
 def laxity_cases():
@@ -572,6 +597,56 @@ def test_upsilon_map_is_functorial():
         assert left.at(s) == right.at(s)
 
 
+def initial_maps_out_of_empty(maps):
+    """Assert that every map of maps whose source is empty is the initial
+    map, and return how many there are."""
+    out = [f for f in maps if not f.src.size()]
+    for f in out:
+        assert f == zero_map(f.src, f.dst)
+    return len(out)
+
+
+def maps_of(pc):
+    return list(pc.maps.values()) + list(pc.laxity.values())
+
+
+@pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
+def test_free_constructions_on_empty_objects(backend):
+    # the walking arrow has the empty hom B -> A, so every backend's
+    # strict category has empty values at the chains through it; gamma of
+    # the free diagram on the empty m is empty everywhere, and upsilon of
+    # it is nonempty only in its unit parts
+    to_backend = {"finset": lambda cat: cat, "vectq": linearize_category,
+                  "chq": chainify_category}[backend]
+    h = from_strict_category(to_backend(walking_arrow()), 2)
+    pc = forget_units(h)
+    nothing = empty(backend)
+    assert any(not v.size() for v in pc.values.values())
+    built = [gamma(kobject_of(pc)), point(pc)]
+    morphisms = [point_map(identity_morphism(pc)),
+                 gamma_map(identity_morphism(kobject_of(pc)))]
+    for z0 in (("A", "B", "B"), ("B", "A", "A"), ("A", "A", "B")):
+        # an empty m, and the empty value h(z0) at ("B", "A", "A")
+        m = h.value(z0) if h.value(z0).size() else nothing
+        built += [upsilon(h.letters, 2, z0, nothing),
+                  gamma(free_hom_kobject(h.letters, 2, z0, nothing)),
+                  upsilon(h.letters, 2, z0, m)]
+        morphisms += [
+            upsilon_map(h.letters, 2, z0, zero_map(nothing, m)),
+            upsilon_map(h.letters, 2, z0, identity(m)),
+            upsilon_transpose(h, z0, zero_map(nothing, h.value(z0))),
+            upsilon_transpose(h, z0, identity(h.value(z0)))]
+    assert all(not built[3].value(s).size() for s in built[3].chains)
+    count = 0
+    for pc_ in built:
+        assert validate(pc_) == []
+        count += initial_maps_out_of_empty(maps_of(pc_))
+    for phi in morphisms:
+        assert validate_morphism(phi) == []
+        count += initial_maps_out_of_empty(phi.components.values())
+    assert count > 0
+
+
 # ---------------------------------------------------------------------------
 # colimits of pointed precategories
 
@@ -825,6 +900,37 @@ def test_unitalize_round_takes_its_tensors_from_the_tables(monkeypatch):
     res = unitalize(p)
     assert len(res.trace.rounds[0].constraints) == 32
     assert count[0] <= 2700
+
+
+def test_unitalize_composes_nothing_out_of_an_empty_object(monkeypatch):
+    # a map out of 0 is the initial map, built by neither `then` nor
+    # `_pair_assemble`: on the finset case, composing every such map made
+    # 23,494 of the 30,204 `then` calls of this module, and 9,972 of the
+    # 10,638 components given to `_pair_assemble` had an empty side
+    composed, calls, pairs, empty_pairs = [], [0], [0], []
+    then = base.MMorphism.then
+    assemble = adjoints._pair_assemble
+
+    def recorded(self, other):
+        if sys._getframe(1).f_globals["__name__"] == "cosegal.adjoints":
+            calls[0] += 1
+            if not self.src.size():
+                composed.append(self)
+        return then(self, other)
+
+    def checked(backend, left, right, targets, dst, src=None):
+        pairs[0] += len(targets)
+        empty_pairs.extend(
+            (i, j) for i, j in targets
+            if not (left[1][i].size() and right[1][j].size()))
+        return assemble(backend, left, right, targets, dst, src)
+
+    monkeypatch.setattr(base.MMorphism, "then", recorded)
+    monkeypatch.setattr(adjoints, "_pair_assemble", checked)
+    for backend in ("finset", "vectq"):
+        assert unitalize(unitalize_case(backend)).trace.rounds
+    assert calls[0] and pairs[0]
+    assert composed == [] and empty_pairs == []
 
 
 def test_factor_through_unital_roundtrip_and_refusal():

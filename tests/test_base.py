@@ -6,8 +6,8 @@ from cosegal.base import (
     factorize, find_lift, finset_map, finset_obj, generating_cofibrations,
     has_rlp, homology, identity, invert, is_cofibration, is_fibration,
     is_isomorphism, is_trivial_fibration, is_weak_equivalence, left_unitor,
-    right_unitor, sphere, symmetry, tensor, tensor_mor, tensor_mor_multi,
-    tensor_multi, unit, vectq_map, vectq_obj, zero_map,
+    make_map, right_unitor, sphere, symmetry, tensor, tensor_mor,
+    tensor_mor_multi, tensor_multi, unit, vectq_map, vectq_obj, zero_map,
 )
 
 from fixtures import (
@@ -78,6 +78,29 @@ def test_unit_is_one_shared_object_per_backend():
     assert unit("finset") == finset_obj(["I"])
     assert unit("vectq") == vectq_obj(1)
     assert unit("chq") == chq_obj([0], [[0]])
+
+
+def test_zero_map_is_the_initial_map_and_stays_in_one_backend():
+    targets = {"finset": finset_obj(["a", "b"]), "vectq": vectq_obj(2),
+               "chq": disk(1)}
+    for b, x in targets.items():
+        f = zero_map(empty(b), x)
+        assert f.backend == b and f.src == empty(b) and f.dst == x
+        # the one map out of 0: the identity of 0 and any composite out
+        # of 0 equal it
+        assert zero_map(empty(b), empty(b)) == identity(empty(b))
+        assert f.then(identity(x)) == f
+        assert make_map(empty(b), x, f.mapping if b == "finset"
+                        else ratmat.zeros(x.size(), 0)) == f
+    assert list(enumerate_maps(empty("finset"), targets["finset"])) == [
+        zero_map(empty("finset"), targets["finset"])]
+    assert base.chq_hom_basis(empty("chq"), disk(1)) == ()
+    with pytest.raises(ValueError, match="across backends"):
+        zero_map(empty("finset"), vectq_obj(2))
+    with pytest.raises(ValueError, match="across backends"):
+        zero_map(vectq_obj(0), empty("chq"))
+    with pytest.raises(ValueError, match="nonempty"):
+        zero_map(finset_obj(["a"]), finset_obj(["b"]))
 
 
 def test_compose_is_diagrammatic():
