@@ -29,14 +29,15 @@ The central objects here:
   those sums instead of rebuilding them. The tensor of two sums is a
   re-indexing of their blocks, so maps out of it (the laxity) are
   gathered from the components without building the distribution map.
-* A map out of an empty object (a summand, a whole sum, a wide pushout)
-  is the one initial map, `base.zero_map`, and is never tensored or
-  composed; a relation out of one identifies nothing and is left out.
+* A map out of an empty object (a whole sum, a wide pushout) is the one
+  initial map, `base.zero_map`, and is never tensored or composed; an
+  empty summand is left out of its copair, and a relation out of one
+  identifies nothing and is left out.
 * A top-level call (`unitalize`, `psi`, `gamma`, `point`, ...) makes its
   own tables and frees them when it returns. The chain table holds the
-  chain combinatorics (summand keys and their positions, parts,
-  reinsertions, laxity keys and targets, deletions), each derived once
-  per (letters, truncation). The tensor table builds one tensor of each
+  chain combinatorics (summand keys and their positions, parts, laxity
+  keys and targets, deletions), each derived once per (letters,
+  truncation). The tensor table builds one tensor of each
   pair of objects, one sum of each list of summands and one identity of
   each object, so a tensored map ends on the very object its matching
   summand is. `unitalize` shares its chain table across rounds
@@ -50,8 +51,10 @@ The central objects here:
   sets.
 
 Everything is exact. Each colimit is a finite presentation, one
-`colim.Colimit` built by `colim.present`, and every structure map out of a
-slot of `precat_colimit` or `pushforward` is made by the one descent,
+`colim.Colimit` built by `colim.present` from keyed blocks and relations,
+each relation a parallel pair into two named blocks, so no caller sees an
+injection of the blocks' coproduct. Every structure map out of a slot of
+`precat_colimit` or `pushforward` is made by the one descent,
 `colim.colimit_induced`, which re-verifies the defining relations.
 """
 
@@ -95,23 +98,20 @@ class ChainTable:
 
     The free constructions read from here the laxity keys, the summand
     keys of gamma and point with their positions and the parts of their
-    cut tuples (one key table, `keyed`), the reinsertion of a deleted
-    letter, the key each laxity pair lands in (one target table,
-    `targets`, which merges junction parts for point only), and the
-    deletions onto a chain. All of it depends on the chains and the
-    truncation only. An entry is derived on first use and kept as long as
-    the table, which belongs to one top-level call.
+    cut tuples (one key table, `keyed`), the key each laxity pair lands in
+    (one target table, `targets`, which merges junction parts for point
+    only), and the deletions onto a chain. All of it depends on the
+    chains and the truncation only. An entry is derived on first use and
+    kept as long as the table, which belongs to one top-level call.
     """
 
     def __init__(self, chains, truncation):
         self.chains = tuple(chains)
         self.truncation = truncation
         self._laxity_keys = None
-        self._reinsert = {}
         self._keyed = {}
         self._targets = {}
         self._homs = {}
-        self._hom_steps = {}
 
     def laxity_keys(self):
         """expected_laxity_keys of these chains."""
@@ -119,13 +119,6 @@ class ChainTable:
             self._laxity_keys = expected_laxity_keys(self.chains,
                                                      self.truncation)
         return self._laxity_keys
-
-    def reinsert(self, z, cuts, p):
-        key = (z, cuts, p)
-        out = self._reinsert.get(key)
-        if out is None:
-            out = self._reinsert[key] = shapes.reinsert(z, cuts, p)
-        return out
 
     def keyed(self, z, pointed):
         """point_keys(z) when pointed, else gamma_keys(z), with positions
@@ -167,19 +160,6 @@ class ChainTable:
         out = self._homs.get(key)
         if out is None:
             out = self._homs[key] = shapes.hom_set(w, z0)
-        return out
-
-    def hom_steps(self, w, p, z0):
-        """For each deletion d: delete(w, p) -> z0, the position of the
-        composite w -> delete(w, p) -> z0 in hom_set(w, z0)."""
-        key = (w, p, z0)
-        out = self._hom_steps.get(key)
-        if out is None:
-            index = {d: i for i, d in enumerate(self.hom_set(w, z0))}
-            step = shapes.del_single(w, p)
-            out = self._hom_steps[key] = tuple(
-                index[step.then(d)]
-                for d in self.hom_set(shapes.delete(w, p), z0))
         return out
 
 
@@ -293,15 +273,18 @@ def _sum_objects(backend, items):
 
 def _sum_map(sm, dst, leg):
     """The map out of the free value sm (a `_Sum` of `_sum_objects`) into
-    dst that is leg(key, parts) on each summand. A summand out of 0 gets
-    the initial map and an empty sum is the initial map; leg builds
+    dst that is leg(key, parts) on each summand. An empty summand is left
+    out of the copair and an empty sum is the initial map; leg builds
     neither. A one-summand sum is its summand, so its map is the leg."""
     if not sm.obj.size():
         return zero_map(sm.obj, dst)
     keyed = sm.keyed
-    comps = [leg(key, parts) if src.size() else zero_map(src, dst)
-             for key, parts, src in zip(keyed.keys, keyed.parts, sm.srcs)]
-    return comps[0] if len(comps) == 1 else copair(sm.obj, comps, dst)
+    if len(sm.srcs) == 1:
+        return leg(keyed.keys[0], keyed.parts[0])
+    return copair(sm.obj, [
+        leg(key, parts)
+        for key, parts, src in zip(keyed.keys, keyed.parts, sm.srcs)
+        if src.size()], dst)
 
 
 def _pair_assemble(backend, left, right, targets, dst, src=None):
@@ -474,7 +457,7 @@ def _free_build(pc, calls, pointed):
             leg = (pc.gen_map(z, p) if labels[0] == "f"
                    else calls.identity(u))
             return leg.then(big.injs[big.keyed.pos[(cuts, labels)]])
-        big_cuts, j, rel = table.reinsert(z, cuts, p)
+        big_cuts, j, rel = shapes.reinsert(z, cuts, p)
         at = big.keyed.pos[(big_cuts, labels)]
         parts = big.keyed.parts[at]
         factors = [calls.identity(values[q] if l == "f" else u)
@@ -639,8 +622,13 @@ def _arrow_build(letters, truncation, z0, alpha, calls):
             if not values[d].size():
                 maps[(w, p)] = zero_map(values[d], values[w])
                 continue
+            # the copy of deletion e: d -> z0 goes to the copy of the
+            # composite w -> d -> z0
+            index = {e: i for i, e in enumerate(table.hom_set(w, z0))}
+            step = shapes.del_single(w, p)
             maps[(w, p)] = wide_pushout_induced(
-                wps[d], [big.maps[i] for i in table.hom_steps(w, p, z0)],
+                wps[d], [big.maps[index[step.then(e)]]
+                         for e in table.hom_set(d, z0)],
                 through=big.through)
     k = make_precategory(backend, letters, truncation, values, maps, {})
     return k, wps
@@ -885,48 +873,35 @@ def precat_colimit(nodes, edges):
     cols = {}
 
     for z in sorted(chains, key=lambda s: (len(s), s)):
-        # each pair block tensor(values[s], values[t]) is built once, and
-        # every map landing on it ends on that object (lax[(s, t)].src
-        # once built), so its end check in `then` is an identity test
+        pairs = {c: tensor(values[z[:c + 1]], values[z[c:]])
+                 for c in range(1, len(z) - 1)}
         blocks = [(("node", key), nodes[key].value(z)) for key in keys]
-        blocks += [(("pair", c), tensor(values[z[:c + 1]], values[z[c:]]))
-                   for c in range(1, len(z) - 1)]
-
-        def relations(inj):
-            rel = [(nodes[a].value(z), inj[("node", a)],
-                    alpha.at(z).then(inj[("node", b)]))
-                   for a, b, alpha in edges if nodes[a].value(z).size()]
-            for key in keys:
-                nd = nodes[key]
-                for c in range(1, len(z) - 1):
-                    s, t = z[:c + 1], z[c:]
-                    pair_c = inj[("pair", c)]
-                    # the laxity's source is the tensor of the node's values
-                    phi = nd.lax(s, t)
-                    if not phi.src.size():
-                        continue
-                    rel.append((
-                        phi.src,
-                        phi.then(inj[("node", key)]),
-                        _tensor_mor_onto((psi[(key, s)], psi[(key, t)]),
-                                         phi.src, pair_c.src).then(pair_c)))
-            for c1, c2 in shapes.cut_tuples(z, 3):
-                r, sm, t = z[:c1 + 1], z[c1:c2 + 1], z[c2:]
-                p1, p2 = inj[("pair", c1)], inj[("pair", c2)]
-                if not lax[(r, sm)].src.size() * values[t].size():
-                    continue
-                # the tensor is strictly associative, so one source serves
-                # both bracketings
-                src = tensor(lax[(r, sm)].src, values[t])
-                rel.append((
-                    src,
-                    _tensor_mor_onto((lax[(r, sm)], identity(values[t])),
-                                     src, p2.src).then(p2),
-                    _tensor_mor_onto((identity(values[r]), lax[(sm, t)]),
-                                     src, p1.src).then(p1)))
-            return rel
-
-        cols[z] = present(blocks, relations, backend)
+        blocks += [(("pair", c), obj) for c, obj in pairs.items()]
+        rel = [((("node", a), identity(nodes[a].value(z))),
+                (("node", b), alpha.at(z)))
+               for a, b, alpha in edges if nodes[a].value(z).size()]
+        for key in keys:
+            for c, obj in pairs.items():
+                s, t = z[:c + 1], z[c:]
+                # the laxity's source is the tensor of the node's values
+                phi = nodes[key].lax(s, t)
+                if phi.src.size():
+                    both = _tensor_mor_onto((psi[(key, s)], psi[(key, t)]),
+                                            phi.src, obj)
+                    rel.append(((("node", key), phi), (("pair", c), both)))
+        for c1, c2 in shapes.cut_tuples(z, 3):
+            r, sm, t = z[:c1 + 1], z[c1:c2 + 1], z[c2:]
+            if not lax[(r, sm)].src.size() * values[t].size():
+                continue
+            # the tensor is strictly associative, so one source serves
+            # both bracketings
+            src = tensor(lax[(r, sm)].src, values[t])
+            left = _tensor_mor_onto((lax[(r, sm)], identity(values[t])),
+                                    src, pairs[c2])
+            right = _tensor_mor_onto((identity(values[r]), lax[(sm, t)]),
+                                     src, pairs[c1])
+            rel.append(((("pair", c2), left), (("pair", c1), right)))
+        cols[z] = present(blocks, rel, backend)
         values[z] = cols[z].obj
         for key in keys:
             psi[(key, z)] = cols[z].cocone[("node", key)]
@@ -1448,9 +1423,10 @@ def pushforward(f, pc):
                     [pc.value(s) for s, _ in combo], backend)))
         return out
 
-    def relations(inj):
+    def relations(blocks):
+        objs = dict(blocks)
         rel = []
-        for block in inj:
+        for block, obj in blocks:
             cuts, combo = block
             for i, (s, d) in enumerate(combo):
                 for r in range(1, len(s) - 1):
@@ -1458,12 +1434,11 @@ def pushforward(f, pc):
                     img_step = shapes.del_single(_image_chain(f, s), r)
                     new_combo = list(combo)
                     new_combo[i] = (s2, d.then(img_step))
-                    other = inj[(cuts, tuple(new_combo))]
+                    other = (cuts, tuple(new_combo))
                     factors = [identity(pc.value(ss)) for ss, _ in combo]
                     factors[i] = pc.gen_map(s, r)
-                    rel.append((other.src, other,
-                                tensor_mor_multi(factors, backend).then(
-                                    inj[block])))
+                    rel.append(((other, identity(objs[other])),
+                                (block, tensor_mor_multi(factors, backend))))
             for i in range(len(combo) - 1):
                 s1, d1 = combo[i]
                 s2, d2 = combo[i + 1]
@@ -1477,15 +1452,16 @@ def pushforward(f, pc):
                     + combo[i + 2:]
                 factors = [identity(pc.value(ss)) for ss, _ in combo]
                 pre = factors[:i] + [pc.lax(s1, s2)] + factors[i + 2:]
-                rel.append((
-                    inj[block].src,
-                    tensor_mor_multi(pre, backend).then(
-                        inj[(new_cuts, new_combo)]),
-                    inj[block]))
+                rel.append((((new_cuts, new_combo),
+                             tensor_mor_multi(pre, backend)),
+                            (block, identity(obj))))
         return rel
 
     chains = shapes.all_chains(target_letters, pc.truncation)
-    cols = {w: present(blocks_of(w), relations, backend) for w in chains}
+    cols = {}
+    for w in chains:
+        blocks = blocks_of(w)
+        cols[w] = present(blocks, relations(blocks), backend)
     values = {w: col.obj for w, col in cols.items()}
     maps = {}
     for w, col in cols.items():

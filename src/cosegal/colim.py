@@ -6,9 +6,10 @@ finset quotients pick the least representative of each class, vectq/chq
 quotients use the canonical rref cokernel from ratmat.
 
 Every colimit is a presentation: keyed blocks modulo relations, each a
-parallel pair into the blocks' coproduct. `present` builds it as one
+parallel pair into two named blocks. `present` builds it as one
 `Colimit` record (the object, one cocone leg per block key, the
-quotient), and `colimit`, `pushout` and `wide_pushout` build through it.
+quotient of the blocks' coproduct, taken in one step), and `colimit`,
+`pushout` and `wide_pushout` build through it.
 The one descent, `colimit_induced`, copairs one cone leg per block and
 induces the map out of the quotient through a linear (or pointwise)
 section, checking that it descends: an incompatible cone fails loudly
@@ -30,6 +31,17 @@ from .base import (
 # coproducts
 
 
+def _coproduct_obj(objs, backend):
+    """The coproduct object of objs, without its injections."""
+    if backend == "finset":
+        return _finset(tuple([_suffix_label(l, i)
+                              for i, o in enumerate(objs) for l in o.labels]))
+    if backend == "vectq":
+        return vectq_obj(sum(o.dim for o in objs))
+    return chq_obj(tuple(d for o in objs for d in o.degrees),
+                   ratmat.block_diag([o.diff for o in objs]))
+
+
 def coproduct(objs, backend=None):
     """The coproduct with its injections.
 
@@ -40,29 +52,17 @@ def coproduct(objs, backend=None):
     objs = list(objs)
     if backend is None:
         backend = objs[0].backend
-    if backend == "finset":
-        labels = []
-        offsets = []
-        for i, o in enumerate(objs):
-            offsets.append(len(labels))
-            labels.extend(_suffix_label(l, i) for l in o.labels)
-        cop = _finset(tuple(labels))
-        injs = [
-            MMorphism("finset", o, cop,
-                      mapping=tuple(range(off, off + len(o.labels))))
-            for o, off in zip(objs, offsets)]
-        return cop, injs
-    if backend == "vectq":
-        cop = vectq_obj(sum(o.dim for o in objs))
-    else:
-        cop = chq_obj(tuple(d for o in objs for d in o.degrees),
-                      ratmat.block_diag([o.diff for o in objs]))
+    cop = _coproduct_obj(objs, backend)
     injs = []
     off = 0
     for o in objs:
         n = o.size()
-        injs.append(make_map(o, cop, ratmat.build(
-            cop.size(), n, [(off + j, j, ONE) for j in range(n)])))
+        if backend == "finset":
+            injs.append(MMorphism("finset", o, cop,
+                                  mapping=tuple(range(off, off + n))))
+        else:
+            injs.append(make_map(o, cop, ratmat.build(
+                cop.size(), n, [(off + j, j, ONE) for j in range(n)])))
         off += n
     return cop, injs
 
@@ -70,7 +70,8 @@ def coproduct(objs, backend=None):
 def copair(cop, maps, dst):
     """The map out of a coproduct assembled from maps out of the summands.
 
-    `cop` must be the coproduct of the sources of `maps` in order.
+    `cop` must be the coproduct of the sources of `maps` in order; an
+    empty summand may be left out of `maps`.
     """
     backend = cop.backend
     if backend == "finset":
@@ -154,17 +155,6 @@ def coequalizer(f, g):
     return quotient_linear(y, ratmat.msub(f.matrix, g.matrix))
 
 
-def coequalize_relations(cop, relations):
-    """The quotient of cop by relations [(src, left, right)], each a
-    parallel pair src -> cop: the coequalizer of the two copairs out of
-    the coproduct of the sources.  With no relations it is the trivial
-    quotient."""
-    rel_cop, _ = coproduct([src for src, _, _ in relations],
-                           backend=cop.backend)
-    return coequalizer(copair(rel_cop, [l for _, l, _ in relations], cop),
-                       copair(rel_cop, [r for _, _, r in relations], cop))
-
-
 def quotient_induced(q, h):
     """The map out of a quotient determined by h on the covered object.
 
@@ -226,15 +216,49 @@ def present(blocks, relations, backend):
     """The object presented by keyed blocks [(key, object)] modulo
     relations, as a Colimit.
 
-    relations takes the block injections {key: map into the blocks'
-    coproduct} and returns the relations [(src, left, right)], each a
-    parallel pair src -> coproduct.
+    A relation ((key1, f1), (key2, f2)) is a parallel pair into two named
+    blocks, f1 into block key1 and f2 into block key2, and identifies f1
+    with f2. The blocks' coproduct is quotiented by all relations in one
+    step, and the cocone leg of a block is the projection restricted to
+    the block's positions. Raises ValueError on a relation that is not
+    parallel or whose side does not end on the block it names.
     """
-    cop, injs = coproduct([obj for _, obj in blocks], backend=backend)
-    inj = {key: i for (key, _), i in zip(blocks, injs)}
-    q = coequalize_relations(cop, relations(inj))
-    return Colimit(q.obj, {key: i.then(q.proj) for key, i in inj.items()},
-                   q)
+    objs = dict(blocks)
+    starts, off = {}, 0
+    for key, obj in blocks:
+        starts[key] = off
+        off += obj.size()
+    for (k1, f1), (k2, f2) in relations:
+        for f, key in ((f1, k1), (f2, k2)):
+            if f.dst is not objs[key] and f.dst != objs[key]:
+                raise ValueError("relation side does not end on block %r"
+                                 % (key,))
+        if f1.src is not f2.src and f1.src != f2.src:
+            raise ValueError("relation on blocks %r, %r is not a parallel "
+                             "pair" % (k1, k2))
+    cop = _coproduct_obj([obj for _, obj in blocks], backend)
+    if backend == "finset":
+        q = quotient_finset(cop, [
+            (starts[k1] + a, starts[k2] + b)
+            for (k1, f1), (k2, f2) in relations
+            for a, b in zip(f1.mapping, f2.mapping)])
+        cocone = {key: MMorphism(backend, obj, q.obj, mapping=q.proj.mapping[
+            starts[key]:starts[key] + obj.size()]) for key, obj in blocks}
+        return Colimit(q.obj, cocone, q)
+    # one column range per relation: f1 at block key1's rows minus f2 at
+    # block key2's
+    entries, col = [], 0
+    for (k1, f1), (k2, f2) in relations:
+        entries += [(starts[k1] + i, col + j, x)
+                    for i, j, x in ratmat.nonzeros(f1.matrix)]
+        entries += [(starts[k2] + i, col + j, -x)
+                    for i, j, x in ratmat.nonzeros(f2.matrix)]
+        col += f1.src.size()
+    q = quotient_linear(cop, ratmat.build(cop.size(), col, entries))
+    cocone = {key: MMorphism(backend, obj, q.obj, matrix=ratmat.submatrix(
+        q.proj.matrix, range(q.obj.size()),
+        range(starts[key], starts[key] + obj.size()))) for key, obj in blocks}
+    return Colimit(q.obj, cocone, q)
 
 
 def colimit_induced(col, cone):
@@ -303,13 +327,9 @@ def wide_pushout(base, legs):
         return WidePushout(legs[0].dst, (identity(legs[0].dst),), legs[0],
                            None)
 
-    def relations(inj):
-        first = legs[0].then(inj[0])
-        return [(base, first, leg.then(inj[i]))
-                for i, leg in enumerate(legs) if i]
-
-    col = present(list(enumerate(leg.dst for leg in legs)), relations,
-                  base.backend)
+    col = present(list(enumerate(leg.dst for leg in legs)),
+                  [((0, legs[0]), (i, leg)) for i, leg in enumerate(legs)
+                   if i], base.backend)
     maps = tuple(col.cocone.values())
     return WidePushout(col.obj, maps, legs[0].then(maps[0]), col)
 
@@ -386,8 +406,7 @@ def colimit(nodes, edges, source_key=None):
             return Colimit(w, {k: out_maps[0] if k == source_key
                                else identity(w) for k in keys}, None)
     return present([(k, nodes[k]) for k in keys],
-                   lambda inj: [(nodes[a], inj[a], m.then(inj[b]))
-                                for a, b, m in edges],
+                   [((a, identity(nodes[a])), (b, m)) for a, b, m in edges],
                    nodes[keys[0]].backend)
 
 

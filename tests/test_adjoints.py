@@ -13,7 +13,7 @@ import weakref
 
 import pytest
 
-from cosegal import adjoints, base, precat, shapes
+from cosegal import adjoints, base, colim, precat, shapes
 from cosegal.base import (
     chq_map, disk, empty, enumerate_maps, finset_map, finset_obj, identity,
     invert, is_isomorphism, is_surjective, sphere, tensor, tensor_mor,
@@ -459,18 +459,8 @@ def check_chain_table(letters, truncation):
             assert keyed.keys == keys
             assert keyed.pos == {key: i for i, key in enumerate(keys)}
             assert keyed.parts == tuple(shapes.parts_of(z, c) for c in cuts)
-        for p in range(1, len(z) - 1):
-            zp = shapes.delete(z, p)
-            # point's cut tuples are () and every subdivision, gamma's too
-            for cuts, _ in table.keyed(zp, True).keys:
-                assert table.reinsert(z, cuts, p) == shapes.reinsert(
-                    z, cuts, p)
-            for z0 in chains[:len(letters) ** 3]:
-                ds = shapes.hom_set(z, z0)
-                step = shapes.del_single(z, p)
-                assert table.hom_set(z, z0) == ds
-                assert table.hom_steps(z, p, z0) == tuple(
-                    ds.index(step.then(d)) for d in shapes.hom_set(zp, z0))
+        for z0 in chains[:len(letters) ** 3]:
+            assert table.hom_set(z, z0) == shapes.hom_set(z, z0)
     for s, t in table.laxity_keys():
         st = shapes.concat(s, t)
         shift = shapes.degree(s)
@@ -906,16 +896,26 @@ def test_unitalize_composes_nothing_out_of_an_empty_object(monkeypatch):
     # a map out of 0 is the initial map, built by neither `then` nor
     # `_pair_assemble`: on the finset case, composing every such map made
     # 23,494 of the 30,204 `then` calls of this module, and 9,972 of the
-    # 10,638 components given to `_pair_assemble` had an empty side
+    # 10,638 components given to `_pair_assemble` had an empty side. A
+    # cocone leg of `colim.present` is read off the projection, so nothing
+    # under `present` composes: composing each block injection with the
+    # projection made 1,143 of the 1,182 `then` calls out of 0 of a
+    # `unitalize_finset` benchmark pass
     composed, calls, pairs, empty_pairs = [], [0], [0], []
+    under_present = []
     then = base.MMorphism.then
     assemble = adjoints._pair_assemble
 
     def recorded(self, other):
-        if sys._getframe(1).f_globals["__name__"] == "cosegal.adjoints":
+        frame = sys._getframe(1)
+        if frame.f_globals["__name__"] == "cosegal.adjoints":
             calls[0] += 1
             if not self.src.size():
                 composed.append(self)
+        while frame is not None:
+            if frame.f_code is colim.present.__code__:
+                under_present.append(self)
+            frame = frame.f_back
         return then(self, other)
 
     def checked(backend, left, right, targets, dst, src=None):
@@ -930,7 +930,7 @@ def test_unitalize_composes_nothing_out_of_an_empty_object(monkeypatch):
     for backend in ("finset", "vectq"):
         assert unitalize(unitalize_case(backend)).trace.rounds
     assert calls[0] and pairs[0]
-    assert composed == [] and empty_pairs == []
+    assert composed == [] and empty_pairs == [] and under_present == []
 
 
 def test_factor_through_unital_roundtrip_and_refusal():

@@ -6,11 +6,11 @@ from cosegal.base import (
     tensor_mor, vectq_map, vectq_obj, zero_map,
 )
 from cosegal.colim import (
-    coequalize_relations, coequalizer, colimit, colimit_induced,
-    compare_coproduct_pushout, compare_interleaved_colimits, copair,
-    coproduct, equalizer, kernel_subobject, pushout, pushout_induced,
-    quotient_finset, quotient_induced, quotient_linear, surjection_quotient,
-    tensor_quotient, wide_pushout, wide_pushout_induced,
+    Colimit, coequalizer, colimit, colimit_induced, compare_coproduct_pushout,
+    compare_interleaved_colimits, copair, coproduct, equalizer,
+    kernel_subobject, present, pushout, pushout_induced, quotient_finset,
+    quotient_induced, quotient_linear, surjection_quotient, tensor_quotient,
+    wide_pushout, wide_pushout_induced,
 )
 
 from fixtures import rand_chq, rand_chq_map
@@ -76,11 +76,91 @@ def test_coequalizer_chq_inherits_degrees():
     empty("finset"), finset_obj(["a", "b"]), empty("vectq"), vectq_obj(2),
     empty("chq"), disk(1)])
 def test_coequalizing_no_relations_is_the_trivial_quotient(y):
-    q = coequalize_relations(y, [])
+    # presented with no relations, the object is the blocks' coproduct and
+    # each leg is its injection, the leg of the empty block too
+    objs = [y, empty(y.backend), y]
+    col = present(list(enumerate(objs)), [], y.backend)
+    cop, injs = coproduct(objs, backend=y.backend)
     if y.backend == "finset":
-        assert q == quotient_finset(y, [])
+        assert col.q == quotient_finset(cop, [])
     else:
-        assert q == quotient_linear(y, ratmat.zeros(y.size(), 0))
+        assert col.q == quotient_linear(cop, ratmat.zeros(cop.size(), 0))
+    assert col.obj == cop and col.q.proj == identity(cop)
+    assert list(col.cocone.values()) == injs
+
+
+def present_by_reference(blocks, relations, backend):
+    """present in four steps: the blocks' coproduct, each relation side
+    composed with its block's injection, the coequalizer of the two
+    copairs out of the coproduct of the relation sources, and each leg
+    composed as injection then projection."""
+    cop, injs = coproduct([obj for _, obj in blocks], backend=backend)
+    inj = {key: i for (key, _), i in zip(blocks, injs)}
+    rel_cop, _ = coproduct([f1.src for (_, f1), _ in relations],
+                           backend=backend)
+    q = coequalizer(
+        copair(rel_cop, [f1.then(inj[k1]) for (k1, f1), _ in relations], cop),
+        copair(rel_cop, [f2.then(inj[k2]) for _, (k2, f2) in relations], cop))
+    return Colimit(q.obj, {key: i.then(q.proj) for key, i in inj.items()}, q)
+
+
+def present_objects(backend):
+    """Three blocks (the second empty) and relation sources, one empty."""
+    if backend == "finset":
+        blocks = [finset_obj(["a", "b", "c"]), empty("finset"),
+                  finset_obj(["d", "e"])]
+        return blocks, [empty("finset"), finset_obj(["p"]),
+                        finset_obj(["q", "r"])]
+    if backend == "vectq":
+        return ([vectq_obj(3), empty("vectq"), vectq_obj(2)],
+                [empty("vectq"), vectq_obj(1), vectq_obj(2)])
+    return ([coproduct([sphere(0), disk(1)])[0], empty("chq"), disk(1)],
+            [empty("chq"), sphere(0), disk(1)])
+
+
+def random_map(rng, src, dst):
+    if src.backend == "finset":
+        return finset_map(src, dst, [rng.randrange(dst.size())
+                                     for _ in range(src.size())])
+    if src.backend == "vectq":
+        return vectq_map(src, dst, [[rng.randint(-2, 2) for _ in range(
+            src.size())] for _ in range(dst.size())])
+    return rand_chq_map(rng, src, dst)
+
+
+@pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
+def test_present_matches_the_coequalizer_of_two_copairs(backend, rng):
+    objs, sources = present_objects(backend)
+    blocks = list(zip("xyz", objs))
+    for _ in range(8):
+        relations = []
+        for src in sources:
+            for _ in range(2):
+                # a nonempty source maps into the nonempty blocks only
+                ends = [(k, o) for k, o in blocks
+                        if o.size() or not src.size()]
+                sides = [rng.choice(ends) for _ in range(2)]
+                relations.append(tuple((k, random_map(rng, src, o))
+                                       for k, o in sides))
+        # a relation that identifies a map with itself identifies nothing,
+        # and so does one out of 0, here with a side on the empty block
+        relations.append((relations[-1][0], relations[-1][0]))
+        relations.append(tuple((k, random_map(rng, sources[0], o))
+                               for k, o in blocks[1:]))
+        rng.shuffle(relations)
+        assert present(blocks, relations, backend) == present_by_reference(
+            blocks, relations, backend)
+
+
+@pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
+def test_present_refuses_a_relation_off_its_blocks(backend, rng):
+    (x, _, y), _ = present_objects(backend)
+    f = random_map(rng, y, x)
+    blocks = [("x", x), ("y", y)]
+    with pytest.raises(ValueError, match="not a parallel pair"):
+        present(blocks, [(("x", identity(x)), ("x", f))], backend)
+    with pytest.raises(ValueError, match="does not end on block 'y'"):
+        present(blocks, [(("y", identity(y)), ("y", f))], backend)
 
 
 def surjection_case(backend):
