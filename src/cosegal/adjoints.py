@@ -23,25 +23,24 @@ The central objects here:
 * `unitalize` quotients a pointed precategory until the unit laws hold,
   by gluing one universal gadget per violated constraint and iterating;
   a round builds one apex gadget per slot and one gadget per constraint.
-* Each free construction is built once, together with its sums (summand
-  keys, sources and injections); every map into or out of it (`gamma_map`,
-  `point_map`, the gadget maps, the transposes) reads its blocks from
-  those sums instead of rebuilding them. The tensor of two sums is a
-  re-indexing of their blocks, so maps out of it (the laxity) are
-  gathered from the components without building the distribution map.
-* A map out of an empty object (a whole sum, a wide pushout) is the one
-  initial map, `base.zero_map`, and is never tensored or composed; an
-  empty summand is left out of its copair, and a relation out of one
-  identifies nothing and is left out.
-* A top-level call (`unitalize`, `psi`, `gamma`, `point`, ...) makes its
-  own tables and frees them when it returns. The chain table holds the
-  chain combinatorics (summand keys and their positions, parts, laxity
-  keys and targets, deletions), each derived once per (letters,
-  truncation). The tensor table builds one tensor of each
-  pair of objects, one sum of each list of summands and one identity of
-  each object, so a tensored map ends on the very object its matching
-  summand is. `unitalize` shares its chain table across rounds
-  and gives each slot's gadgets a tensor table of their own.
+* Each free construction is built once with its sums (`_Sum`), and every
+  map into or out of it (`gamma_map`, `point_map`, the gadget maps, the
+  transposes) reads its blocks from them. The laxity out of the tensor of
+  two sums is gathered from components (`colim.tensor_copair`).
+* The free builders work on their support: a summand key is live when
+  each of its carrier parts has a nonempty value. A free value sums its
+  live summands only (finset labels keep each key's position), and one
+  without live keys is `base.empty`. A map out of an empty object is the
+  one initial map and is never tensored or composed; a relation out of
+  one identifies nothing and is left out.
+* A top-level call (`unitalize`, `psi`, `gamma`, ...) makes its own tables
+  and frees them when it returns: a chain table of the chain
+  combinatorics per (letters, truncation), the live keys of each support
+  among them, and one tensor of each pair of objects, one sum of each
+  list of summands and one identity and initial map of each object, so a
+  tensored map ends on the very object its summand is. `unitalize` shares
+  its chain table across rounds and gives each slot's gadgets tables of
+  their own for the rest.
 * `realize` collapses each endpoint component to its colimit and solves
   for the induced composition.
 * `psi` packages an arrow of the backend into a free unital precategory
@@ -58,6 +57,7 @@ injection of the blocks' coproduct. Every structure map out of a slot of
 `colim.colimit_induced`, which re-verifies the defining relations.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -70,7 +70,7 @@ from .base import (
 from .colim import (
     coequalizer, colimit, colimit_induced, copair, coproduct, present,
     pushout, pushout_induced, quotient_induced, surjection_quotient,
-    tensor_quotient, wide_pushout, wide_pushout_induced,
+    tensor_copair, tensor_quotient, wide_pushout, wide_pushout_induced,
 )
 from .precat import (
     PrecatMorphism, StrictCategory, check_unital, expected_laxity_keys,
@@ -86,11 +86,13 @@ from . import ratmat
 @dataclass(frozen=True)
 class _Keyed:
     """The summand keys of a free value at one chain, with the position of
-    each key and the parts its cut tuple splits the chain into."""
+    each key, the parts its cut tuple splits the chain into and the parts
+    its labels make carriers."""
 
     keys: list
     pos: dict
     parts: tuple
+    carriers: tuple
 
 
 class ChainTable:
@@ -100,8 +102,9 @@ class ChainTable:
     keys of gamma and point with their positions and the parts of their
     cut tuples (one key table, `keyed`), the key each laxity pair lands in
     (one target table, `targets`, which merges junction parts for point
-    only), and the deletions onto a chain. All of it depends on the
-    chains and the truncation only. An entry is derived on first use and
+    only), the live keys of a support (one table per support, `live`) and
+    the deletions onto a chain. All of it depends on the chains, the
+    truncation and the support only. An entry is derived on first use and
     kept as long as the table, which belongs to one top-level call.
     """
 
@@ -111,6 +114,7 @@ class ChainTable:
         self._laxity_keys = None
         self._keyed = {}
         self._targets = {}
+        self._live = {}
         self._homs = {}
 
     def laxity_keys(self):
@@ -121,22 +125,25 @@ class ChainTable:
         return self._laxity_keys
 
     def keyed(self, z, pointed):
-        """point_keys(z) when pointed, else gamma_keys(z), with positions
-        and parts."""
+        """point_keys(z) when pointed, else gamma_keys(z), with positions,
+        parts and carrier parts."""
         out = self._keyed.get((z, pointed))
         if out is None:
             keys = point_keys(z) if pointed else gamma_keys(z)
+            parts = tuple(shapes.parts_of(z, cuts) for cuts, _ in keys)
             out = self._keyed[(z, pointed)] = _Keyed(
-                keys, {key: i for i, key in enumerate(keys)},
-                tuple(shapes.parts_of(z, cuts) for cuts, _ in keys))
+                keys, {key: i for i, key in enumerate(keys)}, parts,
+                tuple(tuple(q for q, l in zip(qs, labels) if l == "f")
+                      for qs, (_, labels) in zip(parts, keys)))
         return out
 
     def targets(self, s, t, pointed):
-        """The laxity at (s, t) as ((i, j), position, merged) triples. Key
-        i of s beside key j of t is the key of concat(s, t) that also cuts
-        at the junction. When pointed and the labels at the junction
-        agree, the two junction parts merge instead, and the target key
-        drops that cut; gamma's keys never merge."""
+        """The laxity at (s, t) as ((i, j), position, merged) triples, i
+        major: pair (i, j) is entry i * len(keys of t) + j. Key i of s
+        beside key j of t is the key of concat(s, t) that also cuts at the
+        junction. When pointed and the labels at the junction agree, the
+        two junction parts merge instead, and the target key drops that
+        cut; gamma's keys never merge."""
         out = self._targets.get((s, t, pointed))
         if out is None:
             pos = self.keyed(shapes.concat(s, t), pointed).pos
@@ -155,6 +162,19 @@ class ChainTable:
             self._targets[(s, t, pointed)] = out
         return out
 
+    def live(self, pointed, support):
+        """{chain: the positions of its live keys}, point's keys when
+        pointed, else gamma's. A key is live when each of its carrier parts
+        lies in support, the frozenset of the chains whose value is
+        nonempty, so its summand is a tensor of nonempty objects."""
+        out = self._live.get((pointed, support))
+        if out is None:
+            out = self._live[(pointed, support)] = {
+                z: tuple(i for i, qs in enumerate(
+                    self.keyed(z, pointed).carriers) if support.issuperset(qs))
+                for z in self.chains}
+        return out
+
     def hom_set(self, w, z0):
         key = (w, z0)
         out = self._homs.get(key)
@@ -166,15 +186,14 @@ class ChainTable:
 class _CallTables:
     """What one top-level call shares across its builds: a ChainTable per
     (letters, truncation), and one tensor of each pair of objects, one sum
-    of each list of summands, one identity of each object and one wide
-    pushout of each arrow and number of copies.
+    of each list of summands, one identity and one initial map of each
+    object and one wide pushout of each arrow and number of copies.
 
-    Tensors, sums, identities and wide pushouts are keyed by the identity
-    of their arguments, which the table keeps alive. So a map tensored from factors
-    that end on the objects a summand was built from lands on that very
-    summand object, and `then` settles its end check by identity. The
-    tables are freed with the call that made them; nothing is kept between
-    calls.
+    Tensors, sums, identities, initial maps and wide pushouts are keyed by
+    the identity of their arguments, which the table keeps alive. So a map
+    tensored from factors that end on the objects a summand was built from
+    lands on that very summand object, and `then` settles its end check by
+    identity. The tables are freed with the call that made them.
     """
 
     def __init__(self, chain_tables=None):
@@ -182,6 +201,7 @@ class _CallTables:
         self._tensors = {}
         self._sums = {}
         self._identities = {}
+        self._initials = {}
         self._wide_pushouts = {}
 
     def chain_table(self, letters, truncation, chains=None):
@@ -230,18 +250,27 @@ class _CallTables:
             mors, self.tensor_multi([m.src for m in mors], backend),
             self.tensor_multi([m.dst for m in mors], backend))
 
-    def sum_objects(self, backend, items):
-        """_sum_objects(backend, items), once per list of summand objects."""
-        key = tuple(map(id, items))
+    def sum_objects(self, backend, items, index=None):
+        """_sum_objects(backend, items, index), once per list of summand
+        objects and index."""
+        key = (tuple(map(id, items)), index)
         hit = self._sums.get(key)
         if hit is None:
-            hit = self._sums[key] = (items, _sum_objects(backend, items))
+            hit = self._sums[key] = (items, _sum_objects(backend, items,
+                                                         index))
         return hit[1]
 
     def identity(self, x):
         hit = self._identities.get(id(x))
         if hit is None:
             hit = self._identities[id(x)] = (x, identity(x))
+        return hit[1]
+
+    def initial(self, x):
+        """The initial map into x, out of the shared empty object."""
+        hit = self._initials.get(id(x))
+        if hit is None:
+            hit = self._initials[id(x)] = (x, zero_map(empty(x.backend), x))
         return hit[1]
 
     def wide_pushout(self, alpha, n):
@@ -258,93 +287,61 @@ class _CallTables:
 # sums with a literal single-summand convention
 
 
-def _sum_objects(backend, items):
+def _sum_objects(backend, items, index=None):
     """Coproduct whose one-summand case is the summand itself.
 
     Keeps degree-1 slots of the free constructions literally equal to
-    their inputs instead of relabeled copies.
+    their inputs instead of relabeled copies. index, when given, is the
+    position of each item among the summands of a sum whose other
+    summands are empty and left out; finset labels carry it, so the sum
+    is the coproduct of all summands.
     """
     items = list(items)
-    if len(items) == 1:
+    if index is None and len(items) == 1:
         return items[0], [identity(items[0])]
-    obj, injs = coproduct(items, backend)
+    obj, injs = coproduct(items, backend, index)
     return obj, list(injs)
 
 
-def _sum_map(sm, dst, leg):
-    """The map out of the free value sm (a `_Sum` of `_sum_objects`) into
-    dst that is leg(key, parts) on each summand. An empty summand is left
-    out of the copair and an empty sum is the initial map; leg builds
-    neither. A one-summand sum is its summand, so its map is the leg."""
-    if not sm.obj.size():
-        return zero_map(sm.obj, dst)
+def _sum_map(sm, dst, leg, calls):
+    """The map out of the free value sm (a `_Sum`) into dst that is
+    leg(key, parts) on each live summand; the others are empty and left
+    out of the copair, and a sum without live summands has the initial
+    map. A one-summand sum is its summand, so its map is the leg."""
+    if not sm.live:
+        return calls.initial(dst)
     keyed = sm.keyed
-    if len(sm.srcs) == 1:
+    if len(keyed.keys) == 1:
         return leg(keyed.keys[0], keyed.parts[0])
-    return copair(sm.obj, [
-        leg(key, parts)
-        for key, parts, src in zip(keyed.keys, keyed.parts, sm.srcs)
-        if src.size()], dst)
+    return copair(sm.obj, [leg(keyed.keys[i], keyed.parts[i])
+                           for i in sm.live], dst)
 
 
-def _pair_assemble(backend, left, right, targets, dst, src=None):
-    """A map out of a tensor of two sums, one component per summand pair.
-
-    left/right are (sum object, summand sources) pairs of sums built by
-    `_sum_objects` or `coproduct`, so summand i fills the positions from
-    lo_i, the total size of the summands before it. targets maps a pair
-    (i, j) of summand indices to the component map out of
-    sources_left[i] (x) sources_right[j]; a pair with an empty side may be
-    left out, every other pair is required. The tensor distributes over
-    the sums: position (lo_i + a) * |R| + (ro_j + b) of tensor(L, R) is
-    position a * |R_j| + b of targets[(i, j)], so the map only re-indexes
-    the components' images. src is tensor(L, R) when the caller already
-    holds it.
-    """
-    lobj, lsrcs = left
-    robj, rsrcs = right
-    lsizes = [s.size() for s in lsrcs]
-    rsizes = [s.size() for s in rsrcs]
-    if sum(lsizes) != lobj.size() or sum(rsizes) != robj.size():
-        raise AssertionError("tensor distribution failed to be invertible")
-    filled = 0
-    for (i, j), f in targets.items():
-        if f.src.size() != lsizes[i] * rsizes[j]:
-            raise ValueError("component %r does not match its summands"
-                             % ((i, j),))
-        filled += f.src.size() > 0
-    if filled != sum(map(bool, lsizes)) * sum(map(bool, rsizes)):
-        raise ValueError("a nonempty summand pair has no component")
-    if src is None:
-        src = tensor(lobj, robj)
-    if backend == "finset":
-        out = []
-        for i, nl in enumerate(lsizes):
-            for a in range(nl):
-                for j, nr in enumerate(rsizes):
-                    if nr:
-                        out.extend(
-                            targets[(i, j)].mapping[a * nr:(a + 1) * nr])
-        return MMorphism(backend, src, dst, mapping=tuple(out))
-    lo = list(itertools.accumulate(lsizes, initial=0))
-    ro = list(itertools.accumulate(rsizes, initial=0))
-    entries = []
-    for (i, j), f in targets.items():
-        for r, p, x in ratmat.nonzeros(f.matrix):
-            a, b = divmod(p, rsizes[j])
-            entries.append((r, (lo[i] + a) * ro[-1] + ro[j] + b, x))
-    return MMorphism(backend, src, dst,
-                     matrix=ratmat.build(dst.size(), src.size(), entries))
+def _into(calls, factors, sm, at):
+    """The tensor of factors, into summand at of the sum sm, then that
+    summand's injection. A linear map may kill a nonempty source: when
+    the summand is empty the leg is the zero map, and no empty factor is
+    tensored."""
+    backend = sm.obj.backend
+    inj = sm.injs.get(at)
+    if inj is None:
+        return zero_map(calls.tensor_multi([f.src for f in factors], backend),
+                        sm.obj)
+    return calls.tensor_mor_multi(factors, backend).then(inj)
 
 
 @dataclass
 class _Sum:
-    """One free value as a sum: the sum object, the summand injections and
-    sources, and the keys of its chain (a `_Keyed` of the chain table)."""
+    """One free value as a sum over its live keys (`ChainTable.live`): the
+    sum object, the live key positions, the source of each live summand
+    in that order, the injection of each by key position, and the keys of
+    its chain (a `_Keyed` of the chain table). Every other summand is
+    empty and left out; without live keys the sum is `base.empty`."""
 
     obj: object
-    injs: list
+    live: tuple
     srcs: list
+    injs: dict
     keyed: _Keyed
 
 
@@ -429,25 +426,34 @@ def _free_build(pc, calls, pointed):
     these instead of rebuilding them. calls holds the tables of the
     top-level call.
 
-    The value at z sums, over the keys of z, the tensor of the key's
-    parts: pc's value on a carrier part, the unit on a unit part.
-    Structure maps reinsert the deleted letter into the one part that
-    absorbs it. The laxity puts key i of s beside key j of t; point
-    merges two junction parts of one label, through pc's laxity when
-    both are carriers and through the unitor when both are units.
+    The value at z sums, over the live keys of z (`ChainTable.live` of
+    pc's support), the tensor of the key's parts: pc's value on a carrier
+    part, the unit on a unit part; a value without live keys is
+    `base.empty`. Structure maps reinsert the deleted letter into the one
+    part that absorbs it. The laxity puts key i of s beside key j of t;
+    point merges two junction parts of one label, through pc's laxity
+    when both are carriers and through the unitor when both are units.
+    Every map out of an empty value is the call's initial map.
     """
     table = calls.chains_of(pc)
     backend = pc.backend
     values = pc.values
     u = unit(backend)
+    live = table.live(pointed, frozenset(z for z in pc.chains
+                                         if values[z].size()))
     sums = {}
     for z in pc.chains:
-        keyed = table.keyed(z, pointed)
-        srcs = [calls.tensor_multi([values[q] if l == "f" else u
-                                    for q, l in zip(parts, labels)], backend)
-                for (_, labels), parts in zip(keyed.keys, keyed.parts)]
-        obj, injs = calls.sum_objects(backend, srcs)
-        sums[z] = _Sum(obj, injs, srcs, keyed)
+        keyed, at = table.keyed(z, pointed), live[z]
+        if not at:
+            sums[z] = _Sum(empty(backend), at, [], {}, keyed)
+            continue
+        srcs = [calls.tensor_multi(
+            [values[q] if l == "f" else u
+             for q, l in zip(keyed.parts[i], keyed.keys[i][1])], backend)
+            for i in at]
+        obj, injs = calls.sum_objects(
+            backend, srcs, None if len(keyed.keys) == 1 else at)
+        sums[z] = _Sum(obj, at, srcs, dict(zip(at, injs)), keyed)
 
     def reinserted(z, p, cuts, labels):
         # summand (cuts, labels) of z with letter p deleted, into z
@@ -456,7 +462,7 @@ def _free_build(pc, calls, pointed):
             # one part, the whole chain: the key does not change
             leg = (pc.gen_map(z, p) if labels[0] == "f"
                    else calls.identity(u))
-            return leg.then(big.injs[big.keyed.pos[(cuts, labels)]])
+            return _into(calls, [leg], big, big.keyed.pos[(cuts, labels)])
         big_cuts, j, rel = shapes.reinsert(z, cuts, p)
         at = big.keyed.pos[(big_cuts, labels)]
         parts = big.keyed.parts[at]
@@ -464,41 +470,42 @@ def _free_build(pc, calls, pointed):
                    for q, l in zip(parts, labels)]
         if labels[j] == "f":
             factors[j] = pc.gen_map(parts[j], rel)
-        return calls.tensor_mor_multi(factors, backend).then(big.injs[at])
+        return _into(calls, factors, big, at)
 
     maps = {(z, p): _sum_map(sums[shapes.delete(z, p)], sums[z].obj,
-                             lambda key, _: reinserted(z, p, *key))
+                             lambda key, _: reinserted(z, p, *key), calls)
             for z in pc.chains for p in range(1, len(z) - 1)}
     unitor = left_unitor(u) if pointed else None
     laxity = {}
     for s, t in table.laxity_keys():
         left, right = sums[s], sums[t]
         st = sums[shapes.concat(s, t)]
-        src = calls.tensor(left.obj, right.obj)
-        if not src.size():
-            laxity[(s, t)] = zero_map(src, st.obj)
+        if not (left.live and right.live):
+            laxity[(s, t)] = calls.initial(st.obj)
             continue
+        # the targets of key i of s run over the keys j of t
+        pairs, width = table.targets(s, t, pointed), len(right.keyed.keys)
         targets = {}
-        for (i, j), at, merged in table.targets(s, t, pointed):
-            if not (left.srcs[i].size() and right.srcs[j].size()):
-                continue
-            if not merged:
-                targets[(i, j)] = st.injs[at]
-                continue
-            # the two junction parts merge: through the laxity when both
-            # are carrier parts, through the unitor when both are units
-            labels1, labels2 = left.keyed.keys[i][1], right.keyed.keys[j][1]
-            parts1, parts2 = left.keyed.parts[i], right.keyed.parts[j]
-            factors = [calls.identity(values[q] if l == "f" else u)
-                       for q, l in zip(parts1[:-1] + parts2[1:],
-                                       labels1[:-1] + labels2[1:])]
-            factors.insert(len(parts1) - 1, pc.lax(parts1[-1], parts2[0])
-                           if labels1[-1] == "f" else unitor)
-            targets[(i, j)] = calls.tensor_mor_multi(
-                factors, backend).then(st.injs[at])
-        laxity[(s, t)] = _pair_assemble(
+        for a, i in enumerate(left.live):
+            for b, j in enumerate(right.live):
+                _, at, merged = pairs[i * width + j]
+                if not merged:
+                    targets[(a, b)] = st.injs[at]
+                    continue
+                # the two junction parts merge: through the laxity when
+                # both are carrier parts, through the unitor when both are
+                # units
+                labels1, parts1 = left.keyed.keys[i][1], left.keyed.parts[i]
+                labels2, parts2 = right.keyed.keys[j][1], right.keyed.parts[j]
+                factors = [calls.identity(values[q] if l == "f" else u)
+                           for q, l in zip(parts1[:-1] + parts2[1:],
+                                           labels1[:-1] + labels2[1:])]
+                factors.insert(len(parts1) - 1, pc.lax(parts1[-1], parts2[0])
+                               if labels1[-1] == "f" else unitor)
+                targets[(a, b)] = _into(calls, factors, st, at)
+        laxity[(s, t)] = tensor_copair(
             backend, (left.obj, left.srcs), (right.obj, right.srcs),
-            targets, st.obj, src=src)
+            targets, st.obj, src=calls.tensor(left.obj, right.obj))
     units = None
     if pointed:
         units = {a: sums[(a, a)].injs[sums[(a, a)].keyed.pos[((), ("u",))]]
@@ -528,26 +535,26 @@ def _free_map_between(alpha, src, dst, calls):
     alpha.src and dst of alpha.dst, both made on the same keys: alpha on
     carrier parts, the identity on unit parts."""
     (fsrc, ssums), (fdst, dsums) = src, dst
-    backend = alpha.src.backend
-    unit_id = calls.identity(unit(backend))
+    unit_id = calls.identity(unit(alpha.src.backend))
 
     def leg(z, key, parts):
         factors = [alpha.at(q) if l == "f" else unit_id
                    for q, l in zip(parts, key[1])]
-        return calls.tensor_mor_multi(factors, backend).then(
-            dsums[z].injs[dsums[z].keyed.pos[key]])
+        return _into(calls, factors, dsums[z], dsums[z].keyed.pos[key])
 
     comps = {z: _sum_map(ssums[z], dsums[z].obj,
-                         lambda key, parts: leg(z, key, parts))
+                         lambda key, parts: leg(z, key, parts), calls)
              for z in alpha.src.chains}
     return PrecatMorphism(fsrc, fdst, comps)
 
 
 def _one_part(sums, z):
     """The injection of the one-part summand (the chain block of gamma,
-    the carrier part of point) at z, read from the sums of a build."""
+    the carrier part of point) at z, read from the sums of a build; the
+    initial map when the chain's value is empty."""
     sm = sums[z]
-    return sm.injs[sm.keyed.pos[_WHOLE]]
+    inj = sm.injs.get(sm.keyed.pos[_WHOLE])
+    return zero_map(empty(sm.obj.backend), sm.obj) if inj is None else inj
 
 
 def kobject_of(pc):
@@ -566,9 +573,10 @@ def gamma_unit(k):
 def gamma_counit(pc):
     """gamma(forget(pc)) -> pc: iterated laxity on each block, the
     identity on the one-part chain block."""
-    g, sums = _gamma_build(pc, _CallTables())
+    calls = _CallTables()
+    g, sums = _gamma_build(pc, calls)
     comps = {z: _sum_map(sums[z], pc.value(z),
-                         lambda _, parts: pc.lax_multi(parts))
+                         lambda _, parts: pc.lax_multi(parts), calls)
              for z in pc.chains}
     return PrecatMorphism(g, pc, comps)
 
@@ -585,24 +593,18 @@ def point_carrier_inclusion(pc):
 # the one-chain gadget: an arrow pushed over one chain
 
 
-def hom_extension_kobject(letters, truncation, z0, alpha):
+def _arrow_build(letters, truncation, z0, alpha, calls):
     """The bare diagram of the arrow alpha: U -> V pushed over z0.
 
     At a chain w the value is the wide pushout of one copy of alpha per
-    deletion w -> z0 under the single U; chains that cannot reach z0
-    carry U itself, other endpoint components the initial object.
-    Structure maps act on the copies by composing deletion indices.
-    Upsilon's diagram is the one of the initial arrow 0 -> m: one copy of
-    m per deletion, glued along nothing.
+    deletion w -> z0 under the single U (one per number of copies, shared
+    by the chains with that many); chains that cannot reach z0 carry U
+    itself, other endpoint components the initial object. Structure maps
+    act on the copies by composing deletion indices. Upsilon's diagram is
+    the one of the initial arrow 0 -> m: one copy of m per deletion,
+    glued along nothing.
     Returns (bare chain diagram, {chain: WidePushout or None}).
     """
-    return _arrow_build(letters, truncation, z0, alpha, _CallTables())
-
-
-def _arrow_build(letters, truncation, z0, alpha, calls):
-    """hom_extension_kobject, with its deletions read from the chain table
-    and one wide pushout per number of copies shared by all chains with
-    that many deletions onto z0."""
     backend = alpha.backend
     letters = tuple(sorted(letters))
     table = calls.chain_table(letters, truncation)
@@ -620,7 +622,7 @@ def _arrow_build(letters, truncation, z0, alpha, calls):
         for p in range(1, len(w) - 1):
             d = shapes.delete(w, p)
             if not values[d].size():
-                maps[(w, p)] = zero_map(values[d], values[w])
+                maps[(w, p)] = calls.initial(values[w])
                 continue
             # the copy of deletion e: d -> z0 goes to the copy of the
             # composite w -> d -> z0
@@ -634,10 +636,10 @@ def _arrow_build(letters, truncation, z0, alpha, calls):
     return k, wps
 
 
-def hom_extension_square(square, src_data, dst_data):
+def hom_extension_square(square, src_data, dst_data, calls):
     """The diagram morphism that a commuting square (u, v) from an arrow
     alpha to an arrow beta induces between their diagrams, given as the
-    (diagram, wide pushouts) pairs of `hom_extension_kobject`."""
+    (diagram, wide pushouts) pairs of `_arrow_build`."""
     u, v = square
     ksrc, wsrc = src_data
     kdst, wdst = dst_data
@@ -645,7 +647,7 @@ def hom_extension_square(square, src_data, dst_data):
     for w in ksrc.chains:
         src, dst = wsrc[w], wdst[w]
         if not ksrc.value(w).size():
-            comps[w] = zero_map(ksrc.value(w), kdst.value(w))
+            comps[w] = calls.initial(kdst.value(w))
             continue
         comps[w] = wide_pushout_induced(
             src, [v.then(leg) for leg in dst.maps],
@@ -672,7 +674,7 @@ def _upsilon_square(h, z0, g):
 @dataclass
 class _Gadget:
     """point(gamma(k)) for the bare diagram k of an arrow pushed over z0
-    (`hom_extension_kobject`; upsilon's arrow is 0 -> m), with the build of
+    (`_arrow_build`; upsilon's arrow is 0 -> m), with the build of
     each stage as a (precategory, data) pair: k with its wide pushouts, gk
     of `_gamma_build` on k, pointed of `_point_build` on gk. The maps into
     and out of the gadget read their summands from these builds."""
@@ -692,7 +694,7 @@ class _Gadget:
     def map_to(self, dst, square, calls):
         """point(gamma(-)) of the diagram map that the commuting square
         (u, v) from this gadget's arrow to dst's induces."""
-        phi = hom_extension_square(square, self.k, dst.k)
+        phi = hom_extension_square(square, self.k, dst.k, calls)
         return _free_map_between(
             _free_map_between(phi, self.gk, dst.gk, calls), self.pointed,
             dst.pointed, calls)
@@ -709,7 +711,7 @@ class _Gadget:
 
         def k_component(w):
             if not self.k[0].value(w).size():
-                return zero_map(self.k[0].value(w), h.value(w))
+                return calls.initial(h.value(w))
             cone = [bottom.then(h.structure(d))
                     for d in table.hom_set(w, self.z0)]
             through = (None if cone else
@@ -734,8 +736,8 @@ class _Gadget:
 def free_hom_kobject(letters, truncation, z0, m):
     """The bare chain diagram freely generated by m sitting at z0: the
     diagram of the arrow 0 -> m, one copy of m per deletion w -> z0."""
-    return hom_extension_kobject(letters, truncation, z0,
-                                 _initial_arrow(m))[0]
+    return _arrow_build(letters, truncation, z0, _initial_arrow(m),
+                        _CallTables())[0]
 
 
 def free_hom_kmorphism(letters, truncation, z0, f):
@@ -743,7 +745,7 @@ def free_hom_kmorphism(letters, truncation, z0, f):
     calls = _CallTables()
     builds = [_arrow_build(letters, truncation, z0, _initial_arrow(x), calls)
               for x in (f.src, f.dst)]
-    return hom_extension_square(_initial_square(f), *builds)
+    return hom_extension_square(_initial_square(f), *builds, calls)
 
 
 def upsilon(letters, truncation, z0, m):
@@ -797,14 +799,7 @@ def _free_transpose(gadget, h, k_component, calls):
     # every chain is a part of its own one-part key, so each component is
     # needed; compute each once
     kcomps = {w: k_component(w) for w in pobj.chains}
-    laxes = {}
-    unit_legs = {}
-
-    def lax_multi(parts):
-        out = laxes.get(parts)
-        if out is None:
-            out = laxes[parts] = h.lax_multi(parts)
-        return out
+    lax_multi = functools.cache(h.lax_multi)
 
     def gamma_leg(_, parts):
         if len(parts) == 1:
@@ -813,15 +808,12 @@ def _free_transpose(gadget, h, k_component, calls):
         return calls.tensor_mor_multi(
             [kcomps[q] for q in parts], backend).then(lax_multi(parts))
 
-    gcomps = {w: _sum_map(gamma_sums[w], h.value(w), gamma_leg)
+    gcomps = {w: _sum_map(gamma_sums[w], h.value(w), gamma_leg, calls)
               for w in pobj.chains}
 
+    @functools.cache
     def derived_unit(part):
-        out = unit_legs.get(part)
-        if out is None:
-            out = unit_legs[part] = h.unit_map(part[0]).then(
-                h.structure(shapes.to_initial(part)))
-        return out
+        return h.unit_map(part[0]).then(h.structure(shapes.to_initial(part)))
 
     def pointed_leg(key, parts):
         leg = calls.tensor_mor_multi(
@@ -830,7 +822,7 @@ def _free_transpose(gadget, h, k_component, calls):
         # one part needs no laxity: h.lax_multi of one part is the identity
         return leg if len(parts) == 1 else leg.then(lax_multi(parts))
 
-    comps = {w: _sum_map(psums[w], h.value(w), pointed_leg)
+    comps = {w: _sum_map(psums[w], h.value(w), pointed_leg, calls)
              for w in pobj.chains}
     return PrecatMorphism(pobj, h, comps)
 
@@ -849,10 +841,11 @@ def precat_colimit(nodes, edges):
     reassociation. A degree-1 slot has node blocks and edge relations
     only, so it is the plain backend colimit of its slice. A relation out
     of an empty object identifies nothing and is left out; every block is
-    kept, as finset labels carry the block index. Structure maps descend
-    through the slot presentations (`colim.colimit_induced`), which
-    re-checks the relations; a cone leg out of an empty block is the
-    initial map.
+    kept, as finset labels carry the block index, and a product with an
+    empty factor is the shared empty object and is not tensored.
+    Structure maps descend through the slot presentations
+    (`colim.colimit_induced`), which re-checks the relations; a cone leg
+    out of an empty block is the initial map.
 
     Returns (colimit precategory, {key: cocone morphism}).
     """
@@ -871,13 +864,18 @@ def precat_colimit(nodes, edges):
     psi = {}
     gen = {}
     cols = {}
+    # the initial map and the identity of each object, built once
+    tables = _CallTables()
+    nothing = empty(backend)
 
     for z in sorted(chains, key=lambda s: (len(s), s)):
-        pairs = {c: tensor(values[z[:c + 1]], values[z[c:]])
-                 for c in range(1, len(z) - 1)}
+        pairs = {}
+        for c in range(1, len(z) - 1):
+            x, y = values[z[:c + 1]], values[z[c:]]
+            pairs[c] = tensor(x, y) if x.size() and y.size() else nothing
         blocks = [(("node", key), nodes[key].value(z)) for key in keys]
         blocks += [(("pair", c), obj) for c, obj in pairs.items()]
-        rel = [((("node", a), identity(nodes[a].value(z))),
+        rel = [((("node", a), tables.identity(nodes[a].value(z))),
                 (("node", b), alpha.at(z)))
                for a, b, alpha in edges if nodes[a].value(z).size()]
         for key in keys:
@@ -916,7 +914,7 @@ def precat_colimit(nodes, edges):
             for block, leg in col.cocone.items():
                 kind, which = block
                 if not leg.src.size():
-                    cone[block] = zero_map(leg.src, values[z])
+                    cone[block] = tables.initial(values[z])
                     continue
                 if kind == "node":
                     cone[block] = nodes[which].gen_map(z, p).then(
@@ -1490,7 +1488,7 @@ def pushforward(f, pc):
                 targets[(i, j)] = cst.cocone[(cuts, combo1 + combo2)]
         # assemble on the presentation coproducts, then push through the
         # quotients' sections and re-verify
-        on_cops = _pair_assemble(backend, *[
+        on_cops = tensor_copair(backend, *[
             (c.q.proj.src, [leg.src for leg in c.cocone.values()])
             for c in (cs, ct)], targets, cst.obj)
         laxity[(sbar, tbar)] = quotient_induced(tensor_quotient(cs.q, ct.q),

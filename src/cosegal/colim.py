@@ -9,21 +9,23 @@ Every colimit is a presentation: keyed blocks modulo relations, each a
 parallel pair into two named blocks. `present` builds it as one
 `Colimit` record (the object, one cocone leg per block key, the
 quotient of the blocks' coproduct, taken in one step), and `colimit`,
-`pushout` and `wide_pushout` build through it.
+`pushout` and `wide_pushout` build through it. `copair` is the map out
+of a coproduct, `tensor_copair` the map out of a tensor of two.
 The one descent, `colimit_induced`, copairs one cone leg per block and
 induces the map out of the quotient through a linear (or pointwise)
 section, checking that it descends: an incompatible cone fails loudly
 rather than returning garbage.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from . import ratmat
 from .ratmat import ONE
 from .base import (
     MObject, MMorphism, chq_map, chq_obj, identity, invert,
-    is_identity, is_isomorphism, make_map, tensor_mor, vectq_map, vectq_obj,
-    _finset, _suffix_label,
+    is_identity, is_isomorphism, make_map, tensor, tensor_mor, vectq_map,
+    vectq_obj, zero_map, _finset, _suffix_label,
 )
 
 
@@ -31,28 +33,33 @@ from .base import (
 # coproducts
 
 
-def _coproduct_obj(objs, backend):
-    """The coproduct object of objs, without its injections."""
+def _coproduct_obj(objs, backend, index=None):
+    """The coproduct object of objs, without its injections; finset labels
+    carry each summand's entry of index (by default its position)."""
     if backend == "finset":
+        if index is None:
+            index = range(len(objs))
         return _finset(tuple([_suffix_label(l, i)
-                              for i, o in enumerate(objs) for l in o.labels]))
+                              for i, o in zip(index, objs) for l in o.labels]))
     if backend == "vectq":
         return vectq_obj(sum(o.dim for o in objs))
     return chq_obj(tuple(d for o in objs for d in o.degrees),
                    ratmat.block_diag([o.diff for o in objs]))
 
 
-def coproduct(objs, backend=None):
+def coproduct(objs, backend=None, index=None):
     """The coproduct with its injections.
 
     finset labels get collapsed to a single fresh atom per element (the old
     atoms joined with "," plus a summand counter) so nested coproducts and
-    tensors cannot collide.
+    tensors cannot collide. index, when given, is the counter of each
+    summand, so that leaving empty summands out keeps the labels of a
+    coproduct that has them.
     """
     objs = list(objs)
     if backend is None:
         backend = objs[0].backend
-    cop = _coproduct_obj(objs, backend)
+    cop = _coproduct_obj(objs, backend, index)
     injs = []
     off = 0
     for o in objs:
@@ -84,6 +91,57 @@ def copair(cop, maps, dst):
     if backend == "chq":
         return chq_map(cop, dst, matrix)
     return vectq_map(cop, dst, matrix)
+
+
+def tensor_copair(backend, left, right, targets, dst, src=None):
+    """The map out of a tensor of two coproducts, one component per summand
+    pair: the copair of the summand tensors, as the tensor distributes over
+    coproducts.
+
+    left/right are (coproduct, summand sources) pairs, so summand i fills
+    the positions from lo_i, the total size of the summands before it.
+    targets maps a pair (i, j) of summand indices to the component map out
+    of sources_left[i] (x) sources_right[j]; a pair with an empty side may
+    be left out, every other pair is required. Position
+    (lo_i + a) * |R| + (ro_j + b) of tensor(L, R) is position
+    a * |R_j| + b of targets[(i, j)], so the map only re-indexes the
+    components' images. src is tensor(L, R) when the caller already holds
+    it.
+    """
+    lobj, lsrcs = left
+    robj, rsrcs = right
+    lsizes = [s.size() for s in lsrcs]
+    rsizes = [s.size() for s in rsrcs]
+    if sum(lsizes) != lobj.size() or sum(rsizes) != robj.size():
+        raise AssertionError("tensor distribution failed to be invertible")
+    filled = 0
+    for (i, j), f in targets.items():
+        if f.src.size() != lsizes[i] * rsizes[j]:
+            raise ValueError("component %r does not match its summands"
+                             % ((i, j),))
+        filled += f.src.size() > 0
+    if filled != sum(map(bool, lsizes)) * sum(map(bool, rsizes)):
+        raise ValueError("a nonempty summand pair has no component")
+    if src is None:
+        src = tensor(lobj, robj)
+    if backend == "finset":
+        out = []
+        for i, nl in enumerate(lsizes):
+            for a in range(nl):
+                for j, nr in enumerate(rsizes):
+                    if nr:
+                        out.extend(
+                            targets[(i, j)].mapping[a * nr:(a + 1) * nr])
+        return MMorphism(backend, src, dst, mapping=tuple(out))
+    lo = list(itertools.accumulate(lsizes, initial=0))
+    ro = list(itertools.accumulate(rsizes, initial=0))
+    entries = []
+    for (i, j), f in targets.items():
+        for r, p, x in ratmat.nonzeros(f.matrix):
+            a, b = divmod(p, rsizes[j])
+            entries.append((r, (lo[i] + a) * ro[-1] + ro[j] + b, x))
+    return MMorphism(backend, src, dst,
+                     matrix=ratmat.build(dst.size(), src.size(), entries))
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +216,11 @@ def coequalizer(f, g):
 def quotient_induced(q, h):
     """The map out of a quotient determined by h on the covered object.
 
-    Verifies that h actually descends; raises ValueError otherwise.
+    Verifies that h actually descends; raises ValueError otherwise. A
+    quotient of the empty object is empty, and its map is the initial map.
     """
+    if not q.proj.src.size():
+        return zero_map(q.obj, h.dst)
     if q.proj.backend == "finset":
         ind = MMorphism("finset", q.obj, h.dst,
                         mapping=tuple(h.mapping[r] for r in q.section))
@@ -255,9 +316,10 @@ def present(blocks, relations, backend):
                     for i, j, x in ratmat.nonzeros(f2.matrix)]
         col += f1.src.size()
     q = quotient_linear(cop, ratmat.build(cop.size(), col, entries))
-    cocone = {key: MMorphism(backend, obj, q.obj, matrix=ratmat.submatrix(
-        q.proj.matrix, range(q.obj.size()),
-        range(starts[key], starts[key] + obj.size()))) for key, obj in blocks}
+    legs = ratmat.split_columns(q.proj.matrix,
+                                [obj.size() for _, obj in blocks])
+    cocone = {key: MMorphism(backend, obj, q.obj, matrix=leg)
+              for (key, obj), leg in zip(blocks, legs)}
     return Colimit(q.obj, cocone, q)
 
 
@@ -331,7 +393,10 @@ def wide_pushout(base, legs):
                   [((0, legs[0]), (i, leg)) for i, leg in enumerate(legs)
                    if i], base.backend)
     maps = tuple(col.cocone.values())
-    return WidePushout(col.obj, maps, legs[0].then(maps[0]), col)
+    # out of an empty base the common composite is the initial map
+    through = (legs[0].then(maps[0]) if base.size()
+               else zero_map(base, col.obj))
+    return WidePushout(col.obj, maps, through, col)
 
 
 def wide_pushout_induced(wp, cone, through=None):

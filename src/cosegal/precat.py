@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from . import shapes
 from .base import (
     identity, is_isomorphism, is_weak_equivalence, tensor, tensor_mor,
-    unit, left_unitor, right_unitor,
+    unit, left_unitor, right_unitor, zero_map,
 )
 
 
@@ -313,11 +313,17 @@ def unit_constraint_maps(pc, con):
 
 
 def check_unital(pc):
-    """The list of violated unit constraints of a pointed precategory."""
+    """The list of violated unit constraints of a pointed precategory.
+
+    A constraint at an empty F(s) holds: both of its maps start on
+    I (x) 0 = 0, and there is one map out of it, so neither is built.
+    """
     if not pc.is_pointed():
         raise ValueError("check_unital needs a pointed precategory")
     bad = []
     for con in unit_constraints(pc):
+        if not pc.values[con[2]].size():
+            continue
         first, second = unit_constraint_maps(pc, con)
         if first != second:
             bad.append(con)
@@ -338,11 +344,14 @@ class PrecatMorphism:
         return self.components[s]
 
     def then(self, other):
+        """Slotwise composition; a slot out of an empty value gets the
+        initial map, composing nothing."""
         if self.dst.values != other.src.values:
             raise ValueError("precategory morphism composition mismatch")
         return PrecatMorphism(self.src, other.dst, {
-            s: self.components[s].then(other.components[s])
-            for s in self.components})
+            s: f.then(other.components[s]) if f.src.size()
+            else zero_map(f.src, other.dst.values[s])
+            for s, f in self.components.items()})
 
 
 def identity_morphism(pc):

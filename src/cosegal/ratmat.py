@@ -16,13 +16,15 @@ does work in proportion to the nonzeros it reads and writes.
 This is the only module that knows that form. Other modules make
 matrices with `mat` (from nested rows of exact numbers), `build` (from
 (row, column, entry) triples with an explicit shape), `eye`, `zeros`,
-`unvec` and the copies `transpose`, `submatrix`, `hstack`, `vstack` and
-`block_diag`; they read them through `shape`, `nonzeros`, `vec` and
-`has_shape`. A `Matrix` also reads as a tuple of dense rows (`len(m)`,
-`m[i]`, iteration); that view is for readers outside the package, such
-as tests and benchmarks, and nothing in the package uses it.
+`unvec` and the copies `transpose`, `submatrix`, `split_columns`,
+`hstack`, `vstack` and `block_diag`; they read them through `shape`,
+`nonzeros`, `vec` and `has_shape`. A `Matrix` also reads as a tuple of
+dense rows (`len(m)`, `m[i]`, iteration); that view is for readers
+outside the package, such as tests and benchmarks, and nothing in the
+package uses it.
 """
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,6 +147,29 @@ def submatrix(m, rows, cols):
     out = tuple(tuple(sorted([(k, x) for j, x in m.rows[i] if j in where
                               for k in where[j]])) for i in rows)
     return Matrix((len(out), len(cols)), out)
+
+
+def split_columns(m, widths):
+    """m cut into consecutive column blocks of the given widths, which add
+    up to its column count; each row is read once and split at the block
+    bounds by bisection."""
+    starts = [0]
+    for w in widths:
+        starts.append(starts[-1] + w)
+    if starts[-1] != m.shape[1]:
+        raise ValueError("column widths do not add up to the matrix")
+    blocks = [[] for _ in widths]
+    for row in m.rows:
+        lo = 0
+        for rows, start, end in zip(blocks, starts, starts[1:]):
+            # entries are (column, value) pairs, so (end,) precedes the
+            # first entry at column end or later
+            hi = bisect.bisect_left(row, (end,), lo)
+            rows.append(tuple([(j - start, x) for j, x in row[lo:hi]])
+                        if hi > lo else ())
+            lo = hi
+    return [Matrix((m.shape[0], w), tuple(rows))
+            for w, rows in zip(widths, blocks)]
 
 
 def vec(m):

@@ -226,7 +226,7 @@ def sum_injections(obj, srcs):
 
 def pair_assemble_by_reference(backend, left, right, targets, dst,
                                src=None):
-    """`_pair_assemble`'s signature, computed by the reference; src, the
+    """`colim.tensor_copair`'s signature, computed by the reference; src, the
     tensor of the two sums a caller may pass in, must be that tensor."""
     assert src is None or src == tensor(left[0], right[0])
     return reference_pair_assemble(
@@ -280,7 +280,7 @@ def test_pair_assemble_matches_the_generic_distribution(rng, backend):
                    for i, a in enumerate(lsrcs)
                    for j, b in enumerate(rsrcs)
                    if a.size() * b.size() or rng.random() < 0.5}
-        got = adjoints._pair_assemble(backend, (lobj, lsrcs), (robj, rsrcs),
+        got = colim.tensor_copair(backend, (lobj, lsrcs), (robj, rsrcs),
                                       targets, dst)
         ref = reference_pair_assemble(backend, (lobj, linjs, lsrcs),
                                       (robj, rinjs, rsrcs), targets, dst)
@@ -292,24 +292,24 @@ def test_pair_assemble_refuses_a_mismatched_layout():
     lobj, _ = coproduct([a, b], "vectq")
     targets = {(0, 0): identity(tensor(a, b))}
     with pytest.raises(AssertionError, match="failed to be invertible"):
-        adjoints._pair_assemble("vectq", (lobj, [a]), (b, [b]), targets,
+        colim.tensor_copair("vectq", (lobj, [a]), (b, [b]), targets,
                                 tensor(a, b))
     # a component whose source is not the tensor of its two summands
     targets = {(0, 0): identity(tensor(a, b)), (1, 0): identity(a)}
     with pytest.raises(ValueError, match="does not match its summands"):
-        adjoints._pair_assemble("vectq", (lobj, [a, b]), (b, [b]), targets,
+        colim.tensor_copair("vectq", (lobj, [a, b]), (b, [b]), targets,
                                 tensor(a, b))
     # only a pair with an empty side may be left out
     nothing = empty("vectq")
     lobj, _ = coproduct([a, nothing, b], "vectq")
     targets = {(0, 0): identity(tensor(a, b)),
                (2, 0): zero_map(tensor(b, b), tensor(a, b))}
-    got = adjoints._pair_assemble("vectq", (lobj, [a, nothing, b]), (b, [b]),
+    got = colim.tensor_copair("vectq", (lobj, [a, nothing, b]), (b, [b]),
                                   targets, tensor(a, b))
     assert got.src == tensor(lobj, b)
     del targets[(2, 0)]
     with pytest.raises(ValueError, match="has no component"):
-        adjoints._pair_assemble("vectq", (lobj, [a, nothing, b]), (b, [b]),
+        colim.tensor_copair("vectq", (lobj, [a, nothing, b]), (b, [b]),
                                 targets, tensor(a, b))
 
 
@@ -332,7 +332,7 @@ def test_free_constructions_and_pushforward_laxity_match_the_reference(
 
     cases = laxity_cases()
     closed = [build(pc) for pc in cases]
-    monkeypatch.setattr(adjoints, "_pair_assemble",
+    monkeypatch.setattr(adjoints, "tensor_copair",
                         pair_assemble_by_reference)
     assert closed == [build(pc) for pc in cases]
 
@@ -637,6 +637,174 @@ def test_free_constructions_on_empty_objects(backend):
     assert count > 0
 
 
+def dense_free_build(pc, calls, pointed):
+    """`_free_build` as it was before it worked on its support: every key
+    of every chain is tensored and summed, empty summands included, and an
+    empty summand is only left out of the copairs. It returns the
+    package's `_Sum` records, with every nonempty summand live, so that the
+    maps into and out of the build are made the same way on both."""
+    table = calls.chains_of(pc)
+    backend = pc.backend
+    values = pc.values
+    u = base.unit(backend)
+    dense = {}
+    for z in pc.chains:
+        keyed = table.keyed(z, pointed)
+        srcs = [calls.tensor_multi([values[q] if l == "f" else u
+                                    for q, l in zip(parts, labels)], backend)
+                for (_, labels), parts in zip(keyed.keys, keyed.parts)]
+        obj, injs = calls.sum_objects(backend, srcs)
+        dense[z] = (obj, injs, srcs, keyed)
+
+    def sum_map(z, dst, leg):
+        obj, _, srcs, keyed = dense[z]
+        if not obj.size():
+            return zero_map(obj, dst)
+        if len(srcs) == 1:
+            return leg(keyed.keys[0], keyed.parts[0])
+        return copair(obj, [leg(key, parts) for key, parts, src
+                            in zip(keyed.keys, keyed.parts, srcs)
+                            if src.size()], dst)
+
+    def reinserted(z, p, cuts, labels):
+        _, injs, _, keyed = dense[z]
+        if not cuts:
+            leg = pc.gen_map(z, p) if labels[0] == "f" else identity(u)
+            return leg.then(injs[keyed.pos[(cuts, labels)]])
+        big_cuts, j, rel = shapes.reinsert(z, cuts, p)
+        at = keyed.pos[(big_cuts, labels)]
+        parts = keyed.parts[at]
+        factors = [identity(values[q] if l == "f" else u)
+                   for q, l in zip(parts, labels)]
+        if labels[j] == "f":
+            factors[j] = pc.gen_map(parts[j], rel)
+        return calls.tensor_mor_multi(factors, backend).then(injs[at])
+
+    maps = {(z, p): sum_map(shapes.delete(z, p), dense[z][0],
+                            lambda key, _: reinserted(z, p, *key))
+            for z in pc.chains for p in range(1, len(z) - 1)}
+    laxity = {}
+    for s, t in table.laxity_keys():
+        (lobj, _, lsrcs, lkeyed), (robj, _, rsrcs, rkeyed) = dense[s], dense[t]
+        stobj, stinjs, _, _ = dense[shapes.concat(s, t)]
+        src = calls.tensor(lobj, robj)
+        if not src.size():
+            laxity[(s, t)] = zero_map(src, stobj)
+            continue
+        targets = {}
+        for (i, j), at, merged in table.targets(s, t, pointed):
+            if not (lsrcs[i].size() and rsrcs[j].size()):
+                continue
+            if not merged:
+                targets[(i, j)] = stinjs[at]
+                continue
+            (_, labels1), parts1 = lkeyed.keys[i], lkeyed.parts[i]
+            (_, labels2), parts2 = rkeyed.keys[j], rkeyed.parts[j]
+            factors = [identity(values[q] if l == "f" else u)
+                       for q, l in zip(parts1[:-1] + parts2[1:],
+                                       labels1[:-1] + labels2[1:])]
+            factors.insert(len(parts1) - 1, pc.lax(parts1[-1], parts2[0])
+                           if labels1[-1] == "f" else base.left_unitor(u))
+            targets[(i, j)] = calls.tensor_mor_multi(
+                factors, backend).then(stinjs[at])
+        laxity[(s, t)] = colim.tensor_copair(
+            backend, (lobj, lsrcs), (robj, rsrcs), targets, stobj, src=src)
+    units = None
+    if pointed:
+        units = {a: dense[(a, a)][1][dense[(a, a)][3].pos[((), ("u",))]]
+                 for a in pc.letters}
+    out = make_precategory(backend, pc.letters, pc.truncation,
+                           {z: d[0] for z, d in dense.items()}, maps, laxity,
+                           units=units)
+    sums = {}
+    for z, (obj, injs, srcs, keyed) in dense.items():
+        live = tuple(i for i, src in enumerate(srcs) if src.size())
+        sums[z] = adjoints._Sum(obj, live, [srcs[i] for i in live],
+                                {i: injs[i] for i in live}, keyed)
+    return out, sums
+
+
+def killing_precategory(backend):
+    """One letter at truncation 2, a line at (a, a) and nothing at
+    (a, a, a): the structure map and the laxity kill a nonempty value,
+    which a linear map may do."""
+    line = vectq_obj(1) if backend == "vectq" else sphere(0)
+    nothing = empty(backend)
+    aa, aaa = ("a", "a"), ("a", "a", "a")
+    pc = make_precategory(backend, ("a",), 2, {aa: line, aaa: nothing},
+                          {(aaa, 1): zero_map(line, nothing)},
+                          {(aa, aa): zero_map(tensor(line, line), nothing)})
+    assert validate(pc) == []
+    return pc
+
+
+def monotone_part(pc):
+    """pc on its partial chain set of the chains that never step down a
+    letter: closed under deletions, with the laxity keys among them."""
+    keep = {s for s in pc.chains if list(s) == sorted(s)}
+    return make_precategory(
+        pc.backend, pc.letters, pc.truncation,
+        {s: pc.values[s] for s in keep},
+        {key: f for key, f in pc.maps.items() if key[0] in keep},
+        {key: f for key, f in pc.laxity.items()
+         if shapes.concat(*key) in keep})
+
+
+def support_cases(backend):
+    """(unpointed precategory, pointed target, z0, m, arrow for psi) per
+    case: a function category, the walking arrow with its empty hom and an
+    empty m, a partial chain set (no gadgets), and off finset a value that
+    a structure map kills."""
+    to_backend = {"finset": lambda cat: cat, "vectq": linearize_category,
+                  "chq": chainify_category}[backend]
+    nothing = empty(backend)
+    h = from_strict_category(to_backend(function_category({"a": 1, "b": 2})),
+                             2)
+    arrow = from_strict_category(to_backend(walking_arrow()), 2)
+    alpha = {"finset": finset_map(finset_obj(["u0"]),
+                                  finset_obj(["v0", "v1"]), (1,)),
+             "vectq": vectq_map(vectq_obj(1), vectq_obj(2), [[1], [0]]),
+             "chq": identity(disk(1))}[backend]
+    z0 = ("a", "b", "b")
+    out = [(forget_units(h), h, z0, h.value(z0), alpha),
+           (forget_units(arrow), arrow, ("B", "A", "A"), nothing,
+            zero_map(nothing, arrow.value(("A", "B")))),
+           (monotone_part(forget_units(h)), None, None, None, None)]
+    if backend != "finset":
+        pc = killing_precategory(backend)
+        out.append((pc, point(pc), ("a", "a", "a"), pc.value(("a", "a")),
+                    alpha))
+    return out
+
+
+def free_outputs(pc, h, z0, m, alpha):
+    """Every public output of the free builders on one case."""
+    k = kobject_of(pc)
+    out = [gamma(k), point(pc), gamma_map(identity_morphism(k)),
+           point_map(identity_morphism(pc)), gamma_unit(k), gamma_counit(pc),
+           point_carrier_inclusion(pc)]
+    if z0 is None:
+        return out
+    at = (pc.letters, pc.truncation, z0)
+    nothing = empty(pc.backend)
+    res = psi(z0, alpha, letters=pc.letters, truncation=pc.truncation)
+    return out + [
+        upsilon(*at, m), upsilon(*at, nothing),
+        upsilon_map(*at, identity(m)), upsilon_map(*at, zero_map(nothing, m)),
+        upsilon_transpose(h, z0, identity(h.value(z0))),
+        res.precat, res.eta, [r.xis for r in res.trace.rounds]]
+
+
+@pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
+def test_free_builders_on_their_support_match_the_dense_build(
+        monkeypatch, backend):
+    cases = support_cases(backend)
+    assert any(not v.size() for pc, *_ in cases for v in pc.values.values())
+    got = [free_outputs(*case) for case in cases]
+    monkeypatch.setattr(adjoints, "_free_build", dense_free_build)
+    assert got == [free_outputs(*case) for case in cases]
+
+
 # ---------------------------------------------------------------------------
 # colimits of pointed precategories
 
@@ -874,40 +1042,67 @@ def test_unitalize_frees_its_tables(monkeypatch):
     assert not [r for r in refs if r() is not None]
 
 
-def test_unitalize_round_takes_its_tensors_from_the_tables(monkeypatch):
-    # the finset round builds 2,632 tensors; through base.tensor_mor, which
-    # rebuilds both ends of every tensored map, it took 43,396
-    p = unitalize_case("finset")
-    count = [0]
+def count_tensors(monkeypatch):
+    """Count every tensor of two objects from here on: [all, those with an
+    empty factor]."""
+    count = [0, 0]
     build = base.tensor
 
     def counted(x, y):
         count[0] += 1
+        count[1] += not (x.size() and y.size())
         return build(x, y)
 
-    for module in (base, adjoints, precat):
+    for module in (base, adjoints, precat, colim):
         monkeypatch.setattr(module, "tensor", counted)
+    return count
+
+
+def test_unitalize_round_takes_its_tensors_from_the_tables(monkeypatch):
+    # the finset round builds 480 tensors; through base.tensor_mor, which
+    # rebuilds both ends of every tensored map, it took 43,396, and with
+    # every summand of the free builds tensored, empty ones too, 1,068
+    p = unitalize_case("finset")
+    count = count_tensors(monkeypatch)
     res = unitalize(p)
     assert len(res.trace.rounds[0].constraints) == 32
-    assert count[0] <= 2700
+    assert count[0] <= 500
+
+
+def test_unitalize_round_tensors_nothing_empty(monkeypatch):
+    # a summand with an empty part is empty: the free builds tensor only
+    # their live summands, `precat_colimit` gives a pair block with an
+    # empty factor the empty object, and `check_unital` builds no
+    # constraint out of I (x) 0. Tensoring every summand made 516 of the
+    # 1,068 tensors of this round out of an empty factor
+    p = unitalize_case("finset")
+    count = count_tensors(monkeypatch)
+    res = unitalize(p)
+    assert res.trace.rounds and count[0]
+    assert count[1] == 0
 
 
 def test_unitalize_composes_nothing_out_of_an_empty_object(monkeypatch):
     # a map out of 0 is the initial map, built by neither `then` nor
-    # `_pair_assemble`: on the finset case, composing every such map made
+    # `tensor_copair`: on the finset case, composing every such map made
     # 23,494 of the 30,204 `then` calls of this module, and 9,972 of the
-    # 10,638 components given to `_pair_assemble` had an empty side. A
+    # 10,638 components given to `tensor_copair` had an empty side. A
     # cocone leg of `colim.present` is read off the projection, so nothing
     # under `present` composes: composing each block injection with the
     # projection made 1,143 of the 1,182 `then` calls out of 0 of a
-    # `unitalize_finset` benchmark pass
+    # `unitalize_finset` benchmark pass. Outside this module, the common
+    # composite of a wide pushout over 0, the descent out of a quotient of
+    # 0, the unit constraints at an empty slot and the composite of two
+    # precategory morphisms compose nothing either: they made the last 77
     composed, calls, pairs, empty_pairs = [], [0], [0], []
-    under_present = []
+    under_present, anywhere = [], []
     then = base.MMorphism.then
-    assemble = adjoints._pair_assemble
+    assemble = adjoints.tensor_copair
 
     def recorded(self, other):
         frame = sys._getframe(1)
+        if not self.src.size():
+            anywhere.append(self)
         if frame.f_globals["__name__"] == "cosegal.adjoints":
             calls[0] += 1
             if not self.src.size():
@@ -926,11 +1121,12 @@ def test_unitalize_composes_nothing_out_of_an_empty_object(monkeypatch):
         return assemble(backend, left, right, targets, dst, src)
 
     monkeypatch.setattr(base.MMorphism, "then", recorded)
-    monkeypatch.setattr(adjoints, "_pair_assemble", checked)
+    monkeypatch.setattr(adjoints, "tensor_copair", checked)
     for backend in ("finset", "vectq"):
         assert unitalize(unitalize_case(backend)).trace.rounds
     assert calls[0] and pairs[0]
     assert composed == [] and empty_pairs == [] and under_present == []
+    assert anywhere == []
 
 
 def test_factor_through_unital_roundtrip_and_refusal():

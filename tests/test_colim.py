@@ -222,6 +222,39 @@ def test_wide_pushout_degenerate_cases():
     assert wide_pushout_induced(wp1, [identity(f.dst)]) == identity(f.dst)
 
 
+@pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
+def test_maps_out_of_an_empty_base_compose_nothing(monkeypatch, backend):
+    # out of 0 there is one map: a wide pushout over an empty base and the
+    # descent out of a quotient of 0 build it without composing
+    nothing = empty(backend)
+    m = {"finset": finset_obj(["m0", "m1"]), "vectq": vectq_obj(2),
+         "chq": disk(1)}[backend]
+    composed = []
+    then = base.MMorphism.then
+
+    def recorded(self, other):
+        composed.append(self)
+        return then(self, other)
+
+    monkeypatch.setattr(base.MMorphism, "then", recorded)
+    wp = wide_pushout(nothing, [zero_map(nothing, m)] * 3)
+    assert wp.through == zero_map(nothing, wp.obj) and wp.obj.size() == 6
+    for q in (coequalizer(identity(nothing), identity(nothing)),
+              surjection_quotient(identity(nothing))):
+        assert quotient_induced(q, zero_map(nothing, m)) == \
+            zero_map(nothing, m)
+    assert composed == []
+
+
+def test_coproduct_labels_carry_the_given_summand_index():
+    a, b = finset_obj(["x"]), finset_obj(["y", "z"])
+    full, _ = coproduct([a, empty("finset"), b])
+    assert coproduct([a, b], index=(0, 2))[0] == full
+    assert coproduct([a, b])[0] != full
+    assert coproduct([vectq_obj(1), vectq_obj(2)], index=(0, 2))[0] == \
+        coproduct([vectq_obj(1), vectq_obj(0), vectq_obj(2)])[0]
+
+
 def test_wide_pushout_three_legs():
     b = vectq_obj(1)
     legs = [vectq_map(b, vectq_obj(2), [[1], [0]]) for _ in range(3)]

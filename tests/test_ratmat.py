@@ -140,6 +140,22 @@ def test_builders_match_dense_references(rng):
             assert_exact(out)
 
 
+def test_split_columns_cuts_consecutive_column_blocks(rng):
+    for r, c in [(0, 0), (2, 0), (0, 3), (3, 5), (4, 7)]:
+        m = rand_matrix(rng, r, c) if r and c else zeros(r, c)
+        # widths that add up to c, zero widths included
+        cuts = sorted(rng.randint(0, c) for _ in range(rng.randint(0, 4)))
+        widths = [b - a for a, b in zip([0] + cuts, cuts + [c])]
+        starts = [sum(widths[:k]) for k in range(len(widths))]
+        got = ratmat.split_columns(m, widths)
+        assert got == [submatrix(m, range(r), range(a, a + w))
+                       for a, w in zip(starts, widths)]
+        for out in got:
+            assert_exact(out)
+    with pytest.raises(ValueError):
+        ratmat.split_columns(eye(2), [1])
+
+
 def test_submatrix_refuses_rows_and_columns_out_of_range():
     m = mat([[1, 2], [3, 4]])
     assert submatrix(m, [1, 0], [1]) == mat([[4], [2]])

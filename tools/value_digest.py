@@ -1,0 +1,110 @@
+"""Print one sha256 of the values the free constructions compute.
+
+Hashes the repr of the public outputs of `gamma`, `point`, `upsilon`
+(with `upsilon_map` and `upsilon_transpose`), `unitalize` (the
+precategory, eta and the xis of each round), `realize` and `psi` (the
+precategory, eta and the xis of each round) on fixed fixtures from
+tests/fixtures.py: a function category, its linearization, the chq dual
+numbers and the walking arrow on all three backends, whose empty hom
+leaves empty slots. Two builds of these outputs print the same digest
+exactly when every object, map and laxity they hold is equal, finset
+labels included, so the line pins outputs to the value where the
+benchmark digests only pin sizes.
+
+    PYTHONHASHSEED=0 python tools/value_digest.py [-v]
+
+-v also prints the digest of each part. Takes a few seconds.
+"""
+
+import hashlib
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+
+from cosegal import adjoints, shapes  # noqa: E402
+from cosegal.base import (  # noqa: E402
+    disk, empty, finset_map, finset_obj, identity, vectq_map, vectq_obj,
+    zero_map,
+)
+from cosegal.precat import (  # noqa: E402
+    from_strict_category, identity_morphism, make_precategory,
+)
+from fixtures import (  # noqa: E402
+    chainify_category, dual_numbers_chq, function_category,
+    linearize_category, walking_arrow,
+)
+
+
+def forget_units(pc):
+    return make_precategory(pc.backend, pc.letters, pc.truncation,
+                            pc.values, pc.maps, pc.laxity)
+
+
+def cases():
+    """(name, strict category, truncation, generating arrow of psi)."""
+    fc = function_category({"a": 1, "b": 2})
+    arrow = walking_arrow()
+    finset_alpha = finset_map(finset_obj(["u0"]), finset_obj(["v0", "v1"]),
+                              (1,))
+    vectq_alpha = vectq_map(vectq_obj(1), vectq_obj(2), [[1], [0]])
+    chq_alpha = identity(disk(1))
+    return [
+        ("finset", fc, 3, finset_alpha),
+        ("vectq", linearize_category(fc), 2, vectq_alpha),
+        ("chq", dual_numbers_chq(), 2, chq_alpha),
+        ("finset-arrow", arrow, 2, finset_alpha),
+        ("vectq-arrow", linearize_category(arrow), 2, vectq_alpha),
+        ("chq-arrow", chainify_category(arrow), 2, chq_alpha),
+    ]
+
+
+def unitalization(res):
+    return (res.precat, res.eta, [r.xis for r in res.trace.rounds])
+
+
+def outputs(cat, truncation, alpha):
+    """[(part name, value)] of one case."""
+    h = from_strict_category(cat, truncation)
+    pc = forget_units(h)
+    out = [("gamma", adjoints.gamma(adjoints.kobject_of(pc))),
+           ("point", adjoints.point(pc))]
+    res = adjoints.unitalize(adjoints.point(pc))
+    out += [("unitalize", unitalization(res)),
+            ("realize", adjoints.realize(res.precat))]
+    nothing = empty(pc.backend)
+    for z0 in [z for z in pc.chains if shapes.degree(z) == 2][:3]:
+        m = h.value(z0)
+        at = (pc.letters, truncation, z0)
+        out += [("upsilon %r" % (z0,), (adjoints.upsilon(*at, m),
+                                        adjoints.upsilon(*at, nothing))),
+                ("upsilon_map %r" % (z0,),
+                 (adjoints.upsilon_map(*at, identity(m)),
+                  adjoints.upsilon_map(*at, zero_map(nothing, m)))),
+                ("upsilon_transpose %r" % (z0,),
+                 adjoints.upsilon_transpose(h, z0, identity(m)))]
+    z0 = (pc.letters[0], pc.letters[-1], pc.letters[-1])
+    ps = adjoints.psi(z0, alpha, letters=pc.letters, truncation=truncation)
+    out += [("psi", unitalization(ps)),
+            ("psi_transpose", adjoints.psi_transpose(
+                ps, z0, ps.precat, adjoints.psi_restrict(
+                    ps, z0, identity_morphism(ps.precat))))]
+    return out
+
+
+def main(argv):
+    verbose = "-v" in argv
+    total = hashlib.sha256()
+    for name, cat, truncation, alpha in cases():
+        for part, value in outputs(cat, truncation, alpha):
+            text = repr(value).encode()
+            total.update(text)
+            if verbose:
+                print("%s %s: %s" % (name, part,
+                                     hashlib.sha256(text).hexdigest()))
+    print(total.hexdigest())
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
