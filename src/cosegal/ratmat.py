@@ -4,7 +4,10 @@ A matrix with m rows and n columns represents a map Q^n -> Q^m acting on
 column vectors. Everything here is deterministic: the same input always
 yields the same pivots, the same kernel basis and the same cokernel
 coordinates, which the rest of the package relies on for exact equality
-checks.
+checks. Kernels, ranks and solutions come from `rref`. So does a
+`cokernel`, unless every column has at most two nonzeros: then it is a
+walk of the graph the columns make, whose components' largest members
+are the greedy non-pivots of rref(m^T) (see `cokernel`).
 
 A matrix is a `Matrix`: an explicit `shape` (rows, columns) and a `rows`
 tuple holding, for each row, the (column, entry) pairs of its nonzero
@@ -27,6 +30,7 @@ package uses it.
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -183,12 +187,14 @@ def vec(m):
 
 
 def unvec(v, rows, cols):
-    """The rows x cols matrix whose column-major vectorization is v."""
+    """The rows x cols matrix whose column-major vectorization is v, a
+    sequence of exact numbers as for `mat`."""
     if len(v) != rows * cols:
         raise ValueError("unvec needs %d entries, got %d"
                          % (rows * cols, len(v)))
     out = [[] for _ in range(rows)]
     for k, x in enumerate(v):
+        x = _entry(x)
         if x:
             j, i = divmod(k, rows)
             out[i].append((j, x))
@@ -410,20 +416,75 @@ def kernel_basis(m):
     return kernel_data(m)[0]
 
 
+def _walk_cokernel(m):
+    """(P, free) of `cokernel` by a walk of the graph of m's columns, or
+    None when a column of m has three or more nonzeros."""
+    cols = {}
+    for i, row in enumerate(m.rows):
+        for j, x in row:
+            col = cols.setdefault(j, [])
+            if len(col) == 2:
+                return None
+            col.append((i, x))
+    nrows = m.shape[0]
+    # (j, num, den) in adj[i]: w_j = num/den w_i in lowest terms, den > 0
+    adj, dead = [[] for _ in range(nrows)], set()
+    for (i, a), *edge in cols.values():
+        if not edge:
+            dead.add(i)
+            continue
+        [(j, b)] = edge
+        num, den = -a.numerator * b.denominator, a.denominator * b.numerator
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        num, den = num // g, den // g
+        adj[i].append((j, num, den))
+        adj[j].append((i, den, num) if num > 0 else (i, -den, -num))
+    weight, free, vecs = [None] * nrows, [], []
+    for r in range(nrows - 1, -1, -1):
+        if weight[r] is not None:
+            continue
+        weight[r], members, live = (1, 1), [r], True
+        for i in members:  # members grows while it is read
+            p, q = weight[i]
+            for j, num, den in adj[i]:
+                g = gcd(p * num, q * den)
+                w = (p * num // g, q * den // g)
+                if weight[j] is None:
+                    weight[j] = w
+                    members.append(j)
+                elif weight[j] != w:
+                    live = False
+        if live and dead.isdisjoint(members):
+            free.append(r)
+            vecs.append(tuple(sorted([
+                (v, ONE if weight[v] == (1, 1) else Fraction(*weight[v]))
+                for v in members])))
+    return Matrix((len(free), nrows), tuple(vecs[::-1])), free[::-1]
+
+
 def cokernel(m):
     """Canonical cokernel of m: Q^n -> Q^m as a projection/section pair.
 
-    Returns (free, P, S) for a cokernel of dimension k = len(free): the
-    free (non-pivot) coordinates of Q^m, P k x m with P @ m = 0, and S
-    m x k with P @ S = I. P is "reduce modulo the column space, keep the
-    free coordinates" and S includes the free coordinates. Everything is
-    exact and canonical.
+    Returns (free, P, S): the k non-pivot coordinates of rref(m^T); P
+    k x m with P @ m = 0, whose row for a free f is 1 at f and 0 at the
+    other free coordinates; and S m x k including them, so P @ S = I.
+
+    If no column of m has three or more nonzeros, P comes from a walk of
+    the graph they make: a column a e_i + b e_j ties w_j = -(a/b) w_i on
+    each left null vector w, and a one-entry column or disagreeing ratios
+    (parallel columns, cycles) kill a component. The pivots of rref(m^T)
+    are the greedy basis of the coordinates' rows of m. A live component
+    of k coordinates has rank k - 1 and a null vector nonzero on every
+    member, so its largest member is free; a killed one has full rank.
+    Otherwise P holds the null vectors of rref(m^T).
     """
     nrows = m.shape[0]
-    # rows of r span the column space of m inside Q^nrows
-    p, free = _null_vectors(*rref(transpose(m)), nrows)
-    s = build(nrows, len(free), [(f, j, ONE) for j, f in enumerate(free)])
-    return tuple(free), p, s
+    p, free = (_walk_cokernel(m)
+               or _null_vectors(*rref(transpose(m)), nrows))
+    s = [()] * nrows
+    for j, f in enumerate(free):
+        s[f] = ((j, ONE),)
+    return tuple(free), p, Matrix((nrows, len(free)), tuple(s))
 
 
 def inverse(m):

@@ -11,10 +11,11 @@ compared with them through the dense view of a `ratmat.Matrix`.
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cosegal import ratmat
 from cosegal.ratmat import (
-    block_diag, build, cokernel, eye, has_shape, hstack, inverse,
+    ONE, block_diag, build, cokernel, eye, has_shape, hstack, inverse,
     kernel_basis, kron, mat, matmul, msub, nonzeros, rank, rref,
     shape, solve_matrix, solve_vec, submatrix, transpose, unvec, vec,
     vstack, zeros,
@@ -35,6 +36,45 @@ def rand_sparse(rng, rows, cols, den=5):
         num = rng.choice([-1, 1]) * rng.randint(1, 4)
         out[k // cols][k % cols] = Fraction(num, rng.randint(1, den))
     return mat(out, cols)
+
+
+UNITS = st.sampled_from([ONE, -ONE])
+RATIONALS = st.fractions(-4, 4, max_denominator=4).filter(bool)
+
+
+@st.composite
+def dense_matrices(draw):
+    """A matrix of up to 4 x 4, empty shapes included, like rand_matrix."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return mat([[Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+                 for _ in range(cols)] for _ in range(rows)], cols)
+
+
+@st.composite
+def graph_shaped(draw, widest=2):
+    """A relation matrix of up to 6 rows: two-entry columns, at most one
+    empty, one one-entry and one column of widest nonzeros, and often a
+    cycle through three or more coordinates. Most two-entry columns agree
+    with a drawn weight vector w (a w_i + b w_j = 0), so that parallel
+    columns and cycles come out consistent or not. Entries are all +-1 or
+    all general rationals."""
+    rows = draw(st.integers(0, 6))
+    entry = draw(st.sampled_from([UNITS, RATIONALS]))
+    w = [draw(entry) for _ in range(rows)]
+    sizes = [2] * draw(st.integers(0, 8)) + [1] * draw(st.integers(0, 1))
+    sizes += [0] * draw(st.integers(0, 1)) + [widest] * draw(st.integers(0, 1))
+    supports = [draw(st.permutations(range(rows)))[:k] for k in sizes]
+    if rows >= 3 and draw(st.booleans()):
+        ring = draw(st.permutations(range(rows)))[:draw(st.integers(3, rows))]
+        supports += [[i, j] for i, j in zip(ring, ring[1:] + ring[:1])]
+    agree = st.sampled_from((True, True, True, False))
+    entries = []
+    for j, at in enumerate(draw(st.permutations(supports))):
+        xs = [draw(entry) for _ in at]
+        if len(at) == 2 and draw(agree):
+            xs[1] = -xs[0] * w[at[0]] / w[at[1]]
+        entries += [(i, j, x) for i, x in zip(at, xs)]
+    return build(rows, len(supports), entries)
 
 
 def sparse_cases(rng, count=60, top=7):
@@ -184,6 +224,16 @@ def test_build_keeps_the_shape_of_columnless_matrices():
     assert unvec((), 3, 0) == zeros(3, 0)
     with pytest.raises(ValueError):
         unvec((1, 2, 3), 2, 2)
+
+
+def test_unvec_checks_its_entries():
+    with pytest.raises(TypeError):
+        unvec((1, 0, 2.5), 3, 1)
+    # exact strings and ints become Fractions, and a zero is not stored
+    got = unvec(("1/2", 0, "0", 3), 2, 2)
+    assert got == mat([["1/2", 0], [0, 3]])
+    assert nonzeros(got) == [(0, 0, Fraction(1, 2)), (1, 1, Fraction(3))]
+    assert_exact(got)
 
 
 def test_build_rejects_entries_outside_the_shape():
@@ -349,17 +399,47 @@ def test_zero_column_solve():
     assert solve_vec(a, (1, 0)) is None
 
 
-def test_cokernel_projection_section(rng):
-    for _ in range(40):
-        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
-        m = rand_matrix(rng, rows, cols)
-        free, p, s = cokernel(m)
-        k = len(free)
-        assert k == rows - rank(m)
-        if k and cols:
-            assert ratmat.is_zero(matmul(p, m))
-        if k:
-            assert matmul(p, s) == eye(k)
+@given(st.one_of(dense_matrices(), graph_shaped(widest=4)))
+def test_cokernel_projection_section(m):
+    rows, cols = shape(m)
+    free, p, s = cokernel(m)
+    k = len(free)
+    assert k == rows - rank(m)
+    if k and cols:
+        assert ratmat.is_zero(matmul(p, m))
+    if k:
+        assert matmul(p, s) == eye(k)
+
+
+@given(st.one_of(graph_shaped(), graph_shaped(widest=4)))
+@example(zeros(0, 0))
+@example(zeros(0, 3))
+@example(zeros(3, 0))
+# an empty column, and a one-entry column killing a component
+@example(mat([[1, 0], [-1, 0]]))
+@example(mat([[1, 0], [-1, 2], [0, 0]]))
+# parallel columns with equal and with unequal ratios
+@example(mat([[1, 2], [-1, -2]]))
+@example(mat([[1, 1], [-1, 2]]))
+# +-1 and rational cycles, consistent and not; w = (1, 1/2, 3) on the
+# consistent rational one
+@example(mat([[1, 0, -1], [-1, 1, 0], [0, -1, 1]]))
+@example(mat([[1, 0, 1], [-1, 1, 0], [0, -1, 1]]))
+@example(mat([[1, 0, 3], [-2, 6, 0], [0, -1, -1]]))
+@example(mat([[1, 0, 3], [-2, 6, 0], [0, -1, -2]]))
+# a column with three nonzeros takes the rref path
+@example(mat([[1, 1], [1, 0], [1, -1], [0, 0]]))
+def test_cokernel_walk_matches_the_rref_cokernel(m):
+    rows = shape(m)[0]
+    want_p, want_free = ratmat._null_vectors(*rref(transpose(m)), rows)
+    free, p, s = cokernel(m)
+    assert free == tuple(want_free) and p == want_p
+    assert s == build(rows, len(free), [(f, j, 1) for j, f in enumerate(free)])
+    assert_exact(p)
+    assert_exact(s)
+    # the walk answers exactly when no column has three nonzeros
+    wide = any(len(col) > 2 for col in transpose(m).rows)
+    assert (ratmat._walk_cokernel(m) is None) == wide
 
 
 def test_inverse(rng):
