@@ -30,15 +30,15 @@ The central objects here:
 * The free builders work on their support: a summand key is live when
   each of its carrier parts has a nonempty value. A free value sums its
   live summands only (finset labels keep each key's position), and one
-  without live keys is `base.empty`. A map out of an empty object is the
-  one initial map and is never tensored or composed; a relation out of
-  one identifies nothing and is left out.
+  without live keys is `base.empty`. A map out of an empty object is
+  never built: a precategory, morphism, relation or cone leaves it out,
+  and nothing tensors or composes one.
 * A top-level call (`unitalize`, `psi`, `gamma`, ...) makes its own tables
   and frees them when it returns: a chain table of the chain
   combinatorics per (letters, truncation), the live keys of each support
   among them, and one tensor of each pair of objects, one sum of each
-  list of summands and one identity and initial map of each object, so a
-  tensored map ends on the very object its summand is. `unitalize` shares
+  list of summands and one identity of each object, so a tensored map
+  ends on the very object its summand is. `unitalize` shares
   its chain table across rounds and gives each slot's gadgets tables of
   their own for the rest.
 * `realize` collapses each endpoint component to its colimit and solves
@@ -186,10 +186,10 @@ class ChainTable:
 class _CallTables:
     """What one top-level call shares across its builds: a ChainTable per
     (letters, truncation), and one tensor of each pair of objects, one sum
-    of each list of summands, one identity and one initial map of each
-    object and one wide pushout of each arrow and number of copies.
+    of each list of summands, one identity of each object and one wide
+    pushout of each arrow and number of copies.
 
-    Tensors, sums, identities, initial maps and wide pushouts are keyed by
+    Tensors, sums, identities and wide pushouts are keyed by
     the identity of their arguments, which the table keeps alive. So a map
     tensored from factors that end on the objects a summand was built from
     lands on that very summand object, and `then` settles its end check by
@@ -201,7 +201,6 @@ class _CallTables:
         self._tensors = {}
         self._sums = {}
         self._identities = {}
-        self._initials = {}
         self._wide_pushouts = {}
 
     def chain_table(self, letters, truncation, chains=None):
@@ -266,13 +265,6 @@ class _CallTables:
             hit = self._identities[id(x)] = (x, identity(x))
         return hit[1]
 
-    def initial(self, x):
-        """The initial map into x, out of the shared empty object."""
-        hit = self._initials.get(id(x))
-        if hit is None:
-            hit = self._initials[id(x)] = (x, zero_map(empty(x.backend), x))
-        return hit[1]
-
     def wide_pushout(self, alpha, n):
         """wide_pushout(alpha.src, [alpha] * n), once per arrow and n."""
         key = (id(alpha), n)
@@ -303,13 +295,11 @@ def _sum_objects(backend, items, index=None):
     return obj, list(injs)
 
 
-def _sum_map(sm, dst, leg, calls):
-    """The map out of the free value sm (a `_Sum`) into dst that is
-    leg(key, parts) on each live summand; the others are empty and left
-    out of the copair, and a sum without live summands has the initial
-    map. A one-summand sum is its summand, so its map is the leg."""
-    if not sm.live:
-        return calls.initial(dst)
+def _sum_map(sm, dst, leg):
+    """The map out of the free value sm (a `_Sum` with live summands) into
+    dst that is leg(key, parts) on each live summand; the others are empty
+    and left out of the copair. A one-summand sum is its summand, so its
+    map is the leg."""
     keyed = sm.keyed
     if len(keyed.keys) == 1:
         return leg(keyed.keys[0], keyed.parts[0])
@@ -433,7 +423,7 @@ def _free_build(pc, calls, pointed):
     part that absorbs it. The laxity puts key i of s beside key j of t;
     point merges two junction parts of one label, through pc's laxity
     when both are carriers and through the unitor when both are units.
-    Every map out of an empty value is the call's initial map.
+    A structure map or laxity out of an empty value is left out.
     """
     table = calls.chains_of(pc)
     backend = pc.backend
@@ -473,16 +463,16 @@ def _free_build(pc, calls, pointed):
         return _into(calls, factors, big, at)
 
     maps = {(z, p): _sum_map(sums[shapes.delete(z, p)], sums[z].obj,
-                             lambda key, _: reinserted(z, p, *key), calls)
-            for z in pc.chains for p in range(1, len(z) - 1)}
+                             lambda key, _: reinserted(z, p, *key))
+            for z in pc.chains for p in range(1, len(z) - 1)
+            if sums[shapes.delete(z, p)].live}
     unitor = left_unitor(u) if pointed else None
     laxity = {}
     for s, t in table.laxity_keys():
         left, right = sums[s], sums[t]
-        st = sums[shapes.concat(s, t)]
         if not (left.live and right.live):
-            laxity[(s, t)] = calls.initial(st.obj)
             continue
+        st = sums[shapes.concat(s, t)]
         # the targets of key i of s run over the keys j of t
         pairs, width = table.targets(s, t, pointed), len(right.keyed.keys)
         targets = {}
@@ -543,18 +533,17 @@ def _free_map_between(alpha, src, dst, calls):
         return _into(calls, factors, dsums[z], dsums[z].keyed.pos[key])
 
     comps = {z: _sum_map(ssums[z], dsums[z].obj,
-                         lambda key, parts: leg(z, key, parts), calls)
-             for z in alpha.src.chains}
+                         lambda key, parts: leg(z, key, parts))
+             for z in alpha.src.chains if ssums[z].live}
     return PrecatMorphism(fsrc, fdst, comps)
 
 
 def _one_part(sums, z):
     """The injection of the one-part summand (the chain block of gamma,
-    the carrier part of point) at z, read from the sums of a build; the
-    initial map when the chain's value is empty."""
+    the carrier part of point) at z, read from the sums of a build of a
+    precategory whose value at z is nonempty."""
     sm = sums[z]
-    inj = sm.injs.get(sm.keyed.pos[_WHOLE])
-    return zero_map(empty(sm.obj.backend), sm.obj) if inj is None else inj
+    return sm.injs[sm.keyed.pos[_WHOLE]]
 
 
 def kobject_of(pc):
@@ -566,7 +555,7 @@ def kobject_of(pc):
 def gamma_unit(k):
     """k -> forget(gamma(k)): the inclusion of the chain block."""
     g, sums = _gamma_build(k, _CallTables())
-    comps = {z: _one_part(sums, z) for z in k.chains}
+    comps = {z: _one_part(sums, z) for z in k.chains if k.value(z).size()}
     return PrecatMorphism(k, kobject_of(g), comps)
 
 
@@ -576,8 +565,8 @@ def gamma_counit(pc):
     calls = _CallTables()
     g, sums = _gamma_build(pc, calls)
     comps = {z: _sum_map(sums[z], pc.value(z),
-                         lambda _, parts: pc.lax_multi(parts), calls)
-             for z in pc.chains}
+                         lambda _, parts: pc.lax_multi(parts))
+             for z in pc.chains if sums[z].live}
     return PrecatMorphism(g, pc, comps)
 
 
@@ -585,7 +574,7 @@ def point_carrier_inclusion(pc):
     """The inclusion of the carrier into its free pointing, one-part
     decompositions only."""
     dst, sums = _point_build(pc, _CallTables())
-    comps = {z: _one_part(sums, z) for z in pc.chains}
+    comps = {z: _one_part(sums, z) for z in pc.chains if pc.value(z).size()}
     return PrecatMorphism(pc, dst, comps)
 
 
@@ -622,7 +611,6 @@ def _arrow_build(letters, truncation, z0, alpha, calls):
         for p in range(1, len(w) - 1):
             d = shapes.delete(w, p)
             if not values[d].size():
-                maps[(w, p)] = calls.initial(values[w])
                 continue
             # the copy of deletion e: d -> z0 goes to the copy of the
             # composite w -> d -> z0
@@ -636,7 +624,7 @@ def _arrow_build(letters, truncation, z0, alpha, calls):
     return k, wps
 
 
-def hom_extension_square(square, src_data, dst_data, calls):
+def hom_extension_square(square, src_data, dst_data):
     """The diagram morphism that a commuting square (u, v) from an arrow
     alpha to an arrow beta induces between their diagrams, given as the
     (diagram, wide pushouts) pairs of `_arrow_build`."""
@@ -647,7 +635,6 @@ def hom_extension_square(square, src_data, dst_data, calls):
     for w in ksrc.chains:
         src, dst = wsrc[w], wdst[w]
         if not ksrc.value(w).size():
-            comps[w] = calls.initial(kdst.value(w))
             continue
         comps[w] = wide_pushout_induced(
             src, [v.then(leg) for leg in dst.maps],
@@ -694,7 +681,7 @@ class _Gadget:
     def map_to(self, dst, square, calls):
         """point(gamma(-)) of the diagram map that the commuting square
         (u, v) from this gadget's arrow to dst's induces."""
-        phi = hom_extension_square(square, self.k, dst.k, calls)
+        phi = hom_extension_square(square, self.k, dst.k)
         return _free_map_between(
             _free_map_between(phi, self.gk, dst.gk, calls), self.pointed,
             dst.pointed, calls)
@@ -710,8 +697,6 @@ class _Gadget:
         table = calls.chains_of(self.k[0])
 
         def k_component(w):
-            if not self.k[0].value(w).size():
-                return calls.initial(h.value(w))
             cone = [bottom.then(h.structure(d))
                     for d in table.hom_set(w, self.z0)]
             through = (None if cone else
@@ -722,7 +707,9 @@ class _Gadget:
 
     def chain_inclusion(self, w, into_k):
         """into_k, a map into k(w), followed by the chain block of gamma
-        and the carrier part of point at w."""
+        and the carrier part of point at w (zero when k(w) is empty)."""
+        if not into_k.dst.size():
+            return zero_map(into_k.src, self.pointed[0].value(w))
         return into_k.then(_one_part(self.gk[1], w)).then(
             _one_part(self.pointed[1], w))
 
@@ -745,7 +732,7 @@ def free_hom_kmorphism(letters, truncation, z0, f):
     calls = _CallTables()
     builds = [_arrow_build(letters, truncation, z0, _initial_arrow(x), calls)
               for x in (f.src, f.dst)]
-    return hom_extension_square(_initial_square(f), *builds, calls)
+    return hom_extension_square(_initial_square(f), *builds)
 
 
 def upsilon(letters, truncation, z0, m):
@@ -786,7 +773,7 @@ def upsilon_transpose(h, z0, g):
 
 def _free_transpose(gadget, h, k_component, calls):
     """The pointed morphism point(gamma(k)) -> h out of the gadget on k
-    that is k_component(w): k(w) -> h(w) on the chain blocks.
+    that is k_component(w): k(w) -> h(w) on the nonempty chain blocks.
 
     Subdivision blocks and carrier parts merge through h's laxity, unit
     parts go to derived units.
@@ -796,20 +783,18 @@ def _free_transpose(gadget, h, k_component, calls):
     backend = h.backend
     gamma_sums = gadget.gk[1]
     pobj, psums = gadget.pointed
-    # every chain is a part of its own one-part key, so each component is
-    # needed; compute each once
-    kcomps = {w: k_component(w) for w in pobj.chains}
+    kcomp = functools.cache(k_component)
     lax_multi = functools.cache(h.lax_multi)
 
     def gamma_leg(_, parts):
         if len(parts) == 1:
             # the chain block
-            return kcomps[parts[0]]
+            return kcomp(parts[0])
         return calls.tensor_mor_multi(
-            [kcomps[q] for q in parts], backend).then(lax_multi(parts))
+            [kcomp(q) for q in parts], backend).then(lax_multi(parts))
 
-    gcomps = {w: _sum_map(gamma_sums[w], h.value(w), gamma_leg, calls)
-              for w in pobj.chains}
+    gcomps = {w: _sum_map(gamma_sums[w], h.value(w), gamma_leg)
+              for w in pobj.chains if gamma_sums[w].live}
 
     @functools.cache
     def derived_unit(part):
@@ -822,8 +807,8 @@ def _free_transpose(gadget, h, k_component, calls):
         # one part needs no laxity: h.lax_multi of one part is the identity
         return leg if len(parts) == 1 else leg.then(lax_multi(parts))
 
-    comps = {w: _sum_map(psums[w], h.value(w), pointed_leg, calls)
-             for w in pobj.chains}
+    comps = {w: _sum_map(psums[w], h.value(w), pointed_leg)
+             for w in pobj.chains if psums[w].live}
     return PrecatMorphism(pobj, h, comps)
 
 
@@ -845,7 +830,7 @@ def precat_colimit(nodes, edges):
     empty factor is the shared empty object and is not tensored.
     Structure maps descend through the slot presentations
     (`colim.colimit_induced`), which re-checks the relations; a cone leg
-    out of an empty block is the initial map.
+    out of an empty block is left out.
 
     Returns (colimit precategory, {key: cocone morphism}).
     """
@@ -864,7 +849,7 @@ def precat_colimit(nodes, edges):
     psi = {}
     gen = {}
     cols = {}
-    # the initial map and the identity of each object, built once
+    # the identity of each object, built once
     tables = _CallTables()
     nothing = empty(backend)
 
@@ -882,8 +867,8 @@ def precat_colimit(nodes, edges):
             for c, obj in pairs.items():
                 s, t = z[:c + 1], z[c:]
                 # the laxity's source is the tensor of the node's values
-                phi = nodes[key].lax(s, t)
-                if phi.src.size():
+                if nodes[key].value(s).size() and nodes[key].value(t).size():
+                    phi = nodes[key].lax(s, t)
                     both = _tensor_mor_onto((psi[(key, s)], psi[(key, t)]),
                                             phi.src, obj)
                     rel.append(((("node", key), phi), (("pair", c), both)))
@@ -910,11 +895,12 @@ def precat_colimit(nodes, edges):
         # chain with one letter deleted
         for p in range(1, len(z) - 1):
             col = cols[shapes.delete(z, p)]
+            if not col.obj.size():
+                continue
             cone = {}
             for block, leg in col.cocone.items():
                 kind, which = block
                 if not leg.src.size():
-                    cone[block] = tables.initial(values[z])
                     continue
                 if kind == "node":
                     cone[block] = nodes[which].gen_map(z, p).then(
@@ -1159,10 +1145,6 @@ def _solve_composition(pc, cols, a, b, c):
     rows = []
     rhs_vec = []
     for (s, t) in pairs:
-        fs = pc.value(s).size()
-        ft = pc.value(t).size()
-        if fs * ft == 0:
-            continue
         kst = tensor_mor(cols[(a, b)].cocone[s], cols[(b, c)].cocone[t])
         rmat = pc.lax(s, t).then(
             cols[(a, c)].cocone[shapes.concat(s, t)]).matrix

@@ -327,13 +327,15 @@ def colimit_induced(col, cone):
     """The universal map out of a colimit; cone is {key: map to Z}.
 
     A presented colimit descends the copair of the cone through its
-    quotient, which checks that the cone is compatible; one taken on the
-    nose checks every leg. Raises ValueError on an incompatible cone.
+    quotient, which checks that the cone is compatible, and may leave out
+    the legs out of empty blocks; one taken on the nose checks every leg.
+    Raises ValueError on an incompatible cone.
     """
     keys = list(col.cocone)
     if col.q is not None:
         return quotient_induced(col.q, copair(
-            col.q.proj.src, [cone[k] for k in keys], cone[keys[0]].dst))
+            col.q.proj.src, [cone[k] for k in keys if k in cone],
+            next(iter(cone.values())).dst))
     ind = next(cone[k] for k in keys if is_identity(col.cocone[k]))
     for k in keys:
         if col.cocone[k].then(ind) != cone[k]:

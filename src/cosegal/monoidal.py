@@ -45,8 +45,8 @@ from .base import (
 )
 from .colim import coproduct, kernel_subobject
 from .precat import (
-    Precategory, PrecatMorphism, expected_laxity_keys, make_precategory,
-    split_admissible,
+    Precategory, PrecatMorphism, expected_laxity_keys, identity_morphism,
+    make_precategory, split_admissible,
 )
 from .adjoints import _image_chain, pullback, realize
 
@@ -164,9 +164,7 @@ def tensor_s_assoc(f, g, h):
                     {(a, (b, c)): (a, b, c)
                      for a in f.letters for b in g.letters
                      for c in h.letters})
-    return PrecatMorphism(left, right,
-                          {s: identity(left.values[s])
-                           for s in left.chains})
+    return PrecatMorphism(left, right, identity_morphism(left).components)
 
 
 def tensor_s_unitor(f, side="right"):
@@ -274,13 +272,6 @@ def yoneda_module(f, a):
                             split=(f.letters, (MARKER,)))
 
 
-def _precat_equal(p, q):
-    return (p.backend == q.backend and p.letters == q.letters
-            and p.truncation == q.truncation and p.values == q.values
-            and p.maps == q.maps and p.laxity == q.laxity
-            and p.units == q.units)
-
-
 def check_distributor(e, f, g):
     """Whether e is a two-sided module between f and g.
 
@@ -311,14 +302,14 @@ def check_distributor(e, f, g):
         tuple(e.chains) == join_chains(sorted(left), sorted(right),
                                        e.truncation)
         and all(split_admissible(e.split, s) for s in e.chains))
-    rl = pullback({a: a for a in left}, e)
-    rr = pullback({a: a for a in right}, e)
+    rl = replace(pullback({a: a for a in left}, e), split=f.split)
+    rr = replace(pullback({a: a for a in right}, e), split=g.split)
     if e.is_pointed() and not f.is_pointed():
         rl = replace(rl, units=None)
     if e.is_pointed() and not g.is_pointed():
         rr = replace(rr, units=None)
-    report["restriction_left"] = _precat_equal(rl, f)
-    report["restriction_right"] = _precat_equal(rr, g)
+    report["restriction_left"] = rl == f
+    report["restriction_right"] = rr == g
     if report["join_shape"] and report["restriction_left"] \
             and report["restriction_right"]:
         report["cosegal"] = bool(
@@ -369,7 +360,10 @@ def _check_transform_shape(src, dst, fmaps, sigmas):
         if sg.src is not src and sg.src.values != src.values:
             raise ValueError("sigma does not start at the source")
         for s in src.chains:
-            c = sg.components.get(s)
+            try:
+                c = sg.at(s)
+            except KeyError:
+                c = None
             if c is None or c.src != src.values[s] \
                     or c.dst != dst.value(_image_chain(fm, s)):
                 raise ValueError("sigma component at %r does not land on "
@@ -461,10 +455,7 @@ def identity_family(g, fmap, sigma=None):
     if not g.is_pointed():
         raise ValueError("the identity family needs unit points")
     if sigma is None:
-        back = pullback(fmap, g)
-        sigma = PrecatMorphism(back, back,
-                               {s: identity(back.values[s])
-                                for s in back.chains})
+        sigma = identity_morphism(pullback(fmap, g))
     eta = {a: g.unit_map(fmap[a]) for a in fmap}
     return RelativeNatTransform(sigma.src, g, (dict(fmap), dict(fmap)),
                                 (sigma, sigma), eta)
@@ -482,7 +473,7 @@ def compose_nat_transforms(t1, t2):
     eta = {}
     for a in t1.src.letters:
         left, right = t1.alpha(a), t2.alpha(a)
-        if (left, right) not in g.laxity:
+        if shapes.concat(left, right) not in g.values:
             raise ValueError("truncation too small for the composite "
                              "family at %r" % (a,))
         eta[a] = invert(left_unitor(iu)).then(
@@ -677,10 +668,10 @@ def nat_pairing(n1, n2):
     for a in n1.letters:
         key = (tuple(fm[a] for fm in n1.fmaps),
                tuple(fm[a] for fm in n2.fmaps))
-        if key not in g.laxity:
+        if shapes.concat(*key) not in g.values:
             raise ValueError("truncation too small for the composite "
                              "family at %r" % (a,))
-        laxes[a] = g.laxity[key]
+        laxes[a] = g.lax(*key)
     n3 = nat_transform_object(n1.src, n1.dst, n1.fmaps + n2.fmaps[1:],
                               n1.sigmas + n2.sigmas[1:])
     src = tensor(n1.obj, n2.obj)

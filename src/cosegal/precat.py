@@ -21,6 +21,11 @@ present.
 A precategory is built whole by one `make_precategory` call and never
 patched: it is frozen, and `expected_laxity_keys` reads only chains, so a
 builder has its laxity keys first. `spread` builds every 2-constant one.
+
+A map out of an empty object is the one initial map: a precategory and a
+morphism store maps only where the source is nonempty, and the accessors
+return the initial map at a key left out that way. `values` stays whole,
+as the chains are read off its keys.
 """
 
 import itertools
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 from . import shapes
 from .base import (
-    identity, is_isomorphism, is_weak_equivalence, tensor, tensor_mor,
+    empty, identity, is_isomorphism, is_weak_equivalence, tensor, tensor_mor,
     unit, left_unitor, right_unitor, zero_map,
 )
 
@@ -39,7 +44,7 @@ class Precategory:
     letters: tuple
     truncation: int
     chains: tuple
-    values: dict
+    values: dict    # chain -> value, empty values included
     maps: dict      # (chain, inner position) -> structure map into it
     laxity: dict    # (s, t) -> map out of values[s] (x) values[t]
     units: dict = None
@@ -50,14 +55,16 @@ class Precategory:
 
     def gen_map(self, s, p):
         """The structure map F(delete(s, p)) -> F(s)."""
-        return self.maps[(s, p)]
+        if (s, p) in self.maps or not 0 < p < len(s) - 1 \
+                or self.values[shapes.delete(s, p)].size():
+            return self.maps[(s, p)]
+        return zero_map(self.values[shapes.delete(s, p)], self.values[s])
 
     def structure(self, d):
         """The structure map F(d.dst) -> F(d.src) for any deletion d."""
         out = identity(self.values[d.dst])
         for step in reversed(shapes.del_singles(d)):
-            p = step.deleted()[0]
-            out = out.then(self.maps[(step.src, p)])
+            out = out.then(self.gen_map(step.src, step.deleted()[0]))
         return out
 
     def cosegal_map(self, s):
@@ -65,7 +72,11 @@ class Precategory:
         return self.structure(shapes.to_initial(s))
 
     def lax(self, s, t):
-        return self.laxity[(s, t)]
+        if (s, t) in self.laxity or s[-1] != t[0] \
+                or self.values[s].size() and self.values[t].size():
+            return self.laxity[(s, t)]
+        return zero_map(empty(self.backend),
+                        self.values[shapes.concat(s, t)])
 
     def lax_multi(self, parts):
         """The laxity map out of the tensor of several parts, bracketed
@@ -92,7 +103,12 @@ def make_precategory(backend, letters, truncation, values, maps, laxity,
                      units=None, split=None):
     chains = tuple(sorted(values, key=lambda s: (len(s), s)))
     return Precategory(backend, tuple(sorted(letters)), truncation, chains,
-                       dict(values), dict(maps), dict(laxity), units, split)
+                       dict(values), _nonempty_source(maps),
+                       _nonempty_source(laxity), units, split)
+
+
+def _nonempty_source(entries):
+    return {key: m for key, m in entries.items() if m.src.size()}
 
 
 def expected_laxity_keys(chains, truncation):
@@ -159,7 +175,8 @@ def validate_diagram(pc):
             expected_maps.add((s, p))
             m = pc.maps.get((s, p))
             if m is None:
-                errors.append("missing structure map at %r, %d" % (s, p))
+                if pc.values[t].size():
+                    errors.append("missing structure map at %r, %d" % (s, p))
             elif m.src != pc.values[t] or m.dst != pc.values[s]:
                 errors.append("structure map at %r, %d has wrong ends"
                               % (s, p))
@@ -174,6 +191,8 @@ def validate_diagram(pc):
         for p in range(1, n - 1):
             for q in range(p + 1, n - 1):
                 t_q = shapes.delete(s, q)
+                if not pc.values[shapes.delete(t_q, p)].size():
+                    continue
                 t_p = shapes.delete(s, p)
                 route_a = pc.gen_map(t_q, p).then(pc.gen_map(s, q))
                 route_b = pc.gen_map(t_p, q - 1).then(pc.gen_map(s, p))
@@ -196,15 +215,16 @@ def validate(pc):
     chainset = set(pc.chains)
     # laxity keys, ends, naturality, associativity
     expected_lax = set(expected_laxity_keys(pc.chains, pc.truncation))
-    if set(pc.laxity) != expected_lax:
-        missing = expected_lax - set(pc.laxity)
-        extra = set(pc.laxity) - expected_lax
-        if missing:
-            errors.append("missing laxity keys %r" % (sorted(missing),))
-        if extra:
-            errors.append("unexpected laxity keys %r" % (sorted(extra),))
-    for (s, t) in sorted(expected_lax & set(pc.laxity)):
-        phi = pc.laxity[(s, t)]
+    missing = {(s, t) for s, t in expected_lax - set(pc.laxity)
+               if pc.values[s].size() and pc.values[t].size()}
+    extra = set(pc.laxity) - expected_lax
+    if missing:
+        errors.append("missing laxity keys %r" % (sorted(missing),))
+    if extra:
+        errors.append("unexpected laxity keys %r" % (sorted(extra),))
+    present = expected_lax - missing
+    for (s, t) in sorted(present):
+        phi = pc.lax(s, t)
         st = shapes.concat(s, t)
         if (phi.src != tensor(pc.values[s], pc.values[t])
                 or phi.dst != pc.values[st]):
@@ -231,13 +251,15 @@ def validate(pc):
             if left != right:
                 errors.append("laxity at %r not natural in the right part "
                               "at %d" % ((s, t), p))
+    # the square at (s, t, u) starts on F(s) (x) F(t) (x) F(u), so it is
+    # checked also where F(concat(s, t)) is empty
     for (s, t) in sorted(expected_lax & set(pc.laxity)):
         st = shapes.concat(s, t)
         for u in pc.chains:
-            if t[-1] != u[0] or (st, u) not in pc.laxity:
+            if t[-1] != u[0] or (st, u) not in present:
                 continue
             if (t, u) not in pc.laxity or (s, shapes.concat(t, u)) \
-                    not in pc.laxity:
+                    not in present:
                 continue
             left = tensor_mor(pc.lax(s, t),
                               identity(pc.values[u])).then(pc.lax(st, u))
@@ -338,25 +360,27 @@ def check_unital(pc):
 class PrecatMorphism:
     src: Precategory
     dst: Precategory
-    components: dict  # chain -> MMorphism
+    components: dict  # chain -> MMorphism, where its source is nonempty
+
+    def __post_init__(self):
+        self.components = _nonempty_source(self.components)
 
     def at(self, s):
-        return self.components[s]
+        if s in self.components or self.src.values[s].size():
+            return self.components[s]
+        return zero_map(self.src.values[s], self.dst.values[s])
 
     def then(self, other):
-        """Slotwise composition; a slot out of an empty value gets the
-        initial map, composing nothing."""
+        """Slotwise composition."""
         if self.dst.values != other.src.values:
             raise ValueError("precategory morphism composition mismatch")
         return PrecatMorphism(self.src, other.dst, {
-            s: f.then(other.components[s]) if f.src.size()
-            else zero_map(f.src, other.dst.values[s])
-            for s, f in self.components.items()})
+            s: f.then(other.at(s)) for s, f in self.components.items()})
 
 
 def identity_morphism(pc):
     return PrecatMorphism(pc, pc, {s: identity(pc.values[s])
-                                   for s in pc.chains})
+                                   for s in pc.chains if pc.values[s].size()})
 
 
 def validate_morphism(alpha):
@@ -369,7 +393,8 @@ def validate_morphism(alpha):
     for s in f.chains:
         c = alpha.components.get(s)
         if c is None:
-            errors.append("missing component at %r" % (s,))
+            if f.values[s].size():
+                errors.append("missing component at %r" % (s,))
         elif c.src != f.values[s] or c.dst != g.values[s]:
             errors.append("component at %r has wrong ends" % (s,))
     if errors:

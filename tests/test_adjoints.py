@@ -172,7 +172,7 @@ def test_free_hom_matches_the_deletion_index_formula(backend):
             sums, maps = reference_free_hom(letters, truncation, z0, m)
             assert k.chains == tuple(sums)
             assert k.values == {w: sm[0] for w, sm in sums.items()}
-            assert k.maps == maps
+            assert {key: k.gen_map(*key) for key in maps} == maps
             assert k.laxity == {}
             for f in fs:
                 phi = free_hom_kmorphism(letters, truncation, z0, f)
@@ -562,15 +562,30 @@ def test_free_transpose_computes_each_chain_component_once():
         # each copy of m goes along its deletion onto z0, the empty base
         # along the deletion onto the endpoints
         calls.append(w)
-        if wps[w] is None:
-            return zero_map(nothing, h.value(w))
         cone = [g.then(h.structure(d)) for d in shapes.hom_set(w, z0)]
         return wide_pushout_induced(
             wps[w], cone, through=top.then(h.structure(shapes.to_initial(w))))
 
     tr = adjoints._free_transpose(gadget, h, k_component, tables)
-    assert sorted(calls) == sorted(set(calls)) == sorted(k.chains)
+    # once at each chain whose value is nonempty, and nowhere else
+    assert sorted(calls) == sorted(set(calls)) == sorted(
+        w for w in k.chains if k.value(w).size())
     assert tr.components == upsilon_transpose(h, z0, g).components
+
+
+@pytest.mark.parametrize("backend", ["finset", "vectq"])
+def test_inclusions_out_of_an_empty_arrow_end_are_initial(backend):
+    # the chain block of an empty k(w) is no summand of the gadget there
+    nothing = empty(backend)
+    m = finset_obj(["m0"]) if backend == "finset" else vectq_obj(1)
+    letters, z0 = ("a", "b"), ("a", "b", "b")
+    at = (letters, 2, z0)
+    inc = upsilon_center_inclusion(*at, nothing)
+    assert inc == zero_map(nothing, upsilon(*at, nothing).value(z0))
+    res = psi(z0, zero_map(nothing, m), letters=letters, truncation=2)
+    inc_u, inc_v = psi_inclusions(res, z0)
+    assert inc_u == zero_map(nothing, res.precat.value(("a", "b")))
+    assert inc_v.src == m and inc_v.dst == res.precat.value(z0)
 
 
 def test_upsilon_map_is_functorial():
@@ -597,7 +612,11 @@ def initial_maps_out_of_empty(maps):
 
 
 def maps_of(pc):
-    return list(pc.maps.values()) + list(pc.laxity.values())
+    """Every structure map and laxity map of pc, read through the
+    accessors."""
+    return ([pc.gen_map(s, p) for s in pc.chains for p in range(1, len(s) - 1)]
+            + [pc.lax(s, t)
+               for s, t in expected_laxity_keys(pc.chains, pc.truncation)])
 
 
 @pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
@@ -633,7 +652,8 @@ def test_free_constructions_on_empty_objects(backend):
         count += initial_maps_out_of_empty(maps_of(pc_))
     for phi in morphisms:
         assert validate_morphism(phi) == []
-        count += initial_maps_out_of_empty(phi.components.values())
+        count += initial_maps_out_of_empty(
+            [phi.at(s) for s in phi.src.chains])
     assert count > 0
 
 

@@ -8,19 +8,35 @@ tests.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cosegal.base import finset_map, identity, unit
+from cosegal import shapes
+from cosegal.adjoints import point, psi, realize, unitalize
+from cosegal.base import (
+    empty, finset_map, finset_obj, identity, tensor, tensor_mor, unit,
+    vectq_map, vectq_obj, zero_map,
+)
 from cosegal.precat import (
-    PrecatMorphism, check_unital, from_strict_category,
-    identity_morphism, is_easy_weak_equivalence, is_levelwise_isomorphism,
-    is_levelwise_weak_equivalence, unit_constraints, validate,
+    PrecatMorphism, Precategory, check_unital, expected_laxity_keys,
+    from_strict_category, identity_morphism, is_easy_weak_equivalence,
+    is_levelwise_isomorphism, is_levelwise_weak_equivalence,
+    make_precategory, unit_constraint_maps, unit_constraints, validate,
     validate_morphism, validate_strict_category,
 )
 
 from fixtures import (
-    discrete_category, dual_numbers_chq, function_category,
-    group_algebra_z2, linearize_category, walking_arrow,
+    chainify_category, discrete_category, dual_numbers_chq,
+    function_category, group_algebra_z2, linearize_category, walking_arrow,
 )
+
+
+def forget_units(pc):
+    return make_precategory(pc.backend, pc.letters, pc.truncation,
+                            pc.values, pc.maps, pc.laxity)
+
+
+TO_BACKEND = {"finset": lambda cat: cat, "vectq": linearize_category,
+              "chq": chainify_category}
 
 
 ALL_STRICT = [walking_arrow, group_algebra_z2, dual_numbers_chq,
@@ -51,17 +67,22 @@ def test_from_strict_values_by_endpoints():
     assert pc.value(("x", "y", "y")).size() == 0
 
 
-def test_function_category_fuzz(rng):
-    for _ in range(6):
-        names = ["a", "b", "c"][: rng.randint(1, 2)]
-        sizes = {n: rng.randint(1, 2) for n in names}
-        cat = function_category(sizes)
-        assert validate_strict_category(cat) == []
-        lin = linearize_category(cat)
-        assert validate_strict_category(lin) == []
-        pc = from_strict_category(cat, 3)
-        assert validate(pc) == []
-        assert check_unital(pc) == []
+# one or two letters of sizes 0 to 2: a letter of size 0 has an empty hom
+# into it from every nonempty one, so empty slots occur
+@settings(max_examples=12)
+@given(st.dictionaries(st.sampled_from("abc"), st.integers(0, 2),
+                       min_size=1, max_size=2))
+def test_function_category_fuzz(sizes):
+    cat = function_category(sizes)
+    assert validate_strict_category(cat) == []
+    lin = linearize_category(cat)
+    assert validate_strict_category(lin) == []
+    pc = from_strict_category(cat, 3)
+    assert validate(pc) == []
+    assert check_unital(pc) == []
+    u = unitalize(point(forget_units(from_strict_category(cat, 2)))).precat
+    assert validate(u) == [] == reference_validate(u)
+    assert check_unital(u) == [] == reference_check_unital(u)
 
 
 def test_unit_constraint_count_one_letter():
@@ -141,3 +162,357 @@ def test_cosegal_map_of_strict_is_identity():
         if len(s) > 2:
             m = pc.cosegal_map(s)
             assert m == identity(pc.value(s))
+
+
+# ---------------------------------------------------------------------------
+# maps out of an empty object: the accessors, and a dense reference for the
+# checkers
+
+
+def _read(get, *key):
+    """get(*key), or None where the accessor finds no entry."""
+    try:
+        return get(*key)
+    except KeyError:
+        return None
+
+
+def reference_validate(pc):
+    """validate's findings by full enumeration through the accessors: every
+    generator and laxity pair is read whatever is stored, and every
+    simplicial, naturality and associativity equation is checked, also
+    those between maps out of an empty object. Chains are taken as well
+    formed."""
+    errors = []
+    values = pc.values
+    for s in pc.chains:
+        for p in range(1, len(s) - 1):
+            m = _read(pc.gen_map, s, p)
+            if m is None:
+                errors.append("missing structure map at %r, %d" % (s, p))
+            elif m.src != values[shapes.delete(s, p)] or m.dst != values[s]:
+                errors.append("structure map at %r, %d has wrong ends"
+                              % (s, p))
+    if errors:
+        return errors
+    for s in pc.chains:
+        for p in range(1, len(s) - 1):
+            for q in range(p + 1, len(s) - 1):
+                a = pc.gen_map(shapes.delete(s, q), p).then(pc.gen_map(s, q))
+                b = pc.gen_map(shapes.delete(s, p), q - 1).then(
+                    pc.gen_map(s, p))
+                if a != b:
+                    errors.append(
+                        "structure maps break the simplicial identity at "
+                        "%r positions %d, %d" % (s, p, q))
+    if errors:
+        return errors
+    keys = expected_laxity_keys(pc.chains, pc.truncation)
+    lax = {key: _read(pc.lax, *key) for key in keys}
+    missing = sorted(key for key, phi in lax.items() if phi is None)
+    extra = sorted(set(pc.laxity) - set(keys))
+    if missing:
+        errors.append("missing laxity keys %r" % (missing,))
+    if extra:
+        errors.append("unexpected laxity keys %r" % (extra,))
+    for (s, t) in sorted(key for key in keys if lax[key] is not None):
+        phi, st = lax[(s, t)], shapes.concat(s, t)
+        if phi.src != tensor(values[s], values[t]) or phi.dst != values[st]:
+            errors.append("laxity at %r has wrong ends" % ((s, t),))
+            continue
+        for p in range(1, len(s) - 1):
+            s2 = shapes.delete(s, p)
+            if lax.get((s2, t)) is None:
+                continue
+            if tensor_mor(pc.gen_map(s, p), identity(values[t])).then(phi) \
+                    != lax[(s2, t)].then(pc.gen_map(st, p)):
+                errors.append("laxity at %r not natural in the left part "
+                              "at %d" % ((s, t), p))
+        for p in range(1, len(t) - 1):
+            t2 = shapes.delete(t, p)
+            if lax.get((s, t2)) is None:
+                continue
+            if tensor_mor(identity(values[s]), pc.gen_map(t, p)).then(phi) \
+                    != lax[(s, t2)].then(
+                        pc.gen_map(st, shapes.degree(s) + p)):
+                errors.append("laxity at %r not natural in the right part "
+                              "at %d" % ((s, t), p))
+        for u in pc.chains:
+            tu = (t, u)
+            if t[-1] != u[0] or lax.get((st, u)) is None \
+                    or lax.get(tu) is None \
+                    or lax.get((s, shapes.concat(t, u))) is None:
+                continue
+            left = tensor_mor(phi, identity(values[u])).then(lax[(st, u)])
+            right = tensor_mor(identity(values[s]), lax[tu]).then(
+                lax[(s, shapes.concat(t, u))])
+            if left != right:
+                errors.append("laxity not associative at %r" % ((s, t, u),))
+    if pc.units is not None:
+        for a in pc.letters:
+            ua = pc.units.get(a)
+            if ua is None:
+                errors.append("missing unit at %r" % (a,))
+            elif ua.src != unit(pc.backend) or ua.dst != values[(a, a)]:
+                errors.append("unit at %r has wrong ends" % (a,))
+    return errors
+
+
+def reference_check_unital(pc):
+    """check_unital's findings without skipping a constraint at an empty
+    value."""
+    return [con for con in unit_constraints(pc)
+            if unit_constraint_maps(pc, con)[0]
+            != unit_constraint_maps(pc, con)[1]]
+
+
+def reference_validate_morphism(alpha):
+    """validate_morphism's findings with naturality at every generator and
+    monoidality at every laxity pair, read through the accessors."""
+    f, g = alpha.src, alpha.dst
+    errors = []
+    for s in f.chains:
+        c = _read(alpha.at, s)
+        if c is None:
+            errors.append("missing component at %r" % (s,))
+        elif c.src != f.values[s] or c.dst != g.values[s]:
+            errors.append("component at %r has wrong ends" % (s,))
+    if errors:
+        return errors
+    for s in f.chains:
+        for p in range(1, len(s) - 1):
+            t = shapes.delete(s, p)
+            if alpha.at(t).then(g.gen_map(s, p)) != \
+                    f.gen_map(s, p).then(alpha.at(s)):
+                errors.append("not natural at %r, %d" % (s, p))
+    for (s, t) in expected_laxity_keys(f.chains, f.truncation):
+        if tensor_mor(alpha.at(s), alpha.at(t)).then(g.lax(s, t)) != \
+                f.lax(s, t).then(alpha.at(shapes.concat(s, t))):
+            errors.append("not monoidal at %r" % ((s, t),))
+    if f.is_pointed() and g.is_pointed():
+        for a in f.letters:
+            if f.unit_map(a).then(alpha.at((a, a))) != g.unit_map(a):
+                errors.append("unit not preserved at %r" % (a,))
+    return errors
+
+
+def assert_checkers_match_the_reference(pc):
+    errors = validate(pc)
+    assert sorted(errors) == sorted(reference_validate(pc))
+    # the unit constraints are read only on a sound precategory
+    if pc.is_pointed() and not errors:
+        assert check_unital(pc) == reference_check_unital(pc)
+
+
+def assert_morphism_checker_matches_the_reference(alpha):
+    assert sorted(validate_morphism(alpha)) == \
+        sorted(reference_validate_morphism(alpha))
+
+
+def empty_slot_cases():
+    """(precategory, morphisms out of it) on inputs with empty slots: the
+    walking arrow on each backend, a function category with a size-0
+    letter, their free pointings and unitalizations, and a psi result."""
+    out = []
+    for backend, to_backend in TO_BACKEND.items():
+        h = from_strict_category(to_backend(walking_arrow()), 3)
+        res = unitalize(point(forget_units(from_strict_category(
+            to_backend(walking_arrow()), 2))))
+        out += [(h, [identity_morphism(h)]),
+                (res.precat, [res.eta, identity_morphism(res.precat)]),
+                (res.eta.src, [])]
+    fc = function_category({"a": 0, "b": 1})
+    res = unitalize(point(forget_units(from_strict_category(fc, 2))))
+    out += [(from_strict_category(fc, 3), []), (res.precat, [res.eta])]
+    alpha = finset_map(finset_obj(["u0"]), finset_obj(["v0", "v1"]), (1,))
+    ps = psi(("A", "B", "B"), alpha, letters=("A", "B"), truncation=2)
+    out += [(ps.precat, [ps.eta])]
+    return out
+
+
+def test_the_checkers_return_the_dense_reference_findings():
+    cases = empty_slot_cases()
+    assert all(any(not v.size() for v in pc.values.values())
+               for pc, _ in cases)
+    for pc, morphisms in cases:
+        assert validate(pc) == []
+        assert_checkers_match_the_reference(pc)
+        for alpha in morphisms:
+            assert validate_morphism(alpha) == []
+            assert_morphism_checker_matches_the_reference(alpha)
+
+
+def tampered(pc, **fields):
+    """pc with fields replaced as given, past make_precategory."""
+    return dataclasses.replace(pc, **fields)
+
+
+def test_the_checkers_find_tampered_entries_as_the_reference_does():
+    h = from_strict_category(linearize_category(walking_arrow()), 3)
+    # a stored structure map with wrong ends, and one out of an empty value
+    # whose ends are wrong as well
+    key = next(iter(h.maps))
+    wrong = [tampered(h, maps={**h.maps, key: zero_map(
+        h.value(shapes.delete(*key)), vectq_obj(7))})]
+    empty_key = next((s, p) for s in h.chains for p in range(1, len(s) - 1)
+                     if not h.value(shapes.delete(s, p)).size())
+    wrong.append(tampered(h, maps={**h.maps, empty_key: zero_map(
+        empty("vectq"), vectq_obj(5))}))
+    # a nonempty-source structure map and laxity entry deleted
+    deleted = [tampered(h, maps={k: m for k, m in h.maps.items()
+                                 if k != key}),
+               tampered(h, laxity={k: m for k, m in h.laxity.items()
+                                   if k != sorted(h.laxity)[0]})]
+    for pc in wrong + deleted:
+        assert validate(pc) != []
+        assert_checkers_match_the_reference(pc)
+    # a morphism with a nonempty-source component deleted, and one whose
+    # component out of an empty value has wrong ends
+    ident = identity_morphism(h)
+    s = next(iter(ident.components))
+    gone = PrecatMorphism(h, h, ident.components)
+    del gone.components[s]
+    z = next(z for z in h.chains if not h.value(z).size())
+    bad = PrecatMorphism(h, h, ident.components)
+    bad.components[z] = zero_map(h.value(z), vectq_obj(1))
+    for alpha in (gone, bad):
+        assert validate_morphism(alpha) != []
+        assert_morphism_checker_matches_the_reference(alpha)
+
+
+def associator_breaking_at_an_empty_concat():
+    """A vectq precategory on a partial chain set with F(a, b, a) = 0 while
+    F(a, b), F(b, a), F(b, a, b) and F(a, b, a, b) are lines: the
+    associativity square at ((a, b), (b, a), (a, b)) has a zero left side,
+    through F(a, b, a), and a right side that is the identity of the
+    line. Every other equation holds."""
+    line, nothing = vectq_obj(1), empty("vectq")
+    ab, ba, aba, bab = ("a", "b"), ("b", "a"), ("a", "b", "a"), \
+        ("b", "a", "b")
+    values = {ab: line, ba: line, aba: nothing, bab: line,
+              ("a", "b", "a", "b"): line}
+    for s in (("a", "a"), ("b", "b"), ("a", "a", "b"), ("a", "b", "b")):
+        values[s] = nothing
+    one = vectq_map(tensor(line, line), line, [[1]])
+    laxity = {(ab, ba): zero_map(tensor(line, line), nothing),
+              (ba, ab): one, (ab, bab): one}
+    maps = {(s, 1): zero_map(line, nothing)
+            for s in (("a", "a", "b"), ("a", "b", "b"))}
+    return make_precategory("vectq", ("a", "b"), 3, values, maps, laxity)
+
+
+def naturality_breaking_at_an_empty_part():
+    """A vectq precategory on a partial chain set with F(a, a, b) = 0 while
+    F(a, b), F(b, a), F(a, b, a) and F(a, a, b, a) are lines: the left
+    naturality square of the laxity at ((a, a, b), (b, a)) starts on
+    F(a, b) (x) F(b, a), has a zero left side, through F(a, a, b), and a
+    right side that is the identity of the line. Every other equation
+    holds."""
+    line, nothing = vectq_obj(1), empty("vectq")
+    ab, ba, aab, aba, aaba = ("a", "b"), ("b", "a"), ("a", "a", "b"), \
+        ("a", "b", "a"), ("a", "a", "b", "a")
+    values = {ab: line, ba: line, aab: nothing, aba: line, aaba: line,
+              ("a", "a"): nothing, ("a", "a", "a"): nothing}
+    maps = {(aab, 1): zero_map(line, nothing),
+            (aaba, 1): identity(line)}
+    laxity = {(ab, ba): vectq_map(tensor(line, line), line, [[1]])}
+    return make_precategory("vectq", ("a", "b"), 3, values, maps, laxity)
+
+
+def test_equations_are_checked_where_only_an_inner_value_is_empty():
+    # the associativity square where only F(concat(s, t)) is empty, and a
+    # naturality square where only F(s) is empty, not F(delete(s, p))
+    pc = associator_breaking_at_an_empty_concat()
+    square = (("a", "b"), ("b", "a"), ("a", "b"))
+    assert validate(pc) == ["laxity not associative at %r" % (square,)]
+    assert_checkers_match_the_reference(pc)
+    pc = naturality_breaking_at_an_empty_part()
+    pair = (("a", "a", "b"), ("b", "a"))
+    assert validate(pc) == ["laxity at %r not natural in the left part at 1"
+                            % (pair,)]
+    assert_checkers_match_the_reference(pc)
+
+
+def test_lax_off_the_support_is_the_initial_map():
+    h = from_strict_category(walking_arrow(), 2)
+    ab, ba = ("A", "B"), ("B", "A")
+    aa, aaa = ("a", "a"), ("a", "a", "a")
+    nothing = empty("finset")
+    both = make_precategory("finset", ("a",), 2, {aa: nothing, aaa: nothing},
+                            {}, {})
+    # s alone, t alone, and both empty
+    for pc, s, t in ((h, ab, ba), (h, ba, ab), (both, aa, aa)):
+        assert not (pc.value(s).size() and pc.value(t).size())
+        assert (s, t) not in pc.laxity
+        phi = pc.lax(s, t)
+        assert phi == zero_map(nothing, pc.value(shapes.concat(s, t)))
+    assert both.gen_map(aaa, 1) == zero_map(nothing, nothing)
+    assert h.structure(shapes.to_initial(("B", "A", "A"))) == zero_map(
+        nothing, h.value(("B", "A", "A")))
+
+
+def test_the_accessors_raise_where_no_entry_is_left_out():
+    h = from_strict_category(walking_arrow(), 2)
+    key = next(iter(h.maps))
+    pair = next(iter(h.laxity))
+    gone = tampered(h, maps={k: m for k, m in h.maps.items() if k != key},
+                    laxity={k: m for k, m in h.laxity.items() if k != pair})
+    ident = identity_morphism(h)
+    s = next(iter(ident.components))
+    without = PrecatMorphism(h, h, ident.components)
+    del without.components[s]
+    aba = ("A", "B", "A")
+    bad = [
+        # omitted entries with a nonempty source
+        lambda: gone.gen_map(*key), lambda: gone.lax(*pair),
+        lambda: without.at(s),
+        # keys that name no generator, laxity pair or chain
+        lambda: h.gen_map(aba, 0), lambda: h.gen_map(aba, 2),
+        lambda: h.gen_map(("A", "C", "A"), 1),
+        lambda: h.lax(("A", "B"), ("A", "B")),
+        lambda: h.lax(("A", "B"), ("B", "A", "A")),
+        lambda: ident.at(("C", "A"))]
+    for read in bad:
+        with pytest.raises(KeyError):
+            read()
+
+
+def test_dense_and_sparse_inputs_make_equal_records():
+    for backend, to_backend in TO_BACKEND.items():
+        h = from_strict_category(to_backend(walking_arrow()), 3)
+        dense_maps = {(s, p): h.gen_map(s, p)
+                      for s in h.chains for p in range(1, len(s) - 1)}
+        dense_lax = {key: h.lax(*key)
+                     for key in expected_laxity_keys(h.chains, 3)}
+        assert len(dense_maps) > len(h.maps)
+        assert len(dense_lax) > len(h.laxity)
+        assert make_precategory(backend, h.letters, 3, h.values, dense_maps,
+                                dense_lax, units=h.units) == h
+        dense = PrecatMorphism(h, h, {s: identity(v)
+                                      for s, v in h.values.items()})
+        assert dense == identity_morphism(h)
+
+
+def test_a_unitalize_pass_stores_no_map_out_of_an_empty_object(monkeypatch):
+    # the computations of the unitalize_finset workload: unitalize, realize,
+    # psi and its transposes
+    built = []
+    for cls in (Precategory, PrecatMorphism):
+        def record(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            built.append(self)
+        monkeypatch.setattr(cls, "__init__", record)
+    for sizes in ({"A": 2}, {"A": 1, "B": 2}):
+        pc = forget_units(from_strict_category(function_category(sizes), 3))
+        u = unitalize(point(pc)).precat
+        realize(u)
+    z0 = ("A", "B", "B")
+    alpha = finset_map(finset_obj(["u0"]), finset_obj(["v0", "v1"]), (1,))
+    ps = psi(z0, alpha, letters=u.letters, truncation=u.truncation)
+    assert validate(ps.precat) == []
+    stored = [m for x in built if isinstance(x, Precategory)
+              for m in list(x.maps.values()) + list(x.laxity.values())]
+    stored += [c for x in built if isinstance(x, PrecatMorphism)
+               for c in x.components.values()]
+    assert len(built) > 100
+    assert all(m.src.size() for m in stored)
