@@ -41,8 +41,9 @@ The central objects here:
   ends on the very object its summand is. `unitalize` shares
   its chain table across rounds and gives each slot's gadgets tables of
   their own for the rest.
-* `realize` collapses each endpoint component to its colimit and solves
-  for the induced composition.
+* `realize` collapses each endpoint component to its colimit and reads
+  the induced composition off one `base.solve_map` call per triple, one
+  equation per stored laxity pair.
 * `psi` packages an arrow of the backend into a free unital precategory
   concentrated over one chain; it is the engine behind the lifting-set
   calculus.
@@ -63,9 +64,9 @@ from dataclasses import dataclass
 
 from . import shapes
 from .base import (
-    MMorphism, _hom_constraint, _precompose, _tensor_mor_onto, empty,
-    identity, is_isomorphism, is_surjective, left_unitor, make_map, tensor,
-    tensor_mor, tensor_mor_multi, tensor_multi, unit, zero_map,
+    _tensor_mor_onto, empty, identity, is_isomorphism, is_surjective,
+    left_unitor, solve_map, tensor, tensor_mor_multi, tensor_multi, unit,
+    zero_map,
 )
 from .colim import (
     coequalizer, colimit, colimit_induced, copair, coproduct, present,
@@ -76,7 +77,6 @@ from .precat import (
     PrecatMorphism, StrictCategory, check_unital, expected_laxity_keys,
     identity_morphism, make_precategory, spread, unit_constraint_maps,
 )
-from . import ratmat
 
 
 # ---------------------------------------------------------------------------
@@ -1069,6 +1069,10 @@ def factor_through_unital(eta, psi):
     """
     comps = {}
     for s in eta.src.chains:
+        # the one map out of an empty F(s) descends; a nonempty U(s)
+        # under it is refused as not onto below
+        if not (eta.src.value(s).size() or eta.dst.value(s).size()):
+            continue
         e = eta.at(s)
         if not is_surjective(e):
             raise ValueError("eta is not surjective at %r" % (s,))
@@ -1103,64 +1107,22 @@ class Realization:
 
 
 def _solve_composition(pc, cols, a, b, c):
-    backend = pc.backend
-    hab = cols[(a, b)].obj
-    hbc = cols[(b, c)].obj
-    hac = cols[(a, c)].obj
-    pairs = []
-    for (s, t) in pc.laxity:
-        if s[0] == a and s[-1] == b and t[-1] == c:
-            pairs.append((s, t))
-    if backend == "finset":
-        size = hab.size() * hbc.size()
-        table = [None] * size
-        for (s, t) in pairs:
-            ps = cols[(a, b)].cocone[s]
-            pt = cols[(b, c)].cocone[t]
-            rhs = pc.lax(s, t).then(
-                cols[(a, c)].cocone[shapes.concat(s, t)])
-            fs = pc.value(s).size()
-            ft = pc.value(t).size()
-            for i in range(fs):
-                for j in range(ft):
-                    q = ps.mapping[i] * hbc.size() + pt.mapping[j]
-                    v = rhs.mapping[i * ft + j]
-                    if table[q] is None:
-                        table[q] = v
-                    elif table[q] != v:
-                        raise ValueError(
-                            "composition is inconsistent at %r"
-                            % ((a, b, c),))
-        if any(v is None for v in table):
-            return None, False
-        m = MMorphism("finset", tensor(hab, hbc), hac,
-                      mapping=tuple(table))
-        return m, True
-    nsrc = hab.size() * hbc.size()
-    ndst = hac.size()
-    lin = tensor(hab, hbc)
-
-    # unknowns: vec(m) column-major; each composable pair (s, t) of the
-    # cocone contributes the block m @ (psi_s (x) psi_t) == psi_st . lax
-    rows = []
-    rhs_vec = []
-    for (s, t) in pairs:
-        kst = tensor_mor(cols[(a, b)].cocone[s], cols[(b, c)].cocone[t])
-        rmat = pc.lax(s, t).then(
-            cols[(a, c)].cocone[shapes.concat(s, t)]).matrix
-        rows.append(_precompose(kst, ndst))
-        rhs_vec.extend(ratmat.vec(rmat))
-    # the chain-map rows (none off chq) also give the system its columns
-    hom_rows = _hom_constraint(lin, hac)
-    rows.append(hom_rows)
-    rhs_vec.extend(ratmat.vec(ratmat.zeros(ratmat.shape(hom_rows)[0], 1)))
-    system = ratmat.vstack(rows)
-    sol = ratmat.solve_vec(system, tuple(rhs_vec))
-    if sol is None:
-        raise ValueError("composition is inconsistent at %r" % ((a, b, c),))
-    if ratmat.rank(system) != ndst * nsrc:
-        return None, False
-    return make_map(lin, hac, ratmat.unvec(sol, ndst, nsrc)), True
+    """The composition hom(a, b) (x) hom(b, c) -> hom(a, c) with
+    m . (psi_s (x) psi_t) = psi_st . lax(s, t) for every stored laxity
+    pair from a over b to c, and whether that pins it down; None when
+    it does not."""
+    ab, bc, ac = cols[(a, b)], cols[(b, c)], cols[(a, c)]
+    lin = tensor(ab.obj, bc.obj)
+    legs = [(_tensor_mor_onto((ab.cocone[s], bc.cocone[t]), phi.src, lin),
+             phi.then(ac.cocone[shapes.concat(s, t)]))
+            for (s, t), phi in pc.laxity.items()
+            if s[0] == a and s[-1] == b and t[-1] == c]
+    try:
+        m, unique = solve_map(lin, ac.obj, legs, [])
+    except ValueError as err:
+        raise ValueError("composition is inconsistent at %r"
+                         % ((a, b, c),)) from err
+    return (m, True) if unique else (None, False)
 
 
 def realize(pc):

@@ -396,6 +396,13 @@ def degree_positions(x, n):
     return [i for i, d in enumerate(x.degrees) if d == n]
 
 
+def degree_window(objs):
+    """The least and the greatest degree of the chq objects objs, as the
+    window of `generating_cofibrations`; None off chq."""
+    degs = [d for x in objs if x.backend == "chq" for d in x.degrees]
+    return (min(degs), max(degs)) if degs else None
+
+
 def _degree_block(x, n):
     """The matrix block of x.diff from degree-n columns to degree-(n-1) rows."""
     rows, cols = degree_positions(x, n - 1), degree_positions(x, n)
@@ -595,6 +602,55 @@ def chq_hom_basis(src, dst):
         dst.size(), src.size())) for c in range(k))
 
 
+def solve_map(src, dst, pre, post):
+    """The map h: src -> dst fixed by equations, as (h, unique).
+
+    h satisfies i.then(h) == f for each (i, f) in pre and h.then(p) == g
+    for each (p, g) in post; unique tells whether the equations leave it
+    no freedom. Raises ValueError when they contradict each other.
+
+    finset: the pre equations force the image of each point some i hits,
+    in the order given, and raise where two of them disagree; every other
+    point goes to the first point of dst that each post equation allows.
+    h is None when a point has no image the post equations allow. unique
+    means every point is forced. vectq/chq: one linear system on the vec
+    coordinates of h, the chain-map rows and a block per equation, solved
+    with the free coordinates zero, so h is canonical; unique means the
+    system has full column rank.
+    """
+    if src.backend == "finset":
+        forced = {}
+        for i, f in pre:
+            for jb, jx in zip(i.mapping, f.mapping):
+                if forced.setdefault(jb, jx) != jx:
+                    raise ValueError("the equations force two images")
+        mapping = []
+        for jb in range(len(src.labels)):
+            cand = (forced[jb],) if jb in forced else range(len(dst.labels))
+            jx = next((jx for jx in cand if all(
+                p.mapping[jx] == g.mapping[jb] for p, g in post)), None)
+            if jx is None:
+                return None, False
+            mapping.append(jx)
+        return (MMorphism("finset", src, dst, mapping=tuple(mapping)),
+                len(forced) == len(src.labels))
+    ns, nd = src.size(), dst.size()
+    hom = _hom_constraint(src, dst)
+    rows, rhs = [hom], [ratmat.ZERO] * ratmat.shape(hom)[0]
+    for i, f in pre:
+        rows.append(_precompose(i, nd))
+        rhs.extend(ratmat.vec(f.matrix))
+    for p, g in post:
+        rows.append(_postcompose(p, ns))
+        rhs.extend(ratmat.vec(g.matrix))
+    system = ratmat.vstack(rows)
+    sol = ratmat.solve_vec(system, rhs)
+    if sol is None:
+        raise ValueError("the equations have no common solution")
+    return (make_map(src, dst, ratmat.unvec(sol, nd, ns)),
+            ratmat.rank(system) == nd * ns)
+
+
 def find_lift(i, p, f, g):
     """A lift in the square (f: A->X, g: B->Y) against i: A->B, p: X->Y.
 
@@ -602,42 +658,11 @@ def find_lift(i, p, f, g):
     """
     if not (i.then(g) == f.then(p)):
         raise ValueError("the square does not commute")
-    a, b, x, y = i.src, i.dst, p.src, p.dst
-    if i.backend == "finset":
-        nb, nx = len(b.labels), len(x.labels)
-        forced = {}
-        for ia in range(len(a.labels)):
-            jb = i.mapping[ia]
-            if jb in forced and forced[jb] != f.mapping[ia]:
-                return None
-            forced[jb] = f.mapping[ia]
-        slots = []
-        for jb in range(nb):
-            if jb in forced:
-                cand = [forced[jb]]
-            else:
-                cand = [jx for jx in range(nx)
-                        if p.mapping[jx] == g.mapping[jb]]
-            if not cand:
-                return None
-            slots.append(cand)
-        for choice in itertools.product(*slots):
-            h = MMorphism("finset", b, x, mapping=choice)
-            if i.then(h) == f and h.then(p) == g:
-                return h
+    try:
+        h, _ = solve_map(i.dst, p.src, [(i, f)], [(p, g)])
+    except ValueError:
         return None
-    nb, nx = b.size(), x.size()
-    # H: B -> X solves the chain-map rows with zero right side,
-    # vec(H i) = vec(f) and vec(p H) = vec(g)
-    hom = _hom_constraint(b, x)
-    big = ratmat.vstack([hom, _precompose(i, nx), _postcompose(p, nb)])
-    zero = ratmat.vec(ratmat.zeros(ratmat.shape(hom)[0], 1))
-    sol = ratmat.solve_vec(
-        big, zero + ratmat.vec(f.matrix) + ratmat.vec(g.matrix))
-    if sol is None:
-        return None
-    h = make_map(b, x, ratmat.unvec(sol, nx, nb))
-    if i.then(h) == f and h.then(p) == g:
+    if h is not None and i.then(h) == f and h.then(p) == g:
         return h
     return None
 

@@ -19,7 +19,7 @@ co-Segalification all build their output with `precat.spread`.
 from dataclasses import dataclass
 
 from .base import (
-    generating_cofibrations, has_rlp, identity, is_fibration,
+    degree_window, generating_cofibrations, has_rlp, identity, is_fibration,
     is_trivial_fibration, is_weak_equivalence, factorize, unit,
 )
 from . import shapes
@@ -44,13 +44,6 @@ def cosegal_report(pc):
     return out
 
 
-def _degree_window(pc):
-    degs = set(unit(pc.backend).degrees)
-    for s in pc.chains:
-        degs.update(pc.value(s).degrees)
-    return (min(degs), max(degs))
-
-
 def k_injectivity_report(pc, window=None, strong=False):
     """Check each composite structure map two ways: the trivial-fibration
     predicate, and the right lifting property against every generating
@@ -63,8 +56,9 @@ def k_injectivity_report(pc, window=None, strong=False):
     fibration on its own. Chains with equal composite maps share their
     verdicts, which are computed once per distinct map.
     """
-    if pc.backend == "chq" and window is None:
-        window = _degree_window(pc)
+    if window is None:
+        window = degree_window(
+            [unit(pc.backend)] + [pc.value(s) for s in pc.chains])
     gens = generating_cofibrations(pc.backend, window)
     entries = []
     verdicts = {}

@@ -163,6 +163,8 @@ def validate_diagram(pc):
             errors.append("chain %r is not admissible for the split" % (s,))
     if set(pc.values) != chainset:
         errors.append("values and chain list disagree")
+    if errors:
+        return errors
     # structure map generators and their sources
     expected_maps = set()
     for s in pc.chains:
@@ -223,20 +225,24 @@ def validate(pc):
     if extra:
         errors.append("unexpected laxity keys %r" % (sorted(extra),))
     present = expected_lax - missing
+    stored = expected_lax & set(pc.laxity)
+    # a square reads only entries with the right ends; the initial map at
+    # a key left out has them by construction
+    wrong = [(s, t) for (s, t) in sorted(stored)
+             if pc.laxity[(s, t)].src != tensor(pc.values[s], pc.values[t])
+             or pc.laxity[(s, t)].dst != pc.values[shapes.concat(s, t)]]
+    errors += ["laxity at %r has wrong ends" % (key,) for key in wrong]
+    if wrong:
+        return errors
     for (s, t) in sorted(present):
-        phi = pc.lax(s, t)
         st = shapes.concat(s, t)
-        if (phi.src != tensor(pc.values[s], pc.values[t])
-                or phi.dst != pc.values[st]):
-            errors.append("laxity at %r has wrong ends" % ((s, t),))
-            continue
         ds = shapes.degree(s)
         for p in range(1, len(s) - 1):
             s2 = shapes.delete(s, p)
             if (s2, t) not in pc.laxity:
                 continue
             left = tensor_mor(pc.gen_map(s, p),
-                              identity(pc.values[t])).then(phi)
+                              identity(pc.values[t])).then(pc.lax(s, t))
             right = pc.laxity[(s2, t)].then(pc.gen_map(st, p))
             if left != right:
                 errors.append("laxity at %r not natural in the left part "
@@ -246,14 +252,14 @@ def validate(pc):
             if (s, t2) not in pc.laxity:
                 continue
             left = tensor_mor(identity(pc.values[s]),
-                              pc.gen_map(t, p)).then(phi)
+                              pc.gen_map(t, p)).then(pc.lax(s, t))
             right = pc.laxity[(s, t2)].then(pc.gen_map(st, ds + p))
             if left != right:
                 errors.append("laxity at %r not natural in the right part "
                               "at %d" % ((s, t), p))
     # the square at (s, t, u) starts on F(s) (x) F(t) (x) F(u), so it is
     # checked also where F(concat(s, t)) is empty
-    for (s, t) in sorted(expected_lax & set(pc.laxity)):
+    for (s, t) in sorted(stored):
         st = shapes.concat(s, t)
         for u in pc.chains:
             if t[-1] != u[0] or (st, u) not in present:

@@ -7,6 +7,7 @@ re-validated by the generic precategory validator, which recomputes all
 coherence squares from scratch.
 """
 
+import dataclasses
 import gc
 import sys
 import weakref
@@ -1167,6 +1168,20 @@ def test_factor_through_unital_roundtrip_and_refusal():
         factor_through_unital(incl, incl)
 
 
+def test_factor_through_unital_refuses_where_one_side_is_zero():
+    # eta kills the line F(a, a) onto U(a, a) = 0, so a map that keeps it
+    # does not descend, though U(a, a) is empty
+    aa, line, nothing = ("a", "a"), vectq_obj(1), empty("vectq")
+    f = make_precategory("vectq", ("a",), 1, {aa: line}, {}, {})
+    u = make_precategory("vectq", ("a",), 1, {aa: nothing}, {}, {})
+    eta = PrecatMorphism(f, u, {aa: zero_map(line, nothing)})
+    with pytest.raises(ValueError, match="does not descend"):
+        factor_through_unital(eta, identity_morphism(f))
+    # and the map 0 -> U(a, a) under an empty F(a, a) is not onto
+    with pytest.raises(ValueError, match="not surjective"):
+        factor_through_unital(PrecatMorphism(u, f, {}), identity_morphism(u))
+
+
 @pytest.mark.parametrize("truncation, z0, rounds", [
     (2, ("a", "b", "b"), 0), (2, ("a", "b"), 1), (3, ("a", "b", "b"), 1)])
 def test_unitalization_factors_each_transpose_uniquely(truncation, z0,
@@ -1244,6 +1259,24 @@ def test_realize_flags_underdetermined_composition():
         assert h.size() == cat.homs[pair].size()
     assert not any(r.determined.values())
     assert r.constant is None and r.eta is None and r.category is None
+
+
+@pytest.mark.parametrize("backend", ["finset", "vectq"])
+def test_realize_refuses_laxity_pairs_that_disagree(backend):
+    # at truncation 3 the pairs ((a, a), (a, a)) and ((a, a), (a, a, a))
+    # both reach every element of hom(a, a) (x) hom(a, a); a constant (on
+    # vectq zero) laxity at the first contradicts the second
+    cat = function_category({"a": 2})
+    if backend == "vectq":
+        cat = linearize_category(cat)
+    pc = from_strict_category(cat, 3)
+    key = (("a", "a"), ("a", "a"))
+    phi = pc.laxity[key]
+    wrong = (finset_map(phi.src, phi.dst, (0,) * phi.src.size())
+             if backend == "finset" else zero_map(phi.src, phi.dst))
+    pc = dataclasses.replace(pc, laxity={**pc.laxity, key: wrong})
+    with pytest.raises(ValueError, match="composition is inconsistent at"):
+        realize(pc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
+import random
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosegal import base, ratmat
 from cosegal.base import (
@@ -6,7 +10,7 @@ from cosegal.base import (
     factorize, find_lift, finset_map, finset_obj, generating_cofibrations,
     has_rlp, homology, identity, invert, is_cofibration, is_fibration,
     is_isomorphism, is_trivial_fibration, is_weak_equivalence, left_unitor,
-    make_map, right_unitor, sphere, symmetry, tensor, tensor_mor,
+    make_map, right_unitor, solve_map, sphere, symmetry, tensor, tensor_mor,
     tensor_mor_multi, tensor_multi, unit, vectq_map, vectq_obj, zero_map,
 )
 
@@ -356,6 +360,170 @@ def test_find_lift_returns_witness():
     h2 = find_lift(i2, p2, f2, g2)
     assert h2 is not None
     assert i2.then(h2) == f2 and h2.then(p2) == g2
+
+
+def test_find_lift_refuses_a_square_that_does_not_commute():
+    i = generating_cofibrations("finset")[1]  # {0} -> {0,1}
+    p = identity(finset_obj(["x", "y"]))
+    f = finset_map(i.src, p.src, [0])
+    g = finset_map(i.dst, p.dst, [1, 1])
+    with pytest.raises(ValueError, match="does not commute"):
+        find_lift(i, p, f, g)
+
+
+def _no_lift_squares():
+    one, two = finset_obj(["0"]), finset_obj(["0", "1"])
+    nothing, line = empty("vectq"), vectq_obj(1)
+    return {
+        # i meets the two points of A, which f keeps apart
+        "finset-forced-conflict": (finset_map(two, one, [0, 0]),
+                                   finset_map(two, one, [0, 0]),
+                                   identity(two), identity(one)),
+        # the point of B outside the image of i has no point of X over it
+        "finset-no-candidate": (zero_map(empty("finset"), one),
+                                zero_map(empty("finset"), one),
+                                zero_map(empty("finset"), empty("finset")),
+                                identity(one)),
+        # no map Q -> 0 followed by 0 -> Q is the identity of Q
+        "vectq-no-solution": (zero_map(nothing, line),
+                              zero_map(nothing, line),
+                              zero_map(nothing, nothing), identity(line)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_no_lift_squares()))
+def test_find_lift_finds_no_lift(case):
+    i, p, f, g = _no_lift_squares()[case]
+    assert i.then(g) == f.then(p)
+    assert find_lift(i, p, f, g) is None
+
+
+def test_find_lift_refuses_a_solution_that_fails_its_check(monkeypatch):
+    # the square Q -> Q^2 against the identity of Q has the lift (1, 0); a
+    # solver that answers zero is caught by the final check
+    line = vectq_obj(1)
+    i = vectq_map(line, vectq_obj(2), [[1], [0]])
+    p = identity(line)
+    f = identity(line)
+    g = vectq_map(i.dst, line, [[1, 0]])
+    assert find_lift(i, p, f, g) == g
+    monkeypatch.setattr(ratmat, "solve_vec",
+                        lambda a, v: (0,) * ratmat.shape(a)[1])
+    assert find_lift(i, p, f, g) is None
+
+
+def _rand_obj(rng, backend):
+    if backend == "finset":
+        return finset_obj(["p%d" % k for k in range(rng.randint(0, 3))])
+    if backend == "vectq":
+        return vectq_obj(rng.randint(0, 3))
+    return rand_chq(rng, max_rank=4, lo=0, hi=1)
+
+
+def _rand_map(rng, x, y):
+    """A random map x -> y, or None on finset when there is none."""
+    if x.backend == "finset":
+        if x.size() and not y.size():
+            return None
+        return finset_map(x, y, [rng.randrange(y.size())
+                                 for _ in range(x.size())])
+    if x.backend == "vectq":
+        return _rand_vectq_map(rng, x, y)
+    return rand_chq_map(rng, x, y)
+
+
+def _rand_equations(rng, src, dst):
+    """Up to two equations on each side, most of them met by one random
+    map h0: src -> dst when there is one."""
+    h0 = _rand_map(rng, src, dst)
+    pre, post = [], []
+    for _ in range(rng.randint(0, 2)):
+        i = _rand_map(rng, _rand_obj(rng, src.backend), src)
+        f = i and (i.then(h0) if h0 and rng.random() < 0.8
+                   else _rand_map(rng, i.src, dst))
+        if f:
+            pre.append((i, f))
+    for _ in range(rng.randint(0, 2)):
+        p = _rand_map(rng, dst, _rand_obj(rng, src.backend))
+        g = p and (h0.then(p) if h0 and rng.random() < 0.8
+                   else _rand_map(rng, src, p.dst))
+        if g:
+            post.append((p, g))
+    return pre, post
+
+
+def _dense(m):
+    r, c = ratmat.shape(m)
+    out = [[Fraction(0)] * c for _ in range(r)]
+    for i, j, x in ratmat.nonzeros(m):
+        out[i][j] = x
+    return out
+
+
+def _linear_system(src, dst, pre, post):
+    """The equations on the entries of K: src -> dst, one row
+    [coefficients of K[0][0], K[1][0], ..., right side] per entry."""
+    ns, nd = src.size(), dst.size()
+
+    def row(coeffs, rhs):
+        out = [Fraction(0)] * (ns * nd + 1)
+        for (r, c), x in coeffs:
+            out[c * nd + r] += x
+        out[-1] = rhs
+        return out
+
+    rows = []
+    if src.backend == "chq":
+        dd, ds = _dense(dst.diff), _dense(src.diff)
+        for r in range(nd):
+            for c in range(ns):
+                if dst.degrees[r] != src.degrees[c]:
+                    rows.append(row([((r, c), 1)], 0))
+                rows.append(row([((k, c), dd[r][k]) for k in range(nd)]
+                                + [((r, k), -ds[k][c]) for k in range(ns)],
+                                0))
+    for i, f in pre:
+        mi, mf = _dense(i.matrix), _dense(f.matrix)
+        rows += [row([((r, k), mi[k][c]) for k in range(ns)], mf[r][c])
+                 for r in range(nd) for c in range(i.src.size())]
+    for p, g in post:
+        mp, mg = _dense(p.matrix), _dense(g.matrix)
+        rows += [row([((k, c), mp[r][k]) for k in range(nd)], mg[r][c])
+                 for r in range(p.dst.size()) for c in range(ns)]
+    return rows
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(BACKENDS), st.integers(0, 2 ** 32 - 1))
+def test_solve_map_meets_its_equations_and_knows_when_it_is_unique(
+        backend, seed):
+    rng = random.Random(seed)
+    src, dst = _rand_obj(rng, backend), _rand_obj(rng, backend)
+    pre, post = _rand_equations(rng, src, dst)
+
+    def meets(h):
+        return all(i.then(h) == f for i, f in pre) and all(
+            h.then(p) == g for p, g in post)
+
+    try:
+        h, unique = solve_map(src, dst, pre, post)
+    except ValueError:
+        h = None
+    if h is not None:
+        assert (h.src, h.dst) == (src, dst) and meets(h)
+    if backend == "finset":
+        count = sum(map(meets, enumerate_maps(src, dst)))
+        assert (h is None) == (count == 0)
+        if h is not None:
+            hit = {jb for i, _ in pre for jb in i.mapping}
+            assert unique == (len(hit) == src.size())
+            assert count == 1 or not unique
+        return
+    rows = _linear_system(src, dst, pre, post)
+    rank = ratmat.rank(ratmat.mat([r[:-1] for r in rows]))
+    assert (h is None) == (ratmat.rank(ratmat.mat(rows)) > rank)
+    if h is not None:
+        assert unique == (rank == src.size() * dst.size())
 
 
 def test_enumerate_maps_counts():

@@ -12,7 +12,7 @@ the test says so explicitly instead of flattening them away.
 
 import pytest
 
-from cosegal import homotopy, shapes
+from cosegal import base, homotopy, shapes
 from cosegal.base import (
     chq_map, empty, finset_map, finset_obj, generating_cofibrations,
     has_rlp, identity, is_cofibration, is_fibration, is_isomorphism,
@@ -229,7 +229,8 @@ def test_lifting_report_settles_each_distinct_map_once(monkeypatch):
     maps = {s: pc.cosegal_map(s) for s in pc.chains if len(s) > 2}
     distinct = set(maps.values())
     assert len(distinct) < len(maps)
-    gens = generating_cofibrations("chq", homotopy._degree_window(pc))
+    gens = generating_cofibrations("chq", base.degree_window(
+        [unit("chq")] + [pc.value(s) for s in pc.chains]))
     calls = []
 
     def counted(i, p):

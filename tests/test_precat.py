@@ -516,3 +516,129 @@ def test_a_unitalize_pass_stores_no_map_out_of_an_empty_object(monkeypatch):
                for c in x.components.values()]
     assert len(built) > 100
     assert all(m.src.size() for m in stored)
+
+
+# ---------------------------------------------------------------------------
+# one tampered record per finding of the checkers
+
+
+def _arrow(truncation=3):
+    return from_strict_category(linearize_category(walking_arrow()),
+                                truncation)
+
+
+def _without(entries, key):
+    return {k: v for k, v in entries.items() if k != key}
+
+
+def _replaced(mapping, key, value):
+    return {**mapping, key: value}
+
+
+AB, BA = ("A", "B"), ("B", "A")
+
+
+def _unexpected_laxity():
+    h = _arrow()
+    return tampered(h, laxity=_replaced(h.laxity, (AB, AB), zero_map(
+        tensor(h.value(AB), h.value(AB)), h.value(AB))))
+
+
+def _laxity_with_wrong_ends():
+    h = _arrow()
+    key = (AB, ("B", "B"))
+    return tampered(h, laxity=_replaced(h.laxity, key, zero_map(
+        h.laxity[key].src, vectq_obj(7))))
+
+
+def _pointed_without_a_unit_chain():
+    pc = naturality_breaking_at_an_empty_part()
+    return tampered(pc, units={
+        "a": zero_map(unit("vectq"), pc.value(("a", "a"))),
+        "b": zero_map(unit("vectq"), pc.value(("a", "b")))})
+
+
+def _non_associative_function_category():
+    # x * y = x + 1 (mod 4) on the four functions of a two element set
+    cat = function_category({"a": 2})
+    key = ("a", "a", "a")
+    m = cat.comps[key]
+    shift = finset_map(m.src, m.dst, [(k // 4 + 1) % 4 for k in range(16)])
+    return dataclasses.replace(cat, comps=_replaced(cat.comps, key, shift))
+
+
+def _strict(**fields):
+    return dataclasses.replace(walking_arrow(), **fields)
+
+
+FINDINGS = [
+    # validate_diagram, through validate
+    ("not-a-chain", lambda: validate(tampered(
+        _arrow(), chains=_arrow().chains + (("A",),))),
+     "not a chain: ('A',)"),
+    ("unknown-letters", lambda: validate(tampered(_arrow(), letters=("A",))),
+     "chain ('A', 'B') uses unknown letters"),
+    ("exceeds-truncation", lambda: validate(tampered(_arrow(), truncation=2)),
+     "chain ('A', 'A', 'A', 'A') exceeds the truncation"),
+    ("no-value", lambda: validate(tampered(
+        _arrow(), values=_without(_arrow().values, ("A", "A", "A", "A")))),
+     "chain ('A', 'A', 'A', 'A') has no value"),
+    ("wrong-backend", lambda: validate(tampered(_arrow(), values=_replaced(
+        _arrow().values, AB, finset_obj(["f"])))),
+     "value at ('A', 'B') is on the wrong backend"),
+    ("values-disagree", lambda: validate(tampered(_arrow(), values=_replaced(
+        _arrow().values, ("C", "C"), vectq_obj(1)))),
+     "values and chain list disagree"),
+    ("lacks-deletion", lambda: validate(tampered(
+        _arrow(), chains=tuple(s for s in _arrow().chains if s != AB),
+        values=_without(_arrow().values, AB))),
+     "chain ('A', 'A', 'B') lacks its deletion ('A', 'B') at 1"),
+    ("unexpected-map-key", lambda: validate(tampered(_arrow(), maps=_replaced(
+        _arrow().maps, (AB, 1), identity(_arrow().value(AB))))),
+     "unexpected structure map key (('A', 'B'), 1)"),
+    # validate
+    ("unexpected-laxity", lambda: validate(_unexpected_laxity()),
+     "unexpected laxity keys [(('A', 'B'), ('A', 'B'))]"),
+    ("laxity-ends", lambda: validate(_laxity_with_wrong_ends()),
+     "laxity at (('A', 'B'), ('B', 'B')) has wrong ends"),
+    ("unit-chain-missing", lambda: validate(_pointed_without_a_unit_chain()),
+     "pointed but chain ('b', 'b') is missing"),
+    ("missing-unit", lambda: validate(tampered(
+        _arrow(), units=_without(_arrow().units, "A"))),
+     "missing unit at 'A'"),
+    ("unit-ends", lambda: validate(tampered(_arrow(), units=_replaced(
+        _arrow().units, "A", zero_map(unit("vectq"), vectq_obj(3))))),
+     "unit at 'A' has wrong ends"),
+    ("unit-letter", lambda: validate(tampered(_arrow(), units=_replaced(
+        _arrow().units, "Z", _arrow().units["A"]))),
+     "unit at unknown letter 'Z'"),
+    # validate_morphism
+    ("different-chains", lambda: validate_morphism(
+        PrecatMorphism(_arrow(3), _arrow(2), {})),
+     "source and target store different chains"),
+    # validate_strict_category
+    ("missing-hom", lambda: validate_strict_category(_strict(
+        homs=_without(walking_arrow().homs, AB))),
+     "missing hom at ('A', 'B')"),
+    ("missing-composition", lambda: validate_strict_category(_strict(
+        comps=_without(walking_arrow().comps, ("A", "A", "B")))),
+     "missing composition at ('A', 'A', 'B')"),
+    ("composition-ends", lambda: validate_strict_category(_strict(
+        comps=_replaced(walking_arrow().comps, ("A", "A", "B"), finset_map(
+            tensor(walking_arrow().homs[("A", "A")],
+                   walking_arrow().homs[AB]),
+            walking_arrow().homs[("A", "A")], (0,))))),
+     "composition at ('A', 'A', 'B') has wrong ends"),
+    ("not-associative", lambda: validate_strict_category(
+        _non_associative_function_category()),
+     "composition not associative at ('a', 'a', 'a', 'a')"),
+    ("identity-point", lambda: validate_strict_category(_strict(
+        idpoints=_without(walking_arrow().idpoints, "B"))),
+     "identity point at 'B' missing or mis-typed"),
+]
+
+
+@pytest.mark.parametrize("check, finding", [f[1:] for f in FINDINGS],
+                         ids=[f[0] for f in FINDINGS])
+def test_each_finding_fires_on_a_tampered_record(check, finding):
+    assert finding in check()
