@@ -64,9 +64,8 @@ from dataclasses import dataclass
 
 from . import shapes
 from .base import (
-    _tensor_mor_onto, empty, identity, is_isomorphism, is_surjective,
-    left_unitor, solve_map, tensor, tensor_mor_multi, tensor_multi, unit,
-    zero_map,
+    empty, identity, is_isomorphism, is_surjective, left_unitor, solve_map,
+    tensor, tensor_mor, tensor_mor_multi, tensor_multi, unit, zero_map,
 )
 from .colim import (
     coequalizer, colimit, colimit_induced, copair, coproduct, present,
@@ -245,9 +244,9 @@ class _CallTables:
             return self.identity(unit(backend))
         if len(mors) == 1:
             return mors[0]
-        return _tensor_mor_onto(
-            mors, self.tensor_multi([m.src for m in mors], backend),
-            self.tensor_multi([m.dst for m in mors], backend))
+        return tensor_mor(
+            *mors, src=self.tensor_multi([m.src for m in mors], backend),
+            dst=self.tensor_multi([m.dst for m in mors], backend))
 
     def sum_objects(self, backend, items, index=None):
         """_sum_objects(backend, items, index), once per list of summand
@@ -869,8 +868,8 @@ def precat_colimit(nodes, edges):
                 # the laxity's source is the tensor of the node's values
                 if nodes[key].value(s).size() and nodes[key].value(t).size():
                     phi = nodes[key].lax(s, t)
-                    both = _tensor_mor_onto((psi[(key, s)], psi[(key, t)]),
-                                            phi.src, obj)
+                    both = tensor_mor(psi[(key, s)], psi[(key, t)],
+                                      src=phi.src, dst=obj)
                     rel.append(((("node", key), phi), (("pair", c), both)))
         for c1, c2 in shapes.cut_tuples(z, 3):
             r, sm, t = z[:c1 + 1], z[c1:c2 + 1], z[c2:]
@@ -879,10 +878,10 @@ def precat_colimit(nodes, edges):
             # the tensor is strictly associative, so one source serves
             # both bracketings
             src = tensor(lax[(r, sm)].src, values[t])
-            left = _tensor_mor_onto((lax[(r, sm)], identity(values[t])),
-                                    src, pairs[c2])
-            right = _tensor_mor_onto((identity(values[r]), lax[(sm, t)]),
-                                     src, pairs[c1])
+            left = tensor_mor(lax[(r, sm)], identity(values[t]), src=src,
+                              dst=pairs[c2])
+            right = tensor_mor(identity(values[r]), lax[(sm, t)], src=src,
+                               dst=pairs[c1])
             rel.append(((("pair", c2), left), (("pair", c1), right)))
         cols[z] = present(blocks, rel, backend)
         values[z] = cols[z].obj
@@ -914,7 +913,8 @@ def precat_colimit(nodes, edges):
                     pair = (identity(values[s]), gen[(t, rel_pos)])
                 # from the pair block of the deleted chain onto the pair
                 # block of z
-                part_map = _tensor_mor_onto(pair, leg.src, lax[(s, t)].src)
+                part_map = tensor_mor(*pair, src=leg.src,
+                                      dst=lax[(s, t)].src)
                 cone[block] = part_map.then(lax[(s, t)])
             gen[(z, p)] = colimit_induced(col, cone)
 
@@ -1113,7 +1113,7 @@ def _solve_composition(pc, cols, a, b, c):
     it does not."""
     ab, bc, ac = cols[(a, b)], cols[(b, c)], cols[(a, c)]
     lin = tensor(ab.obj, bc.obj)
-    legs = [(_tensor_mor_onto((ab.cocone[s], bc.cocone[t]), phi.src, lin),
+    legs = [(tensor_mor(ab.cocone[s], bc.cocone[t], src=phi.src, dst=lin),
              phi.then(ac.cocone[shapes.concat(s, t)]))
             for (s, t), phi in pc.laxity.items()
             if s[0] == a and s[-1] == b and t[-1] == c]

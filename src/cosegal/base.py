@@ -246,46 +246,26 @@ def tensor(x, y):
             tuple([_pair_label(a, b) for a in x.labels for b in y.labels]))
     if x.backend == "vectq":
         return vectq_obj(x.dim * y.dim)
-    degrees = tuple(dx + dy for dx in x.degrees for dy in y.degrees)
-    ny = len(y.degrees)
-    # d(e_i (x) f_j) = d(e_i) (x) f_j + (-1)^|e_i| e_i (x) d(f_j); the two
-    # terms never share an entry because both differentials have a zero
-    # diagonal. The sign comes from parity: (-1) ** d is a float for d < 0.
-    entries = [(i * ny + j, k * ny + j, e)
-               for i, k, e in ratmat.nonzeros(x.diff) for j in range(ny)]
-    ynz = ratmat.nonzeros(y.diff)
-    if ynz:
-        neg = [(j, k, -e) for j, k, e in ynz]
-        entries += [(i * ny + j, i * ny + k, e)
-                    for i, d in enumerate(x.degrees)
-                    for j, k, e in (neg if d % 2 else ynz)]
-    n = len(degrees)
-    return MObject("chq", degrees=degrees, diff=ratmat.build(n, n, entries))
+    degrees = tuple([dx + dy for dx in x.degrees for dy in y.degrees])
+    # d(e_i (x) f_j) = d(e_i) (x) f_j + (-1)^|e_i| e_i (x) d(f_j). The sign
+    # comes from parity: (-1) ** d is a float for d < 0.
+    return MObject("chq", degrees=degrees, diff=ratmat.tensor_differential(
+        x.diff, y.diff, [d % 2 for d in x.degrees]))
 
 
-def tensor_mor(f, g):
-    src = tensor(f.src, g.src)
-    dst = tensor(f.dst, g.dst)
-    if f.backend == "finset":
-        ns = len(g.src.labels)
-        nd = len(g.dst.labels)
-        mapping = tuple(
-            f.mapping[i] * nd + g.mapping[j]
-            for i in range(len(f.src.labels)) for j in range(ns))
-        return MMorphism("finset", src, dst, mapping=mapping)
-    return MMorphism(f.backend, src, dst,
-                     matrix=ratmat.kron(f.matrix, g.matrix))
+def tensor_mor(*mors, src=None, dst=None):
+    """The tensor of two or more morphisms, bracketed from the left.
 
-
-def _tensor_mor_onto(mors, src, dst):
-    """The tensor of two or more morphisms as a map src -> dst.
-
-    src and dst must be the tensors of the factors' sources and of their
-    targets, bracketed from the left; they are taken as given, so a caller
-    that already holds them builds neither again. The payload is one left
-    fold over the factors' mappings or matrices, with no intermediate
-    tensor object.
+    src and dst default to the tensors of the factors' sources and of
+    their targets. A caller that holds an end already passes it in, and
+    it is taken as given, with no check: it must equal that tensor, or
+    the map is wrong. The payload is one left fold over the factors'
+    mappings or matrices, with no intermediate tensor object.
     """
+    if src is None:
+        src = tensor_multi([m.src for m in mors])
+    if dst is None:
+        dst = tensor_multi([m.dst for m in mors])
     if src.backend == "finset":
         out = (0,)
         for m in mors:
@@ -318,8 +298,7 @@ def tensor_mor_multi(mors, backend=None):
         return identity(unit(backend))
     if len(mors) == 1:
         return mors[0]
-    return _tensor_mor_onto(mors, tensor_multi([m.src for m in mors]),
-                           tensor_multi([m.dst for m in mors]))
+    return tensor_mor(*mors)
 
 
 def symmetry(x, y):
@@ -635,20 +614,19 @@ def solve_map(src, dst, pre, post):
         return (MMorphism("finset", src, dst, mapping=tuple(mapping)),
                 len(forced) == len(src.labels))
     ns, nd = src.size(), dst.size()
-    hom = _hom_constraint(src, dst)
-    rows, rhs = [hom], [ratmat.ZERO] * ratmat.shape(hom)[0]
+    rows, rhs = [], []
     for i, f in pre:
         rows.append(_precompose(i, nd))
         rhs.extend(ratmat.vec(f.matrix))
     for p, g in post:
         rows.append(_postcompose(p, ns))
         rhs.extend(ratmat.vec(g.matrix))
-    system = ratmat.vstack(rows)
-    sol = ratmat.solve_vec(system, rhs)
+    # the chain-map rows come last: their right-hand side is zero
+    rows.append(_hom_constraint(src, dst))
+    sol, rank = ratmat.solve_vec(ratmat.vstack(rows), rhs)
     if sol is None:
         raise ValueError("the equations have no common solution")
-    return (make_map(src, dst, ratmat.unvec(sol, nd, ns)),
-            ratmat.rank(system) == nd * ns)
+    return make_map(src, dst, ratmat.unvec(sol, nd, ns)), rank == nd * ns
 
 
 def find_lift(i, p, f, g):

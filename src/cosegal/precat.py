@@ -234,6 +234,8 @@ def validate(pc):
     errors += ["laxity at %r has wrong ends" % (key,) for key in wrong]
     if wrong:
         return errors
+    # each laxity now starts on the tensor of its parts' values, so the
+    # squares take their tensored ends from the laxity sources
     for (s, t) in sorted(present):
         st = shapes.concat(s, t)
         ds = shapes.degree(s)
@@ -241,8 +243,10 @@ def validate(pc):
             s2 = shapes.delete(s, p)
             if (s2, t) not in pc.laxity:
                 continue
-            left = tensor_mor(pc.gen_map(s, p),
-                              identity(pc.values[t])).then(pc.lax(s, t))
+            phi = pc.lax(s, t)
+            left = tensor_mor(pc.gen_map(s, p), identity(pc.values[t]),
+                              src=pc.laxity[(s2, t)].src,
+                              dst=phi.src).then(phi)
             right = pc.laxity[(s2, t)].then(pc.gen_map(st, p))
             if left != right:
                 errors.append("laxity at %r not natural in the left part "
@@ -251,26 +255,31 @@ def validate(pc):
             t2 = shapes.delete(t, p)
             if (s, t2) not in pc.laxity:
                 continue
-            left = tensor_mor(identity(pc.values[s]),
-                              pc.gen_map(t, p)).then(pc.lax(s, t))
+            phi = pc.lax(s, t)
+            left = tensor_mor(identity(pc.values[s]), pc.gen_map(t, p),
+                              src=pc.laxity[(s, t2)].src,
+                              dst=phi.src).then(phi)
             right = pc.laxity[(s, t2)].then(pc.gen_map(st, ds + p))
             if left != right:
                 errors.append("laxity at %r not natural in the right part "
                               "at %d" % ((s, t), p))
     # the square at (s, t, u) starts on F(s) (x) F(t) (x) F(u), so it is
-    # checked also where F(concat(s, t)) is empty
+    # checked also where F(concat(s, t)) is empty; the tensor is strictly
+    # associative, so one source serves both bracketings
     for (s, t) in sorted(stored):
         st = shapes.concat(s, t)
         for u in pc.chains:
             if t[-1] != u[0] or (st, u) not in present:
                 continue
-            if (t, u) not in pc.laxity or (s, shapes.concat(t, u)) \
-                    not in present:
+            tu = shapes.concat(t, u)
+            if (t, u) not in pc.laxity or (s, tu) not in present:
                 continue
-            left = tensor_mor(pc.lax(s, t),
-                              identity(pc.values[u])).then(pc.lax(st, u))
-            right = tensor_mor(identity(pc.values[s]), pc.lax(t, u)).then(
-                pc.lax(s, shapes.concat(t, u)))
+            src = tensor(pc.laxity[(s, t)].src, pc.values[u])
+            outer_l, outer_r = pc.lax(st, u), pc.lax(s, tu)
+            left = tensor_mor(pc.laxity[(s, t)], identity(pc.values[u]),
+                              src=src, dst=outer_l.src).then(outer_l)
+            right = tensor_mor(identity(pc.values[s]), pc.laxity[(t, u)],
+                               src=src, dst=outer_r.src).then(outer_r)
             if left != right:
                 errors.append("laxity not associative at %r"
                               % ((s, t, u),))
@@ -326,18 +335,20 @@ def unit_constraints(pc):
 
 def unit_constraint_maps(pc, con):
     """The two parallel maps of a unit constraint, out of I (x) F(s) (or
-    F(s) (x) I on the right side)."""
+    F(s) (x) I on the right side); they share the unitor's source if the
+    unit map starts on I. F(aa) (x) F(s) is built, so that `then` checks
+    the laxity's source."""
     side, a, s, p, z = con
-    fs = pc.values[s]
+    fs, u = pc.values[s], pc.unit_map(a)
     if side == "l":
-        first = tensor_mor(pc.unit_map(a), identity(fs)).then(
-            pc.lax((a, a), s))
-        second = left_unitor(fs).then(pc.gen_map(z, p))
+        second = left_unitor(fs)
+        factors, phi = (u, identity(fs)), pc.lax((a, a), s)
     else:
-        first = tensor_mor(identity(fs), pc.unit_map(a)).then(
-            pc.lax(s, (a, a)))
-        second = right_unitor(fs).then(pc.gen_map(z, p))
-    return first, second
+        second = right_unitor(fs)
+        factors, phi = (identity(fs), u), pc.lax(s, (a, a))
+    src = second.src if u.src == unit(pc.backend) else None
+    first = tensor_mor(*factors, src=src).then(phi)
+    return first, second.then(pc.gen_map(z, p))
 
 
 def check_unital(pc):

@@ -20,11 +20,12 @@ This is the only module that knows that form. Other modules make
 matrices with `mat` (from nested rows of exact numbers), `build` (from
 (row, column, entry) triples with an explicit shape), `eye`, `zeros`,
 `unvec` and the copies `transpose`, `submatrix`, `split_columns`,
-`hstack`, `vstack` and `block_diag`; they read them through `shape`,
-`nonzeros`, `vec` and `has_shape`. A `Matrix` also reads as a tuple of
-dense rows (`len(m)`, `m[i]`, iteration); that view is for readers
-outside the package, such as tests and benchmarks, and nothing in the
-package uses it.
+`hstack`, `vstack` and `block_diag`, and tensors with `kron` and
+`tensor_differential` (of two complexes); they read them through
+`shape`, `nonzeros`, `vec` and `has_shape`. A `Matrix` also reads as a
+tuple of dense rows (`len(m)`, `m[i]`, iteration); that view is for
+readers outside the package, such as tests and benchmarks, and nothing
+in the package uses it.
 """
 
 import bisect
@@ -294,9 +295,45 @@ def kron(a, b):
     for arow in a.rows:
         left = [(j * cb, x) for j, x in arow]
         for brow in b.rows:
-            out.append(tuple([(j + l, x * y)
-                              for j, x in left for l, y in brow]))
+            # a product with the shared ONE copies the other entry
+            out.append(tuple([
+                (j + l, y if x is ONE else x if y is ONE else x * y)
+                for j, x in left for l, y in brow]))
     return Matrix((ra * rb, ca * cb), tuple(out))
+
+
+def tensor_differential(dx, dy, odd):
+    """The differential dx (x) 1 + S (x) dy of a tensor of two complexes,
+    S the diagonal with -1 where odd[i] is true (the Koszul sign).
+
+    dx and dy have zero diagonals, as differentials of graded complexes
+    do, so the terms never share an entry: row (i, j) holds dx's entries
+    at columns (k, j), k != i, around dy's at columns (i, l).
+    """
+    nx, ny = dx.shape[0], dy.shape[0]
+    plus = minus = dy.rows
+    if any(odd):
+        minus = [tuple([(l, -e) for l, e in row]) for row in plus]
+    out = []
+    for i, xrow in enumerate(dx.rows):
+        yrows = minus if odd[i] else plus
+        at = i * ny
+        if not xrow:
+            out += [tuple([(at + l, e) for l, e in yrow]) if yrow else ()
+                    for yrow in yrows]
+            continue
+        xs = [(k * ny, e) for k, e in xrow]
+        cut = bisect.bisect_left(xrow, (i,))
+        low, high = xs[:cut], xs[cut:]
+        for j, yrow in enumerate(yrows):
+            if yrow:
+                out.append(tuple([(k + j, e) for k, e in low]
+                                 + [(at + l, e) for l, e in yrow]
+                                 + [(k + j, e) for k, e in high]))
+            else:
+                out.append(tuple([(k + j, e) for k, e in xs]))
+    n = nx * ny
+    return Matrix((n, n), tuple(out))
 
 
 def is_zero(m):
@@ -372,10 +409,22 @@ def solve_matrix(a, b):
 
 
 def solve_vec(a, v):
-    x = solve_matrix(a, build(len(v), 1, [(i, 0, e) for i, e in enumerate(v)]))
-    if x is None:
-        return None
-    return vec(x)
+    """Solve a @ x = v exactly, as (x, rank): x is a tuple with the free
+    variables zero, or None if there is no solution, and rank is a's,
+    both read off one rref of the augmented matrix. v holds the
+    right-hand sides of the first len(v) rows; the others are zero.
+    """
+    ca = a.shape[1]
+    rhs = [((0, x),) if x else () for x in map(_entry, v)]
+    rhs += [()] * (a.shape[0] - len(rhs))
+    aug, pivots = rref(hstack([a, Matrix((len(rhs), 1), tuple(rhs))]))
+    if pivots and pivots[-1] == ca:
+        return None, len(pivots) - 1
+    x = [ZERO] * ca
+    for c, row in zip(pivots, aug.rows):
+        if row[-1][0] == ca:
+            x[c] = row[-1][1]
+    return tuple(x), len(pivots)
 
 
 def _null_vectors(r, pivots, n):

@@ -380,8 +380,8 @@ def reference_has_rlp(i, p):
         pk = ratmat.matmul(p.matrix, km) if ny else ratmat.zeros(0, nb)
         fv = ratmat.vec(ki)
         gv = ratmat.vec(pk)
-        fc = ratmat.solve_vec(k_ax, fv) if dim_ax else ()
-        gc = ratmat.solve_vec(k_by, gv) if dim_by else ()
+        fc = ratmat.solve_vec(k_ax, fv)[0] if dim_ax else ()
+        gc = ratmat.solve_vec(k_by, gv)[0] if dim_by else ()
         tcols.append(tuple(fc) + tuple(gc))
     t = (ratmat.mat(tuple(col[r] for col in tcols) for r in range(nax + nby))
          if tcols else ratmat.zeros(nax + nby, 0))

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cosegal import base, ratmat
 from cosegal.base import (
@@ -213,6 +213,68 @@ def test_chq_tensor_differential_squares_to_zero(rng):
         assert tensor(tensor(x, y), z) == tensor(x, tensor(y, z))
 
 
+@st.composite
+def complexes(draw):
+    """A complex of up to six generators in degrees -2 to 1: a sum of
+    spheres and disks with drawn differentials, in a drawn basis order,
+    changed by drawn row operations between generators of one degree.
+    Draws the empty complex and the unit among others."""
+    degrees, d = [], {}
+    for deg, is_disk, c in draw(st.lists(st.tuples(
+            st.integers(-1, 1), st.booleans(),
+            st.fractions(-3, 3, max_denominator=3).filter(bool)),
+            max_size=3)):
+        if is_disk:
+            d[(len(degrees) + 1, len(degrees))] = c
+            degrees.append(deg)
+        degrees.append(deg - is_disk)
+    n = len(degrees)
+    order = draw(st.permutations(range(n)))
+    dense = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), c in d.items():
+        dense[order[i]][order[j]] = c
+    degrees = [degrees[order.index(k)] for k in range(n)]
+    # P d P^-1 with P = 1 + c E_ij: add c row j to row i, then take c
+    # column i from column j
+    ops = st.tuples(st.integers(0, 5), st.integers(0, 5),
+                    st.sampled_from((-2, -1, 1, 2)))
+    for i, j, c in draw(st.lists(ops, max_size=4)) if n else ():
+        i, j = i % n, j % n
+        if i != j and degrees[i] == degrees[j]:
+            dense[i] = [x + c * y for x, y in zip(dense[i], dense[j])]
+            for row in dense:
+                row[j] -= c * row[i]
+    return chq_obj(degrees, dense)
+
+
+def build_tensor_differential(x, y):
+    """d_x (x) 1 + S (x) d_y as `base.tensor` built it through
+    `ratmat.build`."""
+    ny = len(y.degrees)
+    entries = [(i * ny + j, k * ny + j, e)
+               for i, k, e in ratmat.nonzeros(x.diff) for j in range(ny)]
+    ynz = ratmat.nonzeros(y.diff)
+    neg = [(j, k, -e) for j, k, e in ynz]
+    entries += [(i * ny + j, i * ny + k, e)
+                for i, d in enumerate(x.degrees)
+                for j, k, e in (neg if d % 2 else ynz)]
+    n = len(x.degrees) * ny
+    return ratmat.build(n, n, entries)
+
+
+@given(complexes(), complexes(), complexes())
+@example(empty("chq"), unit("chq"), disk(-1))
+@example(unit("chq"), disk(-1), empty("chq"))
+@example(disk(0), sphere(-1), unit("chq"))
+def test_chq_tensor_differential_is_the_koszul_sum(x, y, z):
+    xy = tensor(x, y)
+    assert xy.diff == build_tensor_differential(x, y)
+    assert_exact(xy.diff)
+    # the tensor is a complex: its differential squares to zero
+    assert chq_obj(xy.degrees, xy.diff) == xy
+    assert tensor(xy, z) == tensor(x, tensor(y, z))
+
+
 def test_tensor_signs_stay_exact_in_negative_degrees():
     # the Koszul sign (-1) ** d is a float for negative d
     for x, y in [(disk(0), disk(0)), (sphere(-1), disk(1))]:
@@ -407,9 +469,27 @@ def test_find_lift_refuses_a_solution_that_fails_its_check(monkeypatch):
     f = identity(line)
     g = vectq_map(i.dst, line, [[1, 0]])
     assert find_lift(i, p, f, g) == g
-    monkeypatch.setattr(ratmat, "solve_vec",
-                        lambda a, v: (0,) * ratmat.shape(a)[1])
+    monkeypatch.setattr(ratmat, "solve_vec", lambda a, v: (
+        (0,) * ratmat.shape(a)[1], ratmat.shape(a)[1]))
     assert find_lift(i, p, f, g) is None
+
+
+def test_find_lift_reduces_its_system_once(monkeypatch):
+    # the solution and the uniqueness of solve_map come from one rref
+    calls = []
+    rref = ratmat.rref
+    monkeypatch.setattr(ratmat, "rref", lambda m: calls.append(m) or rref(m))
+    line = vectq_obj(1)
+    i = vectq_map(line, vectq_obj(2), [[1], [0]])
+    g = vectq_map(i.dst, line, [[1, 0]])
+    assert find_lift(i, identity(line), identity(line), g) == g
+    assert len(calls) == 1
+    calls.clear()
+    i2 = generating_cofibrations("chq", window=(0, 1))[1]  # S^0 -> D^1
+    p2 = zero_map(disk(1), empty("chq"))
+    f2 = chq_map(i2.src, p2.src, [[0], [1]])
+    assert find_lift(i2, p2, f2, zero_map(i2.dst, p2.dst)) is not None
+    assert len(calls) == 1
 
 
 def _rand_obj(rng, backend):

@@ -10,11 +10,11 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosegal import shapes
+from cosegal import ratmat, shapes
 from cosegal.adjoints import point, psi, realize, unitalize
 from cosegal.base import (
-    empty, finset_map, finset_obj, identity, tensor, tensor_mor, unit,
-    vectq_map, vectq_obj, zero_map,
+    MMorphism, chq_map, chq_obj, empty, finset_map, finset_obj, identity,
+    tensor, tensor_mor, unit, vectq_map, vectq_obj, zero_map,
 )
 from cosegal.precat import (
     PrecatMorphism, Precategory, check_unital, expected_laxity_keys,
@@ -25,8 +25,9 @@ from cosegal.precat import (
 )
 
 from fixtures import (
-    chainify_category, discrete_category, dual_numbers_chq,
-    function_category, group_algebra_z2, linearize_category, walking_arrow,
+    chainify_category, cylinder_data, discrete_category, dual_numbers_chq,
+    function_category, group_algebra_z2, linearize_category,
+    two_constant_transfer, walking_arrow,
 )
 
 
@@ -378,6 +379,86 @@ def test_the_checkers_find_tampered_entries_as_the_reference_does():
     for alpha in (gone, bad):
         assert validate_morphism(alpha) != []
         assert_morphism_checker_matches_the_reference(alpha)
+
+
+# ---------------------------------------------------------------------------
+# validate takes the tensored ends of its squares from the laxity sources;
+# on chq, where a source carries degrees and a differential, it must still
+# find what a check that tensors every end afresh finds
+
+
+def cylinder_chq():
+    """A valid pointed chq precategory whose degree-1 slots are the
+    cylinders of a two-letter function category, so that every laxity
+    source has a nonzero differential."""
+    return two_constant_transfer(cylinder_data(chainify_category(
+        function_category({"x": 1, "y": 1}))), 3)
+
+
+def scaled(phi, c):
+    return chq_map(phi.src, phi.dst, ratmat.build(
+        phi.dst.size(), phi.src.size(),
+        [(i, j, c * x) for i, j, x in ratmat.nonzeros(phi.matrix)]))
+
+
+def test_validate_on_chq_matches_the_fresh_tensor_reference():
+    pc = cylinder_chq()
+    assert all(ratmat.nonzeros(phi.src.diff) for phi in pc.laxity.values())
+    assert validate(pc) == []
+    assert_checkers_match_the_reference(pc)
+
+
+def test_a_laxity_source_of_another_complex_has_wrong_ends():
+    pc = cylinder_chq()
+    key = sorted(pc.laxity)[0]
+    phi = pc.laxity[key]
+    x = phi.src
+    # the same size and matrix, on other degrees or another differential
+    for other in (chq_obj([d + 2 for d in x.degrees], x.diff),
+                  chq_obj(x.degrees, ratmat.mneg(x.diff))):
+        assert other != x and other.size() == x.size()
+        bad = tampered(pc, laxity={**pc.laxity, key: MMorphism(
+            "chq", other, phi.dst, matrix=phi.matrix)})
+        finding = "laxity at %r has wrong ends" % (key,)
+        assert validate(bad) == [finding]
+        assert finding in reference_validate(bad)
+
+
+def test_a_laxity_breaking_naturality_or_associativity_is_found():
+    pc = cylinder_chq()
+    # a laxity map with a deletable left part: doubled, it breaks the
+    # left naturality square there
+    s, t = next((s, t) for s, t in sorted(pc.laxity) if len(s) > 2
+                and (shapes.delete(s, 1), t) in pc.laxity)
+    bad = tampered(pc, laxity={**pc.laxity, (s, t): scaled(
+        pc.laxity[(s, t)], 2)})
+    errors = validate(bad)
+    assert "laxity at %r not natural in the left part at 1" % ((s, t),) \
+        in errors
+    assert sorted(errors) == sorted(reference_validate(bad))
+    # the outer laxity of an associativity square on degree-1 parts:
+    # doubled, it breaks that square
+    s, t, u = ("x", "y"), ("y", "y"), ("y", "x")
+    outer = (shapes.concat(s, t), u)
+    assert {(s, t), (t, u), outer} <= set(pc.laxity)
+    bad = tampered(pc, laxity={**pc.laxity, outer: scaled(
+        pc.laxity[outer], 2)})
+    errors = validate(bad)
+    assert "laxity not associative at %r" % ((s, t, u),) in errors
+    assert sorted(errors) == sorted(reference_validate(bad))
+
+
+def test_a_unit_map_off_the_unit_breaks_its_unit_constraints():
+    # the unitor and the tensored unit map share I (x) F(s) only when the
+    # unit map starts on I: one with the right matrix on a shifted sphere
+    # fails every constraint at its letter
+    pc = cylinder_chq()
+    u = pc.units["x"]
+    off = MMorphism("chq", chq_obj([2], [[0]]), u.dst, matrix=u.matrix)
+    bad = tampered(pc, units={**pc.units, "x": off})
+    assert "unit at 'x' has wrong ends" in validate(bad)
+    at_x = [con for con in unit_constraints(bad) if con[1] == "x"]
+    assert at_x and check_unital(bad) == at_x
 
 
 def associator_breaking_at_an_empty_concat():

@@ -377,6 +377,7 @@ def test_solve_and_kernel(rng):
         sol = solve_matrix(a, b)
         assert sol is not None
         assert matmul(a, sol) == b
+        assert solve_vec(a, vec(b)) == (vec(sol), rank(a))
         k = kernel_basis(a)
         n, dim = shape(k)
         assert n == cols
@@ -387,16 +388,21 @@ def test_solve_and_kernel(rng):
 
 def test_solve_detects_inconsistency():
     a = mat([[1, 0], [2, 0]])
-    assert solve_vec(a, (0, 1)) is None
-    assert solve_vec(a, (1, 2)) == (1, 0)
+    assert solve_vec(a, (0, 1)) == (None, 1)
+    assert solve_vec(a, (1, 2)) == ((1, 0), 1)
+    # the rows past the right-hand sides given have right-hand side zero
+    assert solve_vec(a, (1,)) == (None, 1)
+    assert solve_vec(mat([[1, 0], [0, 1]]), (3,)) == ((3, 0), 2)
+    with pytest.raises(ValueError):
+        solve_vec(a, (1, 2, 3))
 
 
 def test_zero_column_solve():
     assert tuple(solve_matrix(zeros(0, 0), zeros(0, 0))) == ()
     a = zeros(2, 0)
     assert shape(a) == (2, 0)
-    assert solve_vec(a, (0, 0)) == ()
-    assert solve_vec(a, (1, 0)) is None
+    assert solve_vec(a, (0, 0)) == ((), 0)
+    assert solve_vec(a, (1, 0)) == (None, 0)
 
 
 @given(st.one_of(dense_matrices(), graph_shaped(widest=4)))
@@ -452,6 +458,31 @@ def test_inverse(rng):
             assert matmul(m, inv) == eye(n)
         else:
             assert inv is None
+
+
+@st.composite
+def with_ones(draw):
+    """A matrix of up to 3 x 3, empty shapes included, whose nonzero
+    entries are often the shared ONE (an identity matrix among them), and
+    otherwise -ONE, a 1 that is not ONE, or another rational."""
+    if draw(st.booleans()):
+        return eye(draw(st.integers(0, 3)))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entry = st.sampled_from([0, ONE, ONE, -ONE, Fraction(2, 2)]) | RATIONALS
+    return mat([[draw(entry) for _ in range(cols)] for _ in range(rows)],
+               cols)
+
+
+@given(with_ones(), with_ones())
+def test_kron_with_ones_matches_the_dense_product(a, b):
+    # a product with the shared ONE is a copy of the other entry; it must
+    # still be the product, and a Fraction
+    got = kron(a, b)
+    assert tuple(got) == ref_kron(a, b)
+    assert shape(got) == (shape(a)[0] * shape(b)[0],
+                          shape(a)[1] * shape(b)[1])
+    assert all(type(x) is Fraction and x for _, _, x in nonzeros(got))
+    assert_exact(got)
 
 
 def test_kron_mixed_product(rng):
