@@ -13,16 +13,18 @@ The central objects here:
   structure maps and laxity of both (point also merges junction parts
   of one label and adds units), and one map between builds serves
   `gamma_map` and `point_map`.
-* Every gadget of the unitalization and of `psi` is point(gamma(k)) for
+* Every gadget of `psi` and upsilon is point(gamma(k)) for
   the bare diagram k of an arrow U -> V pushed over one chain z0: one
   copy of V per deletion onto z0, glued along U. Upsilon, which
   represents maps m -> H(z0), is the gadget of the initial arrow 0 -> m.
   One builder makes every such diagram, and one `_Gadget` record holds
   the three builds, with the map between two gadgets, the transpose into
   a pointed target and the inclusion of a chain block.
-* `unitalize` quotients a pointed precategory until the unit laws hold,
-  by gluing one universal gadget per violated constraint and iterating;
-  a round builds one apex gadget per slot and one gadget per constraint.
+* `unitalize` quotients a pointed precategory until the unit laws hold:
+  a round coequalizes each violated constraint in its slot and closes
+  the identifications under the structure maps and the laxity, one
+  presentation per slot in chain order. It builds no gadget; the result
+  is the colimit that glues one upsilon gadget per violated constraint.
 * Each free construction is built once with its sums (`_Sum`), and every
   map into or out of it (`gamma_map`, `point_map`, the gadget maps, the
   transposes) reads its blocks from them. The laxity out of the tensor of
@@ -33,14 +35,12 @@ The central objects here:
   without live keys is `base.empty`. A map out of an empty object is
   never built: a precategory, morphism, relation or cone leaves it out,
   and nothing tensors or composes one.
-* A top-level call (`unitalize`, `psi`, `gamma`, ...) makes its own tables
+* A top-level call (`psi`, `gamma`, ...) makes its own tables
   and frees them when it returns: a chain table of the chain
   combinatorics per (letters, truncation), the live keys of each support
   among them, and one tensor of each pair of objects, one sum of each
   list of summands and one identity of each object, so a tensored map
-  ends on the very object its summand is. `unitalize` shares
-  its chain table across rounds and gives each slot's gadgets tables of
-  their own for the rest.
+  ends on the very object its summand is.
 * `realize` collapses each endpoint component to its colimit and reads
   the induced composition off one `base.solve_map` call per triple, one
   equation per stored laxity pair.
@@ -195,8 +195,8 @@ class _CallTables:
     identity. The tables are freed with the call that made them.
     """
 
-    def __init__(self, chain_tables=None):
-        self._chain_tables = {} if chain_tables is None else chain_tables
+    def __init__(self):
+        self._chain_tables = {}
         self._tensors = {}
         self._sums = {}
         self._identities = {}
@@ -214,11 +214,6 @@ class _CallTables:
         if chains is not None and chains != table.chains:
             return ChainTable(chains, truncation)
         return table
-
-    def scoped(self):
-        """Tables for one part of the call: the chain tables are shared,
-        the object tables are fresh and freed with the part."""
-        return _CallTables(self._chain_tables)
 
     def chains_of(self, pc):
         return self.chain_table(pc.letters, pc.truncation, pc.chains)
@@ -829,7 +824,9 @@ def precat_colimit(nodes, edges):
     empty factor is the shared empty object and is not tensored.
     Structure maps descend through the slot presentations
     (`colim.colimit_induced`), which re-checks the relations; a cone leg
-    out of an empty block is left out.
+    out of an empty block is left out. No code of the package calls it:
+    `unitalize` quotients its input directly. The tests glue with it,
+    the cell pushouts of `tests/test_homotopy.py` among them.
 
     Returns (colimit precategory, {key: cocone morphism}).
     """
@@ -943,9 +940,10 @@ def precat_colimit(nodes, edges):
 @dataclass
 class RoundRecord:
     """Everything one round of unitalization did: which constraints were
-    violated, the parallel pairs and their coequalizers, the summand
-    inclusions of the new values, and the round morphism (the leg of the
-    round's `precat_colimit` cocone at the precategory itself)."""
+    violated, the parallel pairs and their coequalizers, the map xi out of
+    each coequalizer into the new value at its slot (the map it induces
+    from delta there), and the round morphism delta, the levelwise
+    surjection from the precategory onto the round's quotient."""
 
     constraints: list
     pairs: list
@@ -989,23 +987,39 @@ ROUND_CAP = 64
 
 
 def unitalize(pc):
-    """Force the unit laws of a pointed precategory by iterated gluing.
+    """Force the unit laws of a pointed precategory F by quotienting it.
 
-    Each round coequalizes every violated unit constraint in the slot
-    where it lives, transports the result through the one-chain gadget,
-    and glues all gadgets onto the precategory in a single simultaneous
-    colimit. Within a round the apex gadget on the slot value and its
-    evaluation map into the precategory are built once per slot, the
-    gadget on each coequalizer once per constraint, and the maps between
-    them read their summands from those builds. Rounds repeat until no
-    constraint is violated; each effective round strictly shrinks some
-    slot, so the loop terminates, but ROUND_CAP guards it anyway.
+    A round makes slot z of the new precategory Q one presentation
+    (`colim.present`), in chain order: the block F(z), a block Q(d) per
+    deletion d = delete(z, p) with F(d) nonempty and a block Q(s) (x) Q(t)
+    per cut (s, t) with F(s), F(t) nonempty, modulo gen_map(z, p) ~
+    delta_d, lax(s, t) ~ delta_s (x) delta_t and the two maps of each
+    violated unit constraint at z. The legs are the round map delta_z, the
+    structure maps and the laxity of Q; Q's units are u(a) then
+    delta_(a, a).
+
+    Each slot is a quotient of F(z): by induction on the length of z,
+    delta_d and delta_s (x) delta_t are onto (tensors preserve
+    surjections), so every element of a block Q(d) or Q(s) (x) Q(t) is
+    identified with one of F(z). As delta is levelwise onto, the
+    simplicial identities, the naturality of the laxity and its
+    associativity hold in Q because they hold in F: both sides of each,
+    composed with a surjective tensor of deltas, are delta of two equal
+    maps. So no reassociation relation is needed. Q is, up to canonical
+    isomorphism, the colimit gluing one upsilon gadget per violated
+    constraint onto F (`precat_colimit` over the apex and coequalizer
+    gadgets): a map of pointed precategories out of F extends over that
+    colimit exactly when it agrees on each constraint's two maps, and
+    exactly then it descends through each slot's presentation, uniquely.
+
+    Rounds repeat until no constraint is violated; each effective round
+    strictly shrinks some slot, so the loop terminates, but ROUND_CAP
+    guards it anyway.
     """
     if not pc.is_pointed():
         raise ValueError("unitalize needs a pointed precategory")
-    # one chain table serves every round; each slot's gadgets share a
-    # tensor table, freed with the slot like their sums
-    calls = _CallTables()
+    backend = pc.backend
+    nothing = empty(backend)
     current = pc
     stages = [pc]
     rounds = []
@@ -1020,36 +1034,43 @@ def unitalize(pc):
         pairs = []
         coeqs = []
         by_slot = {}
-        for i, con in enumerate(bad):
+        for con in bad:
             firstm, secondm = unit_constraint_maps(current, con)
             pairs.append((firstm, secondm))
             coeqs.append(coequalizer(firstm, secondm))
-            by_slot.setdefault(con[4], []).append(i)
-        nodes = {("center",): current}
-        legs = {}
-        incls = {}
-        # one slot's gadgets at a time, so that the sums of a build are
-        # dropped as soon as its maps are made
-        for z, members in by_slot.items():
-            slot = calls.scoped()
-            at_z = (current.letters, current.truncation, z)
-            apex = _Gadget.of(*at_z, _initial_arrow(current.value(z)), slot)
-            ev = apex.transpose(current, _upsilon_square(
-                current, z, identity(current.value(z))), slot)
-            for i in members:
-                q = coeqs[i]
-                gad = _Gadget.of(*at_z, _initial_arrow(q.obj), slot)
-                nodes[("apex", i)] = apex.pointed[0]
-                nodes[("gad", i)] = gad.pointed[0]
-                legs[i] = [(("apex", i), ("center",), ev),
-                           (("apex", i), ("gad", i),
-                            apex.map_to(gad, _initial_square(q.proj), slot))]
-                incls[i] = gad.center_inclusion()
-        edges = [edge for i in range(len(bad)) for edge in legs[i]]
-        new, cocone = precat_colimit(nodes, edges)
-        xis = [incls[i].then(cocone[("gad", i)].at(con[4]))
-               for i, con in enumerate(bad)]
-        delta = cocone[("center",)]
+            by_slot.setdefault(con[4], []).append(
+                (("F", firstm), ("F", secondm)))
+        values, maps, lax, deltas = {}, {}, {}, {}
+        for z in current.chains:
+            blocks = [("F", current.value(z))]
+            rels = by_slot.pop(z, [])
+            for p in range(1, len(z) - 1):
+                d = shapes.delete(z, p)
+                if current.value(d).size():
+                    blocks.append((("gen", (z, p)), values[d]))
+                    rels.append((("F", current.gen_map(z, p)),
+                                 (("gen", (z, p)), deltas[d])))
+            for c in range(1, len(z) - 1):
+                s, t = z[:c + 1], z[c:]
+                if current.value(s).size() and current.value(t).size():
+                    phi = current.lax(s, t)
+                    x, y = values[s], values[t]
+                    pair = tensor(x, y) if x.size() and y.size() else nothing
+                    blocks.append((("lax", (s, t)), pair))
+                    rels.append((("F", phi), (("lax", (s, t)), tensor_mor(
+                        deltas[s], deltas[t], src=phi.src, dst=pair))))
+            legs = dict(present(blocks, rels, backend).cocone)
+            deltas[z] = legs.pop("F")
+            values[z] = deltas[z].dst
+            for (kind, key), leg in legs.items():
+                (maps if kind == "gen" else lax)[key] = leg
+        units = {a: current.unit_map(a).then(deltas[(a, a)])
+                 for a in current.letters}
+        new = make_precategory(backend, current.letters, current.truncation,
+                               values, maps, lax, units=units)
+        delta = PrecatMorphism(current, new, deltas)
+        xis = [quotient_induced(q, deltas[con[4]])
+               for q, con in zip(coeqs, bad)]
         rounds.append(RoundRecord(bad, pairs, coeqs, xis, delta))
         stages.append(new)
         current = new

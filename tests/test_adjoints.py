@@ -13,8 +13,9 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cosegal import adjoints, base, colim, precat, shapes
+from cosegal import adjoints, base, colim, precat, ratmat, shapes
 from cosegal.base import (
     chq_map, disk, empty, enumerate_maps, finset_map, finset_obj, identity,
     invert, is_isomorphism, is_surjective, sphere, tensor, tensor_mor,
@@ -958,8 +959,9 @@ def test_unitalize_trace_sizes_shrink_somewhere_each_round():
 def reference_unitalize(pc):
     """Unitalization with the per-constraint round: for every violated
     constraint the apex, the gadget and the maps between them are built
-    from scratch through the public upsilon functions. The reference for
-    `unitalize`, which builds each gadget once per round.
+    from scratch through the public upsilon functions and glued onto the
+    precategory by `precat_colimit`. The reference for `unitalize`, which
+    quotients the precategory slot by slot and builds no gadget.
 
     Returns (unitalization, eta, the xis of each round)."""
     current = pc
@@ -1008,6 +1010,18 @@ def unitalize_case(backend):
     return point(forget_units(from_strict_category(cat, truncation)))
 
 
+def same_kernel(f, g):
+    """Whether two maps out of one object identify the same elements:
+    equal partitions of the source on finset, equal row spaces (so equal
+    kernels) on vectq/chq."""
+    if f.backend == "finset":
+        classes = set(zip(f.mapping, g.mapping))
+        return len(classes) == len(set(f.mapping)) == len(set(g.mapping))
+    rank = ratmat.rank
+    return (rank(f.matrix) == rank(g.matrix)
+            == rank(ratmat.vstack([f.matrix, g.matrix])))
+
+
 @pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
 def test_unitalize_matches_the_per_constraint_round(backend):
     p = unitalize_case(backend)
@@ -1016,36 +1030,114 @@ def test_unitalize_matches_the_per_constraint_round(backend):
     u = res.precat
     assert res.trace.rounds
     assert u.chains == ref.chains
+    assert validate(u) == [] and check_unital(u) == []
+    assert [u.value(s).size() for s in u.chains] == \
+        [ref.value(s).size() for s in ref.chains]
+    # the same quotient: eta and every xi identify what the gadget
+    # colimit's identify, at every slot
+    assert all(same_kernel(res.eta.at(s), ref_eta.at(s)) for s in p.chains)
+    xis = [r.xis for r in res.trace.rounds]
+    assert [len(x) for x in xis] == [len(x) for x in ref_xis]
+    assert all(same_kernel(a, b) for new, old in zip(xis, ref_xis)
+               for a, b in zip(new, old))
+    if backend == "finset":
+        # finset labels name class representatives, which the quotient
+        # takes from F(z) and the gadget colimit from the apex blocks
+        return
     assert u.values == ref.values
     assert u.maps == ref.maps
     assert u.laxity == ref.laxity
     assert u.units == ref.units
     assert res.eta.components == ref_eta.components
-    assert [r.xis for r in res.trace.rounds] == ref_xis
+    assert xis == ref_xis
 
 
-def test_unitalize_builds_each_gadget_once(monkeypatch):
-    # one free pointing per slot (the apex) and one per constraint (the
-    # gadget on its coequalizer), however many constraints share a slot
+def test_a_unitalize_round_builds_no_gadget(monkeypatch):
+    # a round is one presentation per chain of its input, and the free
+    # pointing is never built: the gadget colimit made one per slot (the
+    # apex) and one per constraint (the gadget on its coequalizer)
     p = unitalize_case("finset")
-    builds = []
-    build = adjoints._point_build
+    builds, presented = [], []
+    build, present = adjoints._point_build, adjoints.present
 
-    def counted(pc, *tables):
+    def counted_build(pc, *tables):
         builds.append(pc)
         return build(pc, *tables)
 
-    monkeypatch.setattr(adjoints, "_point_build", counted)
+    def counted_present(blocks, relations, backend):
+        presented.append(blocks)
+        return present(blocks, relations, backend)
+
+    monkeypatch.setattr(adjoints, "_point_build", counted_build)
+    monkeypatch.setattr(adjoints, "present", counted_present)
     res = unitalize(p)
     (r,) = res.trace.rounds
     slots = {con[4] for con in r.constraints}
     assert (len(slots), len(r.constraints)) == (18, 32)
-    assert len(builds) == len(slots) + len(r.constraints)
+    assert builds == []
+    assert len(presented) == len(p.chains)
+
+
+@st.composite
+def unitalize_inputs(draw):
+    """A pointed precategory that may break unit laws: the free pointing
+    of a function category (letter sizes 0 to 2) or of its linearization
+    with the units forgotten, or an upsilon or psi gadget over a drawn
+    chain, on finset or vectq, at truncation 2 or 3."""
+    backend = draw(st.sampled_from(["finset", "vectq"]))
+    truncation = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["strict", "upsilon", "psi"]))
+    if kind == "strict":
+        cat = function_category(draw(st.dictionaries(
+            st.sampled_from("AB"), st.integers(0, 2), min_size=1,
+            max_size=2)))
+        if backend == "vectq":
+            cat = linearize_category(cat)
+        return point(forget_units(from_strict_category(cat, truncation)))
+    letters = tuple(sorted(draw(st.sets(st.sampled_from("AB"), min_size=1))))
+    z0 = draw(st.sampled_from(shapes.all_chains(letters, truncation)))
+
+    def obj(n):
+        return (finset_obj(["x%d" % i for i in range(n)])
+                if backend == "finset" else vectq_obj(n))
+
+    if kind == "upsilon":
+        return upsilon(letters, truncation, z0, obj(draw(st.integers(0, 2))))
+    u, v = obj(draw(st.integers(0, 1))), obj(draw(st.integers(1, 2)))
+    if backend == "finset":
+        alpha = finset_map(u, v, tuple(draw(st.lists(
+            st.integers(0, v.size() - 1), min_size=u.size(),
+            max_size=u.size()))))
+    else:
+        alpha = vectq_map(u, v, [[draw(st.integers(-1, 1))
+                                  for _ in range(u.size())]
+                                 for _ in range(v.size())])
+    return adjoints._Gadget.of(letters, truncation, z0, alpha,
+                               adjoints._CallTables()).pointed[0]
+
+
+@settings(max_examples=40)
+@given(unitalize_inputs())
+def test_one_quotient_round_makes_any_input_unital(p):
+    # the round map is onto at every slot, and the unit constraints of the
+    # quotient are those of the input composed with surjections, so they
+    # hold after one round
+    res = unitalize(p)
+    assert len(res.trace.rounds) == (1 if check_unital(p) else 0)
+    assert validate(res.precat) == [] and check_unital(res.precat) == []
+    for r in res.trace.rounds:
+        assert all(is_surjective(r.delta.at(s)) for s in p.chains)
+    # the gadget reference costs up to 0.5 s on two letters at
+    # truncation 3; it runs on the draws below that size
+    if len(p.chains) <= 12 or sum(v.size() for v in p.values.values()) <= 60:
+        _, ref_eta, _ = reference_unitalize(p)
+        assert all(same_kernel(res.eta.at(s), ref_eta.at(s))
+                   for s in p.chains)
 
 
 def test_unitalize_frees_its_tables(monkeypatch):
-    # the tables belong to the call: once its result is dropped, nothing
-    # keeps a tensor built during the call alive
+    # nothing outlives the call: once its result is dropped, no tensor
+    # built during the call is alive
     p = unitalize_case("finset")
     refs = []
     build = adjoints.tensor
@@ -1080,22 +1172,23 @@ def count_tensors(monkeypatch):
 
 
 def test_unitalize_round_takes_its_tensors_from_the_tables(monkeypatch):
-    # the finset round builds 480 tensors; through base.tensor_mor, which
-    # rebuilds both ends of every tensored map, it took 43,396, and with
-    # every summand of the free builds tensored, empty ones too, 1,068
+    # the finset round, one quotient of its input, builds 232 tensors: the
+    # unit constraints' and one product block per cut. Gluing gadgets it
+    # built 480 out of its tables, 43,396 through base.tensor_mor, which
+    # rebuilds both ends of every tensored map, and 1,068 with every
+    # summand of the free builds tensored, empty ones too
     p = unitalize_case("finset")
     count = count_tensors(monkeypatch)
     res = unitalize(p)
     assert len(res.trace.rounds[0].constraints) == 32
-    assert count[0] <= 500
+    assert count[0] <= 250
 
 
 def test_unitalize_round_tensors_nothing_empty(monkeypatch):
-    # a summand with an empty part is empty: the free builds tensor only
-    # their live summands, `precat_colimit` gives a pair block with an
-    # empty factor the empty object, and `check_unital` builds no
-    # constraint out of I (x) 0. Tensoring every summand made 516 of the
-    # 1,068 tensors of this round out of an empty factor
+    # a round gives a product block with an empty factor the empty
+    # object, and `check_unital` builds no constraint out of I (x) 0.
+    # When a round glued free builds, tensoring every summand made 516
+    # of its 1,068 tensors out of an empty factor
     p = unitalize_case("finset")
     count = count_tensors(monkeypatch)
     res = unitalize(p)

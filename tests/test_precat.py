@@ -11,10 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cosegal import ratmat, shapes
-from cosegal.adjoints import point, psi, realize, unitalize
+from cosegal.adjoints import (
+    point, psi, psi_restrict, psi_transpose, realize, unitalize,
+)
 from cosegal.base import (
-    MMorphism, chq_map, chq_obj, empty, finset_map, finset_obj, identity,
-    tensor, tensor_mor, unit, vectq_map, vectq_obj, zero_map,
+    MMorphism, chq_map, chq_obj, empty, enumerate_maps, finset_map,
+    finset_obj, identity, tensor, tensor_mor, unit, vectq_map, vectq_obj,
+    zero_map,
 )
 from cosegal.precat import (
     PrecatMorphism, Precategory, check_unital, expected_laxity_keys,
@@ -591,11 +594,22 @@ def test_a_unitalize_pass_stores_no_map_out_of_an_empty_object(monkeypatch):
     alpha = finset_map(finset_obj(["u0"]), finset_obj(["v0", "v1"]), (1,))
     ps = psi(z0, alpha, letters=u.letters, truncation=u.truncation)
     assert validate(ps.precat) == []
+    us = u.cosegal_map(z0)
+    squares = [(top, bottom)
+               for top in enumerate_maps(alpha.src, us.src)
+               for bottom in enumerate_maps(alpha.dst, us.dst)
+               if top.then(us) == alpha.then(bottom)]
+    assert squares
+    for square in squares:
+        assert psi_restrict(ps, z0, psi_transpose(ps, z0, u, square)) \
+            == square
     stored = [m for x in built if isinstance(x, Precategory)
               for m in list(x.maps.values()) + list(x.laxity.values())]
     stored += [c for x in built if isinstance(x, PrecatMorphism)
                for c in x.components.values()]
-    assert len(built) > 100
+    # a round is one quotient and builds no gadget, so the pass builds 33
+    # records holding 905 maps (493 and 5,280 through the gadget colimit)
+    assert len(built) > 30 and len(stored) > 800
     assert all(m.src.size() for m in stored)
 
 
