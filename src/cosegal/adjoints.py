@@ -20,11 +20,12 @@ The central objects here:
   One builder makes every such diagram, and one `_Gadget` record holds
   the three builds, with the map between two gadgets, the transpose into
   a pointed target and the inclusion of a chain block.
-* `unitalize` quotients a pointed precategory until the unit laws hold:
-  a round coequalizes each violated constraint in its slot and closes
-  the identifications under the structure maps and the laxity, one
-  presentation per slot in chain order. It builds no gadget; the result
-  is the colimit that glues one upsilon gadget per violated constraint.
+* `unitalize` forces the unit laws on a pointed precategory by one
+  quotient round, which `check_unital` confirms: it coequalizes each
+  violated constraint in its slot and closes the identifications under
+  the structure maps and the laxity, one presentation per slot in chain
+  order. It builds no gadget; the result is the colimit that glues one
+  upsilon gadget per violated constraint.
 * Each free construction is built once with its sums (`_Sum`), and every
   map into or out of it (`gamma_map`, `point_map`, the gadget maps, the
   transposes) reads its blocks from them. The laxity out of the tensor of
@@ -954,6 +955,10 @@ class RoundRecord:
 
 @dataclass
 class UnitalizationTrace:
+    """What one `unitalize` call did: `rounds` holds no record when its
+    input is unital and one record otherwise, and `stages` is [F] or
+    [F, Q], the input and the quotient."""
+
     stages: list
     rounds: list
 
@@ -976,20 +981,10 @@ class UnitalizationResult:
     trace: object
 
 
-class NonStabilizing(RuntimeError):
-    def __init__(self, message, trace):
-        super().__init__(message)
-        self.trace = trace
-
-
-# the most rounds `unitalize` runs before it gives up
-ROUND_CAP = 64
-
-
 def unitalize(pc):
     """Force the unit laws of a pointed precategory F by quotienting it.
 
-    A round makes slot z of the new precategory Q one presentation
+    The round makes slot z of the new precategory Q one presentation
     (`colim.present`), in chain order: the block F(z), a block Q(d) per
     deletion d = delete(z, p) with F(d) nonempty and a block Q(s) (x) Q(t)
     per cut (s, t) with F(s), F(t) nonempty, modulo gen_map(z, p) ~
@@ -1012,71 +1007,70 @@ def unitalize(pc):
     colimit exactly when it agrees on each constraint's two maps, and
     exactly then it descends through each slot's presentation, uniquely.
 
-    Rounds repeat until no constraint is violated; each effective round
-    strictly shrinks some slot, so the loop terminates, but ROUND_CAP
-    guards it anyway.
+    One round makes Q unital. Take a left constraint at F(s) with slot z:
+    its maps out of I (x) F(s) are f = (u(a) (x) 1) then lax((a, a), s)
+    and g = the unitor then gen_map(z, p). Its two maps in Q, composed
+    with the surjection I (x) delta_s, are f then delta_z and g then
+    delta_z, by Q's unit u(a) then delta_(a, a) and the relations of the
+    cut ((a, a), s) and of the deletion (z, p). f and g were equal, or the
+    presentation at z coequalized them, so the two maps agree in Q; a
+    right constraint is the mirror. `check_unital` of Q is the oracle of
+    this argument: `unitalize` raises if it finds a constraint left. eta
+    is the round map delta.
     """
     if not pc.is_pointed():
         raise ValueError("unitalize needs a pointed precategory")
+    bad = check_unital(pc)
+    if not bad:
+        return UnitalizationResult(pc, identity_morphism(pc),
+                                   UnitalizationTrace([pc], []))
     backend = pc.backend
     nothing = empty(backend)
-    current = pc
-    stages = [pc]
-    rounds = []
-    for _ in range(ROUND_CAP):
-        bad = check_unital(current)
-        if not bad:
-            trace = UnitalizationTrace(stages, rounds)
-            eta = identity_morphism(pc)
-            for r in rounds:
-                eta = eta.then(r.delta)
-            return UnitalizationResult(current, eta, trace)
-        pairs = []
-        coeqs = []
-        by_slot = {}
-        for con in bad:
-            firstm, secondm = unit_constraint_maps(current, con)
-            pairs.append((firstm, secondm))
-            coeqs.append(coequalizer(firstm, secondm))
-            by_slot.setdefault(con[4], []).append(
-                (("F", firstm), ("F", secondm)))
-        values, maps, lax, deltas = {}, {}, {}, {}
-        for z in current.chains:
-            blocks = [("F", current.value(z))]
-            rels = by_slot.pop(z, [])
-            for p in range(1, len(z) - 1):
-                d = shapes.delete(z, p)
-                if current.value(d).size():
-                    blocks.append((("gen", (z, p)), values[d]))
-                    rels.append((("F", current.gen_map(z, p)),
-                                 (("gen", (z, p)), deltas[d])))
-            for c in range(1, len(z) - 1):
-                s, t = z[:c + 1], z[c:]
-                if current.value(s).size() and current.value(t).size():
-                    phi = current.lax(s, t)
-                    x, y = values[s], values[t]
-                    pair = tensor(x, y) if x.size() and y.size() else nothing
-                    blocks.append((("lax", (s, t)), pair))
-                    rels.append((("F", phi), (("lax", (s, t)), tensor_mor(
-                        deltas[s], deltas[t], src=phi.src, dst=pair))))
-            legs = dict(present(blocks, rels, backend).cocone)
-            deltas[z] = legs.pop("F")
-            values[z] = deltas[z].dst
-            for (kind, key), leg in legs.items():
-                (maps if kind == "gen" else lax)[key] = leg
-        units = {a: current.unit_map(a).then(deltas[(a, a)])
-                 for a in current.letters}
-        new = make_precategory(backend, current.letters, current.truncation,
-                               values, maps, lax, units=units)
-        delta = PrecatMorphism(current, new, deltas)
-        xis = [quotient_induced(q, deltas[con[4]])
-               for q, con in zip(coeqs, bad)]
-        rounds.append(RoundRecord(bad, pairs, coeqs, xis, delta))
-        stages.append(new)
-        current = new
-    trace = UnitalizationTrace(stages, rounds)
-    raise NonStabilizing("unitalization did not stabilize within %d "
-                         "rounds" % ROUND_CAP, trace)
+    pairs = []
+    coeqs = []
+    by_slot = {}
+    for con in bad:
+        firstm, secondm = unit_constraint_maps(pc, con)
+        pairs.append((firstm, secondm))
+        coeqs.append(coequalizer(firstm, secondm))
+        by_slot.setdefault(con[4], []).append(
+            (("F", firstm), ("F", secondm)))
+    values, maps, lax, deltas = {}, {}, {}, {}
+    for z in pc.chains:
+        blocks = [("F", pc.value(z))]
+        rels = by_slot.pop(z, [])
+        for p in range(1, len(z) - 1):
+            d = shapes.delete(z, p)
+            if pc.value(d).size():
+                blocks.append((("gen", (z, p)), values[d]))
+                rels.append((("F", pc.gen_map(z, p)),
+                             (("gen", (z, p)), deltas[d])))
+        for c in range(1, len(z) - 1):
+            s, t = z[:c + 1], z[c:]
+            if pc.value(s).size() and pc.value(t).size():
+                phi = pc.lax(s, t)
+                x, y = values[s], values[t]
+                pair = tensor(x, y) if x.size() and y.size() else nothing
+                blocks.append((("lax", (s, t)), pair))
+                rels.append((("F", phi), (("lax", (s, t)), tensor_mor(
+                    deltas[s], deltas[t], src=phi.src, dst=pair))))
+        legs = dict(present(blocks, rels, backend).cocone)
+        deltas[z] = legs.pop("F")
+        values[z] = deltas[z].dst
+        for (kind, key), leg in legs.items():
+            (maps if kind == "gen" else lax)[key] = leg
+    units = {a: pc.unit_map(a).then(deltas[(a, a)]) for a in pc.letters}
+    new = make_precategory(backend, pc.letters, pc.truncation, values, maps,
+                           lax, units=units)
+    left = check_unital(new)
+    if left:
+        raise AssertionError("unit constraints violated after the quotient "
+                             "round: %s" % left)
+    delta = PrecatMorphism(pc, new, deltas)
+    xis = [quotient_induced(q, deltas[con[4]]) for q, con in zip(coeqs, bad)]
+    trace = UnitalizationTrace(
+        [pc, new], [RoundRecord(bad, pairs, coeqs, xis, delta)])
+    return UnitalizationResult(new, delta, trace)
 
 
 def factor_through_unital(eta, psi):
@@ -1084,9 +1078,10 @@ def factor_through_unital(eta, psi):
     surjection, producing the unique bar: U -> G with eta.then(bar) ==
     psi.
 
-    This is how morphisms out of a unitalization are induced: the round
-    maps are all surjective, so the factorization exists exactly when
-    psi kills what eta kills, and that is re-verified per slot.
+    This is how morphisms out of a unitalization are induced: its eta, the
+    round map or an identity, is surjective, so the factorization exists
+    exactly when psi kills what eta kills, and that is re-verified per
+    slot.
     """
     comps = {}
     for s in eta.src.chains:

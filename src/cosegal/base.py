@@ -248,7 +248,10 @@ def tensor(x, y):
         return vectq_obj(x.dim * y.dim)
     degrees = tuple([dx + dy for dx in x.degrees for dy in y.degrees])
     # d(e_i (x) f_j) = d(e_i) (x) f_j + (-1)^|e_i| e_i (x) d(f_j). The sign
-    # comes from parity: (-1) ** d is a float for d < 0.
+    # comes from parity: (-1) ** d is a float for d < 0. Not `chq_obj`:
+    # its d^2 = 0 matmul would run on every tensor of `cosegalify_chq`, and
+    # the Koszul form squares to zero by construction (tests/test_base.py:
+    # test_chq_tensor_differential_squares_to_zero and _is_the_koszul_sum).
     return MObject("chq", degrees=degrees, diff=ratmat.tensor_differential(
         x.diff, y.diff, [d % 2 for d in x.degrees]))
 
