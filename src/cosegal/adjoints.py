@@ -36,12 +36,11 @@ The central objects here:
   without live keys is `base.empty`. A map out of an empty object is
   never built: a precategory, morphism, relation or cone leaves it out,
   and nothing tensors or composes one.
-* A top-level call (`psi`, `gamma`, ...) makes its own tables
-  and frees them when it returns: a chain table of the chain
-  combinatorics per (letters, truncation), the live keys of each support
-  among them, and one tensor of each pair of objects, one sum of each
-  list of summands and one identity of each object, so a tensored map
-  ends on the very object its summand is.
+* The builders call `base`, `colim` and `shapes` directly and keep no
+  table of objects. The chain combinatorics (`_keyed`, the keys of a
+  chain with their parts, and `_targets`, the key each laxity pair lands
+  in) depend on chains only, so they are memoized for the process and
+  hold tuples; the live keys are read off each input's support.
 * `realize` collapses each endpoint component to its colimit and reads
   the induced composition off one `base.solve_map` call per triple, one
   equation per stored laxity pair.
@@ -62,6 +61,7 @@ injection of the blocks' coproduct. Every structure map out of a slot of
 import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import shapes
 from .base import (
@@ -80,7 +80,7 @@ from .precat import (
 
 
 # ---------------------------------------------------------------------------
-# the tables one call shares
+# the chain combinatorics of the free constructions
 
 
 @dataclass(frozen=True)
@@ -89,185 +89,46 @@ class _Keyed:
     each key, the parts its cut tuple splits the chain into and the parts
     its labels make carriers."""
 
-    keys: list
-    pos: dict
+    keys: tuple
+    pos: MappingProxyType
     parts: tuple
     carriers: tuple
 
 
-class ChainTable:
-    """The chain combinatorics of one chain set, each piece derived once.
-
-    The free constructions read from here the laxity keys, the summand
-    keys of gamma and point with their positions and the parts of their
-    cut tuples (one key table, `keyed`), the key each laxity pair lands in
-    (one target table, `targets`, which merges junction parts for point
-    only), the live keys of a support (one table per support, `live`) and
-    the deletions onto a chain. All of it depends on the chains, the
-    truncation and the support only. An entry is derived on first use and
-    kept as long as the table, which belongs to one top-level call.
-    """
-
-    def __init__(self, chains, truncation):
-        self.chains = tuple(chains)
-        self.truncation = truncation
-        self._laxity_keys = None
-        self._keyed = {}
-        self._targets = {}
-        self._live = {}
-        self._homs = {}
-
-    def laxity_keys(self):
-        """expected_laxity_keys of these chains."""
-        if self._laxity_keys is None:
-            self._laxity_keys = expected_laxity_keys(self.chains,
-                                                     self.truncation)
-        return self._laxity_keys
-
-    def keyed(self, z, pointed):
-        """point_keys(z) when pointed, else gamma_keys(z), with positions,
-        parts and carrier parts."""
-        out = self._keyed.get((z, pointed))
-        if out is None:
-            keys = point_keys(z) if pointed else gamma_keys(z)
-            parts = tuple(shapes.parts_of(z, cuts) for cuts, _ in keys)
-            out = self._keyed[(z, pointed)] = _Keyed(
-                keys, {key: i for i, key in enumerate(keys)}, parts,
-                tuple(tuple(q for q, l in zip(qs, labels) if l == "f")
-                      for qs, (_, labels) in zip(parts, keys)))
-        return out
-
-    def targets(self, s, t, pointed):
-        """The laxity at (s, t) as ((i, j), position, merged) triples, i
-        major: pair (i, j) is entry i * len(keys of t) + j. Key i of s
-        beside key j of t is the key of concat(s, t) that also cuts at the
-        junction. When pointed and the labels at the junction agree, the
-        two junction parts merge instead, and the target key drops that
-        cut; gamma's keys never merge."""
-        out = self._targets.get((s, t, pointed))
-        if out is None:
-            pos = self.keyed(shapes.concat(s, t), pointed).pos
-            shift = shapes.degree(s)
-            out = []
-            for i, (cuts1, labels1) in enumerate(self.keyed(s, pointed).keys):
-                for j, (cuts2, labels2) in enumerate(
-                        self.keyed(t, pointed).keys):
-                    shifted = tuple(c + shift for c in cuts2)
-                    merged = pointed and labels1[-1] == labels2[0]
-                    if merged:
-                        key = (cuts1 + shifted, labels1 + labels2[1:])
-                    else:
-                        key = (cuts1 + (shift,) + shifted, labels1 + labels2)
-                    out.append(((i, j), pos[key], merged))
-            self._targets[(s, t, pointed)] = out
-        return out
-
-    def live(self, pointed, support):
-        """{chain: the positions of its live keys}, point's keys when
-        pointed, else gamma's. A key is live when each of its carrier parts
-        lies in support, the frozenset of the chains whose value is
-        nonempty, so its summand is a tensor of nonempty objects."""
-        out = self._live.get((pointed, support))
-        if out is None:
-            out = self._live[(pointed, support)] = {
-                z: tuple(i for i, qs in enumerate(
-                    self.keyed(z, pointed).carriers) if support.issuperset(qs))
-                for z in self.chains}
-        return out
-
-    def hom_set(self, w, z0):
-        key = (w, z0)
-        out = self._homs.get(key)
-        if out is None:
-            out = self._homs[key] = shapes.hom_set(w, z0)
-        return out
+@functools.cache
+def _keyed(z, pointed):
+    """point_keys(z) when pointed, else gamma_keys(z), with positions,
+    parts and carrier parts. It depends on the chain only, so it is
+    derived once per process and chain; no caller can change an entry."""
+    keys = tuple(point_keys(z) if pointed else gamma_keys(z))
+    parts = tuple(shapes.parts_of(z, cuts) for cuts, _ in keys)
+    return _Keyed(
+        keys, MappingProxyType({key: i for i, key in enumerate(keys)}), parts,
+        tuple(tuple(q for q, l in zip(qs, labels) if l == "f")
+              for qs, (_, labels) in zip(parts, keys)))
 
 
-class _CallTables:
-    """What one top-level call shares across its builds: a ChainTable per
-    (letters, truncation), and one tensor of each pair of objects, one sum
-    of each list of summands, one identity of each object and one wide
-    pushout of each arrow and number of copies.
-
-    Tensors, sums, identities and wide pushouts are keyed by
-    the identity of their arguments, which the table keeps alive. So a map
-    tensored from factors that end on the objects a summand was built from
-    lands on that very summand object, and `then` settles its end check by
-    identity. The tables are freed with the call that made them.
-    """
-
-    def __init__(self):
-        self._chain_tables = {}
-        self._tensors = {}
-        self._sums = {}
-        self._identities = {}
-        self._wide_pushouts = {}
-
-    def chain_table(self, letters, truncation, chains=None):
-        """The table of all chains over letters up to truncation. chains,
-        when given and different (a partial chain set), get a table of
-        their own, which is not kept."""
-        key = (letters, truncation)
-        table = self._chain_tables.get(key)
-        if table is None:
-            table = self._chain_tables[key] = ChainTable(
-                shapes.all_chains(letters, truncation), truncation)
-        if chains is not None and chains != table.chains:
-            return ChainTable(chains, truncation)
-        return table
-
-    def chains_of(self, pc):
-        return self.chain_table(pc.letters, pc.truncation, pc.chains)
-
-    def tensor(self, x, y):
-        key = (id(x), id(y))
-        hit = self._tensors.get(key)
-        if hit is None:
-            hit = self._tensors[key] = (x, y, tensor(x, y))
-        return hit[2]
-
-    def tensor_multi(self, objs, backend):
-        if not objs:
-            return unit(backend)
-        out = objs[0]
-        for x in objs[1:]:
-            out = self.tensor(out, x)
-        return out
-
-    def tensor_mor_multi(self, mors, backend):
-        """tensor_mor_multi(mors, backend), with both ends from the table."""
-        if not mors:
-            return self.identity(unit(backend))
-        if len(mors) == 1:
-            return mors[0]
-        return tensor_mor(
-            *mors, src=self.tensor_multi([m.src for m in mors], backend),
-            dst=self.tensor_multi([m.dst for m in mors], backend))
-
-    def sum_objects(self, backend, items, index=None):
-        """_sum_objects(backend, items, index), once per list of summand
-        objects and index."""
-        key = (tuple(map(id, items)), index)
-        hit = self._sums.get(key)
-        if hit is None:
-            hit = self._sums[key] = (items, _sum_objects(backend, items,
-                                                         index))
-        return hit[1]
-
-    def identity(self, x):
-        hit = self._identities.get(id(x))
-        if hit is None:
-            hit = self._identities[id(x)] = (x, identity(x))
-        return hit[1]
-
-    def wide_pushout(self, alpha, n):
-        """wide_pushout(alpha.src, [alpha] * n), once per arrow and n."""
-        key = (id(alpha), n)
-        hit = self._wide_pushouts.get(key)
-        if hit is None:
-            hit = self._wide_pushouts[key] = (
-                alpha, wide_pushout(alpha.src, [alpha] * n))
-        return hit[1]
+@functools.cache
+def _targets(s, t, pointed):
+    """The laxity at (s, t) as ((i, j), position, merged) triples, i
+    major: pair (i, j) is entry i * len(keys of t) + j. Key i of s beside
+    key j of t is the key of concat(s, t) that also cuts at the junction.
+    When pointed and the labels at the junction agree, the two junction
+    parts merge instead, and the target key drops that cut; gamma's keys
+    never merge. Memoized per process like `_keyed`."""
+    pos = _keyed(shapes.concat(s, t), pointed).pos
+    shift = shapes.degree(s)
+    out = []
+    for i, (cuts1, labels1) in enumerate(_keyed(s, pointed).keys):
+        for j, (cuts2, labels2) in enumerate(_keyed(t, pointed).keys):
+            shifted = tuple(c + shift for c in cuts2)
+            merged = pointed and labels1[-1] == labels2[0]
+            if merged:
+                key = (cuts1 + shifted, labels1 + labels2[1:])
+            else:
+                key = (cuts1 + (shift,) + shifted, labels1 + labels2)
+            out.append(((i, j), pos[key], merged))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +163,7 @@ def _sum_map(sm, dst, leg):
                            for i in sm.live], dst)
 
 
-def _into(calls, factors, sm, at):
+def _into(factors, sm, at):
     """The tensor of factors, into summand at of the sum sm, then that
     summand's injection. A linear map may kill a nonempty source: when
     the summand is empty the leg is the zero map, and no empty factor is
@@ -310,18 +171,19 @@ def _into(calls, factors, sm, at):
     backend = sm.obj.backend
     inj = sm.injs.get(at)
     if inj is None:
-        return zero_map(calls.tensor_multi([f.src for f in factors], backend),
+        return zero_map(tensor_multi([f.src for f in factors], backend),
                         sm.obj)
-    return calls.tensor_mor_multi(factors, backend).then(inj)
+    return tensor_mor_multi(factors, backend).then(inj)
 
 
 @dataclass
 class _Sum:
-    """One free value as a sum over its live keys (`ChainTable.live`): the
-    sum object, the live key positions, the source of each live summand
-    in that order, the injection of each by key position, and the keys of
-    its chain (a `_Keyed` of the chain table). Every other summand is
-    empty and left out; without live keys the sum is `base.empty`."""
+    """One free value as a sum over its live keys: the sum object, the
+    live key positions, the source of each live summand in that order,
+    the injection of each by key position, and the keys of its chain
+    (`_keyed`). A key is live when each of its carrier parts has a
+    nonempty value; every other summand is empty and left out, and
+    without live keys the sum is `base.empty`."""
 
     obj: object
     live: tuple
@@ -378,7 +240,7 @@ def gamma(k):
     reinsert the deleted letter into the one part that absorbs it. The
     degree-1 slots are the input's objects on the nose.
     """
-    return _gamma_build(k, _CallTables())[0]
+    return _free_build(k, False)[0]
 
 
 def point(pc):
@@ -390,53 +252,48 @@ def point(pc):
     additionally gain a unit summand. Degree-1 slots with distinct
     endpoints are untouched on the nose.
     """
-    return _point_build(pc, _CallTables())[0]
+    return _point_build(pc)[0]
 
 
-def _gamma_build(k, calls):
-    """gamma(k) together with its sums: `_free_build` on gamma's keys."""
-    return _free_build(k, calls, False)
-
-
-def _point_build(pc, calls):
+def _point_build(pc):
     """point(pc) together with its sums: `_free_build` on point's keys."""
     if pc.is_pointed():
         raise ValueError("point expects an unpointed precategory")
-    return _free_build(pc, calls, True)
+    return _free_build(pc, True)
 
 
-def _free_build(pc, calls, pointed):
+def _free_build(pc, pointed):
     """point(pc) when pointed, else gamma(pc), together with its sums,
     {chain: _Sum}. Maps out of or into the build read their blocks from
-    these instead of rebuilding them. calls holds the tables of the
-    top-level call.
+    these instead of rebuilding them.
 
-    The value at z sums, over the live keys of z (`ChainTable.live` of
-    pc's support), the tensor of the key's parts: pc's value on a carrier
-    part, the unit on a unit part; a value without live keys is
-    `base.empty`. Structure maps reinsert the deleted letter into the one
-    part that absorbs it. The laxity puts key i of s beside key j of t;
-    point merges two junction parts of one label, through pc's laxity
-    when both are carriers and through the unitor when both are units.
-    A structure map or laxity out of an empty value is left out.
+    The value at z sums, over the live keys of z (those whose carrier
+    parts all have nonempty values in pc), the tensor of the key's parts:
+    pc's value on a carrier part, the unit on a unit part; a value without
+    live keys is `base.empty`. Structure maps reinsert the deleted letter
+    into the one part that absorbs it. The laxity puts key i of s beside
+    key j of t, at the laxity keys of pc's chains, which may be a partial
+    chain set; point merges two junction parts of one label, through pc's
+    laxity when both are carriers and through the unitor when both are
+    units. A structure map or laxity out of an empty value is left out.
     """
-    table = calls.chains_of(pc)
     backend = pc.backend
     values = pc.values
     u = unit(backend)
-    live = table.live(pointed, frozenset(z for z in pc.chains
-                                         if values[z].size()))
+    support = {z for z in pc.chains if values[z].size()}
     sums = {}
     for z in pc.chains:
-        keyed, at = table.keyed(z, pointed), live[z]
+        keyed = _keyed(z, pointed)
+        at = tuple(i for i, qs in enumerate(keyed.carriers)
+                   if support.issuperset(qs))
         if not at:
             sums[z] = _Sum(empty(backend), at, [], {}, keyed)
             continue
-        srcs = [calls.tensor_multi(
+        srcs = [tensor_multi(
             [values[q] if l == "f" else u
              for q, l in zip(keyed.parts[i], keyed.keys[i][1])], backend)
             for i in at]
-        obj, injs = calls.sum_objects(
+        obj, injs = _sum_objects(
             backend, srcs, None if len(keyed.keys) == 1 else at)
         sums[z] = _Sum(obj, at, srcs, dict(zip(at, injs)), keyed)
 
@@ -445,17 +302,16 @@ def _free_build(pc, calls, pointed):
         big = sums[z]
         if not cuts:
             # one part, the whole chain: the key does not change
-            leg = (pc.gen_map(z, p) if labels[0] == "f"
-                   else calls.identity(u))
-            return _into(calls, [leg], big, big.keyed.pos[(cuts, labels)])
+            leg = pc.gen_map(z, p) if labels[0] == "f" else identity(u)
+            return _into([leg], big, big.keyed.pos[(cuts, labels)])
         big_cuts, j, rel = shapes.reinsert(z, cuts, p)
         at = big.keyed.pos[(big_cuts, labels)]
         parts = big.keyed.parts[at]
-        factors = [calls.identity(values[q] if l == "f" else u)
+        factors = [identity(values[q] if l == "f" else u)
                    for q, l in zip(parts, labels)]
         if labels[j] == "f":
             factors[j] = pc.gen_map(parts[j], rel)
-        return _into(calls, factors, big, at)
+        return _into(factors, big, at)
 
     maps = {(z, p): _sum_map(sums[shapes.delete(z, p)], sums[z].obj,
                              lambda key, _: reinserted(z, p, *key))
@@ -463,13 +319,13 @@ def _free_build(pc, calls, pointed):
             if sums[shapes.delete(z, p)].live}
     unitor = left_unitor(u) if pointed else None
     laxity = {}
-    for s, t in table.laxity_keys():
+    for s, t in expected_laxity_keys(pc.chains, pc.truncation):
         left, right = sums[s], sums[t]
         if not (left.live and right.live):
             continue
         st = sums[shapes.concat(s, t)]
         # the targets of key i of s run over the keys j of t
-        pairs, width = table.targets(s, t, pointed), len(right.keyed.keys)
+        pairs, width = _targets(s, t, pointed), len(right.keyed.keys)
         targets = {}
         for a, i in enumerate(left.live):
             for b, j in enumerate(right.live):
@@ -482,15 +338,15 @@ def _free_build(pc, calls, pointed):
                 # units
                 labels1, parts1 = left.keyed.keys[i][1], left.keyed.parts[i]
                 labels2, parts2 = right.keyed.keys[j][1], right.keyed.parts[j]
-                factors = [calls.identity(values[q] if l == "f" else u)
+                factors = [identity(values[q] if l == "f" else u)
                            for q, l in zip(parts1[:-1] + parts2[1:],
                                            labels1[:-1] + labels2[1:])]
                 factors.insert(len(parts1) - 1, pc.lax(parts1[-1], parts2[0])
                                if labels1[-1] == "f" else unitor)
-                targets[(a, b)] = _into(calls, factors, st, at)
+                targets[(a, b)] = _into(factors, st, at)
         laxity[(s, t)] = tensor_copair(
             backend, (left.obj, left.srcs), (right.obj, right.srcs),
-            targets, st.obj, src=calls.tensor(left.obj, right.obj))
+            targets, st.obj)
     units = None
     if pointed:
         units = {a: sums[(a, a)].injs[sums[(a, a)].keyed.pos[((), ("u",))]]
@@ -503,29 +359,27 @@ def _free_build(pc, calls, pointed):
 
 def gamma_map(phi):
     """The action of gamma on a morphism of bare chain diagrams."""
-    calls = _CallTables()
-    return _free_map_between(phi, _gamma_build(phi.src, calls),
-                             _gamma_build(phi.dst, calls), calls)
+    return _free_map_between(phi, _free_build(phi.src, False),
+                             _free_build(phi.dst, False))
 
 
 def point_map(alpha):
     """The action of point on a morphism of unpointed precategories."""
-    calls = _CallTables()
-    return _free_map_between(alpha, _point_build(alpha.src, calls),
-                             _point_build(alpha.dst, calls), calls)
+    return _free_map_between(alpha, _point_build(alpha.src),
+                             _point_build(alpha.dst))
 
 
-def _free_map_between(alpha, src, dst, calls):
+def _free_map_between(alpha, src, dst):
     """gamma_map(alpha) or point_map(alpha) between the builds src of
     alpha.src and dst of alpha.dst, both made on the same keys: alpha on
     carrier parts, the identity on unit parts."""
     (fsrc, ssums), (fdst, dsums) = src, dst
-    unit_id = calls.identity(unit(alpha.src.backend))
+    unit_id = identity(unit(alpha.src.backend))
 
     def leg(z, key, parts):
         factors = [alpha.at(q) if l == "f" else unit_id
                    for q, l in zip(parts, key[1])]
-        return _into(calls, factors, dsums[z], dsums[z].keyed.pos[key])
+        return _into(factors, dsums[z], dsums[z].keyed.pos[key])
 
     comps = {z: _sum_map(ssums[z], dsums[z].obj,
                          lambda key, parts: leg(z, key, parts))
@@ -549,7 +403,7 @@ def kobject_of(pc):
 
 def gamma_unit(k):
     """k -> forget(gamma(k)): the inclusion of the chain block."""
-    g, sums = _gamma_build(k, _CallTables())
+    g, sums = _free_build(k, False)
     comps = {z: _one_part(sums, z) for z in k.chains if k.value(z).size()}
     return PrecatMorphism(k, kobject_of(g), comps)
 
@@ -557,8 +411,7 @@ def gamma_unit(k):
 def gamma_counit(pc):
     """gamma(forget(pc)) -> pc: iterated laxity on each block, the
     identity on the one-part chain block."""
-    calls = _CallTables()
-    g, sums = _gamma_build(pc, calls)
+    g, sums = _free_build(pc, False)
     comps = {z: _sum_map(sums[z], pc.value(z),
                          lambda _, parts: pc.lax_multi(parts))
              for z in pc.chains if sums[z].live}
@@ -568,7 +421,7 @@ def gamma_counit(pc):
 def point_carrier_inclusion(pc):
     """The inclusion of the carrier into its free pointing, one-part
     decompositions only."""
-    dst, sums = _point_build(pc, _CallTables())
+    dst, sums = _point_build(pc)
     comps = {z: _one_part(sums, z) for z in pc.chains if pc.value(z).size()}
     return PrecatMorphism(pc, dst, comps)
 
@@ -577,7 +430,7 @@ def point_carrier_inclusion(pc):
 # the one-chain gadget: an arrow pushed over one chain
 
 
-def _arrow_build(letters, truncation, z0, alpha, calls):
+def _arrow_build(letters, truncation, z0, alpha):
     """The bare diagram of the arrow alpha: U -> V pushed over z0.
 
     At a chain w the value is the wide pushout of one copy of alpha per
@@ -591,15 +444,17 @@ def _arrow_build(letters, truncation, z0, alpha, calls):
     """
     backend = alpha.backend
     letters = tuple(sorted(letters))
-    table = calls.chain_table(letters, truncation)
-    if z0 not in table.chains:
+    chains = shapes.all_chains(letters, truncation)
+    if z0 not in chains:
         raise ValueError("%r is not a chain over %r up to truncation %d"
                          % (z0, letters, truncation))
     nothing = empty(backend)
     ends = shapes.endpoints(z0)
-    wps = {w: (calls.wide_pushout(alpha, len(table.hom_set(w, z0)))
-               if shapes.endpoints(w) == ends else None)
-           for w in table.chains}
+    homs = {w: shapes.hom_set(w, z0) for w in chains}
+    # one wide pushout per number of copies, not one per chain
+    wide = functools.cache(lambda n: wide_pushout(alpha.src, [alpha] * n))
+    wps = {w: wide(len(homs[w])) if shapes.endpoints(w) == ends else None
+           for w in chains}
     values = {w: nothing if wp is None else wp.obj for w, wp in wps.items()}
     maps = {}
     for w, big in wps.items():
@@ -609,11 +464,10 @@ def _arrow_build(letters, truncation, z0, alpha, calls):
                 continue
             # the copy of deletion e: d -> z0 goes to the copy of the
             # composite w -> d -> z0
-            index = {e: i for i, e in enumerate(table.hom_set(w, z0))}
+            index = {e: i for i, e in enumerate(homs[w])}
             step = shapes.del_single(w, p)
             maps[(w, p)] = wide_pushout_induced(
-                wps[d], [big.maps[index[step.then(e)]]
-                         for e in table.hom_set(d, z0)],
+                wps[d], [big.maps[index[step.then(e)]] for e in homs[d]],
                 through=big.through)
     k = make_precategory(backend, letters, truncation, values, maps, {})
     return k, wps
@@ -658,7 +512,7 @@ class _Gadget:
     """point(gamma(k)) for the bare diagram k of an arrow pushed over z0
     (`_arrow_build`; upsilon's arrow is 0 -> m), with the build of
     each stage as a (precategory, data) pair: k with its wide pushouts, gk
-    of `_gamma_build` on k, pointed of `_point_build` on gk. The maps into
+    of `_free_build` on k, pointed of `_point_build` on gk. The maps into
     and out of the gadget read their summands from these builds."""
 
     z0: tuple
@@ -667,21 +521,20 @@ class _Gadget:
     pointed: tuple
 
     @classmethod
-    def of(cls, letters, truncation, z0, alpha, calls):
+    def of(cls, letters, truncation, z0, alpha):
         """The gadget of the arrow alpha over z0."""
-        k = _arrow_build(letters, truncation, z0, alpha, calls)
-        gk = _gamma_build(k[0], calls)
-        return cls(z0, k, gk, _point_build(gk[0], calls))
+        k = _arrow_build(letters, truncation, z0, alpha)
+        gk = _free_build(k[0], False)
+        return cls(z0, k, gk, _point_build(gk[0]))
 
-    def map_to(self, dst, square, calls):
+    def map_to(self, dst, square):
         """point(gamma(-)) of the diagram map that the commuting square
         (u, v) from this gadget's arrow to dst's induces."""
         phi = hom_extension_square(square, self.k, dst.k)
-        return _free_map_between(
-            _free_map_between(phi, self.gk, dst.gk, calls), self.pointed,
-            dst.pointed, calls)
+        return _free_map_between(_free_map_between(phi, self.gk, dst.gk),
+                                 self.pointed, dst.pointed)
 
-    def transpose(self, h, square, calls):
+    def transpose(self, h, square):
         """The pointed morphism into h classified by a commuting square
         (top, bottom) from the gadget's arrow U -> V to h's cosegal arrow
         at z0: top into h at the endpoints, bottom into h at z0. Each
@@ -689,16 +542,15 @@ class _Gadget:
         the deletion onto the endpoints."""
         top, bottom = square
         wps = self.k[1]
-        table = calls.chains_of(self.k[0])
 
         def k_component(w):
             cone = [bottom.then(h.structure(d))
-                    for d in table.hom_set(w, self.z0)]
+                    for d in shapes.hom_set(w, self.z0)]
             through = (None if cone else
                        top.then(h.structure(shapes.to_initial(w))))
             return wide_pushout_induced(wps[w], cone, through=through)
 
-        return _free_transpose(self, h, k_component, calls)
+        return _free_transpose(self, h, k_component)
 
     def chain_inclusion(self, w, into_k):
         """into_k, a map into k(w), followed by the chain block of gamma
@@ -718,14 +570,12 @@ class _Gadget:
 def free_hom_kobject(letters, truncation, z0, m):
     """The bare chain diagram freely generated by m sitting at z0: the
     diagram of the arrow 0 -> m, one copy of m per deletion w -> z0."""
-    return _arrow_build(letters, truncation, z0, _initial_arrow(m),
-                        _CallTables())[0]
+    return _arrow_build(letters, truncation, z0, _initial_arrow(m))[0]
 
 
 def free_hom_kmorphism(letters, truncation, z0, f):
     """The action of the free one-chain diagram on a map f: m -> m2."""
-    calls = _CallTables()
-    builds = [_arrow_build(letters, truncation, z0, _initial_arrow(x), calls)
+    builds = [_arrow_build(letters, truncation, z0, _initial_arrow(x))
               for x in (f.src, f.dst)]
     return hom_extension_square(_initial_square(f), *builds)
 
@@ -734,23 +584,21 @@ def upsilon(letters, truncation, z0, m):
     """point(gamma(-)) of the free one-chain diagram, the gadget of the
     arrow 0 -> m: the representing object for maps m -> H(z0) into
     pointed precategories H."""
-    return _Gadget.of(letters, truncation, z0, _initial_arrow(m),
-                      _CallTables()).pointed[0]
+    return _Gadget.of(letters, truncation, z0, _initial_arrow(m)).pointed[0]
 
 
 def upsilon_map(letters, truncation, z0, f):
     """The action of upsilon on a map f: m -> m2."""
-    calls = _CallTables()
-    src, dst = [_Gadget.of(letters, truncation, z0, _initial_arrow(x), calls)
+    src, dst = [_Gadget.of(letters, truncation, z0, _initial_arrow(x))
                 for x in (f.src, f.dst)]
-    return src.map_to(dst, _initial_square(f), calls)
+    return src.map_to(dst, _initial_square(f))
 
 
 def upsilon_center_inclusion(letters, truncation, z0, m):
     """The canonical summand inclusion m -> upsilon(...)(z0): identity
     deletion index, no subdivision, one carrier part."""
-    return _Gadget.of(letters, truncation, z0, _initial_arrow(m),
-                      _CallTables()).center_inclusion()
+    return _Gadget.of(letters, truncation, z0,
+                      _initial_arrow(m)).center_inclusion()
 
 
 def upsilon_transpose(h, z0, g):
@@ -760,13 +608,11 @@ def upsilon_transpose(h, z0, g):
     Deletion indices go to h's structure maps, unit parts to derived
     units, and blocks merge through h's laxity.
     """
-    calls = _CallTables()
-    gadget = _Gadget.of(h.letters, h.truncation, z0, _initial_arrow(g.src),
-                        calls)
-    return gadget.transpose(h, _upsilon_square(h, z0, g), calls)
+    gadget = _Gadget.of(h.letters, h.truncation, z0, _initial_arrow(g.src))
+    return gadget.transpose(h, _upsilon_square(h, z0, g))
 
 
-def _free_transpose(gadget, h, k_component, calls):
+def _free_transpose(gadget, h, k_component):
     """The pointed morphism point(gamma(k)) -> h out of the gadget on k
     that is k_component(w): k(w) -> h(w) on the nonempty chain blocks.
 
@@ -785,7 +631,7 @@ def _free_transpose(gadget, h, k_component, calls):
         if len(parts) == 1:
             # the chain block
             return kcomp(parts[0])
-        return calls.tensor_mor_multi(
+        return tensor_mor_multi(
             [kcomp(q) for q in parts], backend).then(lax_multi(parts))
 
     gcomps = {w: _sum_map(gamma_sums[w], h.value(w), gamma_leg)
@@ -796,7 +642,7 @@ def _free_transpose(gadget, h, k_component, calls):
         return h.unit_map(part[0]).then(h.structure(shapes.to_initial(part)))
 
     def pointed_leg(key, parts):
-        leg = calls.tensor_mor_multi(
+        leg = tensor_mor_multi(
             [gcomps[q] if l == "f" else derived_unit(q)
              for q, l in zip(parts, key[1])], backend)
         # one part needs no laxity: h.lax_multi of one part is the identity
@@ -831,6 +677,8 @@ def precat_colimit(nodes, edges):
 
     Returns (colimit precategory, {key: cocone morphism}).
     """
+    if not nodes:
+        raise ValueError("a colimit needs at least one node")
     keys = sorted(nodes)
     first = nodes[keys[0]]
     backend = first.backend
@@ -839,15 +687,13 @@ def precat_colimit(nodes, edges):
         if nodes[key].chains != chains or not nodes[key].is_pointed():
             raise ValueError("nodes must be pointed with a common shape")
     for a, b, alpha in edges:
-        if alpha.src != nodes[a] or alpha.dst != nodes[b]:
+        if alpha.src != nodes.get(a) or alpha.dst != nodes.get(b):
             raise ValueError("edge %r -> %r does not match its nodes" % (a, b))
     values = {}
     lax = {}
     psi = {}
     gen = {}
     cols = {}
-    # the identity of each object, built once
-    tables = _CallTables()
     nothing = empty(backend)
 
     for z in sorted(chains, key=lambda s: (len(s), s)):
@@ -857,7 +703,7 @@ def precat_colimit(nodes, edges):
             pairs[c] = tensor(x, y) if x.size() and y.size() else nothing
         blocks = [(("node", key), nodes[key].value(z)) for key in keys]
         blocks += [(("pair", c), obj) for c, obj in pairs.items()]
-        rel = [((("node", a), tables.identity(nodes[a].value(z))),
+        rel = [((("node", a), identity(nodes[a].value(z))),
                 (("node", b), alpha.at(z)))
                for a, b, alpha in edges if nodes[a].value(z).size()]
         for key in keys:
@@ -1233,7 +1079,7 @@ def psi(z0, alpha, letters=None, truncation=None):
         letters = tuple(sorted(set(z0)))
     if truncation is None:
         truncation = shapes.degree(z0)
-    gadget = _Gadget.of(letters, truncation, z0, alpha, _CallTables())
+    gadget = _Gadget.of(letters, truncation, z0, alpha)
     res = unitalize(gadget.pointed[0])
     return PsiResult(res.precat, res.eta, res.trace, gadget)
 
@@ -1248,8 +1094,7 @@ def _gadget_over(res, z0):
 
 def psi_square(z0, square, src_res, dst_res):
     """Functorial action of psi on a commuting square of arrows."""
-    raw = _gadget_over(src_res, z0).map_to(_gadget_over(dst_res, z0),
-                                           square, _CallTables())
+    raw = _gadget_over(src_res, z0).map_to(_gadget_over(dst_res, z0), square)
     return factor_through_unital(src_res.eta, raw.then(dst_res.eta))
 
 
@@ -1277,7 +1122,7 @@ def psi_transpose(res, z0, h, square):
     commuting square (top, bottom) from the generating arrow to the
     cosegal arrow of h at z0: top into h at the endpoints, bottom into h
     at z0, with top . h(to initial) == alpha . bottom."""
-    raw = _gadget_over(res, z0).transpose(h, square, _CallTables())
+    raw = _gadget_over(res, z0).transpose(h, square)
     return factor_through_unital(res.eta, raw)
 
 

@@ -104,8 +104,8 @@ def chq_obj(degrees, diff):
 
 
 # the initial objects and the monoidal units; objects are immutable, so
-# each backend shares one of each, and a map that starts or ends on one of
-# them meets the same object in every table keyed by identity
+# each backend shares one of each, and `then` settles the end check of a
+# map that starts or ends on one of them by identity
 _EMPTIES = {"finset": finset_obj([]), "vectq": vectq_obj(0),
             "chq": chq_obj([], [])}
 _UNITS = {"finset": finset_obj(["I"]), "vectq": vectq_obj(1),

@@ -93,7 +93,7 @@ def copair(cop, maps, dst):
     return vectq_map(cop, dst, matrix)
 
 
-def tensor_copair(backend, left, right, targets, dst, src=None):
+def tensor_copair(backend, left, right, targets, dst):
     """The map out of a tensor of two coproducts, one component per summand
     pair: the copair of the summand tensors, as the tensor distributes over
     coproducts.
@@ -105,8 +105,7 @@ def tensor_copair(backend, left, right, targets, dst, src=None):
     be left out, every other pair is required. Position
     (lo_i + a) * |R| + (ro_j + b) of tensor(L, R) is position
     a * |R_j| + b of targets[(i, j)], so the map only re-indexes the
-    components' images. src is tensor(L, R) when the caller already holds
-    it.
+    components' images.
     """
     lobj, lsrcs = left
     robj, rsrcs = right
@@ -122,8 +121,7 @@ def tensor_copair(backend, left, right, targets, dst, src=None):
         filled += f.src.size() > 0
     if filled != sum(map(bool, lsizes)) * sum(map(bool, rsizes)):
         raise ValueError("a nonempty summand pair has no component")
-    if src is None:
-        src = tensor(lobj, robj)
+    src = tensor(lobj, robj)
     if backend == "finset":
         out = []
         for i, nl in enumerate(lsizes):
@@ -455,9 +453,11 @@ def colimit(nodes, edges, source_key=None):
     identities elsewhere). This keeps strict inputs strict; the general
     presentation is used otherwise.
     """
+    if not nodes:
+        raise ValueError("a colimit needs at least one node")
     keys = sorted(nodes)
     for a, b, m in edges:
-        if m.src != nodes[a] or m.dst != nodes[b]:
+        if m.src != nodes.get(a) or m.dst != nodes.get(b):
             raise ValueError("edge %r -> %r does not match its nodes" % (a, b))
     if source_key is not None and source_key in nodes:
         rest = [k for k in keys if k != source_key]

@@ -15,7 +15,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosegal import adjoints, base, colim, precat, ratmat, shapes
+from cosegal import adjoints, base, colim, monoidal, precat, ratmat, shapes
 from cosegal.base import (
     chq_map, disk, empty, enumerate_maps, finset_map, finset_obj, identity,
     invert, is_isomorphism, is_surjective, sphere, tensor, tensor_mor,
@@ -226,11 +226,8 @@ def sum_injections(obj, srcs):
     raise AssertionError("not a sum of its summands")
 
 
-def pair_assemble_by_reference(backend, left, right, targets, dst,
-                               src=None):
-    """`colim.tensor_copair`'s signature, computed by the reference; src, the
-    tensor of the two sums a caller may pass in, must be that tensor."""
-    assert src is None or src == tensor(left[0], right[0])
+def pair_assemble_by_reference(backend, left, right, targets, dst):
+    """`colim.tensor_copair`'s signature, computed by the reference."""
     return reference_pair_assemble(
         backend, (left[0], sum_injections(*left), left[1]),
         (right[0], sum_injections(*right), right[1]), targets, dst)
@@ -327,9 +324,7 @@ def test_free_constructions_and_pushforward_laxity_match_the_reference(
         monkeypatch):
     def build(pc):
         f = {a: "c" for a in pc.letters}
-        return (adjoints._gamma_build(kobject_of(pc),
-                                      adjoints._CallTables())[0].laxity,
-                adjoints._point_build(pc, adjoints._CallTables())[0].laxity,
+        return (gamma(kobject_of(pc)).laxity, point(pc).laxity,
                 pushforward(f, pc).laxity)
 
     cases = laxity_cases()
@@ -449,30 +444,28 @@ def shifted_cuts(cuts_s, shift, cuts_t, junction=True):
 
 
 def check_chain_table(letters, truncation):
-    table = adjoints._CallTables().chain_table(letters, truncation)
     chains = shapes.all_chains(letters, truncation)
-    assert table.chains == chains
-    assert table.laxity_keys() == expected_laxity_keys(chains, truncation)
     for z in chains:
         gkeys, pkeys = gamma_keys(z), point_keys(z)
-        for keyed, keys in ((table.keyed(z, False), gkeys),
-                            (table.keyed(z, True), pkeys)):
+        for keyed, keys in ((adjoints._keyed(z, False), gkeys),
+                            (adjoints._keyed(z, True), pkeys)):
             cuts = [c for c, _ in keys]
-            assert keyed.keys == keys
+            assert keyed.keys == tuple(keys)
             assert keyed.pos == {key: i for i, key in enumerate(keys)}
             assert keyed.parts == tuple(shapes.parts_of(z, c) for c in cuts)
-        for z0 in chains[:len(letters) ** 3]:
-            assert table.hom_set(z, z0) == shapes.hom_set(z, z0)
-    for s, t in table.laxity_keys():
+            assert keyed.carriers == tuple(
+                tuple(q for q, l in zip(shapes.parts_of(z, c), labels)
+                      if l == "f") for c, labels in keys)
+    for s, t in expected_laxity_keys(chains, truncation):
         st = shapes.concat(s, t)
         shift = shapes.degree(s)
         gkeys = gamma_keys(st)
         # gamma's keys never merge at the junction
-        assert table.targets(s, t, False) == [
+        assert adjoints._targets(s, t, False) == tuple([
             ((i, j), gkeys.index((shifted_cuts(cuts1, shift, cuts2),
                                   labels1 + labels2)), False)
             for i, (cuts1, labels1) in enumerate(gamma_keys(s))
-            for j, (cuts2, labels2) in enumerate(gamma_keys(t))]
+            for j, (cuts2, labels2) in enumerate(gamma_keys(t))])
         pkeys = point_keys(st)
         expected = []
         for i, (cuts1, labels1) in enumerate(point_keys(s)):
@@ -485,7 +478,7 @@ def check_chain_table(letters, truncation):
                            labels1 + labels2[1:])
                 expected.append(((i, j), pkeys.index(key),
                                  labels1[-1] == labels2[0]))
-        assert table.targets(s, t, True) == expected
+        assert adjoints._targets(s, t, True) == tuple(expected)
 
 
 @pytest.mark.parametrize("truncation", [1, 2, 3, 4])
@@ -494,15 +487,39 @@ def test_chain_table_is_a_pure_reindexing(truncation):
         check_chain_table(tuple(sorted(letters)), truncation)
 
 
-def test_chain_table_of_a_partial_chain_set_is_its_own():
-    tables = adjoints._CallTables()
-    full = forget_units(from_strict_category(function_category({"a": 1}), 2))
-    assert tables.chains_of(full) is tables.chain_table(("a",), 2)
-    partial = make_precategory("finset", ("a",), 2,
-                               {("a", "a"): empty("finset")}, {}, {})
-    table = tables.chains_of(partial)
-    assert table.chains == (("a", "a"),)
-    assert table.laxity_keys() == []
+def join_shaped_precategory():
+    """An unpointed precategory on the partial chain set of
+    `monoidal.join_chains` of the letters x and y: no y comes before an
+    x. Every value is one two-element set, every structure map the
+    identity and every laxity the projection onto the left factor."""
+    chains = monoidal.join_chains(("x",), ("y",), 2)
+    two = finset_obj(["p", "q"])
+    values = {s: two for s in chains}
+    maps = {(s, p): identity(two)
+            for s in chains for p in range(1, len(s) - 1)}
+    first = finset_map(tensor(two, two), two, (0, 0, 1, 1))
+    laxity = {key: first for key in expected_laxity_keys(chains, 2)}
+    return make_precategory("finset", ("x", "y"), 2, values, maps, laxity)
+
+
+def test_free_constructions_of_a_partial_chain_set_keep_to_its_chains():
+    # gamma and point keep to the chains of their input, and store laxity
+    # only at the laxity keys of those chains
+    one = make_precategory("finset", ("a",), 2,
+                           {("a", "a"): empty("finset")}, {}, {})
+    join = join_shaped_precategory()
+    assert validate(join) == []
+    assert set(join.chains) < set(shapes.all_chains(join.letters, 2))
+    for pc in (one, join):
+        keys = expected_laxity_keys(pc.chains, pc.truncation)
+        for out in (gamma(pc), point(pc)):
+            assert validate(out) == []
+            assert out.chains == pc.chains
+            assert set(out.laxity) <= set(keys)
+    assert expected_laxity_keys(one.chains, 2) == []
+    # the empty carrier leaves gamma empty and point its unit summand only
+    assert gamma(one).value(("a", "a")).size() == 0
+    assert point(one).value(("a", "a")).size() == 1
 
 
 def test_point_adds_unit_summands_only_on_diagonals():
@@ -553,9 +570,8 @@ def test_free_transpose_computes_each_chain_component_once():
     m = finset_obj(["m0", "m1"])
     g = finset_map(m, h.value(z0), (0, h.value(z0).size() - 1))
     nothing = empty("finset")
-    tables = adjoints._CallTables()
     gadget = adjoints._Gadget.of(h.letters, h.truncation, z0,
-                                 zero_map(nothing, m), tables)
+                                 zero_map(nothing, m))
     k, wps = gadget.k
     top = zero_map(nothing, h.value(shapes.endpoints(z0)))
     calls = []
@@ -568,7 +584,7 @@ def test_free_transpose_computes_each_chain_component_once():
         return wide_pushout_induced(
             wps[w], cone, through=top.then(h.structure(shapes.to_initial(w))))
 
-    tr = adjoints._free_transpose(gadget, h, k_component, tables)
+    tr = adjoints._free_transpose(gadget, h, k_component)
     # once at each chain whose value is nonempty, and nowhere else
     assert sorted(calls) == sorted(set(calls)) == sorted(
         w for w in k.chains if k.value(w).size())
@@ -659,23 +675,22 @@ def test_free_constructions_on_empty_objects(backend):
     assert count > 0
 
 
-def dense_free_build(pc, calls, pointed):
+def dense_free_build(pc, pointed):
     """`_free_build` as it was before it worked on its support: every key
     of every chain is tensored and summed, empty summands included, and an
     empty summand is only left out of the copairs. It returns the
     package's `_Sum` records, with every nonempty summand live, so that the
     maps into and out of the build are made the same way on both."""
-    table = calls.chains_of(pc)
     backend = pc.backend
     values = pc.values
     u = base.unit(backend)
     dense = {}
     for z in pc.chains:
-        keyed = table.keyed(z, pointed)
-        srcs = [calls.tensor_multi([values[q] if l == "f" else u
-                                    for q, l in zip(parts, labels)], backend)
+        keyed = adjoints._keyed(z, pointed)
+        srcs = [base.tensor_multi([values[q] if l == "f" else u
+                                   for q, l in zip(parts, labels)], backend)
                 for (_, labels), parts in zip(keyed.keys, keyed.parts)]
-        obj, injs = calls.sum_objects(backend, srcs)
+        obj, injs = adjoints._sum_objects(backend, srcs)
         dense[z] = (obj, injs, srcs, keyed)
 
     def sum_map(z, dst, leg):
@@ -700,21 +715,21 @@ def dense_free_build(pc, calls, pointed):
                    for q, l in zip(parts, labels)]
         if labels[j] == "f":
             factors[j] = pc.gen_map(parts[j], rel)
-        return calls.tensor_mor_multi(factors, backend).then(injs[at])
+        return base.tensor_mor_multi(factors, backend).then(injs[at])
 
     maps = {(z, p): sum_map(shapes.delete(z, p), dense[z][0],
                             lambda key, _: reinserted(z, p, *key))
             for z in pc.chains for p in range(1, len(z) - 1)}
     laxity = {}
-    for s, t in table.laxity_keys():
+    for s, t in expected_laxity_keys(pc.chains, pc.truncation):
         (lobj, _, lsrcs, lkeyed), (robj, _, rsrcs, rkeyed) = dense[s], dense[t]
         stobj, stinjs, _, _ = dense[shapes.concat(s, t)]
-        src = calls.tensor(lobj, robj)
+        src = tensor(lobj, robj)
         if not src.size():
             laxity[(s, t)] = zero_map(src, stobj)
             continue
         targets = {}
-        for (i, j), at, merged in table.targets(s, t, pointed):
+        for (i, j), at, merged in adjoints._targets(s, t, pointed):
             if not (lsrcs[i].size() and rsrcs[j].size()):
                 continue
             if not merged:
@@ -727,10 +742,10 @@ def dense_free_build(pc, calls, pointed):
                                        labels1[:-1] + labels2[1:])]
             factors.insert(len(parts1) - 1, pc.lax(parts1[-1], parts2[0])
                            if labels1[-1] == "f" else base.left_unitor(u))
-            targets[(i, j)] = calls.tensor_mor_multi(
+            targets[(i, j)] = base.tensor_mor_multi(
                 factors, backend).then(stinjs[at])
         laxity[(s, t)] = colim.tensor_copair(
-            backend, (lobj, lsrcs), (robj, rsrcs), targets, stobj, src=src)
+            backend, (lobj, lsrcs), (robj, rsrcs), targets, stobj)
     units = None
     if pointed:
         units = {a: dense[(a, a)][1][dense[(a, a)][3].pos[((), ("u",))]]
@@ -848,6 +863,17 @@ def test_precat_colimit_refuses_an_edge_that_does_not_match_its_nodes():
     other = from_strict_category(function_category({"a": 1}), 2)
     with pytest.raises(ValueError):
         precat_colimit({0: pc, 1: other}, [(0, 1, identity_morphism(pc))])
+    # an edge that names a node the diagram lacks
+    with pytest.raises(ValueError, match="does not match its nodes"):
+        precat_colimit({0: pc}, [(0, 1, identity_morphism(pc))])
+    with pytest.raises(ValueError, match="does not match its nodes"):
+        colimit({0: pc.value(("a", "a"))},
+                [(2, 0, identity(pc.value(("a", "a"))))])
+    # a diagram without nodes has no colimit to present
+    with pytest.raises(ValueError, match="at least one node"):
+        precat_colimit({}, [])
+    with pytest.raises(ValueError, match="at least one node"):
+        colimit({}, [])
 
 
 @pytest.mark.parametrize("case", range(3), ids=["finset", "vectq", "chq"])
@@ -1067,9 +1093,9 @@ def test_a_unitalize_round_builds_no_gadget(monkeypatch):
     builds, presented = [], []
     build, present = adjoints._point_build, adjoints.present
 
-    def counted_build(pc, *tables):
+    def counted_build(pc):
         builds.append(pc)
-        return build(pc, *tables)
+        return build(pc)
 
     def counted_present(blocks, relations, backend):
         presented.append(blocks)
@@ -1137,8 +1163,7 @@ def unitalize_inputs(draw):
             entries.extend((i, j, c * x)
                            for i, j, x in ratmat.nonzeros(b.matrix))
         alpha = chq_map(u, v, ratmat.build(v.size(), u.size(), entries))
-    return adjoints._Gadget.of(letters, truncation, z0, alpha,
-                               adjoints._CallTables()).pointed[0]
+    return adjoints._Gadget.of(letters, truncation, z0, alpha).pointed[0]
 
 
 @settings(max_examples=60)
@@ -1252,12 +1277,12 @@ def test_unitalize_composes_nothing_out_of_an_empty_object(monkeypatch):
             frame = frame.f_back
         return then(self, other)
 
-    def checked(backend, left, right, targets, dst, src=None):
+    def checked(backend, left, right, targets, dst):
         pairs[0] += len(targets)
         empty_pairs.extend(
             (i, j) for i, j in targets
             if not (left[1][i].size() and right[1][j].size()))
-        return assemble(backend, left, right, targets, dst, src)
+        return assemble(backend, left, right, targets, dst)
 
     monkeypatch.setattr(base.MMorphism, "then", recorded)
     monkeypatch.setattr(adjoints, "tensor_copair", checked)
@@ -1433,6 +1458,67 @@ def test_psi_transpose_restrict_roundtrip_finset():
     back = psi_transpose(res, z0, res.precat, sq)
     for s in res.precat.chains:
         assert back.at(s) == theta.at(s)
+
+
+def linear_combination(maps, coeffs):
+    """sum of c * f over maps and coeffs, on a vectq or chq backend."""
+    f = maps[0]
+    return base.make_map(f.src, f.dst, ratmat.build(
+        f.dst.size(), f.src.size(),
+        [(i, j, c * x) for g, c in zip(maps, coeffs)
+         for i, j, x in ratmat.nonzeros(g.matrix)]))
+
+
+def linear_psi_case(backend):
+    """A strict linear target h over the letters of z0, an arrow alpha and
+    commuting squares from alpha to h's cosegal arrow at z0: one per map
+    of a basis of the bottoms and one for a combination of them, each
+    with its top solved from its bottom. On chq the arrow lands on a disk
+    beside a free cycle, so the gadget has a nonzero differential."""
+    cat = function_category({"a": 1, "b": 2, "x": 1})
+    z0 = ("a", "x", "b")
+    if backend == "vectq":
+        h = from_strict_category(linearize_category(cat), 2)
+        u, v = vectq_obj(1), vectq_obj(2)
+        alpha = vectq_map(u, v, [[1], [2]])
+        w = h.value(z0)
+        bottoms = [vectq_map(v, w, [[int((i, j) == (r, c)) for j in range(2)]
+                                    for i in range(w.size())])
+                   for r in range(w.size()) for c in range(2)]
+    else:
+        h = from_strict_category(chainify_category(cat), 2)
+        u = sphere(0)
+        v = base.chq_obj([1, 0, 0], [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+        alpha = linear_combination(base.chq_hom_basis(u, v), (1, 1))
+        bottoms = list(base.chq_hom_basis(v, h.value(z0)))
+    assert bottoms
+    bottoms.append(linear_combination(bottoms, range(1, len(bottoms) + 1)))
+    ends = h.value(shapes.endpoints(z0))
+    us = h.cosegal_map(z0)
+    squares = []
+    for bottom in bottoms:
+        top, _ = base.solve_map(u, ends, [], [(us, alpha.then(bottom))])
+        squares.append((top, bottom))
+    return h, z0, alpha, squares
+
+
+@pytest.mark.parametrize("backend", ["vectq", "chq"])
+def test_psi_transpose_restrict_roundtrip_linear(backend):
+    h, z0, alpha, squares = linear_psi_case(backend)
+    res = psi(z0, alpha, letters=h.letters, truncation=h.truncation)
+    assert validate(res.precat) == []
+    for sq in squares:
+        assert sq[0].then(h.cosegal_map(z0)) == alpha.then(sq[1])
+        theta = psi_transpose(res, z0, h, sq)
+        assert validate_morphism(theta) == []
+        assert psi_restrict(res, z0, theta) == sq
+        assert all(psi_transpose(res, z0, h, psi_restrict(res, z0, theta))
+                   .at(s) == theta.at(s) for s in res.precat.chains)
+    # the identity out of the free unital precategory is the transpose of
+    # the square it restricts to
+    theta = identity_morphism(res.precat)
+    back = psi_transpose(res, z0, res.precat, psi_restrict(res, z0, theta))
+    assert all(back.at(s) == theta.at(s) for s in res.precat.chains)
 
 
 def test_psi_transpose_lands_on_every_commuting_square():
