@@ -7,19 +7,21 @@ The central objects here:
   down to one, and the left adjoint `gamma` freely adds laxity back.
 * `point` freely adds unit points: the value at a chain becomes a sum
   over decompositions into carrier parts and unit parts.
-* Both are keyed sums with keys of one form, (cuts, labels): gamma's
-  keys are every subdivision with each part a carrier, point's the
-  alternating carrier/unit labelings. One builder makes the values,
-  structure maps and laxity of both (point also merges junction parts
-  of one label and adds units), and one map between builds serves
-  `gamma_map` and `point_map`.
 * Every gadget of `psi` and upsilon is point(gamma(k)) for
   the bare diagram k of an arrow U -> V pushed over one chain z0: one
   copy of V per deletion onto z0, glued along U. Upsilon, which
   represents maps m -> H(z0), is the gadget of the initial arrow 0 -> m.
-  One builder makes every such diagram, and one `_Gadget` record holds
-  the three builds, with the map between two gadgets, the transpose into
-  a pointed target and the inclusion of a chain block.
+  A `_Gadget` record holds k and the gadget, one keyed sum over k by
+  distributivity (no gamma(k) is built), with the map between two
+  gadgets, the transpose into a pointed target and the inclusion of a
+  chain block.
+* gamma, point and the gadget are keyed sums with keys of one form,
+  (cuts, labels): a subdivision of the chain with each part a carrier
+  or a unit, made by one rule (`_keyed`). No two adjacent parts carry a
+  label that the build merges: gamma's keys are all carriers, point's
+  alternate, and the gadget's have no two adjacent units. One builder
+  makes the values, structure maps and laxity of all three, and one map
+  between builds serves `gamma_map`, `point_map` and the gadget maps.
 * `unitalize` forces the unit laws on a pointed precategory by one
   quotient round, which `check_unital` confirms: it coequalizes each
   violated constraint in its slot and closes the identifications under
@@ -95,39 +97,58 @@ class _Keyed:
     carriers: tuple
 
 
+# the labels each build kind merges where two parts of that label meet;
+# the gadget is point(gamma(k)), and k has no laxity to merge carriers
+_MERGES = {"gamma": "", "point": "fu", "gadget": "u"}
+
+
 @functools.cache
-def _keyed(z, pointed):
-    """point_keys(z) when pointed, else gamma_keys(z), with positions,
-    parts and carrier parts. It depends on the chain only, so it is
-    derived once per process and chain; no caller can change an entry."""
-    keys = tuple(point_keys(z) if pointed else gamma_keys(z))
-    parts = tuple(shapes.parts_of(z, cuts) for cuts, _ in keys)
+def _keyed(z, kind):
+    """The summand keys of the free value at z in the build kind, with
+    positions, parts and carrier parts. A key (cuts, labels) is a
+    subdivision of z with each part a carrier "f" or a unit "u" of equal
+    endpoints, and no two adjacent parts carry a label the kind merges
+    (`_MERGES`; gamma has no unit parts): gamma's keys are the
+    subdivisions, point's alternate, and the gadget's are point's with
+    each carrier part subdivided by gamma's. In order: the chain itself,
+    then `shapes.subdivisions`, labelings lexicographic. It depends on
+    the chain only, so it is derived once per process and chain; no
+    caller can change an entry."""
+    merges = _MERGES[kind]
+    keys, parts = [], []
+    for cuts, qs in [((), (z,)), *shapes.subdivisions(z)]:
+        choices = ["fu" if merges and q[0] == q[-1] else "f" for q in qs]
+        for labels in itertools.product(*choices):
+            if not any(a == b and a in merges
+                       for a, b in zip(labels, labels[1:])):
+                keys.append((cuts, labels))
+                parts.append(qs)
     return _Keyed(
-        keys, MappingProxyType({key: i for i, key in enumerate(keys)}), parts,
-        tuple(tuple(q for q, l in zip(qs, labels) if l == "f")
-              for qs, (_, labels) in zip(parts, keys)))
+        tuple(keys), MappingProxyType({key: i for i, key in enumerate(keys)}),
+        tuple(parts), tuple(tuple(q for q, l in zip(qs, labels) if l == "f")
+                            for qs, (_, labels) in zip(parts, keys)))
 
 
 @functools.cache
-def _targets(s, t, pointed):
-    """The laxity at (s, t) as ((i, j), position, merged) triples, i
-    major: pair (i, j) is entry i * len(keys of t) + j. Key i of s beside
+def _targets(s, t, kind):
+    """The laxity at (s, t) as (position, merged) pairs, one per key i of
+    s and key j of t, at entry i * len(keys of t) + j. Key i of s beside
     key j of t is the key of concat(s, t) that also cuts at the junction.
-    When pointed and the labels at the junction agree, the two junction
-    parts merge instead, and the target key drops that cut; gamma's keys
-    never merge. Memoized per process like `_keyed`."""
-    pos = _keyed(shapes.concat(s, t), pointed).pos
+    When the labels at the junction agree and the kind merges that label
+    (`_MERGES`), the two junction parts merge instead, and the target key
+    drops that cut. Memoized per process like `_keyed`."""
+    pos = _keyed(shapes.concat(s, t), kind).pos
     shift = shapes.degree(s)
     out = []
-    for i, (cuts1, labels1) in enumerate(_keyed(s, pointed).keys):
-        for j, (cuts2, labels2) in enumerate(_keyed(t, pointed).keys):
+    for cuts1, labels1 in _keyed(s, kind).keys:
+        for cuts2, labels2 in _keyed(t, kind).keys:
             shifted = tuple(c + shift for c in cuts2)
-            merged = pointed and labels1[-1] == labels2[0]
+            merged = labels1[-1] == labels2[0] and labels2[0] in _MERGES[kind]
             if merged:
                 key = (cuts1 + shifted, labels1 + labels2[1:])
             else:
                 key = (cuts1 + (shift,) + shifted, labels1 + labels2)
-            out.append(((i, j), pos[key], merged))
+            out.append((pos[key], merged))
     return tuple(out)
 
 
@@ -164,16 +185,17 @@ def _sum_map(sm, dst, leg):
 
 
 def _into(factors, sm, at):
-    """The tensor of factors, into summand at of the sum sm, then that
-    summand's injection. A linear map may kill a nonempty source: when
-    the summand is empty the leg is the zero map, and no empty factor is
-    tensored."""
-    backend = sm.obj.backend
+    """The tensor of factors (a single factor as it is), into summand at of
+    the sum sm, then that summand's injection. A linear map may kill a
+    nonempty source: when the summand is empty the leg is the zero map,
+    and no empty factor is tensored."""
     inj = sm.injs.get(at)
     if inj is None:
-        return zero_map(tensor_multi([f.src for f in factors], backend),
-                        sm.obj)
-    return tensor_mor_multi(factors, backend).then(inj)
+        return zero_map(tensor_multi([f.src for f in factors]), sm.obj)
+    # the summand is the tensor of the factors' targets
+    if len(factors) > 1:
+        return tensor_mor(*factors, dst=inj.src).then(inj)
+    return factors[0].then(inj)
 
 
 @dataclass
@@ -200,38 +222,6 @@ class _Sum:
 _WHOLE = ((), ("f",))
 
 
-def gamma_keys(z):
-    """Summand keys of the free value at z, in point's key form
-    (cuts, labels) with every part a carrier: the chain itself, then
-    every subdivision into composable parts, in canonical order."""
-    keys = [_WHOLE]
-    for cuts, parts in shapes.subdivisions(z):
-        keys.append((cuts, ("f",) * len(parts)))
-    return keys
-
-
-def point_keys(z):
-    """Decomposition keys of the freely pointed value at z.
-
-    A key is (cuts, labels): a subdivision of z together with a strictly
-    alternating labeling of the parts as carrier ("f") or unit ("u");
-    unit parts must have equal endpoints. Adjacent same-label parts never
-    appear because the laxity merges them.
-    """
-    out = []
-    candidates = [((), (z,))]
-    candidates.extend(shapes.subdivisions(z))
-    for cuts, parts in candidates:
-        npart = len(parts)
-        for start in ("f", "u"):
-            labels = tuple(("f" if (i % 2 == 0) == (start == "f") else "u")
-                           for i in range(npart))
-            if all(p[0] == p[-1] for p, l in zip(parts, labels)
-                   if l == "u"):
-                out.append((cuts, labels))
-    return out
-
-
 def gamma(k):
     """The free precategory on a bare chain diagram.
 
@@ -240,7 +230,7 @@ def gamma(k):
     reinsert the deleted letter into the one part that absorbs it. The
     degree-1 slots are the input's objects on the nose.
     """
-    return _free_build(k, False)[0]
+    return _free_build(k, "gamma")[0]
 
 
 def point(pc):
@@ -256,26 +246,29 @@ def point(pc):
 
 
 def _point_build(pc):
-    """point(pc) together with its sums: `_free_build` on point's keys."""
+    """point(pc) together with its sums: `_free_build` of kind point."""
     if pc.is_pointed():
         raise ValueError("point expects an unpointed precategory")
-    return _free_build(pc, True)
+    return _free_build(pc, "point")
 
 
-def _free_build(pc, pointed):
-    """point(pc) when pointed, else gamma(pc), together with its sums,
-    {chain: _Sum}. Maps out of or into the build read their blocks from
-    these instead of rebuilding them.
+def _free_build(pc, kind):
+    """The free build of the kind on pc, together with its sums, {chain:
+    _Sum}: gamma(pc), point(pc), or for the kind "gadget" point(gamma(pc))
+    of a bare diagram pc in one piece. Maps out of or into the build read
+    their blocks from these instead of rebuilding them.
 
-    The value at z sums, over the live keys of z (those whose carrier
-    parts all have nonempty values in pc), the tensor of the key's parts:
-    pc's value on a carrier part, the unit on a unit part; a value without
-    live keys is `base.empty`. Structure maps reinsert the deleted letter
-    into the one part that absorbs it. The laxity puts key i of s beside
-    key j of t, at the laxity keys of pc's chains, which may be a partial
-    chain set; point merges two junction parts of one label, through pc's
-    laxity when both are carriers and through the unitor when both are
-    units. A structure map or laxity out of an empty value is left out.
+    The value at z sums, over the live keys of z (`_keyed`; those whose
+    carrier parts all have nonempty values in pc), the tensor of the key's
+    parts: pc's value on a carrier part, the unit on a unit part; a value
+    without live keys is `base.empty`. Structure maps reinsert the deleted
+    letter into the one part that absorbs it. The laxity puts key i of s
+    beside key j of t, at the laxity keys of pc's chains, which may be a
+    partial chain set; two junction parts of one label that the kind
+    merges (`_targets`) merge through pc's laxity when both are carriers
+    and through the unitor when both are units. Point and the gadget are
+    pointed by their one-part unit summands. A structure map or laxity out
+    of an empty value is left out.
     """
     backend = pc.backend
     values = pc.values
@@ -283,7 +276,7 @@ def _free_build(pc, pointed):
     support = {z for z in pc.chains if values[z].size()}
     sums = {}
     for z in pc.chains:
-        keyed = _keyed(z, pointed)
+        keyed = _keyed(z, kind)
         at = tuple(i for i, qs in enumerate(keyed.carriers)
                    if support.issuperset(qs))
         if not at:
@@ -317,7 +310,7 @@ def _free_build(pc, pointed):
                              lambda key, _: reinserted(z, p, *key))
             for z in pc.chains for p in range(1, len(z) - 1)
             if sums[shapes.delete(z, p)].live}
-    unitor = left_unitor(u) if pointed else None
+    unitor = left_unitor(u) if kind != "gamma" else None
     laxity = {}
     for s, t in expected_laxity_keys(pc.chains, pc.truncation):
         left, right = sums[s], sums[t]
@@ -325,11 +318,11 @@ def _free_build(pc, pointed):
             continue
         st = sums[shapes.concat(s, t)]
         # the targets of key i of s run over the keys j of t
-        pairs, width = _targets(s, t, pointed), len(right.keyed.keys)
+        pairs, width = _targets(s, t, kind), len(right.keyed.keys)
         targets = {}
         for a, i in enumerate(left.live):
             for b, j in enumerate(right.live):
-                _, at, merged = pairs[i * width + j]
+                at, merged = pairs[i * width + j]
                 if not merged:
                     targets[(a, b)] = st.injs[at]
                     continue
@@ -348,7 +341,7 @@ def _free_build(pc, pointed):
             backend, (left.obj, left.srcs), (right.obj, right.srcs),
             targets, st.obj)
     units = None
-    if pointed:
+    if kind != "gamma":
         units = {a: sums[(a, a)].injs[sums[(a, a)].keyed.pos[((), ("u",))]]
                  for a in pc.letters}
     out = make_precategory(backend, pc.letters, pc.truncation,
@@ -359,8 +352,8 @@ def _free_build(pc, pointed):
 
 def gamma_map(phi):
     """The action of gamma on a morphism of bare chain diagrams."""
-    return _free_map_between(phi, _free_build(phi.src, False),
-                             _free_build(phi.dst, False))
+    return _free_map_between(phi, _free_build(phi.src, "gamma"),
+                             _free_build(phi.dst, "gamma"))
 
 
 def point_map(alpha):
@@ -370,9 +363,10 @@ def point_map(alpha):
 
 
 def _free_map_between(alpha, src, dst):
-    """gamma_map(alpha) or point_map(alpha) between the builds src of
-    alpha.src and dst of alpha.dst, both made on the same keys: alpha on
-    carrier parts, the identity on unit parts."""
+    """The free map of alpha between the builds src of alpha.src and dst
+    of alpha.dst, both of one kind (`gamma_map`, `point_map`, or the map
+    between two gadgets): alpha on carrier parts, the identity on unit
+    parts."""
     (fsrc, ssums), (fdst, dsums) = src, dst
     unit_id = identity(unit(alpha.src.backend))
 
@@ -388,9 +382,9 @@ def _free_map_between(alpha, src, dst):
 
 
 def _one_part(sums, z):
-    """The injection of the one-part summand (the chain block of gamma,
-    the carrier part of point) at z, read from the sums of a build of a
-    precategory whose value at z is nonempty."""
+    """The injection of the one-part carrier summand (the chain block of
+    gamma, the carrier part of point and of the gadget) at z, read from
+    the sums of a build of a precategory whose value at z is nonempty."""
     sm = sums[z]
     return sm.injs[sm.keyed.pos[_WHOLE]]
 
@@ -403,7 +397,7 @@ def kobject_of(pc):
 
 def gamma_unit(k):
     """k -> forget(gamma(k)): the inclusion of the chain block."""
-    g, sums = _free_build(k, False)
+    g, sums = _free_build(k, "gamma")
     comps = {z: _one_part(sums, z) for z in k.chains if k.value(z).size()}
     return PrecatMorphism(k, kobject_of(g), comps)
 
@@ -411,7 +405,7 @@ def gamma_unit(k):
 def gamma_counit(pc):
     """gamma(forget(pc)) -> pc: iterated laxity on each block, the
     identity on the one-part chain block."""
-    g, sums = _free_build(pc, False)
+    g, sums = _free_build(pc, "gamma")
     comps = {z: _sum_map(sums[z], pc.value(z),
                          lambda _, parts: pc.lax_multi(parts))
              for z in pc.chains if sums[z].live}
@@ -509,30 +503,27 @@ def _upsilon_square(h, z0, g):
 
 @dataclass
 class _Gadget:
-    """point(gamma(k)) for the bare diagram k of an arrow pushed over z0
-    (`_arrow_build`; upsilon's arrow is 0 -> m), with the build of
-    each stage as a (precategory, data) pair: k with its wide pushouts, gk
-    of `_free_build` on k, pointed of `_point_build` on gk. The maps into
-    and out of the gadget read their summands from these builds."""
+    """The gadget of an arrow pushed over z0: point(gamma(k)) for its bare
+    diagram k (`_arrow_build`; upsilon's arrow is 0 -> m), built in one
+    piece as `_free_build` of kind "gadget" on k. k is (k, its wide
+    pushouts) and build is (gadget, sums); the maps into and out of the
+    gadget read their summands from these."""
 
     z0: tuple
     k: tuple
-    gk: tuple
-    pointed: tuple
+    build: tuple
 
     @classmethod
     def of(cls, letters, truncation, z0, alpha):
         """The gadget of the arrow alpha over z0."""
         k = _arrow_build(letters, truncation, z0, alpha)
-        gk = _free_build(k[0], False)
-        return cls(z0, k, gk, _point_build(gk[0]))
+        return cls(z0, k, _free_build(k[0], "gadget"))
 
     def map_to(self, dst, square):
         """point(gamma(-)) of the diagram map that the commuting square
         (u, v) from this gadget's arrow to dst's induces."""
         phi = hom_extension_square(square, self.k, dst.k)
-        return _free_map_between(_free_map_between(phi, self.gk, dst.gk),
-                                 self.pointed, dst.pointed)
+        return _free_map_between(phi, self.build, dst.build)
 
     def transpose(self, h, square):
         """The pointed morphism into h classified by a commuting square
@@ -553,12 +544,11 @@ class _Gadget:
         return _free_transpose(self, h, k_component)
 
     def chain_inclusion(self, w, into_k):
-        """into_k, a map into k(w), followed by the chain block of gamma
-        and the carrier part of point at w (zero when k(w) is empty)."""
+        """into_k, a map into k(w), followed by the one-part carrier
+        summand at w (zero when k(w) is empty)."""
         if not into_k.dst.size():
-            return zero_map(into_k.src, self.pointed[0].value(w))
-        return into_k.then(_one_part(self.gk[1], w)).then(
-            _one_part(self.pointed[1], w))
+            return zero_map(into_k.src, self.build[0].value(w))
+        return into_k.then(_one_part(self.build[1], w))
 
     def center_inclusion(self):
         """The copy of V at z0 (the identity deletion, no subdivision, one
@@ -584,7 +574,7 @@ def upsilon(letters, truncation, z0, m):
     """point(gamma(-)) of the free one-chain diagram, the gadget of the
     arrow 0 -> m: the representing object for maps m -> H(z0) into
     pointed precategories H."""
-    return _Gadget.of(letters, truncation, z0, _initial_arrow(m)).pointed[0]
+    return _Gadget.of(letters, truncation, z0, _initial_arrow(m)).build[0]
 
 
 def upsilon_map(letters, truncation, z0, f):
@@ -613,44 +603,34 @@ def upsilon_transpose(h, z0, g):
 
 
 def _free_transpose(gadget, h, k_component):
-    """The pointed morphism point(gamma(k)) -> h out of the gadget on k
-    that is k_component(w): k(w) -> h(w) on the nonempty chain blocks.
+    """The pointed morphism out of the gadget on k into h that is
+    k_component(w): k(w) -> h(w) on the nonempty chain blocks.
 
-    Subdivision blocks and carrier parts merge through h's laxity, unit
-    parts go to derived units.
+    On a summand, carrier parts go through k_component and unit parts to
+    derived units, and h's laxity merges every part.
     """
     if not h.is_pointed():
         raise ValueError("transpose needs a pointed target")
-    backend = h.backend
-    gamma_sums = gadget.gk[1]
-    pobj, psums = gadget.pointed
+    src, sums = gadget.build
     kcomp = functools.cache(k_component)
     lax_multi = functools.cache(h.lax_multi)
-
-    def gamma_leg(_, parts):
-        if len(parts) == 1:
-            # the chain block
-            return kcomp(parts[0])
-        return tensor_mor_multi(
-            [kcomp(q) for q in parts], backend).then(lax_multi(parts))
-
-    gcomps = {w: _sum_map(gamma_sums[w], h.value(w), gamma_leg)
-              for w in pobj.chains if gamma_sums[w].live}
 
     @functools.cache
     def derived_unit(part):
         return h.unit_map(part[0]).then(h.structure(shapes.to_initial(part)))
 
-    def pointed_leg(key, parts):
-        leg = tensor_mor_multi(
-            [gcomps[q] if l == "f" else derived_unit(q)
-             for q, l in zip(parts, key[1])], backend)
+    def leg(key, parts):
+        factors = [kcomp(q) if l == "f" else derived_unit(q)
+                   for q, l in zip(parts, key[1])]
         # one part needs no laxity: h.lax_multi of one part is the identity
-        return leg if len(parts) == 1 else leg.then(lax_multi(parts))
+        if len(parts) == 1:
+            return factors[0]
+        lax = lax_multi(parts)
+        return tensor_mor(*factors, dst=lax.src).then(lax)
 
-    comps = {w: _sum_map(psums[w], h.value(w), pointed_leg)
-             for w in pobj.chains if psums[w].live}
-    return PrecatMorphism(pobj, h, comps)
+    comps = {w: _sum_map(sums[w], h.value(w), leg)
+             for w in src.chains if sums[w].live}
+    return PrecatMorphism(src, h, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -1058,7 +1038,7 @@ def realize(pc):
 class PsiResult:
     """The free unital precategory on an arrow over one chain: the
     unitalization of the arrow's gadget, with the gadget record, whose
-    builds psi_transpose, psi_inclusions and psi_square read their blocks
+    build psi_transpose, psi_inclusions and psi_square read their blocks
     from. gadget.k is (k, its wide pushouts); upsilon's gadget is the one
     of the arrow 0 -> m."""
 
@@ -1080,7 +1060,7 @@ def psi(z0, alpha, letters=None, truncation=None):
     if truncation is None:
         truncation = shapes.degree(z0)
     gadget = _Gadget.of(letters, truncation, z0, alpha)
-    res = unitalize(gadget.pointed[0])
+    res = unitalize(gadget.build[0])
     return PsiResult(res.precat, res.eta, res.trace, gadget)
 
 

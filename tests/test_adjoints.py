@@ -9,6 +9,8 @@ coherence squares from scratch.
 
 import dataclasses
 import gc
+import itertools
+import math
 import sys
 import weakref
 
@@ -23,8 +25,8 @@ from cosegal.base import (
 )
 from cosegal.adjoints import (
     codiagonal_arrow, free_hom_kmorphism, free_hom_kobject, gamma,
-    gamma_counit, gamma_keys, gamma_map, gamma_unit, kobject_of, point,
-    point_carrier_inclusion, point_keys, point_map, precat_colimit, psi,
+    gamma_counit, gamma_map, gamma_unit, kobject_of, point,
+    point_carrier_inclusion, point_map, precat_colimit, psi,
     psi_inclusions, psi_restrict, psi_square, psi_transpose, pullback,
     pushforward,
     realize, square_down, square_ell, square_xi, unitalize, upsilon,
@@ -397,23 +399,29 @@ def test_gamma_adjunction_triangles(rng):
 
 
 def test_point_keys_alternate_and_need_equal_endpoint_units():
-    assert point_keys(("a", "b")) == [((), ("f",))]
-    assert point_keys(("a", "a")) == [((), ("f",)), ((), ("u",))]
+    def point_keys(z):
+        return adjoints._keyed(z, "point").keys
+
+    assert point_keys(("a", "b")) == (((), ("f",)),)
+    assert point_keys(("a", "a")) == (((), ("f",)), ((), ("u",)))
     keys3 = point_keys(("a", "a", "a"))
     assert ((), ("f",)) in keys3 and ((), ("u",)) in keys3
     assert ((1,), ("f", "u")) in keys3 and ((1,), ("u", "f")) in keys3
     assert len(keys3) == 4
     # a unit part needs equal endpoints: the whole chain (a,b,a) has them,
     # neither part of the (1,) cut does
-    assert point_keys(("a", "b", "a")) == [((), ("f",)), ((), ("u",))]
+    assert point_keys(("a", "b", "a")) == (((), ("f",)), ((), ("u",)))
 
 
 def test_gamma_keys_take_point_key_form_with_every_part_a_carrier():
-    assert gamma_keys(("a", "b")) == [((), ("f",))]
-    assert gamma_keys(("a", "b", "a")) == [((), ("f",)), ((1,), ("f", "f"))]
-    assert gamma_keys(("a", "b", "c", "d")) == [
+    def gamma_keys(z):
+        return adjoints._keyed(z, "gamma").keys
+
+    assert gamma_keys(("a", "b")) == (((), ("f",)),)
+    assert gamma_keys(("a", "b", "a")) == (((), ("f",)), ((1,), ("f", "f")))
+    assert gamma_keys(("a", "b", "c", "d")) == (
         ((), ("f",)), ((1,), ("f", "f")), ((2,), ("f", "f")),
-        ((1, 2), ("f", "f", "f"))]
+        ((1, 2), ("f", "f", "f")))
     for z in shapes.all_chains(("a", "b"), 4):
         keys = gamma_keys(z)
         # the chain itself, then each subdivision in canonical order
@@ -421,8 +429,9 @@ def test_gamma_keys_take_point_key_form_with_every_part_a_carrier():
             cuts for cuts, _ in shapes.subdivisions(z)]
         assert all(labels == ("f",) * (len(cuts) + 1)
                    for cuts, labels in keys)
-        # the one-part carrier key is point's first key too
-        assert keys[0] == point_keys(z)[0] == ((), ("f",))
+        # the one-part carrier key is the first key of every kind
+        assert keys[0] == adjoints._keyed(z, "point").keys[0] \
+            == adjoints._keyed(z, "gadget").keys[0] == ((), ("f",))
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +452,26 @@ def shifted_cuts(cuts_s, shift, cuts_t, junction=True):
         c + shift for c in cuts_t)
 
 
+# the labels whose junctions each build kind merges: gamma merges none,
+# point both, and the gadget, which has no laxity on its carriers, units
+MERGED_LABELS = {"gamma": (), "point": ("f", "u"), "gadget": ("u",)}
+
+
 def check_chain_table(letters, truncation):
     chains = shapes.all_chains(letters, truncation)
     for z in chains:
-        gkeys, pkeys = gamma_keys(z), point_keys(z)
-        for keyed, keys in ((adjoints._keyed(z, False), gkeys),
-                            (adjoints._keyed(z, True), pkeys)):
+        for kind, merges in MERGED_LABELS.items():
+            keyed = adjoints._keyed(z, kind)
+            keys = keyed.keys
             cuts = [c for c, _ in keys]
-            assert keyed.keys == tuple(keys)
+            # unit parts have equal endpoints, and no two adjacent parts
+            # carry a label the kind merges
+            for c, labels in keys:
+                assert all(q[0] == q[-1] for q, l in zip(
+                    shapes.parts_of(z, c), labels) if l == "u")
+                assert not any(a == b and a in merges
+                               for a, b in zip(labels, labels[1:]))
+            assert kind != "gamma" or all("u" not in l for _, l in keys)
             assert keyed.pos == {key: i for i, key in enumerate(keys)}
             assert keyed.parts == tuple(shapes.parts_of(z, c) for c in cuts)
             assert keyed.carriers == tuple(
@@ -459,26 +480,22 @@ def check_chain_table(letters, truncation):
     for s, t in expected_laxity_keys(chains, truncation):
         st = shapes.concat(s, t)
         shift = shapes.degree(s)
-        gkeys = gamma_keys(st)
-        # gamma's keys never merge at the junction
-        assert adjoints._targets(s, t, False) == tuple([
-            ((i, j), gkeys.index((shifted_cuts(cuts1, shift, cuts2),
-                                  labels1 + labels2)), False)
-            for i, (cuts1, labels1) in enumerate(gamma_keys(s))
-            for j, (cuts2, labels2) in enumerate(gamma_keys(t))])
-        pkeys = point_keys(st)
-        expected = []
-        for i, (cuts1, labels1) in enumerate(point_keys(s)):
-            for j, (cuts2, labels2) in enumerate(point_keys(t)):
-                if labels1[-1] != labels2[0]:
-                    key = (shifted_cuts(cuts1, shift, cuts2),
-                           labels1 + labels2)
-                else:
-                    key = (shifted_cuts(cuts1, shift, cuts2, False),
-                           labels1 + labels2[1:])
-                expected.append(((i, j), pkeys.index(key),
-                                 labels1[-1] == labels2[0]))
-        assert adjoints._targets(s, t, True) == tuple(expected)
+        for kind, merges in MERGED_LABELS.items():
+            skeys, tkeys, stkeys = [adjoints._keyed(x, kind).keys
+                                    for x in (s, t, st)]
+            expected = []
+            for cuts1, labels1 in skeys:
+                for cuts2, labels2 in tkeys:
+                    merged = (labels1[-1] == labels2[0]
+                              and labels2[0] in merges)
+                    if merged:
+                        key = (shifted_cuts(cuts1, shift, cuts2, False),
+                               labels1 + labels2[1:])
+                    else:
+                        key = (shifted_cuts(cuts1, shift, cuts2),
+                               labels1 + labels2)
+                    expected.append((stkeys.index(key), merged))
+            assert adjoints._targets(s, t, kind) == tuple(expected)
 
 
 @pytest.mark.parametrize("truncation", [1, 2, 3, 4])
@@ -591,6 +608,35 @@ def test_free_transpose_computes_each_chain_component_once():
     assert tr.components == upsilon_transpose(h, z0, g).components
 
 
+@pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
+def test_gadget_is_point_of_gamma_up_to_isomorphism(backend):
+    # the gadget is built in one piece; the nested build point(gamma(k))
+    # is its reference: the transpose of the copy of m at z0 is an
+    # isomorphism onto it
+    letters, truncation = ("a", "b"), 3
+    m = {"finset": finset_obj(["m0", "m1"]), "vectq": vectq_obj(2),
+         "chq": disk(1)}[backend]
+    for z0 in shapes.all_chains(letters, truncation):
+        if shapes.degree(z0) != 2:
+            continue
+        for x in (m, empty(backend)):
+            k = free_hom_kobject(letters, truncation, z0, x)
+            g = gamma(k)
+            n = point(g)
+            copy = gamma_unit(k).at(z0).then(
+                point_carrier_inclusion(g).at(z0))
+            tr = upsilon_transpose(n, z0, copy)
+            assert validate_morphism(tr) == []
+            assert is_levelwise_isomorphism(tr)
+    # by distributivity, a gadget key is a point key with each carrier
+    # part subdivided by a gamma key
+    for w in shapes.all_chains(letters, truncation):
+        point_keyed = adjoints._keyed(w, "point")
+        assert len(adjoints._keyed(w, "gadget").keys) == sum(
+            math.prod(len(adjoints._keyed(q, "gamma").keys) for q in qs)
+            for qs in point_keyed.carriers)
+
+
 @pytest.mark.parametrize("backend", ["finset", "vectq"])
 def test_inclusions_out_of_an_empty_arrow_end_are_initial(backend):
     # the chain block of an empty k(w) is no summand of the gadget there
@@ -675,7 +721,7 @@ def test_free_constructions_on_empty_objects(backend):
     assert count > 0
 
 
-def dense_free_build(pc, pointed):
+def dense_free_build(pc, kind):
     """`_free_build` as it was before it worked on its support: every key
     of every chain is tensored and summed, empty summands included, and an
     empty summand is only left out of the copairs. It returns the
@@ -686,7 +732,7 @@ def dense_free_build(pc, pointed):
     u = base.unit(backend)
     dense = {}
     for z in pc.chains:
-        keyed = adjoints._keyed(z, pointed)
+        keyed = adjoints._keyed(z, kind)
         srcs = [base.tensor_multi([values[q] if l == "f" else u
                                    for q, l in zip(parts, labels)], backend)
                 for (_, labels), parts in zip(keyed.keys, keyed.parts)]
@@ -729,7 +775,11 @@ def dense_free_build(pc, pointed):
             laxity[(s, t)] = zero_map(src, stobj)
             continue
         targets = {}
-        for (i, j), at, merged in adjoints._targets(s, t, pointed):
+        # entry i * len(rkeyed.keys) + j of the targets is pair (i, j)
+        grid = itertools.product(range(len(lkeyed.keys)),
+                                 range(len(rkeyed.keys)))
+        for (i, j), (at, merged) in zip(
+                grid, adjoints._targets(s, t, kind), strict=True):
             if not (lsrcs[i].size() and rsrcs[j].size()):
                 continue
             if not merged:
@@ -747,7 +797,8 @@ def dense_free_build(pc, pointed):
         laxity[(s, t)] = colim.tensor_copair(
             backend, (lobj, lsrcs), (robj, rsrcs), targets, stobj)
     units = None
-    if pointed:
+    # point and the gadget are pointed, gamma is not
+    if kind != "gamma":
         units = {a: dense[(a, a)][1][dense[(a, a)][3].pos[((), ("u",))]]
                  for a in pc.letters}
     out = make_precategory(backend, pc.letters, pc.truncation,
@@ -1163,7 +1214,7 @@ def unitalize_inputs(draw):
             entries.extend((i, j, c * x)
                            for i, j, x in ratmat.nonzeros(b.matrix))
         alpha = chq_map(u, v, ratmat.build(v.size(), u.size(), entries))
-    return adjoints._Gadget.of(letters, truncation, z0, alpha).pointed[0]
+    return adjoints._Gadget.of(letters, truncation, z0, alpha).build[0]
 
 
 @settings(max_examples=60)

@@ -607,11 +607,12 @@ def test_a_unitalize_pass_stores_no_map_out_of_an_empty_object(monkeypatch):
               for m in list(x.maps.values()) + list(x.laxity.values())]
     stored += [c for x in built if isinstance(x, PrecatMorphism)
                for c in x.components.values()]
-    # a round is one quotient and builds no gadget, and eta is the round
-    # map itself, so the pass builds 27 records holding 801 maps (33 and
-    # 905 when eta was composed onto an identity, 493 and 5,280 through
-    # the gadget colimit)
-    assert len(built) > 25 and len(stored) > 800
+    # a round is one quotient and builds no gadget, eta is the round map
+    # itself, and psi's gadget is one build without a gamma stage, so the
+    # pass builds 26 records holding 791 maps (27 and 801 with the gamma
+    # stage, 33 and 905 when eta was composed onto an identity, 493 and
+    # 5,280 through the gadget colimit)
+    assert len(built) >= 26 and len(stored) >= 791
     assert all(m.src.size() for m in stored)
 
 
