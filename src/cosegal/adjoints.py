@@ -23,11 +23,9 @@ The central objects here:
   makes the values, structure maps and laxity of all three, and one map
   between builds serves `gamma_map`, `point_map` and the gadget maps.
 * `unitalize` forces the unit laws on a pointed precategory by one
-  quotient round, which `check_unital` confirms: it coequalizes each
-  violated constraint in its slot and closes the identifications under
-  the structure maps and the laxity, one presentation per slot in chain
-  order. It builds no gadget; the result is the colimit that glues one
-  upsilon gadget per violated constraint.
+  quotient round, which `check_unital` confirms. It builds no gadget;
+  the result is the colimit that glues one upsilon gadget per violated
+  constraint.
 * Each free construction is built once with its sums (`_Sum`), and every
   map into or out of it (`gamma_map`, `point_map`, the gadget maps, the
   transposes) reads its blocks from them. The laxity out of the tensor of
@@ -54,10 +52,12 @@ The central objects here:
 
 Everything is exact. Each colimit is a finite presentation, one
 `colim.Colimit` built by `colim.present` from keyed blocks and relations,
-each relation a parallel pair into two named blocks, so no caller sees an
-injection of the blocks' coproduct. Every structure map out of a slot of
-`precat_colimit` or `pushforward` is made by the one descent,
-`colim.colimit_induced`, which re-verifies the defining relations.
+each relation a parallel pair into two named blocks. Precategories are
+glued by one quotient engine, `_quotient`: per slot in chain order, one
+presentation of the value modulo the relations there, closed under the
+structure maps and the laxity. `unitalize` quotients its input by its
+violated unit constraints; `precat_colimit` and `pushforward` quotient
+gamma of a bare colimit by their laxity relations (`_gamma_quotient`).
 """
 
 import functools
@@ -68,12 +68,12 @@ from types import MappingProxyType
 from . import shapes
 from .base import (
     empty, identity, is_isomorphism, is_surjective, left_unitor, solve_map,
-    tensor, tensor_mor, tensor_mor_multi, tensor_multi, unit, zero_map,
+    tensor, tensor_mor, tensor_multi, unit, zero_map,
 )
 from .colim import (
     coequalizer, colimit, colimit_induced, copair, coproduct, present,
     pushout, pushout_induced, quotient_induced, surjection_quotient,
-    tensor_copair, tensor_quotient, wide_pushout, wide_pushout_induced,
+    tensor_copair, wide_pushout, wide_pushout_induced,
 )
 from .precat import (
     PrecatMorphism, StrictCategory, check_unital, expected_laxity_keys,
@@ -196,6 +196,12 @@ def _into(factors, sm, at):
     if len(factors) > 1:
         return tensor_mor(*factors, dst=inj.src).then(inj)
     return factors[0].then(inj)
+
+
+def _chain_block(sm, leg):
+    """leg, a map into the input's value at the chain of the sum sm, into
+    the build's one-part carrier summand there (`_into`)."""
+    return _into([leg], sm, sm.keyed.pos[_WHOLE])
 
 
 @dataclass
@@ -382,9 +388,8 @@ def _free_map_between(alpha, src, dst):
 
 
 def _one_part(sums, z):
-    """The injection of the one-part carrier summand (the chain block of
-    gamma, the carrier part of point and of the gadget) at z, read from
-    the sums of a build of a precategory whose value at z is nonempty."""
+    """The injection of the one-part carrier summand at a chain z with a
+    nonempty value (the chain block of gamma, the carrier of point)."""
     sm = sums[z]
     return sm.injs[sm.keyed.pos[_WHOLE]]
 
@@ -546,9 +551,7 @@ class _Gadget:
     def chain_inclusion(self, w, into_k):
         """into_k, a map into k(w), followed by the one-part carrier
         summand at w (zero when k(w) is empty)."""
-        if not into_k.dst.size():
-            return zero_map(into_k.src, self.build[0].value(w))
-        return into_k.then(_one_part(self.build[1], w))
+        return _chain_block(self.build[1][w], into_k)
 
     def center_inclusion(self):
         """The copy of V at z0 (the identity deletion, no subdivision, one
@@ -634,26 +637,124 @@ def _free_transpose(gadget, h, k_component):
 
 
 # ---------------------------------------------------------------------------
+# the one quotient engine
+
+
+def _quotient(pc, rels):
+    """The quotient of a precategory F = pc by relations, as (Q, delta):
+    rels is {chain: [parallel pairs into F's value there]}, and delta:
+    F -> Q is levelwise onto and universal among the morphisms out of F
+    that identify each pair.
+
+    Slot z of Q is one presentation (`colim.present`), in chain order: the
+    block F(z), a block Q(d) per deletion d = delete(z, p) with F(d)
+    nonempty and a block Q(s) (x) Q(t) per cut (s, t) with F(s), F(t)
+    nonempty, modulo the pairs at z, gen_map(z, p) ~ delta_d and
+    lax(s, t) ~ delta_s (x) delta_t. The legs are delta_z, the structure
+    maps and the laxity of Q; a pointed F points Q by u(a) then
+    delta_(a, a).
+
+    Each slot is a quotient of F(z): by induction on the length of z,
+    delta_d and delta_s (x) delta_t are onto (tensors preserve
+    surjections), so every element of a block Q(d) or Q(s) (x) Q(t) is
+    identified with one of F(z). So the simplicial identities, the
+    naturality of the laxity and its associativity hold in Q as in F: both
+    sides of each, composed with a surjective tensor of deltas, are delta
+    of two equal maps; no reassociation relation is needed. A morphism
+    phi: F -> G that identifies each pair descends through each slot by
+    induction on z, with the maps descended before, then G's structure map
+    or laxity, on Q(d) and Q(s) (x) Q(t), as phi commutes with both; this
+    makes a morphism Q -> G, unique as delta is onto.
+    """
+    backend = pc.backend
+    values, maps, lax, deltas = {}, {}, {}, {}
+    for z in pc.chains:
+        blocks = [("F", pc.value(z))]
+        pairs = [(("F", f), ("F", g)) for f, g in rels.get(z, ())]
+        for p in range(1, len(z) - 1):
+            d = shapes.delete(z, p)
+            if pc.value(d).size():
+                blocks.append((("gen", (z, p)), values[d]))
+                pairs.append((("F", pc.gen_map(z, p)),
+                              (("gen", (z, p)), deltas[d])))
+        for c in range(1, len(z) - 1):
+            s, t = z[:c + 1], z[c:]
+            if pc.value(s).size() and pc.value(t).size():
+                phi, x, y = pc.lax(s, t), values[s], values[t]
+                pair = tensor(x, y) if x.size() * y.size() else empty(backend)
+                blocks.append((("lax", (s, t)), pair))
+                pairs.append((("F", phi), (("lax", (s, t)), tensor_mor(
+                    deltas[s], deltas[t], src=phi.src, dst=pair))))
+        legs = dict(present(blocks, pairs, backend).cocone)
+        deltas[z] = legs.pop("F")
+        values[z] = deltas[z].dst
+        for (kind, key), leg in legs.items():
+            (maps if kind == "gen" else lax)[key] = leg
+    units = ({a: pc.unit_map(a).then(deltas[(a, a)]) for a in pc.letters}
+             if pc.is_pointed() else None)
+    new = make_precategory(backend, pc.letters, pc.truncation, values, maps,
+                           lax, units=units)
+    return new, PrecatMorphism(pc, new, deltas)
+
+
+def _gamma_quotient(backend, letters, truncation, cols, cone, laxities,
+                    units=None):
+    """The quotient of gamma(K) that `precat_colimit` and `pushforward`
+    are, for K the bare diagram of the presentations cols, {chain:
+    Colimit}, whose structure map at (z, p) descends cone(z, p, block)
+    from each nonempty block at delete(z, p); units, {a: I -> K((a, a))},
+    point gamma(K) when given. An entry (z, cut, phi, whole, left, right)
+    of laxities makes phi: A (x) B -> C the laxity at the cut (s, t) of z:
+    phi then whole: C -> K(z) into the chain block is identified with
+    left: A -> K(s) tensor right: B -> K(t) into the block K(s) (x) K(t).
+    Returns Q and the map sending a leg into K(z) on to Q(z)."""
+    maps = {}
+    for z in cols:
+        for p in range(1, len(z) - 1):
+            col = cols[shapes.delete(z, p)]
+            if col.obj.size():
+                maps[(z, p)] = colimit_induced(col, {
+                    block: cone(z, p, block)
+                    for block, leg in col.cocone.items() if leg.src.size()})
+    g, sums = _free_build(make_precategory(
+        backend, letters, truncation, {z: col.obj for z, col in cols.items()},
+        maps, {}), "gamma")
+    rels = {}
+    for z, cut, phi, whole, left, right in laxities:
+        rels.setdefault(z, []).append((
+            phi.then(_chain_block(sums[z], whole)),
+            _into([left, right], sums[z],
+                  sums[z].keyed.pos[((cut,), ("f", "f"))])))
+    if units is not None:
+        units = {a: _chain_block(sums[(a, a)], u) for a, u in units.items()}
+    q, delta = _quotient(make_precategory(
+        backend, letters, truncation, g.values, g.maps, g.laxity,
+        units=units), rels)
+    return q, lambda z, leg: _chain_block(sums[z], leg).then(delta.at(z))
+
+
+# ---------------------------------------------------------------------------
 # colimits of pointed precategories
 
 
 def precat_colimit(nodes, edges):
     """The colimit of a finite connected diagram of pointed precategories.
 
-    Each slot is one presented object (`colim.present`): one block per
-    node value plus one block per two-part subdivision (the formal
-    products of lower colimit values), with relations for the diagram's
-    edges, for each node's laxity against the cocone, and for three-part
-    reassociation. A degree-1 slot has node blocks and edge relations
-    only, so it is the plain backend colimit of its slice. A relation out
-    of an empty object identifies nothing and is left out; every block is
-    kept, as finset labels carry the block index, and a product with an
-    empty factor is the shared empty object and is not tensored.
-    Structure maps descend through the slot presentations
-    (`colim.colimit_induced`), which re-checks the relations; a cone leg
-    out of an empty block is left out. No code of the package calls it:
-    `unitalize` quotients its input directly. The tests glue with it,
-    the cell pushouts of `tests/test_homotopy.py` among them.
+    It is the quotient of gamma(K), pointed by the first node's units, for
+    K the bare diagram of slotwise colimits (`colim.colimit` along the
+    edges' components), by one relation per node and stored laxity pair
+    (s, t): the node's laxity followed by its leg into K equals the tensor
+    of its legs followed by gamma's laxity (`_gamma_quotient`). A cocone
+    into a pointed H is one map of bare diagrams K -> H, so one map
+    gamma(K) -> H by the adjunction of gamma, pointed as the first node's
+    leg is; the legs commute with the laxity exactly when that map
+    identifies each relation, and then it descends through the quotient,
+    uniquely (`_quotient`). The other nodes' units must land on the
+    first's, or their legs are not pointed: that is checked. A degree-1
+    slot has no relation: it is a copy of the plain colimit of its slice.
+    No code of the package calls `precat_colimit`, as `unitalize`
+    quotients its input directly; the tests glue with it, the cell
+    pushouts of `tests/test_homotopy.py` among them.
 
     Returns (colimit precategory, {key: cocone morphism}).
     """
@@ -661,7 +762,6 @@ def precat_colimit(nodes, edges):
         raise ValueError("a colimit needs at least one node")
     keys = sorted(nodes)
     first = nodes[keys[0]]
-    backend = first.backend
     chains = first.chains
     for key in keys:
         if nodes[key].chains != chains or not nodes[key].is_pointed():
@@ -669,94 +769,26 @@ def precat_colimit(nodes, edges):
     for a, b, alpha in edges:
         if alpha.src != nodes.get(a) or alpha.dst != nodes.get(b):
             raise ValueError("edge %r -> %r does not match its nodes" % (a, b))
-    values = {}
-    lax = {}
-    psi = {}
-    gen = {}
-    cols = {}
-    nothing = empty(backend)
-
-    for z in sorted(chains, key=lambda s: (len(s), s)):
-        pairs = {}
-        for c in range(1, len(z) - 1):
-            x, y = values[z[:c + 1]], values[z[c:]]
-            pairs[c] = tensor(x, y) if x.size() and y.size() else nothing
-        blocks = [(("node", key), nodes[key].value(z)) for key in keys]
-        blocks += [(("pair", c), obj) for c, obj in pairs.items()]
-        rel = [((("node", a), identity(nodes[a].value(z))),
-                (("node", b), alpha.at(z)))
-               for a, b, alpha in edges if nodes[a].value(z).size()]
-        for key in keys:
-            for c, obj in pairs.items():
-                s, t = z[:c + 1], z[c:]
-                # the laxity's source is the tensor of the node's values
-                if nodes[key].value(s).size() and nodes[key].value(t).size():
-                    phi = nodes[key].lax(s, t)
-                    both = tensor_mor(psi[(key, s)], psi[(key, t)],
-                                      src=phi.src, dst=obj)
-                    rel.append(((("node", key), phi), (("pair", c), both)))
-        for c1, c2 in shapes.cut_tuples(z, 3):
-            r, sm, t = z[:c1 + 1], z[c1:c2 + 1], z[c2:]
-            if not lax[(r, sm)].src.size() * values[t].size():
-                continue
-            # the tensor is strictly associative, so one source serves
-            # both bracketings
-            src = tensor(lax[(r, sm)].src, values[t])
-            left = tensor_mor(lax[(r, sm)], identity(values[t]), src=src,
-                              dst=pairs[c2])
-            right = tensor_mor(identity(values[r]), lax[(sm, t)], src=src,
-                               dst=pairs[c1])
-            rel.append(((("pair", c2), left), (("pair", c1), right)))
-        cols[z] = present(blocks, rel, backend)
-        values[z] = cols[z].obj
-        for key in keys:
-            psi[(key, z)] = cols[z].cocone[("node", key)]
-        for c in range(1, len(z) - 1):
-            lax[(z[:c + 1], z[c:])] = cols[z].cocone[("pair", c)]
-
-        # structure maps, by descent through the presentation of the
-        # chain with one letter deleted
-        for p in range(1, len(z) - 1):
-            col = cols[shapes.delete(z, p)]
-            if not col.obj.size():
-                continue
-            cone = {}
-            for block, leg in col.cocone.items():
-                kind, which = block
-                if not leg.src.size():
-                    continue
-                if kind == "node":
-                    cone[block] = nodes[which].gen_map(z, p).then(
-                        psi[(which, z)])
-                    continue
-                big_cuts, j, rel_pos = shapes.reinsert(z, (which,), p)
-                s, t = z[:big_cuts[0] + 1], z[big_cuts[0]:]
-                if j == 0:
-                    pair = (gen[(s, rel_pos)], identity(values[t]))
-                else:
-                    pair = (identity(values[s]), gen[(t, rel_pos)])
-                # from the pair block of the deleted chain onto the pair
-                # block of z
-                part_map = tensor_mor(*pair, src=leg.src,
-                                      dst=lax[(s, t)].src)
-                cone[block] = part_map.then(lax[(s, t)])
-            gen[(z, p)] = colimit_induced(col, cone)
-
-    # remaining laxity keys all arise as pair blocks of their concat chain
-    full_lax = {key: lax[key]
-                for key in expected_laxity_keys(chains, first.truncation)}
-    units = {}
+    cols = {z: colimit({key: nodes[key].value(z) for key in keys},
+                       [(a, b, alpha.at(z)) for a, b, alpha in edges
+                        if nodes[a].value(z).size()])
+            for z in chains}
+    out, into = _gamma_quotient(
+        first.backend, first.letters, first.truncation, cols,
+        lambda z, p, key: nodes[key].gen_map(z, p).then(cols[z].cocone[key]),
+        [(shapes.concat(s, t), shapes.degree(s), phi,
+          *[cols[x].cocone[key] for x in (shapes.concat(s, t), s, t)])
+         for key in keys for (s, t), phi in nodes[key].laxity.items()],
+        {a: first.unit_map(a).then(cols[(a, a)].cocone[keys[0]])
+         for a in first.letters})
+    cocone = {key: PrecatMorphism(nodes[key], out, {
+        z: into(z, cols[z].cocone[key]) for z in chains
+        if nodes[key].value(z).size()}) for key in keys}
     for a in first.letters:
-        cands = [nodes[key].unit_map(a).then(psi[(key, (a, a))])
+        cands = [nodes[key].unit_map(a).then(cocone[key].at((a, a)))
                  for key in keys]
         if any(c != cands[0] for c in cands):
             raise AssertionError("unit points disagree across the diagram")
-        units[a] = cands[0]
-    out = make_precategory(backend, first.letters, first.truncation,
-                           values, gen, full_lax, units=units)
-    cocone = {key: PrecatMorphism(nodes[key], out,
-                                  {z: psi[(key, z)] for z in chains})
-              for key in keys}
     return out, cocone
 
 
@@ -810,28 +842,12 @@ class UnitalizationResult:
 def unitalize(pc):
     """Force the unit laws of a pointed precategory F by quotienting it.
 
-    The round makes slot z of the new precategory Q one presentation
-    (`colim.present`), in chain order: the block F(z), a block Q(d) per
-    deletion d = delete(z, p) with F(d) nonempty and a block Q(s) (x) Q(t)
-    per cut (s, t) with F(s), F(t) nonempty, modulo gen_map(z, p) ~
-    delta_d, lax(s, t) ~ delta_s (x) delta_t and the two maps of each
-    violated unit constraint at z. The legs are the round map delta_z, the
-    structure maps and the laxity of Q; Q's units are u(a) then
-    delta_(a, a).
-
-    Each slot is a quotient of F(z): by induction on the length of z,
-    delta_d and delta_s (x) delta_t are onto (tensors preserve
-    surjections), so every element of a block Q(d) or Q(s) (x) Q(t) is
-    identified with one of F(z). As delta is levelwise onto, the
-    simplicial identities, the naturality of the laxity and its
-    associativity hold in Q because they hold in F: both sides of each,
-    composed with a surjective tensor of deltas, are delta of two equal
-    maps. So no reassociation relation is needed. Q is, up to canonical
-    isomorphism, the colimit gluing one upsilon gadget per violated
-    constraint onto F (`precat_colimit` over the apex and coequalizer
-    gadgets): a map of pointed precategories out of F extends over that
-    colimit exactly when it agrees on each constraint's two maps, and
-    exactly then it descends through each slot's presentation, uniquely.
+    The round is `_quotient` of F by the two maps of each violated unit
+    constraint, at its slot, and eta is its round map delta. Q is, up to
+    canonical isomorphism, the colimit gluing one upsilon gadget per
+    violated constraint onto F (`precat_colimit` over the apex and
+    coequalizer gadgets): a map out of F extends over either exactly when
+    it agrees on each constraint's two maps.
 
     One round makes Q unital. Take a left constraint at F(s) with slot z:
     its maps out of I (x) F(s) are f = (u(a) (x) 1) then lax((a, a), s)
@@ -841,8 +857,7 @@ def unitalize(pc):
     cut ((a, a), s) and of the deletion (z, p). f and g were equal, or the
     presentation at z coequalized them, so the two maps agree in Q; a
     right constraint is the mirror. `check_unital` of Q is the oracle of
-    this argument: `unitalize` raises if it finds a constraint left. eta
-    is the round map delta.
+    this argument: `unitalize` raises if it finds a constraint left.
     """
     if not pc.is_pointed():
         raise ValueError("unitalize needs a pointed precategory")
@@ -850,50 +865,18 @@ def unitalize(pc):
     if not bad:
         return UnitalizationResult(pc, identity_morphism(pc),
                                    UnitalizationTrace([pc], []))
-    backend = pc.backend
-    nothing = empty(backend)
-    pairs = []
-    coeqs = []
-    by_slot = {}
-    for con in bad:
-        firstm, secondm = unit_constraint_maps(pc, con)
-        pairs.append((firstm, secondm))
-        coeqs.append(coequalizer(firstm, secondm))
-        by_slot.setdefault(con[4], []).append(
-            (("F", firstm), ("F", secondm)))
-    values, maps, lax, deltas = {}, {}, {}, {}
-    for z in pc.chains:
-        blocks = [("F", pc.value(z))]
-        rels = by_slot.pop(z, [])
-        for p in range(1, len(z) - 1):
-            d = shapes.delete(z, p)
-            if pc.value(d).size():
-                blocks.append((("gen", (z, p)), values[d]))
-                rels.append((("F", pc.gen_map(z, p)),
-                             (("gen", (z, p)), deltas[d])))
-        for c in range(1, len(z) - 1):
-            s, t = z[:c + 1], z[c:]
-            if pc.value(s).size() and pc.value(t).size():
-                phi = pc.lax(s, t)
-                x, y = values[s], values[t]
-                pair = tensor(x, y) if x.size() and y.size() else nothing
-                blocks.append((("lax", (s, t)), pair))
-                rels.append((("F", phi), (("lax", (s, t)), tensor_mor(
-                    deltas[s], deltas[t], src=phi.src, dst=pair))))
-        legs = dict(present(blocks, rels, backend).cocone)
-        deltas[z] = legs.pop("F")
-        values[z] = deltas[z].dst
-        for (kind, key), leg in legs.items():
-            (maps if kind == "gen" else lax)[key] = leg
-    units = {a: pc.unit_map(a).then(deltas[(a, a)]) for a in pc.letters}
-    new = make_precategory(backend, pc.letters, pc.truncation, values, maps,
-                           lax, units=units)
+    pairs = [unit_constraint_maps(pc, con) for con in bad]
+    rels = {}
+    for con, pair in zip(bad, pairs):
+        rels.setdefault(con[4], []).append(pair)
+    new, delta = _quotient(pc, rels)
     left = check_unital(new)
     if left:
         raise AssertionError("unit constraints violated after the quotient "
                              "round: %s" % left)
-    delta = PrecatMorphism(pc, new, deltas)
-    xis = [quotient_induced(q, deltas[con[4]]) for q, con in zip(coeqs, bad)]
+    coeqs = [coequalizer(*pair) for pair in pairs]
+    xis = [quotient_induced(q, delta.at(con[4]))
+           for q, con in zip(coeqs, bad)]
     trace = UnitalizationTrace(
         [pc, new], [RoundRecord(bad, pairs, coeqs, xis, delta)])
     return UnitalizationResult(new, delta, trace)
@@ -1170,123 +1153,49 @@ def pullback(f, g):
 
 
 def pushforward(f, pc):
-    """Freely extend a precategory along a map of letter sets.
+    """Freely extend a precategory along a map of letter sets: the
+    enriched left Kan extension.
 
-    The value at a target chain is presented by blocks: a subdivision
-    into parts, each carrying a source chain and a deletion of the part
-    onto its letterwise image. Relations glue source structure maps and
-    merge adjacent composable parts through the laxity. Degree-1 slots
-    reduce to the sum of the fibers.
+    K is the bare left Kan extension: K(w) holds one copy of pc(s) per
+    chain s and deletion d: w -> f(s), glued along pc's structure maps,
+    and K's structure maps precompose the deletions. The extension is the
+    quotient of gamma(K) by one relation per stored laxity pair (s, t) of
+    pc, at the image of concat(s, t), through the copies of the identity
+    deletions (`_gamma_quotient`). A map of bare diagrams K -> H is one of
+    pc into H restricted along f, so one map gamma(K) -> H by the
+    adjunction of gamma, and the map out of pc commutes with the laxity
+    exactly when that map identifies each relation (`_quotient`).
+    Relations at the identity deletions suffice: the copy along d is the
+    one along the identity followed by K's structure map along d, and H's
+    laxity is natural in deletions, so the relation for copies along d1
+    and d2 is the one at the identities followed by H's structure map
+    along d1 and d2 side by side. Degree-1 slots are copies of the sum of
+    the fibers.
     """
     if pc.is_pointed():
         raise ValueError("pushforward is defined on unpointed "
                          "precategories; unitalize after extending")
     backend = pc.backend
     target_letters = tuple(sorted(set(f.values())))
-    src_chains = set(pc.chains)
-
-    def part_blocks(part):
-        out = []
-        for s in pc.chains:
-            img = _image_chain(f, s)
-            for d in shapes.hom_set(part, img):
-                out.append((s, d))
-        return out
-
-    def blocks_of(w):
-        out = []
-        candidates = [((), (w,))]
-        candidates.extend(shapes.subdivisions(w))
-        for cuts, parts in candidates:
-            per_part = [part_blocks(q) for q in parts]
-            if any(not pb for pb in per_part):
-                continue
-            for combo in itertools.product(*per_part):
-                out.append(((cuts, combo), tensor_multi(
-                    [pc.value(s) for s, _ in combo], backend)))
-        return out
-
-    def relations(blocks):
-        objs = dict(blocks)
-        rel = []
-        for block, obj in blocks:
-            cuts, combo = block
-            for i, (s, d) in enumerate(combo):
-                for r in range(1, len(s) - 1):
-                    s2 = shapes.delete(s, r)
-                    img_step = shapes.del_single(_image_chain(f, s), r)
-                    new_combo = list(combo)
-                    new_combo[i] = (s2, d.then(img_step))
-                    other = (cuts, tuple(new_combo))
-                    factors = [identity(pc.value(ss)) for ss, _ in combo]
-                    factors[i] = pc.gen_map(s, r)
-                    rel.append(((other, identity(objs[other])),
-                                (block, tensor_mor_multi(factors, backend))))
-            for i in range(len(combo) - 1):
-                s1, d1 = combo[i]
-                s2, d2 = combo[i + 1]
-                if s1[-1] != s2[0]:
-                    continue
-                merged = shapes.concat(s1, s2)
-                if merged not in src_chains:
-                    continue
-                new_cuts = cuts[:i] + cuts[i + 1:]
-                new_combo = combo[:i] + ((merged, _concat_del(d1, d2)),) \
-                    + combo[i + 2:]
-                factors = [identity(pc.value(ss)) for ss, _ in combo]
-                pre = factors[:i] + [pc.lax(s1, s2)] + factors[i + 2:]
-                rel.append((((new_cuts, new_combo),
-                             tensor_mor_multi(pre, backend)),
-                            (block, identity(obj))))
-        return rel
-
-    chains = shapes.all_chains(target_letters, pc.truncation)
+    image = {s: _image_chain(f, s) for s in pc.chains}
     cols = {}
-    for w in chains:
-        blocks = blocks_of(w)
-        cols[w] = present(blocks, relations(blocks), backend)
-    values = {w: col.obj for w, col in cols.items()}
-    maps = {}
-    for w, col in cols.items():
-        for p in range(1, len(w) - 1):
-            colp = cols[shapes.delete(w, p)]
-            cone = {}
-            for block in colp.cocone:
-                cuts, combo = block
-                big_cuts, j, rel_pos = shapes.reinsert(w, cuts, p)
-                s_j, d_j = combo[j]
-                parts = shapes.parts_of(w, big_cuts)
-                step = shapes.del_single(parts[j], rel_pos)
-                new_combo = list(combo)
-                new_combo[j] = (s_j, step.then(d_j))
-                cone[block] = col.cocone[(big_cuts, tuple(new_combo))]
-            maps[(w, p)] = colimit_induced(colp, cone)
-    laxity = {}
-    for (sbar, tbar) in expected_laxity_keys(chains, pc.truncation):
-        cs, ct = cols[sbar], cols[tbar]
-        cst = cols[shapes.concat(sbar, tbar)]
-        shift = shapes.degree(sbar)
-        targets = {}
-        for i, (cuts1, combo1) in enumerate(cs.cocone):
-            for j, (cuts2, combo2) in enumerate(ct.cocone):
-                cuts = cuts1 + (shift,) + tuple(c + shift for c in cuts2)
-                targets[(i, j)] = cst.cocone[(cuts, combo1 + combo2)]
-        # assemble on the presentation coproducts, then push through the
-        # quotients' sections and re-verify
-        on_cops = tensor_copair(backend, *[
-            (c.q.proj.src, [leg.src for leg in c.cocone.values()])
-            for c in (cs, ct)], targets, cst.obj)
-        laxity[(sbar, tbar)] = quotient_induced(tensor_quotient(cs.q, ct.q),
-                                                on_cops)
-    return make_precategory(backend, target_letters, pc.truncation, values,
-                            maps, laxity)
-
-
-def _concat_del(d1, d2):
-    """Two deletions side by side: parts concatenate, kept positions of
-    the second shift past the first source."""
-    s = shapes.concat(d1.src, d2.src)
-    t = shapes.concat(d1.dst, d2.dst)
-    off = len(d1.src) - 1
-    kept = tuple(d1.kept) + tuple(k + off for k in d2.kept[1:])
-    return shapes.Del(s, t, kept)
+    for w in shapes.all_chains(target_letters, pc.truncation):
+        blocks = [((s, d), pc.value(s))
+                  for s in pc.chains for d in shapes.hom_set(w, image[s])]
+        rels = [(((shapes.delete(s, r),
+                   d.then(shapes.del_single(image[s], r))),
+                  identity(pc.value(shapes.delete(s, r)))),
+                 ((s, d), pc.gen_map(s, r)))
+                for (s, d), _ in blocks for r in range(1, len(s) - 1)
+                if pc.value(shapes.delete(s, r)).size()]
+        cols[w] = present(blocks, rels, backend)
+    # pc(s) into K at f(s), as the copy of the identity deletion
+    copy = {s: cols[w].cocone[(s, shapes.Del(w, w, tuple(range(len(w)))))]
+            for s, w in image.items()}
+    return _gamma_quotient(
+        backend, target_letters, pc.truncation, cols,
+        lambda w, p, block: cols[w].cocone[
+            (block[0], shapes.del_single(w, p).then(block[1]))],
+        [(image[shapes.concat(s, t)], shapes.degree(s), phi,
+          copy[shapes.concat(s, t)], copy[s], copy[t])
+         for (s, t), phi in pc.laxity.items()])[0]

@@ -24,7 +24,7 @@ from . import ratmat
 from .ratmat import ONE
 from .base import (
     MObject, MMorphism, chq_map, chq_obj, identity, invert,
-    is_identity, is_isomorphism, make_map, tensor, tensor_mor, vectq_map,
+    is_identity, is_isomorphism, make_map, tensor, vectq_map,
     vectq_obj, zero_map, _finset, _suffix_label,
 )
 
@@ -241,19 +241,6 @@ def surjection_quotient(e):
     else:
         section = ratmat.solve_matrix(e.matrix, ratmat.eye(e.dst.size()))
     return Quotient(e.dst, e, section)
-
-
-def tensor_quotient(qs, qt):
-    """The tensor of two quotients: the tensor of their projections, with
-    the pairs of representatives (finset) or the Kronecker product of the
-    sections (vectq/chq) as its section."""
-    proj = tensor_mor(qs.proj, qt.proj)
-    if proj.backend == "finset":
-        n = len(qt.proj.src.labels)
-        section = tuple(r * n + t for r in qs.section for t in qt.section)
-    else:
-        section = ratmat.kron(qs.section, qt.section)
-    return Quotient(proj.dst, proj, section)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ coherence squares from scratch.
 
 import dataclasses
 import gc
+from collections import Counter
 import itertools
 import math
 import sys
@@ -19,9 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from cosegal import adjoints, base, colim, monoidal, precat, ratmat, shapes
 from cosegal.base import (
-    chq_map, disk, empty, enumerate_maps, finset_map, finset_obj, identity,
-    invert, is_isomorphism, is_surjective, sphere, tensor, tensor_mor,
-    vectq_map, vectq_obj, zero_map,
+    chq_map, disk, empty, enumerate_maps, finset_map, finset_obj, homology,
+    identity, invert, is_isomorphism, is_surjective, sphere, tensor,
+    tensor_mor, vectq_map, vectq_obj, zero_map,
 )
 from cosegal.adjoints import (
     codiagonal_arrow, free_hom_kmorphism, free_hom_kobject, gamma,
@@ -34,7 +35,8 @@ from cosegal.adjoints import (
     factor_through_unital,
 )
 from cosegal.colim import (
-    coequalizer, colimit, copair, coproduct, wide_pushout_induced,
+    coequalizer, colimit, colimit_induced, copair, coproduct,
+    wide_pushout_induced,
 )
 from cosegal.monoidal import tensor_s
 from cosegal.precat import (
@@ -45,7 +47,7 @@ from cosegal.precat import (
 )
 
 from fixtures import (
-    chainify_category, dual_numbers_chq, function_category,
+    chainify_category, chq_pair_category, dual_numbers_chq, function_category,
     group_algebra_z2, linearize_category, rand_chq, rand_chq_map,
     walking_arrow,
 )
@@ -942,9 +944,18 @@ def test_precat_colimit_degree_one_slots_are_the_plain_colimit_of_the_slice(
             continue
         col = colimit({k: n.value(s) for k, n in nodes.items()},
                       [(a, b, m.at(s)) for a, b, m in edges])
+        legs = {key: cocone[key].at(s) for key in nodes}
+        if case == 0:
+            # the slot is the one-block presentation of the plain colimit,
+            # whose finset labels gain a block suffix: the same colimit up
+            # to the induced isomorphism
+            m = colimit_induced(col, legs)
+            assert is_isomorphism(m)
+            assert all(col.cocone[key].then(m) == legs[key]
+                       for key in nodes)
+            continue
         assert out.value(s) == col.obj
-        for key in nodes:
-            assert cocone[key].at(s) == col.cocone[key]
+        assert legs == col.cocone
 
 
 def test_precat_colimit_glues_a_unit_forcing_round():
@@ -961,6 +972,133 @@ def test_precat_colimit_glues_a_unit_forcing_round():
     for q, xi, con in zip(r.coeqs, r.xis, r.constraints):
         z = con[4]
         assert q.proj.then(xi) == r.delta.at(z)
+
+
+def test_precat_colimit_refuses_nodes_whose_unit_points_disagree():
+    # without an edge the two copies stay apart, so the second node's units
+    # miss the first node's in the colimit
+    pc = from_strict_category(function_category({"a": 2}), 2)
+    with pytest.raises(AssertionError, match="unit points disagree"):
+        precat_colimit({0: pc, 1: pc}, [])
+
+
+def iso_invariants(pc):
+    """What an isomorphism keeps of pc's values, per chain in chain order:
+    the size, and on chq the degree multiset (whose total is the size)
+    with the homology."""
+    values = [pc.value(s) for s in pc.chains]
+    if pc.backend != "chq":
+        return tuple(v.size() for v in values)
+    return tuple((dict(sorted(Counter(v.degrees).items())), homology(v))
+                 for v in values)
+
+
+def iso_invariant_input(name):
+    """The unpointed precategory named in ISO_INVARIANTS: the fixtures of
+    tools/value_digest.py, the function category on A: 1, B: 2 and the chq
+    pair category."""
+    fc = function_category({"a": 1, "b": 2})
+    arrow = walking_arrow()
+    cat, truncation = {
+        "finset": (fc, 3), "vectq": (linearize_category(fc), 2),
+        "chq": (dual_numbers_chq(), 2), "finset-arrow": (arrow, 2),
+        "vectq-arrow": (linearize_category(arrow), 2),
+        "chq-arrow": (chainify_category(arrow), 2),
+        "finset-AB": (function_category({"A": 1, "B": 2}), 2),
+        "chq-pair": (chq_pair_category(), 2)}[name]
+    return forget_units(from_strict_category(cat, truncation))
+
+
+# the iso invariants (`iso_invariants`) of `pushforward` onto one letter
+# ("one") and onto two ("two"), and of `precat_colimit` of the span of a
+# unitalization's eta with itself ("colimit"), measured on the engines
+# that presented each slot by blocks of their own (node and pair blocks
+# with reassociation relations; subdivision x deletion blocks), so that
+# the quotients of gamma of a bare colimit are held to them up to
+# isomorphism
+ISO_INVARIANTS = {
+    ('finset', 'one'):
+        (8, 36, 164),
+    ('finset', 'two'):
+        (4, 1, 2, 1, 4, 1, 4, 1, 2, 1, 2, 1, 4, 1, 4, 1, 4, 1, 4, 1, 2, 1, 2,
+         1, 2, 1, 2, 1),
+    ('finset', 'colimit'):
+        (2, 2, 1, 5, 2, 2, 2, 2, 1, 5, 1, 5, 2, 2, 2, 2, 2, 2, 2, 2, 1, 5, 1,
+         5, 1, 5, 1, 5),
+    ('vectq', 'one'):
+        (8, 36),
+    ('vectq', 'two'):
+        (4, 1, 2, 1, 4, 1, 4, 1, 2, 1, 2, 1),
+    ('vectq', 'colimit'):
+        (2, 2, 1, 5, 2, 2, 2, 2, 1, 5, 1, 5),
+    ('chq', 'one'):
+        (({0: 2}, {0: 2}), ({0: 2}, {0: 2})),
+    ('chq', 'colimit'):
+        (({0: 3}, {0: 3}), ({0: 3}, {0: 3})),
+    ('finset-arrow', 'one'):
+        (3, 8),
+    ('finset-arrow', 'two'):
+        (1, 0, 1, 1, 1, 0, 1, 0, 1, 1, 1, 1),
+    ('finset-arrow', 'colimit'):
+        (2, 1, 0, 2, 2, 1, 2, 1, 0, 2, 0, 2),
+    ('vectq-arrow', 'one'):
+        (3, 8),
+    ('vectq-arrow', 'two'):
+        (1, 0, 1, 1, 1, 0, 1, 0, 1, 1, 1, 1),
+    ('vectq-arrow', 'colimit'):
+        (2, 1, 0, 2, 2, 1, 2, 1, 0, 2, 0, 2),
+    ('chq-arrow', 'one'):
+        (({0: 3}, {0: 3}), ({0: 8}, {0: 8})),
+    ('chq-arrow', 'two'):
+        (({0: 1}, {0: 1}), ({}, {}), ({0: 1}, {0: 1}), ({0: 1}, {0: 1}),
+         ({0: 1}, {0: 1}), ({}, {}), ({0: 1}, {0: 1}), ({}, {}),
+         ({0: 1}, {0: 1}), ({0: 1}, {0: 1}), ({0: 1}, {0: 1}),
+         ({0: 1}, {0: 1})),
+    ('chq-arrow', 'colimit'):
+        (({0: 2}, {0: 2}), ({0: 1}, {0: 1}), ({}, {}), ({0: 2}, {0: 2}),
+         ({0: 2}, {0: 2}), ({0: 1}, {0: 1}), ({0: 2}, {0: 2}),
+         ({0: 1}, {0: 1}), ({}, {}), ({0: 2}, {0: 2}), ({}, {}),
+         ({0: 2}, {0: 2})),
+    ('finset-AB', 'one'):
+        (8, 36),
+    ('finset-AB', 'two'):
+        (4, 1, 2, 1, 4, 1, 4, 1, 2, 1, 2, 1),
+    ('finset-AB', 'colimit'):
+        (2, 2, 1, 5, 2, 2, 2, 2, 1, 5, 1, 5),
+    ('chq-pair', 'one'):
+        (({0: 3, 1: 1}, {0: 3, 1: 1}),
+         ({0: 8, 1: 5, 2: 1}, {0: 8, 1: 5, 2: 1})),
+    ('chq-pair', 'two'):
+        (({0: 1}, {0: 1}), ({}, {}), ({0: 1, 1: 1}, {0: 1, 1: 1}),
+         ({0: 1}, {0: 1}), ({0: 1}, {0: 1}), ({}, {}), ({0: 1}, {0: 1}),
+         ({}, {}), ({0: 1, 1: 1}, {0: 1, 1: 1}), ({0: 1}, {0: 1}),
+         ({0: 1, 1: 1}, {0: 1, 1: 1}), ({0: 1}, {0: 1})),
+    ('chq-pair', 'colimit'):
+        (({0: 2}, {0: 2}), ({0: 1, 1: 1}, {0: 1, 1: 1}), ({}, {}),
+         ({0: 2}, {0: 2}), ({0: 2}, {0: 2}), ({0: 1, 1: 1}, {0: 1, 1: 1}),
+         ({0: 2}, {0: 2}), ({0: 1, 1: 1}, {0: 1, 1: 1}), ({}, {}),
+         ({0: 2}, {0: 2}), ({}, {}), ({0: 2}, {0: 2})),
+}
+
+
+@pytest.mark.parametrize(
+    "name", list(dict.fromkeys(name for name, _ in ISO_INVARIANTS)))
+def test_gluing_engines_keep_the_iso_invariants_of_their_outputs(name):
+    pc = iso_invariant_input(name)
+    letters = pc.letters
+    outs = {"one": pushforward({a: "c" for a in letters}, pc)}
+    if len(letters) == 2:
+        outs["two"] = pushforward({letters[0]: "d", letters[1]: "c"}, pc)
+    p = point(pc)
+    eta = unitalize(p).eta
+    outs["colimit"], cocone = precat_colimit(
+        {"p": p, "u1": eta.dst, "u2": eta.dst},
+        [("p", "u1", eta), ("p", "u2", eta)])
+    assert all(validate(out) == [] for out in outs.values())
+    assert check_unital(outs["colimit"]) == []
+    assert all(validate_morphism(leg) == [] for leg in cocone.values())
+    assert {part: iso_invariants(out) for part, out in outs.items()} == \
+        {part: v for (key, part), v in ISO_INVARIANTS.items() if key == name}
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,14 @@ import pytest
 from cosegal import base, ratmat
 from cosegal.base import (
     chq_map, disk, empty, finset_map, finset_obj, identity, sphere,
-    tensor_mor, vectq_map, vectq_obj, zero_map,
+    vectq_map, vectq_obj, zero_map,
 )
 from cosegal.colim import (
     Colimit, coequalizer, colimit, colimit_induced, compare_coproduct_pushout,
     compare_interleaved_colimits, copair, coproduct, equalizer,
     kernel_subobject, present, pushout, pushout_induced, quotient_finset,
-    quotient_induced, quotient_linear, surjection_quotient, tensor_quotient,
-    wide_pushout, wide_pushout_induced,
+    quotient_induced, quotient_linear, surjection_quotient, wide_pushout,
+    wide_pushout_induced,
 )
 
 from fixtures import rand_chq, rand_chq_map
@@ -181,19 +181,13 @@ def surjection_case(backend):
 
 
 @pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
-def test_surjection_and_tensor_quotients_induce_and_refuse(backend):
+def test_surjection_quotients_induce_and_refuse(backend):
     e, g, bad = surjection_case(backend)
     q = surjection_quotient(e)
     assert (q.obj, q.proj) == (e.dst, e)
     assert quotient_induced(q, e.then(g)) == g
     with pytest.raises(ValueError):
         quotient_induced(q, bad)
-    qq = tensor_quotient(q, q)
-    assert qq.proj == tensor_mor(e, e)
-    assert quotient_induced(qq, tensor_mor(e.then(g), e.then(g))) == \
-        tensor_mor(g, g)
-    with pytest.raises(ValueError):
-        quotient_induced(qq, tensor_mor(bad, bad))
 
 
 def test_pushout_universal_property(rng):

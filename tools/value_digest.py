@@ -6,7 +6,10 @@ precategory, eta and the xis of each round), `realize` and `psi` (the
 precategory, eta and the xis of each round) on fixed fixtures from
 tests/fixtures.py: a function category, its linearization, the chq dual
 numbers and the walking arrow on all three backends, whose empty hom
-leaves empty slots. Precategories and their morphisms are read through
+leaves empty slots. After those parts come the gluing engines on the same
+fixtures: `pushforward` onto one letter and, with two letters, onto two,
+and `precat_colimit` (the precategory and its cocone) of the span of a
+unitalization's eta with itself. Precategories and their morphisms are read through
 their accessors (`render`), so the rendering does not depend on which
 maps out of empty objects a precategory stores. Two builds of these
 outputs print the same digest exactly when every object, map and laxity
@@ -124,16 +127,43 @@ def outputs(cat, truncation, alpha):
     return out
 
 
+def gluings(cat, truncation):
+    """[(part name, value)] of the gluing engines on one case."""
+    pc = forget_units(from_strict_category(cat, truncation))
+    letters = pc.letters
+    out = [("pushforward one", adjoints.pushforward(
+        {a: "c" for a in letters}, pc))]
+    if len(letters) == 2:
+        out.append(("pushforward two", adjoints.pushforward(
+            {letters[0]: "d", letters[1]: "c"}, pc)))
+    p = adjoints.point(pc)
+    eta = adjoints.unitalize(p).eta
+    out.append(("precat_colimit", adjoints.precat_colimit(
+        {"p": p, "u1": eta.dst, "u2": eta.dst},
+        [("p", "u1", eta), ("p", "u2", eta)])))
+    return out
+
+
+def parts():
+    """(case name, part name, value) of every part, the gluing engines'
+    after all the others."""
+    for name, cat, truncation, alpha in cases():
+        for part, value in outputs(cat, truncation, alpha):
+            yield name, part, value
+    for name, cat, truncation, _ in cases():
+        for part, value in gluings(cat, truncation):
+            yield name, part, value
+
+
 def main(argv):
     verbose = "-v" in argv
     total = hashlib.sha256()
-    for name, cat, truncation, alpha in cases():
-        for part, value in outputs(cat, truncation, alpha):
-            text = render(value).encode()
-            total.update(text)
-            if verbose:
-                print("%s %s: %s" % (name, part,
-                                     hashlib.sha256(text).hexdigest()))
+    for name, part, value in parts():
+        text = render(value).encode()
+        total.update(text)
+        if verbose:
+            print("%s %s: %s" % (name, part,
+                                 hashlib.sha256(text).hexdigest()))
     print(total.hexdigest())
 
 
