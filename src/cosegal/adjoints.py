@@ -72,8 +72,8 @@ from .base import (
 )
 from .colim import (
     coequalizer, colimit, colimit_induced, copair, coproduct, present,
-    pushout, pushout_induced, quotient_induced, surjection_quotient,
-    tensor_copair, wide_pushout, wide_pushout_induced,
+    quotient_induced, surjection_quotient, tensor_copair, wide_pushout,
+    wide_pushout_induced,
 )
 from .precat import (
     PrecatMorphism, StrictCategory, check_unital, expected_laxity_keys,
@@ -387,13 +387,6 @@ def _free_map_between(alpha, src, dst):
     return PrecatMorphism(fsrc, fdst, comps)
 
 
-def _one_part(sums, z):
-    """The injection of the one-part carrier summand at a chain z with a
-    nonempty value (the chain block of gamma, the carrier of point)."""
-    sm = sums[z]
-    return sm.injs[sm.keyed.pos[_WHOLE]]
-
-
 def kobject_of(pc):
     """Forget the laxity (and units): the underlying bare chain diagram."""
     return make_precategory(pc.backend, pc.letters, pc.truncation,
@@ -403,7 +396,8 @@ def kobject_of(pc):
 def gamma_unit(k):
     """k -> forget(gamma(k)): the inclusion of the chain block."""
     g, sums = _free_build(k, "gamma")
-    comps = {z: _one_part(sums, z) for z in k.chains if k.value(z).size()}
+    comps = {z: _chain_block(sums[z], identity(k.value(z)))
+             for z in k.chains if k.value(z).size()}
     return PrecatMorphism(k, kobject_of(g), comps)
 
 
@@ -421,7 +415,8 @@ def point_carrier_inclusion(pc):
     """The inclusion of the carrier into its free pointing, one-part
     decompositions only."""
     dst, sums = _point_build(pc)
-    comps = {z: _one_part(sums, z) for z in pc.chains if pc.value(z).size()}
+    comps = {z: _chain_block(sums[z], identity(pc.value(z)))
+             for z in pc.chains if pc.value(z).size()}
     return PrecatMorphism(pc, dst, comps)
 
 
@@ -1092,8 +1087,8 @@ def psi_transpose(res, z0, h, square):
 def arrow_codiagonal(alpha):
     """The two inclusions into the pushout of alpha along itself and the
     fold map collapsing them."""
-    po = pushout(alpha, alpha)
-    fold = pushout_induced(po, identity(alpha.dst), identity(alpha.dst))
+    po = wide_pushout(alpha.src, [alpha, alpha])
+    fold = wide_pushout_induced(po, [identity(alpha.dst)] * 2)
     return po, fold
 
 
@@ -1106,7 +1101,7 @@ def square_xi(alpha):
     """(alpha, first inclusion): alpha into the codiagonal's second
     inclusion."""
     po, _ = arrow_codiagonal(alpha)
-    return (alpha, po.left)
+    return (alpha, po.maps[0])
 
 
 def square_ell(alpha):
@@ -1120,7 +1115,7 @@ def codiagonal_arrow(alpha):
     """The second inclusion V -> V +_U V, the middle arrow of the
     down-square factorization."""
     po, _ = arrow_codiagonal(alpha)
-    return po.right
+    return po.maps[1]
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ associative by representation choice: finset labels are tuples of atoms and
 tensoring concatenates them, vectq/chq use Kronecker products, and the unit
 satisfies I (x) X == X literally on vectq/chq.
 
-compose(f, g) is diagrammatic: f first, then g. Morphisms also expose
-f.then(g) which reads left to right.
+Composition is diagrammatic: f.then(g) is f first, then g.
 """
 
 import itertools
@@ -204,11 +203,6 @@ def identity(x):
     return MMorphism(x.backend, x, x, matrix=ratmat.eye(x.size()))
 
 
-def compose(f, g):
-    """The composite "f then g" (diagrammatic order)."""
-    return f.then(g)
-
-
 def zero_map(src, dst):
     """The zero map for vectq/chq; for finset only out of the empty set.
 
@@ -234,16 +228,11 @@ def is_identity(f):
 # tensor
 
 
-def _pair_label(a, b):
-    return a + b
-
-
 def tensor(x, y):
     if x.backend != y.backend:
         raise ValueError("backend mismatch")
     if x.backend == "finset":
-        return _finset(
-            tuple([_pair_label(a, b) for a in x.labels for b in y.labels]))
+        return _finset(tuple([a + b for a in x.labels for b in y.labels]))
     if x.backend == "vectq":
         return vectq_obj(x.dim * y.dim)
     degrees = tuple([dx + dy for dx in x.degrees for dy in y.degrees])
@@ -686,7 +675,7 @@ def has_rlp(i, p):
 def _chain_maps(src, dst):
     """A basis of the (chain) maps src -> dst, as the columns of a matrix
     on vec coordinates."""
-    return ratmat.kernel_basis(_hom_constraint(src, dst))
+    return ratmat.kernel_data(_hom_constraint(src, dst))[0]
 
 
 def _precompose(f, rows):

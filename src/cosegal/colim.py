@@ -8,10 +8,10 @@ quotients use the canonical rref cokernel from ratmat.
 Every colimit is a presentation: keyed blocks modulo relations, each a
 parallel pair into two named blocks. `present` builds it as one
 `Colimit` record (the object, one cocone leg per block key, the
-quotient of the blocks' coproduct, taken in one step), and `colimit`,
-`pushout` and `wide_pushout` build through it. `copair` is the map out
-of a coproduct, `tensor_copair` the map out of a tensor of two.
-The one descent, `colimit_induced`, copairs one cone leg per block and
+quotient of the blocks' coproduct, taken in one step), and `colimit`
+and `wide_pushout` build through it. `copair` is the map out of a
+coproduct, `tensor_copair` the map out of a tensor of two. The one
+descent, `colimit_induced`, copairs one cone leg per block and
 induces the map out of the quotient through a linear (or pointwise)
 section, checking that it descends: an incompatible cone fails loudly
 rather than returning garbage.
@@ -329,27 +329,7 @@ def colimit_induced(col, cone):
 
 
 # ---------------------------------------------------------------------------
-# pushouts
-
-
-@dataclass(frozen=True)
-class Pushout:
-    obj: MObject
-    left: MMorphism   # from f.dst
-    right: MMorphism  # from g.dst
-    _col: Colimit
-
-
-def pushout(f, g):
-    """The pushout of f: A -> B and g: A -> C, with both legs: the wide
-    pushout of the two."""
-    wp = wide_pushout(f.src, [f, g])
-    return Pushout(wp.obj, *wp.maps, wp._col)
-
-
-def pushout_induced(po, u, v):
-    """The universal map out of a pushout given a commuting cone (u, v)."""
-    return colimit_induced(po._col, {0: u, 1: v})
+# wide pushouts
 
 
 @dataclass(frozen=True)
@@ -569,21 +549,20 @@ def compare_coproduct_pushout(base, items):
     cop_c, inj_c = coproduct([p.dst for p in ps], backend=backend)
     big_p = copair(cop_a, [p.then(ic) for p, ic in zip(ps, inj_c)], cop_c)
     big_h = copair(cop_a, hs, base)
-    route_one = pushout(big_p, big_h)
-    # route_one.left: cop_c -> E, route_one.right: B -> E
-    pos = [pushout(p, h) for p, h in items]
-    route_two = wide_pushout(base, [po.right for po in pos])
+    route_one = wide_pushout(cop_a, [big_p, big_h])
+    c_to_e, b_to_e = route_one.maps
+    pos = [wide_pushout(p.src, [p, h]) for p, h in items]
+    route_two = wide_pushout(base, [po.maps[1] for po in pos])
     # E -> wide pushout: send each C_i through its own pushout leg, B along
     # the common anchor
     cone_c = copair(cop_c,
-                    [po.left.then(m) for po, m in zip(pos, route_two.maps)],
+                    [po.maps[0].then(m) for po, m in zip(pos, route_two.maps)],
                     route_two.obj)
-    u = pushout_induced(route_one, cone_c, route_two.through)
+    u = wide_pushout_induced(route_one, [cone_c, route_two.through])
     # wide pushout -> E: each D_i maps in via its universal property
-    cone_d = [pushout_induced(po, inj_c[i].then(route_one.left),
-                              route_one.right)
+    cone_d = [wide_pushout_induced(po, [inj_c[i].then(c_to_e), b_to_e])
               for i, po in enumerate(pos)]
-    v = wide_pushout_induced(route_two, cone_d, through=route_one.right)
+    v = wide_pushout_induced(route_two, cone_d, through=b_to_e)
     ok = (u.then(v) == identity(route_one.obj)
           and v.then(u) == identity(route_two.obj))
     return {

@@ -44,22 +44,20 @@ def cosegal_report(pc):
     return out
 
 
-def k_injectivity_report(pc, window=None, strong=False):
+def k_injectivity_report(pc, strong=False):
     """Check each composite structure map two ways: the trivial-fibration
     predicate, and the right lifting property against every generating
     cofibration.  The routes are computed independently and both are
     reported; `agree` is their comparison, `passed` the shared verdict.
 
-    chq needs a degree window for its generating family; it defaults to
-    the span of degrees appearing in the precategory.  With strong=True
-    the report also records whether each single deletion step is a
-    fibration on its own. Chains with equal composite maps share their
-    verdicts, which are computed once per distinct map.
+    chq takes its generating family over the span of degrees appearing
+    in the precategory.  With strong=True the report also records
+    whether each single deletion step is a fibration on its own. Chains
+    with equal composite maps share their verdicts, which are computed
+    once per distinct map.
     """
-    if window is None:
-        window = degree_window(
-            [unit(pc.backend)] + [pc.value(s) for s in pc.chains])
-    gens = generating_cofibrations(pc.backend, window)
+    gens = generating_cofibrations(pc.backend, degree_window(
+        [unit(pc.backend)] + [pc.value(s) for s in pc.chains]))
     entries = []
     verdicts = {}
     for s in pc.chains:
@@ -250,7 +248,7 @@ def cosegalify_two_constant(pc):
     if not pc.is_pointed():
         raise ValueError("need a pointed input")
     trans = transition_maps(pc)
-    consts = two_constant_values(pc)
+    consts = {pair: u.dst for pair, u in trans.items()}
     r = realize(pc)
     if r.category is None:
         raise ValueError("realization composition is not determined")

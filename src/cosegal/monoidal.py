@@ -45,8 +45,9 @@ from .base import (
 )
 from .colim import coproduct, kernel_subobject
 from .precat import (
-    Precategory, PrecatMorphism, expected_laxity_keys, identity_morphism,
-    make_precategory, split_admissible,
+    Precategory, PrecatMorphism, StrictCategory, expected_laxity_keys,
+    from_strict_category, identity_morphism, make_precategory,
+    split_admissible,
 )
 from .adjoints import _image_chain, pullback, realize
 
@@ -63,16 +64,11 @@ def _unzip(s):
 
 def unit_precat(backend, truncation):
     """The precategory on the one letter MARKER with every value the
-    monoidal unit."""
+    monoidal unit: the unit category, one object with hom I."""
     iu = unit(backend)
-    chains = shapes.all_chains((MARKER,), truncation)
-    values = {s: iu for s in chains}
-    maps = {(s, p): identity(iu)
-            for s in chains for p in range(1, len(s) - 1)}
-    laxity = {key: left_unitor(iu)
-              for key in expected_laxity_keys(chains, truncation)}
-    return make_precategory(backend, (MARKER,), truncation, values, maps,
-                            laxity, units={MARKER: identity(iu)})
+    return from_strict_category(StrictCategory(
+        backend, (MARKER,), {(MARKER, MARKER): iu},
+        {(MARKER,) * 3: left_unitor(iu)}, {MARKER: identity(iu)}), truncation)
 
 
 def tensor_s(f, g):

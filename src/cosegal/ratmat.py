@@ -450,19 +450,11 @@ def _null_vectors(r, pivots, n):
 
 
 def kernel_data(m):
-    """(basis, free) for ker(m): the n x k rref parametrization plus the
-    free column indices the basis columns correspond to."""
+    """(basis, free) for ker(m): the n x k rref parametrization, whose
+    j-th column has a 1 in the j-th free coordinate and back-substituted
+    pivot entries, and the free column indices in that order."""
     vecs, free = _null_vectors(*rref(m), m.shape[1])
     return transpose(vecs), tuple(free)
-
-
-def kernel_basis(m):
-    """Columns spanning ker(m), in the canonical rref parametrization.
-
-    Returns an n x k matrix whose j-th column has a 1 in the j-th free
-    coordinate and back-substituted pivot entries.
-    """
-    return kernel_data(m)[0]
 
 
 def _walk_cokernel(m):

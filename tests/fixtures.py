@@ -336,7 +336,7 @@ def reference_has_rlp(i, p):
             return ratmat.zeros(0, 0)
         if ratmat.shape(constraints)[0] == 0:
             return ratmat.eye(s.size() * d.size())
-        return ratmat.kernel_basis(constraints)
+        return ratmat.kernel_data(constraints)[0]
 
     k_bx = hom_basis(b, x)
     k_ax = hom_basis(a, x)
@@ -366,7 +366,7 @@ def reference_has_rlp(i, p):
              if ny * na else ratmat.zeros(0, nby))
     if ny * na:
         square_rel = ratmat.hstack([left, ratmat.mneg(right)])
-        squares = ratmat.kernel_basis(square_rel)
+        squares = ratmat.kernel_data(square_rel)[0]
     else:
         squares = ratmat.eye(nax + nby)
     # the map sending a lift K to its boundary square (K.i, p.K), expressed

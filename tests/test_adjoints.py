@@ -1611,6 +1611,36 @@ def test_realize_refuses_laxity_pairs_that_disagree(backend):
         realize(pc)
 
 
+def test_realize_with_pairs_that_do_not_cover_the_composition():
+    # truncation 2 on one letter: the one stored pair ((a, a), (a, a))
+    # reaches hom(a, a) (x) hom(a, a) only through the structure map, which
+    # sends x1 and x2 to z1, so it pins the composition at (z1, z1) alone
+    x = finset_obj(["x1", "x2"])
+    z = finset_obj(["z1", "z2", "w"])
+    aa, aaa = ("a", "a"), ("a", "a", "a")
+
+    def with_laxity(images):
+        return make_precategory(
+            "finset", ("a",), 2, {aa: x, aaa: z},
+            {(aaa, 1): finset_map(x, z, (0, 0))},
+            {(aa, aa): finset_map(tensor(x, x), z, images)})
+
+    # (x1, -) to z1 and (x2, -) to z2 ask z1 . z1 to be both
+    pc = with_laxity((0, 0, 1, 1))
+    assert validate(pc) == []
+    with pytest.raises(ValueError, match=(
+            r"composition is inconsistent at \('a', 'a', 'a'\)")):
+        realize(pc)
+    # a constant laxity is consistent, but leaves the rest of the
+    # composition free
+    pc = with_laxity((0, 0, 0, 0))
+    assert validate(pc) == []
+    r = realize(pc)
+    assert r.determined == {aaa: False}
+    assert r.homs[aa] == z
+    assert r.constant is None and r.eta is None and r.category is None
+
+
 # ---------------------------------------------------------------------------
 # the free unital precategory on an arrow
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cosegal import base, ratmat
 from cosegal.base import (
-    BACKENDS, chq_map, chq_obj, compose, disk, empty, enumerate_maps,
+    BACKENDS, chq_map, chq_obj, disk, empty, enumerate_maps,
     factorize, find_lift, finset_map, finset_obj, generating_cofibrations,
     has_rlp, homology, identity, invert, is_cofibration, is_fibration,
     is_isomorphism, is_trivial_fibration, is_weak_equivalence, left_unitor,
@@ -107,13 +107,13 @@ def test_zero_map_is_the_initial_map_and_stays_in_one_backend():
         zero_map(finset_obj(["a"]), finset_obj(["b"]))
 
 
-def test_compose_is_diagrammatic():
+def test_composition_is_diagrammatic():
     x = finset_obj(["a", "b"])
     y = finset_obj(["c", "d", "e"])
     f = finset_map(x, y, [2, 0])
     g = finset_map(y, x, [1, 1, 0])
-    assert compose(f, g).mapping == (0, 1)
-    assert f.then(g) == compose(f, g)
+    assert f.then(g).mapping == (0, 1)
+    assert f.then(g).src == x and f.then(g).dst == x
 
 
 def test_unitors_are_identity_matrices():
@@ -351,7 +351,7 @@ def test_generating_cofibrations_shapes():
         gens = generating_cofibrations(backend)
         assert len(gens) == 2
         assert all(is_cofibration(g) for g in gens)
-    gens = generating_cofibrations("chq", window=(0, 1))
+    gens = generating_cofibrations("chq", (0, 1))
     assert len(gens) == 3
     assert [g.dst.degrees[0] for g in gens] == [0, 1, 2]
     assert all(is_cofibration(g) for g in gens)
@@ -415,7 +415,7 @@ def test_find_lift_returns_witness():
     h = find_lift(i, p, f, g)
     assert h is not None
     assert i.then(h) == f and h.then(p) == g
-    i2 = generating_cofibrations("chq", window=(0, 1))[1]  # S^0 -> D^1
+    i2 = generating_cofibrations("chq", (0, 1))[1]  # S^0 -> D^1
     p2 = zero_map(disk(1), empty("chq"))
     f2 = chq_map(i2.src, p2.src, [[0], [1]])
     g2 = zero_map(i2.dst, p2.dst)
@@ -485,7 +485,7 @@ def test_find_lift_reduces_its_system_once(monkeypatch):
     assert find_lift(i, identity(line), identity(line), g) == g
     assert len(calls) == 1
     calls.clear()
-    i2 = generating_cofibrations("chq", window=(0, 1))[1]  # S^0 -> D^1
+    i2 = generating_cofibrations("chq", (0, 1))[1]  # S^0 -> D^1
     p2 = zero_map(disk(1), empty("chq"))
     f2 = chq_map(i2.src, p2.src, [[0], [1]])
     assert find_lift(i2, p2, f2, zero_map(i2.dst, p2.dst)) is not None

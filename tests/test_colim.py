@@ -8,9 +8,8 @@ from cosegal.base import (
 from cosegal.colim import (
     Colimit, coequalizer, colimit, colimit_induced, compare_coproduct_pushout,
     compare_interleaved_colimits, copair, coproduct, equalizer,
-    kernel_subobject, present, pushout, pushout_induced, quotient_finset,
-    quotient_induced, quotient_linear, surjection_quotient, wide_pushout,
-    wide_pushout_induced,
+    kernel_subobject, present, quotient_finset, quotient_induced,
+    quotient_linear, surjection_quotient, wide_pushout, wide_pushout_induced,
 )
 
 from fixtures import rand_chq, rand_chq_map
@@ -196,14 +195,15 @@ def test_pushout_universal_property(rng):
     c = finset_obj(["u", "v"])
     f = finset_map(a, b, [0])
     g = finset_map(a, c, [1])
-    po = pushout(f, g)
+    po = wide_pushout(a, [f, g])
+    left, right = po.maps
     assert len(po.obj.labels) == 3
-    assert f.then(po.left) == g.then(po.right)
+    assert f.then(left) == g.then(right)
     z = finset_obj(["0", "1", "2"])
     u = finset_map(b, z, [0, 1])
     v = finset_map(c, z, [2, 0])
-    ind = pushout_induced(po, u, v)
-    assert po.left.then(ind) == u and po.right.then(ind) == v
+    ind = wide_pushout_induced(po, [u, v])
+    assert left.then(ind) == u and right.then(ind) == v
 
 
 def test_wide_pushout_degenerate_cases():
@@ -324,10 +324,6 @@ def test_induced_maps_refuse_a_cone_that_does_not_commute(backend):
     # the identity of b on both legs is a cone only if f == g
     a, b, f, g = two_points(backend)
     ib = identity(b)
-    po = pushout(f, g)
-    assert pushout_induced(po, po.left, po.right) == identity(po.obj)
-    with pytest.raises(ValueError):
-        pushout_induced(po, ib, ib)
     for n in (2, 3):
         wp = wide_pushout(a, [f, g] + [f] * (n - 2))
         assert wide_pushout_induced(wp, wp.maps) == identity(wp.obj)

@@ -19,7 +19,7 @@ from cosegal.base import (
     is_trivial_fibration, is_weak_equivalence, sphere, tensor, tensor_mor,
     unit,
 )
-from cosegal.colim import pushout, pushout_induced
+from cosegal.colim import wide_pushout, wide_pushout_induced
 from cosegal.precat import (
     PrecatMorphism, StrictCategory, check_unital, from_strict_category,
     identity_morphism, is_easy_weak_equivalence,
@@ -472,10 +472,10 @@ def _run_cell_pushout(sizes, z0, bottom_images):
     # its glued degree-1 slot is the plain backend pushout, through the
     # induced comparison; the higher slots keep free products and the
     # object is genuinely not 2-constant
-    po = pushout(alpha, top)
+    po = wide_pushout(alpha.src, [alpha, top])
     inc_u, _ = psi_inclusions(res_v, z0)
-    m = pushout_induced(po, inc_u.then(kappa_eng.at(pair)),
-                        eps_eng.at(pair))
+    m = wide_pushout_induced(po, [inc_u.then(kappa_eng.at(pair)),
+                                  eps_eng.at(pair)])
     assert is_isomorphism(m)
     assert not is_two_constant(big)
 
@@ -483,12 +483,12 @@ def _run_cell_pushout(sizes, z0, bottom_images):
     # realized category
     r = realize(F)
     assert r.homs == cat.homs and r.comps == cat.comps
-    gamma_pair = pushout_induced(po, bottom, identity(hom))
+    gamma_pair = wide_pushout_induced(po, [bottom, identity(hom)])
     reps = {key: identity(w) for key, w in cat.homs.items()}
     reps[pair] = gamma_pair
     lifts = {}
     for a in cat.objects:
-        lifts[a] = cat.idpoints[a].then(po.right) if (a, a) == pair \
+        lifts[a] = cat.idpoints[a].then(po.maps[1]) if (a, a) == pair \
             else cat.idpoints[a]
     flat = two_constant_transfer(TwoConstantData(cat, reps, lifts),
                                  truncation)
@@ -500,7 +500,7 @@ def _run_cell_pushout(sizes, z0, bottom_images):
     comps = {}
     for s in F.chains:
         p = (s[0], s[-1])
-        comps[s] = po.right if len(s) == 2 and p == pair \
+        comps[s] = po.maps[1] if len(s) == 2 and p == pair \
             else identity(F.value(s))
     eps_flat = PrecatMorphism(F, flat, comps)
     assert validate_morphism(eps_flat) == []
@@ -511,7 +511,7 @@ def _run_cell_pushout(sizes, z0, bottom_images):
             assert is_isomorphism(eps_flat.at(s))
 
     # it receives the same cocone, byte for byte
-    kappa_flat = psi_transpose(res_v, z0, flat, (po.left, bottom))
+    kappa_flat = psi_transpose(res_v, z0, flat, (po.maps[0], bottom))
     assert down.then(kappa_flat).components \
         == sigma.then(eps_flat).components
 

@@ -20,7 +20,7 @@ the identity letter map (the functor-category hom as an end):
   the families of points whose two transport routes agree;
 - dimension (vectq, chq): the classifying object is the solution space
   of the route equations, which the test assembles on its own from the
-  route formula and solves with `ratmat.kernel_basis`; also on the
+  route formula and solves with `ratmat.kernel_data`; also on the
   one-object full subcategory on the two-element set, where the
   classifying object is the centre of its endomorphism algebra;
 - composition (all backends): composing families is associative and
@@ -282,7 +282,7 @@ def test_nat_object_is_the_solution_space_of_the_route_equations(
     columns = [[x for s in chains
                 for x in route_difference(with_family(t, eta), r, s)]
                for eta in basis]
-    kernel = ratmat.kernel_basis(ratmat.mat(zip(*columns)))
+    kernel = ratmat.kernel_data(ratmat.mat(zip(*columns)))[0]
     assert n.obj.size() == len(kernel[0]) == 2
     for column in zip(*kernel):
         assert n.member(n.vector_family(column))
