@@ -12,24 +12,26 @@ The central objects here:
   copy of V per deletion onto z0, glued along U. Upsilon, which
   represents maps m -> H(z0), is the gadget of the initial arrow 0 -> m.
   A `_Gadget` record holds k and the gadget, one keyed sum over k by
-  distributivity (no gamma(k) is built), with the map between two
-  gadgets, the transpose into a pointed target and the inclusion of a
-  chain block.
+  distributivity (no gamma(k) is built), with the transpose into a
+  pointed target and the inclusion of a chain block.
 * gamma, point and the gadget are keyed sums with keys of one form,
   (cuts, labels): a subdivision of the chain with each part a carrier
   or a unit, made by one rule (`_keyed`). No two adjacent parts carry a
   label that the build merges: gamma's keys are all carriers, point's
   alternate, and the gadget's have no two adjacent units. One builder
-  makes the values, structure maps and laxity of all three, and one map
-  between builds serves `gamma_map`, `point_map` and the gadget maps.
+  makes the values, structure maps and laxity of all three.
+* Every map out of a free construction is a transpose (`_free_transpose`):
+  gamma, point and the gadget are left adjoints, so it is fixed by where
+  it sends the chain blocks. A map out of the bare diagram of an arrow
+  is fixed by the square it classifies (`_arrow_transpose`).
 * `unitalize` forces the unit laws on a pointed precategory by one
   quotient round, which `check_unital` confirms. It builds no gadget;
   the result is the colimit that glues one upsilon gadget per violated
   constraint.
 * Each free construction is built once with its sums (`_Sum`), and every
-  map into or out of it (`gamma_map`, `point_map`, the gadget maps, the
-  transposes) reads its blocks from them. The laxity out of the tensor of
-  two sums is gathered from components (`colim.tensor_copair`).
+  map into or out of it (the chain blocks and the transposes) reads its
+  blocks from them. The laxity out of the tensor of two sums is gathered
+  from components (`colim.tensor_copair`).
 * The free builders work on their support: a summand key is live when
   each of its carrier parts has a nonempty value. A free value sums its
   live summands only (finset labels keep each key's position), and one
@@ -357,34 +359,19 @@ def _free_build(pc, kind):
 
 
 def gamma_map(phi):
-    """The action of gamma on a morphism of bare chain diagrams."""
-    return _free_map_between(phi, _free_build(phi.src, "gamma"),
-                             _free_build(phi.dst, "gamma"))
+    """The action of gamma on a morphism of bare chain diagrams: the
+    transpose of phi followed by the chain block of gamma(phi.dst)."""
+    dst, sums = _free_build(phi.dst, "gamma")
+    return _free_transpose(_free_build(phi.src, "gamma"), dst,
+                           lambda z: _chain_block(sums[z], phi.at(z)))
 
 
 def point_map(alpha):
-    """The action of point on a morphism of unpointed precategories."""
-    return _free_map_between(alpha, _point_build(alpha.src),
-                             _point_build(alpha.dst))
-
-
-def _free_map_between(alpha, src, dst):
-    """The free map of alpha between the builds src of alpha.src and dst
-    of alpha.dst, both of one kind (`gamma_map`, `point_map`, or the map
-    between two gadgets): alpha on carrier parts, the identity on unit
-    parts."""
-    (fsrc, ssums), (fdst, dsums) = src, dst
-    unit_id = identity(unit(alpha.src.backend))
-
-    def leg(z, key, parts):
-        factors = [alpha.at(q) if l == "f" else unit_id
-                   for q, l in zip(parts, key[1])]
-        return _into(factors, dsums[z], dsums[z].keyed.pos[key])
-
-    comps = {z: _sum_map(ssums[z], dsums[z].obj,
-                         lambda key, parts: leg(z, key, parts))
-             for z in alpha.src.chains if ssums[z].live}
-    return PrecatMorphism(fsrc, fdst, comps)
+    """The action of point on a morphism of unpointed precategories: the
+    transpose of alpha followed by the carrier of point(alpha.dst)."""
+    dst, sums = _point_build(alpha.dst)
+    return _free_transpose(_point_build(alpha.src), dst,
+                           lambda z: _chain_block(sums[z], alpha.at(z)))
 
 
 def kobject_of(pc):
@@ -402,13 +389,10 @@ def gamma_unit(k):
 
 
 def gamma_counit(pc):
-    """gamma(forget(pc)) -> pc: iterated laxity on each block, the
-    identity on the one-part chain block."""
-    g, sums = _free_build(pc, "gamma")
-    comps = {z: _sum_map(sums[z], pc.value(z),
-                         lambda _, parts: pc.lax_multi(parts))
-             for z in pc.chains if sums[z].live}
-    return PrecatMorphism(g, pc, comps)
+    """gamma(forget(pc)) -> pc: the transpose of the identity, so iterated
+    laxity on each block and the identity on the one-part chain block."""
+    return _free_transpose(_free_build(pc, "gamma"), pc,
+                           lambda z: identity(pc.value(z)))
 
 
 def point_carrier_inclusion(pc):
@@ -467,32 +451,29 @@ def _arrow_build(letters, truncation, z0, alpha):
     return k, wps
 
 
-def hom_extension_square(square, src_data, dst_data):
-    """The diagram morphism that a commuting square (u, v) from an arrow
-    alpha to an arrow beta induces between their diagrams, given as the
-    (diagram, wide pushouts) pairs of `_arrow_build`."""
-    u, v = square
-    ksrc, wsrc = src_data
-    kdst, wdst = dst_data
+def _arrow_transpose(k, z0, h, square):
+    """The morphism of bare diagrams out of the diagram of an arrow U -> V
+    pushed over z0, given as the (diagram, wide pushouts) pair k of
+    `_arrow_build`, into h that a commuting square (top, bottom) from the
+    arrow to h's cosegal arrow at z0 classifies: top into h at the
+    endpoints, bottom into h at z0. Each copy of V at w goes to h(w) along
+    its deletion w -> z0, U along the deletion onto the endpoints."""
+    top, bottom = square
+    diagram, wps = k
     comps = {}
-    for w in ksrc.chains:
-        src, dst = wsrc[w], wdst[w]
-        if not ksrc.value(w).size():
+    for w in diagram.chains:
+        if not diagram.value(w).size():
             continue
-        comps[w] = wide_pushout_induced(
-            src, [v.then(leg) for leg in dst.maps],
-            through=None if dst.maps else u.then(dst.through))
-    return PrecatMorphism(ksrc, kdst, comps)
+        cone = [bottom.then(h.structure(d)) for d in shapes.hom_set(w, z0)]
+        through = (None if cone else
+                   top.then(h.structure(shapes.to_initial(w))))
+        comps[w] = wide_pushout_induced(wps[w], cone, through=through)
+    return PrecatMorphism(diagram, h, comps)
 
 
 def _initial_arrow(m):
     """0 -> m, the arrow whose diagram is upsilon's."""
     return zero_map(empty(m.backend), m)
-
-
-def _initial_square(f):
-    """The square from 0 -> f.src to 0 -> f.dst with bottom f."""
-    return (identity(empty(f.backend)), f)
 
 
 def _upsilon_square(h, z0, g):
@@ -506,8 +487,8 @@ class _Gadget:
     """The gadget of an arrow pushed over z0: point(gamma(k)) for its bare
     diagram k (`_arrow_build`; upsilon's arrow is 0 -> m), built in one
     piece as `_free_build` of kind "gadget" on k. k is (k, its wide
-    pushouts) and build is (gadget, sums); the maps into and out of the
-    gadget read their summands from these."""
+    pushouts) and build is (gadget, sums); the chain inclusions and the
+    transpose read their summands from these."""
 
     z0: tuple
     k: tuple
@@ -519,29 +500,13 @@ class _Gadget:
         k = _arrow_build(letters, truncation, z0, alpha)
         return cls(z0, k, _free_build(k[0], "gadget"))
 
-    def map_to(self, dst, square):
-        """point(gamma(-)) of the diagram map that the commuting square
-        (u, v) from this gadget's arrow to dst's induces."""
-        phi = hom_extension_square(square, self.k, dst.k)
-        return _free_map_between(phi, self.build, dst.build)
-
     def transpose(self, h, square):
         """The pointed morphism into h classified by a commuting square
         (top, bottom) from the gadget's arrow U -> V to h's cosegal arrow
-        at z0: top into h at the endpoints, bottom into h at z0. Each
-        copy of V at w goes to h(w) along its deletion w -> z0, U along
-        the deletion onto the endpoints."""
-        top, bottom = square
-        wps = self.k[1]
-
-        def k_component(w):
-            cone = [bottom.then(h.structure(d))
-                    for d in shapes.hom_set(w, self.z0)]
-            through = (None if cone else
-                       top.then(h.structure(shapes.to_initial(w))))
-            return wide_pushout_induced(wps[w], cone, through=through)
-
-        return _free_transpose(self, h, k_component)
+        at z0: the transpose of the map of bare diagrams that the square
+        classifies (`_arrow_transpose`)."""
+        return _free_transpose(
+            self.build, h, _arrow_transpose(self.k, self.z0, h, square).at)
 
     def chain_inclusion(self, w, into_k):
         """into_k, a map into k(w), followed by the one-part carrier
@@ -562,10 +527,13 @@ def free_hom_kobject(letters, truncation, z0, m):
 
 
 def free_hom_kmorphism(letters, truncation, z0, f):
-    """The action of the free one-chain diagram on a map f: m -> m2."""
-    builds = [_arrow_build(letters, truncation, z0, _initial_arrow(x))
-              for x in (f.src, f.dst)]
-    return hom_extension_square(_initial_square(f), *builds)
+    """The action of the free one-chain diagram on a map f: m -> m2: the
+    transpose of f followed by the copy of m2 at z0."""
+    src, (dst, wps) = [_arrow_build(letters, truncation, z0, _initial_arrow(x))
+                       for x in (f.src, f.dst)]
+    (center,) = wps[z0].maps
+    return _arrow_transpose(src, z0, dst,
+                            _upsilon_square(dst, z0, f.then(center)))
 
 
 def upsilon(letters, truncation, z0, m):
@@ -576,10 +544,11 @@ def upsilon(letters, truncation, z0, m):
 
 
 def upsilon_map(letters, truncation, z0, f):
-    """The action of upsilon on a map f: m -> m2."""
-    src, dst = [_Gadget.of(letters, truncation, z0, _initial_arrow(x))
-                for x in (f.src, f.dst)]
-    return src.map_to(dst, _initial_square(f))
+    """The action of upsilon on a map f: m -> m2: the transpose of f
+    followed by the center inclusion of upsilon(..., m2)."""
+    dst = _Gadget.of(letters, truncation, z0, _initial_arrow(f.dst))
+    return upsilon_transpose(dst.build[0], z0,
+                             f.then(dst.center_inclusion()))
 
 
 def upsilon_center_inclusion(letters, truncation, z0, m):
@@ -600,16 +569,19 @@ def upsilon_transpose(h, z0, g):
     return gadget.transpose(h, _upsilon_square(h, z0, g))
 
 
-def _free_transpose(gadget, h, k_component):
-    """The pointed morphism out of the gadget on k into h that is
-    k_component(w): k(w) -> h(w) on the nonempty chain blocks.
+def _free_transpose(build, h, k_component):
+    """The morphism out of the free build on k, the (precategory, sums)
+    pair of `_free_build`, into h that is k_component(w): k(w) -> h(w) on
+    the nonempty chain blocks. Every map out of gamma, point or the gadget
+    is one of these, as each is left adjoint. A pointed build's transpose
+    is pointed, so it needs a pointed h.
 
     On a summand, carrier parts go through k_component and unit parts to
     derived units, and h's laxity merges every part.
     """
-    if not h.is_pointed():
+    src, sums = build
+    if src.is_pointed() and not h.is_pointed():
         raise ValueError("transpose needs a pointed target")
-    src, sums = gadget.build
     kcomp = functools.cache(k_component)
     lax_multi = functools.cache(h.lax_multi)
 
@@ -1051,9 +1023,12 @@ def _gadget_over(res, z0):
 
 
 def psi_square(z0, square, src_res, dst_res):
-    """Functorial action of psi on a commuting square of arrows."""
-    raw = _gadget_over(src_res, z0).map_to(_gadget_over(dst_res, z0), square)
-    return factor_through_unital(src_res.eta, raw.then(dst_res.eta))
+    """Functorial action of psi on a commuting square (u, v) of arrows:
+    the transpose of the square followed by dst_res's inclusions."""
+    u, v = square
+    inc_u, inc_v = psi_inclusions(dst_res, z0)
+    return psi_transpose(src_res, z0, dst_res.precat,
+                         (u.then(inc_u), v.then(inc_v)))
 
 
 def psi_inclusions(res, z0):

@@ -282,17 +282,6 @@ def tensor_multi(objs, backend=None):
     return out
 
 
-def tensor_mor_multi(mors, backend=None):
-    mors = list(mors)
-    if not mors:
-        if backend is None:
-            raise ValueError("empty tensor needs an explicit backend")
-        return identity(unit(backend))
-    if len(mors) == 1:
-        return mors[0]
-    return tensor_mor(*mors)
-
-
 def symmetry(x, y):
     """The braiding x (x) y -> y (x) x (with Koszul signs on chq)."""
     src = tensor(x, y)

@@ -567,6 +567,42 @@ def test_point_map_of_counit_validates():
             == pm.dst.unit_map(a)
 
 
+@pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
+def test_units_of_gamma_and_point_are_natural(backend):
+    # gamma_map and point_map are transposes, fixed by where they send the
+    # chain blocks: the unit followed by the free map is the map followed
+    # by the unit
+    letters, z0 = ("a", "b"), ("a", "b", "b")
+    for _, fs in free_hom_cases(backend):
+        for f in fs:
+            phi = free_hom_kmorphism(letters, 3, z0, f)
+            assert gamma_unit(phi.src).then(gamma_map(phi)).components \
+                == phi.then(gamma_unit(phi.dst)).components
+    to_backend = {"finset": lambda cat: cat, "vectq": linearize_category,
+                  "chq": chainify_category}[backend]
+    for cat in (function_category({"a": 1, "b": 2}), walking_arrow()):
+        pc = forget_units(from_strict_category(to_backend(cat), 2))
+        alpha = gamma_counit(pc)
+        assert point_carrier_inclusion(alpha.src).then(point_map(alpha)) \
+            == alpha.then(point_carrier_inclusion(pc))
+
+
+def test_a_pointed_build_transposes_into_pointed_targets_only():
+    # a pointed build's transpose is pointed, so it needs a pointed
+    # target; gamma's build is unpointed and transposes into any target
+    h = from_strict_category(function_category({"a": 1, "b": 2}), 2)
+    pc = forget_units(h)
+    z0 = ("a", "b", "b")
+    with pytest.raises(ValueError, match="pointed target"):
+        upsilon_transpose(pc, z0, identity(pc.value(z0)))
+    with pytest.raises(ValueError, match="pointed target"):
+        adjoints._free_transpose(adjoints._point_build(pc), pc,
+                                 lambda z: identity(pc.value(z)))
+    eps = gamma_counit(pc)
+    assert not eps.dst.is_pointed()
+    assert validate_morphism(eps) == []
+
+
 # ---------------------------------------------------------------------------
 # the one-chain gadget
 
@@ -603,7 +639,7 @@ def test_free_transpose_computes_each_chain_component_once():
         return wide_pushout_induced(
             wps[w], cone, through=top.then(h.structure(shapes.to_initial(w))))
 
-    tr = adjoints._free_transpose(gadget, h, k_component)
+    tr = adjoints._free_transpose(gadget.build, h, k_component)
     # once at each chain whose value is nonempty, and nowhere else
     assert sorted(calls) == sorted(set(calls)) == sorted(
         w for w in k.chains if k.value(w).size())
@@ -763,7 +799,7 @@ def dense_free_build(pc, kind):
                    for q, l in zip(parts, labels)]
         if labels[j] == "f":
             factors[j] = pc.gen_map(parts[j], rel)
-        return base.tensor_mor_multi(factors, backend).then(injs[at])
+        return base.tensor_mor(*factors).then(injs[at])
 
     maps = {(z, p): sum_map(shapes.delete(z, p), dense[z][0],
                             lambda key, _: reinserted(z, p, *key))
@@ -794,8 +830,7 @@ def dense_free_build(pc, kind):
                                        labels1[:-1] + labels2[1:])]
             factors.insert(len(parts1) - 1, pc.lax(parts1[-1], parts2[0])
                            if labels1[-1] == "f" else base.left_unitor(u))
-            targets[(i, j)] = base.tensor_mor_multi(
-                factors, backend).then(stinjs[at])
+            targets[(i, j)] = base.tensor_mor(*factors).then(stinjs[at])
         laxity[(s, t)] = colim.tensor_copair(
             backend, (lobj, lsrcs), (robj, rsrcs), targets, stobj)
     units = None

@@ -11,7 +11,7 @@ from cosegal.base import (
     has_rlp, homology, identity, invert, is_cofibration, is_fibration,
     is_isomorphism, is_trivial_fibration, is_weak_equivalence, left_unitor,
     make_map, right_unitor, solve_map, sphere, symmetry, tensor, tensor_mor,
-    tensor_mor_multi, tensor_multi, unit, vectq_map, vectq_obj, zero_map,
+    tensor_multi, unit, vectq_map, vectq_obj, zero_map,
 )
 
 from fixtures import (
@@ -139,12 +139,10 @@ def test_symmetry_involutive_all_backends(rng):
 
 
 def test_empty_tensors_need_an_explicit_backend():
-    for empty_tensor in (tensor_multi, tensor_mor_multi):
-        with pytest.raises(ValueError, match="explicit backend"):
-            empty_tensor([])
+    with pytest.raises(ValueError, match="explicit backend"):
+        tensor_multi([])
     for b in BACKENDS:
         assert tensor_multi([], b) is unit(b)
-        assert tensor_mor_multi([], b) == identity(unit(b))
 
 
 def rand_backend_map(rng, backend, tag):
@@ -164,16 +162,17 @@ def rand_backend_map(rng, backend, tag):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_tensor_mor_multi_is_the_left_fold_of_tensor_mor(rng, backend):
-    # tensor_mor_multi folds the payloads only and builds each end once;
-    # the result must be the left-bracketed fold of pairwise tensors
+def test_tensor_mor_is_the_left_fold_of_pairwise_tensors(rng, backend):
+    # tensor_mor of several maps folds the payloads only and builds each
+    # end once; the result must be the left-bracketed fold of pairwise
+    # tensors
     for _ in range(30):
         mors = [rand_backend_map(rng, backend, "abc"[i])
                 for i in range(rng.randint(1, 3))]
         fold = mors[0]
         for m in mors[1:]:
             fold = tensor_mor(fold, m)
-        assert tensor_mor_multi(mors) == fold
+        assert tensor_mor(*mors) == fold
 
 
 def test_then_refuses_a_mismatched_end_of_equal_size():

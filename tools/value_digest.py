@@ -9,12 +9,16 @@ numbers and the walking arrow on all three backends, whose empty hom
 leaves empty slots. After those parts come the gluing engines on the same
 fixtures: `pushforward` onto one letter and, with two letters, onto two,
 and `precat_colimit` (the precategory and its cocone) of the span of a
-unitalization's eta with itself. Precategories and their morphisms are read through
-their accessors (`render`), so the rendering does not depend on which
-maps out of empty objects a precategory stores. Two builds of these
-outputs print the same digest exactly when every object, map and laxity
-they hold is equal, finset labels included, so the line pins outputs to
-the value where the benchmark digests only pin sizes.
+unitalization's eta with itself. Last come the maps out of the free
+constructions on the same fixtures: `free_hom_kmorphism` of the
+generating arrow of psi, `gamma_map` of that and of gamma's unit,
+`gamma_counit`, `point_map` of the counit and `psi_square` on the down,
+xi and ell squares of the arrow. Precategories and their morphisms are
+read through their accessors (`render`), so the rendering does not
+depend on which maps out of empty objects a precategory stores. Two
+builds of these outputs print the same digest exactly when every object,
+map and laxity they hold is equal, finset labels included, so the line
+pins outputs to the value where the benchmark digests only pin sizes.
 
     PYTHONHASHSEED=0 python tools/value_digest.py [-v]
 
@@ -144,14 +148,42 @@ def gluings(cat, truncation):
     return out
 
 
+def transposes(cat, truncation, alpha):
+    """[(part name, value)] of the maps out of the free constructions on
+    one case: the functor actions, gamma's counit and psi on squares."""
+    pc = forget_units(from_strict_category(cat, truncation))
+    z0 = (pc.letters[0], pc.letters[-1], pc.letters[-1])
+    at = (pc.letters, truncation, z0)
+    kphi = adjoints.free_hom_kmorphism(*at, alpha)
+    eps = adjoints.gamma_counit(pc)
+    ps = adjoints.psi(z0, alpha, letters=pc.letters, truncation=truncation)
+    mid, idv = [adjoints.psi(z0, x, letters=pc.letters, truncation=truncation)
+                for x in (adjoints.codiagonal_arrow(alpha),
+                          identity(alpha.dst))]
+    return [("free_hom_kmorphism", kphi),
+            ("gamma_map", (adjoints.gamma_map(kphi), adjoints.gamma_map(
+                adjoints.gamma_unit(adjoints.kobject_of(pc))))),
+            ("gamma_counit", eps),
+            ("point_map", adjoints.point_map(eps)),
+            ("psi_square", [adjoints.psi_square(z0, sq(alpha), *ends)
+                            for sq, ends in [
+                                (adjoints.square_down, (ps, idv)),
+                                (adjoints.square_xi, (ps, mid)),
+                                (adjoints.square_ell, (mid, idv))]])]
+
+
 def parts():
-    """(case name, part name, value) of every part, the gluing engines'
-    after all the others."""
+    """(case name, part name, value) of every part: the gluing engines'
+    after the free constructions', and the maps out of the free
+    constructions last."""
     for name, cat, truncation, alpha in cases():
         for part, value in outputs(cat, truncation, alpha):
             yield name, part, value
     for name, cat, truncation, _ in cases():
         for part, value in gluings(cat, truncation):
+            yield name, part, value
+    for name, cat, truncation, alpha in cases():
+        for part, value in transposes(cat, truncation, alpha):
             yield name, part, value
 
 
