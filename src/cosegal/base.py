@@ -534,32 +534,73 @@ def enumerate_maps(x, y):
         yield MMorphism("finset", x, y, mapping=mapping)
 
 
-def _hom_constraint(src, dst):
-    """Rows cutting out the chain maps inside all dst x src matrices.
+def _degrees(x):
+    """The degree of each basis vector of x; on vectq every one is 0."""
+    return x.degrees or (0,) * x.size()
 
-    Acts on the column-major vectorization of K: the chain condition
-    d_dst K = K d_src together with vanishing off the degree diagonal.
-    Empty (no rows) for finset/vectq.
+
+def _hom_positions(src, dst):
+    """The hom coordinates of the maps src -> dst, as (starts, rows, ranks).
+
+    They are the entries (i, j) with deg_dst(i) == deg_src(j), taken in
+    column-major vec order (position j * nd + i): the degree diagonal on
+    chq, and every entry on vectq. rows[d] lists the dst indices of
+    degree d and ranks[i] is the place of i in its list. Column j holds
+    the coordinates from starts[j] up to starts[j + 1], one per index in
+    rows[deg_src(j)], so entry (i, j) is coordinate starts[j] + ranks[i];
+    starts ends with the number of coordinates.
     """
-    ns, nd = src.size(), dst.size()
+    rows, ranks = {}, []
+    for i, d in enumerate(_degrees(dst)):
+        at = rows.setdefault(d, [])
+        ranks.append(len(at))
+        at.append(i)
+    starts = [0]
+    for d in _degrees(src):
+        starts.append(starts[-1] + len(rows.get(d, ())))
+    return starts, rows, ranks
+
+
+def _from_hom(src, dst, coords):
+    """The map src -> dst whose entries at its hom coordinates are coords,
+    a sequence in coordinate order; every other entry is zero."""
+    starts, rows, _ = _hom_positions(src, dst)
+    return make_map(src, dst, ratmat.build(dst.size(), src.size(), [
+        (i, j, x) for j, d in enumerate(_degrees(src))
+        for i, x in zip(rows.get(d, ()), coords[starts[j]:starts[j + 1]])
+        if x]))
+
+
+def _hom_constraint(src, dst):
+    """Rows cutting out the chain maps src -> dst on hom coordinates.
+
+    Row (r, c), for deg_dst(r) == deg_src(c) - 1, is entry (r, c) of
+    d_dst K - K d_src, read off the nonzeros of the two differentials.
+    Empty (no rows) on vectq, where all nd * ns entries are coordinates.
+    """
     if src.backend != "chq":
-        return ratmat.zeros(0, nd * ns)
-    left = ratmat.kron(ratmat.eye(ns), dst.diff)
-    right = ratmat.kron(ratmat.transpose(src.diff), ratmat.eye(nd))
-    off = [j * nd + i for j in range(ns) for i in range(nd)
-           if dst.degrees[i] != src.degrees[j]]
-    return ratmat.vstack([ratmat.msub(left, right), ratmat.build(
-        len(off), nd * ns, [(r, c, ONE) for r, c in enumerate(off)])])
+        return ratmat.zeros(0, src.size() * dst.size())
+    starts, rows, ranks = _hom_positions(src, dst)
+    cols = _hom_positions(dst, src)[1]  # the src indices of each degree
+    # entry (r, c) of d_dst K reads K(k, c), and of K d_src reads K(r, k)
+    terms = [((r, c), starts[c] + ranks[k], x)
+             for r, k, x in ratmat.nonzeros(dst.diff)
+             for c in cols.get(dst.degrees[k], ())]
+    terms += [((r, c), starts[k] + n, -x)
+              for k, c, x in ratmat.nonzeros(src.diff)
+              for n, r in enumerate(rows.get(src.degrees[k], ()))]
+    index = {}  # one row per entry (r, c), numbered as they come
+    entries = [(index.setdefault(key, len(index)), q, x)
+               for key, q, x in terms]
+    return ratmat.build(len(index), starts[-1], entries)
 
 
 def chq_hom_basis(src, dst):
-    """A basis of the space of chain maps src -> dst, as morphisms."""
+    """A basis of the space of chain maps src -> dst (of all linear maps
+    on vectq), as morphisms."""
     basis = _chain_maps(src, dst)
-    n, k = ratmat.shape(basis)
-    # column c of the basis is the vectorization of the c-th chain map
-    return tuple(chq_map(src, dst, ratmat.unvec(
-        ratmat.vec(ratmat.submatrix(basis, range(n), (c,))),
-        dst.size(), src.size())) for c in range(k))
+    return tuple(_from_hom(src, dst, ratmat.vec(col)) for col in
+                 ratmat.split_columns(basis, [1] * ratmat.shape(basis)[1]))
 
 
 def solve_map(src, dst, pre, post):
@@ -567,17 +608,39 @@ def solve_map(src, dst, pre, post):
 
     h satisfies i.then(h) == f for each (i, f) in pre and h.then(p) == g
     for each (p, g) in post; unique tells whether the equations leave it
-    no freedom. Raises ValueError when they contradict each other.
+    no freedom. Raises ValueError when they contradict each other, or
+    when the ends of an equation do not match: i.dst == src, f.src ==
+    i.src and f.dst == dst; p.src == dst, g.src == src and g.dst == p.dst.
 
     finset: the pre equations force the image of each point some i hits,
     in the order given, and raise where two of them disagree; every other
     point goes to the first point of dst that each post equation allows.
     h is None when a point has no image the post equations allow. unique
-    means every point is forced. vectq/chq: one linear system on the vec
-    coordinates of h, the chain-map rows and a block per equation, solved
-    with the free coordinates zero, so h is canonical; unique means the
-    system has full column rank.
+    means every point is forced.
+
+    vectq/chq: one linear system on the hom coordinates of h (see
+    `_hom_positions`): the chain-map rows and, per equation, a block on
+    the hom coordinates of its map, solved with the free coordinates
+    zero, so h is canonical; unique means full column rank. On all vec
+    coordinates, each off-degree one would have a unit row of its own
+    that no hom coordinate enters, and every other row would meet only
+    one of the two kinds, with a zero right-hand side on the off-degree
+    kind, as f and g are chain maps. So the pivots among the hom
+    coordinates, the free coordinates, the canonical solution and the
+    uniqueness are those of that full system.
     """
+    for side, eqs, ends in (
+            ("pre", pre, lambda i, f: (("i.dst == src", i.dst, src),
+                                       ("f.src == i.src", f.src, i.src),
+                                       ("f.dst == dst", f.dst, dst))),
+            ("post", post, lambda p, g: (("p.src == dst", p.src, dst),
+                                         ("g.src == src", g.src, src),
+                                         ("g.dst == p.dst", g.dst, p.dst)))):
+        for n, eq in enumerate(eqs):
+            for need, x, y in ends(*eq):
+                if x is not y and x != y:
+                    raise ValueError("%s equation %d needs %s"
+                                     % (side, n, need))
     if src.backend == "finset":
         forced = {}
         for i, f in pre:
@@ -594,20 +657,21 @@ def solve_map(src, dst, pre, post):
             mapping.append(jx)
         return (MMorphism("finset", src, dst, mapping=tuple(mapping)),
                 len(forced) == len(src.labels))
-    ns, nd = src.size(), dst.size()
-    rows, rhs = [], []
-    for i, f in pre:
-        rows.append(_precompose(i, nd))
-        rhs.extend(ratmat.vec(f.matrix))
-    for p, g in post:
-        rows.append(_postcompose(p, ns))
-        rhs.extend(ratmat.vec(g.matrix))
+    blocks, rhs = [], []
+    for f, m in [(f, _precompose(i, dst)) for i, f in pre] + [
+            (g, _postcompose(p, src)) for p, g in post]:
+        # the right-hand side of m's rows: f at its hom coordinates
+        rows, nd = _hom_positions(f.src, f.dst)[1], f.dst.size()
+        v = ratmat.vec(f.matrix)
+        rhs += [v[j * nd + i] for j, d in enumerate(_degrees(f.src))
+                for i in rows.get(d, ())]
+        blocks.append(m)
     # the chain-map rows come last: their right-hand side is zero
-    rows.append(_hom_constraint(src, dst))
-    sol, rank = ratmat.solve_vec(ratmat.vstack(rows), rhs)
+    blocks.append(_hom_constraint(src, dst))
+    sol, rank = ratmat.solve_vec(ratmat.vstack(blocks), rhs)
     if sol is None:
         raise ValueError("the equations have no common solution")
-    return make_map(src, dst, ratmat.unvec(sol, nd, ns)), rank == nd * ns
+    return _from_hom(src, dst, sol), rank == len(sol)
 
 
 def find_lift(i, p, f, g):
@@ -647,15 +711,14 @@ def has_rlp(i, p):
     # B -> X onto the commuting squares: pairs of chain maps F: A -> X,
     # G: B -> Y with p F = G i. The image always lies among the squares,
     # so comparing the rank of the map with their dimension settles it.
-    # Maps act on column-major vec coordinates, restricted to the chain
-    # maps through a kernel basis of each hom space.
-    na, nb, nx, ny = a.size(), b.size(), x.size(), y.size()
+    # Maps act on hom coordinates, restricted to the chain maps through a
+    # kernel basis of each hom space.
     k_bx, k_ax, k_by = _chain_maps(b, x), _chain_maps(a, x), _chain_maps(b, y)
-    boundary = ratmat.vstack([_precompose(i, nx), _postcompose(p, nb)])
+    boundary = ratmat.vstack([_precompose(i, x), _postcompose(p, b)])
     rank_lift = ratmat.rank(ratmat.matmul(boundary, k_bx))
     commuting = ratmat.hstack([
-        ratmat.matmul(_postcompose(p, na), k_ax),
-        ratmat.mneg(ratmat.matmul(_precompose(i, ny), k_by))])
+        ratmat.matmul(_postcompose(p, a), k_ax),
+        ratmat.mneg(ratmat.matmul(_precompose(i, y), k_by))])
     dim_squares = (ratmat.shape(k_ax)[1] + ratmat.shape(k_by)[1]
                    - ratmat.rank(commuting))
     return rank_lift == dim_squares
@@ -663,19 +726,30 @@ def has_rlp(i, p):
 
 def _chain_maps(src, dst):
     """A basis of the (chain) maps src -> dst, as the columns of a matrix
-    on vec coordinates."""
+    on hom coordinates: the rref kernel basis of `_hom_constraint`."""
     return ratmat.kernel_data(_hom_constraint(src, dst))[0]
 
 
-def _precompose(f, rows):
-    """The matrix of K -> K f on vec coordinates, K with the given number
-    of rows: kron(f^T, I)."""
-    return ratmat.build(f.src.size() * rows, f.dst.size() * rows, [
-        (j * rows + r, i * rows + r, x)
-        for i, j, x in ratmat.nonzeros(f.matrix) for r in range(rows)])
+def _precompose(f, x):
+    """The matrix of K -> K f, from the hom coordinates of f.dst -> x to
+    those of f.src -> x. Entry (i, j) of f sends entry (r, i) of K to
+    entry (r, j) of K f for each r of x of i's degree: the k-th
+    coordinate of column i to the k-th of column j."""
+    out, col = _hom_positions(f.src, x)[0], _hom_positions(f.dst, x)[0]
+    return ratmat.build(out[-1], col[-1], [
+        (out[j] + k, col[i] + k, v) for i, j, v in ratmat.nonzeros(f.matrix)
+        for k in range(col[i + 1] - col[i])])
 
 
-def _postcompose(f, cols):
-    """The matrix of K -> f K on vec coordinates, K with the given number
-    of columns: kron(I, f)."""
-    return ratmat.kron(ratmat.eye(cols), f.matrix)
+def _postcompose(f, a):
+    """The matrix of K -> f K, from the hom coordinates of a -> f.src to
+    those of a -> f.dst. Column c of f K is the block of f in c's degree
+    applied to column c of K."""
+    out, _, ranks = _hom_positions(a, f.dst)
+    col, _, franks = _hom_positions(a, f.src)
+    degrees, blocks = _degrees(f.src), {}
+    for r, i, v in ratmat.nonzeros(f.matrix):
+        blocks.setdefault(degrees[i], []).append((ranks[r], franks[i], v))
+    return ratmat.build(out[-1], col[-1], [
+        (out[c] + r, col[c] + i, v) for c, d in enumerate(_degrees(a))
+        for r, i, v in blocks.get(d, ())])

@@ -320,6 +320,22 @@ def ref_kron(a, b):
         for i in range(ra * rb))
 
 
+def full_hom_constraint(src, dst):
+    """Rows cutting out the chain maps inside all dst x src matrices, on
+    all nd * ns column-major vec coordinates of K: the chain condition
+    kron(I, d_dst) - kron(d_src^T, I) together with one unit row per
+    coordinate off the degree diagonal. Empty (no rows) for vectq."""
+    ns, nd = src.size(), dst.size()
+    if src.backend != "chq":
+        return ratmat.zeros(0, nd * ns)
+    left = ratmat.kron(ratmat.eye(ns), dst.diff)
+    right = ratmat.kron(ratmat.transpose(src.diff), ratmat.eye(nd))
+    off = [j * nd + i for j in range(ns) for i in range(nd)
+           if dst.degrees[i] != src.degrees[j]]
+    return ratmat.vstack([ratmat.msub(left, right), ratmat.build(
+        len(off), nd * ns, [(r, c, 1) for r, c in enumerate(off)])])
+
+
 def reference_has_rlp(i, p):
     """The lifting-property test of vectq/chq maps through parametrized
     hom spaces: the square space is the kernel of the commuting condition
@@ -331,7 +347,7 @@ def reference_has_rlp(i, p):
     na, nb, nx, ny = a.size(), b.size(), x.size(), y.size()
 
     def hom_basis(s, d):
-        constraints = base._hom_constraint(s, d)
+        constraints = full_hom_constraint(s, d)
         if s.size() == 0 or d.size() == 0:
             return ratmat.zeros(0, 0)
         if ratmat.shape(constraints)[0] == 0:

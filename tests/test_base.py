@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,8 @@ from cosegal.base import (
 )
 
 from fixtures import (
-    assert_exact, rand_chq, rand_chq_map, ref_kron, ref_madd,
-    reference_has_rlp,
+    assert_exact, full_hom_constraint, rand_chq, rand_chq_map, ref_kron,
+    ref_madd, reference_has_rlp,
 )
 
 
@@ -603,6 +604,121 @@ def test_solve_map_meets_its_equations_and_knows_when_it_is_unique(
     assert (h is None) == (ratmat.rank(ratmat.mat(rows)) > rank)
     if h is not None:
         assert unique == (rank == src.size() * dst.size())
+
+
+def _full_hom_basis(src, dst):
+    """The maps src -> dst read off the kernel basis of the constraint on
+    all vec coordinates, in its column order."""
+    basis = ratmat.kernel_data(full_hom_constraint(src, dst))[0]
+    return tuple(make_map(src, dst, ratmat.unvec(
+        ratmat.vec(col), dst.size(), src.size()))
+        for col in ratmat.split_columns(basis, [1] * ratmat.shape(basis)[1]))
+
+
+def _full_solve(src, dst, pre, post):
+    """The canonical solve of solve_map's system on all vec coordinates
+    of h: K -> K i is kron(i^T, I) and K -> p K is kron(I, p), and the
+    chain-map rows are `full_hom_constraint`; (h, unique), or None when
+    the system has no solution."""
+    ns, nd = src.size(), dst.size()
+    rows, rhs = [], []
+    for i, f in pre:
+        rows.append(ratmat.kron(ratmat.transpose(i.matrix), ratmat.eye(nd)))
+        rhs.extend(ratmat.vec(f.matrix))
+    for p, g in post:
+        rows.append(ratmat.kron(ratmat.eye(ns), p.matrix))
+        rhs.extend(ratmat.vec(g.matrix))
+    rows.append(full_hom_constraint(src, dst))
+    sol, rank = ratmat.solve_vec(ratmat.vstack(rows), rhs)
+    if sol is None:
+        return None
+    return make_map(src, dst, ratmat.unvec(sol, nd, ns)), rank == nd * ns
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(["chq", "vectq"]), st.integers(0, 2 ** 32 - 1))
+def test_hom_coordinates_give_the_full_coordinate_answers(backend, seed):
+    """chq_hom_basis and solve_map work on hom coordinates, the degree
+    diagonal on chq. Their answers equal those of the systems on all vec
+    coordinates, whose off-degree coordinates have unit rows of their
+    own: the same basis, and the same canonical (h, unique). The chq
+    draws reach negative degrees and empty complexes."""
+    rng = random.Random(seed)
+
+    def obj():
+        if backend == "chq":
+            return rand_chq(rng, lo=-1, hi=1)
+        return vectq_obj(rng.randint(0, 3))
+
+    def rand_map(x, y):
+        return make_map(x, y, ratmat.build(y.size(), x.size(), [
+            (r, c, k * v) for b in _full_hom_basis(x, y)
+            for k in [rng.randint(-2, 2)]
+            for r, c, v in ratmat.nonzeros(b.matrix)]))
+
+    src, dst = obj(), obj()
+    assert base.chq_hom_basis(src, dst) == _full_hom_basis(src, dst)
+    h0 = rand_map(src, dst)
+    pre, post = [], []
+    for _ in range(rng.randint(0, 2)):
+        i = rand_map(obj(), src)
+        pre.append((i, i.then(h0) if rng.random() < 0.7
+                    else rand_map(i.src, dst)))
+    for _ in range(rng.randint(0, 2)):
+        p = rand_map(dst, obj())
+        post.append((p, h0.then(p) if rng.random() < 0.7
+                     else rand_map(src, p.dst)))
+    want = _full_solve(src, dst, pre, post)
+    if want is None:
+        with pytest.raises(ValueError, match="no common solution"):
+            solve_map(src, dst, pre, post)
+    else:
+        assert solve_map(src, dst, pre, post) == want
+
+
+def _ends_cases():
+    """Two distinct objects x and y per backend; on chq they have one
+    size, and y sits one degree above x."""
+    return {
+        "finset": (finset_obj(["a"]), finset_obj(["b"])),
+        "vectq": (vectq_obj(1), vectq_obj(2)),
+        "chq": (sphere(0), sphere(1)),
+    }
+
+
+def _some_map(x, y):
+    if x.backend == "finset":
+        return finset_map(x, y, [0] * x.size())
+    return zero_map(x, y)
+
+
+@pytest.mark.parametrize("backend", sorted(_ends_cases()))
+@pytest.mark.parametrize("side, end", [
+    ("pre", "i.dst == src"), ("pre", "f.src == i.src"),
+    ("pre", "f.dst == dst"), ("post", "p.src == dst"),
+    ("post", "g.src == src"), ("post", "g.dst == p.dst")])
+def test_solve_map_checks_the_ends_of_every_equation(backend, side, end):
+    """An equation whose maps do not meet src and dst is refused by name,
+    after a well-formed one. A chq leg into a complex of the right size
+    but other degrees is refused too: on hom coordinates it would
+    otherwise give a wrong map without an error."""
+    x, y = _ends_cases()[backend]
+    one = identity(x)
+    bad = {
+        "i.dst == src": (identity(y), _some_map(y, x)),
+        "f.src == i.src": (one, _some_map(y, x)),
+        "f.dst == dst": (one, _some_map(x, y)),
+        "p.src == dst": (identity(y), _some_map(x, y)),
+        "g.src == src": (one, _some_map(y, x)),
+        "g.dst == p.dst": (one, _some_map(x, y)),
+    }[end]
+    eqs = [(one, one), bad]
+    pre, post = (eqs, []) if side == "pre" else ([], eqs)
+    assert solve_map(x, x, [(one, one)], [(one, one)]) == (one, True)
+    with pytest.raises(ValueError,
+                       match="^%s$" % re.escape(
+                           "%s equation 1 needs %s" % (side, end))):
+        solve_map(x, x, pre, post)
 
 
 def test_enumerate_maps_counts():

@@ -13,7 +13,9 @@ unitalization's eta with itself. Last come the maps out of the free
 constructions on the same fixtures: `free_hom_kmorphism` of the
 generating arrow of psi, `gamma_map` of that and of gamma's unit,
 `gamma_counit`, `point_map` of the counit and `psi_square` on the down,
-xi and ell squares of the arrow. Precategories and their morphisms are
+xi and ell squares of the arrow. After them come the chq hom spaces on
+fixed pairs of complexes: `chq_hom_basis`, `solve_map` and `has_rlp`
+against the generating cofibrations. Precategories and their morphisms are
 read through their accessors (`render`), so the rendering does not
 depend on which maps out of empty objects a precategory stores. Two
 builds of these outputs print the same digest exactly when every object,
@@ -33,10 +35,10 @@ from dataclasses import fields, is_dataclass
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from cosegal import adjoints, shapes  # noqa: E402
+from cosegal import adjoints, base, shapes  # noqa: E402
 from cosegal.base import (  # noqa: E402
     MMorphism, MObject, disk, empty, finset_map, finset_obj, identity,
-    vectq_map, vectq_obj, zero_map,
+    sphere, tensor, vectq_map, vectq_obj, zero_map,
 )
 from cosegal.precat import (  # noqa: E402
     PrecatMorphism, Precategory, expected_laxity_keys, from_strict_category,
@@ -172,10 +174,36 @@ def transposes(cat, truncation, alpha):
                                 (adjoints.square_ell, (mid, idv))]])]
 
 
+def hom_spaces():
+    """[(part name, value)] of the chq hom spaces on fixed pairs of
+    complexes: their bases, maps solved from equations and lifting
+    verdicts.
+
+    Each map f of a basis is factored as j then q (`base.factorize`), and
+    solve_map returns its canonical (h, unique) for h with j h = f, for
+    h with h q = f, and for h with j h = j and h q = q. has_rlp gives the
+    verdict of f and q against each generating cofibration of degrees -1
+    to 1."""
+    objs = [empty("chq"), sphere(-1), sphere(0), disk(0), disk(1),
+            tensor(disk(1), disk(1)), dual_numbers_chq().homs[("x", "x")]]
+    bases = {(x, y): base.chq_hom_basis(x, y) for x in objs for y in objs}
+    gens = base.generating_cofibrations("chq", (-1, 1))
+    solved, verdicts = [], []
+    for f in [f for maps in bases.values() for f in maps]:
+        j, q = base.factorize(f)
+        solved.append([
+            base.solve_map(j.dst, f.dst, [(j, f)], []),
+            base.solve_map(f.src, q.src, [], [(q, f)]),
+            base.solve_map(j.dst, q.src, [(j, j)], [(q, q)])])
+        verdicts.append([[base.has_rlp(i, p) for i in gens] for p in (f, q)])
+    return [("chq_hom_basis", list(bases.values())),
+            ("solve_map", solved), ("has_rlp", verdicts)]
+
+
 def parts():
     """(case name, part name, value) of every part: the gluing engines'
-    after the free constructions', and the maps out of the free
-    constructions last."""
+    after the free constructions', then the maps out of the free
+    constructions, and the chq hom spaces last."""
     for name, cat, truncation, alpha in cases():
         for part, value in outputs(cat, truncation, alpha):
             yield name, part, value
@@ -185,6 +213,8 @@ def parts():
     for name, cat, truncation, alpha in cases():
         for part, value in transposes(cat, truncation, alpha):
             yield name, part, value
+    for part, value in hom_spaces():
+        yield "chq-homs", part, value
 
 
 def main(argv):
