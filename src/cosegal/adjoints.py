@@ -44,8 +44,8 @@ The central objects here:
   in) depend on chains only, so they are memoized for the process and
   hold tuples; the live keys are read off each input's support.
 * `realize` collapses each endpoint component to its colimit and reads
-  the induced composition off one `base.solve_map` call per triple, one
-  equation per stored laxity pair.
+  the induced composition off one `base.solve_map` call per triple whose
+  three pairs have a hom, one equation per stored laxity pair.
 * `psi` packages an arrow of the backend into a free unital precategory
   concentrated over one chain; it is the engine behind the lifting-set
   calculus.
@@ -920,11 +920,14 @@ def _solve_composition(pc, cols, a, b, c):
 def realize(pc):
     """Collapse every endpoint component to its colimit.
 
-    Returns the hom objects, the solved composition (with a per-triple
-    flag telling whether the truncated data pins it down uniquely), the
-    comparison morphism eta into the constant precategory when the
-    composition is total, and a stability flag per pair comparing
-    against the one-step-lower truncation.
+    Returns the hom objects, one per endpoint pair that some chain
+    spans; the solved composition on each triple (a, b, c) whose three
+    pairs have a hom, with a per-triple flag telling whether the
+    truncated data pins it down uniquely; the comparison morphism eta
+    into the constant precategory when every solved triple is pinned;
+    the strict category too when, besides, the input is pointed and
+    every pair of letters has a hom; and a stability flag per pair
+    comparing against the one-step-lower truncation.
     """
     letters = pc.letters
     cols = {}
@@ -955,12 +958,10 @@ def realize(pc):
     homs = {key: cols[key].obj for key in cols}
     comps = {}
     determined = {}
-    for a in letters:
-        for b in letters:
-            for c in letters:
-                m, ok = _solve_composition(pc, cols, a, b, c)
-                comps[(a, b, c)] = m
-                determined[(a, b, c)] = ok
+    for a, b, c in itertools.product(letters, repeat=3):
+        if (a, b) in cols and (b, c) in cols and (a, c) in cols:
+            comps[(a, b, c)], determined[(a, b, c)] = _solve_composition(
+                pc, cols, a, b, c)
     idpoints = None
     if pc.is_pointed():
         idpoints = {a: pc.unit_map(a).then(cols[(a, a)].cocone[(a, a)])
@@ -973,7 +974,8 @@ def realize(pc):
                           homs, comps, {}, idpoints)
         eta = PrecatMorphism(pc, constant, {
             s: cols[(s[0], s[-1])].cocone[s] for s in pc.chains})
-        if pc.is_pointed():
+        # a strict category needs a hom for every pair of letters
+        if pc.is_pointed() and len(homs) == len(letters) ** 2:
             category = StrictCategory(pc.backend, letters, dict(homs),
                                       dict(comps), dict(idpoints))
     return Realization(pc.backend, pc.truncation, homs, comps, determined,

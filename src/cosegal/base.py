@@ -375,12 +375,16 @@ def homology(x):
         raise ValueError("homology needs the chq backend")
     if not x.degrees:
         return {}
+    lo = min(x.degrees)
+    # the blocks d_n for n = lo .. hi + 1, each ranked once: H_n reads
+    # the ranks of d_n and d_(n+1)
+    blocks = [_degree_block(x, n) for n in range(lo, max(x.degrees) + 2)]
+    ranks = [ratmat.rank(b) for b, _ in blocks]
     out = {}
-    for n in range(min(x.degrees), max(x.degrees) + 1):
-        dn, ncols = _degree_block(x, n)
-        h = ncols - ratmat.rank(dn) - ratmat.rank(_degree_block(x, n + 1)[0])
+    for k, (_, ncols) in enumerate(blocks[:-1]):
+        h = ncols - ranks[k] - ranks[k + 1]
         if h:
-            out[n] = h
+            out[lo + k] = h
     return out
 
 
@@ -628,6 +632,22 @@ def solve_map(src, dst, pre, post):
     kind, as f and g are chain maps. So the pivots among the hom
     coordinates, the free coordinates, the canonical solution and the
     uniqueness are those of that full system.
+
+    Before that system, when the legs i of the pre equations have at
+    least as many columns (sum of i.src.size()) as src has dimensions,
+    the pre equations alone are tried: h [i_1 ... i_k] = [f_1 ... f_k]
+    as one system I^T X = F^T of sum x (ns + nd) entries, whose rank
+    is that of I = [i_1 ... i_k]. If it has no solution, neither has
+    the hom system, which holds it. If I has rank ns, I is onto and the
+    pre equations pin h among all linear maps, to h = X^T; the size
+    condition is needed for that rank. Then h is the hom system's
+    answer, unique, once it meets each post equation (else there is no
+    solution). It is a map of the backend: I is a degree-preserving map
+    onto src, so each degree block of I is onto, and a vector e of
+    degree n is I a for some a of degree n, so h e = F a has degree n;
+    and (d h - h d) I = d F - F d = 0 with I onto gives d h = h d. So
+    `make_map` never refuses it. Otherwise (rank below ns) the hom
+    system decides.
     """
     for side, eqs, ends in (
             ("pre", pre, lambda i, f: (("i.dst == src", i.dst, src),
@@ -657,6 +677,17 @@ def solve_map(src, dst, pre, post):
             mapping.append(jx)
         return (MMorphism("finset", src, dst, mapping=tuple(mapping)),
                 len(forced) == len(src.labels))
+    if pre and sum(i.src.size() for i, _ in pre) >= src.size():
+        x, rank = ratmat.solve_matrix(
+            ratmat.vstack([ratmat.transpose(i.matrix) for i, _ in pre]),
+            ratmat.vstack([ratmat.transpose(f.matrix) for _, f in pre]))
+        if x is None:
+            raise ValueError("the equations have no common solution")
+        if rank == src.size():
+            h = make_map(src, dst, ratmat.transpose(x))
+            if any(h.then(p) != g for p, g in post):
+                raise ValueError("the equations have no common solution")
+            return h, True
     blocks, rhs = [], []
     for f, m in [(f, _precompose(i, dst)) for i, f in pre] + [
             (g, _postcompose(p, src)) for p, g in post]:

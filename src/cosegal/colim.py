@@ -239,7 +239,8 @@ def surjection_quotient(e):
             first.setdefault(t, i)
         section = tuple(first[t] for t in range(len(e.dst.labels)))
     else:
-        section = ratmat.solve_matrix(e.matrix, ratmat.eye(e.dst.size()))
+        section = ratmat.solve_matrix(e.matrix,
+                                       ratmat.eye(e.dst.size()))[0]
     return Quotient(e.dst, e, section)
 
 
@@ -457,7 +458,7 @@ def kernel_subobject(x, eqs):
     if x.backend == "vectq":
         obj = vectq_obj(len(free))
     else:
-        dsub = ratmat.solve_matrix(basis, ratmat.matmul(x.diff, basis))
+        dsub = ratmat.solve_matrix(basis, ratmat.matmul(x.diff, basis))[0]
         if dsub is None:
             raise ValueError("the kernel is not a subcomplex")
         obj = chq_obj(tuple(x.degrees[i] for i in free), dsub)

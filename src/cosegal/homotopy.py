@@ -36,11 +36,16 @@ def is_cosegal(pc):
 
 def cosegal_report(pc):
     """Per-chain weak-equivalence verdicts for the composite maps out of
-    the degree-1 slots, in chain order."""
+    the degree-1 slots, in chain order. Chains with equal composite maps
+    share their verdict, which is computed once per distinct map."""
     out = []
+    verdicts = {}
     for s in pc.chains:
         if len(s) > 2:
-            out.append((s, is_weak_equivalence(pc.cosegal_map(s))))
+            u = pc.cosegal_map(s)
+            if u not in verdicts:
+                verdicts[u] = is_weak_equivalence(u)
+            out.append((s, verdicts[u]))
     return out
 
 

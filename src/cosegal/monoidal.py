@@ -539,7 +539,7 @@ class NatObject:
         column = ratmat.build(self.product.size(), 1, [
             (self.offsets[a] + i, 0, x) for a in self.letters
             for i, _, x in ratmat.nonzeros(family[a].matrix)])
-        return ratmat.solve_matrix(self.include.matrix, column) is not None
+        return ratmat.solve_matrix(self.include.matrix, column)[0] is not None
 
 
 def _slot_sizes(slots, letters):
@@ -691,7 +691,7 @@ def nat_pairing(n1, n2):
     big = _diagonal_pairing_matrix(laxes, n1, n2, n3)
     landed = ratmat.matmul(big, ratmat.kron(n1.include.matrix,
                                             n2.include.matrix))
-    coeffs = ratmat.solve_matrix(n3.include.matrix, landed)
+    coeffs = ratmat.solve_matrix(n3.include.matrix, landed)[0]
     if coeffs is None:
         raise ValueError("pairing leaves the classifying object")
     return n3, make_map(src, n3.obj, coeffs)

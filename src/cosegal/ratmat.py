@@ -391,40 +391,37 @@ def rank(m):
 
 
 def solve_matrix(a, b):
-    """Solve a @ X = b exactly. Returns X or None if inconsistent.
-
-    When the solution is not unique the free variables are set to zero, which
-    makes the answer canonical.
+    """Solve a @ X = b exactly, as (X, rank): X has the free variables
+    zero, which makes it canonical, or is None if there is no solution,
+    and rank is a's. Both are read off one rref of the augmented matrix
+    [a | b], whose pivots left of column a.shape[1] are those of rref(a):
+    a pivot at or right of it means no solution.
     """
     (ra, ca), (rb, cb) = a.shape, b.shape
     if ra != rb:
         raise ValueError("solve shape mismatch")
     aug, pivots = rref(hstack([a, b]))
-    if pivots and pivots[-1] >= ca:
-        return None
+    rank_a = bisect.bisect_left(pivots, ca)
+    if rank_a < len(pivots):
+        return None, rank_a
     x = [()] * ca
     for c, row in zip(pivots, aug.rows):
-        x[c] = tuple([(j - ca, v) for j, v in row if j >= ca])
-    return Matrix((ca, cb), tuple(x))
+        # entries are (column, value) pairs, so (ca,) precedes b's part
+        x[c] = tuple([(j - ca, v)
+                      for j, v in row[bisect.bisect_left(row, (ca,)):]])
+    return Matrix((ca, cb), tuple(x)), rank_a
 
 
 def solve_vec(a, v):
-    """Solve a @ x = v exactly, as (x, rank): x is a tuple with the free
-    variables zero, or None if there is no solution, and rank is a's,
-    both read off one rref of the augmented matrix. v holds the
-    right-hand sides of the first len(v) rows; the others are zero.
-    """
-    ca = a.shape[1]
+    """`solve_matrix` with one right-hand column, as (x, rank): x is a
+    tuple or None. v holds the right-hand sides of the first len(v) rows;
+    the others are zero."""
     rhs = [((0, x),) if x else () for x in map(_entry, v)]
     rhs += [()] * (a.shape[0] - len(rhs))
-    aug, pivots = rref(hstack([a, Matrix((len(rhs), 1), tuple(rhs))]))
-    if pivots and pivots[-1] == ca:
-        return None, len(pivots) - 1
-    x = [ZERO] * ca
-    for c, row in zip(pivots, aug.rows):
-        if row[-1][0] == ca:
-            x[c] = row[-1][1]
-    return tuple(x), len(pivots)
+    x, rank_a = solve_matrix(a, Matrix((len(rhs), 1), tuple(rhs)))
+    if x is None:
+        return None, rank_a
+    return tuple([row[0][1] if row else ZERO for row in x.rows]), rank_a
 
 
 def _null_vectors(r, pivots, n):
@@ -533,7 +530,7 @@ def inverse(m):
     r, c = m.shape
     if r != c:
         return None
-    x = solve_matrix(m, eye(r))
+    x = solve_matrix(m, eye(r))[0]
     if x is None:
         return None
     if matmul(m, x) != eye(r) or matmul(x, m) != eye(r):

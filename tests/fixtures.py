@@ -19,7 +19,8 @@ from cosegal.base import (
 )
 from cosegal.colim import copair, coproduct
 from cosegal.homotopy import TwoConstantData, two_constant_transfer
-from cosegal.precat import StrictCategory
+from cosegal.monoidal import MARKER, relabel, yoneda_module
+from cosegal.precat import StrictCategory, from_strict_category
 from cosegal.ratmat import shape
 
 
@@ -144,6 +145,17 @@ def discrete_category(letters):
                 for a in letters}
     return StrictCategory("finset", tuple(sorted(letters)), homs, comps,
                           idpoints)
+
+
+def split_module():
+    """The module of maps into the one object a of the linearized
+    endofunctions of a two-point set, at truncation 2, with the marker
+    renamed m: a vectq precategory on the letters a and m with split
+    (("a",), ("m",)). No chain steps from m back to a, so the pair
+    (m, a) spans no chain."""
+    f = from_strict_category(linearize_category(function_category({"a": 2})),
+                             2)
+    return relabel(yoneda_module(f, "a"), {"a": "a", MARKER: "m"})
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from cosegal.precat import (
 from fixtures import (
     chainify_category, chq_pair_category, dual_numbers_chq, function_category,
     group_algebra_z2, linearize_category, rand_chq, rand_chq_map,
-    walking_arrow,
+    split_module, walking_arrow,
 )
 
 
@@ -1674,6 +1674,22 @@ def test_realize_with_pairs_that_do_not_cover_the_composition():
     assert r.determined == {aaa: False}
     assert r.homs[aa] == z
     assert r.constant is None and r.eta is None and r.category is None
+
+
+def test_realize_solves_only_the_triples_whose_pairs_have_a_hom():
+    # the split module spans no chain from m to a: realize solves the
+    # triples that avoid the pair (m, a) and gives eta, but no strict
+    # category, which would need hom(m, a)
+    pc = split_module()
+    assert pc.split == (("a",), ("m",)) and validate(pc) == []
+    r = realize(pc)
+    assert ("m", "a") not in r.homs and len(r.homs) == 3
+    assert sorted(r.comps) == [("a", "a", "a"), ("a", "a", "m"),
+                               ("a", "m", "m"), ("m", "m", "m")]
+    assert all(r.determined.values())
+    assert validate(r.constant) == []
+    assert validate_morphism(r.eta) == []
+    assert r.category is None
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,19 @@ def test_homology_of_spheres_and_disks():
     assert homology(empty("chq")) == {}
 
 
+def test_homology_ranks_each_degree_block_once(monkeypatch):
+    # degrees 2 down to -1 with d(e0) = e1 and d(e3) = e4: H_1 is spanned
+    # by e2 and H_-1 by e5. Four degrees have five blocks d_-1 .. d_3
+    d = [[0] * 6 for _ in range(6)]
+    d[1][0] = d[4][3] = 1
+    x = chq_obj([2, 1, 1, 1, 0, -1], d)
+    calls = []
+    rank = ratmat.rank
+    monkeypatch.setattr(ratmat, "rank", lambda m: calls.append(m) or rank(m))
+    assert homology(x) == {1: 1, -1: 1}
+    assert len(calls) == 5
+
+
 def test_weak_equivalence_by_backend():
     f = finset_map(finset_obj(["a", "b"]), finset_obj(["x", "y"]), [1, 0])
     assert is_weak_equivalence(f)
@@ -490,6 +503,14 @@ def test_find_lift_reduces_its_system_once(monkeypatch):
     f2 = chq_map(i2.src, p2.src, [[0], [1]])
     assert find_lift(i2, p2, f2, zero_map(i2.dst, p2.dst)) is not None
     assert len(calls) == 1
+    # a leg onto B pins the lift: one rref of its sum x (nb + nx) system
+    calls.clear()
+    i3 = factorize(zero_map(sphere(0), disk(1)))[1]  # onto D^1
+    f3 = i3.then(chq_map(disk(1), disk(1), [[2, 0], [0, 2]]))
+    p3 = zero_map(disk(1), empty("chq"))
+    h = find_lift(i3, p3, f3, zero_map(i3.dst, p3.dst))
+    assert h is not None and i3.then(h) == f3
+    assert [ratmat.shape(m) for m in calls] == [(i3.src.size(), 2 + 2)]
 
 
 def _rand_obj(rng, backend):
@@ -642,7 +663,10 @@ def test_hom_coordinates_give_the_full_coordinate_answers(backend, seed):
     diagonal on chq. Their answers equal those of the systems on all vec
     coordinates, whose off-degree coordinates have unit rows of their
     own: the same basis, and the same canonical (h, unique). The chq
-    draws reach negative degrees and empty complexes."""
+    draws reach negative degrees and empty complexes. Half the draws
+    start with a leg that spans src, where solve_map's shortcut on the
+    pre equations alone pins h: with f consistent or not, and with post
+    equations that the pinned h may miss."""
     rng = random.Random(seed)
 
     def obj():
@@ -660,6 +684,13 @@ def test_hom_coordinates_give_the_full_coordinate_answers(backend, seed):
     assert base.chq_hom_basis(src, dst) == _full_hom_basis(src, dst)
     h0 = rand_map(src, dst)
     pre, post = [], []
+    if rng.random() < 0.5:
+        # the identity, or the trivial fibration onto src of a random map
+        # into it, which is onto
+        i = (identity(src) if rng.random() < 0.3
+             else factorize(rand_map(obj(), src))[1])
+        pre.append((i, i.then(h0) if rng.random() < 0.7
+                    else rand_map(i.src, dst)))
     for _ in range(rng.randint(0, 2)):
         i = rand_map(obj(), src)
         pre.append((i, i.then(h0) if rng.random() < 0.7

@@ -251,6 +251,24 @@ def test_lifting_report_settles_each_distinct_map_once(monkeypatch):
             for p in range(1, len(e["chain"]) - 1))
 
 
+def test_cosegal_report_judges_each_distinct_map_once(monkeypatch):
+    pc = two_constant_transfer(cylinder_data(dual_numbers_chq()), 3)
+    maps = {s: pc.cosegal_map(s) for s in pc.chains if len(s) > 2}
+    distinct = set(maps.values())
+    assert len(distinct) < len(maps)
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return is_weak_equivalence(u)
+
+    monkeypatch.setattr(homotopy, "is_weak_equivalence", counted)
+    report = cosegal_report(pc)
+    assert len(calls) == len(distinct)
+    # one entry per chain, in chain order, each the verdict of its own map
+    assert report == [(s, is_weak_equivalence(u)) for s, u in maps.items()]
+
+
 # ---------------------------------------------------------------------------
 # flattening onto the realization
 
@@ -298,7 +316,7 @@ def _invert(m):
     from cosegal.base import make_map
     return make_map(m.dst, m.src,
                     ratmat.solve_matrix(m.matrix,
-                                        ratmat.eye(len(m.matrix))))
+                                        ratmat.eye(len(m.matrix)))[0])
 
 
 def _realization_matches(pc, out):

@@ -374,8 +374,8 @@ def test_solve_and_kernel(rng):
         a = rand_matrix(rng, rows, cols)
         x = rand_matrix(rng, cols, 1)
         b = matmul(a, x)
-        sol = solve_matrix(a, b)
-        assert sol is not None
+        sol, r = solve_matrix(a, b)
+        assert sol is not None and r == rank(a)
         assert matmul(a, sol) == b
         assert solve_vec(a, vec(b)) == (vec(sol), rank(a))
         k = kernel_data(a)[0]
@@ -395,10 +395,16 @@ def test_solve_detects_inconsistency():
     assert solve_vec(mat([[1, 0], [0, 1]]), (3,)) == ((3, 0), 2)
     with pytest.raises(ValueError):
         solve_vec(a, (1, 2, 3))
+    # solve_matrix reads a's rank off the pivots left of b's columns, also
+    # when several columns of b are inconsistent
+    assert solve_matrix(a, mat([[0, 1], [1, 2]])) == (None, 1)
+    assert solve_matrix(zeros(2, 1), eye(2)) == (None, 0)
+    assert solve_matrix(a, mat([[1, 2], [2, 4]])) == (
+        mat([[1, 2], [0, 0]]), 1)
 
 
 def test_zero_column_solve():
-    assert tuple(solve_matrix(zeros(0, 0), zeros(0, 0))) == ()
+    assert solve_matrix(zeros(0, 0), zeros(0, 0)) == (zeros(0, 0), 0)
     a = zeros(2, 0)
     assert shape(a) == (2, 0)
     assert solve_vec(a, (0, 0)) == ((), 0)

@@ -15,12 +15,14 @@ generating arrow of psi, `gamma_map` of that and of gamma's unit,
 `gamma_counit`, `point_map` of the counit and `psi_square` on the down,
 xi and ell squares of the arrow. After them come the chq hom spaces on
 fixed pairs of complexes: `chq_hom_basis`, `solve_map` and `has_rlp`
-against the generating cofibrations. Precategories and their morphisms are
-read through their accessors (`render`), so the rendering does not
-depend on which maps out of empty objects a precategory stores. Two
-builds of these outputs print the same digest exactly when every object,
-map and laxity they hold is equal, finset labels included, so the line
-pins outputs to the value where the benchmark digests only pin sizes.
+against the generating cofibrations. Last of all comes `realize` of the
+split module, whose letters a and m have no chain from m to a.
+Precategories and their morphisms are read through their accessors
+(`render`), so the rendering does not depend on which maps out of empty
+objects a precategory stores. Two builds of these outputs print the
+same digest exactly when every object, map and laxity they hold is
+equal, finset labels included, so the line pins outputs to the value
+where the benchmark digests only pin sizes.
 
     PYTHONHASHSEED=0 python tools/value_digest.py [-v]
 
@@ -46,7 +48,7 @@ from cosegal.precat import (  # noqa: E402
 )
 from fixtures import (  # noqa: E402
     chainify_category, dual_numbers_chq, function_category,
-    linearize_category, walking_arrow,
+    linearize_category, split_module, walking_arrow,
 )
 
 
@@ -203,7 +205,8 @@ def hom_spaces():
 def parts():
     """(case name, part name, value) of every part: the gluing engines'
     after the free constructions', then the maps out of the free
-    constructions, and the chq hom spaces last."""
+    constructions, the chq hom spaces, and last the realization of the
+    split module."""
     for name, cat, truncation, alpha in cases():
         for part, value in outputs(cat, truncation, alpha):
             yield name, part, value
@@ -215,6 +218,7 @@ def parts():
             yield name, part, value
     for part, value in hom_spaces():
         yield "chq-homs", part, value
+    yield "split", "realize", adjoints.realize(split_module())
 
 
 def main(argv):
