@@ -79,7 +79,7 @@ from .colim import (
 )
 from .precat import (
     PrecatMorphism, StrictCategory, check_unital, expected_laxity_keys,
-    identity_morphism, make_precategory, spread, unit_constraint_maps,
+    identity_morphism, make_precategory, spread,
 )
 
 
@@ -825,6 +825,10 @@ def unitalize(pc):
     presentation at z coequalized them, so the two maps agree in Q; a
     right constraint is the mirror. `check_unital` of Q is the oracle of
     this argument: `unitalize` raises if it finds a constraint left.
+
+    The relation pairs are the maps of `check_unital`'s findings on F, so
+    no constraint's maps are built twice; the trace keeps each finding's
+    constraint tuple, (side, letter, s, p, z).
     """
     if not pc.is_pointed():
         raise ValueError("unitalize needs a pointed precategory")
@@ -832,20 +836,19 @@ def unitalize(pc):
     if not bad:
         return UnitalizationResult(pc, identity_morphism(pc),
                                    UnitalizationTrace([pc], []))
-    pairs = [unit_constraint_maps(pc, con) for con in bad]
+    pairs = [(f.first, f.second) for f in bad]
     rels = {}
-    for con, pair in zip(bad, pairs):
-        rels.setdefault(con[4], []).append(pair)
+    for f, pair in zip(bad, pairs):
+        rels.setdefault(f.z, []).append(pair)
     new, delta = _quotient(pc, rels)
     left = check_unital(new)
     if left:
         raise AssertionError("unit constraints violated after the quotient "
-                             "round: %s" % left)
+                             "round: %s" % [f.constraint for f in left])
     coeqs = [coequalizer(*pair) for pair in pairs]
-    xis = [quotient_induced(q, delta.at(con[4]))
-           for q, con in zip(coeqs, bad)]
-    trace = UnitalizationTrace(
-        [pc, new], [RoundRecord(bad, pairs, coeqs, xis, delta)])
+    xis = [quotient_induced(q, delta.at(f.z)) for q, f in zip(coeqs, bad)]
+    trace = UnitalizationTrace([pc, new], [RoundRecord(
+        [f.constraint for f in bad], pairs, coeqs, xis, delta)])
     return UnitalizationResult(new, delta, trace)
 
 

@@ -217,15 +217,36 @@ def transfer_comparison(d, truncation):
 # the 2-constant spread of a realization
 
 
+def _realize_strict(pc):
+    """realize(pc), which must give a strict category: else a ValueError
+    says why not, naming the triples whose composition the truncated data
+    does not pin down and the pairs of letters that no chain spans."""
+    r = realize(pc)
+    if r.category is not None:
+        return r
+    reasons = []
+    undetermined = [key for key, ok in r.determined.items() if not ok]
+    if undetermined:
+        reasons.append("realization composition is not determined at %r"
+                       % (undetermined,))
+    missing = [(a, b) for a in pc.letters for b in pc.letters
+               if (a, b) not in r.homs]
+    if missing:
+        reasons.append("realization has no hom at the pairs %r, as no "
+                       "chain spans them" % (missing,))
+    if not pc.is_pointed():
+        reasons.append("realization of an unpointed precategory has no "
+                       "identity points")
+    raise ValueError("; ".join(reasons))
+
+
 def associated_two_constant(pc):
     """Flatten everything above degree 1 onto the realized hom objects.
 
     Returns (flat, rho, eps): rho keeps every degree-1 slot on the nose
     and sends higher chains along the realization cocone; eps collapses
     the degree-1 slots too.  Their composite is the realization unit."""
-    r = realize(pc)
-    if r.category is None:
-        raise ValueError("realization composition is not determined")
+    r = _realize_strict(pc)
     fs = {(a, b): r.eta.at((a, b)) for a in pc.letters for b in pc.letters}
     flat = spread(pc.backend, pc.letters, pc.truncation, pc.chains, r.homs,
                   r.comps, fs, dict(pc.units))
@@ -254,9 +275,7 @@ def cosegalify_two_constant(pc):
         raise ValueError("need a pointed input")
     trans = transition_maps(pc)
     consts = {pair: u.dst for pair, u in trans.items()}
-    r = realize(pc)
-    if r.category is None:
-        raise ValueError("realization composition is not determined")
+    r = _realize_strict(pc)
     for s in pc.chains:
         pair = (s[0], s[-1])
         want = trans[pair] if len(s) == 2 else identity(consts[pair])

@@ -114,12 +114,15 @@ def _nonempty_source(entries):
 def expected_laxity_keys(chains, truncation):
     """The laxity keys of a precategory on these chains: the composable
     pairs (s, t) whose concatenation is one of the chains and within the
-    truncation, in the order of chains."""
+    truncation, in the order of chains. Each s is paired only with the
+    chains that start where it ends, so s + t[1:] is their concatenation
+    and len(s) + len(t) - 2 its degree."""
     chainset = set(chains)
-    return [(s, t) for s in chains for t in chains
-            if s[-1] == t[0]
-            and shapes.degree(s) + shapes.degree(t) <= truncation
-            and shapes.concat(s, t) in chainset]
+    starting = {}
+    for t in chains:
+        starting.setdefault(t[0], []).append(t)
+    return [(s, t) for s in chains for t in starting.get(s[-1], ())
+            if len(s) + len(t) - 2 <= truncation and s + t[1:] in chainset]
 
 
 def split_admissible(split, s):
@@ -333,39 +336,73 @@ def unit_constraints(pc):
                     yield ("r", b, s, p, z_r)
 
 
-def unit_constraint_maps(pc, con):
-    """The two parallel maps of a unit constraint, out of I (x) F(s) (or
-    F(s) (x) I on the right side); they share the unitor's source if the
-    unit map starts on I. F(aa) (x) F(s) is built, so that `then` checks
-    the laxity's source."""
-    side, a, s, p, z = con
+@dataclass(frozen=True)
+class UnitFinding:
+    """One violated unit constraint (side, letter, s, p, z) with its two
+    parallel maps out of I (x) F(s), or F(s) (x) I on the right side, as
+    `unit_constraint_maps` builds them."""
+
+    side: str
+    letter: object
+    s: tuple
+    p: int
+    z: tuple
+    first: object
+    second: object
+
+    @property
+    def constraint(self):
+        return (self.side, self.letter, self.s, self.p, self.z)
+
+
+def _unit_shared_maps(pc, side, a, s):
+    """The first map of every unit constraint at (side, s), which is
+    (u(a) (x) 1) then lax((a, a), s) or its mirror, and the unitor that
+    starts each second map; they share the unitor's source if the unit
+    map starts on I. F(aa) (x) F(s) is built, so that `then` checks the
+    laxity's source."""
     fs, u = pc.values[s], pc.unit_map(a)
     if side == "l":
-        second = left_unitor(fs)
+        unitor = left_unitor(fs)
         factors, phi = (u, identity(fs)), pc.lax((a, a), s)
     else:
-        second = right_unitor(fs)
+        unitor = right_unitor(fs)
         factors, phi = (identity(fs), u), pc.lax(s, (a, a))
-    src = second.src if u.src == unit(pc.backend) else None
-    first = tensor_mor(*factors, src=src).then(phi)
-    return first, second.then(pc.gen_map(z, p))
+    src = unitor.src if u.src == unit(pc.backend) else None
+    return tensor_mor(*factors, src=src).then(phi), unitor
+
+
+def unit_constraint_maps(pc, con):
+    """The two parallel maps of a unit constraint: the first map of its
+    (side, s), and the unitor then gen_map(z, p)."""
+    side, a, s, p, z = con
+    first, unitor = _unit_shared_maps(pc, side, a, s)
+    return first, unitor.then(pc.gen_map(z, p))
 
 
 def check_unital(pc):
-    """The list of violated unit constraints of a pointed precategory.
+    """The violated unit constraints of a pointed precategory, one
+    `UnitFinding` each, in the order of `unit_constraints`.
 
-    A constraint at an empty F(s) holds: both of its maps start on
-    I (x) 0 = 0, and there is one map out of it, so neither is built.
+    The first map and the unitor depend on (side, s) only, and the
+    constraints of one (side, s) come together: each group builds them
+    once, and each position p builds only its second map. A constraint
+    at an empty F(s) holds: both of its maps start on I (x) 0 = 0, and
+    there is one map out of it, so neither is built.
     """
     if not pc.is_pointed():
         raise ValueError("check_unital needs a pointed precategory")
     bad = []
-    for con in unit_constraints(pc):
-        if not pc.values[con[2]].size():
+    for (side, s), group in itertools.groupby(
+            unit_constraints(pc), key=lambda con: (con[0], con[2])):
+        if not pc.values[s].size():
             continue
-        first, second = unit_constraint_maps(pc, con)
-        if first != second:
-            bad.append(con)
+        group = list(group)
+        first, unitor = _unit_shared_maps(pc, side, group[0][1], s)
+        for _, a, _, p, z in group:
+            second = unitor.then(pc.gen_map(z, p))
+            if first != second:
+                bad.append(UnitFinding(side, a, s, p, z, first, second))
     return bad
 
 

@@ -1225,7 +1225,7 @@ def reference_unitalize(pc):
     xis = []
     # a local bound: the reference does not assume the one-round claim
     for _ in range(8):
-        bad = check_unital(current)
+        bad = [f.constraint for f in check_unital(current)]
         if not bad:
             return current, eta, xis
         nodes = {("center",): current}
@@ -1397,9 +1397,16 @@ def test_one_quotient_round_makes_any_input_unital(p):
     # quotient are those of the input composed with surjections, so they
     # hold after one round
     res = unitalize(p)
-    assert len(res.trace.rounds) == (1 if check_unital(p) else 0)
+    found = check_unital(p)
+    assert len(res.trace.rounds) == (1 if found else 0)
     assert validate(res.precat) == [] and check_unital(res.precat) == []
+    # each finding carries the maps of its constraint, and the round reads
+    # its constraints and relation pairs off the findings
+    assert all((f.first, f.second) == unit_constraint_maps(p, f.constraint)
+               for f in found)
     for r in res.trace.rounds:
+        assert r.constraints == [f.constraint for f in found]
+        assert r.pairs == [(f.first, f.second) for f in found]
         assert all(is_surjective(r.delta.at(s)) for s in p.chains)
     # the gadget reference costs up to 0.5 s on two letters at
     # truncation 3; it runs on the draws below that size
@@ -1427,6 +1434,38 @@ def test_unitalize_frees_its_tables(monkeypatch):
     del res
     gc.collect()
     assert not [r for r in refs if r() is not None]
+
+
+def test_unit_constraint_maps_are_built_once(monkeypatch):
+    # unitalize takes its relation pairs from check_unital's findings, and
+    # check_unital builds the first map and the unitor once per (side, s)
+    # group of the constraints at a nonempty F(s), and a second map per
+    # position
+    p = unitalize_case("finset")
+    checked = [con for con in precat.unit_constraints(p)
+               if p.value(con[2]).size()]
+    groups = {(con[0], con[2]) for con in checked}
+    assert len(groups) < len(checked)
+    builds = Counter()
+
+    def counted(name, build):
+        def wrapper(*args, **kwargs):
+            builds[name] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    for name in ("tensor_mor", "left_unitor", "right_unitor"):
+        monkeypatch.setattr(precat, name,
+                            counted(name, getattr(precat, name)))
+    check_unital(p)
+    assert builds["tensor_mor"] == len(groups)
+    assert builds["left_unitor"] + builds["right_unitor"] == len(groups)
+    rebuild = counted("unit_constraint_maps", unit_constraint_maps)
+    monkeypatch.setattr(precat, "unit_constraint_maps", rebuild)
+    monkeypatch.setattr(adjoints, "unit_constraint_maps", rebuild,
+                        raising=False)
+    res = unitalize(p)
+    assert res.trace.rounds and builds["unit_constraint_maps"] == 0
 
 
 def count_tensors(monkeypatch):

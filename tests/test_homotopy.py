@@ -41,7 +41,7 @@ from cosegal.homotopy import (
 from fixtures import (
     chainify_category, chq_pair_category, cylinder_data, dual_numbers_chq,
     fold_data, function_category, linearize_category, padded_replacement,
-    rand_two_constant_chq, zero_map,
+    rand_two_constant_chq, split_module, zero_map,
 )
 
 
@@ -282,6 +282,28 @@ def test_flattening_a_strict_spread_changes_nothing():
     assert all(rho.at(s) == identity(pc.value(s)) for s in pc.chains)
     assert is_easy_weak_equivalence(rho)
     assert validate_morphism(eps) == []
+
+
+def test_a_realization_with_no_strict_category_is_refused_with_its_cause():
+    # the split module pins every triple whose pairs have a hom, but no
+    # chain spans (m, a), so there is no hom(m, a) to flatten onto
+    pc = split_module()
+    for build in (associated_two_constant, cosegalify_two_constant):
+        with pytest.raises(ValueError, match=(
+                r"^realization has no hom at the pairs \[\('m', 'a'\)\]")):
+            build(pc)
+    # truncation 1 stores no composable pair, so no triple is pinned
+    pc = from_strict_category(function_category({"a": 1}), 1)
+    with pytest.raises(ValueError, match=(
+            r"^realization composition is not determined at "
+            r"\[\('a', 'a', 'a'\)\]$")):
+        associated_two_constant(pc)
+    # without units the realization has no identity points
+    pc = from_strict_category(function_category({"a": 1}), 2)
+    stripped = make_precategory(pc.backend, pc.letters, pc.truncation,
+                                pc.values, pc.maps, pc.laxity)
+    with pytest.raises(ValueError, match="^realization of an unpointed"):
+        associated_two_constant(stripped)
 
 
 def test_flattening_a_forced_unital_point_lands_on_its_realization():

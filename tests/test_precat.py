@@ -23,8 +23,8 @@ from cosegal.precat import (
     PrecatMorphism, Precategory, check_unital, expected_laxity_keys,
     from_strict_category, identity_morphism, is_easy_weak_equivalence,
     is_levelwise_isomorphism, is_levelwise_weak_equivalence,
-    make_precategory, unit_constraint_maps, unit_constraints, validate,
-    validate_morphism, validate_strict_category,
+    make_precategory, split_admissible, unit_constraint_maps,
+    unit_constraints, validate, validate_morphism, validate_strict_category,
 )
 
 from fixtures import (
@@ -115,6 +115,54 @@ def test_unit_perturbation_is_detected():
     pc.units["a"] = finset_map(unit("finset"), haa, (0,))
     assert validate(pc) == []
     assert check_unital(pc) != []
+
+
+def quadratic_laxity_keys(chains, truncation):
+    """expected_laxity_keys by pairing every chain with every chain."""
+    chainset = set(chains)
+    return [(s, t) for s in chains for t in chains
+            if s[-1] == t[0]
+            and shapes.degree(s) + shapes.degree(t) <= truncation
+            and shapes.concat(s, t) in chainset]
+
+
+def test_laxity_keys_pair_each_chain_with_the_chains_that_follow_it():
+    for letters in [(), ("a",), ("a", "b"), ("a", "b", "c")]:
+        for truncation in range(1, 5):
+            chains = shapes.all_chains(letters, truncation)
+            assert expected_laxity_keys(chains, truncation) == \
+                quadratic_laxity_keys(chains, truncation)
+    # a split-admissible chain set: no a after a b, so some concatenations
+    # of stored chains are not stored
+    split = (("a",), ("b",))
+    chains = [s for s in shapes.all_chains(("a", "b"), 3)
+              if split_admissible(split, s)]
+    keys = expected_laxity_keys(chains, 3)
+    assert keys == quadratic_laxity_keys(chains, 3)
+    assert (("a", "b"), ("b", "b")) in keys
+    assert not any(s[-1] == "b" and t[-1] == "a" for s, t in keys)
+    assert expected_laxity_keys((), 3) == []
+
+
+def test_only_the_positions_that_break_a_unit_law_are_reported():
+    # F(a, a, a, a) -> F(a, a, a) is deleted onto at positions 1 and 2, so
+    # each side of (a, a, a) has a constraint at both; a constant
+    # structure map at position 2 breaks both sides there, and position 1
+    # still holds
+    pc = from_strict_category(function_category({"a": 2}), 3)
+    aaa, aaaa = ("a",) * 3, ("a",) * 4
+    assert [con[:2] + con[3:] for con in unit_constraints(pc)
+            if con[2] == aaa] == [("l", "a", 1, aaaa), ("l", "a", 2, aaaa),
+                                  ("r", "a", 1, aaaa), ("r", "a", 2, aaaa)]
+    m = pc.maps[(aaaa, 2)]
+    bad = tampered(pc, maps={
+        **pc.maps, (aaaa, 2): finset_map(m.src, m.dst, (0,) * m.src.size())})
+    found = check_unital(bad)
+    assert [f.constraint for f in found] == [("l", "a", aaa, 2, aaaa),
+                                             ("r", "a", aaa, 2, aaaa)]
+    for f in found:
+        assert (f.first, f.second) == unit_constraint_maps(bad, f.constraint)
+        assert f.first != f.second
 
 
 def test_a_built_precategory_is_frozen():
@@ -305,7 +353,10 @@ def assert_checkers_match_the_reference(pc):
     assert sorted(errors) == sorted(reference_validate(pc))
     # the unit constraints are read only on a sound precategory
     if pc.is_pointed() and not errors:
-        assert check_unital(pc) == reference_check_unital(pc)
+        found = check_unital(pc)
+        assert [f.constraint for f in found] == reference_check_unital(pc)
+        assert all((f.first, f.second)
+                   == unit_constraint_maps(pc, f.constraint) for f in found)
 
 
 def assert_morphism_checker_matches_the_reference(alpha):
@@ -338,6 +389,8 @@ def test_the_checkers_return_the_dense_reference_findings():
     cases = empty_slot_cases()
     assert all(any(not v.size() for v in pc.values.values())
                for pc, _ in cases)
+    # the free pointings break unit laws, so findings are compared too
+    assert any(check_unital(pc) for pc, _ in cases)
     for pc, morphisms in cases:
         assert validate(pc) == []
         assert_checkers_match_the_reference(pc)
@@ -461,7 +514,7 @@ def test_a_unit_map_off_the_unit_breaks_its_unit_constraints():
     bad = tampered(pc, units={**pc.units, "x": off})
     assert "unit at 'x' has wrong ends" in validate(bad)
     at_x = [con for con in unit_constraints(bad) if con[1] == "x"]
-    assert at_x and check_unital(bad) == at_x
+    assert at_x and [f.constraint for f in check_unital(bad)] == at_x
 
 
 def associator_breaking_at_an_empty_concat():

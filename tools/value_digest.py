@@ -15,8 +15,10 @@ generating arrow of psi, `gamma_map` of that and of gamma's unit,
 `gamma_counit`, `point_map` of the counit and `psi_square` on the down,
 xi and ell squares of the arrow. After them come the chq hom spaces on
 fixed pairs of complexes: `chq_hom_basis`, `solve_map` and `has_rlp`
-against the generating cofibrations. Last of all comes `realize` of the
-split module, whose letters a and m have no chain from m to a.
+against the generating cofibrations. Then comes `realize` of the split
+module, whose letters a and m have no chain from m to a. Last come the
+unit findings, each record of `check_unital` (its constraint and its two
+maps) on the free pointing of the finset, vectq and chq fixtures.
 Precategories and their morphisms are read through their accessors
 (`render`), so the rendering does not depend on which maps out of empty
 objects a precategory stores. Two builds of these outputs print the
@@ -43,8 +45,8 @@ from cosegal.base import (  # noqa: E402
     sphere, tensor, vectq_map, vectq_obj, zero_map,
 )
 from cosegal.precat import (  # noqa: E402
-    PrecatMorphism, Precategory, expected_laxity_keys, from_strict_category,
-    identity_morphism, make_precategory,
+    PrecatMorphism, Precategory, check_unital, expected_laxity_keys,
+    from_strict_category, identity_morphism, make_precategory,
 )
 from fixtures import (  # noqa: E402
     chainify_category, dual_numbers_chq, function_category,
@@ -205,8 +207,8 @@ def hom_spaces():
 def parts():
     """(case name, part name, value) of every part: the gluing engines'
     after the free constructions', then the maps out of the free
-    constructions, the chq hom spaces, and last the realization of the
-    split module."""
+    constructions, the chq hom spaces, the realization of the split
+    module, and last the unit findings of the free pointings."""
     for name, cat, truncation, alpha in cases():
         for part, value in outputs(cat, truncation, alpha):
             yield name, part, value
@@ -219,6 +221,9 @@ def parts():
     for part, value in hom_spaces():
         yield "chq-homs", part, value
     yield "split", "realize", adjoints.realize(split_module())
+    for name, cat, truncation, _ in cases()[:3]:
+        pc = forget_units(from_strict_category(cat, truncation))
+        yield name, "unit findings", check_unital(adjoints.point(pc))
 
 
 def main(argv):
