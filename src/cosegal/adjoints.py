@@ -45,7 +45,9 @@ The central objects here:
   hold tuples; the live keys are read off each input's support.
 * `realize` collapses each endpoint component to its colimit and reads
   the induced composition off one `base.solve_map` call per triple whose
-  three pairs have a hom, one equation per stored laxity pair.
+  three pairs have a hom, one equation per stored laxity pair. Its
+  stability flags, and the xis of a `unitalize` round, are diagnostics
+  no step reads: each is computed on its first read.
 * `psi` packages an arrow of the backend into a free unital precategory
   concentrated over one chain; it is the engine behind the lifting-set
   calculus.
@@ -64,7 +66,7 @@ gamma of a bare colimit by their laxity relations (`_gamma_quotient`).
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from types import MappingProxyType
 
 from . import shapes
@@ -766,23 +768,37 @@ def precat_colimit(nodes, edges):
 @dataclass
 class RoundRecord:
     """Everything one round of unitalization did: which constraints were
-    violated, the parallel pairs and their coequalizers, the map xi out of
-    each coequalizer into the new value at its slot (the map it induces
-    from delta there), and the round morphism delta, the levelwise
-    surjection from the precategory onto the round's quotient."""
+    violated, the parallel pairs and their coequalizers, and the round
+    morphism delta, the levelwise surjection from the precategory onto
+    the round's quotient.
+
+    `xis`, the map out of each coequalizer into the new value at its slot
+    (the map it induces from delta there, with the descent check of
+    `colim.quotient_induced`), is computed on its first read and kept: no
+    step of the round reads it. The coequalizers stay built with the
+    record: the benchmark digest reads their sizes outside its timers, so
+    building them on read would only move their cost out of the measured
+    compute.
+    """
 
     constraints: list
     pairs: list
     coeqs: list
-    xis: list
     delta: object
+
+    @functools.cached_property
+    def xis(self):
+        return [quotient_induced(q, self.delta.at(con[4]))
+                for q, con in zip(self.coeqs, self.constraints)]
 
 
 @dataclass
 class UnitalizationTrace:
     """What one `unitalize` call did: `rounds` holds no record when its
     input is unital and one record otherwise, and `stages` is [F] or
-    [F, Q], the input and the quotient."""
+    [F, Q], the input and the quotient. A record's `xis` are computed
+    when first read; its constraints, pairs, coequalizers and delta are
+    built with it (see `RoundRecord`)."""
 
     stages: list
     rounds: list
@@ -845,10 +861,9 @@ def unitalize(pc):
     if left:
         raise AssertionError("unit constraints violated after the quotient "
                              "round: %s" % [f.constraint for f in left])
-    coeqs = [coequalizer(*pair) for pair in pairs]
-    xis = [quotient_induced(q, delta.at(f.z)) for q, f in zip(coeqs, bad)]
     trace = UnitalizationTrace([pc, new], [RoundRecord(
-        [f.constraint for f in bad], pairs, coeqs, xis, delta)])
+        [f.constraint for f in bad], pairs,
+        [coequalizer(*pair) for pair in pairs], delta)])
     return UnitalizationResult(new, delta, trace)
 
 
@@ -887,7 +902,15 @@ def factor_through_unital(eta, psi):
 @dataclass
 class Realization:
     """The endpoint-pair colimits of a precategory with the composition
-    solved against the cocone, plus the comparison morphism."""
+    solved against the cocone, plus the comparison morphism.
+
+    `stable`, {pair: flag}, is computed on its first read and kept, from
+    the precategory and the cocone of each pair, which the record holds
+    for it: no step of `realize` reads it. A pair's flag is False when no
+    chain of the pair lies below the truncation, and otherwise tells
+    whether the colimit of the chains below the truncation maps
+    isomorphically onto the hom, so that the top degree adds nothing.
+    """
 
     backend: str
     truncation: int
@@ -895,10 +918,42 @@ class Realization:
     comps: dict
     determined: dict
     idpoints: dict
-    stable: dict
     constant: object
     eta: object
     category: object
+    pc: InitVar[object]
+    cocones: InitVar[dict]
+
+    def __post_init__(self, pc, cocones):
+        self._pc, self._cocones = pc, cocones
+
+    @functools.cached_property
+    def stable(self):
+        return {pair: _stable(self._pc, pair, cocone)
+                for pair, cocone in self._cocones.items()}
+
+
+def _endpoint_diagram(pc, a, b, top):
+    """The chains from a to b of degree at most top, with their values,
+    and the structure maps between them, as (nodes, edges) for
+    `colim.colimit`."""
+    nodes = {s: pc.value(s) for s in pc.chains
+             if s[0] == a and s[-1] == b and shapes.degree(s) <= top}
+    edges = [(shapes.delete(z, p), z, pc.gen_map(z, p))
+             for z in nodes for p in range(1, len(z) - 1)]
+    return nodes, edges
+
+
+def _stable(pc, pair, cocone):
+    """Whether the hom of pair, with its cocone, is already the colimit
+    of the chains of the pair below the truncation; False when there is
+    none."""
+    nodes, edges = _endpoint_diagram(pc, *pair, pc.truncation - 1)
+    if not nodes:
+        return False
+    sub = colimit(nodes, edges, source_key=pair)
+    return is_isomorphism(colimit_induced(
+        sub, {s: cocone[s] for s in nodes}))
 
 
 def _solve_composition(pc, cols, a, b, c):
@@ -930,34 +985,17 @@ def realize(pc):
     into the constant precategory when every solved triple is pinned;
     the strict category too when, besides, the input is pointed and
     every pair of letters has a hom; and a stability flag per pair
-    comparing against the one-step-lower truncation.
+    comparing against the one-step-lower truncation. The flags take a
+    second colimit per pair, so they are computed when first read
+    (`Realization.stable`); `realize` builds one colimit per pair.
     """
     letters = pc.letters
     cols = {}
-    stable = {}
     for a in letters:
         for b in letters:
-            nodes = {s: pc.value(s) for s in pc.chains
-                     if s[0] == a and s[-1] == b}
-            edges = []
-            for z in nodes:
-                for p in range(1, len(z) - 1):
-                    edges.append((shapes.delete(z, p), z,
-                                  pc.gen_map(z, p)))
-            if not nodes:
-                continue
-            col = colimit(nodes, edges, source_key=(a, b))
-            cols[(a, b)] = col
-            subnodes = {s: v for s, v in nodes.items()
-                        if shapes.degree(s) <= pc.truncation - 1}
-            if not subnodes:
-                stable[(a, b)] = False
-                continue
-            subedges = [(u, v, m) for u, v, m in edges if v in subnodes]
-            subcol = colimit(subnodes, subedges, source_key=(a, b))
-            u = colimit_induced(subcol,
-                                {s: col.cocone[s] for s in subnodes})
-            stable[(a, b)] = is_isomorphism(u)
+            nodes, edges = _endpoint_diagram(pc, a, b, pc.truncation)
+            if nodes:
+                cols[(a, b)] = colimit(nodes, edges, source_key=(a, b))
     homs = {key: cols[key].obj for key in cols}
     comps = {}
     determined = {}
@@ -982,7 +1020,8 @@ def realize(pc):
             category = StrictCategory(pc.backend, letters, dict(homs),
                                       dict(comps), dict(idpoints))
     return Realization(pc.backend, pc.truncation, homs, comps, determined,
-                       idpoints, stable, constant, eta, category)
+                       idpoints, constant, eta, category, pc,
+                       {key: col.cocone for key, col in cols.items()})
 
 
 # ---------------------------------------------------------------------------

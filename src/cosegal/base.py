@@ -565,26 +565,28 @@ def _hom_positions(src, dst):
     return starts, rows, ranks
 
 
-def _from_hom(src, dst, coords):
+def _from_hom(src, dst, coords, hom=None):
     """The map src -> dst whose entries at its hom coordinates are coords,
-    a sequence in coordinate order; every other entry is zero."""
-    starts, rows, _ = _hom_positions(src, dst)
+    a sequence in coordinate order; every other entry is zero. hom is
+    `_hom_positions(src, dst)`, computed when not given."""
+    starts, rows, _ = hom or _hom_positions(src, dst)
     return make_map(src, dst, ratmat.build(dst.size(), src.size(), [
         (i, j, x) for j, d in enumerate(_degrees(src))
         for i, x in zip(rows.get(d, ()), coords[starts[j]:starts[j + 1]])
         if x]))
 
 
-def _hom_constraint(src, dst):
+def _hom_constraint(src, dst, hom=None):
     """Rows cutting out the chain maps src -> dst on hom coordinates.
 
     Row (r, c), for deg_dst(r) == deg_src(c) - 1, is entry (r, c) of
     d_dst K - K d_src, read off the nonzeros of the two differentials.
     Empty (no rows) on vectq, where all nd * ns entries are coordinates.
+    hom is `_hom_positions(src, dst)`, computed when not given.
     """
     if src.backend != "chq":
         return ratmat.zeros(0, src.size() * dst.size())
-    starts, rows, ranks = _hom_positions(src, dst)
+    starts, rows, ranks = hom or _hom_positions(src, dst)
     cols = _hom_positions(dst, src)[1]  # the src indices of each degree
     # entry (r, c) of d_dst K reads K(k, c), and of K d_src reads K(r, k)
     terms = [((r, c), starts[c] + ranks[k], x)
@@ -688,21 +690,31 @@ def solve_map(src, dst, pre, post):
             if any(h.then(p) != g for p, g in post):
                 raise ValueError("the equations have no common solution")
             return h, True
+    # the hom coordinates of h are indexed once, and those of each
+    # equation's map f once, for its block and for the right-hand side
+    # of its rows, f at its hom coordinates
+    hom = _hom_positions(src, dst)
     blocks, rhs = [], []
-    for f, m in [(f, _precompose(i, dst)) for i, f in pre] + [
-            (g, _postcompose(p, src)) for p, g in post]:
-        # the right-hand side of m's rows: f at its hom coordinates
-        rows, nd = _hom_positions(f.src, f.dst)[1], f.dst.size()
+
+    def equation(m, f, at):
+        rows, nd = at[1], f.dst.size()
         v = ratmat.vec(f.matrix)
-        rhs += [v[j * nd + i] for j, d in enumerate(_degrees(f.src))
-                for i in rows.get(d, ())]
         blocks.append(m)
+        rhs.extend(v[j * nd + i] for j, d in enumerate(_degrees(f.src))
+                   for i in rows.get(d, ()))
+
+    for i, f in pre:
+        at = _hom_positions(i.src, dst)
+        equation(_precompose(i, dst, at, hom), f, at)
+    for p, g in post:
+        at = _hom_positions(src, p.dst)
+        equation(_postcompose(p, src, at, hom), g, at)
     # the chain-map rows come last: their right-hand side is zero
-    blocks.append(_hom_constraint(src, dst))
+    blocks.append(_hom_constraint(src, dst, hom))
     sol, rank = ratmat.solve_vec(ratmat.vstack(blocks), rhs)
     if sol is None:
         raise ValueError("the equations have no common solution")
-    return _from_hom(src, dst, sol), rank == len(sol)
+    return _from_hom(src, dst, sol, hom), rank == len(sol)
 
 
 def find_lift(i, p, f, g):
@@ -761,23 +773,27 @@ def _chain_maps(src, dst):
     return ratmat.kernel_data(_hom_constraint(src, dst))[0]
 
 
-def _precompose(f, x):
+def _precompose(f, x, out=None, col=None):
     """The matrix of K -> K f, from the hom coordinates of f.dst -> x to
     those of f.src -> x. Entry (i, j) of f sends entry (r, i) of K to
     entry (r, j) of K f for each r of x of i's degree: the k-th
-    coordinate of column i to the k-th of column j."""
-    out, col = _hom_positions(f.src, x)[0], _hom_positions(f.dst, x)[0]
+    coordinate of column i to the k-th of column j. out and col are the
+    `_hom_positions` of f.src -> x and f.dst -> x, computed when not
+    given."""
+    out = (out or _hom_positions(f.src, x))[0]
+    col = (col or _hom_positions(f.dst, x))[0]
     return ratmat.build(out[-1], col[-1], [
         (out[j] + k, col[i] + k, v) for i, j, v in ratmat.nonzeros(f.matrix)
         for k in range(col[i + 1] - col[i])])
 
 
-def _postcompose(f, a):
+def _postcompose(f, a, out=None, col=None):
     """The matrix of K -> f K, from the hom coordinates of a -> f.src to
     those of a -> f.dst. Column c of f K is the block of f in c's degree
-    applied to column c of K."""
-    out, _, ranks = _hom_positions(a, f.dst)
-    col, _, franks = _hom_positions(a, f.src)
+    applied to column c of K. out and col are the `_hom_positions` of
+    a -> f.dst and a -> f.src, computed when not given."""
+    out, _, ranks = out or _hom_positions(a, f.dst)
+    col, _, franks = col or _hom_positions(a, f.src)
     degrees, blocks = _degrees(f.src), {}
     for r, i, v in ratmat.nonzeros(f.matrix):
         blocks.setdefault(degrees[i], []).append((ranks[r], franks[i], v))

@@ -36,7 +36,7 @@ from cosegal.adjoints import (
 )
 from cosegal.colim import (
     coequalizer, colimit, colimit_induced, copair, coproduct,
-    wide_pushout_induced,
+    quotient_induced, wide_pushout_induced,
 )
 from cosegal.monoidal import tensor_s
 from cosegal.precat import (
@@ -1408,6 +1408,10 @@ def test_one_quotient_round_makes_any_input_unital(p):
         assert r.constraints == [f.constraint for f in found]
         assert r.pairs == [(f.first, f.second) for f in found]
         assert all(is_surjective(r.delta.at(s)) for s in p.chains)
+        # reading the xis runs their descent check through each
+        # coequalizer
+        assert all(q.proj.then(xi) == r.delta.at(con[4])
+                   for q, xi, con in zip(r.coeqs, r.xis, r.constraints))
     # the gadget reference costs up to 0.5 s on two letters at
     # truncation 3; it runs on the draws below that size
     if len(p.chains) <= 12 or sum(v.size() for v in p.values.values()) <= 60:
@@ -1466,6 +1470,25 @@ def test_unit_constraint_maps_are_built_once(monkeypatch):
                         raising=False)
     res = unitalize(p)
     assert res.trace.rounds and builds["unit_constraint_maps"] == 0
+
+
+def test_unitalize_builds_the_xis_when_they_are_read(monkeypatch):
+    # no step of the round reads its xis: the call builds none, and the
+    # first read builds one per constraint and keeps them
+    p = unitalize_case("vectq")
+    count = [0]
+    induce = adjoints.quotient_induced
+
+    def counted(q, m):
+        count[0] += 1
+        return induce(q, m)
+
+    monkeypatch.setattr(adjoints, "quotient_induced", counted)
+    (r,) = unitalize(p).trace.rounds
+    assert r.constraints and count[0] == 0
+    xis = r.xis
+    assert count[0] == len(xis) == len(r.constraints)
+    assert r.xis is xis and count[0] == len(xis)
 
 
 def count_tensors(monkeypatch):
@@ -1729,6 +1752,133 @@ def test_realize_solves_only_the_triples_whose_pairs_have_a_hom():
     assert validate(r.constant) == []
     assert validate_morphism(r.eta) == []
     assert r.category is None
+    assert r.stable == reference_stable(pc)
+
+
+def count_colimits(monkeypatch):
+    """Count the `colimit` calls of adjoints from here on."""
+    count = [0]
+    build = adjoints.colimit
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(adjoints, "colimit", counted)
+    return count
+
+
+def test_realize_takes_the_stability_colimits_when_they_are_read(
+        monkeypatch):
+    # realize builds one colimit per pair; the flags take one more per
+    # pair with a chain below the truncation, on their first read only
+    pc = from_strict_category(function_category({"A": 1, "B": 2}), 3)
+    count = count_colimits(monkeypatch)
+    r = realize(pc)
+    assert count[0] == len(r.homs) == 4
+    flags = r.stable
+    assert flags == {pair: True for pair in r.homs}
+    assert count[0] == 2 * len(r.homs)
+    assert r.stable is flags and count[0] == 2 * len(r.homs)
+
+
+def test_realize_at_truncation_one_has_no_stable_pair():
+    # every chain has degree 1, so no pair has a chain below the
+    # truncation to compare its hom with
+    r = realize(from_strict_category(function_category({"A": 1, "B": 2}), 1))
+    assert len(r.homs) == 4
+    assert r.stable == {pair: False for pair in r.homs}
+
+
+@pytest.mark.parametrize("backend", ["finset", "vectq"])
+def test_realize_flags_a_top_slot_that_adds_identifications(backend):
+    # truncation 2 on one letter: the structure map into the top slot
+    # (a, a, a) identifies the two elements (on vectq, the two basis
+    # vectors) of hom(a, a) below it, so the hom differs from the colimit
+    # of the degree-1 chain
+    aa, aaa = ("a", "a"), ("a", "a", "a")
+    if backend == "finset":
+        x, z = finset_obj(["x1", "x2"]), finset_obj(["z"])
+        gen, lax = finset_map(x, z, (0, 0)), finset_map(
+            tensor(x, x), z, (0,) * 4)
+    else:
+        x, z = vectq_obj(2), vectq_obj(1)
+        gen = vectq_map(x, z, [[1, 1]])
+        lax = vectq_map(tensor(x, x), z, [[1] * 4])
+    pc = make_precategory(backend, ("a",), 2, {aa: x, aaa: z},
+                          {(aaa, 1): gen}, {(aa, aa): lax})
+    assert validate(pc) == []
+    r = realize(pc)
+    assert r.homs == {aa: z} and r.determined == {aaa: True}
+    assert r.stable == {aa: False}
+    assert r.stable == reference_stable(pc)
+
+
+def reference_stable(pc):
+    """The stability flags of `realize(pc)`, built eagerly: per pair with
+    a chain, the colimit of all its chains and of those below the
+    truncation, and whether the map induced between them is an
+    isomorphism; False where no chain lies below."""
+    out = {}
+    for a, b in itertools.product(pc.letters, repeat=2):
+        nodes = {s: pc.value(s) for s in pc.chains
+                 if s[0] == a and s[-1] == b}
+        if not nodes:
+            continue
+        edges = [(shapes.delete(z, p), z, pc.gen_map(z, p))
+                 for z in nodes for p in range(1, len(z) - 1)]
+        col = colimit(nodes, edges, source_key=(a, b))
+        below = {s: v for s, v in nodes.items()
+                 if shapes.degree(s) < pc.truncation}
+        if not below:
+            out[(a, b)] = False
+            continue
+        sub = colimit(below, [e for e in edges if e[1] in below],
+                      source_key=(a, b))
+        out[(a, b)] = is_isomorphism(colimit_induced(
+            sub, {s: col.cocone[s] for s in below}))
+    return out
+
+
+def reference_xis(r):
+    """The xis of a unitalization round, built eagerly from its relation
+    pairs: each pair's coequalizer induces the round map at its slot."""
+    return [quotient_induced(coequalizer(f, g), r.delta.at(con[4]))
+            for (f, g), con in zip(r.pairs, r.constraints)]
+
+
+def value_digest_cases():
+    """(strict category, truncation, generating arrow of psi): the
+    fixtures of tools/value_digest.py."""
+    fc, arrow = function_category({"a": 1, "b": 2}), walking_arrow()
+    finset_alpha = finset_map(finset_obj(["u0"]), finset_obj(["v0", "v1"]),
+                              (1,))
+    vectq_alpha = vectq_map(vectq_obj(1), vectq_obj(2), [[1], [0]])
+    chq_alpha = identity(disk(1))
+    return [(fc, 3, finset_alpha),
+            (linearize_category(fc), 2, vectq_alpha),
+            (dual_numbers_chq(), 2, chq_alpha),
+            (arrow, 2, finset_alpha),
+            (linearize_category(arrow), 2, vectq_alpha),
+            (chainify_category(arrow), 2, chq_alpha)]
+
+
+@pytest.mark.parametrize("case", range(6), ids=[
+    "finset", "vectq", "chq", "finset-arrow", "vectq-arrow", "chq-arrow"])
+def test_the_diagnostics_read_later_match_the_eager_build(case):
+    # the xis of each round and the stability flags are computed on
+    # read, to the values the eager build gives, on the unitalization of
+    # the free pointing, psi and the realization the value digest hashes
+    cat, truncation, alpha = value_digest_cases()[case]
+    h = from_strict_category(cat, truncation)
+    res = unitalize(point(forget_units(h)))
+    z0 = (h.letters[0], h.letters[-1], h.letters[-1])
+    ps = psi(z0, alpha, letters=h.letters, truncation=truncation)
+    rounds = res.trace.rounds + ps.trace.rounds
+    assert rounds
+    assert all(r.xis == reference_xis(r) for r in rounds)
+    for pc in (h, res.precat):
+        assert realize(pc).stable == reference_stable(pc)
 
 
 # ---------------------------------------------------------------------------

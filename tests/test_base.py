@@ -513,6 +513,35 @@ def test_find_lift_reduces_its_system_once(monkeypatch):
     assert [ratmat.shape(m) for m in calls] == [(i3.src.size(), 2 + 2)]
 
 
+def test_solve_map_indexes_the_hom_coordinates_once_per_equation(
+        monkeypatch):
+    # one index for h, src -> dst, one per equation for the ends of its
+    # map, read by its block and by its right-hand side, and on chq one
+    # for dst -> src, whose rows the chain-map constraint reads
+    indexed = []
+    positions = base._hom_positions
+
+    def counted(src, dst):
+        indexed.append((src, dst))
+        return positions(src, dst)
+
+    monkeypatch.setattr(base, "_hom_positions", counted)
+    i = generating_cofibrations("chq", (0, 1))[1]  # S^0 -> D^1
+    p = zero_map(disk(1), empty("chq"))
+    f = chq_map(i.src, p.src, [[0], [1]])
+    h, _ = solve_map(i.dst, p.src, [(i, f)], [(p, zero_map(i.dst, p.dst))])
+    assert i.then(h) == f
+    assert indexed == [(i.dst, p.src), (i.src, p.src), (i.dst, p.dst),
+                       (p.src, i.dst)]
+    indexed.clear()
+    line = vectq_obj(1)
+    i = vectq_map(line, vectq_obj(2), [[1], [0]])
+    g = vectq_map(i.dst, line, [[1, 0]])
+    assert solve_map(i.dst, line, [(i, identity(line))],
+                     [(identity(line), g)]) == (g, True)
+    assert indexed == [(i.dst, line), (line, line), (i.dst, line)]
+
+
 def _rand_obj(rng, backend):
     if backend == "finset":
         return finset_obj(["p%d" % k for k in range(rng.randint(0, 3))])

@@ -2,13 +2,12 @@ import pytest
 
 from cosegal import base, ratmat
 from cosegal.base import (
-    chq_map, disk, empty, finset_map, finset_obj, identity, sphere,
-    vectq_map, vectq_obj, zero_map,
+    chq_map, disk, empty, finset_map, finset_obj, identity, invert,
+    is_isomorphism, sphere, vectq_map, vectq_obj, zero_map,
 )
 from cosegal.colim import (
-    Colimit, coequalizer, colimit, colimit_induced, compare_coproduct_pushout,
-    compare_interleaved_colimits, copair, coproduct, equalizer,
-    kernel_subobject, present, quotient_finset, quotient_induced,
+    Colimit, coequalizer, colimit, colimit_induced, copair, coproduct,
+    equalizer, kernel_subobject, present, quotient_finset, quotient_induced,
     quotient_linear, surjection_quotient, wide_pushout, wide_pushout_induced,
 )
 
@@ -370,6 +369,103 @@ def test_kernel_subobject_refuses_a_kernel_that_is_not_a_subcomplex():
     assert obj.degrees == (1, 0) and incl == identity(disk(1))
 
 
+# The lemmas on interleaved sequences and on the coproduct/pushout
+# exchange, checked with the engine: no engine step calls these checkers.
+
+
+class StabilizationError(RuntimeError):
+    pass
+
+
+def stabilization_index(maps):
+    """The least index from which every listed map is an isomorphism."""
+    idx = len(maps)
+    for i in range(len(maps) - 1, -1, -1):
+        if is_isomorphism(maps[i]):
+            idx = i
+        else:
+            break
+    if idx == len(maps):
+        raise StabilizationError("sequence does not stabilize in range")
+    return idx
+
+
+def compare_interleaved_colimits(etas, epsilons, downs, ups):
+    """Check that two interleaved sequences share their colimit.
+
+    Data: etas[i]: A_i -> A_{i+1}, epsilons[i]: B_i -> B_{i+1},
+    downs[i]: A_i -> B_i (one per object of A), ups[i]: B_i -> A_{i+1},
+    subject to downs[i].then(ups[i]) == etas[i] and
+    ups[i].then(downs[i+1]) == epsilons[i].
+
+    Both sequences must become isomorphisms inside the given window; the
+    returned report carries the stabilization indices and the mutually
+    inverse comparison maps between the stable values.
+    """
+    n = len(etas)
+    if len(epsilons) != n or len(downs) != n + 1 or len(ups) != n:
+        raise ValueError("interleaving data has mismatched lengths")
+    for i in range(n):
+        if downs[i].then(ups[i]) != etas[i]:
+            raise ValueError("interleaving fails over eta at %d" % i)
+        if ups[i].then(downs[i + 1]) != epsilons[i]:
+            raise ValueError("interleaving fails under epsilon at %d" % i)
+    m = max(stabilization_index(etas), stabilization_index(epsilons))
+    u = downs[m]
+    v = ups[m].then(invert(etas[m]))
+    ok_vu = u.then(v) == identity(u.src)
+    ok_uv = v.then(u) == identity(u.dst)
+    return {
+        "stable-index": m,
+        "forward": u,
+        "backward": v,
+        "mutually-inverse": ok_vu and ok_uv,
+    }
+
+
+def compare_coproduct_pushout(base, items):
+    """Compare gluing a family all at once against gluing leg by leg.
+
+    items: [(p_i: A_i -> C_i, h_i: A_i -> B)]. Route one pushes out the
+    coproduct of the p_i along the combined attachment; route two forms
+    each pushout D_i separately and takes the wide pushout of B -> D_i.
+    Returns the two objects with explicit mutually inverse comparison maps.
+    """
+    backend = base.backend
+    ps = [p for p, _ in items]
+    hs = [h for _, h in items]
+    for p, h in items:
+        if p.src != h.src or h.dst != base:
+            raise ValueError("family legs do not match the base")
+    cop_a, inj_a = coproduct([p.src for p in ps], backend=backend)
+    cop_c, inj_c = coproduct([p.dst for p in ps], backend=backend)
+    big_p = copair(cop_a, [p.then(ic) for p, ic in zip(ps, inj_c)], cop_c)
+    big_h = copair(cop_a, hs, base)
+    route_one = wide_pushout(cop_a, [big_p, big_h])
+    c_to_e, b_to_e = route_one.maps
+    pos = [wide_pushout(p.src, [p, h]) for p, h in items]
+    route_two = wide_pushout(base, [po.maps[1] for po in pos])
+    # E -> wide pushout: send each C_i through its own pushout leg, B along
+    # the common anchor
+    cone_c = copair(cop_c,
+                    [po.maps[0].then(m) for po, m in zip(pos, route_two.maps)],
+                    route_two.obj)
+    u = wide_pushout_induced(route_one, [cone_c, route_two.through])
+    # wide pushout -> E: each D_i maps in via its universal property
+    cone_d = [wide_pushout_induced(po, [inj_c[i].then(c_to_e), b_to_e])
+              for i, po in enumerate(pos)]
+    v = wide_pushout_induced(route_two, cone_d, through=b_to_e)
+    ok = (u.then(v) == identity(route_one.obj)
+          and v.then(u) == identity(route_two.obj))
+    return {
+        "all-at-once": route_one.obj,
+        "leg-by-leg": route_two.obj,
+        "forward": u,
+        "backward": v,
+        "mutually-inverse": ok,
+    }
+
+
 def interleave_shifted(etas, twists):
     """The cofinal-subsequence interleaving B_i = A_{i+1} twisted by isos.
 
@@ -380,7 +476,7 @@ def interleave_shifted(etas, twists):
     """
     n = len(etas) - 1
     downs = [etas[i].then(twists[i]) for i in range(n + 1)]
-    ups = [base.invert(twists[i]) for i in range(n)]
+    ups = [invert(twists[i]) for i in range(n)]
     epsilons = [ups[i].then(etas[i + 1]).then(twists[i + 1])
                 for i in range(n)]
     return etas[:n], epsilons, downs, ups

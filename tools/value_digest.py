@@ -76,8 +76,13 @@ def render(x):
         return "{%s}" % ", ".join("%r: %s" % (k, render(v))
                                   for k, v in x.items())
     if is_dataclass(x) and not isinstance(x, (MObject, MMorphism)):
+        names = [f.name for f in fields(x)]
+        if isinstance(x, adjoints.Realization):
+            # the stability flags are a property computed on read, not a
+            # field; they render between idpoints and constant
+            names.insert(names.index("constant"), "stable")
         return "%s(%s)" % (type(x).__name__, ", ".join(
-            render(getattr(x, f.name)) for f in fields(x)))
+            render(getattr(x, name)) for name in names))
     return repr(x)
 
 
