@@ -224,6 +224,16 @@ def is_identity(f):
     return f.src == f.dst and f == identity(f.src)
 
 
+def basis_point(x, k):
+    """The point I -> x at element k (finset) or basis vector k
+    (vectq/chq). On chq the vector must be a degree-0 cycle, or
+    `make_map` refuses it."""
+    if x.backend == "finset":
+        return make_map(unit("finset"), x, (k,))
+    return make_map(unit(x.backend), x,
+                    ratmat.build(x.size(), 1, [(k, 0, ONE)]))
+
+
 # ---------------------------------------------------------------------------
 # tensor
 
@@ -565,29 +575,31 @@ def _hom_positions(src, dst):
     return starts, rows, ranks
 
 
-def _from_hom(src, dst, coords, hom=None):
+def _from_hom(src, dst, coords, hom):
     """The map src -> dst whose entries at its hom coordinates are coords,
     a sequence in coordinate order; every other entry is zero. hom is
-    `_hom_positions(src, dst)`, computed when not given."""
-    starts, rows, _ = hom or _hom_positions(src, dst)
+    `_hom_positions(src, dst)`."""
+    starts, rows, _ = hom
     return make_map(src, dst, ratmat.build(dst.size(), src.size(), [
         (i, j, x) for j, d in enumerate(_degrees(src))
         for i, x in zip(rows.get(d, ()), coords[starts[j]:starts[j + 1]])
         if x]))
 
 
-def _hom_constraint(src, dst, hom=None):
+def _hom_constraint(src, dst, hom):
     """Rows cutting out the chain maps src -> dst on hom coordinates.
 
     Row (r, c), for deg_dst(r) == deg_src(c) - 1, is entry (r, c) of
     d_dst K - K d_src, read off the nonzeros of the two differentials.
     Empty (no rows) on vectq, where all nd * ns entries are coordinates.
-    hom is `_hom_positions(src, dst)`, computed when not given.
+    hom is `_hom_positions(src, dst)`.
     """
     if src.backend != "chq":
         return ratmat.zeros(0, src.size() * dst.size())
-    starts, rows, ranks = hom or _hom_positions(src, dst)
-    cols = _hom_positions(dst, src)[1]  # the src indices of each degree
+    starts, rows, ranks = hom
+    cols = {}  # the src indices of each degree
+    for c, d in enumerate(src.degrees):
+        cols.setdefault(d, []).append(c)
     # entry (r, c) of d_dst K reads K(k, c), and of K d_src reads K(r, k)
     terms = [((r, c), starts[c] + ranks[k], x)
              for r, k, x in ratmat.nonzeros(dst.diff)
@@ -604,9 +616,14 @@ def _hom_constraint(src, dst, hom=None):
 def chq_hom_basis(src, dst):
     """A basis of the space of chain maps src -> dst (of all linear maps
     on vectq), as morphisms."""
-    basis = _chain_maps(src, dst)
-    return tuple(_from_hom(src, dst, ratmat.vec(col)) for col in
+    hom = _hom_positions(src, dst)
+    basis = _chain_maps(src, dst, hom)
+    return tuple(_from_hom(src, dst, ratmat.vec(col), hom) for col in
                  ratmat.split_columns(basis, [1] * ratmat.shape(basis)[1]))
+
+
+class NoSolution(ValueError):
+    """The equations of `solve_map` contradict each other."""
 
 
 def solve_map(src, dst, pre, post):
@@ -614,9 +631,10 @@ def solve_map(src, dst, pre, post):
 
     h satisfies i.then(h) == f for each (i, f) in pre and h.then(p) == g
     for each (p, g) in post; unique tells whether the equations leave it
-    no freedom. Raises ValueError when they contradict each other, or
-    when the ends of an equation do not match: i.dst == src, f.src ==
-    i.src and f.dst == dst; p.src == dst, g.src == src and g.dst == p.dst.
+    no freedom. Raises NoSolution, a ValueError, when they contradict
+    each other, and a plain ValueError when the ends of an equation do
+    not match: i.dst == src, f.src == i.src and f.dst == dst; p.src ==
+    dst, g.src == src and g.dst == p.dst.
 
     finset: the pre equations force the image of each point some i hits,
     in the order given, and raise where two of them disagree; every other
@@ -668,7 +686,7 @@ def solve_map(src, dst, pre, post):
         for i, f in pre:
             for jb, jx in zip(i.mapping, f.mapping):
                 if forced.setdefault(jb, jx) != jx:
-                    raise ValueError("the equations force two images")
+                    raise NoSolution("the equations force two images")
         mapping = []
         for jb in range(len(src.labels)):
             cand = (forced[jb],) if jb in forced else range(len(dst.labels))
@@ -684,11 +702,11 @@ def solve_map(src, dst, pre, post):
             ratmat.vstack([ratmat.transpose(i.matrix) for i, _ in pre]),
             ratmat.vstack([ratmat.transpose(f.matrix) for _, f in pre]))
         if x is None:
-            raise ValueError("the equations have no common solution")
+            raise NoSolution("the equations have no common solution")
         if rank == src.size():
             h = make_map(src, dst, ratmat.transpose(x))
             if any(h.then(p) != g for p, g in post):
-                raise ValueError("the equations have no common solution")
+                raise NoSolution("the equations have no common solution")
             return h, True
     # the hom coordinates of h are indexed once, and those of each
     # equation's map f once, for its block and for the right-hand side
@@ -713,7 +731,7 @@ def solve_map(src, dst, pre, post):
     blocks.append(_hom_constraint(src, dst, hom))
     sol, rank = ratmat.solve_vec(ratmat.vstack(blocks), rhs)
     if sol is None:
-        raise ValueError("the equations have no common solution")
+        raise NoSolution("the equations have no common solution")
     return _from_hom(src, dst, sol, hom), rank == len(sol)
 
 
@@ -726,7 +744,7 @@ def find_lift(i, p, f, g):
         raise ValueError("the square does not commute")
     try:
         h, _ = solve_map(i.dst, p.src, [(i, f)], [(p, g)])
-    except ValueError:
+    except NoSolution:
         return None
     if h is not None and i.then(h) == f and h.then(p) == g:
         return h
@@ -755,45 +773,49 @@ def has_rlp(i, p):
     # G: B -> Y with p F = G i. The image always lies among the squares,
     # so comparing the rank of the map with their dimension settles it.
     # Maps act on hom coordinates, restricted to the chain maps through a
-    # kernel basis of each hom space.
-    k_bx, k_ax, k_by = _chain_maps(b, x), _chain_maps(a, x), _chain_maps(b, y)
-    boundary = ratmat.vstack([_precompose(i, x), _postcompose(p, b)])
+    # kernel basis of each hom space; the four hom spaces are indexed once
+    # each.
+    bx, ax, by, ay = (_hom_positions(*ends)
+                      for ends in ((b, x), (a, x), (b, y), (a, y)))
+    k_bx, k_ax, k_by = (_chain_maps(b, x, bx), _chain_maps(a, x, ax),
+                        _chain_maps(b, y, by))
+    boundary = ratmat.vstack([_precompose(i, x, ax, bx),
+                              _postcompose(p, b, by, bx)])
     rank_lift = ratmat.rank(ratmat.matmul(boundary, k_bx))
     commuting = ratmat.hstack([
-        ratmat.matmul(_postcompose(p, a), k_ax),
-        ratmat.mneg(ratmat.matmul(_precompose(i, y), k_by))])
+        ratmat.matmul(_postcompose(p, a, ay, ax), k_ax),
+        ratmat.mneg(ratmat.matmul(_precompose(i, y, ay, by), k_by))])
     dim_squares = (ratmat.shape(k_ax)[1] + ratmat.shape(k_by)[1]
                    - ratmat.rank(commuting))
     return rank_lift == dim_squares
 
 
-def _chain_maps(src, dst):
+def _chain_maps(src, dst, hom):
     """A basis of the (chain) maps src -> dst, as the columns of a matrix
-    on hom coordinates: the rref kernel basis of `_hom_constraint`."""
-    return ratmat.kernel_data(_hom_constraint(src, dst))[0]
+    on hom coordinates: the rref kernel basis of `_hom_constraint`. hom
+    is `_hom_positions(src, dst)`."""
+    return ratmat.kernel_data(_hom_constraint(src, dst, hom))[0]
 
 
-def _precompose(f, x, out=None, col=None):
+def _precompose(f, x, out, col):
     """The matrix of K -> K f, from the hom coordinates of f.dst -> x to
     those of f.src -> x. Entry (i, j) of f sends entry (r, i) of K to
     entry (r, j) of K f for each r of x of i's degree: the k-th
     coordinate of column i to the k-th of column j. out and col are the
-    `_hom_positions` of f.src -> x and f.dst -> x, computed when not
-    given."""
-    out = (out or _hom_positions(f.src, x))[0]
-    col = (col or _hom_positions(f.dst, x))[0]
+    `_hom_positions` of f.src -> x and f.dst -> x."""
+    out, col = out[0], col[0]
     return ratmat.build(out[-1], col[-1], [
         (out[j] + k, col[i] + k, v) for i, j, v in ratmat.nonzeros(f.matrix)
         for k in range(col[i + 1] - col[i])])
 
 
-def _postcompose(f, a, out=None, col=None):
+def _postcompose(f, a, out, col):
     """The matrix of K -> f K, from the hom coordinates of a -> f.src to
     those of a -> f.dst. Column c of f K is the block of f in c's degree
     applied to column c of K. out and col are the `_hom_positions` of
-    a -> f.dst and a -> f.src, computed when not given."""
-    out, _, ranks = out or _hom_positions(a, f.dst)
-    col, _, franks = col or _hom_positions(a, f.src)
+    a -> f.dst and a -> f.src."""
+    out, _, ranks = out
+    col, _, franks = col
     degrees, blocks = _degrees(f.src), {}
     for r, i, v in ratmat.nonzeros(f.matrix):
         blocks.setdefault(degrees[i], []).append((ranks[r], franks[i], v))

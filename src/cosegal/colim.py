@@ -17,6 +17,12 @@ descent, `colimit_induced`, copairs one cone leg per block and
 induces the map out of the quotient through a linear (or pointwise)
 section, checking that it descends: an incompatible cone fails loudly
 rather than returning garbage.
+
+Two limits complete the set: `product`, the cartesian product on finset
+and the direct sum on vectq/chq, with its projections, and `agreement`,
+the subobject of y on which pairs of maps out of a (x) y and y (x) a
+agree at every element or basis vector of a. `equalizer` is the
+agreement of one pair with a = I.
 """
 
 import itertools
@@ -26,7 +32,8 @@ from . import ratmat
 from .ratmat import ONE
 from .base import (
     MObject, MMorphism, chq_map, chq_obj, identity, is_identity, make_map,
-    tensor, vectq_map, vectq_obj, zero_map, _finset, _suffix_label,
+    tensor, tensor_multi, vectq_map, vectq_obj, zero_map, _finset,
+    _suffix_label,
 )
 
 
@@ -447,7 +454,27 @@ def colimit(nodes, edges, source_key=None):
 
 
 # ---------------------------------------------------------------------------
-# equalizers (the one limit the package needs)
+# the two limits the package needs: products and agreement subobjects
+
+
+def product(objs, backend):
+    """The product of objs with its projections, one per factor.
+
+    finset: the tensor (cartesian product), whose elements run in the
+    tensor order, the first factor most significant. vectq/chq: the
+    direct sum, whose projections are the transposed injections. No
+    factors give the terminal object: one point on finset, 0 otherwise.
+    """
+    objs = list(objs)
+    if backend == "finset":
+        prod = tensor_multi(objs, backend)
+        points = list(itertools.product(*[range(o.size()) for o in objs]))
+        return prod, [MMorphism(backend, prod, o, mapping=tuple(
+            p[k] for p in points)) for k, o in enumerate(objs)]
+    prod, injs = coproduct(objs, backend)
+    return prod, [MMorphism(backend, prod, o,
+                            matrix=ratmat.transpose(inj.matrix))
+                  for o, inj in zip(objs, injs)]
 
 
 def kernel_subobject(x, eqs):
@@ -466,14 +493,46 @@ def kernel_subobject(x, eqs):
     return obj, make_map(obj, x, basis)
 
 
+def agreement(y, pairs):
+    """The subobject of y on which each pair agrees, as (object,
+    inclusion).
+
+    A pair is f: a (x) y -> z and g: y (x) a -> z, and it agrees on the
+    points x of y with f(v (x) x) == g(x (x) v) for every element or
+    basis vector v of a. finset keeps those elements of y; vectq/chq take
+    the kernel of one equation per pair, v and coordinate of z, which
+    `kernel_subobject` refuses on chq when it is not a subcomplex. The
+    equalizer is the case a = I.
+    """
+    ny = y.size()
+    sized = []
+    for f, g in pairs:
+        na = f.src.size() // ny if ny else 0
+        if f.dst != g.dst or not g.src.size() == f.src.size() == na * ny:
+            raise ValueError("a pair does not leave a (x) y and y (x) a "
+                             "for one target")
+        sized.append((f, g, na))
+    if y.backend == "finset":
+        keep = [x for x in range(ny) if all(
+            f.mapping[v * ny + x] == g.mapping[x * na + v]
+            for f, g, na in sized for v in range(na))]
+        obj = _finset(tuple([y.labels[x] for x in keep]))
+        return obj, MMorphism("finset", obj, y, mapping=tuple(keep))
+    # the equation of (pair, v, coordinate of z) is row index[...]; only
+    # equations with a nonzero term get one
+    index, entries = {}, []
+    for n, (f, g, na) in enumerate(sized):
+        for r, c, x in ratmat.nonzeros(f.matrix):
+            v, j = divmod(c, ny)
+            entries.append((index.setdefault((n, v, r), len(index)), j, x))
+        for r, c, x in ratmat.nonzeros(g.matrix):
+            j, v = divmod(c, na)
+            entries.append((index.setdefault((n, v, r), len(index)), j, -x))
+    return kernel_subobject(y, ratmat.build(len(index), ny, entries))
+
+
 def equalizer(f, g):
     """The equalizer of f, g: X -> Y as (object, inclusion)."""
     if f.src != g.src or f.dst != g.dst:
         raise ValueError("equalizer needs a parallel pair")
-    x = f.src
-    if f.backend == "finset":
-        keep = [i for i in range(len(x.labels))
-                if f.mapping[i] == g.mapping[i]]
-        obj = _finset(tuple([x.labels[i] for i in keep]))
-        return obj, MMorphism("finset", obj, x, mapping=tuple(keep))
-    return kernel_subobject(x, ratmat.msub(f.matrix, g.matrix))
+    return agreement(f.src, [(f, g)])

@@ -24,26 +24,30 @@ shape, not tested for emptiness.)
 Relative transformations between morphism lists sigma_1..sigma_n carry
 one point per letter, valued in the target at the chain of letter
 images.  The two transport routes of such a point around a chain must
-agree after collapsing into the realized hom; the object classifying
-all such families is cut out of the product of the component slots by
-exactly those route equations, one per basis element of every source
-value that still fits under the truncation.  Both read the routes from
+agree after collapsing into the realized hom.  The object classifying
+all such families is `colim.agreement` on `colim.product` of the
+component slots: around every chain that still fits under the
+truncation, the top route read on the slot of its last letter agrees
+with the bottom route read on the slot of its first letter at every
+element or basis vector of the source value.  Both read the routes from
 one builder, which transports a generic point of the end slot; a family
 precomposes them with its own points.  Families compose through the
 target laxity, and the classifying objects pair the same way: this is
 the functor-category hom as an end, with its composition (Kelly, Basic
-Concepts of Enriched Category Theory, ch. 2).
+Concepts of Enriched Category Theory, ch. 2).  The pairing, like the
+membership test of a family, is one `base.solve_map` lift through the
+inclusion, read through the projections.
 """
 
-import itertools
 from dataclasses import dataclass, replace
 
-from . import ratmat, shapes
+from . import shapes
 from .base import (
-    MMorphism, MObject, _finset, identity, invert, make_map, symmetry,
-    tensor, tensor_mor, tensor_multi, unit, right_unitor, left_unitor,
+    MMorphism, MObject, NoSolution, basis_point, identity, invert,
+    left_unitor, right_unitor, solve_map, symmetry, tensor, tensor_mor,
+    unit,
 )
-from .colim import coproduct, kernel_subobject
+from .colim import agreement, product
 from .precat import (
     Precategory, PrecatMorphism, StrictCategory, expected_laxity_keys,
     from_strict_category, identity_morphism, make_precategory,
@@ -485,8 +489,14 @@ def compose_nat_transforms(t1, t2):
 
 @dataclass
 class NatObject:
-    """The subobject of the slotwise product cut out by the route
-    equations, with enough bookkeeping to decode its points."""
+    """The subobject of the product of the component slots cut out by
+    the route equations, with the projections that decode its points.
+
+    `family(k)` reads the k-th element (finset) or basis vector
+    (vectq/chq) of the classifying object through the projections; on
+    chq it needs that vector to be a degree-0 cycle, as every point
+    I -> X is.
+    """
 
     backend: str
     src: Precategory
@@ -495,108 +505,43 @@ class NatObject:
     sigmas: tuple
     letters: tuple
     slots: dict        # letter -> component object
-    offsets: dict      # letter -> first coordinate in the product
+    projections: dict  # letter -> projection of the product onto its slot
     product: MObject
     obj: MObject
     include: MMorphism
     chains: tuple
 
-    def slot_point(self, a, index_or_column):
-        """A point of the slot at the letter a, from an element index
-        (finset) or a coefficient column (vectq/chq)."""
-        if self.backend == "finset":
-            payload = (index_or_column,)
-        else:
-            payload = ratmat.unvec(index_or_column, len(index_or_column), 1)
-        return make_map(unit(self.backend), self.slots[a], payload)
+    def point_family(self, x):
+        """The family of points of a point x: I -> product."""
+        return {a: x.then(self.projections[a]) for a in self.letters}
 
     def family(self, k):
         """The family of points encoded by the k-th element (finset) or
-        basis column (vectq/chq) of the classifying object."""
-        if self.backend == "finset":
-            digits = _flat_digits(self.include.mapping[k],
-                                  _slot_sizes(self.slots, self.letters))
-            return {a: self.slot_point(a, d)
-                    for a, d in zip(self.letters, digits)}
-        return self.vector_family(ratmat.vec(ratmat.submatrix(
-            self.include.matrix, range(self.product.size()), (k,))))
+        basis vector (vectq/chq) of the classifying object."""
+        return self.point_family(
+            basis_point(self.obj, k).then(self.include))
 
-    def vector_family(self, column):
-        out = {}
-        for a in self.letters:
-            off = self.offsets[a]
-            out[a] = self.slot_point(
-                a, column[off:off + self.slots[a].size()])
-        return out
+    def _lift(self, src, maps):
+        """The map src -> obj whose composite into the slot of each letter
+        a is maps[a], or None when there is none."""
+        try:
+            h, _ = solve_map(src, self.obj, [], [
+                (self.include.then(self.projections[a]), maps[a])
+                for a in self.letters])
+        except NoSolution:
+            return None
+        return h
 
     def member(self, family):
         """Whether a family of points lies in the classifying object,
-        decided against the inclusion (not by rerunning the routes)."""
-        if self.backend == "finset":
-            flat = _flat_index([family[a].mapping[0] for a in self.letters],
-                               _slot_sizes(self.slots, self.letters))
-            return flat in set(self.include.mapping)
-        column = ratmat.build(self.product.size(), 1, [
-            (self.offsets[a] + i, 0, x) for a in self.letters
-            for i, _, x in ratmat.nonzeros(family[a].matrix)])
-        return ratmat.solve_matrix(self.include.matrix, column)[0] is not None
-
-
-def _slot_sizes(slots, letters):
-    return [slots[a].size() for a in letters]
-
-
-def _flat_index(digits, sizes):
-    """The element of a finset product of slots with the given slot
-    elements, the first slot most significant."""
-    flat = 0
-    for d, size in zip(digits, sizes):
-        flat = flat * size + d
-    return flat
-
-
-def _flat_digits(flat, sizes):
-    """The slot elements of an element of a finset product of slots."""
-    digits = []
-    for size in reversed(sizes):
-        digits.append(flat % size)
-        flat //= size
-    return tuple(reversed(digits))
-
-
-def _product_of_slots(backend, slots, letters):
-    objs = [slots[a] for a in letters]
-    if backend == "finset":
-        return tensor_multi(objs, backend), {}
-    offsets = {}
-    run = 0
-    for a in letters:
-        offsets[a] = run
-        run += slots[a].size()
-    return coproduct(objs, backend)[0], offsets
-
-
-def _route_subobject(src, slots, offsets, prod, routes):
-    """The subobject of a vectq/chq product of slots on which the routes
-    agree: one equation per chain, basis element of the source value
-    and coordinate of the realized hom."""
-    # the equation of (s, v, r) is row index[(s, v, r)]; only equations
-    # with a nonzero term get one
-    index = {}
-    entries = []
-    for s, (top, bottom) in routes.items():
-        a, b = s[0], s[-1]
-        nb, nfs = slots[b].size(), src.value(s).size()
-        for r, c, x in ratmat.nonzeros(top.matrix):
-            v, j = divmod(c, nb)
-            row = index.setdefault((s, v, r), len(index))
-            entries.append((row, offsets[b] + j, x))
-        for r, c, x in ratmat.nonzeros(bottom.matrix):
-            i, v = divmod(c, nfs)
-            row = index.setdefault((s, v, r), len(index))
-            entries.append((row, offsets[a] + i, -x))
-    return kernel_subobject(
-        prod, ratmat.build(len(index), prod.size(), entries))
+        decided against the inclusion (not by rerunning the routes).
+        Raises ValueError at a letter whose point has wrong ends."""
+        iu = unit(self.backend)
+        for a in self.letters:
+            pt = family.get(a)
+            if pt is None or pt.src != iu or pt.dst != self.slots[a]:
+                raise ValueError("family point at %r has wrong ends" % (a,))
+        return self._lift(iu, family) is not None
 
 
 def nat_transform_object(src, dst, fmaps, sigmas):
@@ -604,55 +549,34 @@ def nat_transform_object(src, dst, fmaps, sigmas):
 
     Every basis element of every source value contributes one equation
     per chain that fits under the target truncation; the object is the
-    subobject of the slotwise product satisfying all of them.
+    agreement subobject of the product of the slots: around a chain s,
+    the top route on the slot of s[-1] agrees with the bottom route on
+    the slot of s[0] at every point of the source value.
     """
     _check_transform_shape(src, dst, fmaps, sigmas)
     routes = _routes(src, dst, fmaps, sigmas)
-    backend = dst.backend
     letters = src.letters
     slots = {a: dst.value(tuple(fm[a] for fm in fmaps)) for a in letters}
-    prod, offsets = _product_of_slots(backend, slots, letters)
-    if backend == "finset":
-        sizes = _slot_sizes(slots, letters)
-        kept = []
-        for combo in itertools.product(*[range(k) for k in sizes]):
-            x = dict(zip(letters, combo))
-            if all(top.mapping[v * slots[s[-1]].size() + x[s[-1]]]
-                   == bottom.mapping[x[s[0]] * src.value(s).size() + v]
-                   for s, (top, bottom) in routes.items()
-                   for v in range(src.value(s).size())):
-                kept.append(_flat_index(combo, sizes))
-        obj = _finset(tuple([prod.labels[i] for i in kept]))
-        include = MMorphism("finset", obj, prod, mapping=tuple(kept))
-    else:
-        obj, include = _route_subobject(src, slots, offsets, prod, routes)
-    return NatObject(backend, src, dst, tuple(fmaps), tuple(sigmas),
-                     letters, slots, offsets, prod, obj, include,
+    prod, projs = product([slots[a] for a in letters], dst.backend)
+    proj = dict(zip(letters, projs))
+    obj, include = agreement(prod, [
+        (tensor_mor(identity(src.value(s)), proj[s[-1]]).then(top),
+         tensor_mor(proj[s[0]], identity(src.value(s))).then(bottom))
+        for s, (top, bottom) in routes.items()])
+    return NatObject(dst.backend, src, dst, tuple(fmaps), tuple(sigmas),
+                     letters, slots, proj, prod, obj, include,
                      tuple(routes))
-
-
-def _diagonal_pairing_matrix(laxes, n1, n2, n3):
-    """The underlying map of products: tensor the two components at each
-    letter and multiply them through the target laxity; cross-letter
-    blocks vanish."""
-    total2 = n2.product.size()
-    entries = []
-    for a, lax in laxes.items():
-        for r, c, x in ratmat.nonzeros(lax.matrix):
-            i, j = divmod(c, n2.slots[a].size())
-            entries.append((n3.offsets[a] + r, (n1.offsets[a] + i) * total2
-                            + n2.offsets[a] + j, x))
-    return ratmat.build(n3.product.size(), n1.product.size() * total2,
-                        entries)
 
 
 def nat_pairing(n1, n2):
     """The canonical map from the tensor of two classifying objects to
     the classifying object of the concatenated shape.
 
-    Returns (composite NatObject, map).  The map commutes with the
-    inclusions by construction; pairs whose product falls outside the
-    composite object do not exist, and finding one raises.
+    Returns (composite NatObject, map).  At each letter the map tensors
+    the two slot components and multiplies them through the target
+    laxity, then lifts through the composite inclusion; pairs whose
+    product falls outside the composite object do not exist, and finding
+    one raises.
     """
     if n1.dst.values != n2.dst.values:
         raise ValueError("classifying objects target different "
@@ -670,28 +594,10 @@ def nat_pairing(n1, n2):
         laxes[a] = g.lax(*key)
     n3 = nat_transform_object(n1.src, n1.dst, n1.fmaps + n2.fmaps[1:],
                               n1.sigmas + n2.sigmas[1:])
-    src = tensor(n1.obj, n2.obj)
-    if n1.backend == "finset":
-        kept = {flat: k for k, flat in enumerate(n3.include.mapping)}
-        sizes1, sizes2, sizes3 = (_slot_sizes(n.slots, n.letters)
-                                  for n in (n1, n2, n3))
-        mapping = []
-        for k1 in range(n1.obj.size()):
-            f1 = _flat_digits(n1.include.mapping[k1], sizes1)
-            for k2 in range(n2.obj.size()):
-                f2 = _flat_digits(n2.include.mapping[k2], sizes2)
-                flat = _flat_index(
-                    [laxes[a].mapping[x * n2.slots[a].size() + y]
-                     for a, x, y in zip(n1.letters, f1, f2)], sizes3)
-                if flat not in kept:
-                    raise ValueError("pairing leaves the classifying "
-                                     "object at %r" % ((k1, k2),))
-                mapping.append(kept[flat])
-        return n3, MMorphism("finset", src, n3.obj, mapping=tuple(mapping))
-    big = _diagonal_pairing_matrix(laxes, n1, n2, n3)
-    landed = ratmat.matmul(big, ratmat.kron(n1.include.matrix,
-                                            n2.include.matrix))
-    coeffs = ratmat.solve_matrix(n3.include.matrix, landed)[0]
-    if coeffs is None:
+    pair = n3._lift(tensor(n1.obj, n2.obj), {
+        a: tensor_mor(n1.include.then(n1.projections[a]),
+                      n2.include.then(n2.projections[a])).then(laxes[a])
+        for a in n1.letters})
+    if pair is None:
         raise ValueError("pairing leaves the classifying object")
-    return n3, make_map(src, n3.obj, coeffs)
+    return n3, pair

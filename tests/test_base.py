@@ -7,12 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from cosegal import base, ratmat
 from cosegal.base import (
-    BACKENDS, chq_map, chq_obj, disk, empty, enumerate_maps,
-    factorize, find_lift, finset_map, finset_obj, generating_cofibrations,
-    has_rlp, homology, identity, invert, is_cofibration, is_fibration,
-    is_isomorphism, is_trivial_fibration, is_weak_equivalence, left_unitor,
-    make_map, right_unitor, solve_map, sphere, symmetry, tensor, tensor_mor,
-    tensor_multi, unit, vectq_map, vectq_obj, zero_map,
+    BACKENDS, basis_point, chq_hom_basis, chq_map, chq_obj, disk, empty,
+    enumerate_maps, factorize, find_lift, finset_map, finset_obj,
+    generating_cofibrations, has_rlp, homology, identity, invert,
+    is_cofibration, is_fibration, is_isomorphism, is_trivial_fibration,
+    is_weak_equivalence, left_unitor, make_map, right_unitor, solve_map,
+    sphere, symmetry, tensor, tensor_mor, tensor_multi, unit, vectq_map,
+    vectq_obj, zero_map,
 )
 
 from fixtures import (
@@ -515,9 +516,9 @@ def test_find_lift_reduces_its_system_once(monkeypatch):
 
 def test_solve_map_indexes_the_hom_coordinates_once_per_equation(
         monkeypatch):
-    # one index for h, src -> dst, one per equation for the ends of its
-    # map, read by its block and by its right-hand side, and on chq one
-    # for dst -> src, whose rows the chain-map constraint reads
+    # one index for h, src -> dst, and one per equation for the ends of
+    # its map, read by its block and by its right-hand side; the
+    # chain-map constraint reads the index of h
     indexed = []
     positions = base._hom_positions
 
@@ -531,8 +532,7 @@ def test_solve_map_indexes_the_hom_coordinates_once_per_equation(
     f = chq_map(i.src, p.src, [[0], [1]])
     h, _ = solve_map(i.dst, p.src, [(i, f)], [(p, zero_map(i.dst, p.dst))])
     assert i.then(h) == f
-    assert indexed == [(i.dst, p.src), (i.src, p.src), (i.dst, p.dst),
-                       (p.src, i.dst)]
+    assert indexed == [(i.dst, p.src), (i.src, p.src), (i.dst, p.dst)]
     indexed.clear()
     line = vectq_obj(1)
     i = vectq_map(line, vectq_obj(2), [[1], [0]])
@@ -540,6 +540,44 @@ def test_solve_map_indexes_the_hom_coordinates_once_per_equation(
     assert solve_map(i.dst, line, [(i, identity(line))],
                      [(identity(line), g)]) == (g, True)
     assert indexed == [(i.dst, line), (line, line), (i.dst, line)]
+
+
+def test_has_rlp_and_chq_hom_basis_index_each_hom_space_once(monkeypatch):
+    indexed = []
+    positions = base._hom_positions
+
+    def counted(src, dst):
+        indexed.append((src, dst))
+        return positions(src, dst)
+
+    monkeypatch.setattr(base, "_hom_positions", counted)
+    # the chain maps B -> X, A -> X and B -> Y and the maps A -> Y that
+    # the squares reach
+    p = zero_map(disk(1), empty("chq"))
+    for i in generating_cofibrations("chq", (0, 2)):
+        indexed.clear()
+        has_rlp(i, p)
+        assert indexed == [(i.dst, p.src), (i.src, p.src), (i.dst, p.dst),
+                           (i.src, p.dst)]
+    indexed.clear()
+    assert len(chq_hom_basis(disk(1), disk(1))) == 1
+    assert indexed == [(disk(1), disk(1))]
+
+
+def test_basis_point_picks_an_element_or_a_basis_vector():
+    x = finset_obj(["a", "b", "c"])
+    assert basis_point(x, 2) == finset_map(unit("finset"), x, [2])
+    line = vectq_obj(3)
+    assert basis_point(line, 1) == vectq_map(unit("vectq"), line,
+                                             [[0], [1], [0]])
+    # on D^1 the vector e1 is a degree-0 cycle and e0 lies in degree 1;
+    # on D^0 the vector e0 lies in degree 0 and d(e0) = e1 is not zero
+    assert basis_point(disk(1), 1) == chq_map(unit("chq"), disk(1),
+                                              [[0], [1]])
+    with pytest.raises(ValueError, match="degree diagonal"):
+        basis_point(disk(1), 0)
+    with pytest.raises(ValueError, match="commute"):
+        basis_point(disk(0), 0)
 
 
 def _rand_obj(rng, backend):

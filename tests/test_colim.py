@@ -2,13 +2,15 @@ import pytest
 
 from cosegal import base, ratmat
 from cosegal.base import (
-    chq_map, disk, empty, finset_map, finset_obj, identity, invert,
-    is_isomorphism, sphere, vectq_map, vectq_obj, zero_map,
+    basis_point, chq_map, chq_obj, disk, empty, finset_map, finset_obj,
+    identity, invert, is_isomorphism, make_map, solve_map, sphere, symmetry, tensor,
+    tensor_mor, unit, vectq_map, vectq_obj, zero_map,
 )
 from cosegal.colim import (
-    Colimit, coequalizer, colimit, colimit_induced, copair, coproduct,
-    equalizer, kernel_subobject, present, quotient_finset, quotient_induced,
-    quotient_linear, surjection_quotient, wide_pushout, wide_pushout_induced,
+    Colimit, agreement, coequalizer, colimit, colimit_induced, copair,
+    coproduct, equalizer, kernel_subobject, present, product,
+    quotient_finset, quotient_induced, quotient_linear, surjection_quotient,
+    wide_pushout, wide_pushout_induced,
 )
 
 from fixtures import rand_chq, rand_chq_map
@@ -367,6 +369,128 @@ def test_kernel_subobject_refuses_a_kernel_that_is_not_a_subcomplex():
         kernel_subobject(disk(1), ratmat.mat([[0, 1]]))
     obj, incl = kernel_subobject(disk(1), ratmat.mat([[0, 0]]))
     assert obj.degrees == (1, 0) and incl == identity(disk(1))
+
+
+def test_product_of_finsets_runs_in_the_tensor_order():
+    x, y = finset_obj(["a", "b"]), finset_obj(["u", "v", "w"])
+    prod, (px, py) = product([x, y], "finset")
+    assert prod == tensor(x, y)
+    for k, label in enumerate(prod.labels):
+        assert (px.mapping[k], py.mapping[k]) == divmod(k, 3)
+        assert label == x.labels[px.mapping[k]] + y.labels[py.mapping[k]]
+
+
+@pytest.mark.parametrize("backend", ["vectq", "chq"])
+def test_product_of_linear_objects_is_the_direct_sum(backend, rng):
+    objs = ([vectq_obj(2), vectq_obj(0), vectq_obj(3)] if backend == "vectq"
+            else [disk(1), empty("chq"), rand_chq(rng)])
+    prod, projs = product(objs, backend)
+    cop, injs = coproduct(objs, backend)
+    assert prod == cop
+    for i, inj in enumerate(injs):
+        for j, proj in enumerate(projs):
+            assert inj.then(proj) == (identity(objs[i]) if i == j
+                                      else zero_map(objs[i], objs[j]))
+    # the projections are jointly injective: only the identity of the
+    # product commutes with all of them
+    assert solve_map(prod, prod, [], [(p, p) for p in projs]) == \
+        (identity(prod), True)
+
+
+@pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
+def test_product_with_an_empty_factor_and_with_none(backend):
+    point, nothing = unit(backend), empty(backend)
+    prod, projs = product([point, nothing, point], backend)
+    assert [p.dst for p in projs] == [point, nothing, point]
+    assert all(p.src == prod for p in projs)
+    # the cartesian product is empty; the direct sum skips the summand
+    assert prod.size() == (0 if backend == "finset" else 2)
+    prod, projs = product([], backend)
+    assert projs == []
+    assert prod == (point if backend == "finset" else nothing)
+
+
+def _rand_map(rng, src, dst):
+    if src.backend == "chq":
+        return rand_chq_map(rng, src, dst)
+    return vectq_map(src, dst, [[rng.randint(-2, 2) for _ in range(src.dim)]
+                                for _ in range(dst.dim)])
+
+
+def _agreeing_pairs(rng, backend):
+    """a of size 2, y and two pairs f: a (x) y -> z, g: y (x) a -> z, each
+    g the braided f changed on the points of one part of y only, so that
+    they agree on the other part at least."""
+    if backend == "finset":
+        a = finset_obj(["0", "1"])
+        y1, y2 = finset_obj(["p", "q"]), finset_obj(["r", "s", "t"])
+    elif backend == "vectq":
+        a, y1, y2 = vectq_obj(2), vectq_obj(2), vectq_obj(3)
+    else:
+        a = chq_obj([0, 0], [[0, 0], [0, 0]])
+        y1, y2 = disk(1), rand_chq(rng, max_rank=4)
+    y, (q1, q2) = product([y1, y2], backend)
+    pairs = []
+    for z in (finset_obj(["u", "v", "w"]) if backend == "finset" else y,
+              tensor(a, y)):
+        if backend == "finset":
+            f = finset_map(tensor(a, y), z, [rng.randrange(3) for _ in
+                                             range(a.size() * y.size())])
+            # g moves the images of the points of y whose y1 part is q
+            g = symmetry(y, a).then(f)
+            g = finset_map(g.src, z, [
+                (m + (q1.mapping[k // 2] == 1)) % z.size()
+                for k, m in enumerate(g.mapping)])
+        else:
+            f = _rand_map(rng, tensor(a, y), z)
+            e = tensor_mor(q2, identity(a)).then(
+                _rand_map(rng, tensor(y2, a), z))
+            g = symmetry(y, a).then(f)
+            g = make_map(g.src, z, ratmat.build(z.size(), g.src.size(), [
+                *ratmat.nonzeros(g.matrix), *ratmat.nonzeros(e.matrix)]))
+        pairs.append((f, g))
+    return a, y, pairs
+
+
+@pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
+def test_agreement_is_the_subobject_where_the_pairs_agree(backend, rng):
+    a, y, pairs = _agreeing_pairs(rng, backend)
+    obj, incl = agreement(y, pairs)
+    assert incl.src == obj and incl.dst == y
+
+    def sides(x):
+        # f(v (x) x) and g(x (x) v) for each pair and each point v of a
+        return [(tensor_mor(pv, x).then(f), tensor_mor(x, pv).then(g))
+                for pv in map(basis_point, [a] * a.size(), range(a.size()))
+                for f, g in pairs]
+
+    if backend == "finset":
+        kept = [k for k in range(y.size())
+                if all(top == bottom for top, bottom in sides(
+                    basis_point(y, k)))]
+        assert incl.mapping == tuple(kept)
+        assert obj.labels == tuple(y.labels[k] for k in kept)
+        assert kept and len(kept) < y.size()
+        return
+    # on vectq/chq I (x) y == y, so at x = identity(y) each side is a map
+    # y -> z, and the subobject is the kernel of their differences
+    rows = [ratmat.msub(top.matrix, bottom.matrix)
+            for top, bottom in sides(identity(y))]
+    assert obj.size() == y.size() - ratmat.rank(ratmat.vstack(rows))
+    assert obj.size() >= 2
+    assert ratmat.rank(incl.matrix) == obj.size()
+    assert all(top == bottom for top, bottom in sides(incl))
+
+
+def test_agreement_refuses_a_kernel_that_is_not_a_subcomplex():
+    # at the degree-1 generator v of a = S^1 the agreement of the pair
+    # holds at e0 of y = D^1 but not at d(e0) = e1: f(v (x) w) - g(w (x) v)
+    # is 2 x1 (v (x) e1) at w = x0 e0 + x1 e1
+    a, y = sphere(1), disk(1)
+    f = identity(tensor(a, y))
+    g = symmetry(y, a).then(chq_map(f.dst, f.dst, [[-1, 0], [0, -1]]))
+    with pytest.raises(ValueError, match="subcomplex"):
+        agreement(y, [(f, g)])
 
 
 # The lemmas on interleaved sequences and on the coproduct/pushout

@@ -43,9 +43,10 @@ import pytest
 from cosegal import ratmat, shapes
 from cosegal.adjoints import pullback, realize
 from cosegal.base import (
-    BACKENDS, enumerate_maps, identity, invert, left_unitor, make_map,
-    right_unitor, tensor_mor, unit,
+    BACKENDS, basis_point, enumerate_maps, finset_obj, identity, invert,
+    left_unitor, make_map, right_unitor, tensor_mor, unit,
 )
+from cosegal.colim import coproduct
 from cosegal.monoidal import (
     MARKER, axiom_errors, check_distributor, compose_nat_transforms,
     identity_family, nat_pairing, nat_transform_object, relabel, tensor_s,
@@ -265,6 +266,33 @@ def test_nat_object_points_biject_with_the_lawful_families(truncation):
         assert n.member(eta) == (eta in lawful)
 
 
+@pytest.mark.parametrize("backend", ["finset", "vectq"])
+def test_member_refuses_a_point_with_wrong_ends(backend):
+    # each bad family keeps the lawful points but one, which carries a
+    # lawful payload with the wrong ends, so that only the ends can tell
+    t, n = identity_shape(strict(backend, 2))
+    eta = n.family(0)
+    assert axiom_errors(with_family(t, eta), realize(t.dst)) == []
+    assert n.member(eta)
+    if backend == "finset":
+        # the same element of a foreign set of the slot's size
+        aimed = dataclasses.replace(eta["B"],
+                                    dst=finset_obj(["p", "q", "r", "s"]))
+        # a map out of the one-element slot, not out of the unit
+        started = identity(n.slots["A"])
+    else:
+        # the same vector in a larger space that starts with the slot
+        aimed = eta["B"].then(coproduct([n.slots["B"], unit(backend)])[1][0])
+        # a map out of the slot at B
+        started = identity(n.slots["B"])
+    for a, point in (("B", aimed), ("A", started)):
+        bad = dict(eta, **{a: point})
+        assert axiom_errors(with_family(t, bad)) == [
+            "family point at %r has wrong ends" % (a,)]
+        with pytest.raises(ValueError, match="point at %r" % (a,)):
+            n.member(bad)
+
+
 @pytest.mark.parametrize("letters, product", [({"A": "A", "B": "B"}, 5),
                                               ({"x": "B"}, 4)])
 @pytest.mark.parametrize("backend", ["vectq", "chq"])
@@ -285,7 +313,8 @@ def test_nat_object_is_the_solution_space_of_the_route_equations(
     kernel = ratmat.kernel_data(ratmat.mat(zip(*columns)))[0]
     assert n.obj.size() == len(kernel[0]) == 2
     for column in zip(*kernel):
-        assert n.member(n.vector_family(column))
+        point = make_map(unit(backend), n.product, [[x] for x in column])
+        assert n.member(n.point_family(point))
     for eta in basis:
         assert n.member(eta) == all(x == 0 for x in itertools.chain(
             *[route_difference(with_family(t, eta), r, s)
@@ -329,13 +358,8 @@ def test_pairing_is_associative_and_composes_families(backend, shape):
         tensor_mor(identity(n.obj), p12).then(p1_23)
     size = n.obj.size()
     for k1, k2 in itertools.product(range(size), repeat=2):
-        if backend == "finset":
-            paired = n12.family(p12.mapping[k1 * size + k2])
-        else:
-            column = ratmat.matmul(
-                n12.include.matrix,
-                ratmat.mat((row[k1 * size + k2],) for row in p12.matrix))
-            paired = n12.vector_family(tuple(row[0] for row in column))
+        paired = n12.point_family(basis_point(p12.src, k1 * size + k2).then(
+            p12).then(n12.include))
         composite = compose_nat_transforms(with_family(t, n.family(k1)),
                                            with_family(t, n.family(k2)))
         assert paired == composite.eta
