@@ -640,7 +640,8 @@ def solve_map(src, dst, pre, post):
     in the order given, and raise where two of them disagree; every other
     point goes to the first point of dst that each post equation allows.
     h is None when a point has no image the post equations allow. unique
-    means every point is forced.
+    means no point has a second image they allow: a forced point has
+    one, and the scan of an unforced point's images stops at a second.
 
     vectq/chq: one linear system on the hom coordinates of h (see
     `_hom_positions`): the chain-map rows and, per equation, a block on
@@ -687,16 +688,19 @@ def solve_map(src, dst, pre, post):
             for jb, jx in zip(i.mapping, f.mapping):
                 if forced.setdefault(jb, jx) != jx:
                     raise NoSolution("the equations force two images")
-        mapping = []
+        mapping, unique = [], True
         for jb in range(len(src.labels)):
             cand = (forced[jb],) if jb in forced else range(len(dst.labels))
-            jx = next((jx for jx in cand if all(
-                p.mapping[jx] == g.mapping[jb] for p, g in post)), None)
+            allowed = (jx for jx in cand if all(
+                p.mapping[jx] == g.mapping[jb] for p, g in post))
+            jx = next(allowed, None)
             if jx is None:
                 return None, False
+            if unique and next(allowed, None) is not None:
+                unique = False
             mapping.append(jx)
         return (MMorphism("finset", src, dst, mapping=tuple(mapping)),
-                len(forced) == len(src.labels))
+                unique)
     if pre and sum(i.src.size() for i, _ in pre) >= src.size():
         x, rank = ratmat.solve_matrix(
             ratmat.vstack([ratmat.transpose(i.matrix) for i, _ in pre]),

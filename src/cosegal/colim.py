@@ -3,9 +3,11 @@
 Everything returns canonical representatives so that repeated runs on the
 same input produce identical objects: coproducts keep the argument order,
 finset quotients pick the least representative of each class, and vectq/chq
-quotients take the canonical cokernel of `ratmat.cokernel`: a walk of the
-graph of the relation columns when none has three or more nonzeros, the
-rref cokernel otherwise, with the same free coordinates either way.
+quotients take the canonical cokernel of `ratmat.relation_cokernel`, which
+reads the relations as pairs of maps placed at their blocks' rows: a walk
+of the graph of the relation columns, gathered from the maps' rows, when
+none has three or more nonzeros, and otherwise the rref cokernel of the
+built relation matrix, with the same free coordinates either way.
 
 Every colimit is a presentation: keyed blocks modulo relations, each a
 parallel pair into two named blocks. `present` builds it as one
@@ -194,10 +196,11 @@ def quotient_finset(y, pairs):
     return Quotient(obj, proj, reps)
 
 
-def quotient_linear(y, rel_matrix):
-    """The quotient of a vectq/chq object by the column space of rel_matrix,
-    which has one row per coordinate of y."""
-    free, p, s = ratmat.cokernel(rel_matrix)
+def quotient_linear(y, coker):
+    """The quotient of a vectq/chq object by a relation space, given by
+    its canonical cokernel coker = (free, P, S) on the coordinates of y,
+    as `ratmat.relation_cokernel` returns it."""
+    free, p, s = coker
     if y.backend == "vectq":
         obj = vectq_obj(len(free))
     else:
@@ -216,7 +219,8 @@ def coequalizer(f, g):
         pairs = [(f.mapping[i], g.mapping[i])
                  for i in range(len(f.src.labels))]
         return quotient_finset(y, pairs)
-    return quotient_linear(y, ratmat.msub(f.matrix, g.matrix))
+    return quotient_linear(y, ratmat.relation_cokernel(
+        y.size(), [(0, f.matrix, 0, g.matrix)]))
 
 
 def quotient_induced(q, h):
@@ -275,8 +279,12 @@ def present(blocks, relations, backend):
     blocks, f1 into block key1 and f2 into block key2, and identifies f1
     with f2. The blocks' coproduct is quotiented by all relations in one
     step, and the cocone leg of a block is the projection restricted to
-    the block's positions. Raises ValueError on a relation that is not
-    parallel or whose side does not end on the block it names.
+    the block's positions. On vectq/chq each relation goes to
+    `ratmat.relation_cokernel` as it is, (start of block key1, f1's
+    matrix, start of block key2, f2's matrix), and no relation matrix is
+    built unless the rref cokernel needs it. Raises ValueError on a
+    relation that is not parallel or whose side does not end on the block
+    it names.
     """
     objs = dict(blocks)
     starts, off = {}, 0
@@ -302,14 +310,9 @@ def present(blocks, relations, backend):
         return Colimit(q.obj, cocone, q)
     # one column range per relation: f1 at block key1's rows minus f2 at
     # block key2's
-    entries, col = [], 0
-    for (k1, f1), (k2, f2) in relations:
-        entries += [(starts[k1] + i, col + j, x)
-                    for i, j, x in ratmat.nonzeros(f1.matrix)]
-        entries += [(starts[k2] + i, col + j, -x)
-                    for i, j, x in ratmat.nonzeros(f2.matrix)]
-        col += f1.src.size()
-    q = quotient_linear(cop, ratmat.build(cop.size(), col, entries))
+    q = quotient_linear(cop, ratmat.relation_cokernel(cop.size(), [
+        (starts[k1], f1.matrix, starts[k2], f2.matrix)
+        for (k1, f1), (k2, f2) in relations]))
     legs = ratmat.split_columns(q.proj.matrix,
                                 [obj.size() for _, obj in blocks])
     cocone = {key: MMorphism(backend, obj, q.obj, matrix=leg)

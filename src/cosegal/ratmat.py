@@ -8,6 +8,11 @@ checks. Kernels, ranks and solutions come from `rref`. So does a
 `cokernel`, unless every column has at most two nonzeros: then it is a
 walk of the graph the columns make, whose components' largest members
 are the greedy non-pivots of rref(m^T) (see `cokernel`).
+`relation_cokernel` is the same cokernel of a matrix given as relations,
+pairs of matrices placed at row offsets and subtracted: it gathers each
+column from the rows of the two matrices and walks the graph without
+building the matrix, and builds it for the rref cokernel only when a
+column has three or more nonzeros.
 
 A matrix is a `Matrix`: an explicit `shape` (rows, columns) and a `rows`
 tuple holding, for each row, the (column, entry) pairs of its nonzero
@@ -209,23 +214,6 @@ def transpose(m):
         for j, x in row:
             out[j].append((i, x))
     return Matrix((c, r), tuple(map(tuple, out)))
-
-
-def msub(a, b):
-    if a.shape != b.shape:
-        raise ValueError("cannot subtract a %dx%d and a %dx%d matrix"
-                         % (a.shape + b.shape))
-    out = []
-    for ra, rb in zip(a.rows, b.rows):
-        if not rb:
-            out.append(ra)
-            continue
-        acc = dict(ra)
-        for j, y in rb:
-            x = acc.get(j)
-            acc[j] = -y if x is None else x - y
-        out.append(tuple(sorted([(j, x) for j, x in acc.items() if x])))
-    return Matrix(a.shape, tuple(out))
 
 
 def mneg(a):
@@ -454,27 +442,22 @@ def kernel_data(m):
     return transpose(vecs), tuple(free)
 
 
-def _walk_cokernel(m):
-    """(P, free) of `cokernel` by a walk of the graph of m's columns, or
-    None when a column of m has three or more nonzeros."""
-    cols = {}
-    for i, row in enumerate(m.rows):
-        for j, x in row:
-            col = cols.setdefault(j, [])
-            if len(col) == 2:
-                return None
-            col.append((i, x))
-    nrows = m.shape[0]
+def _walk(nrows, edges, dead):
+    """(P, free) of the weighted walk: edges holds (i, j, num, den) for
+    each tie w_j = (num/den) w_i, num and den nonzero, and dead the
+    coordinates a one-entry column kills. Each component is walked from
+    its largest member r with w_r = 1; it is live when no edge disagrees
+    with the weights and no member is dead, and then r is free and its row
+    of P is the weights. The result depends on the edges and dead
+    coordinates only, not on their order."""
     # (j, num, den) in adj[i]: w_j = num/den w_i in lowest terms, den > 0
-    adj, dead = [[] for _ in range(nrows)], set()
-    for (i, a), *edge in cols.values():
-        if not edge:
-            dead.add(i)
-            continue
-        [(j, b)] = edge
-        num, den = -a.numerator * b.denominator, a.denominator * b.numerator
-        g = gcd(num, den) if den > 0 else -gcd(num, den)
-        num, den = num // g, den // g
+    adj = [[] for _ in range(nrows)]
+    for i, j, num, den in edges:
+        if num == den:
+            num = den = 1
+        else:
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            num, den = num // g, den // g
         adj[i].append((j, num, den))
         adj[j].append((i, den, num) if num > 0 else (i, -den, -num))
     weight, free, vecs = [None] * nrows, [], []
@@ -485,8 +468,11 @@ def _walk_cokernel(m):
         for i in members:  # members grows while it is read
             p, q = weight[i]
             for j, num, den in adj[i]:
-                g = gcd(p * num, q * den)
-                w = (p * num // g, q * den // g)
+                if num == den:
+                    w = weight[i]
+                else:
+                    g = gcd(p * num, q * den)
+                    w = (p * num // g, q * den // g)
                 if weight[j] is None:
                     weight[j] = w
                     members.append(j)
@@ -498,6 +484,37 @@ def _walk_cokernel(m):
                 (v, ONE if weight[v] == (1, 1) else Fraction(*weight[v]))
                 for v in members])))
     return Matrix((len(free), nrows), tuple(vecs[::-1])), free[::-1]
+
+
+def _walk_cokernel(m):
+    """(P, free) of `cokernel` by a walk of the graph of m's columns, or
+    None when a column of m has three or more nonzeros."""
+    cols = {}
+    for i, row in enumerate(m.rows):
+        for j, x in row:
+            col = cols.setdefault(j, [])
+            if len(col) == 2:
+                return None
+            col.append((i, x))
+    edges, dead = [], set()
+    for (i, a), *edge in cols.values():
+        if not edge:
+            dead.add(i)
+            continue
+        # a e_i + b e_j ties w_j = -(a/b) w_i
+        [(j, b)] = edge
+        edges.append((i, j, -a.numerator * b.denominator,
+                      a.denominator * b.numerator))
+    return _walk(m.shape[0], edges, dead)
+
+
+def _with_section(nrows, p, free):
+    """(free, P, S) of a cokernel from P and its free coordinates: S has
+    a 1 at (f, j) for the j-th free coordinate f."""
+    s = [()] * nrows
+    for j, f in enumerate(free):
+        s[f] = ((j, ONE),)
+    return tuple(free), p, Matrix((nrows, len(free)), tuple(s))
 
 
 def cokernel(m):
@@ -515,14 +532,102 @@ def cokernel(m):
     of k coordinates has rank k - 1 and a null vector nonzero on every
     member, so its largest member is free; a killed one has full rank.
     Otherwise P holds the null vectors of rref(m^T).
+
+    `relation_cokernel` is the same cokernel of a matrix given as
+    relations, without building it.
     """
     nrows = m.shape[0]
-    p, free = (_walk_cokernel(m)
-               or _null_vectors(*rref(transpose(m)), nrows))
-    s = [()] * nrows
-    for j, f in enumerate(free):
-        s[f] = ((j, ONE),)
-    return tuple(free), p, Matrix((nrows, len(free)), tuple(s))
+    return _with_section(nrows, *(_walk_cokernel(m)
+                                  or _null_vectors(*rref(transpose(m)),
+                                                   nrows)))
+
+
+def relation_cokernel(nrows, relations):
+    """`cokernel` of the nrows-row matrix the relations make, which it
+    does not build unless a column has three or more nonzeros.
+
+    relations is a list of column blocks (ra, a, rb, b): the matrix a
+    placed at rows ra, ra + 1, ... minus b placed at rows rb, rb + 1, ...,
+    a and b of one column count. Each column is gathered from the rows of
+    a and b. One entry x of a at row i and one entry y of b at row k != i
+    tie w_k = (x/y) w_i, the ratio read off the numerators and
+    denominators of x and y; two entries on one row combine, cancelling
+    when they are equal and killing the coordinate otherwise, as a single
+    entry does, and any other column of at most two nonzeros ties as in
+    `cokernel`. The walk of `cokernel` then gives P. A column of three or
+    more nonzeros after combining sends the whole matrix to the rref
+    cokernel instead, which is exactly when `cokernel` of the built matrix
+    takes it. Either way the result is `==` to that of `cokernel`: the
+    walk does not depend on the order of the columns. Raises ValueError
+    when a and b differ in column count and IndexError when a relation's
+    rows leave the nrows.
+    """
+    edges, dead = [], set()
+    for ra, a, rb, b in relations:
+        (ma, n), (mb, nb) = a.shape, b.shape
+        if nb != n:
+            raise ValueError("a relation of a %dx%d and a %dx%d matrix"
+                             % (ma, n, mb, nb))
+        if not (0 <= ra and ra + ma <= nrows and 0 <= rb
+                and rb + mb <= nrows):
+            raise IndexError("relation rows out of %d rows" % nrows)
+        # the first entry of each column of a and of b, as (row, entry)
+        left, right, many = [None] * n, [None] * n, set()
+        for side, start, m in ((left, ra, a), (right, rb, b)):
+            for i, row in enumerate(m.rows, start):
+                for j, x in row:
+                    if side[j] is None:
+                        side[j] = (i, x)
+                    else:
+                        many.add(j)
+        if many:
+            # a column with two entries on one side is combined in full,
+            # b's entries negated, and left to the general rule
+            cols = {j: {} for j in many}
+            for start, m, minus in ((ra, a, False), (rb, b, True)):
+                for i, row in enumerate(m.rows, start):
+                    for j, x in row:
+                        acc = cols.get(j)
+                        if acc is not None:
+                            y = acc.get(i, ZERO)
+                            acc[i] = y - x if minus else y + x
+            for j, acc in cols.items():
+                left[j] = right[j] = None
+                col = [(i, x) for i, x in acc.items() if x]
+                if len(col) > 2:
+                    return _with_section(nrows, *_null_vectors(*rref(
+                        _relation_transpose(nrows, relations)), nrows))
+                if len(col) == 1:
+                    dead.add(col[0][0])
+                elif col:
+                    (i, x), (k, y) = col
+                    edges.append((i, k, -x.numerator * y.denominator,
+                                  x.denominator * y.numerator))
+        for xs, ys in zip(left, right):
+            if xs is None or ys is None:
+                if xs is not ys:
+                    dead.add((xs or ys)[0])
+                continue
+            (i, x), (k, y) = xs, ys
+            if i != k:
+                # x e_i - y e_k ties w_k = (x/y) w_i
+                edges.append((i, k, 1, 1) if x is y else (
+                    i, k, x.numerator * y.denominator,
+                    x.denominator * y.numerator))
+            elif x != y:
+                dead.add(i)
+    return _with_section(nrows, *_walk(nrows, edges, dead))
+
+
+def _relation_transpose(nrows, relations):
+    """The transpose of the matrix the relations make, one row per
+    relation column."""
+    entries, col = [], 0
+    for ra, a, rb, b in relations:
+        entries += [(col + j, ra + i, x) for i, j, x in nonzeros(a)]
+        entries += [(col + j, rb + i, -x) for i, j, x in nonzeros(b)]
+        col += a.shape[1]
+    return build(col, nrows, entries)
 
 
 def inverse(m):

@@ -321,6 +321,13 @@ def assert_exact(m):
             assert type(x) is Fraction, (x, type(x))
 
 
+def difference(a, b):
+    """a - b for two matrices of one shape, built from their nonzeros."""
+    assert shape(a) == shape(b)
+    return ratmat.build(*shape(a), ratmat.nonzeros(a) + [
+        (i, j, -x) for i, j, x in ratmat.nonzeros(b)])
+
+
 def ref_madd(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -344,7 +351,7 @@ def full_hom_constraint(src, dst):
     right = ratmat.kron(ratmat.transpose(src.diff), ratmat.eye(nd))
     off = [j * nd + i for j in range(ns) for i in range(nd)
            if dst.degrees[i] != src.degrees[j]]
-    return ratmat.vstack([ratmat.msub(left, right), ratmat.build(
+    return ratmat.vstack([difference(left, right), ratmat.build(
         len(off), nd * ns, [(r, c, 1) for r, c in enumerate(off)])])
 
 

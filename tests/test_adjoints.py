@@ -1680,13 +1680,16 @@ def test_realize_unitalized_free_point_is_the_free_unital_monoid():
 
 def test_realize_flags_underdetermined_composition():
     # two letters, truncation 1: no composable pairs are stored at all,
-    # so no equation pins the composition down
+    # so no equation pins the composition down; only a composition into
+    # a one-point hom is determined, as the one map there
     cat = function_category({"A": 1, "B": 2})
     pc = from_strict_category(cat, 1)
     r = realize(pc)
     for pair, h in r.homs.items():
         assert h.size() == cat.homs[pair].size()
-    assert not any(r.determined.values())
+    assert r.determined == {(a, b, c): r.homs[(a, c)].size() == 1
+                            for a, b, c in r.determined}
+    assert not all(r.determined.values())
     assert r.constant is None and r.eta is None and r.category is None
 
 

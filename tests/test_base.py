@@ -661,6 +661,26 @@ def _linear_system(src, dst, pre, post):
     return rows
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_solve_map_without_equations_is_unique_into_a_terminal_object(
+        backend):
+    # the one-point set is terminal in finset and the zero object in
+    # vectq and chq; with no equations the one map into it is unique on
+    # every backend, and a map into a larger object is not
+    x = finset_obj(["a", "b", "c"]) if backend == "finset" else (
+        vectq_obj(3) if backend == "vectq" else disk(1))
+    point, nothing = unit(backend), empty(backend)
+    terminal = point if backend == "finset" else nothing
+    want = (finset_map(x, point, [0, 0, 0]) if backend == "finset"
+            else zero_map(x, nothing))
+    assert solve_map(x, terminal, [], []) == (want, True)
+    two = (finset_obj(["p", "q"]) if backend == "finset"
+           else vectq_obj(2) if backend == "vectq" else disk(1))
+    assert solve_map(x, two, [], [])[1] is False
+    # the empty object is initial: its one map out is unique too
+    assert solve_map(nothing, two, [], [])[1] is True
+
+
 @settings(max_examples=100)
 @given(st.sampled_from(BACKENDS), st.integers(0, 2 ** 32 - 1))
 def test_solve_map_meets_its_equations_and_knows_when_it_is_unique(
@@ -683,9 +703,9 @@ def test_solve_map_meets_its_equations_and_knows_when_it_is_unique(
         count = sum(map(meets, enumerate_maps(src, dst)))
         assert (h is None) == (count == 0)
         if h is not None:
-            hit = {jb for i, _ in pre for jb in i.mapping}
-            assert unique == (len(hit) == src.size())
-            assert count == 1 or not unique
+            # the equations act point by point, so h is unique exactly
+            # when it is the only map that meets them
+            assert unique == (count == 1)
         return
     rows = _linear_system(src, dst, pre, post)
     rank = ratmat.rank(ratmat.mat([r[:-1] for r in rows]))

@@ -13,7 +13,7 @@ from cosegal.colim import (
     wide_pushout, wide_pushout_induced,
 )
 
-from fixtures import rand_chq, rand_chq_map
+from fixtures import difference, rand_chq, rand_chq_map
 
 
 def test_coproduct_injections_jointly_surjective():
@@ -84,7 +84,8 @@ def test_coequalizing_no_relations_is_the_trivial_quotient(y):
     if y.backend == "finset":
         assert col.q == quotient_finset(cop, [])
     else:
-        assert col.q == quotient_linear(cop, ratmat.zeros(cop.size(), 0))
+        assert col.q == quotient_linear(
+            cop, ratmat.relation_cokernel(cop.size(), []))
     assert col.obj == cop and col.q.proj == identity(cop)
     assert list(col.cocone.values()) == injs
 
@@ -378,6 +379,10 @@ def test_product_of_finsets_runs_in_the_tensor_order():
     for k, label in enumerate(prod.labels):
         assert (px.mapping[k], py.mapping[k]) == divmod(k, 3)
         assert label == x.labels[px.mapping[k]] + y.labels[py.mapping[k]]
+    # the projections are jointly injective, as on vectq and chq, though
+    # no pre equation forces a point
+    assert solve_map(prod, prod, [], [(px, px), (py, py)]) == \
+        (identity(prod), True)
 
 
 @pytest.mark.parametrize("backend", ["vectq", "chq"])
@@ -474,7 +479,7 @@ def test_agreement_is_the_subobject_where_the_pairs_agree(backend, rng):
         return
     # on vectq/chq I (x) y == y, so at x = identity(y) each side is a map
     # y -> z, and the subobject is the kernel of their differences
-    rows = [ratmat.msub(top.matrix, bottom.matrix)
+    rows = [difference(top.matrix, bottom.matrix)
             for top, bottom in sides(identity(y))]
     assert obj.size() == y.size() - ratmat.rank(ratmat.vstack(rows))
     assert obj.size() >= 2

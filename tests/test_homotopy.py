@@ -293,7 +293,8 @@ def test_a_realization_with_no_strict_category_is_refused_with_its_cause():
                 r"^realization has no hom at the pairs \[\('m', 'a'\)\]")):
             build(pc)
     # truncation 1 stores no composable pair, so no triple is pinned
-    pc = from_strict_category(function_category({"a": 1}), 1)
+    # unless its hom has one point
+    pc = from_strict_category(function_category({"a": 2}), 1)
     with pytest.raises(ValueError, match=(
             r"^realization composition is not determined at "
             r"\[\('a', 'a', 'a'\)\]$")):

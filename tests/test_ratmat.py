@@ -16,7 +16,7 @@ from hypothesis import example, given, strategies as st
 from cosegal import ratmat
 from cosegal.ratmat import (
     ONE, block_diag, build, cokernel, eye, has_shape, hstack, inverse,
-    kernel_data, kron, mat, matmul, msub, nonzeros, rank, rref,
+    kernel_data, kron, mat, matmul, nonzeros, rank, rref,
     shape, solve_matrix, solve_vec, submatrix, transpose, unvec, vec,
     vstack, zeros,
 )
@@ -95,8 +95,8 @@ def ref_transpose(m):
     return tuple(tuple(row[j] for row in m) for j in range(shape(m)[1]))
 
 
-def ref_msub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def ref_neg(a):
+    return tuple(tuple(-x for x in row) for row in a)
 
 
 def ref_matmul(a, b):
@@ -252,12 +252,8 @@ def test_build_rejects_floats():
 
 def test_elementwise_kernels_match_dense_references(rng):
     for m in sparse_cases(rng):
-        r, c = shape(m)
-        other = rand_sparse(rng, r, c)
         for got, want in [(transpose(m), ref_transpose(m)),
-                          (msub(m, other), ref_msub(m, other)),
-                          (msub(m, m), ref_msub(m, m)),
-                          (ratmat.mneg(m), ref_msub(zeros(r, c), m))]:
+                          (ratmat.mneg(m), ref_neg(m))]:
             assert tuple(got) == want
             assert_exact(got)
         assert ratmat.is_zero(m) == all(x == 0 for row in m for x in row)
@@ -454,6 +450,107 @@ def test_cokernel_walk_matches_the_rref_cokernel(m):
     assert (ratmat._walk_cokernel(m) is None) == wide
 
 
+@st.composite
+def relation_lists(draw):
+    """(nrows, relations) for `relation_cokernel`: up to 6 rows and up to
+    three relations (ra, a, rb, b) of up to 4 columns, zero-width ones
+    included. b often shares a's row range, and then its entries often
+    repeat a's on the rows both fill, so same-row entries cancel or not;
+    a column draws up to two entries on each side, sometimes three on one,
+    so one-sided two-entry columns and three-nonzero columns both occur.
+    Entries are all +-1 or all general rationals."""
+    nrows = draw(st.integers(0, 6))
+    entry = draw(st.sampled_from([UNITS, RATIONALS]))
+    count = st.sampled_from([0, 1, 1, 1, 2, 2, 3])
+
+    def block():
+        rows = draw(st.integers(0, nrows))
+        return draw(st.integers(0, nrows - rows)), rows
+
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, 4))
+        ra, ma = block()
+        rb, mb = (ra, ma) if draw(st.booleans()) else block()
+        a_entries, b_entries = [], []
+        for j in range(n):
+            at = {}
+            for i in draw(st.permutations(range(ma)))[:draw(count)]:
+                at[ra + i] = draw(entry)
+                a_entries.append((i, j, at[ra + i]))
+            for k in draw(st.permutations(range(mb)))[:draw(count)]:
+                y = draw(entry)
+                if rb + k in at and draw(st.booleans()):
+                    y = at[rb + k]
+                b_entries.append((k, j, y))
+        relations.append((ra, build(ma, n, a_entries),
+                          rb, build(mb, n, b_entries)))
+    return nrows, relations
+
+
+def relation_matrix(nrows, relations):
+    """The explicit matrix of relations: one column block per relation,
+    a at rows ra.. minus b at rows rb..."""
+    entries, col = [], 0
+    for ra, a, rb, b in relations:
+        entries += [(ra + i, col + j, x) for i, j, x in nonzeros(a)]
+        entries += [(rb + i, col + j, -x) for i, j, x in nonzeros(b)]
+        col += shape(a)[1]
+    return build(nrows, col, entries)
+
+
+@given(relation_lists())
+# no relations, and no rows
+@example((3, []))
+@example((0, []))
+@example((0, [(0, zeros(0, 2), 0, zeros(0, 2))]))
+# a zero-width relation
+@example((2, [(0, zeros(2, 0), 1, zeros(1, 0))]))
+# F ~ F on one row range: every same-row pair cancels
+@example((2, [(0, eye(2), 0, eye(2))]))
+# unequal same-row entries kill the row
+@example((2, [(0, mat([[1], [0]]), 0, mat([[2], [0]]))]))
+# an edge of rationals, and a one-sided two-entry column (a walk edge)
+@example((2, [(0, mat([["1/2"]]), 1, mat([[3]]))]))
+@example((3, [(0, mat([[1], [2], [0]]), 0, zeros(3, 1))]))
+@example((3, [(0, zeros(3, 1), 0, mat([[0], [-1], [2]]))]))
+# two entries of a and one of b that combine to two nonzeros, and to one
+@example((3, [(0, mat([[1], [1], [0]]), 1, mat([[2], [0]]))]))
+@example((3, [(0, mat([[1], [1], [0]]), 0, mat([[1], [0], [0]]))]))
+# a three-nonzero column takes the rref cokernel
+@example((3, [(0, mat([[1], [1]]), 2, mat([[1]]))]))
+@example((4, [(0, eye(2), 2, eye(2)), (0, mat([[1], [1], [1]]), 3,
+                                       zeros(1, 1))]))
+def test_relation_cokernel_is_the_cokernel_of_the_built_matrix(case):
+    nrows, relations = case
+    m = relation_matrix(nrows, relations)
+    real, rrefs = ratmat.rref, []
+
+    def counted(x):
+        rrefs.append(x)
+        return real(x)
+
+    ratmat.rref = counted
+    try:
+        free, p, s = ratmat.relation_cokernel(nrows, relations)
+    finally:
+        ratmat.rref = real
+    want_free, want_p, want_s = cokernel(m)
+    assert free == want_free and p == want_p and s == want_s
+    assert_exact(p)
+    assert_exact(s)
+    # the rref cokernel is taken exactly where cokernel takes it
+    assert bool(rrefs) == (ratmat._walk_cokernel(m) is None)
+
+
+def test_relation_cokernel_refuses_relations_that_do_not_fit():
+    with pytest.raises(ValueError):
+        ratmat.relation_cokernel(3, [(0, eye(2), 0, eye(3))])
+    for ra, rb in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(IndexError):
+            ratmat.relation_cokernel(3, [(ra, eye(2), rb, eye(2))])
+
+
 def test_inverse(rng):
     assert inverse(mat([[1, 1], [0, 0]])) is None
     for _ in range(20):
@@ -511,13 +608,6 @@ def test_stack_edges():
     assert rank(zeros(3, 0)) == 0
 
 
-def test_msub_refuses_unequal_shapes():
-    with pytest.raises(ValueError):
-        msub(eye(3), eye(2))
-    with pytest.raises(ValueError):
-        msub(zeros(0, 2), zeros(0, 3))
-
-
 def test_mat_refuses_ragged_rows():
     with pytest.raises(ValueError):
         mat([[1, 2], [3]])
@@ -543,8 +633,7 @@ def test_the_sparse_form_is_canonical(rng):
         assert eval(repr(m), {"Matrix": ratmat.Matrix,
                               "Fraction": Fraction}) == m
         # equal values from different kernels compare and hash equal
-        for same in (transpose(transpose(m)), msub(m, zeros(r, c)),
-                     msub(msub(m, ratmat.mneg(m)), m), matmul(eye(r), m),
+        for same in (transpose(transpose(m)), matmul(eye(r), m),
                      matmul(m, eye(c)), kron(eye(1), m),
                      ratmat.mneg(ratmat.mneg(m)),
                      hstack([m, zeros(r, 0)]), vstack([m, zeros(0, c)]),
