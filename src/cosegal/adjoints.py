@@ -71,13 +71,12 @@ from types import MappingProxyType
 
 from . import shapes
 from .base import (
-    empty, identity, is_isomorphism, is_surjective, left_unitor, solve_map,
-    tensor, tensor_mor, tensor_multi, unit, zero_map,
+    NoSolution, empty, identity, is_isomorphism, is_surjective, left_unitor,
+    solve_map, tensor, tensor_mor, tensor_multi, unit, zero_map,
 )
 from .colim import (
     coequalizer, colimit, colimit_induced, copair, coproduct, present,
-    quotient_induced, surjection_quotient, tensor_copair, wide_pushout,
-    wide_pushout_induced,
+    quotient_induced, tensor_copair, wide_pushout, wide_pushout_induced,
 )
 from .precat import (
     PrecatMorphism, StrictCategory, check_unital, expected_laxity_keys,
@@ -773,8 +772,8 @@ class RoundRecord:
     the round's quotient.
 
     `xis`, the map out of each coequalizer into the new value at its slot
-    (the map it induces from delta there, with the descent check of
-    `colim.quotient_induced`), is computed on its first read and kept: no
+    (solved by `colim.quotient_induced` from delta there, through the
+    coequalizer's projection), is computed on its first read and kept: no
     step of the round reads it. The coequalizers stay built with the
     record: the benchmark digest reads their sizes outside its timers, so
     building them on read would only move their cost out of the measured
@@ -874,8 +873,10 @@ def factor_through_unital(eta, psi):
 
     This is how morphisms out of a unitalization are induced: its eta, the
     round map or an identity, is surjective, so the factorization exists
-    exactly when psi kills what eta kills, and that is re-verified per
-    slot.
+    exactly when psi kills what eta kills. Each component is solved by
+    `base.solve_map`; surjectivity is checked first, as the uniqueness it
+    reports does not tell it on finset, where every map into a one-point
+    target is unique.
     """
     comps = {}
     for s in eta.src.chains:
@@ -886,10 +887,10 @@ def factor_through_unital(eta, psi):
         e = eta.at(s)
         if not is_surjective(e):
             raise ValueError("eta is not surjective at %r" % (s,))
-        q, p = surjection_quotient(e), psi.at(s)
+        p = psi.at(s)
         try:
-            comps[s] = quotient_induced(q, p)
-        except ValueError as err:
+            comps[s], _ = solve_map(e.dst, p.dst, [(e, p)], [])
+        except NoSolution as err:
             raise ValueError("map does not descend through the "
                              "unitalization at %r" % (s,)) from err
     return PrecatMorphism(eta.dst, psi.dst, comps)

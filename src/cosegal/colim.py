@@ -14,11 +14,11 @@ parallel pair into two named blocks. `present` builds it as one
 `Colimit` record (the object, one cocone leg per block key, the
 quotient of the blocks' coproduct, taken in one step), and `colimit`
 and `wide_pushout` build through it. `copair` is the map out of a
-coproduct, `tensor_copair` the map out of a tensor of two. The one
-descent, `colimit_induced`, copairs one cone leg per block and
-induces the map out of the quotient through a linear (or pointwise)
-section, checking that it descends: an incompatible cone fails loudly
-rather than returning garbage.
+coproduct, `tensor_copair` the map out of a tensor of two. A quotient
+is its object and its projection. The one descent, `colimit_induced`,
+copairs one cone leg per block and solves with `base.solve_map` for the
+map out of the quotient through which the copair factors: an
+incompatible cone fails loudly rather than returning garbage.
 
 Two limits complete the set: `product`, the cartesian product on finset
 and the direct sum on vectq/chq, with its projections, and `agreement`,
@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from . import ratmat
 from .ratmat import ONE
 from .base import (
-    MObject, MMorphism, chq_map, chq_obj, identity, is_identity, make_map,
-    tensor, tensor_multi, vectq_map, vectq_obj, zero_map, _finset,
-    _suffix_label,
+    MObject, MMorphism, NoSolution, chq_map, chq_obj, identity, is_identity,
+    make_map, solve_map, tensor, tensor_multi, vectq_map, vectq_obj,
+    zero_map, _finset, _suffix_label,
 )
 
 
@@ -158,13 +158,11 @@ def tensor_copair(backend, left, right, targets, dst):
 
 @dataclass(frozen=True)
 class Quotient:
-    """A coequalizer (or any one-step quotient): obj and projection, plus a
-    section payload used to induce maps out (finset: representative index
-    per class; vectq/chq: a linear section matrix)."""
+    """A coequalizer (or any one-step quotient): obj and the projection
+    onto it. Maps out of it are solved for (`quotient_induced`)."""
 
     obj: MObject
     proj: MMorphism
-    section: object
 
 
 def _dsu_classes(n, pairs):
@@ -192,22 +190,23 @@ def quotient_finset(y, pairs):
     """The quotient of a finset object by generated identifications."""
     cls, reps = _dsu_classes(len(y.labels), pairs)
     obj = _finset(tuple([y.labels[r] for r in reps]))
-    proj = MMorphism("finset", y, obj, mapping=cls)
-    return Quotient(obj, proj, reps)
+    return Quotient(obj, MMorphism("finset", y, obj, mapping=cls))
 
 
 def quotient_linear(y, coker):
     """The quotient of a vectq/chq object by a relation space, given by
-    its canonical cokernel coker = (free, P, S) on the coordinates of y,
+    its canonical cokernel coker = (free, P) on the coordinates of y,
     as `ratmat.relation_cokernel` returns it."""
-    free, p, s = coker
+    free, p = coker
     if y.backend == "vectq":
         obj = vectq_obj(len(free))
     else:
-        # P d S, the differential induced on the free coordinates
-        dq = ratmat.matmul(ratmat.matmul(p, y.diff), s)
+        # the differential induced on the free coordinates: P d at their
+        # columns, as P is the identity there; make_map checks that P is
+        # a chain map onto it
+        dq = ratmat.matmul(p, ratmat.submatrix(y.diff, range(y.size()), free))
         obj = chq_obj(tuple(y.degrees[f] for f in free), dq)
-    return Quotient(obj, make_map(y, obj, p), s)
+    return Quotient(obj, make_map(y, obj, p))
 
 
 def coequalizer(f, g):
@@ -224,36 +223,13 @@ def coequalizer(f, g):
 
 
 def quotient_induced(q, h):
-    """The map out of a quotient determined by h on the covered object.
-
-    Verifies that h actually descends; raises ValueError otherwise. A
-    quotient of the empty object is empty, and its map is the initial map.
-    """
-    if not q.proj.src.size():
-        return zero_map(q.obj, h.dst)
-    if q.proj.backend == "finset":
-        ind = MMorphism("finset", q.obj, h.dst,
-                        mapping=tuple(h.mapping[r] for r in q.section))
-    else:
-        ind = make_map(q.obj, h.dst, ratmat.matmul(h.matrix, q.section))
-    if q.proj.then(ind) != h:
-        raise ValueError("map does not descend to the quotient")
-    return ind
-
-
-def surjection_quotient(e):
-    """The quotient that a surjection e presents: e as its projection, with
-    the first preimage of each element (finset) or a linear right inverse
-    of e (vectq/chq) as its section."""
-    if e.backend == "finset":
-        first = {}
-        for i, t in enumerate(e.mapping):
-            first.setdefault(t, i)
-        section = tuple(first[t] for t in range(len(e.dst.labels)))
-    else:
-        section = ratmat.solve_matrix(e.matrix,
-                                       ratmat.eye(e.dst.size()))[0]
-    return Quotient(e.dst, e, section)
+    """The map out of a quotient determined by h on the covered object:
+    the solution x of q.proj.then(x) == h, unique as q.proj is onto.
+    Raises ValueError when h does not descend."""
+    try:
+        return solve_map(q.obj, h.dst, [(q.proj, h)], [])[0]
+    except NoSolution as err:
+        raise ValueError("map does not descend to the quotient") from err
 
 
 # ---------------------------------------------------------------------------

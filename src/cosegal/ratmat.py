@@ -4,15 +4,13 @@ A matrix with m rows and n columns represents a map Q^n -> Q^m acting on
 column vectors. Everything here is deterministic: the same input always
 yields the same pivots, the same kernel basis and the same cokernel
 coordinates, which the rest of the package relies on for exact equality
-checks. Kernels, ranks and solutions come from `rref`. So does a
-`cokernel`, unless every column has at most two nonzeros: then it is a
-walk of the graph the columns make, whose components' largest members
-are the greedy non-pivots of rref(m^T) (see `cokernel`).
-`relation_cokernel` is the same cokernel of a matrix given as relations,
-pairs of matrices placed at row offsets and subtracted: it gathers each
-column from the rows of the two matrices and walks the graph without
-building the matrix, and builds it for the rref cokernel only when a
-column has three or more nonzeros.
+checks. Kernels, ranks and solutions come from `rref`. The one cokernel,
+`relation_cokernel`, is that of a matrix given as relations, pairs of
+matrices placed at row offsets and subtracted. Without building the
+matrix, it gathers each column from the rows of the two matrices and
+walks the graph the columns make, whose components' largest members are
+the non-pivots of rref(m^T); only when a column has three or more
+nonzeros does it build the matrix's transpose for rref.
 
 A matrix is a `Matrix`: an explicit `shape` (rows, columns) and a `rows`
 tuple holding, for each row, the (column, entry) pairs of its nonzero
@@ -443,7 +441,7 @@ def kernel_data(m):
 
 
 def _walk(nrows, edges, dead):
-    """(P, free) of the weighted walk: edges holds (i, j, num, den) for
+    """(free, P) of the weighted walk: edges holds (i, j, num, den) for
     each tie w_j = (num/den) w_i, num and den nonzero, and dead the
     coordinates a one-entry column kills. Each component is walked from
     its largest member r with w_r = 1; it is live when no edge disagrees
@@ -483,84 +481,41 @@ def _walk(nrows, edges, dead):
             vecs.append(tuple(sorted([
                 (v, ONE if weight[v] == (1, 1) else Fraction(*weight[v]))
                 for v in members])))
-    return Matrix((len(free), nrows), tuple(vecs[::-1])), free[::-1]
-
-
-def _walk_cokernel(m):
-    """(P, free) of `cokernel` by a walk of the graph of m's columns, or
-    None when a column of m has three or more nonzeros."""
-    cols = {}
-    for i, row in enumerate(m.rows):
-        for j, x in row:
-            col = cols.setdefault(j, [])
-            if len(col) == 2:
-                return None
-            col.append((i, x))
-    edges, dead = [], set()
-    for (i, a), *edge in cols.values():
-        if not edge:
-            dead.add(i)
-            continue
-        # a e_i + b e_j ties w_j = -(a/b) w_i
-        [(j, b)] = edge
-        edges.append((i, j, -a.numerator * b.denominator,
-                      a.denominator * b.numerator))
-    return _walk(m.shape[0], edges, dead)
-
-
-def _with_section(nrows, p, free):
-    """(free, P, S) of a cokernel from P and its free coordinates: S has
-    a 1 at (f, j) for the j-th free coordinate f."""
-    s = [()] * nrows
-    for j, f in enumerate(free):
-        s[f] = ((j, ONE),)
-    return tuple(free), p, Matrix((nrows, len(free)), tuple(s))
-
-
-def cokernel(m):
-    """Canonical cokernel of m: Q^n -> Q^m as a projection/section pair.
-
-    Returns (free, P, S): the k non-pivot coordinates of rref(m^T); P
-    k x m with P @ m = 0, whose row for a free f is 1 at f and 0 at the
-    other free coordinates; and S m x k including them, so P @ S = I.
-
-    If no column of m has three or more nonzeros, P comes from a walk of
-    the graph they make: a column a e_i + b e_j ties w_j = -(a/b) w_i on
-    each left null vector w, and a one-entry column or disagreeing ratios
-    (parallel columns, cycles) kill a component. The pivots of rref(m^T)
-    are the greedy basis of the coordinates' rows of m. A live component
-    of k coordinates has rank k - 1 and a null vector nonzero on every
-    member, so its largest member is free; a killed one has full rank.
-    Otherwise P holds the null vectors of rref(m^T).
-
-    `relation_cokernel` is the same cokernel of a matrix given as
-    relations, without building it.
-    """
-    nrows = m.shape[0]
-    return _with_section(nrows, *(_walk_cokernel(m)
-                                  or _null_vectors(*rref(transpose(m)),
-                                                   nrows)))
+    return tuple(free[::-1]), Matrix((len(free), nrows), tuple(vecs[::-1]))
 
 
 def relation_cokernel(nrows, relations):
-    """`cokernel` of the nrows-row matrix the relations make, which it
-    does not build unless a column has three or more nonzeros.
+    """The canonical cokernel of the nrows-row matrix m the relations
+    make, as (free, P), without building m unless a column has three or
+    more nonzeros.
 
     relations is a list of column blocks (ra, a, rb, b): the matrix a
     placed at rows ra, ra + 1, ... minus b placed at rows rb, rb + 1, ...,
-    a and b of one column count. Each column is gathered from the rows of
-    a and b. One entry x of a at row i and one entry y of b at row k != i
-    tie w_k = (x/y) w_i, the ratio read off the numerators and
-    denominators of x and y; two entries on one row combine, cancelling
-    when they are equal and killing the coordinate otherwise, as a single
-    entry does, and any other column of at most two nonzeros ties as in
-    `cokernel`. The walk of `cokernel` then gives P. A column of three or
-    more nonzeros after combining sends the whole matrix to the rref
-    cokernel instead, which is exactly when `cokernel` of the built matrix
-    takes it. Either way the result is `==` to that of `cokernel`: the
-    walk does not depend on the order of the columns. Raises ValueError
-    when a and b differ in column count and IndexError when a relation's
-    rows leave the nrows.
+    a and b of one column count. free lists the k non-pivot coordinates
+    of rref(m^T), and P, k x nrows with P @ m = 0, holds the null vectors
+    of rref(m^T): its row for a free f is 1 at f and 0 at the other free
+    coordinates. Raises ValueError when a and b differ in column count
+    and IndexError when a relation's rows leave the nrows.
+
+    Each column is gathered from the rows of a and b. One entry x of a at
+    row i and one entry y of b at row k != i tie w_k = (x/y) w_i on each
+    left null vector w, the ratio read off the numerators and denominators
+    of x and y. Two entries on one row combine, cancelling when they are
+    equal and killing the coordinate otherwise, as a single entry does.
+    A column with two entries on one side is summed in full, b negated,
+    and two nonzeros a e_i + b e_j left tie w_j = -(a/b) w_i.
+
+    If no column has three or more nonzeros after combining, P comes from
+    a walk of the graph of the ties, in which a killed coordinate or
+    disagreeing ratios (parallel columns, cycles) kill a component. The
+    walk gives the free coordinates of rref(m^T): its pivots are the
+    greedy basis of the coordinates' rows of m, and rows of different
+    components share no column. A live component of k coordinates has
+    rank k - 1 and a null vector nonzero on every member, so its largest
+    member is free and its row of P is that null vector, 1 at the member;
+    a killed one has full rank. The walk does not depend on the order of
+    the columns. Otherwise P holds the null vectors of rref(m^T), of the
+    transpose built by `_relation_transpose`.
     """
     edges, dead = [], set()
     for ra, a, rb, b in relations:
@@ -595,8 +550,9 @@ def relation_cokernel(nrows, relations):
                 left[j] = right[j] = None
                 col = [(i, x) for i, x in acc.items() if x]
                 if len(col) > 2:
-                    return _with_section(nrows, *_null_vectors(*rref(
-                        _relation_transpose(nrows, relations)), nrows))
+                    p, free = _null_vectors(*rref(
+                        _relation_transpose(nrows, relations)), nrows)
+                    return tuple(free), p
                 if len(col) == 1:
                     dead.add(col[0][0])
                 elif col:
@@ -616,7 +572,7 @@ def relation_cokernel(nrows, relations):
                     x.denominator * y.numerator))
             elif x != y:
                 dead.add(i)
-    return _with_section(nrows, *_walk(nrows, edges, dead))
+    return _walk(nrows, edges, dead)
 
 
 def _relation_transpose(nrows, relations):

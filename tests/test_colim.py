@@ -2,15 +2,15 @@ import pytest
 
 from cosegal import base, ratmat
 from cosegal.base import (
-    basis_point, chq_map, chq_obj, disk, empty, finset_map, finset_obj,
-    identity, invert, is_isomorphism, make_map, solve_map, sphere, symmetry, tensor,
-    tensor_mor, unit, vectq_map, vectq_obj, zero_map,
+    NoSolution, basis_point, chq_map, chq_obj, disk, empty, finset_map,
+    finset_obj, identity, invert, is_isomorphism, make_map, solve_map, sphere,
+    symmetry, tensor, tensor_mor, unit, vectq_map, vectq_obj, zero_map,
 )
 from cosegal.colim import (
     Colimit, agreement, coequalizer, colimit, colimit_induced, copair,
     coproduct, equalizer, kernel_subobject, present, product,
-    quotient_finset, quotient_induced, quotient_linear, surjection_quotient,
-    wide_pushout, wide_pushout_induced,
+    quotient_finset, quotient_induced, quotient_linear, wide_pushout,
+    wide_pushout_induced,
 )
 
 from fixtures import difference, rand_chq, rand_chq_map
@@ -183,12 +183,13 @@ def surjection_case(backend):
 
 @pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
 def test_surjection_quotients_induce_and_refuse(backend):
+    # a surjection e presents its target as a quotient: the map out of it
+    # is the one solution of e.then(x) == h, and none exists when h
+    # separates what e identifies
     e, g, bad = surjection_case(backend)
-    q = surjection_quotient(e)
-    assert (q.obj, q.proj) == (e.dst, e)
-    assert quotient_induced(q, e.then(g)) == g
-    with pytest.raises(ValueError):
-        quotient_induced(q, bad)
+    assert solve_map(e.dst, g.dst, [(e, e.then(g))], []) == (g, True)
+    with pytest.raises(NoSolution):
+        solve_map(e.dst, bad.dst, [(e, bad)], [])
 
 
 def test_pushout_universal_property(rng):
@@ -221,7 +222,7 @@ def test_wide_pushout_degenerate_cases():
 @pytest.mark.parametrize("backend", ["finset", "vectq", "chq"])
 def test_maps_out_of_an_empty_base_compose_nothing(monkeypatch, backend):
     # out of 0 there is one map: a wide pushout over an empty base and the
-    # descent out of a quotient of 0 build it without composing
+    # descent out of a coequalizer of 0 build it without composing
     nothing = empty(backend)
     m = {"finset": finset_obj(["m0", "m1"]), "vectq": vectq_obj(2),
          "chq": disk(1)}[backend]
@@ -235,10 +236,8 @@ def test_maps_out_of_an_empty_base_compose_nothing(monkeypatch, backend):
     monkeypatch.setattr(base.MMorphism, "then", recorded)
     wp = wide_pushout(nothing, [zero_map(nothing, m)] * 3)
     assert wp.through == zero_map(nothing, wp.obj) and wp.obj.size() == 6
-    for q in (coequalizer(identity(nothing), identity(nothing)),
-              surjection_quotient(identity(nothing))):
-        assert quotient_induced(q, zero_map(nothing, m)) == \
-            zero_map(nothing, m)
+    q = coequalizer(identity(nothing), identity(nothing))
+    assert quotient_induced(q, zero_map(nothing, m)) == zero_map(nothing, m)
     assert composed == []
 
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, strategies as st
 
 from cosegal import ratmat
 from cosegal.ratmat import (
-    ONE, block_diag, build, cokernel, eye, has_shape, hstack, inverse,
+    ONE, block_diag, build, eye, has_shape, hstack, inverse,
     kernel_data, kron, mat, matmul, nonzeros, rank, rref,
     shape, solve_matrix, solve_vec, submatrix, transpose, unvec, vec,
     vstack, zeros,
@@ -75,6 +75,40 @@ def graph_shaped(draw, widest=2):
             xs[1] = -xs[0] * w[at[0]] / w[at[1]]
         entries += [(i, j, x) for i, x in zip(at, xs)]
     return build(rows, len(supports), entries)
+
+
+def cokernel(m):
+    """`relation_cokernel` of m alone: m at row 0 minus an empty matrix."""
+    rows, cols = shape(m)
+    return ratmat.relation_cokernel(rows, [(0, m, 0, zeros(0, cols))])
+
+
+def cokernel_counting_rrefs(nrows, relations):
+    """`relation_cokernel` of the relations and the list of the matrices
+    it took the rref of."""
+    real, rrefs = ratmat.rref, []
+
+    def counted(x):
+        rrefs.append(x)
+        return real(x)
+
+    ratmat.rref = counted
+    try:
+        return ratmat.relation_cokernel(nrows, relations), rrefs
+    finally:
+        ratmat.rref = real
+
+
+def ref_cokernel(m):
+    """(free, P) of the cokernel of m from rref(m^T): its non-pivot
+    coordinates and its null vectors."""
+    p, free = ratmat._null_vectors(*rref(transpose(m)), shape(m)[0])
+    return tuple(free), p
+
+
+def identity_on(p, free):
+    """Whether P is the identity on the free coordinates."""
+    return submatrix(p, range(len(free)), free) == eye(len(free))
 
 
 def sparse_cases(rng, count=60, top=7):
@@ -300,17 +334,14 @@ def test_kernel_and_cokernel_are_exact_on_sparse_input(rng):
             assert shape(k)[0] == c
         if r and c and shape(k)[1]:
             assert ratmat.is_zero(matmul(m, k))
-        free, p, s = cokernel(m)
+        free, p = cokernel(m)
+        assert (free, p) == ref_cokernel(m)
         dim = len(free)
         assert dim == r - rank(m)
-        # the section includes the free coordinates
-        assert s == build(r, dim, [(f, j, 1) for j, f in enumerate(free)])
         assert_exact(p)
-        assert_exact(s)
         if dim and c:
             assert ratmat.is_zero(matmul(p, m))
-        if dim:
-            assert matmul(p, s) == eye(dim)
+        assert identity_on(p, free)
 
 
 def test_sympy_domain_matrix_oracle(rng):
@@ -337,7 +368,7 @@ def test_sympy_domain_matrix_oracle(rng):
         null = back(want_r.nullspace_from_rref(want_piv))
         assert kernel_data(m)[0] == (transpose(mat(null)) if null
                                      else zeros(c, 0))
-        free, p, _ = cokernel(m)
+        free, p = cokernel(m)
         assert len(free) == r - d.rank()
         t_r, t_piv = d.transpose().rref()
         assert tuple(p) == back(t_r.nullspace_from_rref(t_piv))
@@ -408,15 +439,15 @@ def test_zero_column_solve():
 
 
 @given(st.one_of(dense_matrices(), graph_shaped(widest=4)))
-def test_cokernel_projection_section(m):
+def test_cokernel_projection_is_the_identity_on_the_free_coordinates(m):
     rows, cols = shape(m)
-    free, p, s = cokernel(m)
+    free, p = cokernel(m)
+    assert (free, p) == ref_cokernel(m)
     k = len(free)
     assert k == rows - rank(m)
     if k and cols:
         assert ratmat.is_zero(matmul(p, m))
-    if k:
-        assert matmul(p, s) == eye(k)
+    assert identity_on(p, free)
 
 
 @given(st.one_of(graph_shaped(), graph_shaped(widest=4)))
@@ -438,16 +469,15 @@ def test_cokernel_projection_section(m):
 # a column with three nonzeros takes the rref path
 @example(mat([[1, 1], [1, 0], [1, -1], [0, 0]]))
 def test_cokernel_walk_matches_the_rref_cokernel(m):
-    rows = shape(m)[0]
-    want_p, want_free = ratmat._null_vectors(*rref(transpose(m)), rows)
-    free, p, s = cokernel(m)
-    assert free == tuple(want_free) and p == want_p
-    assert s == build(rows, len(free), [(f, j, 1) for j, f in enumerate(free)])
+    rows, cols = shape(m)
+    (free, p), rrefs = cokernel_counting_rrefs(
+        rows, [(0, m, 0, zeros(0, cols))])
+    assert (free, p) == ref_cokernel(m)
+    assert identity_on(p, free)
     assert_exact(p)
-    assert_exact(s)
     # the walk answers exactly when no column has three nonzeros
     wide = any(len(col) > 2 for col in transpose(m).rows)
-    assert (ratmat._walk_cokernel(m) is None) == wide
+    assert bool(rrefs) == wide
 
 
 @st.composite
@@ -524,23 +554,13 @@ def relation_matrix(nrows, relations):
 def test_relation_cokernel_is_the_cokernel_of_the_built_matrix(case):
     nrows, relations = case
     m = relation_matrix(nrows, relations)
-    real, rrefs = ratmat.rref, []
-
-    def counted(x):
-        rrefs.append(x)
-        return real(x)
-
-    ratmat.rref = counted
-    try:
-        free, p, s = ratmat.relation_cokernel(nrows, relations)
-    finally:
-        ratmat.rref = real
-    want_free, want_p, want_s = cokernel(m)
-    assert free == want_free and p == want_p and s == want_s
+    (free, p), rrefs = cokernel_counting_rrefs(nrows, relations)
+    assert (free, p) == ref_cokernel(m)
+    assert identity_on(p, free)
     assert_exact(p)
-    assert_exact(s)
-    # the rref cokernel is taken exactly where cokernel takes it
-    assert bool(rrefs) == (ratmat._walk_cokernel(m) is None)
+    # the rref cokernel is taken exactly when a column of the built matrix
+    # has three or more nonzeros
+    assert bool(rrefs) == any(len(col) > 2 for col in transpose(m).rows)
 
 
 def test_relation_cokernel_refuses_relations_that_do_not_fit():
