@@ -72,7 +72,8 @@ from types import MappingProxyType
 from . import shapes
 from .base import (
     NoSolution, empty, identity, is_isomorphism, is_surjective, left_unitor,
-    solve_map, tensor, tensor_mor, tensor_multi, unit, zero_map,
+    solve_map, tensor, tensor_mor, tensor_multi, tensor_then, unit,
+    zero_map,
 )
 from .colim import (
     coequalizer, colimit, colimit_induced, copair, coproduct, present,
@@ -196,9 +197,7 @@ def _into(factors, sm, at):
     if inj is None:
         return zero_map(tensor_multi([f.src for f in factors]), sm.obj)
     # the summand is the tensor of the factors' targets
-    if len(factors) > 1:
-        return tensor_mor(*factors, dst=inj.src).then(inj)
-    return factors[0].then(inj)
+    return tensor_then(factors, inj, dst=inj.src)
 
 
 def _chain_block(sm, leg):
@@ -597,7 +596,7 @@ def _free_transpose(build, h, k_component):
         if len(parts) == 1:
             return factors[0]
         lax = lax_multi(parts)
-        return tensor_mor(*factors, dst=lax.src).then(lax)
+        return tensor_then(factors, lax, dst=lax.src)
 
     comps = {w: _sum_map(sums[w], h.value(w), leg)
              for w in src.chains if sums[w].live}

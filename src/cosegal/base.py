@@ -262,7 +262,9 @@ def tensor_mor(*mors, src=None, dst=None):
     their targets. A caller that holds an end already passes it in, and
     it is taken as given, with no check: it must equal that tensor, or
     the map is wrong. The payload is one left fold over the factors'
-    mappings or matrices, with no intermediate tensor object.
+    mappings or matrices, with no intermediate tensor object. A caller
+    that composes the tensor with a map calls `tensor_then`, which does
+    not build it.
     """
     if src is None:
         src = tensor_multi([m.src for m in mors])
@@ -278,6 +280,41 @@ def tensor_mor(*mors, src=None, dst=None):
     for m in mors[1:]:
         matrix = ratmat.kron(matrix, m.matrix)
     return MMorphism(src.backend, src, dst, matrix=matrix)
+
+
+def tensor_then(mors, h, src=None, dst=None):
+    """`tensor_mor(*mors, src=src, dst=dst).then(h)`, without building
+    the tensor map; one factor f gives f.then(h).
+
+    dst, the tensor of the factors' targets, is built when it is not
+    given, and checked against h.src as `then` checks it. The payload
+    folds all factors but the last as `tensor_mor` does, and composes the
+    last fold step with h: on finset each index is read through
+    h.mapping, and on vectq and chq `ratmat.kron_then` multiplies h by
+    the Kronecker product with the last factor without building it.
+    """
+    if len(mors) == 1:
+        return mors[0].then(h)
+    if src is None:
+        src = tensor_multi([m.src for m in mors])
+    if dst is None:
+        dst = tensor_multi([m.dst for m in mors])
+    if dst is not h.src and dst != h.src:
+        raise ValueError("composition mismatch")
+    last = mors[-1]
+    if src.backend == "finset":
+        out = (0,)
+        for m in mors[:-1]:
+            nd = len(m.dst.labels)
+            out = [o * nd + i for o in out for i in m.mapping]
+        hmap, nd = h.mapping, len(last.dst.labels)
+        return MMorphism("finset", src, h.dst, mapping=tuple(
+            [hmap[o * nd + i] for o in out for i in last.mapping]))
+    matrix = mors[0].matrix
+    for m in mors[1:-1]:
+        matrix = ratmat.kron(matrix, m.matrix)
+    return MMorphism(src.backend, src, h.dst,
+                     matrix=ratmat.kron_then(matrix, last.matrix, h.matrix))
 
 
 def tensor_multi(objs, backend=None):

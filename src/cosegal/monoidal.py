@@ -45,7 +45,7 @@ from . import shapes
 from .base import (
     MMorphism, MObject, NoSolution, basis_point, identity, invert,
     left_unitor, right_unitor, solve_map, symmetry, tensor, tensor_mor,
-    unit,
+    tensor_then, unit,
 )
 from .colim import agreement, product
 from .precat import (
@@ -415,10 +415,11 @@ def _routes(src, dst, fmaps, sigmas, realization=None):
         wb = shapes.concat(alpha_a, last)
         _assert_collapse_triangles(dst, realization, wt)
         _assert_collapse_triangles(dst, realization, wb)
-        top = tensor_mor(sigmas[0].at(s), identity(dst.value(alpha_b))).then(
+        top = tensor_then(
+            (sigmas[0].at(s), identity(dst.value(alpha_b))),
             dst.lax(first, alpha_b)).then(realization.eta.at(wt))
-        bottom = tensor_mor(identity(dst.value(alpha_a)),
-                            sigmas[-1].at(s)).then(
+        bottom = tensor_then(
+            (identity(dst.value(alpha_a)), sigmas[-1].at(s)),
             dst.lax(alpha_a, last)).then(realization.eta.at(wb))
         routes[s] = (top, bottom)
     return routes
@@ -440,9 +441,9 @@ def axiom_errors(t, realization=None):
         # sigma (x) point = (id (x) point) then (sigma (x) id)
         fs = t.src.value(s)
         top = invert(right_unitor(fs)).then(
-            tensor_mor(identity(fs), t.eta[s[-1]])).then(top)
+            tensor_then((identity(fs), t.eta[s[-1]]), top))
         bottom = invert(left_unitor(fs)).then(
-            tensor_mor(t.eta[s[0]], identity(fs))).then(bottom)
+            tensor_then((t.eta[s[0]], identity(fs)), bottom))
         if top != bottom:
             errors.append("transports disagree around %r" % (s,))
     return errors
@@ -477,7 +478,7 @@ def compose_nat_transforms(t1, t2):
             raise ValueError("truncation too small for the composite "
                              "family at %r" % (a,))
         eta[a] = invert(left_unitor(iu)).then(
-            tensor_mor(t1.eta[a], t2.eta[a])).then(g.lax(left, right))
+            tensor_then((t1.eta[a], t2.eta[a]), g.lax(left, right)))
     return RelativeNatTransform(t1.src, g,
                                 t1.fmaps + t2.fmaps[1:],
                                 t1.sigmas + t2.sigmas[1:], eta)
@@ -560,8 +561,8 @@ def nat_transform_object(src, dst, fmaps, sigmas):
     prod, projs = product([slots[a] for a in letters], dst.backend)
     proj = dict(zip(letters, projs))
     obj, include = agreement(prod, [
-        (tensor_mor(identity(src.value(s)), proj[s[-1]]).then(top),
-         tensor_mor(proj[s[0]], identity(src.value(s))).then(bottom))
+        (tensor_then((identity(src.value(s)), proj[s[-1]]), top),
+         tensor_then((proj[s[0]], identity(src.value(s))), bottom))
         for s, (top, bottom) in routes.items()])
     return NatObject(dst.backend, src, dst, tuple(fmaps), tuple(sigmas),
                      letters, slots, proj, prod, obj, include,
@@ -595,8 +596,8 @@ def nat_pairing(n1, n2):
     n3 = nat_transform_object(n1.src, n1.dst, n1.fmaps + n2.fmaps[1:],
                               n1.sigmas + n2.sigmas[1:])
     pair = n3._lift(tensor(n1.obj, n2.obj), {
-        a: tensor_mor(n1.include.then(n1.projections[a]),
-                      n2.include.then(n2.projections[a])).then(laxes[a])
+        a: tensor_then((n1.include.then(n1.projections[a]),
+                        n2.include.then(n2.projections[a])), laxes[a])
         for a in n1.letters})
     if pair is None:
         raise ValueError("pairing leaves the classifying object")

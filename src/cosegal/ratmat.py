@@ -23,12 +23,13 @@ This is the only module that knows that form. Other modules make
 matrices with `mat` (from nested rows of exact numbers), `build` (from
 (row, column, entry) triples with an explicit shape), `eye`, `zeros`,
 `unvec` and the copies `transpose`, `submatrix`, `split_columns`,
-`hstack`, `vstack` and `block_diag`, and tensors with `kron` and
-`tensor_differential` (of two complexes); they read them through
-`shape`, `nonzeros`, `vec` and `has_shape`. A `Matrix` also reads as a
-tuple of dense rows (`len(m)`, `m[i]`, iteration); that view is for
-readers outside the package, such as tests and benchmarks, and nothing
-in the package uses it.
+`hstack`, `vstack` and `block_diag`, tensor with `kron` and
+`tensor_differential` (of two complexes), and compose through a tensor
+of maps with `kron_then`, which never builds the Kronecker product. They
+read them through `shape`, `nonzeros`, `vec` and `has_shape`. A `Matrix`
+also reads as a tuple of dense rows (`len(m)`, `m[i]`, iteration); that
+view is for readers outside the package, such as tests and benchmarks,
+and nothing in the package uses it.
 """
 
 import bisect
@@ -240,8 +241,10 @@ def matmul(a, b):
         acc = {}
         for k, x in row:
             for j, y in brows[k]:
+                # a product with the shared ONE copies the other entry
+                p = y if x is ONE else x if y is ONE else x * y
                 z = acc.get(j)
-                acc[j] = x * y if z is None else z + x * y
+                acc[j] = p if z is None else z + p
         out.append(tuple(sorted([(j, z) for j, z in acc.items() if z])))
     return Matrix((ra, cb), tuple(out))
 
@@ -286,6 +289,53 @@ def kron(a, b):
                 (j + l, y if x is ONE else x if y is ONE else x * y)
                 for j, x in left for l, y in brow]))
     return Matrix((ra * rb, ca * cb), tuple(out))
+
+
+def kron_then(a, b, m):
+    """m @ kron(a, b), read off the nonzeros of m, a and b without
+    building the Kronecker product (Van Loan, "The ubiquitous Kronecker
+    product", J. Comput. Appl. Math. 123, 2000).
+
+    Column c of m meets row c of kron(a, b), which is row i of a times
+    row k of b for (i, k) = divmod(c, rows(b)). An empty row of m stays
+    empty, a one-term row is a scaled product of two rows, written in
+    column order, and a row of several terms adds them up in a dict.
+    """
+    (ra, ca), (rb, cb), (rm, cm) = a.shape, b.shape, m.shape
+    if cm != ra * rb:
+        raise ValueError("kron_then shape mismatch: %sx%s times the kron of "
+                         "%sx%s and %sx%s" % (rm, cm, ra, ca, rb, cb))
+    arows, brows = a.rows, b.rows
+    out = []
+    for row in m.rows:
+        if not row:
+            out.append(row)
+            continue
+        if len(row) == 1:
+            c, x = row[0]
+            i, k = divmod(c, rb)
+            brow, prod = brows[k], []
+            for j, y in arows[i]:
+                # a product with the shared ONE copies the other entry
+                xy = y if x is ONE else x if y is ONE else x * y
+                at = j * cb
+                prod += [(at + l, z if xy is ONE else xy if z is ONE
+                          else xy * z) for l, z in brow]
+            out.append(tuple(prod))
+            continue
+        acc = {}
+        for c, x in row:
+            i, k = divmod(c, rb)
+            brow = brows[k]
+            for j, y in arows[i]:
+                xy = y if x is ONE else x if y is ONE else x * y
+                at = j * cb
+                for l, z in brow:
+                    p = z if xy is ONE else xy if z is ONE else xy * z
+                    w = acc.get(at + l)
+                    acc[at + l] = p if w is None else w + p
+        out.append(tuple(sorted([(j, z) for j, z in acc.items() if z])))
+    return Matrix((rm, ca * cb), tuple(out))
 
 
 def tensor_differential(dx, dy, odd):

@@ -1458,11 +1458,11 @@ def test_unit_constraint_maps_are_built_once(monkeypatch):
             return build(*args, **kwargs)
         return wrapper
 
-    for name in ("tensor_mor", "left_unitor", "right_unitor"):
+    for name in ("tensor_then", "left_unitor", "right_unitor"):
         monkeypatch.setattr(precat, name,
                             counted(name, getattr(precat, name)))
     check_unital(p)
-    assert builds["tensor_mor"] == len(groups)
+    assert builds["tensor_then"] == len(groups)
     assert builds["left_unitor"] + builds["right_unitor"] == len(groups)
     rebuild = counted("unit_constraint_maps", unit_constraint_maps)
     monkeypatch.setattr(precat, "unit_constraint_maps", rebuild)

@@ -12,8 +12,8 @@ from cosegal.base import (
     generating_cofibrations, has_rlp, homology, identity, invert,
     is_cofibration, is_fibration, is_isomorphism, is_trivial_fibration,
     is_weak_equivalence, left_unitor, make_map, right_unitor, solve_map,
-    sphere, symmetry, tensor, tensor_mor, tensor_multi, unit, vectq_map,
-    vectq_obj, zero_map,
+    sphere, symmetry, tensor, tensor_mor, tensor_multi, tensor_then, unit,
+    vectq_map, vectq_obj, zero_map,
 )
 
 from fixtures import (
@@ -175,6 +175,80 @@ def test_tensor_mor_is_the_left_fold_of_pairwise_tensors(rng, backend):
         for m in mors[1:]:
             fold = tensor_mor(fold, m)
         assert tensor_mor(*mors) == fold
+
+
+def rand_map_out_of(rng, x):
+    """A random map out of x into a small random object of its backend."""
+    if x.backend == "finset":
+        dst = finset_obj(["h%d" % i for i in range(rng.randint(1, 3))])
+        return finset_map(x, dst, [rng.randrange(dst.size())
+                                   for _ in range(x.size())])
+    if x.backend == "vectq":
+        dst = vectq_obj(rng.randint(0, 3))
+        return vectq_map(x, dst, [[rng.randint(-2, 2) for _ in range(x.size())]
+                                  for _ in range(dst.size())])
+    return rand_chq_map(rng, x, rand_chq(rng, lo=-1))
+
+
+def tensor_then_cases(rng, backend):
+    """Two and three random factors, some with empty ends and, on chq,
+    some in odd degrees, each with one map h out of the tensor of their
+    targets; then factors whose ends are empty or odd on purpose."""
+    for _ in range(25):
+        mors = [rand_backend_map(rng, backend, "abc"[i])
+                for i in range(rng.randint(2, 3))]
+        yield mors, rand_map_out_of(rng, tensor_multi([m.dst for m in mors]))
+    e = empty(backend)
+    if backend == "chq":
+        # d(e0) = e1 in degrees 1 and 0, and a sphere in degree -1: the
+        # tensors' differentials carry Koszul signs
+        x, y = disk(1), sphere(-1)
+        odd = [chq_map(x, x, [[2, 0], [0, 2]]), identity(y)]
+        yield odd, rand_map_out_of(rng, tensor(x, y))
+        yield odd + [identity(x)], rand_map_out_of(rng, tensor(
+            tensor(x, y), x))
+        yield [identity(e), odd[0]], rand_map_out_of(rng, tensor(e, x))
+        return
+    x = finset_obj(["p", "q"]) if backend == "finset" else vectq_obj(2)
+    yield [identity(e), identity(x)], rand_map_out_of(rng, tensor(e, x))
+    yield ([identity(x), zero_map(e, x), identity(x)],
+           rand_map_out_of(rng, tensor_multi([x, x, x])))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_tensor_then_is_the_composite_through_the_tensor(rng, backend):
+    # tensor_then builds no tensor map, so its result must equal the
+    # tensor, built, then h; also with the ends passed in, and with a
+    # single factor
+    for mors, h in tensor_then_cases(rng, backend):
+        want = tensor_mor(*mors).then(h)
+        got = tensor_then(mors, h)
+        assert got == want
+        src = tensor_multi([m.src for m in mors])
+        assert tensor_then(mors, h, src=src, dst=h.src) == want
+        assert tensor_then(mors[:1], identity(mors[0].dst)) == mors[0]
+        if backend != "finset":
+            assert_exact(got.matrix)
+            assert got.backend != "chq" or got == chq_map(
+                got.src, got.dst, got.matrix)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_tensor_then_refuses_a_map_out_of_another_object(backend):
+    # h must start on the tensor of the targets, which is built and
+    # compared when dst is not passed in, and compared when it is
+    x = {"finset": finset_obj(["p", "q"]), "vectq": vectq_obj(2),
+         "chq": disk(1)}[backend]
+    other = {"finset": finset_obj(["p", "r"]), "vectq": vectq_obj(3),
+             "chq": disk(2)}[backend]
+    mors = [identity(x), identity(unit(backend))]
+    with pytest.raises(ValueError, match="composition mismatch"):
+        tensor_then(mors, identity(tensor(other, unit(backend))))
+    with pytest.raises(ValueError, match="composition mismatch"):
+        tensor_then(mors, identity(other), dst=tensor(x, unit(backend)))
+    # an equal but distinct source is accepted, as by then
+    h = identity(tensor(x, unit(backend)))
+    assert tensor_then(mors, h) == tensor_mor(*mors).then(h)
 
 
 def test_then_refuses_a_mismatched_end_of_equal_size():

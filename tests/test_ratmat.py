@@ -583,17 +583,37 @@ def test_inverse(rng):
             assert inv is None
 
 
+# nonzero entries that are often the shared ONE, and otherwise -ONE, a 1
+# that is not ONE, or another rational
+ONE_HEAVY = st.sampled_from([ONE, ONE, -ONE, Fraction(2, 2)]) | RATIONALS
+
+
 @st.composite
-def with_ones(draw):
-    """A matrix of up to 3 x 3, empty shapes included, whose nonzero
-    entries are often the shared ONE (an identity matrix among them), and
-    otherwise -ONE, a 1 that is not ONE, or another rational."""
-    if draw(st.booleans()):
+def with_ones(draw, rows=None, cols=None):
+    """A matrix of up to 3 x 3 (or of the given shape), empty shapes
+    included, whose nonzero entries are often the shared ONE (an identity
+    matrix among them when no shape is given), and otherwise -ONE, a 1
+    that is not ONE, or another rational."""
+    if rows is None and cols is None and draw(st.booleans()):
         return eye(draw(st.integers(0, 3)))
-    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    entry = st.sampled_from([0, ONE, ONE, -ONE, Fraction(2, 2)]) | RATIONALS
+    if rows is None:
+        rows = draw(st.integers(0, 3))
+    if cols is None:
+        cols = draw(st.integers(0, 3))
+    entry = st.just(0) | ONE_HEAVY
     return mat([[draw(entry) for _ in range(cols)] for _ in range(rows)],
                cols)
+
+
+def assert_canonical(m):
+    """m is in the canonical sparse form: one row per row of its shape,
+    each holding nonzero Fractions at ascending columns inside it."""
+    r, c = shape(m)
+    assert len(m.rows) == r
+    for row in m.rows:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= j < c for j in cols)
+        assert all(type(x) is Fraction and x for _, x in row)
 
 
 @given(with_ones(), with_ones())
@@ -606,6 +626,67 @@ def test_kron_with_ones_matches_the_dense_product(a, b):
                           shape(a)[1] * shape(b)[1])
     assert all(type(x) is Fraction and x for _, _, x in nonzeros(got))
     assert_exact(got)
+
+
+@given(st.data())
+def test_matmul_with_ones_matches_the_dense_product(data):
+    # the accumulating branch copies the other factor of a product with
+    # the shared ONE, as the one-term branch does
+    a = data.draw(with_ones())
+    b = data.draw(with_ones(rows=shape(a)[1]))
+    got = matmul(a, b)
+    assert tuple(got) == ref_matmul(a, b)
+    assert shape(got) == (shape(a)[0], shape(b)[1])
+    assert_canonical(got)
+
+
+@st.composite
+def kron_then_cases(draw):
+    """(a, b, m): a and b by `with_ones`, and m of up to 4 rows on
+    rows(a) rows(b) columns, each row empty, of one term or of several.
+    b has rows, and so has a but for one draw in eight, so that m mostly
+    has columns."""
+    factor = with_ones().filter(lambda x: shape(x)[0])
+    a = draw(with_ones() if draw(st.integers(0, 7)) == 0 else factor)
+    b = draw(factor)
+    cols = shape(a)[0] * shape(b)[0]
+    entries = []
+    for i in range(draw(st.integers(0, 4))):
+        at = draw(st.permutations(range(cols)))
+        size = draw(st.sampled_from([0, 1, 1, 2, 3]))
+        entries += [(i, j, draw(ONE_HEAVY)) for j in at[:size]]
+    rows = 1 + max([i for i, _, _ in entries], default=-1)
+    return a, b, build(draw(st.integers(rows, 4)), cols, entries)
+
+
+@given(kron_then_cases())
+@example((eye(0), eye(2), zeros(3, 0)))
+@example((zeros(2, 0), eye(2), mat([[0, 1, 0, 0], [1, 0, 0, 1]])))
+# a two-term row whose products cancel to zero
+@example((mat([[1], [1]]), eye(1), mat([[1, -1]])))
+# one-term rows whose products have no factor ONE
+@example((mat([[3, -ONE]]), mat([["1/2"]]), mat([[-2], [ONE]])))
+# -ONE and a 1 that is not the shared ONE, in every factor
+@example((mat([[Fraction(2, 2), -ONE]]), mat([[-ONE], [Fraction(2, 2)]]),
+          mat([[ONE, 0], [-ONE, Fraction(2, 2)], [0, 0]])))
+def test_kron_then_is_the_product_with_the_kron(case):
+    # m @ kron(a, b) read off the nonzeros, without building the kron
+    a, b, m = case
+    got = ratmat.kron_then(a, b, m)
+    assert got == matmul(m, kron(a, b))
+    cols = shape(a)[1] * shape(b)[1]
+    assert tuple(got) == ref_matmul(m, mat(ref_kron(a, b), cols))
+    assert shape(got) == (shape(m)[0], cols)
+    assert_canonical(got)
+
+
+def test_products_refuse_mismatched_shapes():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        matmul(zeros(1, 2), zeros(3, 1))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ratmat.kron_then(eye(2), eye(2), zeros(1, 3))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ratmat.kron_then(zeros(2, 1), zeros(0, 3), eye(2))
 
 
 def test_kron_mixed_product(rng):
