@@ -298,8 +298,8 @@ def kron_then(a, b, m):
 
     Column c of m meets row c of kron(a, b), which is row i of a times
     row k of b for (i, k) = divmod(c, rows(b)). An empty row of m stays
-    empty, a one-term row is a scaled product of two rows, written in
-    column order, and a row of several terms adds them up in a dict.
+    empty; the terms of any other row add up in a dict, which a one-term
+    row fills in column order, so only a row of several terms is sorted.
     """
     (ra, ca), (rb, cb), (rm, cm) = a.shape, b.shape, m.shape
     if cm != ra * rb:
@@ -310,18 +310,6 @@ def kron_then(a, b, m):
     for row in m.rows:
         if not row:
             out.append(row)
-            continue
-        if len(row) == 1:
-            c, x = row[0]
-            i, k = divmod(c, rb)
-            brow, prod = brows[k], []
-            for j, y in arows[i]:
-                # a product with the shared ONE copies the other entry
-                xy = y if x is ONE else x if y is ONE else x * y
-                at = j * cb
-                prod += [(at + l, z if xy is ONE else xy if z is ONE
-                          else xy * z) for l, z in brow]
-            out.append(tuple(prod))
             continue
         acc = {}
         for c, x in row:
@@ -334,7 +322,9 @@ def kron_then(a, b, m):
                     p = z if xy is ONE else xy if z is ONE else xy * z
                     w = acc.get(at + l)
                     acc[at + l] = p if w is None else w + p
-        out.append(tuple(sorted([(j, z) for j, z in acc.items() if z])))
+        # the products of one term come in column order and are nonzero
+        out.append(tuple(acc.items()) if len(row) == 1 else
+                   tuple(sorted([(j, z) for j, z in acc.items() if z])))
     return Matrix((rm, ca * cb), tuple(out))
 
 

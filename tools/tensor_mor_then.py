@@ -5,9 +5,13 @@ Kronecker product on vectq and chq) only to compose it with h;
 `base.tensor_then(mors, h)` gives the same map without building it, and
 is the one way the package composes through a tensor. This walks the
 syntax tree of every module of src/cosegal and finds each `then`
-attribute call whose receiver is a call of `tensor_mor` (by that name or
-as an attribute, as in `base.tensor_mor`). Prints each as path:line and
-exits 1 if there is any.
+attribute call whose receiver is
+- a call of `tensor_mor` (by that name or as an attribute, as in
+  `base.tensor_mor`): `tensor_mor(...).then(h)`; or
+- a `then` call whose argument is such a call:
+  `x.then(tensor_mor(...)).then(h)`, which is
+  `x.then(tensor_then(mors, h))`.
+Prints each as path:line and exits 1 if there is any.
 
     python tools/tensor_mor_then.py
 """
@@ -28,15 +32,21 @@ def _is_tensor_mor_call(node):
             or isinstance(fn, ast.Attribute) and fn.attr == "tensor_mor")
 
 
+def _is_then_call(node):
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "then")
+
+
 def sites(source, path="<string>"):
-    """The line numbers of the `tensor_mor(...).then(...)` calls in a
-    module's source."""
+    """The line numbers of the `tensor_mor(...).then(...)` and
+    `x.then(tensor_mor(...)).then(...)` calls in a module's source."""
     return sorted(
         node.lineno for node in ast.walk(ast.parse(source, path))
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "then"
-        and _is_tensor_mor_call(node.func.value))
+        if _is_then_call(node)
+        and (_is_tensor_mor_call(node.func.value)
+             or _is_then_call(node.func.value)
+             and any(_is_tensor_mor_call(a) for a in node.func.value.args)))
 
 
 def main():
@@ -49,7 +59,8 @@ def main():
                           for line in sites(fh.read(), path)]
     for site in found:
         print(site)
-    print("%d tensor_mor(...).then(...) calls in src/cosegal" % len(found))
+    print("%d compositions through a built tensor_mor in src/cosegal"
+          % len(found))
     return 1 if found else 0
 
 
