@@ -22,8 +22,10 @@ The central objects here:
   makes the values, structure maps and laxity of all three.
 * Every map out of a free construction is a transpose (`_free_transpose`):
   gamma, point and the gadget are left adjoints, so it is fixed by where
-  it sends the chain blocks. A map out of the bare diagram of an arrow
-  is fixed by the square it classifies (`_arrow_transpose`).
+  it sends the chain blocks. A summand's parts merge through the
+  target's binary laxity one at a time, from the left. A map out of the
+  bare diagram of an arrow is fixed by the square it classifies
+  (`_arrow_transpose`).
 * `unitalize` forces the unit laws on a pointed precategory by one
   quotient round, which `check_unital` confirms. It builds no gadget;
   the result is the colimit that glues one upsilon gadget per violated
@@ -577,13 +579,14 @@ def _free_transpose(build, h, k_component):
     is pointed, so it needs a pointed h.
 
     On a summand, carrier parts go through k_component and unit parts to
-    derived units, and h's laxity merges every part.
+    derived units, and the parts merge through h's binary laxity one at a
+    time, from the left (the left-bracketed iterated laxity), each step a
+    `tensor_then` of two maps, so no leg builds a Kronecker product.
     """
     src, sums = build
     if src.is_pointed() and not h.is_pointed():
         raise ValueError("transpose needs a pointed target")
     kcomp = functools.cache(k_component)
-    lax_multi = functools.cache(h.lax_multi)
 
     @functools.cache
     def derived_unit(part):
@@ -592,11 +595,12 @@ def _free_transpose(build, h, k_component):
     def leg(key, parts):
         factors = [kcomp(q) if l == "f" else derived_unit(q)
                    for q, l in zip(parts, key[1])]
-        # one part needs no laxity: h.lax_multi of one part is the identity
-        if len(parts) == 1:
-            return factors[0]
-        lax = lax_multi(parts)
-        return tensor_then(factors, lax, dst=lax.src)
+        out, cur = factors[0], parts[0]
+        for q, f in zip(parts[1:], factors[1:]):
+            lax = h.lax(cur, q)
+            out = tensor_then((out, f), lax, dst=lax.src)
+            cur = shapes.concat(cur, q)
+        return out
 
     comps = {w: _sum_map(sums[w], h.value(w), leg)
              for w in src.chains if sums[w].live}

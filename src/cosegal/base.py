@@ -291,7 +291,9 @@ def tensor_then(mors, h, src=None, dst=None):
     folds all factors but the last as `tensor_mor` does, and composes the
     last fold step with h: on finset each index is read through
     h.mapping, and on vectq and chq `ratmat.kron_then` multiplies h by
-    the Kronecker product with the last factor without building it.
+    the Kronecker product with the last factor without building it. Its
+    only callers with three or more factors, whose first factors are
+    `kron`ed, are the free builds' `adjoints._into`.
     """
     if len(mors) == 1:
         return mors[0].then(h)

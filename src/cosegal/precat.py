@@ -81,20 +81,6 @@ class Precategory:
         return zero_map(empty(self.backend),
                         self.values[shapes.concat(s, t)])
 
-    def lax_multi(self, parts):
-        """The laxity map out of the tensor of several parts, bracketed
-        from the left."""
-        parts = list(parts)
-        if len(parts) == 1:
-            return identity(self.values[parts[0]])
-        out = self.lax(parts[0], parts[1])
-        cur = shapes.concat(parts[0], parts[1])
-        for nxt in parts[2:]:
-            out = tensor_then((out, identity(self.values[nxt])),
-                              self.lax(cur, nxt))
-            cur = shapes.concat(cur, nxt)
-        return out
-
     def is_pointed(self):
         return self.units is not None
 

@@ -557,7 +557,7 @@ def relation_cokernel(nrows, relations):
     the columns. Otherwise P holds the null vectors of rref(m^T), of the
     transpose built by `_relation_transpose`.
     """
-    edges, dead = [], set()
+    # every block is checked before the walk or rref reads any
     for ra, a, rb, b in relations:
         (ma, n), (mb, nb) = a.shape, b.shape
         if nb != n:
@@ -566,6 +566,9 @@ def relation_cokernel(nrows, relations):
         if not (0 <= ra and ra + ma <= nrows and 0 <= rb
                 and rb + mb <= nrows):
             raise IndexError("relation rows out of %d rows" % nrows)
+    edges, dead = [], set()
+    for ra, a, rb, b in relations:
+        n = a.shape[1]
         # the first entry of each column of a and of b, as (row, entry)
         left, right, many = [None] * n, [None] * n, set()
         for side, start, m in ((left, ra, a), (right, rb, b)):

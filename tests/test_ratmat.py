@@ -566,6 +566,12 @@ def test_relation_cokernel_is_the_cokernel_of_the_built_matrix(case):
 def test_relation_cokernel_refuses_relations_that_do_not_fit():
     with pytest.raises(ValueError):
         ratmat.relation_cokernel(3, [(0, eye(2), 0, eye(3))])
+    # a first block with a three-nonzero column sends the call to rref,
+    # which must not read the later blocks unchecked
+    with pytest.raises(ValueError):
+        ratmat.relation_cokernel(3, [
+            (0, mat([[1], [1], [1]]), 0, zeros(0, 1)),
+            (0, eye(3), 0, mat([[1, 0], [0, 1], [0, 0]]))])
     for ra, rb in ((2, 0), (0, 2), (-1, 0)):
         with pytest.raises(IndexError):
             ratmat.relation_cokernel(3, [(ra, eye(2), rb, eye(2))])

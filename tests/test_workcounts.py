@@ -3,8 +3,9 @@ makes, pinned as ceilings. Counts of work do not drift with the host as
 wall times do, so a test can hold them.
 
 The input is the unit-forgotten strict `function_category({"A": 1,
-"B": 2})`, freely pointed and unitalized; the oracles run on the
-unitalization and on its eta.
+"B": 2})`. The oracles run on the unitalization of its free pointing and
+on that eta; the transposes, maps out of the free constructions, are
+gamma's counit of it and the free pointing of that counit.
 """
 
 import functools
@@ -12,7 +13,7 @@ import functools
 import pytest
 
 from cosegal import ratmat
-from cosegal.adjoints import point, unitalize
+from cosegal.adjoints import gamma_counit, point, point_map, unitalize
 from cosegal.precat import (
     check_unital, from_strict_category, make_precategory, validate,
     validate_morphism,
@@ -21,15 +22,18 @@ from cosegal.precat import (
 from fixtures import function_category, linearize_category
 
 
-@functools.cache
-def unitalized(backend, truncation):
+def unit_forgotten(backend, truncation):
     cat = function_category({"A": 1, "B": 2})
     if backend == "vectq":
         cat = linearize_category(cat)
     pc = from_strict_category(cat, truncation)
-    forgot = make_precategory(pc.backend, pc.letters, pc.truncation,
-                              pc.values, pc.maps, pc.laxity)
-    return unitalize(point(forgot))
+    return make_precategory(pc.backend, pc.letters, pc.truncation,
+                            pc.values, pc.maps, pc.laxity)
+
+
+@functools.cache
+def unitalized(backend, truncation):
+    return unitalize(point(unit_forgotten(backend, truncation)))
 
 
 def count_calls(monkeypatch, module, name):
@@ -62,3 +66,17 @@ def test_the_oracles_build_no_kronecker_product(monkeypatch, oracle):
     assert run(arg) == []
     assert krons[0] == 0
     assert fused[0] > 0
+
+
+@pytest.mark.parametrize("transpose", ["gamma_counit", "point_map"])
+def test_the_transposes_build_no_kronecker_product(monkeypatch, transpose):
+    # a leg of a transpose folds its parts through the target's laxity
+    # one at a time, base.tensor_then of two factors each. Tensoring all
+    # of a leg's factors first made 16 and 12 krons here, on the legs of
+    # three parts; the builds of gamma and point make none at truncation 3
+    pc = unit_forgotten("vectq", 3)
+    run, arg = {"gamma_counit": (gamma_counit, pc),
+                "point_map": (point_map, gamma_counit(pc))}[transpose]
+    krons = count_calls(monkeypatch, ratmat, "kron")
+    run(arg)
+    assert krons[0] == 0

@@ -18,7 +18,10 @@ fixed pairs of complexes: `chq_hom_basis`, `solve_map` and `has_rlp`
 against the generating cofibrations. Then comes `realize` of the split
 module, whose letters a and m have no chain from m to a. Last come the
 unit findings, each record of `check_unital` (its constraint and its two
-maps) on the free pointing of the finset, vectq and chq fixtures.
+maps) on the free pointing of the finset, vectq and chq fixtures, and
+after them `gamma_counit` and `point_map` of it on the vectq and chq
+fixtures at truncation 3, where legs of three parts fold through two
+laxities.
 Precategories and their morphisms are read through their accessors
 (`render`), so the rendering does not depend on which maps out of empty
 objects a precategory stores. Two builds of these outputs print the
@@ -213,7 +216,8 @@ def parts():
     """(case name, part name, value) of every part: the gluing engines'
     after the free constructions', then the maps out of the free
     constructions, the chq hom spaces, the realization of the split
-    module, and last the unit findings of the free pointings."""
+    module, the unit findings of the free pointings, and last the linear
+    counits and their free pointings at truncation 3."""
     for name, cat, truncation, alpha in cases():
         for part, value in outputs(cat, truncation, alpha):
             yield name, part, value
@@ -229,6 +233,10 @@ def parts():
     for name, cat, truncation, _ in cases()[:3]:
         pc = forget_units(from_strict_category(cat, truncation))
         yield name, "unit findings", check_unital(adjoints.point(pc))
+    for name, cat, _, _ in cases()[1:3]:
+        eps = adjoints.gamma_counit(forget_units(from_strict_category(cat, 3)))
+        yield name, "gamma_counit at 3", eps
+        yield name, "point_map at 3", adjoints.point_map(eps)
 
 
 def main(argv):
